@@ -6,11 +6,11 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
 
-use uprob_core::{confidence, DecompositionOptions};
+use uprob_core::{confidence, DecompositionOptions, ParallelOptions, SharedDecompositionCache};
 use uprob_datagen::{
     q1_answer, q1_answer_relation, q2_answer, q2_answer_relation, TpchConfig, TpchDatabase,
 };
-use uprob_query::answer_confidences;
+use uprob_query::answer_confidences_with_options;
 
 fn bench_fig10(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig10_tpch");
@@ -64,11 +64,12 @@ fn bench_fig10(c: &mut Criterion) {
         ] {
             group.bench_with_input(BenchmarkId::new(name, scale), &relation, |b, relation| {
                 b.iter(|| {
-                    answer_confidences(
+                    answer_confidences_with_options(
                         black_box(relation),
                         table,
                         &DecompositionOptions::indve_minlog(),
-                        None,
+                        &ParallelOptions::auto(),
+                        &SharedDecompositionCache::new(),
                     )
                     .unwrap()
                 })

@@ -8,11 +8,12 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
 
-use uprob_core::{confidence_with_cache, DecompositionOptions, SharedDecompositionCache};
+use uprob_core::{
+    confidence_parallel, DecompositionOptions, ParallelOptions, SharedDecompositionCache,
+};
 use uprob_datagen::{q1_answer_relation, TpchConfig, TpchDatabase};
 use uprob_query::{
-    answer_confidences, answer_confidences_with_cache, boolean_confidence,
-    tuple_confidences_sequential,
+    answer_confidences_with_options, boolean_confidence, tuple_confidences_sequential,
 };
 
 fn bench_cache_reuse(c: &mut Criterion) {
@@ -21,6 +22,7 @@ fn bench_cache_reuse(c: &mut Criterion) {
         .sample_size(10)
         .measurement_time(Duration::from_secs(2));
     let options = DecompositionOptions::indve_minlog();
+    let sequential = ParallelOptions::sequential();
     for scale in [0.01, 0.05] {
         let data = TpchDatabase::generate(
             TpchConfig::scale(scale)
@@ -48,7 +50,14 @@ fn bench_cache_reuse(c: &mut Criterion) {
             &relation,
             |b, relation| {
                 b.iter(|| {
-                    answer_confidences(black_box(relation), table, &options, Some(1)).unwrap()
+                    answer_confidences_with_options(
+                        black_box(relation),
+                        table,
+                        &options,
+                        &sequential,
+                        &SharedDecompositionCache::new(),
+                    )
+                    .unwrap()
                 })
             },
         );
@@ -56,24 +65,34 @@ fn bench_cache_reuse(c: &mut Criterion) {
             BenchmarkId::new("q1_conf_batch_parallel", scale),
             &relation,
             |b, relation| {
-                b.iter(|| answer_confidences(black_box(relation), table, &options, None).unwrap())
+                b.iter(|| {
+                    answer_confidences_with_options(
+                        black_box(relation),
+                        table,
+                        &options,
+                        &ParallelOptions::auto(),
+                        &SharedDecompositionCache::new(),
+                    )
+                    .unwrap()
+                })
             },
         );
         // The per-database cache: the first query pays for the memo table,
         // every following query over the same database rides it (the
         // repeated-query loops of the paper's data-cleaning scenario).
         let db_cache = SharedDecompositionCache::new();
-        answer_confidences_with_cache(&relation, table, &options, Some(1), &db_cache).unwrap();
+        answer_confidences_with_options(&relation, table, &options, &sequential, &db_cache)
+            .unwrap();
         group.bench_with_input(
             BenchmarkId::new("q1_conf_warm_db_cache", scale),
             &relation,
             |b, relation| {
                 b.iter(|| {
-                    answer_confidences_with_cache(
+                    answer_confidences_with_options(
                         black_box(relation),
                         table,
                         &options,
-                        Some(1),
+                        &sequential,
                         &db_cache,
                     )
                     .unwrap()
@@ -84,13 +103,14 @@ fn bench_cache_reuse(c: &mut Criterion) {
         // warm cache costs only the component lookups.
         let answer_set = relation.answer_ws_set();
         let cache = SharedDecompositionCache::new();
-        confidence_with_cache(&answer_set, table, &options, Some(&cache)).unwrap();
+        confidence_parallel(&answer_set, table, &options, &sequential, Some(&cache)).unwrap();
         group.bench_with_input(
             BenchmarkId::new("warm_boolean_confidence", scale),
             &answer_set,
             |b, set| {
                 b.iter(|| {
-                    confidence_with_cache(black_box(set), table, &options, Some(&cache)).unwrap()
+                    confidence_parallel(black_box(set), table, &options, &sequential, Some(&cache))
+                        .unwrap()
                 })
             },
         );

@@ -22,7 +22,7 @@ use uprob_datagen::{
     HardInstanceConfig, SensorConfig, SensorWorkload, TpchConfig, TpchDatabase,
 };
 use uprob_query::{
-    answer_confidences, assert_constraint, boolean_confidence,
+    answer_confidences_with_options, assert_constraint, boolean_confidence,
     planned_answer_confidences_with_options, tuple_confidences_sequential, Constraint,
     ProbDbService, ServiceOptions,
 };
@@ -133,7 +133,13 @@ pub fn fig10(scale: ExperimentScale) -> ResultTable {
                 .and_then(|t| boolean_confidence(&relation, world_table, &options).map(|_| t));
             let sequential_cell = render_timed(sequential.as_ref().map(|_| ()), start.elapsed());
             let start = Instant::now();
-            let batch = answer_confidences(&relation, world_table, &options, None);
+            let batch = answer_confidences_with_options(
+                &relation,
+                world_table,
+                &options,
+                &ParallelOptions::auto(),
+                &SharedDecompositionCache::new(),
+            );
             let batch_elapsed = start.elapsed();
             let batch_cell = render_timed(batch.as_ref().map(|_| ()), batch_elapsed);
             let hit_rate_cell = match &batch {
@@ -925,7 +931,14 @@ mod tests {
         assert!(!relation.is_empty(), "the tiny instance has Q1 answers");
 
         let sequential = tuple_confidences_sequential(&relation, world_table, &options).unwrap();
-        let batch = answer_confidences(&relation, world_table, &options, None).unwrap();
+        let batch = answer_confidences_with_options(
+            &relation,
+            world_table,
+            &options,
+            &ParallelOptions::auto(),
+            &SharedDecompositionCache::new(),
+        )
+        .unwrap();
         assert_eq!(sequential.len(), batch.tuples.len());
         for ((t1, p1), (t2, p2)) in sequential.iter().zip(&batch.tuples) {
             assert_eq!(t1, t2);

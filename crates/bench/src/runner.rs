@@ -4,7 +4,8 @@ use std::time::{Duration, Instant};
 
 use uprob_approx::{karp_luby_epsilon_delta, optimal_monte_carlo, ApproximationOptions};
 use uprob_core::{
-    confidence, confidence_by_elimination_with, CoreError, DecompositionOptions, VariableHeuristic,
+    confidence, confidence_by_elimination_parallel, CoreError, DecompositionOptions,
+    ParallelOptions, VariableHeuristic,
 };
 use uprob_wsd::{WorldTable, WsSet};
 
@@ -135,7 +136,13 @@ pub fn run_algorithm(
                 Err(e) => panic!("VE failed: {e}"),
             }
         }
-        Algorithm::We => match confidence_by_elimination_with(set, table, node_budget, None) {
+        Algorithm::We => match confidence_by_elimination_parallel(
+            set,
+            table,
+            node_budget,
+            None,
+            &ParallelOptions::sequential(),
+        ) {
             Ok(result) => finish(result.probability, start),
             Err(CoreError::BudgetExceeded { .. }) => RunOutcome::BudgetExceeded {
                 elapsed: start.elapsed(),

@@ -598,11 +598,12 @@ mod tests {
         let err = confidence_with_cache(&s12, &mutated, &options, Some(&cache)).unwrap_err();
         assert!(matches!(err, crate::CoreError::CacheTableMismatch { .. }));
         // WE shares the same binding.
-        let err = crate::elimination::confidence_by_elimination_with(
+        let err = crate::elimination::confidence_by_elimination_parallel(
             &other_set,
             &other,
             None,
             Some(&cache),
+            &crate::ParallelOptions::sequential(),
         )
         .unwrap_err();
         assert!(matches!(err, crate::CoreError::CacheTableMismatch { .. }));

@@ -820,11 +820,12 @@ mod tests {
             .collect();
 
         const BUDGET: u64 = 20;
-        let we = crate::elimination::confidence_by_elimination_with(
+        let we = crate::elimination::confidence_by_elimination_parallel(
             &cond_set,
             db.world_table(),
             Some(BUDGET),
             None,
+            &crate::ParallelOptions::sequential(),
         );
         assert_eq!(
             we.unwrap_err(),

@@ -25,7 +25,8 @@ use crate::wstree::WsTree;
 use crate::Result;
 
 /// Computes the exact probability of the world-set denoted by `set`,
-/// folding Figure 7 over the Davis–Putnam-style decomposition.
+/// folding Figure 7 over the Davis–Putnam-style decomposition. This is the
+/// paper-level form of [`crate::confidence_parallel`]: one worker, no cache.
 ///
 /// # Errors
 ///
@@ -39,22 +40,14 @@ pub fn confidence(
     confidence_with_cache(set, table, options, None)
 }
 
-/// Like [`confidence`], but consults and populates a shared decomposition
-/// cache: every sub-ws-set with at least two descriptors is canonicalised
-/// and memoized, so identical sub-problems — within one run or across runs
-/// sharing the cache — are solved once. The `cache_hits` / `cache_misses`
-/// counters of the returned [`Confidence::stats`] report this run's reuse.
-///
-/// A cache hit returns without charging decomposition nodes, so budgeted
-/// runs can succeed with a warm cache where they would exhaust the budget
-/// cold; the budget bounds the *new* work of a run.
-///
-/// # Errors
-///
-/// Returns [`crate::CoreError::BudgetExceeded`] if `options.node_budget` is
-/// set and exhausted, and [`crate::CoreError::CacheTableMismatch`] if
-/// `cache` was first used with a different world table.
-pub fn confidence_with_cache(
+/// The sequential fold behind [`confidence`] and the one-worker case of
+/// [`crate::confidence_parallel`]: consults and populates the optional
+/// shared decomposition cache — every sub-ws-set with at least two
+/// descriptors is canonicalised and memoized, so identical sub-problems,
+/// within one run or across runs sharing the cache, are solved once. A
+/// cache hit returns without charging decomposition nodes, so the budget
+/// bounds the *new* work of a run.
+pub(crate) fn confidence_with_cache(
     set: &WsSet,
     table: &WorldTable,
     options: &DecompositionOptions,

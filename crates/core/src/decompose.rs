@@ -13,7 +13,7 @@
 //!   ⊕ node.
 //!
 //! The same recursion is reused, without materialising the tree, by exact
-//! confidence computation ([`crate::confidence`]) and by conditioning
+//! confidence computation ([`mod@crate::confidence`]) and by conditioning
 //! ([`crate::conditioning`]): they *fold* probability computation or
 //! database rewriting over the decomposition, which is exactly the
 //! `ComputeTree ∘ P` composition described in Section 4.3.

@@ -20,83 +20,46 @@ use uprob_approx::fan_out_indexed;
 use uprob_wsd::ws_set::{diff_descriptor_set, try_diff_descriptor_set};
 use uprob_wsd::{NeumaierSum, WorldTable, WsDescriptor, WsSet};
 
-use crate::cache::{CacheLookup, PendingEntry, SharedDecompositionCache};
+use crate::cache::{CacheLookup, SharedDecompositionCache};
 use crate::error::CoreError;
 use crate::parallel::ParallelOptions;
 use crate::stats::{Confidence, DecompositionStats};
 use crate::Result;
 
-/// Computes the exact probability of `set` by ws-descriptor elimination.
+/// Computes the exact probability of `set` by ws-descriptor elimination:
+/// the paper-level form of [`confidence_by_elimination_parallel`] — one
+/// worker, no node budget, no cache.
 ///
 /// The `stats` of the returned [`Confidence`] reuse the decomposition
 /// counters: `branches` counts the mutex descriptors generated by the
 /// differences and `variable_eliminations` the number of eliminated input
 /// descriptors.
 pub fn confidence_by_elimination(set: &WsSet, table: &WorldTable) -> Result<Confidence> {
-    confidence_by_elimination_with(set, table, None, None)
+    confidence_by_elimination_parallel(set, table, None, None, &ParallelOptions::sequential())
 }
 
-/// [`confidence_by_elimination`] with the same `node_budget` semantics as
-/// the decomposition-based algorithms and an optional shared cache.
+/// The general WE entry point: [`confidence_by_elimination`] with the same
+/// `node_budget` semantics as the decomposition-based algorithms, an
+/// optional shared cache, and the per-descriptor eliminations fanned out
+/// over `parallel.workers()` worker threads.
 ///
 /// The budget charges one node per eliminated input descriptor and one per
 /// descriptor generated while expanding the differences (including
 /// intermediate ones), so a WE run aborts with
 /// [`CoreError::BudgetExceeded`] *during* the exponential expansion instead
 /// of returning late or wrong — mirroring how `Exact` decomposition charges
-/// every visited node. The cache memoizes the probability of the whole set
-/// (WE has no recursive sub-set structure to share), which lets repeated
-/// tuples and answer-level queries reuse each other's work.
-///
-/// # Errors
-///
-/// Returns [`CoreError::BudgetExceeded`] if `node_budget` is set and
-/// exhausted, and [`CoreError::CacheTableMismatch`] if `cache` was first
-/// used with a different world table.
-pub fn confidence_by_elimination_with(
-    set: &WsSet,
-    table: &WorldTable,
-    node_budget: Option<u64>,
-    cache: Option<&SharedDecompositionCache>,
-) -> Result<Confidence> {
-    if let Some(shared) = cache {
-        shared.bind_table(table)?;
-    }
-    let mut stats = DecompositionStats::default();
-    let pending_key = match lookup_whole_set(set, cache, &mut stats) {
-        WholeSetLookup::Hit(probability) => return Ok(Confidence { probability, stats }),
-        WholeSetLookup::Miss(key) => key,
-    };
-    let descriptors = set.descriptors();
-    let mut total = NeumaierSum::new();
-    let mut nodes: u64 = 0;
-    for index in 0..descriptors.len() {
-        stats.variable_eliminations += 1;
-        let (partial, branches) = eliminate_descriptor(index, descriptors, table, |amount| {
-            charge(&mut nodes, amount, node_budget)
-        })?;
-        stats.branches += branches;
-        total.add(partial);
-    }
-    let probability = total.value();
-    if let (Some(shared), Some(key)) = (cache, pending_key) {
-        shared.insert(key, probability);
-    }
-    Ok(Confidence { probability, stats })
-}
-
-/// [`confidence_by_elimination_with`] with the per-descriptor eliminations
-/// fanned out over `parallel.workers()` worker threads.
+/// every visited node. All workers charge one shared counter, so the abort
+/// triggers at the same total work no matter how many workers split it. The
+/// cache memoizes the probability of the whole set (WE has no recursive
+/// sub-set structure to share), which lets repeated tuples and answer-level
+/// queries reuse each other's work.
 ///
 /// The eliminations of different input descriptors are independent (each
 /// one differences its descriptor against the *later* ones only), so
 /// workers steal descriptor indices off a shared pool; the per-descriptor
-/// partial sums come back in index order and are combined with the same
-/// compensated outer sum as the sequential loop, making the result
-/// **bit-identical** to [`confidence_by_elimination_with`] for every
-/// worker count. The node budget is charged against one shared atomic
-/// counter, so `BudgetExceeded` triggers at the same total work no matter
-/// how many workers split it.
+/// partial sums come back in index order and feed one compensated outer
+/// sum, making the result **bit-identical** for every worker count (one
+/// worker, or a set below the scheduling grain, runs the same loop inline).
 ///
 /// # Errors
 ///
@@ -110,23 +73,32 @@ pub fn confidence_by_elimination_parallel(
     cache: Option<&SharedDecompositionCache>,
     parallel: &ParallelOptions,
 ) -> Result<Confidence> {
-    if parallel.is_sequential() || set.len() < parallel.grain().max(2) {
-        return confidence_by_elimination_with(set, table, node_budget, cache);
-    }
     if let Some(shared) = cache {
         shared.bind_table(table)?;
     }
     let mut stats = DecompositionStats::default();
-    let pending_key = match lookup_whole_set(set, cache, &mut stats) {
-        WholeSetLookup::Hit(probability) => return Ok(Confidence { probability, stats }),
-        WholeSetLookup::Miss(key) => key,
+    let pending_key = match cache {
+        Some(shared) if SharedDecompositionCache::is_cacheable(set) => match shared.lookup(set) {
+            CacheLookup::Hit(probability) => {
+                stats.cache_hits += 1;
+                return Ok(Confidence { probability, stats });
+            }
+            CacheLookup::Miss(key) => {
+                stats.cache_misses += 1;
+                Some(key)
+            }
+        },
+        _ => None,
     };
     let descriptors = set.descriptors();
-    let shared_nodes = AtomicU64::new(0);
-    let partials = fan_out_indexed(descriptors.len(), parallel.workers(), |index| {
-        eliminate_descriptor(index, descriptors, table, |amount| {
-            charge_shared(&shared_nodes, amount, node_budget)
-        })
+    let workers = if set.len() < parallel.grain().max(2) {
+        1
+    } else {
+        parallel.workers()
+    };
+    let nodes = AtomicU64::new(0);
+    let partials = fan_out_indexed(descriptors.len(), workers, |index| {
+        eliminate_descriptor(index, descriptors, table, &nodes, node_budget)
     });
     let mut total = NeumaierSum::new();
     for partial in partials {
@@ -142,33 +114,6 @@ pub fn confidence_by_elimination_parallel(
     Ok(Confidence { probability, stats })
 }
 
-/// Result of the up-front whole-set cache probe shared by the sequential
-/// and parallel WE entry points.
-enum WholeSetLookup {
-    Hit(f64),
-    Miss(Option<PendingEntry>),
-}
-
-fn lookup_whole_set(
-    set: &WsSet,
-    cache: Option<&SharedDecompositionCache>,
-    stats: &mut DecompositionStats,
-) -> WholeSetLookup {
-    match cache {
-        Some(shared) if SharedDecompositionCache::is_cacheable(set) => match shared.lookup(set) {
-            CacheLookup::Hit(p) => {
-                stats.cache_hits += 1;
-                WholeSetLookup::Hit(p)
-            }
-            CacheLookup::Miss(key) => {
-                stats.cache_misses += 1;
-                WholeSetLookup::Miss(Some(key))
-            }
-        },
-        _ => WholeSetLookup::Miss(None),
-    }
-}
-
 /// Eliminates input descriptor `index`: the worlds of `descriptors[index]`
 /// not covered by any *later* descriptor (Corollary 6.4), expanded
 /// subtrahend by subtrahend so the node budget is enforced while the
@@ -176,23 +121,21 @@ fn lookup_whole_set(
 /// probabilities add up into one compensated partial (returned together
 /// with the number of generated mutex descriptors); they are discarded
 /// right away.
-fn eliminate_descriptor<F>(
+fn eliminate_descriptor(
     index: usize,
     descriptors: &[WsDescriptor],
     table: &WorldTable,
-    mut charge: F,
-) -> Result<(f64, u64)>
-where
-    F: FnMut(u64) -> Result<()>,
-{
-    charge(1)?;
+    nodes: &AtomicU64,
+    budget: Option<u64>,
+) -> Result<(f64, u64)> {
+    charge(nodes, 1, budget)?;
     let remainder = try_diff_descriptor_set(
         // uprob-lint: allow(panic-index) -- recursion bound: index < descriptors.len() checked by the caller
         &descriptors[index],
         // uprob-lint: allow(panic-index) -- same bound
         &descriptors[index + 1..],
         table,
-        |generated| charge(generated as u64),
+        |generated| charge(nodes, generated as u64, budget),
     )?;
     let mut partial = NeumaierSum::new();
     for d in &remainder {
@@ -201,21 +144,10 @@ where
     Ok((partial.value(), remainder.len() as u64))
 }
 
-/// Adds `amount` decomposition nodes, erroring when the budget is exceeded.
-fn charge(nodes: &mut u64, amount: u64, budget: Option<u64>) -> Result<()> {
-    *nodes = nodes.saturating_add(amount);
-    if let Some(budget) = budget {
-        if *nodes > budget {
-            return Err(CoreError::BudgetExceeded { budget });
-        }
-    }
-    Ok(())
-}
-
-/// [`charge`] against the run-wide counter all workers of one parallel WE
-/// run share: the budget bounds the run's **total** work, independent of
-/// the worker count.
-fn charge_shared(nodes: &AtomicU64, amount: u64, budget: Option<u64>) -> Result<()> {
+/// Adds `amount` decomposition nodes to the run-wide counter all workers of
+/// one WE run share, erroring when the budget is exceeded: the budget
+/// bounds the run's **total** work, independent of the worker count.
+fn charge(nodes: &AtomicU64, amount: u64, budget: Option<u64>) -> Result<()> {
     let total = nodes
         .fetch_add(amount, Ordering::Relaxed)
         .saturating_add(amount);
@@ -251,6 +183,22 @@ mod tests {
     use crate::cache::SharedDecompositionCache;
     use crate::confidence::confidence_brute_force;
     use uprob_wsd::{VarId, WsDescriptor};
+
+    /// The general entry point on one worker.
+    fn sequential_we(
+        set: &WsSet,
+        table: &WorldTable,
+        node_budget: Option<u64>,
+        cache: Option<&SharedDecompositionCache>,
+    ) -> Result<Confidence> {
+        confidence_by_elimination_parallel(
+            set,
+            table,
+            node_budget,
+            cache,
+            &ParallelOptions::sequential(),
+        )
+    }
 
     fn ssn_table() -> (WorldTable, VarId, VarId) {
         let mut w = WorldTable::new();
@@ -436,7 +384,7 @@ mod tests {
             descriptors.push(WsDescriptor::from_pairs(&w, &[(x, 1), (y, 1)]).unwrap());
         }
         let set = WsSet::from_descriptors(descriptors);
-        let err = confidence_by_elimination_with(&set, &w, Some(100), None).unwrap_err();
+        let err = sequential_we(&set, &w, Some(100), None).unwrap_err();
         assert_eq!(err, crate::CoreError::BudgetExceeded { budget: 100 });
         // Without a budget the same instance still finishes and is exact.
         let unbudgeted = confidence_by_elimination(&set, &w).unwrap();
@@ -524,7 +472,7 @@ mod tests {
         assert_eq!(cold.stats.cache_misses, 1);
         assert!((cold.probability - 0.44).abs() < 1e-12);
         // Warm runs — sequential or parallel — answer from the cache.
-        let warm = confidence_by_elimination_with(&set, &w, None, Some(&cache)).unwrap();
+        let warm = sequential_we(&set, &w, None, Some(&cache)).unwrap();
         assert_eq!(warm.stats.cache_hits, 1);
         assert_eq!(warm.probability.to_bits(), cold.probability.to_bits());
         let warm_parallel =
@@ -544,15 +492,15 @@ mod tests {
             WsDescriptor::from_pairs(&w, &[(j, 7), (b, 4)]).unwrap(),
         ]);
         let cache = SharedDecompositionCache::new();
-        let cold = confidence_by_elimination_with(&set, &w, None, Some(&cache)).unwrap();
+        let cold = sequential_we(&set, &w, None, Some(&cache)).unwrap();
         assert_eq!(cold.stats.cache_hits, 0);
         assert_eq!(cold.stats.cache_misses, 1);
-        let warm = confidence_by_elimination_with(&set, &w, None, Some(&cache)).unwrap();
+        let warm = sequential_we(&set, &w, None, Some(&cache)).unwrap();
         assert_eq!(warm.stats.cache_hits, 1);
         assert_eq!(warm.probability, cold.probability);
         assert!((warm.probability - 0.44).abs() < 1e-12);
         // A warm cache even rescues a budget too small for a cold run.
-        let rescued = confidence_by_elimination_with(&set, &w, Some(1), Some(&cache)).unwrap();
+        let rescued = sequential_we(&set, &w, Some(1), Some(&cache)).unwrap();
         assert_eq!(rescued.probability, cold.probability);
     }
 }

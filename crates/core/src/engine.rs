@@ -6,7 +6,7 @@
 //! module makes that pairing a first-class, explicit choice:
 //!
 //! * [`ConfidenceStrategy::Exact`] — the decomposition fold of
-//!   [`crate::confidence`], with whatever budget the caller configured;
+//!   [`mod@crate::confidence`], with whatever budget the caller configured;
 //! * [`ConfidenceStrategy::Approximate`] — Karp–Luby sampling with the
 //!   optimal stopping rule, never touching the exact path;
 //! * [`ConfidenceStrategy::Hybrid`] — run the (cached) exact decomposition
@@ -213,7 +213,7 @@ impl ConfidenceReport {
 /// Computes the confidence of `set` under the given strategy.
 ///
 /// A shared decomposition cache benefits the exact path of `Exact` and
-/// `Hybrid` runs exactly as in [`confidence_with_cache`]; the sampling path
+/// `Hybrid` runs exactly as in [`confidence_parallel`]; the sampling path
 /// does not consult it.
 ///
 /// # Errors

@@ -10,7 +10,7 @@
 //!   ws-trees (`ComputeTree`, Figure 4), with independent partitioning and
 //!   variable elimination and the **minlog** / **minmax** heuristics
 //!   (Section 4.2, Figure 6);
-//! * [`confidence`]: exact probability computation (Figure 7), streamed over
+//! * [`mod@confidence`]: exact probability computation (Figure 7), streamed over
 //!   the decomposition without materialising the tree, plus a brute-force
 //!   oracle;
 //! * [`elimination`]: the alternative ws-descriptor elimination method (WE,
@@ -77,11 +77,10 @@ pub use conditioning::{
     condition, condition_all, intersect_conditions, simplify_with_mapping, Conditioned,
     ConditioningMethod, ConditioningOptions,
 };
-pub use confidence::{confidence, confidence_brute_force, confidence_with_cache, tree_probability};
+pub use confidence::{confidence, confidence_brute_force, tree_probability};
 pub use decompose::{build_tree, DecompositionMethod, DecompositionOptions};
 pub use elimination::{
-    confidence_by_elimination, confidence_by_elimination_parallel, confidence_by_elimination_with,
-    mutex_equivalent,
+    confidence_by_elimination, confidence_by_elimination_parallel, mutex_equivalent,
 };
 pub use engine::{
     estimate_conditioned_confidence, estimate_conditioned_confidence_with_options,

@@ -8,12 +8,12 @@
 //! subtrees migrate — while an arena of *combine nodes* reassembles the
 //! partial results strictly in canonical child order with the same
 //! compensated (Neumaier) arithmetic as the sequential fold of
-//! [`crate::confidence`].
+//! [`mod@crate::confidence`].
 //!
 //! # Determinism contract
 //!
-//! The returned probability is **bit-identical** to
-//! [`confidence_with_cache`] for every worker count. The argument: the
+//! The returned probability is **bit-identical** to the sequential fold
+//! ([`crate::confidence()`]) for every worker count. The argument: the
 //! probability of every sub-ws-set is a pure function of the sub-set and
 //! the world table, so it does not matter *which* worker computes it or
 //! *when*; and partial results are never folded in completion order —
@@ -567,11 +567,14 @@ fn worker_loop(
     decomposer.stats
 }
 
-/// Computes the exact probability of `set` on `parallel.workers()` work-
-/// stealing worker threads, bit-identical to [`confidence_with_cache`]
-/// for every worker count (see the module documentation for the contract
-/// and the budget semantics). With one worker — or a set below the
-/// scheduling grain — this *is* the sequential fold.
+/// The general exact-confidence entry point: the probability of `set` on
+/// `parallel.workers()` work-stealing worker threads through an optional
+/// shared decomposition cache, **bit-identical** to the sequential fold
+/// ([`crate::confidence()`]) for every worker count, with or without the
+/// cache (see the module documentation for the contract and the budget
+/// semantics). With one worker — or a set below the scheduling grain —
+/// this *is* the sequential fold. The `cache_hits` / `cache_misses`
+/// counters of the returned [`Confidence::stats`] report this run's reuse.
 ///
 /// # Errors
 ///

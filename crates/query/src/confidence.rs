@@ -10,15 +10,16 @@
 //! [`SharedDecompositionCache`] is shared by every tuple (and by the
 //! answer-level Boolean confidence), so sub-ws-sets that recur across
 //! tuples — or between a tuple and the answer's independent components —
-//! are solved once, and the tuples are fanned out over scoped worker
-//! threads. See `DESIGN.md` for the cache architecture and the
-//! thread-safety contract.
+//! are solved once, and the workers of a [`ParallelOptions`] are placed by
+//! one rule (wide answers fan the tuples out, narrow answers parallelize
+//! inside each decomposition). See `DESIGN.md` ("Entry points") for the
+//! surface, the cache architecture and the thread-safety contract.
 
 use uprob_core::stats::{Confidence, DecompositionStats};
 use uprob_core::{
-    confidence as exact_confidence, confidence_parallel, confidence_with_cache,
-    estimate_confidence, estimate_confidence_with_options, fan_out_indexed, ConfidenceReport,
-    ConfidenceStrategy, DecompositionOptions, ParallelOptions, SharedDecompositionCache,
+    confidence as exact_confidence, confidence_parallel, estimate_confidence_with_options,
+    fan_out_indexed, ConfidenceReport, ConfidenceStrategy, DecompositionOptions, ParallelOptions,
+    SharedDecompositionCache,
 };
 use uprob_urel::{Tuple, URelation};
 use uprob_wsd::{WorldTable, WsSet};
@@ -39,78 +40,27 @@ pub struct AnswerConfidences {
     pub stats: DecompositionStats,
 }
 
-/// `select ..., conf() from Q group by ...` **and** `select conf() from Q`
-/// in one batch: every distinct tuple of the answer plus the answer-level
-/// Boolean confidence, sharing one decomposition cache and fanning the
-/// tuples out over `threads` scoped workers (`None` = one worker per
-/// available CPU, capped at the number of distinct tuples).
+/// The exact `conf()` batch — `select ..., conf() from Q group by ...`
+/// **and** `select conf() from Q` in one call: every distinct tuple of the
+/// answer plus the answer-level Boolean confidence, computed through the
+/// caller-held `cache` on the workers of `parallel`.
 ///
-/// The returned probabilities equal those of the sequential per-tuple path
-/// ([`tuple_confidences_sequential`]) up to last-ulp rounding; the
-/// aggregated [`DecompositionStats`] report how much work the shared cache
-/// saved.
+/// `cache` is the "solved once per database" knob: hold one
+/// [`SharedDecompositionCache`] next to a database and pass it to every
+/// query over it, and any sub-ws-set ever decomposed — by a previous query,
+/// a previous tuple, or the answer-level Boolean pass — is never solved
+/// again (pass `&SharedDecompositionCache::new()` for a one-off batch). The
+/// cache is tied to one immutable world table: conditioning produces a
+/// *new* database and therefore requires a fresh (or inherited) cache; see
+/// `DESIGN.md` for the invalidation contract.
 ///
-/// # Errors
-///
-/// Propagates decomposition errors (e.g. an exhausted node budget).
-pub fn answer_confidences(
-    answer: &URelation,
-    table: &WorldTable,
-    options: &DecompositionOptions,
-    threads: Option<usize>,
-) -> Result<AnswerConfidences> {
-    answer_confidences_with_cache(
-        answer,
-        table,
-        options,
-        threads,
-        &SharedDecompositionCache::new(),
-    )
-}
-
-/// [`answer_confidences`] against a caller-held cache, the "solved once per
-/// database" form: hold one [`SharedDecompositionCache`] next to a database
-/// and pass it to every query over it, and any sub-ws-set ever decomposed —
-/// by a previous query, a previous tuple, or the answer-level Boolean pass —
-/// is never solved again. On repeated or overlapping query workloads (the
-/// data-cleaning loops of the paper's introduction) this is a order-of-
-/// magnitude wall-clock win; see `DESIGN.md` for the invalidation contract
-/// (the cache is tied to one immutable world table — conditioning produces
-/// a *new* database and therefore requires a fresh cache).
-///
-/// # Errors
-///
-/// Propagates decomposition errors (e.g. an exhausted node budget).
-pub fn answer_confidences_with_cache(
-    answer: &URelation,
-    table: &WorldTable,
-    options: &DecompositionOptions,
-    threads: Option<usize>,
-    cache: &SharedDecompositionCache,
-) -> Result<AnswerConfidences> {
-    let groups = answer.distinct_tuples();
-    let mut stats = DecompositionStats::default();
-    let tuples = batch_over_groups(groups, table, options, threads, cache, &mut stats)?;
-    let boolean_run = confidence_with_cache(&answer.answer_ws_set(), table, options, Some(cache))?;
-    stats.absorb(&boolean_run.stats);
-    Ok(AnswerConfidences {
-        tuples,
-        boolean: boolean_run.probability,
-        stats,
-    })
-}
-
-/// [`answer_confidences_with_cache`] with explicit [`ParallelOptions`]: the
-/// one knob that places the workers. Wide answers (at least two tuples per
-/// worker) fan the *tuples* out over the workers, each tuple decomposed
-/// sequentially — per-tuple parallelism would only add scheduling overhead
-/// when the batch already saturates the pool. Narrow answers instead run
-/// the tuples in order and parallelize *inside* each decomposition with
-/// [`confidence_parallel`], so a handful of hard tuples still uses every
-/// core. Per-tuple probabilities are **bit-identical** under both régimes
-/// (and to the sequential path) by the parallel-decomposition contract;
-/// only the aggregated cache hit/miss counters may differ, since scheduling
-/// decides which run warms the cache for which.
+/// `parallel` places the workers: wide answers (at least two tuples per
+/// worker) fan the tuples out, narrow answers parallelize inside each
+/// decomposition. Every probability is **bit-identical** to
+/// [`tuple_confidences_sequential`] / the sequential fold at every worker
+/// count, under either placement, with a cold or a warm cache; only the
+/// aggregated cache hit/miss counters may differ, since scheduling decides
+/// which run warms the cache for which.
 ///
 /// # Errors
 ///
@@ -122,20 +72,15 @@ pub fn answer_confidences_with_options(
     parallel: &ParallelOptions,
     cache: &SharedDecompositionCache,
 ) -> Result<AnswerConfidences> {
-    let groups = answer.distinct_tuples();
     let mut stats = DecompositionStats::default();
-    let workers = parallel.workers();
-    let tuples = if groups.len() >= workers * 2 {
-        batch_over_groups(groups, table, options, Some(workers), cache, &mut stats)?
-    } else {
-        let mut out = Vec::with_capacity(groups.len());
-        for (tuple, ws_set) in groups {
-            let run = confidence_parallel(&ws_set, table, options, parallel, Some(cache))?;
-            stats.absorb(&run.stats);
-            out.push((tuple, run.probability));
-        }
-        out
-    };
+    let tuples = batch_over_groups(
+        answer.distinct_tuples(),
+        table,
+        options,
+        parallel,
+        cache,
+        &mut stats,
+    )?;
     let boolean_run = confidence_parallel(
         &answer.answer_ws_set(),
         table,
@@ -188,24 +133,26 @@ impl StrategyAnswerConfidences {
     }
 }
 
-/// [`answer_confidences`] under an explicit [`ConfidenceStrategy`]: with
+/// The `conf()` batch under an explicit [`ConfidenceStrategy`]: with
 /// `Hybrid`, every tuple first runs the cached exact decomposition under
 /// the strategy's node budget and, on a budget abort, transparently falls
 /// back to Karp–Luby/Dagum sampling — so the batch completes on answers
-/// where exact computation blows up for *some* (or all) tuples.
+/// where exact computation blows up for *some* (or all) tuples. The tuples
+/// share one batch-local decomposition cache and `parallel` places the
+/// workers exactly as in [`answer_confidences_with_options`].
 ///
 /// Sampling seeds are derived per tuple index through deterministic RNG
-/// streams, so a tuple's *sampled estimate* never depends on the worker
-/// count or scheduling order, and under `Exact` or `Approximate` the whole
-/// batch is bit-reproducible. Under `Hybrid` one caveat applies: the
-/// tuples share one decomposition cache, and cache hits are not charged
-/// against the node budget — so *which side of the wall* a borderline
-/// tuple lands on can depend on which sibling warmed the cache first
-/// (more warmth can only move tuples from sampled to exact). Either way
-/// every value honours the fallback contract — exact, or sampled with the
-/// requested (ε, δ) — and the per-tuple [`ConfidenceReport`] says which.
-/// `threads` fans the tuples out exactly like [`answer_confidences`]
-/// (`None` = one worker per CPU for large answers).
+/// streams (`index + 1`; stream 0 is the answer-level Boolean run), so a
+/// tuple's *sampled estimate* never depends on the worker count or
+/// scheduling order, exact values are bit-identical by the
+/// parallel-decomposition contract, and under `Exact` or `Approximate` the
+/// whole batch is **bit-identical** at every worker count. Under `Hybrid`
+/// one caveat applies: cache hits are not charged against the node budget
+/// — so *which side of the wall* a borderline tuple lands on can depend on
+/// which sibling warmed the cache first (more warmth can only move tuples
+/// from sampled to exact). Either way every value honours the fallback
+/// contract — exact, or sampled with the requested (ε, δ) — and the
+/// per-tuple [`ConfidenceReport`] says which.
 ///
 /// # Errors
 ///
@@ -216,81 +163,22 @@ pub fn answer_confidences_with_strategy(
     table: &WorldTable,
     options: &DecompositionOptions,
     strategy: &ConfidenceStrategy,
-    threads: Option<usize>,
-) -> Result<StrategyAnswerConfidences> {
-    let cache = SharedDecompositionCache::new();
-    let groups = answer.distinct_tuples();
-    let reports = fan_out_over_groups(&groups, threads, |index, ws_set| {
-        // Stream 0 is reserved for the answer-level Boolean run.
-        let tuple_strategy = strategy.for_stream(index as u64 + 1);
-        estimate_confidence(ws_set, table, options, &tuple_strategy, Some(&cache))
-    })?;
-    let boolean = estimate_confidence(
-        &answer.answer_ws_set(),
-        table,
-        options,
-        &strategy.for_stream(0),
-        Some(&cache),
-    )
-    .map_err(crate::QueryError::Core)?;
-    let mut stats = boolean.stats.clone();
-    let mut tuples = Vec::with_capacity(groups.len());
-    for ((tuple, _), report) in groups.into_iter().zip(reports) {
-        stats.absorb(&report.stats);
-        tuples.push((tuple, report));
-    }
-    Ok(StrategyAnswerConfidences {
-        tuples,
-        boolean,
-        stats,
-    })
-}
-
-/// [`answer_confidences_with_strategy`] with explicit [`ParallelOptions`],
-/// placing the workers like [`answer_confidences_with_options`]: wide
-/// answers fan the tuples out (sequential engine per tuple), narrow answers
-/// run the tuples in order with the parallel decomposition inside the
-/// engine's exact attempts. The per-tuple seed streams are unchanged
-/// (`index + 1`, stream 0 for the Boolean run), so sampled estimates are
-/// bit-identical to [`answer_confidences_with_strategy`]; exact values are
-/// bit-identical by the parallel-decomposition contract. The `Hybrid`
-/// cache-warmth caveat of [`answer_confidences_with_strategy`] applies
-/// unchanged.
-///
-/// # Errors
-///
-/// Propagates exact-path errors (for `Exact`, including the exhausted
-/// budget) and sampling errors (invalid ε/δ, unknown variables).
-pub fn answer_confidences_with_strategy_options(
-    answer: &URelation,
-    table: &WorldTable,
-    options: &DecompositionOptions,
-    strategy: &ConfidenceStrategy,
     parallel: &ParallelOptions,
 ) -> Result<StrategyAnswerConfidences> {
     let cache = SharedDecompositionCache::new();
     let groups = answer.distinct_tuples();
-    let workers = parallel.workers();
-    let reports = if groups.len() >= workers * 2 {
-        fan_out_over_groups(&groups, Some(workers), |index, ws_set| {
-            let tuple_strategy = strategy.for_stream(index as u64 + 1);
-            estimate_confidence(ws_set, table, options, &tuple_strategy, Some(&cache))
-        })?
-    } else {
-        let mut out = Vec::with_capacity(groups.len());
-        for (index, (_, ws_set)) in groups.iter().enumerate() {
-            let tuple_strategy = strategy.for_stream(index as u64 + 1);
-            out.push(estimate_confidence_with_options(
-                ws_set,
-                table,
-                options,
-                &tuple_strategy,
-                Some(&cache),
-                parallel,
-            )?);
-        }
-        out
-    };
+    let reports = fan_out_over_groups(&groups, parallel, |index, ws_set, inner| {
+        // Stream 0 is reserved for the answer-level Boolean run.
+        let tuple_strategy = strategy.for_stream(index as u64 + 1);
+        estimate_confidence_with_options(
+            ws_set,
+            table,
+            options,
+            &tuple_strategy,
+            Some(&cache),
+            inner,
+        )
+    })?;
     let boolean = estimate_confidence_with_options(
         &answer.answer_ws_set(),
         table,
@@ -312,50 +200,45 @@ pub fn answer_confidences_with_strategy_options(
     })
 }
 
-/// Fans an arbitrary per-group computation out over scoped worker threads
-/// (work-stealing by atomic counter: groups vary wildly in cost, so a
-/// static partition would leave workers idle behind one hard group),
-/// preserving input order. The closure receives the group index (for
-/// deterministic per-group seed streams) and its ws-set.
+/// The one per-group fan-out every batch goes through, and the only place
+/// the worker **placement rule** lives: a *wide* batch (at least two groups
+/// per worker) fans the groups out over the workers and hands each
+/// computation the sequential policy — parallelism inside a group would
+/// only add scheduling overhead when the batch already saturates the pool;
+/// a *narrow* batch runs the groups in order and hands each computation the
+/// full `parallel` policy, so a handful of hard groups still uses every
+/// core. Results come back in input order. The closure receives the group
+/// index (for deterministic per-group seed streams), the group's ws-set and
+/// the policy to run it under; bit-identity across worker counts is then
+/// exactly the bit-identity of the individual computations.
 pub(crate) fn fan_out_over_groups<T, F>(
     groups: &[(Tuple, WsSet)],
-    threads: Option<usize>,
+    parallel: &ParallelOptions,
     run: F,
 ) -> Result<Vec<T>>
 where
     T: Send,
-    F: Fn(usize, &WsSet) -> uprob_core::Result<T> + Sync,
+    F: Fn(usize, &WsSet, &ParallelOptions) -> uprob_core::Result<T> + Sync,
 {
-    // In auto mode, small answers run inline: spawning scoped workers (and
-    // paying their cold cache-misses in parallel) costs more than a few
-    // tiny computations. An explicit `threads` request is always honored.
-    const MIN_PARALLEL_GROUPS: usize = 16;
-    let workers = threads
-        .unwrap_or_else(|| {
-            if groups.len() < MIN_PARALLEL_GROUPS {
-                1
-            } else {
-                std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1)
-            }
-        })
-        .clamp(1, groups.len().max(1));
-    // uprob-lint: allow(panic-index) -- fan_out_indexed yields indices below groups.len()
-    fan_out_indexed(groups.len(), workers, |index| run(index, &groups[index].1))
-        .into_iter()
-        .map(|result| result.map_err(crate::QueryError::Core))
-        .collect()
+    let (outer, inner) = if groups.len() >= 2 * parallel.workers() {
+        (parallel.workers(), ParallelOptions::sequential())
+    } else {
+        (1, *parallel)
+    };
+    fan_out_indexed(groups.len(), outer, |index| {
+        // uprob-lint: allow(panic-index) -- fan_out_indexed yields indices below groups.len()
+        run(index, &groups[index].1, &inner)
+    })
+    .into_iter()
+    .map(|result| result.map_err(crate::QueryError::Core))
+    .collect()
 }
 
 /// `select ..., conf() from Q group by ...`: the distinct tuples of a query
-/// answer together with their exact confidence values.
-///
-/// Runs the batch path: one shared decomposition cache across all distinct
-/// tuples, fanned out over one worker thread per available CPU. Use
-/// [`answer_confidences`] to also obtain the Boolean confidence and the
-/// aggregated statistics, or [`tuple_confidences_sequential`] for the
-/// cache-free reference path.
+/// answer together with their exact confidence values — the paper-level
+/// short form of [`answer_confidences_with_options`] (a batch-local cache,
+/// one worker per available CPU) that skips the answer-level Boolean fold.
+/// Bit-identical to [`tuple_confidences_sequential`].
 ///
 /// # Errors
 ///
@@ -365,15 +248,13 @@ pub fn tuple_confidences(
     table: &WorldTable,
     options: &DecompositionOptions,
 ) -> Result<Vec<(Tuple, f64)>> {
-    let cache = SharedDecompositionCache::new();
-    let mut stats = DecompositionStats::default();
     batch_over_groups(
         answer.distinct_tuples(),
         table,
         options,
-        None,
-        &cache,
-        &mut stats,
+        &ParallelOptions::auto(),
+        &SharedDecompositionCache::new(),
+        &mut DecompositionStats::default(),
     )
 }
 
@@ -398,19 +279,19 @@ pub fn tuple_confidences_sequential(
     Ok(out)
 }
 
-/// Computes the confidences of pre-grouped `(tuple, ws-set)` pairs through
-/// the shared cache, in parallel, preserving input order and aggregating
-/// the per-run statistics into `stats`.
+/// Computes the exact confidences of pre-grouped `(tuple, ws-set)` pairs
+/// through the shared cache, preserving input order and aggregating the
+/// per-run statistics into `stats`.
 fn batch_over_groups(
     groups: Vec<(Tuple, WsSet)>,
     table: &WorldTable,
     options: &DecompositionOptions,
-    threads: Option<usize>,
+    parallel: &ParallelOptions,
     cache: &SharedDecompositionCache,
     stats: &mut DecompositionStats,
 ) -> Result<Vec<(Tuple, f64)>> {
-    let runs: Vec<Confidence> = fan_out_over_groups(&groups, threads, |_, ws_set| {
-        confidence_with_cache(ws_set, table, options, Some(cache))
+    let runs: Vec<Confidence> = fan_out_over_groups(&groups, parallel, |_, ws_set, inner| {
+        confidence_parallel(ws_set, table, options, inner, Some(cache))
     })?;
     let mut out = Vec::with_capacity(groups.len());
     for ((tuple, _), run) in groups.into_iter().zip(runs) {
@@ -477,6 +358,18 @@ mod tests {
     use super::*;
     use uprob_urel::{algebra, ColumnType, Predicate, ProbDb, Schema, Value};
     use uprob_wsd::WsDescriptor;
+
+    /// The exact batch over a fresh cache at the given worker count.
+    fn exact_batch(answer: &URelation, db: &ProbDb, workers: usize) -> AnswerConfidences {
+        answer_confidences_with_options(
+            answer,
+            db.world_table(),
+            &DecompositionOptions::default(),
+            &ParallelOptions::new(workers),
+            &SharedDecompositionCache::new(),
+        )
+        .unwrap()
+    }
 
     /// The SSN database of Figure 2.
     fn ssn_db() -> ProbDb {
@@ -607,22 +500,23 @@ mod tests {
             assert_eq!(sequential.len(), batched.len());
             for ((t1, p1), (t2, p2)) in sequential.iter().zip(&batched) {
                 assert_eq!(t1, t2, "batch must preserve the deterministic order");
-                assert!(
-                    (p1 - p2).abs() < 1e-12,
+                assert_eq!(
+                    p1.to_bits(),
+                    p2.to_bits(),
                     "tuple {t1:?}: sequential {p1}, batch {p2}"
                 );
             }
             // Explicit worker counts (including more workers than tuples)
             // agree as well.
-            for threads in [Some(1), Some(2), Some(16)] {
-                let full =
-                    answer_confidences(&answer, db.world_table(), &options, threads).unwrap();
+            for workers in [1, 2, 16] {
+                let full = exact_batch(&answer, &db, workers);
+                assert_eq!(sequential.len(), full.tuples.len());
                 for ((t1, p1), (t2, p2)) in sequential.iter().zip(&full.tuples) {
                     assert_eq!(t1, t2);
-                    assert!((p1 - p2).abs() < 1e-12);
+                    assert_eq!(p1.to_bits(), p2.to_bits(), "workers {workers}");
                 }
                 let boolean = boolean_confidence(&answer, db.world_table(), &options).unwrap();
-                assert!((full.boolean - boolean).abs() < 1e-12);
+                assert_eq!(full.boolean.to_bits(), boolean.to_bits());
             }
         }
     }
@@ -635,13 +529,7 @@ mod tests {
         // the reuse.
         let db = ssn_db();
         let names = algebra::project(db.relation("R").unwrap(), &["NAME"], "Names").unwrap();
-        let full = answer_confidences(
-            &names,
-            db.world_table(),
-            &DecompositionOptions::default(),
-            Some(2),
-        )
-        .unwrap();
+        let full = exact_batch(&names, &db, 2);
         assert_eq!(full.tuples.len(), 2);
         for (_, p) in &full.tuples {
             assert!((p - 1.0).abs() < 1e-12);
@@ -665,7 +553,7 @@ mod tests {
             db.world_table(),
             &options,
             &ConfidenceStrategy::Exact,
-            Some(2),
+            &ParallelOptions::new(2),
         )
         .unwrap();
         let hybrid = answer_confidences_with_strategy(
@@ -673,7 +561,7 @@ mod tests {
             db.world_table(),
             &options,
             &ConfidenceStrategy::hybrid(1_000_000, 0.1, 0.01),
-            Some(2),
+            &ParallelOptions::new(2),
         )
         .unwrap();
         assert_eq!(exact.tuples.len(), hybrid.tuples.len());
@@ -688,10 +576,10 @@ mod tests {
             hybrid.boolean.probability.to_bits()
         );
         // And both match the plain batch path.
-        let plain = answer_confidences(&names, db.world_table(), &options, Some(2)).unwrap();
+        let plain = exact_batch(&names, &db, 2);
         for ((t1, p1), (t2, r2)) in plain.tuples.iter().zip(&exact.tuples) {
             assert_eq!(t1, t2);
-            assert!((p1 - r2.probability).abs() < 1e-12);
+            assert_eq!(p1.to_bits(), r2.probability.to_bits());
         }
     }
 
@@ -700,13 +588,13 @@ mod tests {
         let db = ssn_db();
         let options = DecompositionOptions::default();
         let ssns = algebra::project(db.relation("R").unwrap(), &["SSN"], "S").unwrap();
-        let exact = answer_confidences(&ssns, db.world_table(), &options, Some(1)).unwrap();
+        let exact = exact_batch(&ssns, &db, 1);
         let approx = answer_confidences_with_strategy(
             &ssns,
             db.world_table(),
             &options,
             &ConfidenceStrategy::approximate(0.05, 0.05).with_seed(19),
-            Some(2),
+            &ParallelOptions::new(2),
         )
         .unwrap();
         assert_eq!(approx.sampled_tuples(), approx.tuples.len());
@@ -728,16 +616,25 @@ mod tests {
         let options = DecompositionOptions::default();
         let ssns = algebra::project(db.relation("R").unwrap(), &["SSN"], "S").unwrap();
         let strategy = ConfidenceStrategy::approximate(0.1, 0.05).with_seed(23);
-        let reference =
-            answer_confidences_with_strategy(&ssns, db.world_table(), &options, &strategy, Some(1))
-                .unwrap();
-        for threads in [Some(2), Some(8), None] {
+        let reference = answer_confidences_with_strategy(
+            &ssns,
+            db.world_table(),
+            &options,
+            &strategy,
+            &ParallelOptions::sequential(),
+        )
+        .unwrap();
+        for parallel in [
+            ParallelOptions::new(2),
+            ParallelOptions::new(8),
+            ParallelOptions::auto(),
+        ] {
             let got = answer_confidences_with_strategy(
                 &ssns,
                 db.world_table(),
                 &options,
                 &strategy,
-                threads,
+                &parallel,
             )
             .unwrap();
             for ((t1, r1), (t2, r2)) in reference.tuples.iter().zip(&got.tuples) {
@@ -745,7 +642,7 @@ mod tests {
                 assert_eq!(
                     r1.probability.to_bits(),
                     r2.probability.to_bits(),
-                    "threads {threads:?}, tuple {t1:?}"
+                    "{parallel:?}, tuple {t1:?}"
                 );
             }
         }
@@ -757,14 +654,7 @@ mod tests {
         let options = DecompositionOptions::default();
         for projection in [&["SSN"][..], &["NAME"][..], &["SSN", "NAME"][..]] {
             let answer = algebra::project(db.relation("R").unwrap(), projection, "Q").unwrap();
-            let reference = answer_confidences_with_cache(
-                &answer,
-                db.world_table(),
-                &options,
-                Some(1),
-                &SharedDecompositionCache::new(),
-            )
-            .unwrap();
+            let reference = exact_batch(&answer, &db, 1);
             // A tiny grain forces the scheduler onto these small sets; both
             // the wide (tuple fan-out) and narrow (parallel decomposition)
             // régimes must reproduce the reference bits.
@@ -811,12 +701,12 @@ mod tests {
                 db.world_table(),
                 &options,
                 &strategy,
-                Some(1),
+                &ParallelOptions::sequential(),
             )
             .unwrap();
             for workers in [1, 2, 8] {
                 let parallel = ParallelOptions::new(workers).with_grain(2);
-                let got = answer_confidences_with_strategy_options(
+                let got = answer_confidences_with_strategy(
                     &ssns,
                     db.world_table(),
                     &options,

@@ -49,9 +49,9 @@ use std::sync::Arc;
 use uprob_wsd::FxHashMap;
 
 use uprob_core::{
-    condition, estimate_conditioned_confidence, estimate_confidence, fan_out_indexed, Conditioned,
-    ConditioningOptions, ConfidenceReport, ConfidenceStrategy, CoreError, DecompositionOptions,
-    ParallelOptions, SharedDecompositionCache,
+    condition, estimate_conditioned_confidence, estimate_conditioned_confidence_with_options,
+    estimate_confidence, fan_out_indexed, Conditioned, ConditioningOptions, ConfidenceReport,
+    ConfidenceStrategy, CoreError, DecompositionOptions, ParallelOptions, SharedDecompositionCache,
 };
 use uprob_urel::{
     denial_constraint_plan, fd_violation_plan, row_filter_violation_plan, Plan, Predicate, ProbDb,
@@ -426,6 +426,12 @@ impl Constraint {
     /// Fails if the constraint does not validate against `db`.
     pub fn violation_ws_set(&self, db: &ProbDb) -> Result<WsSet> {
         self.validate(db)?;
+        self.compile_violations(db)
+    }
+
+    /// [`Constraint::violation_ws_set`] for a constraint that already
+    /// passed [`Constraint::validate`] against `db`.
+    fn compile_violations(&self, db: &ProbDb) -> Result<WsSet> {
         match self.violation_plan(db)? {
             Some(plan) => {
                 let answer = db.query(&plan)?;
@@ -515,16 +521,13 @@ impl Constraint {
     ///
     /// Fails if the constraint does not validate against `db`.
     pub fn satisfying_ws_set(&self, db: &ProbDb) -> Result<WsSet> {
-        let violations = self.violation_ws_set(db)?;
-        Ok(complement(&violations, db.world_table()))
+        satisfying_world_set(
+            db,
+            std::slice::from_ref(self),
+            &ParallelOptions::sequential(),
+            None,
+        )
     }
-}
-
-/// The complement `U − violations`, normalised (the satisfying world-set).
-fn complement(violations: &WsSet, table: &WorldTable) -> WsSet {
-    let mut satisfying = WsSet::universal().difference(violations, table);
-    satisfying.normalize();
-    satisfying
 }
 
 /// SQL-style equality: satisfied only when both values are non-NULL and
@@ -715,18 +718,83 @@ fn ind_violations(
     Ok(violations)
 }
 
-/// Validates every constraint, compiles every violation ws-set through the
-/// optimized path, unions them, and complements **once**: by De Morgan the
-/// result is the intersection of the per-constraint satisfying ws-sets —
-/// the world-set of the conjunction — at the cost of a single ws-set
-/// difference.
-fn combined_satisfying_ws_set(db: &ProbDb, constraints: &[Constraint]) -> Result<WsSet> {
-    let mut violations = WsSet::empty();
+/// The one body behind every `assert[·]` form: validates every constraint,
+/// obtains each violation ws-set — from `memo` when its inputs are provably
+/// unchanged (see [`ViolationMemo`]), otherwise compiled through the
+/// optimized path, the stale ones fanned out over the workers of
+/// `parallel` — unions them **in constraint order**, normalizes, and
+/// complements **once**: by De Morgan the result is the intersection of the
+/// per-constraint satisfying ws-sets — the world-set of the conjunction —
+/// at the cost of a single ws-set difference. Worker count and memo reuse
+/// only decide *where* a violation set comes from, never its content, so
+/// the returned set is bit-identical across all of them.
+///
+/// On return `memo` (if any) holds the sets of this call, keyed to the
+/// current world table and relation stamps, ready for the next delta.
+fn satisfying_world_set(
+    db: &ProbDb,
+    constraints: &[Constraint],
+    parallel: &ParallelOptions,
+    mut memo: Option<&mut ViolationMemo>,
+) -> Result<WsSet> {
+    // Validate every constraint up front — memo hits must fail exactly the
+    // way a compilation would.
     for constraint in constraints {
-        violations = violations.union(&constraint.violation_ws_set(db)?);
+        constraint.validate(db)?;
+    }
+    let mut sets: Vec<Option<WsSet>> = vec![None; constraints.len()];
+    let mut stamps: Vec<Vec<u64>> = Vec::new();
+    if let Some(memo) = memo.as_deref_mut() {
+        memo.invalidate_unless_extended_by(db.world_table());
+        for (constraint, slot) in constraints.iter().zip(&mut sets) {
+            let relation_stamps = constraint_relation_stamps(db, constraint)?;
+            *slot = memo.lookup(constraint, &relation_stamps).cloned();
+            stamps.push(relation_stamps);
+        }
+        let reused = sets.iter().flatten().count();
+        memo.reused += reused as u64;
+        memo.recomputed += (sets.len() - reused) as u64;
+    }
+    let stale: Vec<&Constraint> = constraints
+        .iter()
+        .zip(&sets)
+        .filter_map(|(constraint, set)| set.is_none().then_some(constraint))
+        .collect();
+    let compiled = fan_out_indexed(stale.len(), parallel.workers(), |k| {
+        // uprob-lint: allow(panic-index) -- fan_out_indexed yields indices below stale.len()
+        stale[k].compile_violations(db)
+    });
+    for (slot, result) in sets.iter_mut().filter(|set| set.is_none()).zip(compiled) {
+        *slot = Some(result?);
+    }
+
+    let mut violations = WsSet::empty();
+    for set in sets.iter().flatten() {
+        violations = violations.union(set);
     }
     violations.normalize();
-    Ok(complement(&violations, db.world_table()))
+    let mut satisfying = WsSet::universal().difference(&violations, db.world_table());
+    satisfying.normalize();
+
+    // Refresh the memo to this database before conditioning (conditioning
+    // errors do not endanger soundness: the memoized sets are valid for
+    // this db regardless).
+    if let Some(memo) = memo {
+        memo.table = Some(db.world_table().clone());
+        memo.entries = constraints
+            .iter()
+            .zip(stamps)
+            .zip(sets.into_iter().flatten())
+            .map(
+                |((constraint, relation_stamps), violations)| MemoizedViolations {
+                    constraint: constraint.clone(),
+                    relation_stamps,
+                    violations,
+                },
+            )
+            .collect();
+    }
+    Ok(satisfying)
 }
 
 /// One human-readable description for a constraint set.
@@ -761,7 +829,8 @@ fn condition_on_satisfying(
 
 /// `assert[constraint]`: conditions `db` on the worlds satisfying the
 /// constraint (Section 5) and returns the posterior database together with
-/// the prior confidence of the constraint.
+/// the prior confidence of the constraint — the paper-level short form of
+/// the one-element [`assert_all`].
 ///
 /// # Errors
 ///
@@ -774,8 +843,7 @@ pub fn assert_constraint(
     constraint: &Constraint,
     options: &ConditioningOptions,
 ) -> Result<Conditioned> {
-    let satisfying = constraint.satisfying_ws_set(db)?;
-    condition_on_satisfying(db, &satisfying, options, || constraint.describe())
+    assert_all(db, std::slice::from_ref(constraint), options)
 }
 
 /// `assert[c_1 ∧ … ∧ c_n]` in a **single pass**: every constraint's
@@ -787,10 +855,9 @@ pub fn assert_constraint(
 ///
 /// Asserts commute and compose (Theorem 5.5), so the posterior is the
 /// same distribution the sequential [`assert_constraint`] fold produces —
-/// without materialising an intermediate database per constraint. For a
-/// one-element slice this is *identical* (bit-for-bit) to
-/// [`assert_constraint`]; the empty slice conditions on the universal
-/// world-set (the identity).
+/// without materialising an intermediate database per constraint. The
+/// empty slice conditions on the universal world-set (the identity). This
+/// is [`assert_all_delta`] on one worker without a memo.
 ///
 /// # Errors
 ///
@@ -804,41 +871,26 @@ pub fn assert_all(
     constraints: &[Constraint],
     options: &ConditioningOptions,
 ) -> Result<Conditioned> {
-    let satisfying = combined_satisfying_ws_set(db, constraints)?;
-    condition_on_satisfying(db, &satisfying, options, || describe_all(constraints))
+    assert_all_in(
+        db,
+        constraints,
+        options,
+        &ParallelOptions::sequential(),
+        None,
+    )
 }
 
-/// [`assert_all`] with explicit [`ParallelOptions`]: the per-constraint
-/// violation queries — each a full plan compilation and execution — are
-/// fanned out over the workers, and the resulting ws-sets are unioned in
-/// constraint order, so the combined satisfying world-set (and therefore
-/// the posterior database and confidence) is **bit-identical** to
-/// [`assert_all`] for every worker count. The conditioning pass itself is
+/// The exact `assert[·]` every public form (and the service's publishes)
+/// reaches: the combined satisfying world-set, then one conditioning pass —
 /// the sequential ws-tree rewrite.
-///
-/// # Errors
-///
-/// Same as [`assert_all`].
-pub fn assert_all_with_options(
+pub(crate) fn assert_all_in(
     db: &ProbDb,
     constraints: &[Constraint],
     options: &ConditioningOptions,
     parallel: &ParallelOptions,
+    memo: Option<&mut ViolationMemo>,
 ) -> Result<Conditioned> {
-    let satisfying = if parallel.is_sequential() || constraints.len() < 2 {
-        combined_satisfying_ws_set(db, constraints)?
-    } else {
-        let compiled = fan_out_indexed(constraints.len(), parallel.workers(), |index| {
-            // uprob-lint: allow(panic-index) -- fan_out_indexed yields indices below constraints.len()
-            constraints[index].violation_ws_set(db)
-        });
-        let mut violations = WsSet::empty();
-        for per_constraint in compiled {
-            violations = violations.union(&per_constraint?);
-        }
-        violations.normalize();
-        complement(&violations, db.world_table())
-    };
+    let satisfying = satisfying_world_set(db, constraints, parallel, memo)?;
     condition_on_satisfying(db, &satisfying, options, || describe_all(constraints))
 }
 
@@ -917,6 +969,20 @@ impl ViolationMemo {
         self.invalidated
     }
 
+    /// Drops every memoized set unless `table` extends the memoized world
+    /// table: a replaced (non-extending) table may have changed the meaning
+    /// of variable ids or distributions.
+    fn invalidate_unless_extended_by(&mut self, table: &WorldTable) {
+        let world_ok = self
+            .table
+            .as_ref()
+            .is_some_and(|memoized| table.extends(memoized));
+        if !world_ok && !self.entries.is_empty() {
+            self.invalidated += self.entries.len() as u64;
+            self.entries.clear();
+        }
+    }
+
     /// The memoized set for `constraint` under the given current relation
     /// stamps, if still valid.
     fn lookup(&self, constraint: &Constraint, stamps: &[u64]) -> Option<&WsSet> {
@@ -936,14 +1002,17 @@ fn constraint_relation_stamps(db: &ProbDb, constraint: &Constraint) -> Result<Ve
         .collect()
 }
 
-/// [`assert_all_with_options`] with **delta conditioning**: per-constraint
-/// violation ws-sets are served from `memo` when their inputs are provably
-/// unchanged (see [`ViolationMemo`]) and recomputed — fanned out over the
-/// workers — only for constraints reading touched relations. The union /
-/// complement / conditioning pipeline then runs identically to
-/// [`assert_all`], so the posterior database, confidence and statistics are
-/// **bit-identical** to a full rebuild at every worker count; only the
-/// violation-query work is saved.
+/// The general exact `assert[·]`: [`assert_all`] with explicit
+/// [`ParallelOptions`] and **delta conditioning**. Per-constraint violation
+/// ws-sets are served from `memo` when their inputs are provably unchanged
+/// (see [`ViolationMemo`]) and recompiled — each a full plan compilation
+/// and execution, fanned out over the workers — only for constraints
+/// reading touched relations; a fresh memo recompiles everything. The
+/// union (in constraint order) / complement / conditioning pipeline is the
+/// one [`assert_all`] runs, so the posterior database, confidence and
+/// statistics are **bit-identical** to [`assert_all`] at every worker count
+/// and every memo state; only the violation-query work is saved. The
+/// conditioning pass itself is the sequential ws-tree rewrite.
 ///
 /// On return the memo holds the (validated) sets of this call, keyed to the
 /// current world table and relation stamps, ready for the next delta.
@@ -958,85 +1027,7 @@ pub fn assert_all_delta(
     parallel: &ParallelOptions,
     memo: &mut ViolationMemo,
 ) -> Result<Conditioned> {
-    // A replaced (non-extending) world table invalidates everything:
-    // variable ids or distributions may have changed meaning.
-    let world_ok = memo
-        .table
-        .as_ref()
-        .is_some_and(|memoized| db.world_table().extends(memoized));
-    if !world_ok && !memo.entries.is_empty() {
-        memo.invalidated += memo.entries.len() as u64;
-        memo.entries.clear();
-    }
-
-    // Validate every constraint up front — memo hits must fail exactly the
-    // way a full rebuild would.
-    for constraint in constraints {
-        constraint.validate(db)?;
-    }
-    let mut stamps: Vec<Vec<u64>> = Vec::with_capacity(constraints.len());
-    for constraint in constraints {
-        stamps.push(constraint_relation_stamps(db, constraint)?);
-    }
-
-    let mut sets: Vec<Option<WsSet>> = vec![None; constraints.len()];
-    let mut stale: Vec<usize> = Vec::new();
-    for (index, ((constraint, relation_stamps), slot)) in constraints
-        .iter()
-        .zip(&stamps)
-        .zip(sets.iter_mut())
-        .enumerate()
-    {
-        match memo.lookup(constraint, relation_stamps) {
-            Some(ws) => *slot = Some(ws.clone()),
-            None => stale.push(index),
-        }
-    }
-    memo.reused += (constraints.len() - stale.len()) as u64;
-    memo.recomputed += stale.len() as u64;
-
-    if parallel.is_sequential() || stale.len() < 2 {
-        for &index in &stale {
-            // uprob-lint: allow(panic-index) -- stale holds indices below constraints.len()
-            sets[index] = Some(constraints[index].violation_ws_set(db)?);
-        }
-    } else {
-        let computed = fan_out_indexed(stale.len(), parallel.workers(), |k| {
-            // uprob-lint: allow(panic-index) -- fan_out_indexed yields indices below stale.len()
-            constraints[stale[k]].violation_ws_set(db)
-        });
-        for (k, result) in computed.into_iter().enumerate() {
-            // uprob-lint: allow(panic-index) -- k enumerates `computed`, which has stale.len() slots
-            sets[stale[k]] = Some(result?);
-        }
-    }
-
-    // Union in constraint order, complement once: the same shape —
-    // and therefore the same bits — as assert_all.
-    let mut violations = WsSet::empty();
-    for set in sets.iter() {
-        let set = set.as_ref().expect("every constraint's set was filled");
-        violations = violations.union(set);
-    }
-    violations.normalize();
-    let satisfying = complement(&violations, db.world_table());
-
-    // Refresh the memo to this snapshot before conditioning (conditioning
-    // errors do not endanger soundness: the memoized sets are valid for
-    // this db regardless).
-    memo.table = Some(db.world_table().clone());
-    memo.entries = constraints
-        .iter()
-        .zip(&stamps)
-        .zip(&sets)
-        .map(|((constraint, relation_stamps), set)| MemoizedViolations {
-            constraint: constraint.clone(),
-            relation_stamps: relation_stamps.clone(),
-            violations: set.clone().expect("every constraint's set was filled"),
-        })
-        .collect();
-
-    condition_on_satisfying(db, &satisfying, options, || describe_all(constraints))
+    assert_all_in(db, constraints, options, parallel, Some(memo))
 }
 
 /// The outcome of a strategy-driven `assert[·]`.
@@ -1097,11 +1088,14 @@ pub struct EstimatedAssertion {
 impl EstimatedAssertion {
     /// Posterior tuple confidences of a query answer over the prior
     /// database: for every distinct tuple `t` with ws-set `Q_t`, the
-    /// conditioned confidence `P(Q_t | C)`, fanned out over scoped worker
-    /// threads with per-tuple deterministic seed streams. The assertion's
-    /// shared decomposition cache serves the whole batch, so the exact
-    /// fold of the (shared) condition denominator — and any recurring
-    /// sub-set — is solved once, not once per tuple.
+    /// conditioned confidence `P(Q_t | C)`, with per-tuple deterministic
+    /// seed streams and the workers of `parallel` placed as in
+    /// [`crate::confidence::answer_confidences_with_options`] (wide answers
+    /// fan the tuples out, narrow ones parallelize inside each exact fold),
+    /// so every value is bit-identical at every worker count. The
+    /// assertion's shared decomposition cache serves the whole batch, so
+    /// the exact fold of the (shared) condition denominator — and any
+    /// recurring sub-set — is solved once, not once per tuple.
     ///
     /// # Errors
     ///
@@ -1111,19 +1105,21 @@ impl EstimatedAssertion {
         &self,
         answer: &URelation,
         table: &WorldTable,
-        threads: Option<usize>,
+        parallel: &ParallelOptions,
     ) -> Result<Vec<(Tuple, ConfidenceReport)>> {
         let groups = answer.distinct_tuples();
-        let reports = crate::confidence::fan_out_over_groups(&groups, threads, |index, ws_set| {
-            estimate_conditioned_confidence(
-                ws_set,
-                &self.condition,
-                table,
-                &self.decomposition,
-                &self.strategy.for_stream(index as u64 + 1),
-                Some(&self.cache),
-            )
-        })?;
+        let reports =
+            crate::confidence::fan_out_over_groups(&groups, parallel, |index, ws_set, inner| {
+                estimate_conditioned_confidence_with_options(
+                    ws_set,
+                    &self.condition,
+                    table,
+                    &self.decomposition,
+                    &self.strategy.for_stream(index as u64 + 1),
+                    Some(&self.cache),
+                    inner,
+                )
+            })?;
         Ok(groups
             .into_iter()
             .map(|(tuple, _)| tuple)
@@ -1154,17 +1150,38 @@ impl EstimatedAssertion {
     }
 }
 
-/// The shared strategy-driven assert pipeline over a precomputed
-/// satisfying world-set.
-fn assert_satisfying_with_strategy(
+/// [`assert_all`] under an explicit [`ConfidenceStrategy`]: the single
+/// combined satisfying world-set (one union of violation ws-sets, one
+/// complement) drives one strategy-dispatched assertion —
+///
+/// * `Exact` — materialise the posterior in a single conditioning pass,
+///   exactly as [`assert_all`] (the conditioning options' own budget
+///   applies);
+/// * `Hybrid { budget, .. }` — attempt exact conditioning under `budget`
+///   nodes; on [`CoreError::BudgetExceeded`], estimate
+///   `P(C_1 ∧ … ∧ C_n)` by sampling and return a *virtual* posterior
+///   ([`Assertion::Estimated`]) whose confidence queries run through
+///   conditioned estimation;
+/// * `Approximate` — skip materialisation outright and return the virtual
+///   posterior.
+///
+/// The estimated paths share one decomposition cache between the assertion
+/// itself and every posterior confidence query. For a single constraint
+/// pass `std::slice::from_ref(&constraint)`.
+///
+/// # Errors
+///
+/// Same as [`assert_all`]; a zero-probability satisfying set is reported
+/// as [`QueryError::UnsatisfiableConstraint`] on both paths.
+pub fn assert_all_with_strategy(
     db: &ProbDb,
-    satisfying: WsSet,
+    constraints: &[Constraint],
     options: &ConditioningOptions,
     strategy: &ConfidenceStrategy,
-    describe: impl Fn() -> String,
 ) -> Result<Assertion> {
+    let satisfying = satisfying_world_set(db, constraints, &ParallelOptions::sequential(), None)?;
     let unsatisfiable = || QueryError::UnsatisfiableConstraint {
-        constraint: describe(),
+        constraint: describe_all(constraints),
     };
     if satisfying.is_empty() {
         return Err(unsatisfiable());
@@ -1197,7 +1214,8 @@ fn assert_satisfying_with_strategy(
     };
     match strategy {
         ConfidenceStrategy::Exact => {
-            condition_on_satisfying(db, &satisfying, options, describe).map(Assertion::Materialized)
+            condition_on_satisfying(db, &satisfying, options, || describe_all(constraints))
+                .map(Assertion::Materialized)
         }
         ConfidenceStrategy::Approximate(_) => estimated(satisfying),
         ConfidenceStrategy::Hybrid { budget, .. } => {
@@ -1213,55 +1231,6 @@ fn assert_satisfying_with_strategy(
             }
         }
     }
-}
-
-/// `assert[constraint]` under an explicit [`ConfidenceStrategy`]:
-///
-/// * `Exact` — materialise the posterior exactly as [`assert_constraint`]
-///   (the conditioning options' own budget applies);
-/// * `Hybrid { budget, .. }` — attempt exact conditioning under `budget`
-///   nodes; on [`CoreError::BudgetExceeded`], estimate `P(C)` by sampling
-///   and return a *virtual* posterior ([`Assertion::Estimated`]) whose
-///   confidence queries run through conditioned estimation;
-/// * `Approximate` — skip materialisation outright and return the virtual
-///   posterior.
-///
-/// # Errors
-///
-/// Same as [`assert_constraint`]; a zero-probability satisfying set is
-/// reported as [`QueryError::UnsatisfiableConstraint`] on both paths.
-pub fn assert_constraint_with_strategy(
-    db: &ProbDb,
-    constraint: &Constraint,
-    options: &ConditioningOptions,
-    strategy: &ConfidenceStrategy,
-) -> Result<Assertion> {
-    let satisfying = constraint.satisfying_ws_set(db)?;
-    assert_satisfying_with_strategy(db, satisfying, options, strategy, || constraint.describe())
-}
-
-/// [`assert_all`] under an explicit [`ConfidenceStrategy`]: the single
-/// combined satisfying world-set (one union of violation ws-sets, one
-/// complement) drives one strategy-dispatched assertion — `Exact`
-/// materialises the posterior in a single conditioning pass, `Hybrid`
-/// falls back to a virtual posterior when the budget is exhausted, and
-/// `Approximate` samples `P(C_1 ∧ … ∧ C_n)` outright. The estimated paths
-/// share one decomposition cache between the assertion itself and every
-/// posterior confidence query.
-///
-/// # Errors
-///
-/// Same as [`assert_all`].
-pub fn assert_all_with_strategy(
-    db: &ProbDb,
-    constraints: &[Constraint],
-    options: &ConditioningOptions,
-    strategy: &ConfidenceStrategy,
-) -> Result<Assertion> {
-    let satisfying = combined_satisfying_ws_set(db, constraints)?;
-    assert_satisfying_with_strategy(db, satisfying, options, strategy, || {
-        describe_all(constraints)
-    })
 }
 
 #[cfg(test)]
@@ -1847,9 +1816,9 @@ mod tests {
         let db = ssn_db(false);
         let fd = Constraint::functional_dependency("R", &["SSN"], &["NAME"]);
         let options = ConditioningOptions::default();
-        let assertion = assert_constraint_with_strategy(
+        let assertion = assert_all_with_strategy(
             &db,
-            &fd,
+            std::slice::from_ref(&fd),
             &options,
             &ConfidenceStrategy::hybrid(1_000_000, 0.1, 0.01),
         )
@@ -1858,9 +1827,13 @@ mod tests {
         let exact = assert_constraint(&db, &fd, &options).unwrap();
         assert!((assertion.confidence() - exact.confidence).abs() < 1e-12);
         // The Exact strategy is the plain assert.
-        let exact_assertion =
-            assert_constraint_with_strategy(&db, &fd, &options, &ConfidenceStrategy::Exact)
-                .unwrap();
+        let exact_assertion = assert_all_with_strategy(
+            &db,
+            std::slice::from_ref(&fd),
+            &options,
+            &ConfidenceStrategy::Exact,
+        )
+        .unwrap();
         assert!(exact_assertion.is_materialized());
     }
 
@@ -1904,9 +1877,9 @@ mod tests {
                 .with_delta(0.05)
                 .with_seed(29),
         };
-        let assertion = assert_constraint_with_strategy(
+        let assertion = assert_all_with_strategy(
             &db,
-            &check,
+            std::slice::from_ref(&check),
             &ConditioningOptions::default(),
             &strategy,
         )
@@ -1924,7 +1897,7 @@ mod tests {
         // ws-set {x_i -> 1} has posterior probability 0.
         let answer = algebra::project(db.relation("T").unwrap(), &["ID"], "Q").unwrap();
         let posterior = virtual_posterior
-            .tuple_confidences(&answer, db.world_table(), Some(2))
+            .tuple_confidences(&answer, db.world_table(), &ParallelOptions::new(2))
             .unwrap();
         assert_eq!(posterior.len(), 8);
         for (tuple, report) in &posterior {
@@ -1953,9 +1926,9 @@ mod tests {
             ConfidenceStrategy::approximate(0.1, 0.05),
             ConfidenceStrategy::hybrid(10, 0.1, 0.05),
         ] {
-            let err = assert_constraint_with_strategy(
+            let err = assert_all_with_strategy(
                 &db,
-                &impossible,
+                std::slice::from_ref(&impossible),
                 &ConditioningOptions::default(),
                 &strategy,
             )
@@ -2012,7 +1985,7 @@ mod tests {
     }
 
     #[test]
-    fn assert_all_with_options_is_bit_identical_across_worker_counts() {
+    fn assert_all_delta_with_a_fresh_memo_is_bit_identical_across_worker_counts() {
         let db = ssn_db(true);
         let constraints = vec![
             Constraint::functional_dependency("R", &["SSN"], &["NAME"]),
@@ -2033,7 +2006,14 @@ mod tests {
         .unwrap();
         for workers in [1, 2, 4, 8] {
             let parallel = ParallelOptions::new(workers).with_grain(2);
-            let got = assert_all_with_options(&db, &constraints, &options, &parallel).unwrap();
+            let got = assert_all_delta(
+                &db,
+                &constraints,
+                &options,
+                &parallel,
+                &mut ViolationMemo::new(),
+            )
+            .unwrap();
             assert_eq!(
                 reference.confidence.to_bits(),
                 got.confidence.to_bits(),
@@ -2049,8 +2029,14 @@ mod tests {
             }
         }
         // The empty constraint set is the identity on both paths.
-        let identity =
-            assert_all_with_options(&db, &[], &options, &ParallelOptions::new(4)).unwrap();
+        let identity = assert_all_delta(
+            &db,
+            &[],
+            &options,
+            &ParallelOptions::new(4),
+            &mut ViolationMemo::new(),
+        )
+        .unwrap();
         assert!((identity.confidence - 1.0).abs() < 1e-12);
     }
 
@@ -2136,9 +2122,9 @@ mod tests {
             ConfidenceStrategy::Exact,
             ConfidenceStrategy::hybrid(1_000_000, 0.1, 0.05),
         ] {
-            let err = assert_constraint_with_strategy(
+            let err = assert_all_with_strategy(
                 &db,
-                &check,
+                std::slice::from_ref(&check),
                 &ConditioningOptions::default(),
                 &strategy,
             )

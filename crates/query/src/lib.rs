@@ -78,21 +78,18 @@ pub mod planned;
 pub mod service;
 
 pub use confidence::{
-    answer_confidences, answer_confidences_with_cache, answer_confidences_with_options,
-    answer_confidences_with_strategy, answer_confidences_with_strategy_options, boolean_confidence,
+    answer_confidences_with_options, answer_confidences_with_strategy, boolean_confidence,
     certain_tuples, possible_tuples, tuple_confidences, tuple_confidences_sequential,
     AnswerConfidences, StrategyAnswerConfidences,
 };
 pub use constraints::{
-    assert_all, assert_all_delta, assert_all_with_options, assert_all_with_strategy,
-    assert_constraint, assert_constraint_with_strategy, Assertion, Constraint, EstimatedAssertion,
-    ViolationMemo,
+    assert_all, assert_all_delta, assert_all_with_strategy, assert_constraint, Assertion,
+    Constraint, EstimatedAssertion, ViolationMemo,
 };
 pub use error::QueryError;
 pub use planned::{
-    planned_answer_confidences, planned_answer_confidences_with_cache,
     planned_answer_confidences_with_options, planned_answer_confidences_with_strategy,
-    planned_answer_confidences_with_strategy_options, planned_boolean_confidence,
+    planned_boolean_confidence,
 };
 pub use service::{
     AssertOutcome, DeltaOutcome, ProbDbService, ServiceOptions, ServiceStats, Snapshot,

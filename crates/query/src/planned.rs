@@ -17,79 +17,18 @@ use uprob_core::{
 use uprob_urel::{Plan, ProbDb};
 
 use crate::confidence::{
-    answer_confidences_with_cache, answer_confidences_with_options,
-    answer_confidences_with_strategy, answer_confidences_with_strategy_options, boolean_confidence,
+    answer_confidences_with_options, answer_confidences_with_strategy, boolean_confidence,
     AnswerConfidences, StrategyAnswerConfidences,
 };
 use crate::Result;
 
 /// `select ..., conf() from <plan> group by ...` in one call: evaluates
 /// `plan` with [`ProbDb::query`] (rule-based optimization + pipelined
-/// hash-join execution) and runs the cache-shared batch confidence path
-/// over the answer. See [`crate::confidence::answer_confidences`] for the
-/// batch semantics (`threads`, determinism, statistics).
-///
-/// # Errors
-///
-/// Propagates plan-validation errors and decomposition errors.
-pub fn planned_answer_confidences(
-    db: &ProbDb,
-    plan: &Plan,
-    options: &DecompositionOptions,
-    threads: Option<usize>,
-) -> Result<AnswerConfidences> {
-    planned_answer_confidences_with_cache(
-        db,
-        plan,
-        options,
-        threads,
-        &SharedDecompositionCache::new(),
-    )
-}
-
-/// [`planned_answer_confidences`] against a caller-held per-database
-/// cache: repeated (or overlapping) planned queries over the same database
-/// reuse every decomposition any of them solved.
-///
-/// # Errors
-///
-/// Propagates plan-validation errors and decomposition errors.
-pub fn planned_answer_confidences_with_cache(
-    db: &ProbDb,
-    plan: &Plan,
-    options: &DecompositionOptions,
-    threads: Option<usize>,
-    cache: &SharedDecompositionCache,
-) -> Result<AnswerConfidences> {
-    let answer = db.query(plan)?;
-    answer_confidences_with_cache(&answer, db.world_table(), options, threads, cache)
-}
-
-/// [`planned_answer_confidences`] under an explicit
-/// [`ConfidenceStrategy`]: `Exact`, `Approximate(ε, δ)` or `Hybrid` with
-/// the transparent exact→sampling fallback, per-tuple
-/// [`uprob_core::ConfidenceReport`]s included.
-///
-/// # Errors
-///
-/// Propagates plan-validation errors, exact-path errors and sampling
-/// errors.
-pub fn planned_answer_confidences_with_strategy(
-    db: &ProbDb,
-    plan: &Plan,
-    options: &DecompositionOptions,
-    strategy: &ConfidenceStrategy,
-    threads: Option<usize>,
-) -> Result<StrategyAnswerConfidences> {
-    let answer = db.query(plan)?;
-    answer_confidences_with_strategy(&answer, db.world_table(), options, strategy, threads)
-}
-
-/// [`planned_answer_confidences_with_cache`] with explicit
-/// [`ParallelOptions`]: the batch places the workers as
-/// [`crate::confidence::answer_confidences_with_options`] does — wide
-/// answers fan the tuples out, narrow answers parallelize inside each
-/// decomposition — with bit-identical probabilities either way.
+/// hash-join execution) and runs the exact batch of
+/// [`answer_confidences_with_options`] over the answer — same `parallel`
+/// placement, same caller-held per-database `cache` (repeated or
+/// overlapping planned queries over one database reuse every decomposition
+/// any of them solved), same bit-identity contract.
 ///
 /// # Errors
 ///
@@ -105,15 +44,16 @@ pub fn planned_answer_confidences_with_options(
     answer_confidences_with_options(&answer, db.world_table(), options, parallel, cache)
 }
 
-/// [`planned_answer_confidences_with_strategy`] with explicit
-/// [`ParallelOptions`] (see
-/// [`crate::confidence::answer_confidences_with_strategy_options`]).
+/// The planned `conf()` batch under an explicit [`ConfidenceStrategy`]
+/// ([`answer_confidences_with_strategy`] over the plan's answer): `Exact`,
+/// `Approximate(ε, δ)` or `Hybrid` with the transparent exact→sampling
+/// fallback, per-tuple [`uprob_core::ConfidenceReport`]s included.
 ///
 /// # Errors
 ///
 /// Propagates plan-validation errors, exact-path errors and sampling
 /// errors.
-pub fn planned_answer_confidences_with_strategy_options(
+pub fn planned_answer_confidences_with_strategy(
     db: &ProbDb,
     plan: &Plan,
     options: &DecompositionOptions,
@@ -121,7 +61,7 @@ pub fn planned_answer_confidences_with_strategy_options(
     parallel: &ParallelOptions,
 ) -> Result<StrategyAnswerConfidences> {
     let answer = db.query(plan)?;
-    answer_confidences_with_strategy_options(&answer, db.world_table(), options, strategy, parallel)
+    answer_confidences_with_strategy(&answer, db.world_table(), options, strategy, parallel)
 }
 
 /// `select conf() from <plan>`: the Boolean confidence of a planned query
@@ -142,7 +82,6 @@ pub fn planned_boolean_confidence(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::confidence::answer_confidences;
     use uprob_urel::{algebra, ColumnType, Predicate, Schema, Tuple, Value};
     use uprob_wsd::WsDescriptor;
 
@@ -189,7 +128,15 @@ mod tests {
         let plan = uprob_urel::Plan::scan("R")
             .select(Predicate::col_eq("NAME", "Bill"))
             .project(&["SSN"]);
-        let planned = planned_answer_confidences(&db, &plan, &options, Some(1)).unwrap();
+        let sequential = ParallelOptions::sequential();
+        let planned = planned_answer_confidences_with_options(
+            &db,
+            &plan,
+            &options,
+            &sequential,
+            &SharedDecompositionCache::new(),
+        )
+        .unwrap();
         let eager_answer = {
             let bills = algebra::select(
                 db.relation("R").unwrap(),
@@ -199,7 +146,14 @@ mod tests {
             .unwrap();
             algebra::project(&bills, &["SSN"], "Q").unwrap()
         };
-        let eager = answer_confidences(&eager_answer, db.world_table(), &options, Some(1)).unwrap();
+        let eager = answer_confidences_with_options(
+            &eager_answer,
+            db.world_table(),
+            &options,
+            &sequential,
+            &SharedDecompositionCache::new(),
+        )
+        .unwrap();
         assert_eq!(planned.tuples.len(), eager.tuples.len());
         for ((t1, p1), (t2, p2)) in planned.tuples.iter().zip(&eager.tuples) {
             assert_eq!(t1, t2);
@@ -234,7 +188,7 @@ mod tests {
             &names,
             &options,
             &ConfidenceStrategy::Exact,
-            Some(1),
+            &ParallelOptions::sequential(),
         )
         .unwrap();
         let hybrid = planned_answer_confidences_with_strategy(
@@ -242,7 +196,7 @@ mod tests {
             &names,
             &options,
             &ConfidenceStrategy::hybrid(1_000_000, 0.1, 0.01),
-            Some(1),
+            &ParallelOptions::sequential(),
         )
         .unwrap();
         assert_eq!(hybrid.sampled_tuples(), 0);
@@ -252,10 +206,13 @@ mod tests {
         }
         // A cache shared across two planned queries reports reuse.
         let cache = SharedDecompositionCache::new();
+        let sequential = ParallelOptions::sequential();
         let first =
-            planned_answer_confidences_with_cache(&db, &names, &options, Some(1), &cache).unwrap();
+            planned_answer_confidences_with_options(&db, &names, &options, &sequential, &cache)
+                .unwrap();
         let second =
-            planned_answer_confidences_with_cache(&db, &names, &options, Some(1), &cache).unwrap();
+            planned_answer_confidences_with_options(&db, &names, &options, &sequential, &cache)
+                .unwrap();
         assert_eq!(first.tuples, second.tuples);
         assert!(second.stats.cache_hits > 0, "warm run must hit the cache");
     }

@@ -104,7 +104,7 @@ use uprob_urel::{execute_plan, optimize_plan, DeltaBuilder, DeltaReport, Plan, P
 use uprob_wsd::{FxHashMap, VarId, WorldTable};
 
 use crate::confidence::{answer_confidences_with_options, AnswerConfidences};
-use crate::constraints::{assert_all_delta, assert_all_with_options, Constraint, ViolationMemo};
+use crate::constraints::{assert_all_delta, assert_all_in, Constraint, ViolationMemo};
 use crate::error::QueryError;
 use crate::Result;
 
@@ -293,7 +293,7 @@ struct Counters {
 }
 
 /// One in-flight coalesced confidence fold: the leader fills `slot` and
-/// notifies; followers wait on `ready`.
+/// notifies if any follower joined; followers wait on `ready`.
 struct Inflight {
     slot: Mutex<Option<Result<AnswerConfidences>>>,
     ready: Condvar,
@@ -537,11 +537,12 @@ impl ProbDbService {
         self.guarded(|| {
             let _writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
             let snapshot = self.snapshot();
-            let conditioned = assert_all_with_options(
+            let conditioned = assert_all_in(
                 snapshot.db(),
                 constraints,
                 &self.options.conditioning,
                 &self.options.parallel,
+                None,
             )?;
             let (cache, inherited) = Self::inherited_cache(
                 &snapshot,
@@ -886,15 +887,20 @@ impl ProbDbService {
                         message: panic_message(payload.as_ref()),
                     }),
                 };
-            {
-                let mut slot = entry.slot.lock().unwrap_or_else(PoisonError::into_inner);
-                *slot = Some(result.clone());
-                entry.ready.notify_all();
-            }
+            // Retire the admission entry first: followers take their `Arc`
+            // under the `inflight` lock, so once the entry is gone the
+            // strong count is exactly this leader plus the followers still
+            // waiting — and the (possibly large) result is cloned into the
+            // slot only if somebody will read it.
             self.inflight
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
                 .remove(&key);
+            if Arc::strong_count(&entry) > 1 {
+                let mut slot = entry.slot.lock().unwrap_or_else(PoisonError::into_inner);
+                *slot = Some(result.clone());
+                entry.ready.notify_all();
+            }
             result
         } else {
             self.counters.coalesced.fetch_add(1, Ordering::Relaxed);

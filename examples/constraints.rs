@@ -186,7 +186,7 @@ fn main() {
             .query(&Plan::scan("orders").project(&["OID"]))
             .expect("valid plan");
         let posterior = virtual_posterior
-            .tuple_confidences(&prior_orders, db.world_table(), Some(2))
+            .tuple_confidences(&prior_orders, db.world_table(), &ParallelOptions::new(2))
             .expect("conditioned estimates");
         let (tuple, report) = &posterior[0];
         println!(

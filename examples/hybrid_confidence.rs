@@ -105,7 +105,7 @@ fn main() {
         &hard.world_table,
         &DecompositionOptions::indve_minlog(),
         &ConfidenceStrategy::hybrid(BUDGET, 0.1, 0.05),
-        None,
+        &ParallelOptions::auto(),
     )
     .expect("the hybrid batch completes where exact aborts");
     println!(

@@ -69,8 +69,14 @@ fn main() {
     let bills = Plan::scan("R")
         .select(Predicate::col_eq("NAME", "Bill"))
         .project(&["SSN"]);
-    let answers =
-        planned_answer_confidences(&db, &bills, &DecompositionOptions::default(), None).unwrap();
+    let answers = planned_answer_confidences_with_options(
+        &db,
+        &bills,
+        &DecompositionOptions::default(),
+        &ParallelOptions::auto(),
+        &SharedDecompositionCache::new(),
+    )
+    .unwrap();
     for (tuple, confidence) in &answers.tuples {
         println!(
             "conf(Bill has SSN {}) = {confidence:.2}",
@@ -112,9 +118,14 @@ fn main() {
     // per-tuple conf() batch over the planned answer closes the loop.
     let data = TpchDatabase::generate(TpchConfig::scale(0.01).with_row_scale(0.05).with_seed(7));
     let start = Instant::now();
-    let confidences =
-        planned_answer_confidences(&data.db, &q1, &DecompositionOptions::default(), Some(1))
-            .unwrap();
+    let confidences = planned_answer_confidences_with_options(
+        &data.db,
+        &q1,
+        &DecompositionOptions::default(),
+        &ParallelOptions::sequential(),
+        &SharedDecompositionCache::new(),
+    )
+    .unwrap();
     println!(
         "10x larger instance: plan + conf() over {} answer tuples in {:.2?} \
          (boolean conf {:.4})",

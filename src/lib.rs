@@ -69,24 +69,21 @@ pub mod prelude {
     pub use uprob_core::{
         available_workers, build_tree, condition, condition_all, confidence,
         confidence_brute_force, confidence_by_elimination, confidence_by_elimination_parallel,
-        confidence_by_elimination_with, confidence_parallel, confidence_with_cache,
-        estimate_conditioned_confidence, estimate_conditioned_confidence_with_options,
-        estimate_confidence, estimate_confidence_with_options, intersect_conditions, CacheStats,
-        ConditioningMethod, ConditioningOptions, ConfidenceReport, ConfidenceStrategy,
-        DecompositionMethod, DecompositionOptions, InheritOutcome, ParallelOptions, ResolvedPath,
-        SamplingStats, SharedDecompositionCache, VariableHeuristic, WsTree,
+        confidence_parallel, estimate_conditioned_confidence,
+        estimate_conditioned_confidence_with_options, estimate_confidence,
+        estimate_confidence_with_options, intersect_conditions, CacheStats, ConditioningMethod,
+        ConditioningOptions, ConfidenceReport, ConfidenceStrategy, DecompositionMethod,
+        DecompositionOptions, InheritOutcome, ParallelOptions, ResolvedPath, SamplingStats,
+        SharedDecompositionCache, VariableHeuristic, WsTree,
     };
     pub use uprob_query::{
-        answer_confidences, answer_confidences_with_cache, answer_confidences_with_options,
-        answer_confidences_with_strategy, answer_confidences_with_strategy_options, assert_all,
-        assert_all_delta, assert_all_with_options, assert_all_with_strategy, assert_constraint,
-        assert_constraint_with_strategy, boolean_confidence, certain_tuples,
-        planned_answer_confidences, planned_answer_confidences_with_cache,
-        planned_answer_confidences_with_options, planned_answer_confidences_with_strategy,
-        planned_answer_confidences_with_strategy_options, planned_boolean_confidence,
-        possible_tuples, tuple_confidences, tuple_confidences_sequential, AnswerConfidences,
-        AssertOutcome, Assertion, Constraint, DeltaOutcome, EstimatedAssertion, ProbDbService,
-        ServiceOptions, ServiceStats, Snapshot, StrategyAnswerConfidences, ViolationMemo,
+        answer_confidences_with_options, answer_confidences_with_strategy, assert_all,
+        assert_all_delta, assert_all_with_strategy, assert_constraint, boolean_confidence,
+        certain_tuples, planned_answer_confidences_with_options,
+        planned_answer_confidences_with_strategy, planned_boolean_confidence, possible_tuples,
+        tuple_confidences, tuple_confidences_sequential, AnswerConfidences, AssertOutcome,
+        Assertion, Constraint, DeltaOutcome, EstimatedAssertion, ProbDbService, ServiceOptions,
+        ServiceStats, Snapshot, StrategyAnswerConfidences, ViolationMemo,
     };
     pub use uprob_urel::{
         algebra, execute_plan, execute_plan_eager, optimize_plan, ColumnType, Comparison,

@@ -83,7 +83,14 @@ proptest! {
         let cache = SharedDecompositionCache::new();
         let sets = warm_sets(&db, &constraints);
         for set in &sets {
-            confidence_with_cache(set, table, &options, Some(&cache)).unwrap();
+            confidence_parallel(
+                set,
+                table,
+                &options,
+                &ParallelOptions::sequential(),
+                Some(&cache),
+            )
+            .unwrap();
         }
         let warmed_entries = cache.stats().entries;
 
@@ -159,7 +166,14 @@ proptest! {
         let cache = SharedDecompositionCache::new();
         let sets = warm_sets(&db, &constraints);
         for set in &sets {
-            confidence_with_cache(set, table, &options, Some(&cache)).unwrap();
+            confidence_parallel(
+                set,
+                table,
+                &options,
+                &ParallelOptions::sequential(),
+                Some(&cache),
+            )
+            .unwrap();
         }
 
         let conditioned = match assert_all(&db, &constraints, &ConditioningOptions::default()) {

@@ -57,10 +57,11 @@ proptest! {
         // The cached fold: cold and warm runs through one shared cache.
         let cache = SharedDecompositionCache::new();
         for run in 0..2 {
-            let got = confidence_with_cache(
+            let got = confidence_parallel(
                 &instance.query,
                 &instance.table,
                 &DecompositionOptions::indve_minlog(),
+                &ParallelOptions::sequential(),
                 Some(&cache),
             )
             .unwrap()

@@ -166,8 +166,14 @@ fn golden_values_are_bit_identical_under_the_ci_worker_matrix() {
     let (db, fd) = ssn_db();
     let conditioning = ConditioningOptions::default();
     let batch = assert_all(&db, std::slice::from_ref(&fd), &conditioning).unwrap();
-    let batch_parallel =
-        assert_all_with_options(&db, std::slice::from_ref(&fd), &conditioning, &parallel).unwrap();
+    let batch_parallel = assert_all_delta(
+        &db,
+        std::slice::from_ref(&fd),
+        &conditioning,
+        &parallel,
+        &mut ViolationMemo::new(),
+    )
+    .unwrap();
     assert!((batch_parallel.confidence - 0.44).abs() < 1e-12);
     assert_eq!(
         batch_parallel.confidence.to_bits(),
@@ -181,11 +187,11 @@ fn golden_values_are_bit_identical_under_the_ci_worker_matrix() {
     // The fig10 TPC-H fixture through the parallel batch path.
     let data = TpchDatabase::generate(TpchConfig::scale(0.01).with_row_scale(0.05).with_seed(2008));
     let relation = q1_answer_relation(&data);
-    let reference = answer_confidences_with_cache(
+    let reference = answer_confidences_with_options(
         &relation,
         data.db.world_table(),
         &options,
-        Some(1),
+        &ParallelOptions::sequential(),
         &SharedDecompositionCache::new(),
     )
     .unwrap();
@@ -215,14 +221,19 @@ fn example_5_1_constraint_through_all_three_strategies() {
     let (db, fd) = ssn_db();
     let options = ConditioningOptions::default();
 
-    let exact =
-        assert_constraint_with_strategy(&db, &fd, &options, &ConfidenceStrategy::Exact).unwrap();
+    let exact = assert_all_with_strategy(
+        &db,
+        std::slice::from_ref(&fd),
+        &options,
+        &ConfidenceStrategy::Exact,
+    )
+    .unwrap();
     assert!(exact.is_materialized());
     assert!((exact.confidence() - 0.44).abs() < 1e-12);
 
-    let hybrid = assert_constraint_with_strategy(
+    let hybrid = assert_all_with_strategy(
         &db,
-        &fd,
+        std::slice::from_ref(&fd),
         &options,
         &ConfidenceStrategy::hybrid(1_000_000, 0.1, 0.01),
     )
@@ -231,9 +242,9 @@ fn example_5_1_constraint_through_all_three_strategies() {
     assert_eq!(hybrid.confidence().to_bits(), exact.confidence().to_bits());
 
     let epsilon = 0.05;
-    let approx = assert_constraint_with_strategy(
+    let approx = assert_all_with_strategy(
         &db,
-        &fd,
+        std::slice::from_ref(&fd),
         &options,
         &ConfidenceStrategy::approximate(epsilon, 0.05).with_seed(44),
     )
@@ -260,7 +271,7 @@ fn example_5_1_constraint_through_all_three_strategies() {
     .unwrap();
     let ssns = algebra::project(&bills, &["SSN"], "Q").unwrap();
     let posterior = virtual_posterior
-        .tuple_confidences(&ssns, db.world_table(), Some(1))
+        .tuple_confidences(&ssns, db.world_table(), &ParallelOptions::sequential())
         .unwrap();
     let p4 = posterior
         .iter()
@@ -288,7 +299,7 @@ fn fig10_tpch_fixture_through_all_three_strategies() {
         world_table,
         &options,
         &ConfidenceStrategy::Exact,
-        Some(2),
+        &ParallelOptions::new(2),
     )
     .unwrap();
     let hybrid = answer_confidences_with_strategy(
@@ -296,7 +307,7 @@ fn fig10_tpch_fixture_through_all_three_strategies() {
         world_table,
         &options,
         &ConfidenceStrategy::hybrid(1_000_000, 0.1, 0.01),
-        Some(2),
+        &ParallelOptions::new(2),
     )
     .unwrap();
     assert_eq!(exact.tuples.len(), hybrid.tuples.len());
@@ -322,7 +333,7 @@ fn fig10_tpch_fixture_through_all_three_strategies() {
         world_table,
         &options,
         &ConfidenceStrategy::approximate(epsilon, 0.05).with_seed(1010),
-        Some(2),
+        &ParallelOptions::new(2),
     )
     .unwrap();
     assert_eq!(approx.sampled_tuples(), approx.tuples.len());
@@ -437,9 +448,13 @@ fn example_5_1_through_a_query_plan_and_all_three_strategies() {
     )
     .unwrap();
     assert!((exact.probability - 0.56).abs() < 1e-12);
-    let conditioned =
-        assert_constraint_with_strategy(&db, &fd, &Default::default(), &ConfidenceStrategy::Exact)
-            .unwrap();
+    let conditioned = assert_all_with_strategy(
+        &db,
+        std::slice::from_ref(&fd),
+        &Default::default(),
+        &ConfidenceStrategy::Exact,
+    )
+    .unwrap();
     assert!((conditioned.confidence() - (1.0 - exact.probability)).abs() < 1e-12);
     assert!((conditioned.confidence() - 0.44).abs() < 1e-12);
 
@@ -508,7 +523,7 @@ fn tpch_q1_through_a_query_plan_and_all_three_strategies() {
         world_table,
         &options,
         &ConfidenceStrategy::Exact,
-        Some(1),
+        &ParallelOptions::new(1),
     )
     .unwrap();
     let eager_exact = answer_confidences_with_strategy(
@@ -516,7 +531,7 @@ fn tpch_q1_through_a_query_plan_and_all_three_strategies() {
         world_table,
         &options,
         &ConfidenceStrategy::Exact,
-        Some(1),
+        &ParallelOptions::new(1),
     )
     .unwrap();
     assert_eq!(planned_exact.tuples.len(), eager_exact.tuples.len());
@@ -539,7 +554,7 @@ fn tpch_q1_through_a_query_plan_and_all_three_strategies() {
         &q1_plan(),
         &options,
         &ConfidenceStrategy::hybrid(1_000_000, 0.1, 0.01),
-        Some(2),
+        &ParallelOptions::new(2),
     )
     .unwrap();
     assert_eq!(hybrid.sampled_tuples(), 0);
@@ -555,7 +570,7 @@ fn tpch_q1_through_a_query_plan_and_all_three_strategies() {
         &q1_plan(),
         &options,
         &ConfidenceStrategy::approximate(epsilon, 0.05).with_seed(1995),
-        Some(2),
+        &ParallelOptions::new(2),
     )
     .unwrap();
     assert_eq!(approx.sampled_tuples(), approx.tuples.len());
@@ -591,7 +606,7 @@ fn hybrid_batch_completes_on_a_hard_instance_where_exact_aborts() {
         &instance.world_table,
         &options.with_budget(BUDGET),
         &ConfidenceStrategy::Exact,
-        Some(1),
+        &ParallelOptions::new(1),
     );
     assert!(
         matches!(
@@ -610,7 +625,7 @@ fn hybrid_batch_completes_on_a_hard_instance_where_exact_aborts() {
         &instance.world_table,
         &options,
         &ConfidenceStrategy::hybrid(BUDGET, 0.1, 0.05).with_seed(7),
-        Some(2),
+        &ParallelOptions::new(2),
     )
     .unwrap();
     assert_eq!(hybrid.tuples.len(), 4);
@@ -650,7 +665,7 @@ fn hybrid_fallback_lands_within_epsilon_on_the_downscaled_twin() {
         &instance.world_table,
         &DecompositionOptions::indve_minlog(),
         &ConfidenceStrategy::hybrid(1, epsilon, 0.05).with_seed(2008),
-        Some(2),
+        &ParallelOptions::new(2),
     )
     .unwrap();
     assert_eq!(hybrid.sampled_tuples(), hybrid.tuples.len());

@@ -10,8 +10,14 @@
 //!    shared cache, and stats-identical without one);
 //! 2. parallel ws-descriptor elimination vs sequential WE;
 //! 3. conditioned confidence through the engine's `_with_options` path;
-//! 4. the single-pass `assert_all_with_options` vs `assert_all`
-//!    (confidence and full posterior database).
+//! 4. the general `assert_all_delta` (fresh memo) vs `assert_all`
+//!    (confidence and full posterior database);
+//! 5. the `conf()` batch surface: `tuple_confidences`,
+//!    `answer_confidences_with_options(..).tuples` and
+//!    `tuple_confidences_sequential` agree bit for bit, and
+//!    `answer_confidences_with_strategy` reproduces its one-worker bits at
+//!    workers {1, 2, 4, 8} on a wide and on a narrow answer, so both arms
+//!    of the placement rule run.
 //!
 //! All randomness is driven by the (deterministic, pinned-seed) vendored
 //! proptest runner; a failing case prints the full recipe **and** the
@@ -21,7 +27,7 @@
 //! its own worker count here.
 
 use proptest::prelude::*;
-use uprob::datagen::{arb_constraint_case, arb_small_recipe};
+use uprob::datagen::{arb_constraint_case, arb_small_recipe, HardInstance, HardInstanceConfig};
 use uprob::prelude::*;
 use uprob::query::QueryError;
 
@@ -100,10 +106,11 @@ proptest! {
                 );
                 // The cache the parallel run populated serves a sequential
                 // rerun the same bits.
-                let warm = confidence_with_cache(
+                let warm = confidence_parallel(
                     &instance.query,
                     &instance.table,
                     &options,
+                    &ParallelOptions::sequential(),
                     Some(&cache),
                 )
                 .unwrap();
@@ -194,9 +201,9 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// `assert_all_with_options` produces the same verdict, the same
-    /// confidence bits and the same posterior database as `assert_all`,
-    /// for every worker count.
+    /// `assert_all_delta` with a fresh memo produces the same verdict, the
+    /// same confidence bits and the same posterior database as
+    /// `assert_all`, for every worker count.
     #[test]
     fn parallel_assert_all_is_bit_identical(case in arb_constraint_case()) {
         let db = case.build_db();
@@ -205,7 +212,13 @@ proptest! {
         let sequential = assert_all(&db, &constraints, &options);
         for workers in worker_counts() {
             let parallel = parallel_options(workers);
-            let got = assert_all_with_options(&db, &constraints, &options, &parallel);
+            let got = assert_all_delta(
+                &db,
+                &constraints,
+                &options,
+                &parallel,
+                &mut ViolationMemo::new(),
+            );
             match (&sequential, &got) {
                 (
                     Err(QueryError::UnsatisfiableConstraint { .. }),
@@ -242,6 +255,116 @@ proptest! {
                          {expected:?} vs parallel {got:?} on {case:?}"
                     )));
                 }
+            }
+        }
+    }
+}
+
+/// Wraps a hard instance's ws-set into a U-relation whose distinct tuples
+/// partition the descriptors into `groups` answer tuples.
+fn grouped_relation(instance: &HardInstance, groups: usize) -> URelation {
+    let schema = Schema::new("H", &[("ID", ColumnType::Int)]);
+    let mut relation = URelation::new(schema);
+    for (i, d) in instance.ws_set.iter().enumerate() {
+        relation.push(Tuple::new(vec![Value::Int((i % groups) as i64)]), d.clone());
+    }
+    relation
+}
+
+/// The `conf()` batch surface on one wide answer (16 tuples: at least two
+/// per worker at every tested count, so the tuples are fanned out) and one
+/// narrow answer (3 tuples: fewer than two per worker from 2 workers on, so
+/// the folds parallelize inside): the paper-level short form, the general
+/// batch and the sequential reference agree bit for bit, and the strategy
+/// batch reproduces its one-worker bits — exact and sampled — at every
+/// worker count.
+#[test]
+fn conf_batch_surface_is_bit_identical_on_wide_and_narrow_answers() {
+    let instance = HardInstance::generate(HardInstanceConfig {
+        num_variables: 24,
+        alternatives: 2,
+        descriptor_length: 2,
+        num_descriptors: 64,
+        seed: 0xC0FF,
+    });
+    let table = &instance.world_table;
+    let options = DecompositionOptions::indve_minlog();
+    let strategies = [
+        ConfidenceStrategy::Exact,
+        ConfidenceStrategy::approximate(0.1, 0.05).with_seed(31),
+        ConfidenceStrategy::hybrid(1_000_000, 0.1, 0.05).with_seed(31),
+    ];
+    for groups in [16, 3] {
+        let answer = grouped_relation(&instance, groups);
+        let reference = tuple_confidences_sequential(&answer, table, &options).unwrap();
+        assert_eq!(reference.len(), groups);
+        let reference_boolean = boolean_confidence(&answer, table, &options).unwrap();
+        let short = tuple_confidences(&answer, table, &options).unwrap();
+        assert_eq!(short.len(), reference.len());
+        for ((t1, p1), (t2, p2)) in reference.iter().zip(&short) {
+            assert_eq!(t1, t2);
+            assert_eq!(
+                p1.to_bits(),
+                p2.to_bits(),
+                "tuple_confidences, {groups} tuples"
+            );
+        }
+        let one_worker: Vec<StrategyAnswerConfidences> = strategies
+            .iter()
+            .map(|strategy| {
+                answer_confidences_with_strategy(
+                    &answer,
+                    table,
+                    &options,
+                    strategy,
+                    &ParallelOptions::sequential(),
+                )
+                .unwrap()
+            })
+            .collect();
+        // The exact strategy batch is the exact batch.
+        for ((_, p), (_, report)) in reference.iter().zip(&one_worker[0].tuples) {
+            assert_eq!(p.to_bits(), report.probability.to_bits());
+        }
+        for workers in [1, 2, 4, 8] {
+            let parallel = parallel_options(workers);
+            let batch = answer_confidences_with_options(
+                &answer,
+                table,
+                &options,
+                &parallel,
+                &SharedDecompositionCache::new(),
+            )
+            .unwrap();
+            assert_eq!(batch.tuples.len(), reference.len());
+            for ((t1, p1), (t2, p2)) in reference.iter().zip(&batch.tuples) {
+                assert_eq!(t1, t2);
+                assert_eq!(
+                    p1.to_bits(),
+                    p2.to_bits(),
+                    "{groups} tuples, workers {workers}, tuple {t1:?}"
+                );
+            }
+            assert_eq!(batch.boolean.to_bits(), reference_boolean.to_bits());
+            for (strategy, expected) in strategies.iter().zip(&one_worker) {
+                let got =
+                    answer_confidences_with_strategy(&answer, table, &options, strategy, &parallel)
+                        .unwrap();
+                assert_eq!(got.tuples.len(), expected.tuples.len());
+                for ((t1, r1), (t2, r2)) in expected.tuples.iter().zip(&got.tuples) {
+                    assert_eq!(t1, t2);
+                    assert_eq!(r1.path, r2.path, "{strategy:?}, workers {workers}");
+                    assert_eq!(
+                        r1.probability.to_bits(),
+                        r2.probability.to_bits(),
+                        "{strategy:?}, {groups} tuples, workers {workers}, tuple {t1:?}"
+                    );
+                }
+                assert_eq!(
+                    expected.boolean.probability.to_bits(),
+                    got.boolean.probability.to_bits(),
+                    "{strategy:?}, {groups} tuples, workers {workers}"
+                );
             }
         }
     }

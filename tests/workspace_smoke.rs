@@ -52,6 +52,115 @@ fn prelude_reexports_resolve() {
     let _ = possible_tuples;
 }
 
+/// The one-per-operation entry points of the prelude, pinned by coercing
+/// each to its exact `fn` pointer type: a signature drift — or a variant
+/// re-grown under one of these names with different knobs — is a compile
+/// error here, next to the benchmark's frozen call surface
+/// (`perfbench/README.md`).
+#[allow(dead_code, clippy::type_complexity)]
+fn entry_point_signatures_are_pinned() {
+    use uprob::core::{Conditioned, Confidence};
+    type Core<T> = Result<T, uprob::core::CoreError>;
+    type Query<T> = Result<T, uprob::query::QueryError>;
+    type Cache = SharedDecompositionCache;
+
+    // conf() on one ws-set: paper form, general form, WE, strategy engine.
+    let _: fn(&WsSet, &WorldTable, &DecompositionOptions) -> Core<Confidence> = confidence;
+    let _: fn(
+        &WsSet,
+        &WorldTable,
+        &DecompositionOptions,
+        &ParallelOptions,
+        Option<&Cache>,
+    ) -> Core<Confidence> = confidence_parallel;
+    let _: fn(&WsSet, &WorldTable) -> Core<Confidence> = confidence_by_elimination;
+    let _: fn(
+        &WsSet,
+        &WorldTable,
+        Option<u64>,
+        Option<&Cache>,
+        &ParallelOptions,
+    ) -> Core<Confidence> = confidence_by_elimination_parallel;
+    let _: fn(
+        &WsSet,
+        &WorldTable,
+        &DecompositionOptions,
+        &ConfidenceStrategy,
+        Option<&Cache>,
+    ) -> Core<ConfidenceReport> = estimate_confidence;
+    let _: fn(
+        &WsSet,
+        &WorldTable,
+        &DecompositionOptions,
+        &ConfidenceStrategy,
+        Option<&Cache>,
+        &ParallelOptions,
+    ) -> Core<ConfidenceReport> = estimate_confidence_with_options;
+    let _: fn(&ProbDb, &WsSet, &ConditioningOptions) -> Core<Conditioned> = condition;
+
+    // conf() over a query answer: general batch, strategy batch, SQL forms.
+    let _: fn(
+        &URelation,
+        &WorldTable,
+        &DecompositionOptions,
+        &ParallelOptions,
+        &Cache,
+    ) -> Query<AnswerConfidences> = answer_confidences_with_options;
+    let _: fn(
+        &URelation,
+        &WorldTable,
+        &DecompositionOptions,
+        &ConfidenceStrategy,
+        &ParallelOptions,
+    ) -> Query<StrategyAnswerConfidences> = answer_confidences_with_strategy;
+    type SqlForm<T> = fn(&URelation, &WorldTable, &DecompositionOptions) -> Query<T>;
+    let _: SqlForm<Vec<(Tuple, f64)>> = tuple_confidences;
+    let _: SqlForm<Vec<(Tuple, f64)>> = tuple_confidences_sequential;
+    let _: SqlForm<Vec<(Tuple, f64)>> = possible_tuples;
+    let _: SqlForm<Vec<Tuple>> = certain_tuples;
+    let _: SqlForm<f64> = boolean_confidence;
+
+    // conf() over a plan.
+    let _: fn(
+        &ProbDb,
+        &Plan,
+        &DecompositionOptions,
+        &ParallelOptions,
+        &Cache,
+    ) -> Query<AnswerConfidences> = planned_answer_confidences_with_options;
+    let _: fn(
+        &ProbDb,
+        &Plan,
+        &DecompositionOptions,
+        &ConfidenceStrategy,
+        &ParallelOptions,
+    ) -> Query<StrategyAnswerConfidences> = planned_answer_confidences_with_strategy;
+    let _: fn(&ProbDb, &Plan, &DecompositionOptions) -> Query<f64> = planned_boolean_confidence;
+
+    // assert[·]: paper form, batch form, general form, strategy form.
+    let _: fn(&ProbDb, &Constraint, &ConditioningOptions) -> Query<Conditioned> = assert_constraint;
+    let _: fn(&ProbDb, &[Constraint], &ConditioningOptions) -> Query<Conditioned> = assert_all;
+    let _: fn(
+        &ProbDb,
+        &[Constraint],
+        &ConditioningOptions,
+        &ParallelOptions,
+        &mut ViolationMemo,
+    ) -> Query<Conditioned> = assert_all_delta;
+    let _: fn(
+        &ProbDb,
+        &[Constraint],
+        &ConditioningOptions,
+        &ConfidenceStrategy,
+    ) -> Query<Assertion> = assert_all_with_strategy;
+    let _: fn(
+        &EstimatedAssertion,
+        &URelation,
+        &WorldTable,
+        &ParallelOptions,
+    ) -> Query<Vec<(Tuple, ConfidenceReport)>> = EstimatedAssertion::tuple_confidences;
+}
+
 /// The facade's module aliases expose the underlying crates.
 #[test]
 fn facade_modules_point_at_workspace_crates() {
