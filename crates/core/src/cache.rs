@@ -5,7 +5,7 @@
 //! revisited in nested contexts, independent components reappear across
 //! branches, and the distinct tuples of one query answer share rows with
 //! each other and with the answer-level Boolean query. A
-//! [`DecompositionCache`] memoizes the probability of every canonical
+//! `DecompositionCache` shard memoizes the probability of every canonical
 //! sub-ws-set it sees, so each distinct sub-problem is solved once per
 //! database instead of once per occurrence.
 //!
@@ -48,6 +48,8 @@ use uprob_wsd::{
     CanonicalSetKey, DescriptorInterner, FxHashMap, VarId, WorldTable, WsDescriptor, WsSet,
 };
 
+use crate::stats::DecompositionStats;
+
 /// Ws-sets larger than this are decomposed without consulting the cache.
 ///
 /// Canonicalising a set costs one hash per descriptor; for the very large
@@ -61,7 +63,7 @@ pub const MAX_CACHED_SET_LEN: usize = 64;
 /// the shard that produced it (keys are only meaningful within one shard's
 /// interner).
 #[derive(Debug)]
-pub struct PendingEntry {
+pub(crate) struct PendingEntry {
     shard: usize,
     key: CanonicalSetKey,
 }
@@ -69,7 +71,7 @@ pub struct PendingEntry {
 /// Outcome of a cache lookup: either a memoized probability, or the
 /// pending entry under which the caller should insert its result.
 #[derive(Debug)]
-pub enum CacheLookup {
+enum CacheLookup {
     /// The set was solved before; reuse this probability.
     Hit(f64),
     /// The set is new; compute it and call
@@ -119,7 +121,7 @@ struct MemoEntry {
 /// The single-threaded core of one cache shard: an interner plus the
 /// probability memo table and hit/miss counters.
 #[derive(Debug, Default)]
-pub struct DecompositionCache {
+struct DecompositionCache {
     interner: DescriptorInterner,
     probabilities: FxHashMap<CanonicalSetKey, MemoEntry>,
     /// Reusable id buffer so hit lookups allocate nothing.
@@ -131,13 +133,8 @@ pub struct DecompositionCache {
 }
 
 impl DecompositionCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        DecompositionCache::default()
-    }
-
     /// Looks up the probability of `set`, counting the hit or miss.
-    pub fn lookup(&mut self, set: &WsSet) -> Result<f64, CanonicalSetKey> {
+    fn lookup(&mut self, set: &WsSet) -> Result<f64, CanonicalSetKey> {
         let mut ids = std::mem::take(&mut self.scratch);
         self.interner.canonical_ids(set, &mut ids);
         // Probe through Borrow<[u32]> — no key allocation on the hit path.
@@ -160,7 +157,7 @@ impl DecompositionCache {
 
     /// Memoizes the probability of the set behind `key`. The first write
     /// wins; concurrent writers always carry the same value.
-    pub fn insert(&mut self, key: CanonicalSetKey, probability: f64) {
+    fn insert(&mut self, key: CanonicalSetKey, probability: f64) {
         if let Entry::Vacant(slot) = self.probabilities.entry(key) {
             slot.insert(MemoEntry {
                 probability,
@@ -172,7 +169,7 @@ impl DecompositionCache {
     /// Non-counting presence probe (tests and diagnostics): the memoized
     /// probability of `set`, if present, without perturbing the hit/miss
     /// counters.
-    pub fn probe(&mut self, set: &WsSet) -> Option<f64> {
+    fn probe(&mut self, set: &WsSet) -> Option<f64> {
         let mut ids = std::mem::take(&mut self.scratch);
         self.interner.canonical_ids(set, &mut ids);
         let result = self
@@ -186,8 +183,7 @@ impl DecompositionCache {
     /// Memoizes an entry carried forward from a predecessor cache. Private
     /// to the inheritance path: the only route here is
     /// [`SharedDecompositionCache::inherit_from`], which performs the
-    /// descriptor-disjointness/eligibility check (enforced by the
-    /// `cache-inherit` lint rule).
+    /// descriptor-disjointness/eligibility check.
     fn insert_inherited_set(&mut self, set: &WsSet, probability: f64) {
         let mut ids = std::mem::take(&mut self.scratch);
         self.interner.canonical_ids(set, &mut ids);
@@ -220,7 +216,7 @@ impl DecompositionCache {
     }
 
     /// Current counters.
-    pub fn stats(&self) -> CacheStats {
+    fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits,
             misses: self.misses,
@@ -237,7 +233,7 @@ impl DecompositionCache {
 /// aggregate.
 const SHARDS: usize = 16;
 
-/// A sharded [`DecompositionCache`] shareable by reference between scoped
+/// A sharded decomposition cache shareable by reference between scoped
 /// worker threads (see the module docs for the locking contract).
 ///
 /// A set is routed to its shard by an order-independent digest of its
@@ -297,7 +293,7 @@ impl SharedDecompositionCache {
     /// sets are cheaper to solve than to canonicalise), no nullary
     /// descriptor (those short-circuit to probability 1), and within
     /// [`MAX_CACHED_SET_LEN`].
-    pub fn is_cacheable(set: &WsSet) -> bool {
+    fn is_cacheable(set: &WsSet) -> bool {
         (2..=MAX_CACHED_SET_LEN).contains(&set.len()) && !set.contains_universal()
     }
 
@@ -333,7 +329,7 @@ impl SharedDecompositionCache {
     }
 
     /// Looks up the probability of `set`, counting the hit or miss.
-    pub fn lookup(&self, set: &WsSet) -> CacheLookup {
+    fn lookup(&self, set: &WsSet) -> CacheLookup {
         let shard = self.shard_of(set);
         // uprob-lint: allow(panic-index) -- shard_of masks into 0..SHARDS
         match Self::shard_guard(&self.shards[shard]).lookup(set) {
@@ -342,8 +338,34 @@ impl SharedDecompositionCache {
         }
     }
 
+    /// The memo probe every fold speaks. `Ok(p)`: `set` was solved before
+    /// (counted on the run's `cache_hits`). `Err(pending)`: compute it —
+    /// `Some(entry)` is a counted miss whose result goes to
+    /// [`Self::insert`]; `None` means there is nothing to publish (no
+    /// cache, or a set outside the cacheable band: trivial sets are cheaper
+    /// to solve directly and huge sets rarely recur).
+    pub(crate) fn probe_memo(
+        cache: Option<&Self>,
+        set: &WsSet,
+        stats: &mut DecompositionStats,
+    ) -> Result<f64, Option<PendingEntry>> {
+        let Some(shared) = cache.filter(|_| Self::is_cacheable(set)) else {
+            return Err(None);
+        };
+        match shared.lookup(set) {
+            CacheLookup::Hit(probability) => {
+                stats.cache_hits += 1;
+                Ok(probability)
+            }
+            CacheLookup::Miss(entry) => {
+                stats.cache_misses += 1;
+                Err(Some(entry))
+            }
+        }
+    }
+
     /// Memoizes the probability of the set behind `pending`.
-    pub fn insert(&self, pending: PendingEntry, probability: f64) {
+    pub(crate) fn insert(&self, pending: PendingEntry, probability: f64) {
         // uprob-lint: allow(panic-index) -- pending.shard was produced by shard_of
         Self::shard_guard(&self.shards[pending.shard]).insert(pending.key, probability);
     }
@@ -544,7 +566,7 @@ mod tests {
     #[test]
     fn first_insert_wins() {
         let (_, s12, _) = two_sets();
-        let mut cache = DecompositionCache::new();
+        let mut cache = DecompositionCache::default();
         let Err(key) = cache.lookup(&s12) else {
             panic!("first lookup must miss");
         };

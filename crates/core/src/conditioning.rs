@@ -37,9 +37,9 @@ use uprob_wsd::FxHashMap;
 use uprob_urel::{ProbDb, URelation};
 use uprob_wsd::{DomainValue, NeumaierSum, ValueIndex, VarId, WorldTable, WsDescriptor, WsSet};
 
-use crate::decompose::eliminate_variable;
+use crate::decompose::{Decomposer, DecompositionMethod, DecompositionOptions, DecompositionStep};
 use crate::error::CoreError;
-use crate::heuristics::{choose_variable, VariableHeuristic};
+use crate::heuristics::VariableHeuristic;
 use crate::stats::DecompositionStats;
 use crate::Result;
 
@@ -128,56 +128,39 @@ type RowId = (usize, usize);
 type TaggedSet = Vec<(RowId, WsDescriptor)>;
 
 struct Conditioner<'a> {
-    table: &'a WorldTable,
-    options: ConditioningOptions,
+    /// Decides every `ComputeTree` node and owns the budget and counters.
+    decomposer: Decomposer<'a>,
     /// The output world table: the input table plus the fresh variables.
     new_table: WorldTable,
     /// For every fresh variable: the variable it was derived from.
     sources: Vec<(VarId, VarId)>,
-    stats: DecompositionStats,
-    nodes: u64,
 }
 
 impl<'a> Conditioner<'a> {
-    fn new(table: &'a WorldTable, options: ConditioningOptions) -> Self {
+    fn new(table: &'a WorldTable, options: &ConditioningOptions) -> Self {
+        let decomposition = DecompositionOptions {
+            method: match options.method {
+                ConditioningMethod::Exact => DecompositionMethod::VeOnly,
+                ConditioningMethod::PaperFig8 => DecompositionMethod::IndVe,
+            },
+            heuristic: options.heuristic,
+            node_budget: options.node_budget,
+        };
         Conditioner {
-            table,
-            options,
+            decomposer: Decomposer::new(table, decomposition),
             new_table: table.clone(),
             sources: Vec::new(),
-            stats: DecompositionStats::default(),
-            nodes: 0,
         }
-    }
-
-    fn charge_node(&mut self) -> Result<()> {
-        self.nodes += 1;
-        if let Some(budget) = self.options.node_budget {
-            if self.nodes > budget {
-                return Err(CoreError::BudgetExceeded { budget });
-            }
-        }
-        Ok(())
     }
 
     /// The recursive `cond` function of Figure 8, operating on the ws-set of
     /// the condition (decomposed on the fly) and the tagged descriptors of
     /// the U-relations.
     fn cond(&mut self, set: &WsSet, u: TaggedSet, depth: u64) -> Result<(f64, TaggedSet)> {
-        self.charge_node()?;
-        self.stats.max_depth = self.stats.max_depth.max(depth);
-        if set.is_empty() {
-            self.stats.bottoms += 1;
-            return Ok((0.0, Vec::new()));
-        }
-        if set.contains_universal() {
-            self.stats.leaves += 1;
-            return Ok((1.0, u));
-        }
-        if self.options.method == ConditioningMethod::PaperFig8 {
-            let parts = set.independent_partition();
-            if parts.len() > 1 {
-                self.stats.independent_nodes += 1;
+        match self.decomposer.step(set, depth)? {
+            DecompositionStep::Empty => Ok((0.0, Vec::new())),
+            DecompositionStep::Universal => Ok((1.0, u)),
+            DecompositionStep::Partition(parts) => {
                 // Figure 8, ⊗ case: every part is conditioned against the
                 // full U and the rewritten descriptor sets are unioned.
                 let mut complement = 1.0;
@@ -187,40 +170,42 @@ impl<'a> Conditioner<'a> {
                     complement *= 1.0 - ci;
                     merged.extend(ui);
                 }
-                return Ok((1.0 - complement, merged));
+                Ok((1.0 - complement, merged))
             }
+            DecompositionStep::Eliminate {
+                var,
+                branches,
+                missing_values,
+                tail,
+            } => self.eliminate(var, &branches, &missing_values, &tail, u, depth),
         }
-        let var = choose_variable(set, self.table, self.options.heuristic)
-            // uprob-lint: allow(panic-expect) -- the empty and universal cases return earlier in this function
-            .expect("a non-empty, non-universal ws-set mentions at least one variable");
-        self.stats.choice_nodes += 1;
-        self.stats.variable_eliminations += 1;
-        self.eliminate(set, var, u, depth)
     }
 
-    /// Figure 8, ⊕ case: eliminate `var`, recurse into every alternative,
-    /// renormalise the branch weights with a fresh variable and rewrite the
-    /// descriptors of the surviving branches.
+    /// Figure 8, ⊕ case: recurse into every alternative of the eliminated
+    /// `var`, renormalise the branch weights with a fresh variable and
+    /// rewrite the descriptors of the surviving branches.
     fn eliminate(
         &mut self,
-        set: &WsSet,
         var: VarId,
+        branches: &[(ValueIndex, WsSet)],
+        missing_values: &[ValueIndex],
+        tail: &WsSet,
         u: TaggedSet,
         depth: u64,
     ) -> Result<(f64, TaggedSet)> {
-        let (branches, missing_values, tail) = eliminate_variable(set, var, self.table);
-        self.stats.branches += branches.len() as u64;
-        let domain_size = self.table.domain_size(var)?;
+        let table = self.decomposer.table();
+        let source_info = table.variable(var)?;
         // Child condition per domain value (None = impossible branch).
-        let mut child_sets: Vec<Option<&WsSet>> = vec![None; domain_size];
-        for (value, child) in &branches {
+        let mut child_sets: Vec<Option<&WsSet>> = vec![None; source_info.domain_size()];
+        for (value, child) in branches {
             // uprob-lint: allow(panic-index) -- child_sets has domain_size slots; values index the same domain
             child_sets[value.index()] = Some(child);
         }
-        let tail_if_nonempty = if tail.is_empty() { None } else { Some(&tail) };
-        for value in &missing_values {
-            // uprob-lint: allow(panic-index) -- same domain bound as above
-            child_sets[value.index()] = tail_if_nonempty;
+        if !tail.is_empty() {
+            for value in missing_values {
+                // uprob-lint: allow(panic-index) -- same domain bound as above
+                child_sets[value.index()] = Some(tail);
+            }
         }
 
         struct Branch {
@@ -232,20 +217,24 @@ impl<'a> Conditioner<'a> {
         let mut results: Vec<Branch> = Vec::new();
         let mut total = NeumaierSum::new();
         for (index, slot) in child_sets.iter().enumerate() {
-            let value = ValueIndex(index as u16);
-            let weight = self.table.probability(var, value)?;
             let Some(child_set) = *slot else {
                 continue;
             };
+            let value = ValueIndex(index as u16);
+            let weight = table.probability(var, value)?;
+            // A zero-probability alternative contributes nothing: skip it
+            // before conditioning its branch, as the confidence fold does.
+            if weight == 0.0 {
+                continue;
+            }
             // U_i: the descriptors consistent with `var -> value`, extended
             // with that assignment.
             let u_i: TaggedSet = u
                 .iter()
                 .filter_map(|(row, d)| d.with(var, value).ok().map(|extended| (*row, extended)))
                 .collect();
-            let child_set = child_set.clone();
-            let (ci, rewritten) = self.cond(&child_set, u_i, depth + 1)?;
-            if ci > 0.0 && weight > 0.0 {
+            let (ci, rewritten) = self.cond(child_set, u_i, depth + 1)?;
+            if ci > 0.0 {
                 total.add(weight * ci);
                 results.push(Branch {
                     value,
@@ -261,7 +250,6 @@ impl<'a> Conditioner<'a> {
         }
         // Fresh variable var' whose alternatives are the surviving values of
         // `var`, re-weighted so that they sum to one within this node.
-        let source_info = self.table.variable(var)?;
         let fresh_name = self.new_table.fresh_name(&source_info.name);
         let alternatives: Vec<(DomainValue, f64)> = results
             .iter()
@@ -310,7 +298,7 @@ pub fn condition(
     options: &ConditioningOptions,
 ) -> Result<Conditioned> {
     let table = db.world_table();
-    let mut conditioner = Conditioner::new(table, *options);
+    let mut conditioner = Conditioner::new(table, options);
 
     // Collect the descriptors of every row of every relation, tagged with
     // their origin.
@@ -381,7 +369,7 @@ pub fn condition(
     Ok(Conditioned {
         db: out,
         confidence,
-        stats: conditioner.stats,
+        stats: conditioner.decomposer.stats,
         new_variables,
         touched_variables,
         prior_remap,
@@ -433,14 +421,11 @@ pub fn condition_all(
 /// 2. variables with a single domain alternative are dropped everywhere;
 /// 3. fresh variables derived from the same original variable with identical
 ///    alternatives and weights are merged.
-pub fn simplify(db: &mut ProbDb, sources: &[(VarId, VarId)]) {
-    let _ = simplify_with_mapping(db, sources);
-}
-
-/// [`simplify`], additionally returning the old → new [`VarId`] mapping of
-/// the variables that survive optimisation (1). Variables dropped as unused
-/// are absent from the map; delta consumers treat absence as "do not
-/// inherit anything mentioning this variable".
+///
+/// Returns the old → new [`VarId`] mapping of the variables that survive
+/// optimisation (1). Variables dropped as unused are absent from the map;
+/// delta consumers treat absence as "do not inherit anything mentioning
+/// this variable".
 pub fn simplify_with_mapping(
     db: &mut ProbDb,
     sources: &[(VarId, VarId)],
@@ -629,6 +614,7 @@ mod tests {
         let (db, condition) = ssn_db_and_condition();
         let result = condition_db_default(&db, &condition);
         assert!((result.confidence - 0.44).abs() < 1e-12);
+        assert_confidence_matches_the_fold(&db, &condition);
 
         let conditioned = &result.db;
         // The posterior of Bill having SSN 4 is .3/.44 ≈ .68 (Introduction).
@@ -653,6 +639,26 @@ mod tests {
 
     fn condition_db_default(db: &ProbDb, ws: &WsSet) -> Conditioned {
         condition(db, ws, &ConditioningOptions::default()).unwrap()
+    }
+
+    /// `Conditioned::confidence` is the Figure 7 fold of the condition, so
+    /// both conditioning variants must agree with `confidence()` on it.
+    fn assert_confidence_matches_the_fold(db: &ProbDb, ws: &WsSet) {
+        let options = DecompositionOptions::ve_minlog();
+        let expected = crate::confidence(ws, db.world_table(), &options)
+            .unwrap()
+            .probability;
+        for options in [
+            ConditioningOptions::default(),
+            ConditioningOptions::paper_fig8(),
+        ] {
+            let got = condition(db, ws, &options).unwrap().confidence;
+            assert!(
+                (got - expected).abs() < 1e-12,
+                "{:?}: conditioned confidence {got}, fold {expected}",
+                options.method
+            );
+        }
     }
 
     #[test]
@@ -723,6 +729,7 @@ mod tests {
 
         let result = condition(&db, &cond_set, &ConditioningOptions::default()).unwrap();
         assert!((result.confidence - 0.75).abs() < 1e-12);
+        assert_confidence_matches_the_fold(&db, &cond_set);
 
         // Expected posterior over instances by direct Bayes on the prior.
         let prior = instance_distribution(&db);
@@ -781,6 +788,68 @@ mod tests {
             condition(&db, &cond_set, &options),
             Err(CoreError::BudgetExceeded { .. })
         ));
+    }
+
+    #[test]
+    fn zero_probability_alternatives_are_not_conditioned() {
+        // x -> 1 has probability zero: its sub-condition {y -> 1} must be
+        // skipped like the confidence fold skips it, not conditioned (a
+        // charged node and a junk y' variable) and then thrown away.
+        let mut db = ProbDb::new();
+        let x = db
+            .world_table_mut()
+            .add_variable("x", &[(1, 0.0), (2, 0.5), (3, 0.5)])
+            .unwrap();
+        let y = db
+            .world_table_mut()
+            .add_variable("y", &[(1, 0.5), (2, 0.5)])
+            .unwrap();
+        let schema = Schema::new("T", &[("ID", ColumnType::Int)]);
+        let mut rel = db.create_relation(schema).unwrap();
+        for (id, pairs) in [(1, [(x, 2)]), (2, [(y, 1)]), (3, [(x, 1)])] {
+            rel.push(
+                Tuple::new(vec![Value::Int(id)]),
+                WsDescriptor::from_pairs(db.world_table(), &pairs).unwrap(),
+            );
+        }
+        db.insert_relation(rel).unwrap();
+        let cond_set = WsSet::from_descriptors(vec![
+            WsDescriptor::from_pairs(db.world_table(), &[(x, 1), (y, 1)]).unwrap(),
+            WsDescriptor::from_pairs(db.world_table(), &[(x, 2)]).unwrap(),
+        ]);
+        let fold = crate::confidence(
+            &cond_set,
+            db.world_table(),
+            &DecompositionOptions::ve_minlog(),
+        )
+        .unwrap();
+        assert_eq!(fold.stats.total_nodes(), 2);
+
+        let raw = ConditioningOptions {
+            simplify: false,
+            ..Default::default()
+        };
+        let result = condition(&db, &cond_set, &raw).unwrap();
+        assert_eq!(result.stats, fold.stats);
+        assert_eq!(result.confidence.to_bits(), fold.probability.to_bits());
+        assert_eq!(result.new_variables, 1);
+        let table = result.db.world_table();
+        assert_eq!(table.num_variables(), 3, "x, y and the fresh x'");
+        assert!(table.variable_by_name("y'").is_none());
+        // The posterior: x -> 2 is certain, y is untouched.
+        for (id, expected) in [(1, 1.0), (2, 0.5), (3, 0.0)] {
+            let p = tuple_marginal(&result.db, "T", &Tuple::new(vec![Value::Int(id)]));
+            assert!((p - expected).abs() < 1e-12, "tuple {id}: {p}");
+        }
+        // A budget covering only the non-zero branches is enough.
+        let budgeted = ConditioningOptions {
+            node_budget: Some(2),
+            ..raw
+        };
+        assert_eq!(
+            condition(&db, &cond_set, &budgeted).unwrap().new_variables,
+            1
+        );
     }
 
     #[test]
@@ -931,6 +1000,8 @@ mod tests {
             WsDescriptor::from_pairs(table1, &[(y1, 2)]).unwrap(),
         ]);
         let step2 = condition(&step1.db, &b2_after, &opts).unwrap();
+        assert_confidence_matches_the_fold(&db, &b1);
+        assert_confidence_matches_the_fold(&step1.db, &b2_after);
 
         // Direct computation of the posterior given B1 ∧ B2 on the prior.
         let mut expected: BTreeMap<String, f64> = BTreeMap::new();
@@ -964,6 +1035,7 @@ mod tests {
             WsDescriptor::from_pairs(db.world_table(), &[(y, 2)]).unwrap(),
         ]);
         let joint = condition_all(&db, &[b1.clone(), b2.clone()], &opts).unwrap();
+        assert_confidence_matches_the_fold(&db, &intersect_conditions(&[b1, b2]));
         assert!((joint.confidence - mass).abs() < 1e-12);
         let joint_got = instance_distribution(&joint.db);
         assert_eq!(expected.len(), joint_got.len());

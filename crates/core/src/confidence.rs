@@ -18,8 +18,8 @@
 
 use uprob_wsd::{NeumaierSum, WorldTable, WsSet};
 
-use crate::cache::{CacheLookup, SharedDecompositionCache};
-use crate::decompose::{Decomposer, DecompositionOptions, DecompositionStep};
+use crate::cache::SharedDecompositionCache;
+use crate::decompose::{for_each_choice_term, Decomposer, DecompositionOptions, DecompositionStep};
 use crate::stats::Confidence;
 use crate::wstree::WsTree;
 use crate::Result;
@@ -70,20 +70,9 @@ pub(crate) fn confidence_rec(
     depth: u64,
     cache: Option<&SharedDecompositionCache>,
 ) -> Result<f64> {
-    // Trivial sets are cheaper to solve directly and huge sets rarely
-    // recur, so only sets in the cacheable band are memoized.
-    let pending_key = match cache {
-        Some(shared) if SharedDecompositionCache::is_cacheable(set) => match shared.lookup(set) {
-            CacheLookup::Hit(p) => {
-                decomposer.stats.cache_hits += 1;
-                return Ok(p);
-            }
-            CacheLookup::Miss(key) => {
-                decomposer.stats.cache_misses += 1;
-                Some(key)
-            }
-        },
-        _ => None,
+    let pending = match SharedDecompositionCache::probe_memo(cache, set, &mut decomposer.stats) {
+        Ok(probability) => return Ok(probability),
+        Err(pending) => pending,
     };
     let probability = match decomposer.step(set, depth)? {
         DecompositionStep::Empty => 0.0,
@@ -102,33 +91,23 @@ pub(crate) fn confidence_rec(
             missing_values,
             tail,
         } => {
-            let table = decomposer.table();
             let mut total = NeumaierSum::new();
-            for (value, child) in &branches {
-                let weight = table.probability(var, *value)?;
-                if weight == 0.0 {
-                    continue;
-                }
-                total.add(weight * confidence_rec(child, decomposer, depth + 1, cache)?);
-            }
-            // Alternatives of `var` not occurring in the set only contribute
-            // through the tail T, whose probability is computed once.
-            if !missing_values.is_empty() && !tail.is_empty() {
-                let mut missing_weight = NeumaierSum::new();
-                for value in &missing_values {
-                    missing_weight.add(table.probability(var, *value)?);
-                }
-                let missing_weight = missing_weight.value();
-                if missing_weight > 0.0 {
-                    total
-                        .add(missing_weight * confidence_rec(&tail, decomposer, depth + 1, cache)?);
-                }
-            }
+            for_each_choice_term(
+                decomposer.table(),
+                var,
+                branches,
+                &missing_values,
+                tail,
+                |weight, child| {
+                    total.add(weight * confidence_rec(&child, decomposer, depth + 1, cache)?);
+                    Ok(())
+                },
+            )?;
             total.value()
         }
     };
-    if let (Some(shared), Some(key)) = (cache, pending_key) {
-        shared.insert(key, probability);
+    if let (Some(shared), Some(entry)) = (cache, pending) {
+        shared.insert(entry, probability);
     }
     Ok(probability)
 }

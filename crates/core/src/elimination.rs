@@ -14,14 +14,14 @@
 //! are generated and summed on the fly (they are pairwise mutex and need not
 //! be stored), exactly as described at the end of Section 6.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 
 use uprob_approx::fan_out_indexed;
 use uprob_wsd::ws_set::{diff_descriptor_set, try_diff_descriptor_set};
 use uprob_wsd::{NeumaierSum, WorldTable, WsDescriptor, WsSet};
 
-use crate::cache::{CacheLookup, SharedDecompositionCache};
-use crate::error::CoreError;
+use crate::cache::SharedDecompositionCache;
+use crate::decompose::charge_shared_nodes;
 use crate::parallel::ParallelOptions;
 use crate::stats::{Confidence, DecompositionStats};
 use crate::Result;
@@ -46,7 +46,7 @@ pub fn confidence_by_elimination(set: &WsSet, table: &WorldTable) -> Result<Conf
 /// The budget charges one node per eliminated input descriptor and one per
 /// descriptor generated while expanding the differences (including
 /// intermediate ones), so a WE run aborts with
-/// [`CoreError::BudgetExceeded`] *during* the exponential expansion instead
+/// [`crate::CoreError::BudgetExceeded`] *during* the exponential expansion instead
 /// of returning late or wrong — mirroring how `Exact` decomposition charges
 /// every visited node. All workers charge one shared counter, so the abort
 /// triggers at the same total work no matter how many workers split it. The
@@ -63,8 +63,8 @@ pub fn confidence_by_elimination(set: &WsSet, table: &WorldTable) -> Result<Conf
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::BudgetExceeded`] if `node_budget` is set and
-/// exhausted, and [`CoreError::CacheTableMismatch`] if `cache` was first
+/// Returns [`crate::CoreError::BudgetExceeded`] if `node_budget` is set and
+/// exhausted, and [`crate::CoreError::CacheTableMismatch`] if `cache` was first
 /// used with a different world table.
 pub fn confidence_by_elimination_parallel(
     set: &WsSet,
@@ -77,18 +77,9 @@ pub fn confidence_by_elimination_parallel(
         shared.bind_table(table)?;
     }
     let mut stats = DecompositionStats::default();
-    let pending_key = match cache {
-        Some(shared) if SharedDecompositionCache::is_cacheable(set) => match shared.lookup(set) {
-            CacheLookup::Hit(probability) => {
-                stats.cache_hits += 1;
-                return Ok(Confidence { probability, stats });
-            }
-            CacheLookup::Miss(key) => {
-                stats.cache_misses += 1;
-                Some(key)
-            }
-        },
-        _ => None,
+    let pending = match SharedDecompositionCache::probe_memo(cache, set, &mut stats) {
+        Ok(probability) => return Ok(Confidence { probability, stats }),
+        Err(pending) => pending,
     };
     let descriptors = set.descriptors();
     let workers = if set.len() < parallel.grain().max(2) {
@@ -108,8 +99,8 @@ pub fn confidence_by_elimination_parallel(
         total.add(value);
     }
     let probability = total.value();
-    if let (Some(shared), Some(key)) = (cache, pending_key) {
-        shared.insert(key, probability);
+    if let (Some(shared), Some(entry)) = (cache, pending) {
+        shared.insert(entry, probability);
     }
     Ok(Confidence { probability, stats })
 }
@@ -128,35 +119,20 @@ fn eliminate_descriptor(
     nodes: &AtomicU64,
     budget: Option<u64>,
 ) -> Result<(f64, u64)> {
-    charge(nodes, 1, budget)?;
+    charge_shared_nodes(nodes, 1, budget)?;
     let remainder = try_diff_descriptor_set(
         // uprob-lint: allow(panic-index) -- recursion bound: index < descriptors.len() checked by the caller
         &descriptors[index],
         // uprob-lint: allow(panic-index) -- same bound
         &descriptors[index + 1..],
         table,
-        |generated| charge(nodes, generated as u64, budget),
+        |generated| charge_shared_nodes(nodes, generated as u64, budget),
     )?;
     let mut partial = NeumaierSum::new();
     for d in &remainder {
         partial.add(d.probability(table));
     }
     Ok((partial.value(), remainder.len() as u64))
-}
-
-/// Adds `amount` decomposition nodes to the run-wide counter all workers of
-/// one WE run share, erroring when the budget is exceeded: the budget
-/// bounds the run's **total** work, independent of the worker count.
-fn charge(nodes: &AtomicU64, amount: u64, budget: Option<u64>) -> Result<()> {
-    let total = nodes
-        .fetch_add(amount, Ordering::Relaxed)
-        .saturating_add(amount);
-    if let Some(budget) = budget {
-        if total > budget {
-            return Err(CoreError::BudgetExceeded { budget });
-        }
-    }
-    Ok(())
 }
 
 /// Builds the equivalent pairwise-mutex ws-set of Corollary 6.4:

@@ -33,7 +33,7 @@ use crate::cache::SharedDecompositionCache;
 use crate::decompose::DecompositionOptions;
 use crate::error::CoreError;
 use crate::parallel::{confidence_parallel, ParallelOptions};
-use crate::stats::DecompositionStats;
+use crate::stats::{Confidence, DecompositionStats};
 use crate::Result;
 
 /// How a confidence value should be computed.
@@ -179,7 +179,7 @@ pub struct ConfidenceReport {
 }
 
 impl ConfidenceReport {
-    fn exact(strategy: &ConfidenceStrategy, run: crate::stats::Confidence) -> Self {
+    fn exact(strategy: &ConfidenceStrategy, run: Confidence) -> Self {
         ConfidenceReport {
             probability: run.probability,
             strategy: strategy.name(),
@@ -263,38 +263,68 @@ pub fn estimate_confidence_with_options(
     cache: Option<&SharedDecompositionCache>,
     parallel: &ParallelOptions,
 ) -> Result<ConfidenceReport> {
-    match strategy {
-        ConfidenceStrategy::Exact => {
-            let run = confidence_parallel(set, table, decomposition, parallel, cache)?;
-            Ok(ConfidenceReport::exact(strategy, run))
-        }
-        ConfidenceStrategy::Approximate(approx) => {
+    match exact_attempt(set, table, decomposition, strategy, cache, parallel)? {
+        ExactAttempt::Completed(run) => Ok(ConfidenceReport::exact(strategy, run)),
+        ExactAttempt::Sample { approx, fell_back } => {
             let run = optimal_monte_carlo(set, table, approx)?;
             Ok(ConfidenceReport::sampled(
                 strategy,
                 run.estimate,
                 run.total_iterations(),
                 approx,
-                false,
+                fell_back,
             ))
         }
-        ConfidenceStrategy::Hybrid { budget, approx } => {
-            let budgeted = decomposition.with_budget(*budget);
-            match confidence_parallel(set, table, &budgeted, parallel, cache) {
-                Ok(run) => Ok(ConfidenceReport::exact(strategy, run)),
-                Err(CoreError::BudgetExceeded { .. }) => {
-                    let run = optimal_monte_carlo(set, table, approx)?;
-                    Ok(ConfidenceReport::sampled(
-                        strategy,
-                        run.estimate,
-                        run.total_iterations(),
-                        approx,
-                        true,
-                    ))
-                }
-                Err(other) => Err(other),
-            }
+    }
+}
+
+/// What the exact leg of a strategy came to, short of an error.
+enum ExactAttempt<'s> {
+    /// The decomposition fold completed (within budget, if any).
+    Completed(Confidence),
+    /// There is no exact value, so the caller samples with `approx`: the
+    /// strategy never tries the exact path (`fell_back: false`) or a hybrid
+    /// run exhausted its node budget (`fell_back: true`).
+    Sample {
+        approx: &'s ApproximationOptions,
+        fell_back: bool,
+    },
+}
+
+/// Runs the exact fold `strategy` prescribes for `set`: none for
+/// `Approximate`, and `Exact` is `Hybrid` without a fallback. Only an
+/// exhausted budget can fall back; every other error — and a budget abort
+/// with nothing to fall back to — propagates.
+fn exact_attempt<'s>(
+    set: &WsSet,
+    table: &WorldTable,
+    decomposition: &DecompositionOptions,
+    strategy: &'s ConfidenceStrategy,
+    cache: Option<&SharedDecompositionCache>,
+    parallel: &ParallelOptions,
+) -> Result<ExactAttempt<'s>> {
+    let (options, fallback) = match strategy {
+        ConfidenceStrategy::Approximate(approx) => {
+            return Ok(ExactAttempt::Sample {
+                approx,
+                fell_back: false,
+            })
         }
+        ConfidenceStrategy::Exact => (*decomposition, None),
+        ConfidenceStrategy::Hybrid { budget, approx } => {
+            (decomposition.with_budget(*budget), Some(approx))
+        }
+    };
+    match (
+        confidence_parallel(set, table, &options, parallel, cache),
+        fallback,
+    ) {
+        (Ok(run), _) => Ok(ExactAttempt::Completed(run)),
+        (Err(CoreError::BudgetExceeded { .. }), Some(approx)) => Ok(ExactAttempt::Sample {
+            approx,
+            fell_back: true,
+        }),
+        (Err(other), _) => Err(other),
     }
 }
 
@@ -355,98 +385,52 @@ pub fn estimate_conditioned_confidence_with_options(
     cache: Option<&SharedDecompositionCache>,
     parallel: &ParallelOptions,
 ) -> Result<ConfidenceReport> {
-    let exact_ratio = |options: &DecompositionOptions| -> Result<(f64, DecompositionStats)> {
-        let condition_run = confidence_parallel(condition, table, options, parallel, cache)?;
-        // NaN is treated like zero: a zero-probability condition is the
-        // typed error, never a NaN/Inf posterior.
-        if condition_run.probability <= 0.0 || condition_run.probability.is_nan() {
-            return Err(CoreError::EmptyCondition);
-        }
-        let joint_set = query.intersect(condition).normalized();
-        let joint_run = confidence_parallel(&joint_set, table, options, parallel, cache)?;
-        let mut stats = condition_run.stats;
-        stats.absorb(&joint_run.stats);
-        Ok((
-            (joint_run.probability / condition_run.probability).min(1.0),
-            stats,
-        ))
-    };
-    match strategy {
-        ConfidenceStrategy::Exact => {
-            let (probability, stats) = exact_ratio(decomposition)?;
-            Ok(ConfidenceReport {
-                probability,
-                strategy: strategy.name(),
-                path: ResolvedPath::Exact,
-                stats,
-                sampling: None,
-            })
-        }
-        ConfidenceStrategy::Approximate(approx) => {
+    let attempt = |set: &WsSet| exact_attempt(set, table, decomposition, strategy, cache, parallel);
+    let condition_run = match attempt(condition)? {
+        ExactAttempt::Completed(run) => run,
+        ExactAttempt::Sample { approx, fell_back } => {
+            // No exact P(C) — never attempted, or the condition itself is
+            // past the wall: sample the whole ratio.
             let run = conditioned_monte_carlo(query, condition, table, approx)?;
-            Ok(ConfidenceReport::sampled(
+            return Ok(ConfidenceReport::sampled(
                 strategy,
                 run.estimate,
                 run.total_iterations(),
                 approx,
-                false,
+                fell_back,
+            ));
+        }
+    };
+    // NaN is treated like zero: a zero-probability condition is the typed
+    // error, never a NaN/Inf posterior.
+    if condition_run.probability <= 0.0 || condition_run.probability.is_nan() {
+        return Err(CoreError::EmptyCondition);
+    }
+    let joint_set = query.intersect(condition).normalized();
+    match attempt(&joint_set)? {
+        ExactAttempt::Completed(joint_run) => {
+            let mut stats = condition_run.stats;
+            stats.absorb(&joint_run.stats);
+            let probability = (joint_run.probability / condition_run.probability).min(1.0);
+            Ok(ConfidenceReport::exact(
+                strategy,
+                Confidence { probability, stats },
             ))
         }
-        ConfidenceStrategy::Hybrid { budget, approx } => {
-            let budgeted = decomposition.with_budget(*budget);
-            let condition_run =
-                match confidence_parallel(condition, table, &budgeted, parallel, cache) {
-                    Ok(run) => {
-                        if run.probability <= 0.0 || run.probability.is_nan() {
-                            return Err(CoreError::EmptyCondition);
-                        }
-                        Some(run)
-                    }
-                    Err(CoreError::BudgetExceeded { .. }) => None,
-                    Err(other) => return Err(other),
-                };
-            let Some(condition_run) = condition_run else {
-                // The condition itself is past the wall: sample the whole
-                // ratio.
-                let run = conditioned_monte_carlo(query, condition, table, approx)?;
-                return Ok(ConfidenceReport::sampled(
-                    strategy,
-                    run.estimate,
-                    run.total_iterations(),
-                    approx,
-                    true,
-                ));
-            };
-            let joint_set = query.intersect(condition).normalized();
-            match confidence_parallel(&joint_set, table, &budgeted, parallel, cache) {
-                Ok(joint_run) => {
-                    let mut stats = condition_run.stats;
-                    stats.absorb(&joint_run.stats);
-                    Ok(ConfidenceReport {
-                        probability: (joint_run.probability / condition_run.probability).min(1.0),
-                        strategy: strategy.name(),
-                        path: ResolvedPath::Exact,
-                        stats,
-                        sampling: None,
-                    })
-                }
-                Err(CoreError::BudgetExceeded { .. }) => {
-                    // Keep the exact denominator; only the numerator is
-                    // estimated. The ratio's relative error is exactly the
-                    // numerator's, so the full (ε, δ) applies unchanged.
-                    let joint_run = optimal_monte_carlo(&joint_set, table, approx)?;
-                    let mut report = ConfidenceReport::sampled(
-                        strategy,
-                        (joint_run.estimate / condition_run.probability).min(1.0),
-                        joint_run.total_iterations(),
-                        approx,
-                        true,
-                    );
-                    report.stats = condition_run.stats;
-                    Ok(report)
-                }
-                Err(other) => Err(other),
-            }
+        ExactAttempt::Sample { approx, fell_back } => {
+            // Keep the exact denominator; only the numerator is estimated.
+            // The ratio's relative error is exactly the numerator's, so the
+            // full (ε, δ) applies unchanged.
+            let joint_run = optimal_monte_carlo(&joint_set, table, approx)?;
+            let mut report = ConfidenceReport::sampled(
+                strategy,
+                (joint_run.estimate / condition_run.probability).min(1.0),
+                joint_run.total_iterations(),
+                approx,
+                fell_back,
+            );
+            report.stats = condition_run.stats;
+            Ok(report)
         }
     }
 }

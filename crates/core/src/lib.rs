@@ -70,9 +70,7 @@ pub mod parallel;
 pub mod stats;
 pub mod wstree;
 
-pub use cache::{
-    CacheLookup, CacheStats, DecompositionCache, InheritOutcome, SharedDecompositionCache,
-};
+pub use cache::{CacheStats, InheritOutcome, SharedDecompositionCache};
 pub use conditioning::{
     condition, condition_all, intersect_conditions, simplify_with_mapping, Conditioned,
     ConditioningMethod, ConditioningOptions,

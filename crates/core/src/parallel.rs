@@ -47,9 +47,9 @@ use std::thread;
 
 use uprob_wsd::{NeumaierSum, WorldTable, WsSet};
 
-use crate::cache::{CacheLookup, PendingEntry, SharedDecompositionCache};
+use crate::cache::{PendingEntry, SharedDecompositionCache};
 use crate::confidence::{confidence_rec, confidence_with_cache};
-use crate::decompose::{Decomposer, DecompositionOptions, DecompositionStep};
+use crate::decompose::{for_each_choice_term, Decomposer, DecompositionOptions, DecompositionStep};
 use crate::error::CoreError;
 use crate::stats::{Confidence, DecompositionStats};
 use crate::Result;
@@ -183,19 +183,16 @@ struct Task {
     slot: usize,
 }
 
-/// How a combine node folds its children — mirroring, slot for slot, the
-/// arithmetic of the sequential `confidence_rec`.
+/// How a combine node folds its children: the arithmetic of the sequential
+/// `confidence_rec`, over one slot per child.
 enum CombineKind {
     /// ⊗: `1 − Π (1 − pᵢ)`, factors multiplied in part order.
     Product {
         /// One slot per part, filled as children resolve.
         factors: Vec<Option<f64>>,
     },
-    /// ⊕: Neumaier sum of `wᵢ · pᵢ` in branch order. Zero-weight branches
-    /// are never scheduled (the sequential fold skips them before
-    /// recursing); when the eliminated variable has missing values and a
-    /// non-empty tail, the tail is the last term with the summed missing
-    /// weight.
+    /// ⊕: Neumaier sum of `wᵢ · pᵢ` over the terms of
+    /// [`for_each_choice_term`] — the list the sequential fold sums.
     Sum {
         /// Branch weights, in canonical branch order.
         weights: Vec<f64>,
@@ -315,12 +312,22 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Delivers `value` into `(parent, slot)` and walks resolutions up the
-/// arena: whichever worker fills a node's last slot folds it (in canonical
-/// order), publishes the pending cache entry and continues with the
-/// parent. The walk is iterative, so deep ws-trees never deepen the stack.
-fn resolve(shared: &Shared<'_>, mut parent: usize, mut slot: usize, mut value: f64) {
+/// Publishes `value` under `pending` (the memo entry of the set it was
+/// computed for, if one is owed), delivers it into `(parent, slot)` and
+/// walks resolutions up the arena: whichever worker fills a node's last
+/// slot folds it (in canonical order) and continues with the parent the
+/// same way. The walk is iterative, so deep ws-trees never deepen the stack.
+fn resolve(
+    shared: &Shared<'_>,
+    mut parent: usize,
+    mut slot: usize,
+    mut value: f64,
+    mut pending: Option<PendingEntry>,
+) {
     loop {
+        if let (Some(cache), Some(entry)) = (shared.cache, pending) {
+            cache.insert(entry, value);
+        }
         if parent == ROOT {
             *shared.root.lock().expect("root lock poisoned") = Some(value);
             shared.done.store(true, Ordering::Release);
@@ -337,26 +344,10 @@ fn resolve(shared: &Shared<'_>, mut parent: usize, mut slot: usize, mut value: f
             arena.take(parent)
         };
         value = finished.kind.combine();
-        if let (Some(cache), Some(entry)) = (shared.cache, finished.cache_entry) {
-            cache.insert(entry, value);
-        }
+        pending = finished.cache_entry;
         parent = finished.parent;
         slot = finished.slot;
     }
-}
-
-/// Resolves a task that needed no children, publishing its cache entry.
-fn finish_leaf(
-    shared: &Shared<'_>,
-    parent: usize,
-    slot: usize,
-    value: f64,
-    pending: Option<PendingEntry>,
-) {
-    if let (Some(cache), Some(entry)) = (shared.cache, pending) {
-        cache.insert(entry, value);
-    }
-    resolve(shared, parent, slot, value);
 }
 
 /// Allocates the combine node for an expanded task and pushes its child
@@ -391,8 +382,8 @@ fn spawn_children(
 /// Executes one task: small sets are solved inline by the sequential fold
 /// (same cache interaction, same arithmetic); larger sets take one
 /// decomposition step, with the resulting subtrees scheduled as child
-/// tasks behind a combine node. The cache-band check runs *before* the
-/// step, exactly as in `confidence_rec`.
+/// tasks behind a combine node. The memo probe runs *before* the step,
+/// as in `confidence_rec` (both call `probe_memo`).
 fn run_task(
     task: Task,
     worker: usize,
@@ -407,37 +398,29 @@ fn run_task(
     } = task;
     if set.len() < shared.grain {
         let probability = confidence_rec(&set, decomposer, depth, shared.cache)?;
-        resolve(shared, parent, slot, probability);
+        resolve(shared, parent, slot, probability, None);
         return Ok(());
     }
-    let pending = match shared.cache {
-        Some(cache) if SharedDecompositionCache::is_cacheable(&set) => match cache.lookup(&set) {
-            CacheLookup::Hit(probability) => {
-                decomposer.stats.cache_hits += 1;
-                resolve(shared, parent, slot, probability);
+    let pending =
+        match SharedDecompositionCache::probe_memo(shared.cache, &set, &mut decomposer.stats) {
+            Ok(probability) => {
+                resolve(shared, parent, slot, probability, None);
                 return Ok(());
             }
-            CacheLookup::Miss(key) => {
-                decomposer.stats.cache_misses += 1;
-                Some(key)
-            }
-        },
-        _ => None,
-    };
-    match decomposer.step(&set, depth)? {
-        DecompositionStep::Empty => finish_leaf(shared, parent, slot, 0.0, pending),
-        DecompositionStep::Universal => finish_leaf(shared, parent, slot, 1.0, pending),
+            Err(pending) => pending,
+        };
+    let (kind, children) = match decomposer.step(&set, depth)? {
+        DecompositionStep::Empty => {
+            resolve(shared, parent, slot, 0.0, pending);
+            return Ok(());
+        }
+        DecompositionStep::Universal => {
+            resolve(shared, parent, slot, 1.0, pending);
+            return Ok(());
+        }
         DecompositionStep::Partition(parts) => {
-            let node = CombineNode {
-                parent,
-                slot,
-                remaining: parts.len(),
-                kind: CombineKind::Product {
-                    factors: vec![None; parts.len()],
-                },
-                cache_entry: pending,
-            };
-            spawn_children(shared, worker, node, parts, depth);
+            let factors = vec![None; parts.len()];
+            (CombineKind::Product { factors }, parts)
         }
         DecompositionStep::Eliminate {
             var,
@@ -445,46 +428,36 @@ fn run_task(
             missing_values,
             tail,
         } => {
-            let table = decomposer.table();
             let mut weights = Vec::with_capacity(branches.len() + 1);
             let mut children = Vec::with_capacity(branches.len() + 1);
-            for (value, child) in branches {
-                let weight = table.probability(var, value)?;
-                if weight == 0.0 {
-                    continue;
-                }
-                weights.push(weight);
-                children.push(child);
-            }
-            if !missing_values.is_empty() && !tail.is_empty() {
-                let mut missing_weight = NeumaierSum::new();
-                for value in &missing_values {
-                    missing_weight.add(table.probability(var, *value)?);
-                }
-                let missing_weight = missing_weight.value();
-                if missing_weight > 0.0 {
-                    weights.push(missing_weight);
-                    children.push(tail);
-                }
-            }
-            if children.is_empty() {
-                // Every branch had zero weight: the sequential fold returns
-                // the empty Neumaier sum.
-                finish_leaf(shared, parent, slot, 0.0, pending);
-            } else {
-                let node = CombineNode {
-                    parent,
-                    slot,
-                    remaining: children.len(),
-                    kind: CombineKind::Sum {
-                        weights,
-                        terms: vec![None; children.len()],
-                    },
-                    cache_entry: pending,
-                };
-                spawn_children(shared, worker, node, children, depth);
-            }
+            for_each_choice_term(
+                decomposer.table(),
+                var,
+                branches,
+                &missing_values,
+                tail,
+                |weight, child| {
+                    weights.push(weight);
+                    children.push(child);
+                    Ok(())
+                },
+            )?;
+            let terms = vec![None; children.len()];
+            (CombineKind::Sum { weights, terms }, children)
         }
+    };
+    if children.is_empty() {
+        // A ⊕ without a single term folds to the empty Neumaier sum.
+        resolve(shared, parent, slot, kind.combine(), pending);
+    } else {
+        let node = CombineNode {
+            parent,
+            slot,
+            remaining: children.len(),
+            kind,
+            cache_entry: pending,
+        };
+        spawn_children(shared, worker, node, children, depth);
     }
     Ok(())
 }

@@ -32,7 +32,7 @@ const VALUE_DOMAIN: u8 = 5;
 /// time; the first assignment of a variable wins).
 #[derive(Clone, Debug, PartialEq)]
 pub struct RowRecipe {
-    /// One value per column, each taken modulo [`VALUE_DOMAIN`].
+    /// One value per column, each taken modulo `VALUE_DOMAIN` (5).
     pub values: Vec<u8>,
     /// Raw descriptor assignments, like
     /// [`crate::SmallInstanceRecipe::query`].
@@ -113,7 +113,7 @@ pub struct AtomRecipe {
     pub column: u8,
     /// Comparison operator (wrapped over the six operators).
     pub op: u8,
-    /// Right side: a constant (`Ok`, wrapped into [`VALUE_DOMAIN`]) or
+    /// Right side: a constant (`Ok`, wrapped into `VALUE_DOMAIN` (5)) or
     /// another column (`Err`, wrapped).
     pub rhs: std::result::Result<u8, u8>,
 }

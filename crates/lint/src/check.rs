@@ -61,7 +61,6 @@ pub(crate) fn check_file_lexical(
             Family::Numeric => check_numeric(file, findings),
             Family::Panic => check_panic(file, findings),
             Family::Locks => check_locks(file, config.lock_manifest(&file.rel_path), findings),
-            Family::Cache => check_cache(file, findings),
         }
     }
 }
@@ -913,33 +912,6 @@ pub(crate) fn guard_scope_of(
         j += 1;
     }
     (bytes.len(), false)
-}
-
-// ---------------------------------------------------------------------------
-// Cache family
-// ---------------------------------------------------------------------------
-
-/// The one file allowed to create inherited cache entries: the inheritance
-/// path itself, whose `inherit_from` performs the per-variable eligibility
-/// check before every insertion.
-const CACHE_INHERIT_POLICY_FILE: &str = "crates/core/src/cache.rs";
-
-fn check_cache(file: &SourceFile, findings: &mut Vec<Finding>) {
-    if file.rel_path == CACHE_INHERIT_POLICY_FILE {
-        return;
-    }
-    for offset in word_occurrences(&file.text, "insert_inherited_set") {
-        emit(
-            file,
-            findings,
-            "cache-inherit",
-            offset,
-            "inherited cache entry created outside the inheritance path".to_string(),
-            "route the entry through SharedDecompositionCache::inherit_from, which performs \
-             the touched/remap/distribution eligibility check that keeps inherited \
-             probabilities sound",
-        );
-    }
 }
 
 // ---------------------------------------------------------------------------

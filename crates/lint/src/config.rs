@@ -32,8 +32,6 @@ pub enum Family {
     Panic,
     /// lock-order, lock-undeclared.
     Locks,
-    /// cache-inherit.
-    Cache,
 }
 
 /// Declared total lock-acquisition order for one file.
@@ -182,7 +180,6 @@ impl LintConfig {
             (numeric, Family::Numeric),
             (product || panic_only, Family::Panic),
             (product, Family::Locks),
-            (product, Family::Cache),
         ]
         .into_iter()
         .filter_map(|(on, family)| on.then_some(family))
@@ -226,8 +223,7 @@ mod tests {
                 Family::Determinism,
                 Family::Numeric,
                 Family::Panic,
-                Family::Locks,
-                Family::Cache
+                Family::Locks
             ]
         );
     }

@@ -298,29 +298,6 @@ is honoured — one argued exemption covers both views):
     // uprob-lint: allow(det-taint) -- <why the nondeterminism cannot reach result bits>",
     },
     Rule {
-        id: "cache-inherit",
-        family: "cache",
-        summary: "inherited cache entry created outside the inheritance path",
-        explanation: "\
-Cross-snapshot cache inheritance (DESIGN.md) is sound only because every \
-carried-forward entry passes the per-variable eligibility check in \
-SharedDecompositionCache::inherit_from: a mentioned variable must be \
-untouched by the publish, covered by the prior-to-posterior remap, and \
-keep a bit-identical distribution in the new world table. An entry \
-inserted as `inherited` through any other route skips that check and can \
-serve a probability computed under a distribution that no longer exists — \
-a silently wrong confidence that no later lookup will ever correct.
-
-The rule flags any mention of `insert_inherited_set` (the private \
-insertion primitive) outside crates/core/src/cache.rs, where the \
-eligibility check lives. New inheritance flows must call \
-SharedDecompositionCache::inherit_from rather than re-implementing the \
-insertion; if a genuinely pre-verified path ever needs direct access, \
-allow it inline with the argument spelled out:
-
-    // uprob-lint: allow(cache-inherit) -- <why eligibility is already proven here>",
-    },
-    Rule {
         id: "lint-pragma",
         family: "meta",
         summary: "malformed, reason-less, unknown-rule or unused allow pragma",

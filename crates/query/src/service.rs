@@ -1,4 +1,4 @@
-//! The snapshot-isolated concurrent serving layer (ROADMAP item 1).
+//! The snapshot-isolated concurrent serving layer.
 //!
 //! The paper frames `assert[·]` as a database *transformation*: an
 //! assertion produces a new conditioned database that subsequent queries
@@ -39,8 +39,7 @@
 //! are coalesced by batched admission: the first requester runs the
 //! shared-cache fold on the configured worker pool and every concurrent
 //! duplicate waits for — and shares — that one result, so identical
-//! requests never compete for the pool (ROADMAP item 5: one pool, not
-//! competing pools).
+//! requests never compete for the pool (one pool, not competing pools).
 //!
 //! # Delta publish and cache inheritance
 //!
@@ -640,7 +639,7 @@ impl ProbDbService {
                     &remap,
                     &touched,
                 ),
-                None => (SharedDecompositionCache::new(), InheritOutcome::default()),
+                None => Self::cold_cache(),
             };
             *posterior_remap = Some(conditioned.prior_remap.clone());
             drop(prior);
@@ -716,21 +715,7 @@ impl ProbDbService {
             build(&mut builder)?;
             let (next_db, report) = builder.finish();
             *base = next_db.clone();
-            let (cache, inherited) = if next_db.world_table().extends(published.db().world_table())
-            {
-                let identity: FxHashMap<VarId, VarId> = published
-                    .db()
-                    .world_table()
-                    .iter()
-                    .map(|(var, _)| (var, var))
-                    .collect();
-                Self::inherited_cache(&published, next_db.world_table(), &identity, &[])
-            } else {
-                // The published snapshot is a posterior (or unrelated):
-                // its variables have no identity mapping into the prior
-                // line, so the new snapshot starts cold.
-                (SharedDecompositionCache::new(), InheritOutcome::default())
-            };
+            let (cache, inherited) = Self::extended_cache(&published, next_db.world_table());
             // The published snapshot is now the prior line itself.
             *posterior_remap = None;
             drop(prior);
@@ -751,17 +736,7 @@ impl ProbDbService {
     pub fn publish(&self, db: ProbDb) -> Arc<Snapshot> {
         let _writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
         let published = self.snapshot();
-        let (cache, _inherited) = if db.world_table().extends(published.db().world_table()) {
-            let identity: FxHashMap<VarId, VarId> = published
-                .db()
-                .world_table()
-                .iter()
-                .map(|(var, _)| (var, var))
-                .collect();
-            Self::inherited_cache(&published, db.world_table(), &identity, &[])
-        } else {
-            (SharedDecompositionCache::new(), InheritOutcome::default())
-        };
+        let (cache, _inherited) = Self::extended_cache(&published, db.world_table());
         *self.prior.lock().unwrap_or_else(PoisonError::into_inner) = PriorLine::default();
         self.publish_with_cache(db, cache)
     }
@@ -786,8 +761,32 @@ impl ProbDbService {
             touched,
         ) {
             Ok(outcome) => (cache, outcome),
-            Err(_) => (SharedDecompositionCache::new(), InheritOutcome::default()),
+            Err(_) => Self::cold_cache(),
         }
+    }
+
+    /// The successor cache of a publish without conditioning. When
+    /// `next_table` extends the published one (append-only growth:
+    /// published variables keep their ids and distributions) every warm
+    /// entry is inherited under the identity remap. Otherwise the published
+    /// snapshot is a posterior (or unrelated), its variables have no
+    /// identity mapping into `next_table`, and the new snapshot starts cold.
+    fn extended_cache(
+        published: &Snapshot,
+        next_table: &WorldTable,
+    ) -> (SharedDecompositionCache, InheritOutcome) {
+        let published_table = published.db().world_table();
+        if !next_table.extends(published_table) {
+            return Self::cold_cache();
+        }
+        let identity: FxHashMap<VarId, VarId> =
+            published_table.iter().map(|(var, _)| (var, var)).collect();
+        Self::inherited_cache(published, next_table, &identity, &[])
+    }
+
+    /// A successor cache that inherits nothing.
+    fn cold_cache() -> (SharedDecompositionCache, InheritOutcome) {
+        (SharedDecompositionCache::new(), InheritOutcome::default())
     }
 
     /// The swap: wraps `db` around `cache`, replaces `current`, and prunes

@@ -357,7 +357,7 @@ impl WorldTable {
 
 /// A staged, append-only batch of world-table mutations.
 ///
-/// The delta path (ROADMAP item 3) never rewrites an existing variable's
+/// The delta path never rewrites an existing variable's
 /// distribution: conditioning appends fresh re-weighted variables, and
 /// ingest appends tuple-presence variables. A delta therefore only *adds*
 /// variables; applying it via [`WorldTable::apply_delta`] is atomic — the

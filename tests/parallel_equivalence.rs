@@ -17,7 +17,10 @@
 //!    `tuple_confidences_sequential` agree bit for bit, and
 //!    `answer_confidences_with_strategy` reproduces its one-worker bits at
 //!    workers {1, 2, 4, 8} on a wide and on a narrow answer, so both arms
-//!    of the placement rule run.
+//!    of the placement rule run;
+//! 6. the ⊕-term rule (zero-weight alternative skipped, missing-value
+//!    tail last) on a deterministic instance: bits *and* counters at
+//!    workers {1, 2, 4, 8}, cache off and on.
 //!
 //! All randomness is driven by the (deterministic, pinned-seed) vendored
 //! proptest runner; a failing case prints the full recipe **and** the
@@ -258,6 +261,62 @@ proptest! {
             }
         }
     }
+}
+
+/// The ⊕-term rule on one deterministic instance that mixes its special
+/// cases: `x -> 1` occurs in the set but has probability zero (no term),
+/// `x -> 4` never occurs and `T = {d4, d5}` is non-empty (the tail term,
+/// last). The scheduler and the fold take their terms from the same list,
+/// so bits and — where no memo hit can reorder the work — counters agree
+/// at every worker count, cache off and on.
+#[test]
+fn zero_weight_and_missing_value_terms_are_bit_identical_across_workers() {
+    let mut w = WorldTable::new();
+    let x = w
+        .add_variable("x", &[(1, 0.0), (2, 0.3), (3, 0.3), (4, 0.4)])
+        .unwrap();
+    let [y, z, p, q, r] = ["y", "z", "p", "q", "r"].map(|name| w.add_uniform(name, 2).unwrap());
+    let descriptor = |pairs: &[(VarId, DomainValue)]| WsDescriptor::from_pairs(&w, pairs).unwrap();
+    let set = WsSet::from_descriptors(vec![
+        descriptor(&[(x, 1), (r, 0)]),
+        descriptor(&[(x, 2), (p, 0)]),
+        descriptor(&[(x, 3), (q, 0)]),
+        descriptor(&[(y, 0), (z, 0)]),
+        descriptor(&[(y, 1), (z, 1)]),
+    ]);
+    // VE in id order eliminates x at the root, over the non-empty tail.
+    let ve_in_id_order = DecompositionOptions {
+        heuristic: VariableHeuristic::FirstVariable,
+        ..DecompositionOptions::ve_minlog()
+    };
+    for options in [ve_in_id_order, DecompositionOptions::indve_minlog()] {
+        let plain = confidence(&set, &w, &options).unwrap();
+        let sequential = ParallelOptions::sequential();
+        let cached = SharedDecompositionCache::new();
+        let memoized = confidence_parallel(&set, &w, &options, &sequential, Some(&cached)).unwrap();
+        assert_eq!(memoized.probability.to_bits(), plain.probability.to_bits());
+        // No sub-set of this instance recurs, so even a shared cache
+        // leaves every run walking the same tree.
+        assert_eq!(memoized.stats.cache_hits, 0, "{options:?}");
+        for workers in [1, 2, 4, 8] {
+            let parallel = parallel_options(workers);
+            let got = confidence_parallel(&set, &w, &options, &parallel, None).unwrap();
+            assert_eq!(got.probability.to_bits(), plain.probability.to_bits());
+            assert_eq!(got.stats, plain.stats, "{options:?}, workers {workers}");
+            let cache = SharedDecompositionCache::new();
+            let got = confidence_parallel(&set, &w, &options, &parallel, Some(&cache)).unwrap();
+            assert_eq!(got.probability.to_bits(), plain.probability.to_bits());
+            assert_eq!(
+                got.stats, memoized.stats,
+                "{options:?}, workers {workers}, cached"
+            );
+        }
+    }
+    // 0.3 · P({p -> 1} ∪ T) + 0.3 · P({q -> 1} ∪ T) + 0.4 · P(T), P(T) = 0.5.
+    let expected = 0.3 * 0.75 + 0.3 * 0.75 + 0.4 * 0.5;
+    let got = confidence(&set, &w, &ve_in_id_order).unwrap();
+    assert!((got.probability - expected).abs() < 1e-12);
+    assert!((got.probability - confidence_brute_force(&set, &w)).abs() < 1e-12);
 }
 
 /// Wraps a hard instance's ws-set into a U-relation whose distinct tuples
