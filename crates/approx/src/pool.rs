@@ -50,16 +50,25 @@ where
             })
             .collect();
         for handle in handles {
-            // uprob-lint: allow(panic-expect) -- panic propagation: a panicked fan-out worker must abort the caller
+            #[expect(
+                clippy::expect_used,
+                reason = "panic propagation: a panicked fan-out worker must abort the caller"
+            )]
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "workers only claim indices below the job count `slots` was sized with"
+            )]
             for (index, value) in handle.join().expect("fan-out worker panicked") {
-                // uprob-lint: allow(panic-index) -- workers only claim indices below the job count `slots` was sized with
                 slots[index] = Some(value);
             }
         }
     });
+    #[expect(
+        clippy::expect_used,
+        reason = "the atomic job counter hands out each index exactly once"
+    )]
     slots
         .into_iter()
-        // uprob-lint: allow(panic-expect) -- the atomic job counter hands out each index exactly once
         .map(|slot| slot.expect("every job index must be claimed exactly once"))
         .collect()
 }

@@ -7,7 +7,10 @@
 //! in the ws-set matter for those checks, so worlds are sampled over that
 //! restricted variable set.
 
-// uprob-lint: allow-file(panic-index) -- documented caller contract: `world` buffers are sized by `scratch()` to `variables.len()`, descriptor indices come from `sample_descriptor`, and compiled positions were resolved against `variables` at construction
+#![expect(
+    clippy::indexing_slicing,
+    reason = "documented caller contract: `world` buffers are sized by `scratch()` to `variables.len()`, descriptor indices come from `sample_descriptor`, and compiled positions were resolved against `variables` at construction"
+)]
 
 use uprob_wsd::FxHashMap;
 
@@ -124,8 +127,8 @@ impl<'a> SetSampler<'a> {
     pub fn sample_descriptor(&self, rng: &mut StdRng) -> usize {
         let target = rng.random_range(0.0..self.total_weight.max(f64::MIN_POSITIVE));
         match self.descriptor_cumulative.binary_search_by(|acc| {
+                #[expect(clippy::expect_used, reason = "cumulative weights are finite sums of table probabilities; the rng target is finite too")]
             acc.partial_cmp(&target)
-                // uprob-lint: allow(panic-expect) -- cumulative weights are finite sums of table probabilities; the rng target is finite too
                 .expect("cumulative weights are finite")
         }) {
             Ok(i) | Err(i) => i.min(self.descriptors.len() - 1),

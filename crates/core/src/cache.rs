@@ -331,7 +331,7 @@ impl SharedDecompositionCache {
     /// Looks up the probability of `set`, counting the hit or miss.
     fn lookup(&self, set: &WsSet) -> CacheLookup {
         let shard = self.shard_of(set);
-        // uprob-lint: allow(panic-index) -- shard_of masks into 0..SHARDS
+        #[expect(clippy::indexing_slicing, reason = "shard_of masks into 0..SHARDS")]
         match Self::shard_guard(&self.shards[shard]).lookup(set) {
             Ok(p) => CacheLookup::Hit(p),
             Err(key) => CacheLookup::Miss(PendingEntry { shard, key }),
@@ -366,14 +366,17 @@ impl SharedDecompositionCache {
 
     /// Memoizes the probability of the set behind `pending`.
     pub(crate) fn insert(&self, pending: PendingEntry, probability: f64) {
-        // uprob-lint: allow(panic-index) -- pending.shard was produced by shard_of
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "pending.shard was produced by shard_of"
+        )]
         Self::shard_guard(&self.shards[pending.shard]).insert(pending.key, probability);
     }
 
     /// Non-counting presence probe (tests and diagnostics).
     pub fn probe(&self, set: &WsSet) -> Option<f64> {
         let shard = self.shard_of(set);
-        // uprob-lint: allow(panic-index) -- shard_of masks into 0..SHARDS
+        #[expect(clippy::indexing_slicing, reason = "shard_of masks into 0..SHARDS")]
         Self::shard_guard(&self.shards[shard]).probe(set)
     }
 
@@ -460,16 +463,19 @@ impl SharedDecompositionCache {
                             outcome.dropped += 1;
                             continue 'entry;
                         };
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "the remap is injective, so remapping preserves functionality"
+                        )]
                         rebuilt
                             .assign(new_var, a.value)
-                            // uprob-lint: allow(panic-expect) -- the remap is injective, so remapping preserves functionality
                             .expect("injective remap of a functional descriptor");
                     }
                     remapped.push(rebuilt);
                 }
                 let set = WsSet::from_descriptors(remapped);
                 let target = self.shard_of(&set);
-                // uprob-lint: allow(panic-index) -- shard_of masks into 0..SHARDS
+                #[expect(clippy::indexing_slicing, reason = "shard_of masks into 0..SHARDS")]
                 Self::shard_guard(&self.shards[target]).insert_inherited_set(&set, probability);
                 outcome.inherited += 1;
             }

@@ -197,13 +197,16 @@ impl<'a> Conditioner<'a> {
         let source_info = table.variable(var)?;
         // Child condition per domain value (None = impossible branch).
         let mut child_sets: Vec<Option<&WsSet>> = vec![None; source_info.domain_size()];
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "child_sets has domain_size slots; values index the same domain"
+        )]
         for (value, child) in branches {
-            // uprob-lint: allow(panic-index) -- child_sets has domain_size slots; values index the same domain
             child_sets[value.index()] = Some(child);
         }
         if !tail.is_empty() {
+            #[expect(clippy::indexing_slicing, reason = "same domain bound as above")]
             for value in missing_values {
-                // uprob-lint: allow(panic-index) -- same domain bound as above
                 child_sets[value.index()] = Some(tail);
             }
         }
@@ -254,7 +257,10 @@ impl<'a> Conditioner<'a> {
         let alternatives: Vec<(DomainValue, f64)> = results
             .iter()
             .map(|b| {
-                // uprob-lint: allow(panic-index) -- surviving branch values come from this variable's domain
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "surviving branch values come from this variable's domain"
+                )]
                 let label = source_info.values[b.value.index()];
                 (label, b.weight * b.confidence / total)
             })
@@ -269,9 +275,12 @@ impl<'a> Conditioner<'a> {
         for (new_index, branch) in results.into_iter().enumerate() {
             for (row, mut descriptor) in branch.rewritten {
                 descriptor.remove(var);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "`fresh` was just created; no input descriptor mentions it"
+                )]
                 descriptor
                     .assign(fresh, ValueIndex(new_index as u16))
-                    // uprob-lint: allow(panic-expect) -- `fresh` was just created; no input descriptor mentions it
                     .expect("fresh variable cannot already occur in the descriptor");
                 merged.push((row, descriptor));
             }
@@ -334,7 +343,10 @@ pub fn condition(
     for (rel_index, name) in relation_names.iter().enumerate() {
         let schema = db.relation(name)?.schema().clone();
         let mut relation = URelation::new(schema);
-        // uprob-lint: allow(panic-index) -- rel_index enumerates relation_names, which built `tuples` in the same order
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "rel_index enumerates relation_names, which built `tuples` in the same order"
+        )]
         for (row_index, tuple) in tuples[rel_index].iter().enumerate() {
             if let Some(descriptors) = per_row.get(&(rel_index, row_index)) {
                 for descriptor in descriptors {
@@ -453,9 +465,12 @@ fn merge_equivalent_variables(db: &mut ProbDb, sources: &[(VarId, VarId)]) {
             if other_source != source {
                 continue;
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "representatives were looked up in this table when recorded"
+            )]
             let rep_info = table
                 .variable(representative)
-                // uprob-lint: allow(panic-expect) -- representatives were looked up in this table when recorded
                 .expect("representative variable exists");
             let same = rep_info.values == info.values
                 && rep_info.probabilities.len() == info.probabilities.len()
@@ -523,16 +538,22 @@ fn drop_unused_variables(db: &mut ProbDb) -> FxHashMap<VarId, VarId> {
     // Remap every descriptor to the new variable ids.
     for relation in db.relations_mut() {
         for (_, descriptor) in relation.rows_mut() {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "mapping covers every variable `used` kept, and descriptors only mention kept variables"
+            )]
             let remapped: Vec<(VarId, ValueIndex)> = descriptor
                 .iter()
-                // uprob-lint: allow(panic-index) -- mapping covers every variable `used` kept, and descriptors only mention kept variables
                 .map(|a| (mapping[&a.var], a.value))
                 .collect();
             let mut rebuilt = WsDescriptor::empty();
             for (var, value) in remapped {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "injective id remap of an already-functional descriptor"
+                )]
                 rebuilt
                     .assign(var, value)
-                    // uprob-lint: allow(panic-expect) -- injective id remap of an already-functional descriptor
                     .expect("remapping preserves functionality");
             }
             *descriptor = rebuilt;

@@ -132,9 +132,12 @@ pub fn tree_probability(tree: &WsTree, table: &WorldTable) -> f64 {
         WsTree::Choice { var, branches } => branches
             .iter()
             .map(|(value, child)| {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "tree nodes are built from this table's domains"
+                )]
                 let weight = table
                     .probability(*var, *value)
-                    // uprob-lint: allow(panic-expect) -- tree nodes are built from this table's domains
                     .expect("tree value must be in the variable domain");
                 weight * tree_probability(child, table)
             })

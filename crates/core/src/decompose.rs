@@ -192,8 +192,11 @@ impl<'a> Decomposer<'a> {
                 return Ok(DecompositionStep::Partition(parts));
             }
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "the empty and universal cases return earlier in this function"
+        )]
         let var = choose_variable(set, self.table, self.options.heuristic)
-            // uprob-lint: allow(panic-expect) -- the empty and universal cases return earlier in this function
             .expect("a non-empty, non-universal ws-set mentions at least one variable");
         self.stats.choice_nodes += 1;
         self.stats.variable_eliminations += 1;
@@ -281,9 +284,12 @@ fn eliminate_variable(
     var: VarId,
     table: &WorldTable,
 ) -> (Vec<(ValueIndex, WsSet)>, Vec<ValueIndex>, WsSet) {
+    #[expect(
+        clippy::expect_used,
+        reason = "var was chosen from this set's variables over the same table"
+    )]
     let domain_size = table
         .domain_size(var)
-        // uprob-lint: allow(panic-expect) -- var was chosen from this set's variables over the same table
         .expect("eliminated variable must belong to the world table");
     let mut tail = WsSet::empty();
     // Children indexed by value; only materialised for occurring values.
@@ -292,7 +298,10 @@ fn eliminate_variable(
         match descriptor.get(var) {
             None => tail.push(descriptor.clone()),
             Some(value) => {
-                // uprob-lint: allow(panic-index) -- by_value has domain_size slots; value indexes the same domain
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "by_value has domain_size slots; value indexes the same domain"
+                )]
                 by_value[value.index()]
                     .get_or_insert_with(WsSet::empty)
                     .push(descriptor.without(var));

@@ -121,9 +121,12 @@ fn eliminate_descriptor(
 ) -> Result<(f64, u64)> {
     charge_shared_nodes(nodes, 1, budget)?;
     let remainder = try_diff_descriptor_set(
-        // uprob-lint: allow(panic-index) -- recursion bound: index < descriptors.len() checked by the caller
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "recursion bound: index < descriptors.len() checked by the caller"
+        )]
         &descriptors[index],
-        // uprob-lint: allow(panic-index) -- same bound
+        #[expect(clippy::indexing_slicing, reason = "same bound")]
         &descriptors[index + 1..],
         table,
         |generated| charge_shared_nodes(nodes, generated as u64, budget),
@@ -145,7 +148,10 @@ pub fn mutex_equivalent(set: &WsSet, table: &WorldTable) -> WsSet {
     let descriptors = set.descriptors();
     let mut out = WsSet::empty();
     for (index, descriptor) in descriptors.iter().enumerate() {
-        // uprob-lint: allow(panic-index) -- index comes from enumerate() over the same slice
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "index comes from enumerate() over the same slice"
+        )]
         for d in diff_descriptor_set(descriptor, &descriptors[index + 1..], table) {
             out.push(d);
         }

@@ -36,8 +36,14 @@
 //! exactly the sequential one; cache hits can shift where the charges
 //! fall, just as they do sequentially).
 
-// uprob-lint: allow-file(panic-expect) -- scheduler discipline: lock `.expect`s propagate a panicked worker (a poisoned lock must abort the run, not limp on), and slot/root `.expect`s assert the combine-node accounting the determinism contract requires
-// uprob-lint: allow-file(panic-index) -- every index is scheduler-internal: worker/victim ids are `% queues`-bounded, arena indices come from `alloc`, and combine slots are sized to the child count at allocation
+#![expect(
+    clippy::expect_used,
+    reason = "scheduler discipline: lock `.expect`s propagate a panicked worker (a poisoned lock must abort the run, not limp on), and slot/root `.expect`s assert the combine-node accounting the determinism contract requires"
+)]
+#![expect(
+    clippy::indexing_slicing,
+    reason = "every index is scheduler-internal: worker/victim ids are `% queues`-bounded, arena indices come from `alloc`, and combine slots are sized to the child count at allocation"
+)]
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -84,9 +84,12 @@ impl WsTree {
             WsTree::Choice { var, branches } => {
                 for (value, child) in branches {
                     let saved = prefix.clone();
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "decomposition strips var from every subtree before recursing"
+                    )]
                     prefix
                         .assign(*var, *value)
-                        // uprob-lint: allow(panic-expect) -- decomposition strips var from every subtree before recursing
                         .expect("ws-tree paths assign each variable at most once");
                     child.collect_paths(prefix, out);
                     *prefix = saved;

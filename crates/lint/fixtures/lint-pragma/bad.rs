@@ -1,15 +1,15 @@
 //! Fixture: every way a pragma can go stale or be malformed.
 
 //~v lint-pragma
-// uprob-lint: allow(panic-unwrap) -- nothing on the next line ever unwraps
+// uprob-lint: allow(num-raw-accum) -- nothing on the next line ever sums
 pub fn quiet() -> u64 {
     7
 }
 
 //~v lint-pragma
-// uprob-lint: allow(panic-unwrap)
-pub fn missing_reason(values: &[u64]) -> u64 {
-    *values.first().unwrap() //~ panic-unwrap
+// uprob-lint: allow(num-raw-accum)
+pub fn missing_reason(values: &[f64]) -> f64 {
+    values.iter().sum::<f64>() //~ num-raw-accum
 }
 
 //~v lint-pragma
@@ -19,12 +19,12 @@ pub fn unknown_rule() -> u64 {
 }
 
 //~v lint-pragma
-// uprob-lint: allow panic-unwrap -- parentheses are part of the grammar
-pub fn malformed(values: &[u64]) -> u64 {
-    *values.first().unwrap() //~ panic-unwrap
+// uprob-lint: allow num-raw-accum -- parentheses are part of the grammar
+pub fn malformed(values: &[f64]) -> f64 {
+    values.iter().sum::<f64>() //~ num-raw-accum
 }
 
-/// uprob-lint: allow(panic-unwrap) -- doc comments are rendered prose, not pragmas //~ lint-pragma
-pub fn doc_comment_pragma_is_inert(values: &[u64]) -> u64 {
-    *values.first().unwrap() //~ panic-unwrap
+/// uprob-lint: allow(num-raw-accum) -- doc comments are rendered prose, not pragmas //~ lint-pragma
+pub fn doc_comment_pragma_is_inert(values: &[f64]) -> f64 {
+    values.iter().sum::<f64>() //~ num-raw-accum
 }

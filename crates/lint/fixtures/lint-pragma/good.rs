@@ -1,23 +1,27 @@
 //! Fixture: well-formed, reasoned, *used* pragmas silence their findings.
 
-pub fn head(values: &[u64]) -> u64 {
-    // uprob-lint: allow(panic-unwrap) -- fixture invariant: callers check is_empty first
-    *values.first().unwrap()
+pub fn tally(values: &[f64]) -> f64 {
+    // uprob-lint: allow(num-raw-accum) -- fixture invariant: a debug tally that never reaches a result
+    values.iter().sum::<f64>()
 }
 
-pub fn root(index: &FxHashMap<String, u64>) -> u64 {
-    // uprob-lint: allow(panic-expect) -- fixture invariant: the table always has a root
-    *index.get("root").expect("root entry")
+pub fn occupied(index: &FxHashMap<String, u64>) -> u64 {
+    let mut n = 0;
+    // uprob-lint: allow(det-hash-iter) -- fixture invariant: counting is order-insensitive
+    for _ in index.keys() {
+        n += 1;
+    }
+    n
 }
 
-pub fn trailing(values: &[u64]) -> u64 {
-    values[0] // uprob-lint: allow(panic-index) -- fixture invariant: validated non-empty
+pub fn trailing(values: &[f64]) -> f64 {
+    values.iter().sum::<f64>() // uprob-lint: allow(num-raw-accum) -- fixture invariant: same debug tally
 }
 
 pub fn pragma_text_in_a_string_is_data() -> &'static str {
     // A pragma spelled inside a string literal is never parsed — it
     // neither suppresses anything nor counts as stale.
-    "uprob-lint: allow(panic-unwrap) -- not a pragma, just bytes"
+    "uprob-lint: allow(num-raw-accum) -- not a pragma, just bytes"
 }
 
 /// Doc prose may *mention* `uprob-lint: allow(rule-id) -- reason` syntax

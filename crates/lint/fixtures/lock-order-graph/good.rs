@@ -1,8 +1,27 @@
-//! Fixture: cross-function lock usage that respects the declared order
-//! `queues` before `arena` before `root` before `error`, or drops the
-//! outer guard before calling down.
+//! Fixture: lock usage — nested in one body and across functions — that
+//! respects the declared order `queues` before `arena` before `root`
+//! before `error`, never nests, or drops the outer guard before calling
+//! down.
 
 impl Shared {
+    pub fn in_order(&self) {
+        let queues = self.queues.lock();
+        let arena = self.arena.lock();
+        drop(arena);
+        drop(queues);
+    }
+
+    pub fn disjoint(&self) {
+        {
+            let queues = self.queues.lock();
+            drop(queues);
+        }
+        {
+            let arena = self.arena.lock();
+            drop(arena);
+        }
+    }
+
     pub fn forward_path(&self) {
         let queues = self.queues.lock();
         self.take_arena();

@@ -1,41 +1,48 @@
 //! Lock-order analysis on the call graph.
 //!
-//! The lexical `lock-order` rule sees one function at a time; this
-//! analysis builds the crate-wide *acquisition graph*: an edge A → B
-//! means some function acquires lock B — directly or through any chain
-//! of calls — while a guard on lock A is still live. Guard lifetimes use
-//! the same model as the lexical rule (`let` guard to end of block,
-//! temporary to end of statement with the Rust 2021 scrutinee
-//! extension); lock identity comes from the per-file manifests in the
-//! lint config, with `.lock()`, and RwLock's `.read()` / `.write()`
-//! (empty-argument calls only, which distinguishes them from
-//! `io::Read`/`io::Write`), all counting as acquisitions.
+//! Builds the crate-wide *acquisition graph*: an edge A → B means some
+//! function acquires lock B while a guard on lock A is still live —
+//! directly in the same body (a path of zero calls) or through any chain
+//! of intra-crate calls. Guard lifetimes are modeled lexically (`let`
+//! guard to end of block, temporary to end of statement with the Rust
+//! 2021 scrutinee extension); lock identity comes from the per-file
+//! manifests in the lint config, with `.lock()`, and RwLock's `.read()` /
+//! `.write()` (empty-argument calls only, which distinguishes them from
+//! `io::Read`/`io::Write`), all counting as acquisitions. A receiver the
+//! file's manifest does not list is `lock-undeclared`.
 //!
-//! Findings: an edge that runs *backward* through a declared manifest
-//! order (or re-acquires the same lock) across at least one call hop is
-//! reported with its full call path — zero-hop inversions are the
-//! lexical rule's job. Pairs of locks from different manifests that are
-//! mutually reachable form a cycle no declared order rules out; those
-//! are reported once per pair.
+//! `lock-order-graph` findings: every edge that runs *backward* through a
+//! declared manifest order, or re-acquires the held lock, is reported at
+//! the inner acquisition (zero calls) or at the call made under the
+//! guard, with the call path down to the acquiring function. Pairs of
+//! locks from different manifests that are mutually reachable form a
+//! cycle no declared order rules out; those are reported once per pair.
 
-// uprob-lint: allow-file(panic-index) -- every index is a call-graph node id or call index bounded by the vectors built over graph.nodes; offsets come from scans of the same text
+#![expect(
+    clippy::indexing_slicing,
+    reason = "every index is a call-graph node id or call index bounded by the vectors built over graph.nodes; offsets come from scans of the same text"
+)]
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::check::{brace_pairs, emit, guard_scope_of, method_calls, receiver_name, Finding};
-use crate::config::Family;
+use crate::check::{emit, ident_ending_at, method_calls, next_nonspace, prev_nonspace, Finding};
+use crate::config::{Family, LockManifest};
+use crate::source::SourceFile;
 
 use super::CrateView;
 
-/// One direct lock acquisition inside a function body.
-struct Acq {
-    /// Manifest lock name.
-    lock: String,
+/// One lock acquisition site with its modeled guard lifetime.
+#[derive(Debug)]
+pub struct Acquisition {
+    /// Lock name resolved against the manifest.
+    pub name: String,
     /// Byte offset of the `.lock`/`.read`/`.write` call's dot.
-    offset: usize,
+    pub offset: usize,
     /// Offset past which the guard is provably dropped.
-    scope_end: usize,
+    pub scope_end: usize,
+    /// Whether the guard is a named `let` binding (block-scoped).
+    pub named_guard: bool,
 }
 
 /// How a function's summary came to contain a lock.
@@ -51,9 +58,11 @@ enum Step {
 struct EdgeInfo {
     /// Node holding the outer lock when the inner acquisition happens.
     holder: usize,
-    /// Anchor offset in the holder's file (the call site, for multi-hop).
+    /// Anchor offset in the holder's file: the inner acquisition itself,
+    /// or the call made under the guard.
     anchor: usize,
-    /// Call chain from the holder's callee down to the acquiring node.
+    /// Call chain from the holder's callee down to the acquiring node
+    /// (empty when the holder acquires the inner lock itself).
     chain: Vec<usize>,
 }
 
@@ -69,7 +78,7 @@ pub fn check(view: &CrateView<'_>, findings: &mut Vec<Finding>) {
         .iter()
         .map(|acqs| {
             acqs.iter()
-                .map(|a| (a.lock.clone(), Step::Direct))
+                .map(|a| (a.name.clone(), Step::Direct))
                 .collect()
         })
         .collect();
@@ -91,71 +100,58 @@ pub fn check(view: &CrateView<'_>, findings: &mut Vec<Finding>) {
             break;
         }
     }
-    // Acquisition-graph edges with provenance; first (shortest-discovered)
-    // provenance wins, zero-hop edges are kept for cycle detection only.
-    let mut edges: BTreeMap<(String, String), EdgeInfo> = BTreeMap::new();
+    // Acquisition-graph edges, every site with its provenance.
+    let mut edges: BTreeMap<(String, String), Vec<EdgeInfo>> = BTreeMap::new();
     for (n, acqs) in direct.iter().enumerate() {
         for outer in acqs {
-            for inner in acqs {
-                if inner.offset > outer.offset && inner.offset < outer.scope_end {
-                    edges
-                        .entry((outer.lock.clone(), inner.lock.clone()))
-                        .or_insert(EdgeInfo {
-                            holder: n,
-                            anchor: inner.offset,
-                            chain: Vec::new(),
-                        });
-                }
-            }
-            for call in &graph.calls[n] {
-                if call.offset <= outer.offset || call.offset >= outer.scope_end {
-                    continue;
-                }
-                let locks: Vec<String> = summary[call.callee].keys().cloned().collect();
-                for lock in locks {
-                    let chain = resolve_chain(&summary, call.callee, &lock);
-                    edges.entry((outer.lock.clone(), lock)).or_insert(EdgeInfo {
+            let held = |offset: usize| offset > outer.offset && offset < outer.scope_end;
+            for inner in acqs.iter().filter(|a| held(a.offset)) {
+                edges
+                    .entry((outer.name.clone(), inner.name.clone()))
+                    .or_default()
+                    .push(EdgeInfo {
                         holder: n,
-                        anchor: call.offset,
-                        chain,
+                        anchor: inner.offset,
+                        chain: Vec::new(),
                     });
+            }
+            for call in graph.calls[n].iter().filter(|c| held(c.offset)) {
+                for lock in summary[call.callee].keys() {
+                    edges
+                        .entry((outer.name.clone(), lock.clone()))
+                        .or_default()
+                        .push(EdgeInfo {
+                            holder: n,
+                            anchor: call.offset,
+                            chain: resolve_chain(&summary, call.callee, lock),
+                        });
                 }
             }
         }
     }
-    // Backward and re-entrant edges within one declared order.
-    for ((outer, inner), info) in &edges {
-        if info.chain.is_empty() {
-            continue; // zero call hops: the lexical lock-order rule's job
-        }
-        let manifest = view
-            .config
+    let shared_manifest = |outer: &str, inner: &str| {
+        view.config
             .lock_manifests
             .iter()
-            .find(|m| m.order.contains(&outer.as_str()) && m.order.contains(&inner.as_str()));
-        let Some(manifest) = manifest else {
+            .find(|m| m.order.contains(&outer) && m.order.contains(&inner))
+    };
+    // Backward and re-entrant edges within one declared order.
+    for ((outer, inner), infos) in &edges {
+        let Some(manifest) = shared_manifest(outer, inner) else {
             continue;
         };
-        let full_path = view.path_display(&path_nodes(info));
-        if outer == inner {
-            report(
-                view,
-                findings,
-                info,
-                format!(
-                    "`{inner}` re-acquired while already held (self-deadlock with std Mutex); call path {full_path}"
-                ),
-            );
+        let what = if outer == inner {
+            format!("`{inner}` re-acquired while already held (self-deadlock with std Mutex)")
         } else if position(manifest.order, inner) < position(manifest.order, outer) {
-            report(
-                view,
-                findings,
-                info,
-                format!(
-                    "`{inner}` acquired while `{outer}` is held, violating the declared order {:?}; call path {full_path}",
-                    manifest.order
-                ),
-            );
+            format!(
+                "`{inner}` acquired while `{outer}` is held, violating the declared order {:?}",
+                manifest.order
+            )
+        } else {
+            continue;
+        };
+        for info in infos {
+            report(view, findings, info, format!("{what}{}", via(view, info)));
         }
     }
     // Cross-manifest cycles: mutually reachable lock pairs no single
@@ -164,34 +160,22 @@ pub fn check(view: &CrateView<'_>, findings: &mut Vec<Finding>) {
     for (outer, inner) in edges.keys() {
         adjacency.entry(outer).or_default().insert(inner);
     }
-    let mut reported: BTreeSet<(String, String)> = BTreeSet::new();
-    for ((outer, inner), info) in &edges {
-        if outer == inner || info.chain.is_empty() {
+    let mut reported: BTreeSet<(&str, &str)> = BTreeSet::new();
+    for ((outer, inner), infos) in &edges {
+        if shared_manifest(outer, inner).is_some() || !reaches(&adjacency, inner, outer) {
             continue;
         }
-        let shared = view
-            .config
-            .lock_manifests
-            .iter()
-            .any(|m| m.order.contains(&outer.as_str()) && m.order.contains(&inner.as_str()));
-        if shared || !reaches(&adjacency, inner, outer) {
+        let key = (outer.min(inner).as_str(), outer.max(inner).as_str());
+        let (true, Some(info)) = (reported.insert(key), infos.first()) else {
             continue;
-        }
-        let key = if outer < inner {
-            (outer.clone(), inner.clone())
-        } else {
-            (inner.clone(), outer.clone())
         };
-        if !reported.insert(key) {
-            continue;
-        }
-        let full_path = view.path_display(&path_nodes(info));
         report(
             view,
             findings,
             info,
             format!(
-                "lock acquisition cycle between `{outer}` and `{inner}` (no shared declared order constrains them); `{inner}` taken under `{outer}` via call path {full_path}"
+                "lock acquisition cycle between `{outer}` and `{inner}` (no shared declared order constrains them); `{inner}` taken under `{outer}`{}",
+                via(view, info)
             ),
         );
     }
@@ -200,28 +184,24 @@ pub fn check(view: &CrateView<'_>, findings: &mut Vec<Finding>) {
 /// Emits one lock-order-graph finding anchored in the holder's file.
 fn report(view: &CrateView<'_>, findings: &mut Vec<Finding>, info: &EdgeInfo, message: String) {
     let (file, _) = view.item(info.holder);
-    if !view
-        .config
-        .families(&file.rel_path)
-        .any(|f| f == Family::Locks)
-    {
-        return;
-    }
     emit(
         file,
         findings,
         "lock-order-graph",
         info.anchor,
         message,
-        "acquire locks in declared order along every call path, or drop the outer guard before the call",
+        "acquire locks in declared order along every call path, or drop the outer guard first",
     );
 }
 
-/// Holder-first node chain for display.
-fn path_nodes(info: &EdgeInfo) -> Vec<usize> {
+/// The `; call path a → b` message suffix of an edge that crosses calls.
+fn via(view: &CrateView<'_>, info: &EdgeInfo) -> String {
+    if info.chain.is_empty() {
+        return String::new();
+    }
     let mut nodes = vec![info.holder];
     nodes.extend(&info.chain);
-    nodes
+    format!("; call path {}", view.path_display(&nodes))
 }
 
 /// The callee chain from `node` down to the function that directly
@@ -262,67 +242,223 @@ fn reaches(adjacency: &BTreeMap<&str, BTreeSet<&str>>, from: &str, to: &str) -> 
     false
 }
 
-/// Collects every direct acquisition, attributed to its innermost
-/// function, with lock names resolved against the file's manifest.
-/// RwLock `.read()`/`.write()` receivers missing from the manifest are
-/// reported as `lock-undeclared` here (the lexical rule only sees
-/// `.lock()`).
-fn direct_acquisitions(view: &CrateView<'_>, findings: &mut Vec<Finding>) -> Vec<Vec<Acq>> {
+/// Every acquisition of the crate's lock-family files, attributed to its
+/// innermost function.
+fn direct_acquisitions(view: &CrateView<'_>, findings: &mut Vec<Finding>) -> Vec<Vec<Acquisition>> {
     let graph = view.graph;
-    let mut direct: Vec<Vec<Acq>> = (0..graph.nodes.len()).map(|_| Vec::new()).collect();
+    let mut direct: Vec<Vec<Acquisition>> = (0..graph.nodes.len()).map(|_| Vec::new()).collect();
     for (fi, file) in view.files.iter().enumerate() {
-        let Some(manifest) = view.config.lock_manifest(&file.rel_path) else {
-            continue; // undeclared `.lock()` files are flagged lexically
-        };
-        let text = &file.text;
-        let blocks = brace_pairs(text.as_bytes());
-        for (method, require_empty) in [(".lock", false), (".read", true), (".write", true)] {
-            for offset in method_calls(text, &method[1..]) {
-                if file.in_test_code(offset) {
-                    continue;
-                }
-                if require_empty && !text[offset..].starts_with(&format!("{method}()")) {
-                    continue; // `.read(buf)` etc.: an io trait, not a lock
-                }
-                let Some(raw) = receiver_name(text, offset) else {
-                    continue;
-                };
-                let lock = if manifest.order.contains(&raw.as_str()) {
-                    raw
-                } else {
-                    let plural = format!("{raw}s");
-                    if manifest.order.contains(&plural.as_str()) {
-                        plural
-                    } else {
-                        if require_empty {
-                            emit(
-                                file,
-                                findings,
-                                "lock-undeclared",
-                                offset,
-                                format!(
-                                    "RwLock `{raw}` is not in the declared order {:?} for this file",
-                                    manifest.order
-                                ),
-                                "add the lock to this file's order in crates/lint/src/config.rs",
-                            );
-                        }
-                        continue;
-                    }
-                };
-                let (scope_end, _) = guard_scope_of(text, offset, method, &blocks);
-                if let Some(node) = graph.innermost(view.asts, fi, offset) {
-                    direct[node].push(Acq {
-                        lock,
-                        offset,
-                        scope_end,
-                    });
-                }
-            }
+        if !view
+            .config
+            .families(&file.rel_path)
+            .any(|f| f == Family::Locks)
+        {
+            continue;
         }
-        for acqs in &mut direct {
-            acqs.sort_by_key(|a| a.offset);
+        let manifest = view.config.lock_manifest(&file.rel_path);
+        for acquisition in collect_acquisitions(file, manifest, findings) {
+            if let Some(node) = graph.innermost(view.asts, fi, acquisition.offset) {
+                direct[node].push(acquisition);
+            }
         }
     }
     direct
+}
+
+/// Extracts every acquisition site of the file in source order —
+/// `.lock()` everywhere, RwLock `.read()` / `.write()` in files that
+/// declare an order — resolving names against the manifest (a receiver it
+/// does not list is reported as `lock-undeclared`) and modeling guard
+/// scopes.
+pub fn collect_acquisitions(
+    file: &SourceFile,
+    manifest: Option<&LockManifest>,
+    findings: &mut Vec<Finding>,
+) -> Vec<Acquisition> {
+    let text = &file.text;
+    let blocks = brace_pairs(text.as_bytes());
+    let mut out = Vec::new();
+    for (method, rwlock) in [(".lock", false), (".read", true), (".write", true)] {
+        for offset in method_calls(text, &method[1..]) {
+            if file.in_test_code(offset) {
+                continue;
+            }
+            // `.read(buf)` etc. is an io trait, not a lock; without a
+            // manifest there is nothing to tell an RwLock field by.
+            if rwlock && (manifest.is_none() || !text[offset..].starts_with(&format!("{method}()")))
+            {
+                continue;
+            }
+            let Some(raw) = receiver_name(text, offset) else {
+                continue;
+            };
+            let Some(name) = manifest.and_then(|m| declared_name(m, &raw)) else {
+                let kind = if rwlock { "RwLock" } else { "lock" };
+                let (message, hint) = match manifest {
+                    Some(m) => (
+                        format!(
+                            "{kind} `{raw}` is not in the declared order {:?} for this file",
+                            m.order
+                        ),
+                        "add the lock to this file's order in crates/lint/src/config.rs",
+                    ),
+                    None => (
+                        format!("{kind} `{raw}` in a file with no declared lock order"),
+                        "declare this file's lock-acquisition order in crates/lint/src/config.rs",
+                    ),
+                };
+                emit(file, findings, "lock-undeclared", offset, message, hint);
+                continue;
+            };
+            let (scope_end, named_guard) = guard_scope(text, offset, method, &blocks);
+            out.push(Acquisition {
+                name,
+                offset,
+                scope_end,
+                named_guard,
+            });
+        }
+    }
+    out.sort_by_key(|a| a.offset);
+    out
+}
+
+/// The manifest's name for a receiver: the receiver itself, or its plural
+/// (iteration elements follow the `shard` → `shards` convention).
+fn declared_name(manifest: &LockManifest, raw: &str) -> Option<String> {
+    [raw.to_string(), format!("{raw}s")]
+        .into_iter()
+        .find(|name| manifest.order.contains(&name.as_str()))
+}
+
+/// The field/binding name the acquisition at `call` is invoked on,
+/// skipping one trailing index chain (`shards[i].lock()` resolves to
+/// `shards`).
+fn receiver_name(text: &str, call: usize) -> Option<String> {
+    let bytes = text.as_bytes();
+    let mut end = call; // points at the `.` of `.lock(`
+    if let Some((pos, b)) = prev_nonspace(text, end) {
+        if b == b']' {
+            // skip the [...] chain
+            let mut depth = 0i32;
+            let mut i = pos;
+            loop {
+                match bytes[i] {
+                    b']' => depth += 1,
+                    b'[' => {
+                        depth -= 1;
+                        if depth == 0 {
+                            end = i;
+                            break;
+                        }
+                    }
+                    _ => {}
+                }
+                i = i.checked_sub(1)?;
+            }
+        } else {
+            end = pos + 1;
+        }
+    }
+    ident_ending_at(text, end).map(str::to_string)
+}
+
+/// All `{`..`}` pairs of the file.
+fn brace_pairs(bytes: &[u8]) -> Vec<(usize, usize)> {
+    let mut stack = Vec::new();
+    let mut pairs = Vec::new();
+    for (i, &b) in bytes.iter().enumerate() {
+        if b == b'{' {
+            stack.push(i);
+        } else if b == b'}' {
+            if let Some(open) = stack.pop() {
+                pairs.push((open, i));
+            }
+        }
+    }
+    pairs
+}
+
+/// Skips a balanced `(..)` group starting at `open`; returns the offset
+/// just past the closer.
+fn skip_parens(bytes: &[u8], open: usize) -> usize {
+    let mut depth = 0usize;
+    for (i, &b) in bytes.iter().enumerate().skip(open) {
+        if b == b'(' {
+            depth += 1;
+        } else if b == b')' {
+            depth -= 1;
+            if depth == 0 {
+                return i + 1;
+            }
+        }
+    }
+    bytes.len()
+}
+
+/// Models the guard scope of the `method` (`.lock`, `.read`, `.write`)
+/// call at `call`, returning `(scope end, named guard)`:
+///
+/// * a `let guard = ..lock()[.expect(..)];` binding lives to the end of
+///   its enclosing block;
+/// * any other use is a temporary living to the end of its statement — and
+///   when the statement flows into a block before reaching `;` (if-let /
+///   while-let / match scrutinees), to the end of that block (the Rust
+///   2021 temporary-scope extension).
+fn guard_scope(text: &str, call: usize, method: &str, blocks: &[(usize, usize)]) -> (usize, bool) {
+    let bytes = text.as_bytes();
+    // Where does the lock expression's chain end? Skip `.expect(..)` and
+    // `.unwrap()` which forward the guard.
+    let mut i = skip_parens(bytes, call + method.len());
+    loop {
+        // rustfmt splits long chains across lines: skip whitespace before
+        // testing for the next chained call.
+        let next = next_nonspace(text, i).map_or(i, |(pos, _)| pos);
+        if text[next..].starts_with(".expect(") {
+            i = skip_parens(bytes, next + ".expect".len());
+        } else if text[next..].starts_with(".unwrap(") {
+            i = skip_parens(bytes, next + ".unwrap".len());
+        } else {
+            i = next;
+            break;
+        }
+    }
+    let chain_consumed = bytes.get(i) == Some(&b'.');
+    // Statement head: is this a `let` guard?
+    let stmt_start = (0..call)
+        .rev()
+        .find(|&p| matches!(bytes[p], b';' | b'{' | b'}'))
+        .map_or(0, |p| p + 1);
+    let head = text[stmt_start..call].trim_start();
+    let is_let = head.starts_with("let ") || head.starts_with("let\n");
+    if is_let && !chain_consumed {
+        // Named guard: lives to the end of the enclosing block.
+        let enclosing = blocks
+            .iter()
+            .filter(|&&(open, close)| open < call && call < close)
+            .map(|&(open, close)| (close - open, close))
+            .min();
+        return (enclosing.map_or(bytes.len(), |(_, close)| close), true);
+    }
+    // Temporary: to the `;` ending the statement, or — when a block opens
+    // first — to the end of that block (scrutinee extension).
+    let mut depth = 0i32;
+    let mut j = i;
+    while j < bytes.len() {
+        match bytes[j] {
+            b'(' | b'[' => depth += 1,
+            b')' | b']' => depth -= 1,
+            b';' if depth <= 0 => return (j, false),
+            b'{' if depth <= 0 => {
+                let close = blocks
+                    .iter()
+                    .find(|&&(open, _)| open == j)
+                    .map_or(bytes.len(), |&(_, close)| close);
+                return (close, false);
+            }
+            _ => {}
+        }
+        j += 1;
+    }
+    (bytes.len(), false)
 }

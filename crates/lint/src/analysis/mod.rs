@@ -14,8 +14,6 @@
 //! is written so a missing edge can only hide a finding, never invent
 //! one.
 
-// uprob-lint: allow-file(panic-index) -- node indices come from the call graph's own node vector; files/asts are parallel vectors built from the same enumeration
-
 pub mod lock_order;
 pub mod stamp_refresh;
 pub mod taint;
@@ -40,6 +38,10 @@ pub struct CrateView<'a> {
 
 impl CrateView<'_> {
     /// The file and item behind a call-graph node.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "node indices come from the call graph's own node vector; files/asts are parallel vectors built from the same enumeration"
+    )]
     pub fn item(&self, node: usize) -> (&SourceFile, &crate::ast::FnItem) {
         let (fi, ii) = self.graph.nodes[node];
         (&self.files[fi], &self.asts[fi].fns[ii])

@@ -9,7 +9,10 @@
 //! functions and cross-file helpers is credited too, and the remaining
 //! findings are real.
 
-// uprob-lint: allow-file(panic-index) -- every index is a call-graph node id bounded by graph.nodes.len(), and body spans come from the lexer over the same text
+#![expect(
+    clippy::indexing_slicing,
+    reason = "every index is a call-graph node id bounded by graph.nodes.len(), and body spans come from the lexer over the same text"
+)]
 
 use std::collections::BTreeSet;
 

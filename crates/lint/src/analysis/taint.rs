@@ -15,7 +15,10 @@
 //! provably cannot leak) are respected here too — one argued exemption
 //! should not need restating per rule.
 
-// uprob-lint: allow-file(panic-index) -- indices are call-graph node ids bounded by graph.nodes.len(); string slices split at word-occurrence offsets inside the same text
+#![expect(
+    clippy::indexing_slicing,
+    reason = "indices are call-graph node ids bounded by graph.nodes.len(); string slices split at word-occurrence offsets inside the same text"
+)]
 
 use crate::check::{emit, hash_iteration_sites, word_occurrences, Finding};
 use crate::config::Family;

@@ -10,7 +10,10 @@
 //! skipped by brace/paren matching over tokens — which the lexer
 //! guarantees can never be confused by strings, comments or lifetimes.
 
-// uprob-lint: allow-file(panic-index) -- every index derives from enumerate()/position() scans over the token vector being indexed, guarded by the loop bounds
+#![expect(
+    clippy::indexing_slicing,
+    reason = "every index derives from enumerate()/position() scans over the token vector being indexed, guarded by the loop bounds"
+)]
 
 use crate::lexer::{Token, TokenKind};
 use crate::source::SourceFile;

@@ -17,7 +17,10 @@
 //! nothing", so they under-approximate through those holes rather than
 //! producing noise.
 
-// uprob-lint: allow-file(panic-index) -- indices come from enumerate()/position() scans and the node-numbering arithmetic below, all bounded by the vectors they index
+#![expect(
+    clippy::indexing_slicing,
+    reason = "indices come from enumerate()/position() scans and the node-numbering arithmetic below, all bounded by the vectors they index"
+)]
 
 use std::collections::BTreeMap;
 

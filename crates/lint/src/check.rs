@@ -4,17 +4,21 @@
 //! Every analysis here is deliberately lexical — single-file, position
 //! based, anchored on the sanitized text the lexer-backed sanitizer
 //! produces (so matches can never come from comments or string
-//! literals). The cross-function analyses (lock-order-graph, det-taint,
-//! stamp-refresh) live in `crate::analysis` on top of the call graph;
-//! this module keeps the shared low-level helpers they borrow. Test
+//! literals). The cross-function analyses (lock-order-graph,
+//! lock-undeclared, det-taint, stamp-refresh) live in `crate::analysis`
+//! on top of the call graph; this module keeps the shared low-level
+//! helpers they borrow. Test
 //! regions are excluded up front, and each heuristic errs on the side of
 //! flagging — the inline allow pragma (with a mandatory reason) is the
 //! designed pressure valve, and `lint-pragma` keeps the allowlist honest
 //! by flagging entries that have gone stale.
 
-// uprob-lint: allow-file(panic-index) -- every index and slice offset in this file derives from enumerate()/find()/memchr-style scans over the very buffer being indexed, clamped with min()/saturating_sub at the boundaries
+#![expect(
+    clippy::indexing_slicing,
+    reason = "every index and slice offset in this file derives from enumerate()/find()/memchr-style scans over the very buffer being indexed, clamped with min()/saturating_sub at the boundaries"
+)]
 
-use crate::config::{Family, LintConfig, LockManifest};
+use crate::config::{Family, LintConfig};
 use crate::rules::is_registered;
 use crate::source::{is_ident_byte, SourceFile};
 
@@ -54,13 +58,12 @@ pub(crate) fn check_file_lexical(
     config: &LintConfig,
     findings: &mut Vec<Finding>,
 ) {
-    let families: Vec<Family> = config.families(&file.rel_path).collect();
-    for family in &families {
+    for family in config.families(&file.rel_path) {
         match family {
-            Family::Determinism => check_determinism(file, findings),
+            Family::Determinism => check_hash_iteration(file, findings),
             Family::Numeric => check_numeric(file, findings),
-            Family::Panic => check_panic(file, findings),
-            Family::Locks => check_locks(file, config.lock_manifest(&file.rel_path), findings),
+            // The lock rules need the call graph: `analysis::lock_order`.
+            Family::Locks => {}
         }
     }
 }
@@ -123,7 +126,7 @@ pub(crate) fn method_calls(text: &str, method: &str) -> Vec<usize> {
 }
 
 /// The identifier ending at byte `end` (exclusive), if any.
-fn ident_ending_at(text: &str, end: usize) -> Option<&str> {
+pub(crate) fn ident_ending_at(text: &str, end: usize) -> Option<&str> {
     let bytes = text.as_bytes();
     let mut start = end;
     while start > 0 && is_ident_byte(bytes[start - 1]) {
@@ -133,7 +136,7 @@ fn ident_ending_at(text: &str, end: usize) -> Option<&str> {
 }
 
 /// Last non-whitespace byte strictly before `offset`.
-fn prev_nonspace(text: &str, offset: usize) -> Option<(usize, u8)> {
+pub(crate) fn prev_nonspace(text: &str, offset: usize) -> Option<(usize, u8)> {
     let bytes = text.as_bytes();
     (0..offset)
         .rev()
@@ -142,7 +145,7 @@ fn prev_nonspace(text: &str, offset: usize) -> Option<(usize, u8)> {
 }
 
 /// First non-whitespace byte at or after `offset`.
-fn next_nonspace(text: &str, offset: usize) -> Option<(usize, u8)> {
+pub(crate) fn next_nonspace(text: &str, offset: usize) -> Option<(usize, u8)> {
     let bytes = text.as_bytes();
     (offset..bytes.len())
         .map(|i| (i, bytes[i]))
@@ -174,115 +177,6 @@ fn statement_around(text: &str, offset: usize) -> &str {
     &text[start..end]
 }
 
-/// Skips a balanced `(..)` group starting at `open`; returns the offset
-/// just past the closer.
-fn skip_parens(bytes: &[u8], open: usize) -> usize {
-    let mut depth = 0usize;
-    for (i, &b) in bytes.iter().enumerate().skip(open) {
-        if b == b'(' {
-            depth += 1;
-        } else if b == b')' {
-            depth -= 1;
-            if depth == 0 {
-                return i + 1;
-            }
-        }
-    }
-    bytes.len()
-}
-
-// ---------------------------------------------------------------------------
-// Panic family
-// ---------------------------------------------------------------------------
-
-fn check_panic(file: &SourceFile, findings: &mut Vec<Finding>) {
-    let text = &file.text;
-    for offset in method_calls(text, "unwrap") {
-        emit(
-            file,
-            findings,
-            "panic-unwrap",
-            offset,
-            "`.unwrap()` in library code".to_string(),
-            "return a typed error, or allow(panic-unwrap) with the invariant",
-        );
-    }
-    for offset in method_calls(text, "expect") {
-        emit(
-            file,
-            findings,
-            "panic-expect",
-            offset,
-            "`.expect(..)` in library code".to_string(),
-            "return a typed error, or allow(panic-expect) with the invariant",
-        );
-    }
-    for macro_name in ["panic", "unreachable", "todo", "unimplemented"] {
-        for offset in word_occurrences(text, macro_name) {
-            if text.as_bytes().get(offset + macro_name.len()) == Some(&b'!') {
-                emit(
-                    file,
-                    findings,
-                    "panic-macro",
-                    offset,
-                    format!("`{macro_name}!` in library code"),
-                    "return a typed error, or allow(panic-macro) with the invariant",
-                );
-            }
-        }
-    }
-    check_panic_index(file, findings);
-}
-
-fn check_panic_index(file: &SourceFile, findings: &mut Vec<Finding>) {
-    let bytes = file.text.as_bytes();
-    for (i, &b) in bytes.iter().enumerate() {
-        if b != b'[' {
-            continue;
-        }
-        // An index expression: `[` glued to the end of a place expression.
-        let Some(&prev) = i.checked_sub(1).and_then(|p| bytes.get(p)) else {
-            continue;
-        };
-        if !(is_ident_byte(prev) || prev == b')' || prev == b']' || prev == b'?') {
-            continue;
-        }
-        // `r"..."`-style prefixes and attributes never reach here (the
-        // sanitizer keeps quotes, and `#[`/`![`/`vec![` are excluded by
-        // the previous-byte test).
-        let Some(close) = matching_bracket(bytes, i) else {
-            continue;
-        };
-        let inner = file.text[i + 1..close].trim();
-        if inner == ".." {
-            continue; // full-range slicing cannot panic
-        }
-        emit(
-            file,
-            findings,
-            "panic-index",
-            i,
-            format!("indexing `[{inner}]` can panic"),
-            "use .get()/.get_mut(), or allow(panic-index) with the bounding invariant",
-        );
-    }
-}
-
-fn matching_bracket(bytes: &[u8], open: usize) -> Option<usize> {
-    let mut depth = 0usize;
-    for (i, &b) in bytes.iter().enumerate().skip(open) {
-        if b == b'[' {
-            depth += 1;
-        } else if b == b']' {
-            depth -= 1;
-            if depth == 0 {
-                return Some(i);
-            }
-        }
-    }
-    None
-}
-
 // ---------------------------------------------------------------------------
 // Determinism family
 // ---------------------------------------------------------------------------
@@ -311,98 +205,6 @@ const CANONICALIZERS: [&str; 11] = [
     ".max(",
     ".fold(0,",
 ];
-const AMBIENT_SOURCES: [(&str, &str); 6] = [
-    ("Instant::now", "wall-clock read"),
-    ("SystemTime::now", "wall-clock read"),
-    ("thread_rng", "ambient thread-local RNG"),
-    ("ThreadRng", "ambient thread-local RNG"),
-    ("RandomState", "randomly seeded hasher state"),
-    ("thread::current", "thread identity"),
-];
-
-fn check_determinism(file: &SourceFile, findings: &mut Vec<Finding>) {
-    check_default_hasher(file, findings);
-    check_hash_iteration(file, findings);
-    for (pattern, what) in AMBIENT_SOURCES {
-        let head = pattern.split(':').next().unwrap_or(pattern);
-        for offset in word_occurrences(&file.text, head) {
-            if file.text[offset..].starts_with(pattern) {
-                emit(
-                    file,
-                    findings,
-                    "det-ambient-source",
-                    offset,
-                    format!("{what} (`{pattern}`) in product code"),
-                    "thread the value in from the caller or move it to uprob-bench",
-                );
-            }
-        }
-    }
-}
-
-fn check_default_hasher(file: &SourceFile, findings: &mut Vec<Finding>) {
-    let text = &file.text;
-    let bytes = text.as_bytes();
-    for container in ["HashMap", "HashSet"] {
-        for offset in word_occurrences(text, container) {
-            let after = offset + container.len();
-            let rest = &text[after..];
-            let flagged = if let Some(tail) = rest.strip_prefix("::") {
-                ["new(", "with_capacity(", "from(", "default("]
-                    .iter()
-                    .any(|ctor| tail.starts_with(ctor))
-            } else if rest.starts_with('<') {
-                let params = top_level_commas(bytes, after);
-                match (container, params) {
-                    ("HashMap", Some(commas)) => commas < 2,
-                    ("HashSet", Some(commas)) => commas < 1,
-                    _ => false,
-                }
-            } else {
-                false
-            };
-            if flagged {
-                emit(
-                    file,
-                    findings,
-                    "det-default-hasher",
-                    offset,
-                    format!("`{container}` with the default RandomState hasher"),
-                    "use uprob_wsd::{FxHashMap, FxHashSet} (DESIGN.md numeric/hashing policy)",
-                );
-            }
-        }
-    }
-}
-
-/// Counts top-level commas of the generic list opening at `open` (which
-/// must point at `<`). Returns `None` for an unbalanced list.
-fn top_level_commas(bytes: &[u8], open: usize) -> Option<usize> {
-    let mut angle = 0i32;
-    let mut group = 0i32;
-    let mut commas = 0usize;
-    let mut i = open;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'-' if bytes.get(i + 1) == Some(&b'>') => i += 1, // fn-type arrow
-            b'<' => angle += 1,
-            b'>' => {
-                angle -= 1;
-                if angle == 0 {
-                    return Some(commas);
-                }
-            }
-            b'(' | b'[' => group += 1,
-            b')' | b']' => group -= 1,
-            b',' if angle == 1 && group == 0 => commas += 1,
-            b';' => return None, // statement boundary: not a generic list
-            _ => {}
-        }
-        i += 1;
-    }
-    None
-}
-
 fn check_hash_iteration(file: &SourceFile, findings: &mut Vec<Finding>) {
     for (offset, name) in hash_iteration_sites(file) {
         emit(
@@ -658,260 +460,6 @@ fn has_float_literal(text: &str) -> bool {
                 start == 0 || (!is_ident_byte(bytes[start - 1]) && bytes[start - 1] != b'.')
             }
     })
-}
-
-// ---------------------------------------------------------------------------
-// Lock family
-// ---------------------------------------------------------------------------
-
-/// One `.lock()` site with its modeled guard lifetime.
-#[derive(Debug)]
-pub struct Acquisition {
-    /// Lock name resolved against the manifest.
-    pub name: String,
-    /// Offset of the receiver (diagnostic anchor).
-    pub offset: usize,
-    /// Offset past which the guard is provably dropped.
-    pub scope_end: usize,
-    /// Whether the guard is a named `let` binding (block-scoped).
-    pub named_guard: bool,
-}
-
-fn check_locks(file: &SourceFile, manifest: Option<&LockManifest>, findings: &mut Vec<Finding>) {
-    let acquisitions = collect_acquisitions(file, manifest, findings);
-    let Some(manifest) = manifest else {
-        return;
-    };
-    let position = |name: &str| manifest.order.iter().position(|&n| n == name);
-    for (i, outer) in acquisitions.iter().enumerate() {
-        for inner in &acquisitions[i + 1..] {
-            if inner.offset >= outer.scope_end {
-                break;
-            }
-            let (Some(po), Some(pi)) = (position(&outer.name), position(&inner.name)) else {
-                continue; // undeclared: already reported
-            };
-            if po == pi {
-                emit(
-                    file,
-                    findings,
-                    "lock-order",
-                    inner.offset,
-                    format!(
-                        "`{}` re-acquired while a `{}` guard is live (self-deadlock with std Mutex)",
-                        inner.name, outer.name
-                    ),
-                    "drop the outer guard first (end its block or statement) before re-locking",
-                );
-            } else if pi < po {
-                emit(
-                    file,
-                    findings,
-                    "lock-order",
-                    inner.offset,
-                    format!(
-                        "`{}` acquired while `{}` is held, violating the declared order {:?}",
-                        inner.name, outer.name, manifest.order
-                    ),
-                    "acquire locks in declared order, or release the outer guard first",
-                );
-            }
-        }
-    }
-}
-
-/// Extracts every `.lock()` site of the file, resolving names against the
-/// manifest (reporting undeclared locks) and modeling guard scopes.
-pub fn collect_acquisitions(
-    file: &SourceFile,
-    manifest: Option<&LockManifest>,
-    findings: &mut Vec<Finding>,
-) -> Vec<Acquisition> {
-    let text = &file.text;
-    let bytes = text.as_bytes();
-    let blocks = brace_pairs(bytes);
-    let mut out = Vec::new();
-    for call in method_calls(text, "lock") {
-        if file.in_test_code(call) {
-            continue;
-        }
-        let Some(raw_name) = receiver_name(text, call) else {
-            continue;
-        };
-        // Resolve iteration elements by the `shard` -> `shards` convention.
-        let name = match manifest {
-            Some(m) => {
-                if m.order.contains(&raw_name.as_str()) {
-                    raw_name
-                } else {
-                    let plural = format!("{raw_name}s");
-                    if m.order.contains(&plural.as_str()) {
-                        plural
-                    } else {
-                        emit(
-                            file,
-                            findings,
-                            "lock-undeclared",
-                            call,
-                            format!(
-                                "lock `{raw_name}` is not in the declared order {:?} for this file",
-                                m.order
-                            ),
-                            "add the lock to this file's order in crates/lint/src/config.rs",
-                        );
-                        continue;
-                    }
-                }
-            }
-            None => {
-                emit(
-                    file,
-                    findings,
-                    "lock-undeclared",
-                    call,
-                    format!("lock `{raw_name}` in a file with no declared lock order"),
-                    "declare this file's lock-acquisition order in crates/lint/src/config.rs",
-                );
-                continue;
-            }
-        };
-        let (scope_end, named_guard) = guard_scope(text, call, &blocks);
-        out.push(Acquisition {
-            name,
-            offset: call,
-            scope_end,
-            named_guard,
-        });
-    }
-    out.sort_by_key(|a| a.offset);
-    out
-}
-
-/// The field/binding name the `.lock()` at `call` is invoked on, skipping
-/// one trailing index chain (`shards[i].lock()` resolves to `shards`).
-pub(crate) fn receiver_name(text: &str, call: usize) -> Option<String> {
-    let bytes = text.as_bytes();
-    let mut end = call; // points at the `.` of `.lock(`
-    if let Some((pos, b)) = prev_nonspace(text, end) {
-        if b == b']' {
-            // skip the [...] chain
-            let mut depth = 0i32;
-            let mut i = pos;
-            loop {
-                match bytes[i] {
-                    b']' => depth += 1,
-                    b'[' => {
-                        depth -= 1;
-                        if depth == 0 {
-                            end = i;
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                i = i.checked_sub(1)?;
-            }
-        } else {
-            end = pos + 1;
-        }
-    }
-    ident_ending_at(text, end).map(str::to_string)
-}
-
-/// All `{`..`}` pairs of the file.
-pub(crate) fn brace_pairs(bytes: &[u8]) -> Vec<(usize, usize)> {
-    let mut stack = Vec::new();
-    let mut pairs = Vec::new();
-    for (i, &b) in bytes.iter().enumerate() {
-        if b == b'{' {
-            stack.push(i);
-        } else if b == b'}' {
-            if let Some(open) = stack.pop() {
-                pairs.push((open, i));
-            }
-        }
-    }
-    pairs
-}
-
-/// Models the guard scope of the `.lock()` at `call`:
-///
-/// * a `let guard = ..lock()[.expect(..)];` binding lives to the end of
-///   its enclosing block;
-/// * any other use is a temporary living to the end of its statement — and
-///   when the statement flows into a block before reaching `;` (if-let /
-///   while-let / match scrutinees), to the end of that block (the Rust
-///   2021 temporary-scope extension).
-pub(crate) fn guard_scope(text: &str, call: usize, blocks: &[(usize, usize)]) -> (usize, bool) {
-    guard_scope_of(text, call, ".lock", blocks)
-}
-
-/// [`guard_scope`] for an arbitrary acquisition method (`.lock`, `.read`,
-/// `.write`), so the structural analysis can model RwLock guards too.
-pub(crate) fn guard_scope_of(
-    text: &str,
-    call: usize,
-    method: &str,
-    blocks: &[(usize, usize)],
-) -> (usize, bool) {
-    let bytes = text.as_bytes();
-    // Where does the lock expression's chain end? Skip `.expect(..)` and
-    // `.unwrap()` which forward the guard.
-    let mut i = call;
-    // step past `.lock(...)` / `.read(...)` / `.write(...)`
-    i += method.len();
-    i = skip_parens(bytes, i);
-    loop {
-        // rustfmt splits long chains across lines: skip whitespace before
-        // testing for the next chained call.
-        let next = next_nonspace(text, i).map_or(i, |(pos, _)| pos);
-        if text[next..].starts_with(".expect(") {
-            i = skip_parens(bytes, next + ".expect".len());
-        } else if text[next..].starts_with(".unwrap(") {
-            i = skip_parens(bytes, next + ".unwrap".len());
-        } else {
-            i = next;
-            break;
-        }
-    }
-    let chain_consumed = bytes.get(i) == Some(&b'.');
-    // Statement head: is this a `let` guard?
-    let stmt_start = (0..call)
-        .rev()
-        .find(|&p| matches!(bytes[p], b';' | b'{' | b'}'))
-        .map_or(0, |p| p + 1);
-    let head = text[stmt_start..call].trim_start();
-    let is_let = head.starts_with("let ") || head.starts_with("let\n");
-    if is_let && !chain_consumed {
-        // Named guard: lives to the end of the enclosing block.
-        let enclosing = blocks
-            .iter()
-            .filter(|&&(open, close)| open < call && call < close)
-            .map(|&(open, close)| (close - open, close))
-            .min();
-        return (enclosing.map_or(bytes.len(), |(_, close)| close), true);
-    }
-    // Temporary: to the `;` ending the statement, or — when a block opens
-    // first — to the end of that block (scrutinee extension).
-    let mut depth = 0i32;
-    let mut j = i;
-    while j < bytes.len() {
-        match bytes[j] {
-            b'(' | b'[' => depth += 1,
-            b')' | b']' => depth -= 1,
-            b';' if depth <= 0 => return (j, false),
-            b'{' if depth <= 0 => {
-                let close = blocks
-                    .iter()
-                    .find(|&&(open, _)| open == j)
-                    .map_or(bytes.len(), |&(_, close)| close);
-                return (close, false);
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    (bytes.len(), false)
 }
 
 // ---------------------------------------------------------------------------

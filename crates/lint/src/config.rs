@@ -6,31 +6,26 @@
 //!
 //! * **Product crates** (`uprob-wsd`, `uprob-urel`, `uprob-core`,
 //!   `uprob-approx`, `uprob-query`, the facade `src/`) get every family —
-//!   their determinism, numeric and panic behaviour is what the paper
-//!   contracts guard.
+//!   their determinism, numeric and locking behaviour is what the paper
+//!   contracts guard. The same crates (and this one) carry the clippy
+//!   gate line in their `lib.rs` for the per-site invariants clippy can
+//!   check: panics, indexing, std hashers, ambient clocks.
 //! * **`uprob-datagen` and `uprob-bench`** are test/benchmark
 //!   infrastructure: they construct fixtures and panic loudly on broken
 //!   recipes by design, and the bench runner must read the wall clock.
 //!   No families apply.
-//! * **`uprob-lint` itself** gets the panic family (dogfood): the linter
-//!   must not crash on the workspace it gates. Its `fixtures/` corpus is
-//!   excluded wholesale — fixtures are deliberate violations.
-//! * `vendor/`, `target/`, `tests/`, `benches/` and `examples/` are out
-//!   of scope everywhere. Unlike the rule scope, these *exclusions* live
-//!   in the checked-in `uprob-lint.toml` at the workspace root (so CI
-//!   and local runs agree, and the list is reviewable without a rebuild)
-//!   with the defaults below as fallback when no file is present.
+//! * `vendor/`, `target/`, `tests/`, `benches/`, `examples/` and the
+//!   `fixtures/` corpus of deliberate violations are out of scope
+//!   everywhere.
 
 /// Rule families.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Family {
-    /// det-hash-iter, det-default-hasher, det-ambient-source.
+    /// det-hash-iter, det-taint, stamp-refresh.
     Determinism,
     /// num-raw-accum.
     Numeric,
-    /// panic-unwrap, panic-expect, panic-macro, panic-index.
-    Panic,
-    /// lock-order, lock-undeclared.
+    /// lock-order-graph, lock-undeclared.
     Locks,
 }
 
@@ -47,21 +42,18 @@ pub struct LockManifest {
 /// The lint policy for one workspace.
 #[derive(Debug)]
 pub struct LintConfig {
-    /// Path prefixes of crates receiving the determinism/numeric/panic
-    /// families.
+    /// Path prefixes of the product crates: every family applies.
     pub product_prefixes: &'static [&'static str],
-    /// Path prefixes receiving only the panic family.
-    pub panic_only_prefixes: &'static [&'static str],
     /// Files exempt from the numeric family (the policy implementation).
     pub numeric_exempt: &'static [&'static str],
     /// Declared lock orders.
     pub lock_manifests: &'static [LockManifest],
     /// Directory names pruned during the workspace walk.
-    pub exclude_dirs: Vec<String>,
+    pub exclude_dirs: &'static [&'static str],
     /// Workspace-relative path prefixes out of scope.
-    pub exclude_prefixes: Vec<String>,
+    pub exclude_prefixes: &'static [&'static str],
     /// Path segments marking out-of-scope files anywhere in the tree.
-    pub exclude_segments: Vec<String>,
+    pub exclude_segments: &'static [&'static str],
 }
 
 impl Default for LintConfig {
@@ -75,7 +67,6 @@ impl Default for LintConfig {
                 "crates/query/src/",
                 "src/",
             ],
-            panic_only_prefixes: &["crates/lint/src/"],
             numeric_exempt: &["crates/wsd/src/numeric.rs"],
             lock_manifests: &[
                 LockManifest {
@@ -91,57 +82,20 @@ impl Default for LintConfig {
                     order: &["writer", "prior", "plans", "inflight", "slot", "current"],
                 },
             ],
-            exclude_dirs: to_owned(&[".git", "target", "vendor", "fixtures", "node_modules"]),
-            exclude_prefixes: to_owned(&[
+            exclude_dirs: &[".git", "target", "vendor", "fixtures", "node_modules"],
+            exclude_prefixes: &[
                 "vendor/",
                 "target/",
                 "tests/",
                 "examples/",
                 "crates/lint/fixtures/",
-            ]),
-            exclude_segments: to_owned(&["/tests/", "/benches/", "/examples/", "/bin/"]),
+            ],
+            exclude_segments: &["/tests/", "/benches/", "/examples/", "/bin/"],
         }
     }
-}
-
-fn to_owned(items: &[&str]) -> Vec<String> {
-    items.iter().map(|s| s.to_string()).collect()
 }
 
 impl LintConfig {
-    /// The config for a workspace checkout: defaults with the exclusion
-    /// lists overridden by `uprob-lint.toml` at `root` when present.
-    pub fn load(root: &std::path::Path) -> Self {
-        let mut config = LintConfig::default();
-        if let Ok(text) = std::fs::read_to_string(root.join("uprob-lint.toml")) {
-            config.apply_toml(&text);
-        }
-        config
-    }
-
-    /// Applies the `[scope]` keys of an `uprob-lint.toml` text. The
-    /// format is deliberately tiny: single-line string arrays,
-    /// full-line `#` comments, one `[scope]` table. Unknown keys are
-    /// ignored so the file can grow without lockstep releases.
-    pub fn apply_toml(&mut self, text: &str) {
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') || line.starts_with('[') {
-                continue;
-            }
-            let Some((key, value)) = line.split_once('=') else {
-                continue;
-            };
-            let items = parse_string_array(value.trim());
-            match key.trim() {
-                "exclude-dirs" => self.exclude_dirs = items,
-                "exclude-prefixes" => self.exclude_prefixes = items,
-                "exclude-segments" => self.exclude_segments = items,
-                _ => {}
-            }
-        }
-    }
-
     /// Whether a workspace-relative path is scanned at all.
     pub fn scans(&self, rel_path: &str) -> bool {
         if !rel_path.ends_with(".rs") {
@@ -150,14 +104,8 @@ impl LintConfig {
         if self
             .exclude_prefixes
             .iter()
-            .any(|p| rel_path.starts_with(p.as_str()))
-        {
-            return false;
-        }
-        if self
-            .exclude_segments
-            .iter()
-            .any(|s| rel_path.contains(s.as_str()))
+            .any(|p| rel_path.starts_with(p))
+            || self.exclude_segments.iter().any(|s| rel_path.contains(s))
         {
             return false;
         }
@@ -170,15 +118,10 @@ impl LintConfig {
             .product_prefixes
             .iter()
             .any(|p| rel_path.starts_with(p));
-        let panic_only = self
-            .panic_only_prefixes
-            .iter()
-            .any(|p| rel_path.starts_with(p));
         let numeric = product && !self.numeric_exempt.contains(&rel_path);
         [
             (product, Family::Determinism),
             (numeric, Family::Numeric),
-            (product || panic_only, Family::Panic),
             (product, Family::Locks),
         ]
         .into_iter()
@@ -191,24 +134,6 @@ impl LintConfig {
     }
 }
 
-/// Parses a single-line TOML string array: `["a", "b"]`.
-fn parse_string_array(value: &str) -> Vec<String> {
-    let inner = value
-        .trim()
-        .strip_prefix('[')
-        .and_then(|v| v.strip_suffix(']'))
-        .unwrap_or("");
-    inner
-        .split(',')
-        .filter_map(|item| {
-            let item = item.trim();
-            item.strip_prefix('"')
-                .and_then(|v| v.strip_suffix('"'))
-                .map(str::to_string)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,12 +144,7 @@ mod tests {
         let families: Vec<Family> = config.families("crates/core/src/parallel.rs").collect();
         assert_eq!(
             families,
-            vec![
-                Family::Determinism,
-                Family::Numeric,
-                Family::Panic,
-                Family::Locks
-            ]
+            vec![Family::Determinism, Family::Numeric, Family::Locks]
         );
     }
 
@@ -234,7 +154,7 @@ mod tests {
         let families: Vec<Family> = config.families("crates/wsd/src/numeric.rs").collect();
         assert!(families.contains(&Family::Determinism));
         assert!(!families.contains(&Family::Numeric));
-        assert!(families.contains(&Family::Panic));
+        assert!(families.contains(&Family::Locks));
     }
 
     #[test]
@@ -245,35 +165,12 @@ mod tests {
         assert!(!config.scans("vendor/rand/src/lib.rs"));
         assert!(!config.scans("tests/workspace_smoke.rs"));
         assert!(!config.scans("examples/quickstart.rs"));
-        assert!(!config.scans("crates/lint/fixtures/panic-unwrap/bad_basic.rs"));
+        assert!(!config.scans("crates/lint/fixtures/det-taint/bad.rs"));
+        // The linter itself is gated by clippy alone (crate-root gate line).
+        assert!(!config.scans("crates/lint/src/main.rs"));
         assert!(!config.scans("crates/core/src/parallel.md"));
         assert!(config.scans("crates/core/src/parallel.rs"));
         assert!(config.scans("src/lib.rs"));
-        assert!(config.scans("crates/lint/src/main.rs"));
-    }
-
-    #[test]
-    fn lint_crate_is_panic_only() {
-        let config = LintConfig::default();
-        let families: Vec<Family> = config.families("crates/lint/src/lib.rs").collect();
-        assert_eq!(families, vec![Family::Panic]);
-    }
-
-    #[test]
-    fn toml_scope_overrides_the_exclusion_lists() {
-        let mut config = LintConfig::default();
-        config.apply_toml(
-            "# comment\n[scope]\nexclude-dirs = [\".git\", \"generated\"]\n\
-             exclude-prefixes = [\"gen/\"]\nunknown-key = [\"x\"]\n",
-        );
-        assert_eq!(
-            config.exclude_dirs,
-            [".git".to_string(), "generated".to_string()]
-        );
-        assert_eq!(config.exclude_prefixes, ["gen/".to_string()]);
-        // Untouched key keeps its default.
-        assert!(config.exclude_segments.iter().any(|s| s == "/tests/"));
-        assert!(!config.scans("gen/lib.rs"));
     }
 
     #[test]

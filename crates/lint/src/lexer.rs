@@ -16,7 +16,10 @@
 //! identifier-continuation bytes, so a token boundary can never split a
 //! character.
 
-// uprob-lint: allow-file(panic-index) -- every index derives from the scan position over the very buffer being indexed and is bounds-checked by the loop conditions
+#![expect(
+    clippy::indexing_slicing,
+    reason = "every index derives from the scan position over the very buffer being indexed and is bounds-checked by the loop conditions"
+)]
 
 /// The classification of one token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,70 +1,42 @@
 //! The `uprob-lint` CLI.
 //!
 //! ```text
-//! uprob-lint check [--root PATH] [--format json] [--baseline PATH]
-//!                                    lint the workspace; nonzero exit on
-//!                                    findings not covered by the baseline
-//! uprob-lint self-check [--root PATH]  lint the linter and replay the
-//!                                    fixture corpus (bad must fail, good
-//!                                    must pass)
+//! uprob-lint check [--root PATH]     lint the workspace; nonzero exit on findings
 //! uprob-lint rules [--ids]           list registered rules (ids only with --ids)
 //! uprob-lint explain <rule>          print the invariant behind a rule
 //! uprob-lint locks [--root PATH]     report lock sites against declared orders
 //! ```
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
-use uprob_lint::{baseline, check_workspace, find_workspace_root, rules, LintConfig};
+use uprob_lint::analysis::lock_order::collect_acquisitions;
+use uprob_lint::{check_workspace, find_workspace_root, rules, LintConfig, SourceFile};
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut command = None;
     let mut operand = None;
     let mut root_flag = None;
-    let mut format_flag = None;
-    let mut baseline_flag = None;
     let mut ids_only = false;
-    let mut i = 0;
-    while i < args.len() {
-        // uprob-lint: allow(panic-index) -- the loop condition bounds `i` by args.len()
-        match args[i].as_str() {
-            "--root" => {
-                i += 1;
-                root_flag = args.get(i).cloned();
-            }
-            "--format" => {
-                i += 1;
-                format_flag = args.get(i).cloned();
-            }
-            "--baseline" => {
-                i += 1;
-                baseline_flag = args.get(i).cloned();
-            }
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--root" => root_flag = args.next(),
             "--ids" => ids_only = true,
             "--explain" => {
                 command = Some("explain".to_string());
-                i += 1;
-                operand = args.get(i).cloned();
+                operand = args.next();
             }
-            arg if command.is_none() => command = Some(arg.to_string()),
-            arg if operand.is_none() => operand = Some(arg.to_string()),
-            arg => {
+            _ if command.is_none() => command = Some(arg),
+            _ if operand.is_none() => operand = Some(arg),
+            _ => {
                 eprintln!("unexpected argument `{arg}`");
                 return ExitCode::from(2);
             }
         }
-        i += 1;
-    }
-    if let Some(format) = format_flag.as_deref() {
-        if format != "json" && format != "text" {
-            eprintln!("unknown format `{format}` (expected `text` or `json`)");
-            return ExitCode::from(2);
-        }
     }
     match command.as_deref() {
-        Some("check") => run_check(root_flag, format_flag.as_deref(), baseline_flag),
-        Some("self-check") => run_self_check(root_flag),
+        Some("check") => run_check(root_flag),
         Some("rules") => run_rules(ids_only),
         Some("explain") => run_explain(operand.as_deref()),
         Some("locks") => run_locks(root_flag),
@@ -81,9 +53,7 @@ fn main() -> ExitCode {
 }
 
 fn usage() {
-    eprintln!(
-        "usage: uprob-lint <check [--format json] [--baseline PATH]|self-check|rules [--ids]|explain <rule>|locks> [--root PATH]"
-    );
+    eprintln!("usage: uprob-lint <check|rules [--ids]|explain <rule>|locks> [--root PATH]");
 }
 
 fn resolve_root(root_flag: Option<String>) -> Option<PathBuf> {
@@ -96,61 +66,20 @@ fn resolve_root(root_flag: Option<String>) -> Option<PathBuf> {
     }
 }
 
-fn run_check(
-    root_flag: Option<String>,
-    format: Option<&str>,
-    baseline_flag: Option<String>,
-) -> ExitCode {
+fn run_check(root_flag: Option<String>) -> ExitCode {
     let Some(root) = resolve_root(root_flag) else {
         eprintln!("could not locate a workspace root (pass --root)");
         return ExitCode::from(2);
     };
-    let config = LintConfig::load(&root);
-    let findings = match check_workspace(&root, &config) {
+    let findings = match check_workspace(&root, &LintConfig::default()) {
         Ok(findings) => findings,
         Err(error) => {
             eprintln!("uprob-lint: io error: {error}");
             return ExitCode::from(2);
         }
     };
-    let total = findings.len();
-    let findings = match baseline_flag {
-        None => findings,
-        Some(path) => {
-            let text = match std::fs::read_to_string(&path) {
-                Ok(text) => text,
-                Err(error) => {
-                    eprintln!("uprob-lint: cannot read baseline `{path}`: {error}");
-                    return ExitCode::from(2);
-                }
-            };
-            match baseline::parse(&text) {
-                Ok(entries) => baseline::unbaselined(findings, &entries),
-                Err(error) => {
-                    eprintln!("uprob-lint: bad baseline `{path}`: {error}");
-                    return ExitCode::from(2);
-                }
-            }
-        }
-    };
-    let baselined = total - findings.len();
-    if format == Some("json") {
-        print!("{}", baseline::to_json(&findings));
-        return if findings.is_empty() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
     if findings.is_empty() {
-        if baselined > 0 {
-            println!(
-                "uprob-lint: workspace clean ({} rules; {baselined} baselined finding(s) suppressed)",
-                rules::RULES.len()
-            );
-        } else {
-            println!("uprob-lint: workspace clean ({} rules)", rules::RULES.len());
-        }
+        println!("uprob-lint: workspace clean ({} rules)", rules::RULES.len());
         return ExitCode::SUCCESS;
     }
     for finding in &findings {
@@ -161,148 +90,6 @@ fn run_check(
         findings.len()
     );
     ExitCode::FAILURE
-}
-
-/// Lints the linter and replays the fixture corpus: every `bad*.rs`
-/// fixture must raise its rule, every `good*.rs` fixture must come out
-/// clean. This is the CI `lint-self` step — the same assertions as the
-/// crate's tests, but runnable against a build of the binary alone.
-fn run_self_check(root_flag: Option<String>) -> ExitCode {
-    let Some(root) = resolve_root(root_flag) else {
-        eprintln!("could not locate a workspace root (pass --root)");
-        return ExitCode::from(2);
-    };
-    let config = LintConfig::load(&root);
-    let mut failures = 0usize;
-
-    // 1. The analyzer over its own sources (the panic family dogfood).
-    let lint_src = root.join("crates/lint/src");
-    match lint_dir_findings(&root, &lint_src, &config) {
-        Ok(findings) if findings.is_empty() => {
-            println!("self-check: crates/lint/src clean");
-        }
-        Ok(findings) => {
-            failures += findings.len();
-            for finding in &findings {
-                println!("{finding}");
-            }
-            println!(
-                "self-check: crates/lint/src has {} finding(s)",
-                findings.len()
-            );
-        }
-        Err(error) => {
-            eprintln!("uprob-lint: io error under {}: {error}", lint_src.display());
-            return ExitCode::from(2);
-        }
-    }
-
-    // 2. The fixture corpus: expected-fail and expected-pass modes.
-    let fixtures = root.join("crates/lint/fixtures");
-    for rule in rules::RULES {
-        let dir = fixtures.join(rule.id);
-        let mut saw_bad = false;
-        let mut saw_good = false;
-        let entries = match std::fs::read_dir(&dir) {
-            Ok(entries) => entries,
-            Err(error) => {
-                eprintln!("self-check: missing fixture dir {}: {error}", dir.display());
-                failures += 1;
-                continue;
-            }
-        };
-        let mut names: Vec<String> = entries
-            .filter_map(|e| e.ok())
-            .map(|e| e.file_name().to_string_lossy().to_string())
-            .filter(|n| n.ends_with(".rs"))
-            .collect();
-        names.sort();
-        for name in names {
-            let Ok(raw) = std::fs::read_to_string(dir.join(&name)) else {
-                failures += 1;
-                continue;
-            };
-            let vpath = fixture_virtual_path(rule.id);
-            let file = uprob_lint::SourceFile::parse(vpath, &raw);
-            let findings = uprob_lint::check_file(&file, &config);
-            let hits = findings.iter().filter(|f| f.rule == rule.id).count();
-            if name.starts_with("bad") {
-                saw_bad = true;
-                if hits == 0 {
-                    println!(
-                        "self-check: FAIL {}/{name}: expected `{}` findings, got none",
-                        rule.id, rule.id
-                    );
-                    failures += 1;
-                }
-            } else if name.starts_with("good") {
-                saw_good = true;
-                if !findings.is_empty() {
-                    println!(
-                        "self-check: FAIL {}/{name}: expected clean, got {} finding(s)",
-                        rule.id,
-                        findings.len()
-                    );
-                    failures += 1;
-                }
-            }
-        }
-        if !saw_bad || !saw_good {
-            println!("self-check: FAIL {}: fixture pair incomplete", rule.id);
-            failures += 1;
-        }
-    }
-    if failures == 0 {
-        println!(
-            "self-check: ok ({} rules, fixtures expected-fail/expected-pass both hold)",
-            rules::RULES.len()
-        );
-        ExitCode::SUCCESS
-    } else {
-        println!("self-check: {failures} failure(s)");
-        ExitCode::FAILURE
-    }
-}
-
-/// The virtual workspace-relative path fixtures are checked under (kept
-/// in sync with crates/lint/tests/fixtures.rs): lock fixtures borrow
-/// the scheduler's path so its declared order applies.
-fn fixture_virtual_path(rule: &str) -> &'static str {
-    match rule {
-        "lock-order" | "lock-undeclared" | "lock-order-graph" => "crates/core/src/parallel.rs",
-        _ => "crates/core/src/fixture.rs",
-    }
-}
-
-/// Lints every scanned `.rs` file under one directory as a crate group.
-fn lint_dir_findings(
-    root: &Path,
-    dir: &Path,
-    config: &LintConfig,
-) -> std::io::Result<Vec<uprob_lint::Finding>> {
-    let mut files = Vec::new();
-    let mut stack = vec![dir.to_path_buf()];
-    while let Some(cur) = stack.pop() {
-        for entry in std::fs::read_dir(&cur)? {
-            let entry = entry?;
-            let path = entry.path();
-            if entry.file_type()?.is_dir() {
-                stack.push(path);
-            } else if path.extension().is_some_and(|e| e == "rs") {
-                let rel = path
-                    .strip_prefix(root)
-                    .unwrap_or(&path)
-                    .to_string_lossy()
-                    .replace('\\', "/");
-                if config.scans(&rel) {
-                    let text = std::fs::read_to_string(&path)?;
-                    files.push(uprob_lint::SourceFile::parse(&rel, &text));
-                }
-            }
-        }
-    }
-    files.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
-    Ok(uprob_lint::check_sources(&files, config))
 }
 
 fn run_rules(ids_only: bool) -> ExitCode {
@@ -341,18 +128,16 @@ fn run_locks(root_flag: Option<String>) -> ExitCode {
         eprintln!("could not locate a workspace root (pass --root)");
         return ExitCode::from(2);
     };
-    let config = LintConfig::load(&root);
-    for manifest in config.lock_manifests {
+    for manifest in LintConfig::default().lock_manifests {
         println!("{}: declared order {:?}", manifest.file, manifest.order);
         let path = root.join(manifest.file);
         let Ok(text) = std::fs::read_to_string(&path) else {
             println!("  (file missing)");
             continue;
         };
-        let file = uprob_lint::SourceFile::parse(manifest.file, &text);
+        let file = SourceFile::parse(manifest.file, &text);
         let mut scratch = Vec::new();
-        let acquisitions =
-            uprob_lint::check::collect_acquisitions(&file, Some(manifest), &mut scratch);
+        let acquisitions = collect_acquisitions(&file, Some(manifest), &mut scratch);
         for acq in &acquisitions {
             let (line, col) = file.position(acq.offset);
             let kind = if acq.named_guard {

@@ -17,7 +17,10 @@
 //! silently rot. `#[cfg(test)]` / `#[test]` regions are bracketed so
 //! rules can skip test code.
 
-// uprob-lint: allow-file(panic-index) -- every index and slice offset in this file derives from a scan over the very buffer being indexed; the sanitizer's byte-for-byte contract keeps raw and sanitized offsets interchangeable
+#![expect(
+    clippy::indexing_slicing,
+    reason = "every index and slice offset in this file derives from a scan over the very buffer being indexed; the sanitizer's byte-for-byte contract keeps raw and sanitized offsets interchangeable"
+)]
 
 use std::cell::Cell;
 
@@ -294,7 +297,10 @@ fn sanitize(raw: &str, tokens: &[Token]) -> (String, Vec<Comment>) {
             }
         }
     }
-    // uprob-lint: allow(panic-expect) -- blanking only ever replaces whole characters with ASCII spaces, and delimiters are copied from the original UTF-8 text
+    #[expect(
+        clippy::expect_used,
+        reason = "blanking only ever replaces whole characters with ASCII spaces, and delimiters are copied from the original UTF-8 text"
+    )]
     let text = String::from_utf8(out).expect("sanitizer preserves UTF-8 structure");
     (text, comments)
 }
@@ -532,8 +538,8 @@ mod tests {
     #[test]
     fn pragmas_bind_to_their_line_or_the_next() {
         let raw = "\
-let a = 1; // uprob-lint: allow(panic-unwrap) -- same line
-// uprob-lint: allow(panic-expect) -- next line
+let a = 1; // uprob-lint: allow(num-raw-accum) -- same line
+// uprob-lint: allow(det-taint) -- next line
 let b = 2;
 // uprob-lint: allow-file(det-hash-iter) -- whole file
 ";
@@ -542,42 +548,42 @@ let b = 2;
         assert_eq!(file.pragmas[0].target_line, Some(1));
         assert_eq!(file.pragmas[1].target_line, Some(3));
         assert!(file.pragmas[2].file_level);
-        assert!(file.allowed("panic-unwrap", 0));
+        assert!(file.allowed("num-raw-accum", 0));
         let (line3, _) = file.line_span(3);
-        assert!(file.allowed("panic-expect", line3));
+        assert!(file.allowed("det-taint", line3));
         assert!(file.allowed("det-hash-iter", line3));
-        assert!(!file.allowed("panic-macro", line3));
+        assert!(!file.allowed("stamp-refresh", line3));
     }
 
     #[test]
     fn pragma_without_reason_is_malformed_and_suppresses_nothing() {
-        let raw = "let a = 1; // uprob-lint: allow(panic-unwrap)\n";
+        let raw = "let a = 1; // uprob-lint: allow(num-raw-accum)\n";
         let file = SourceFile::parse("f.rs", raw);
         assert_eq!(file.pragmas.len(), 1);
         assert!(file.pragmas[0].reason.is_empty());
-        assert!(!file.allowed("panic-unwrap", 0));
+        assert!(!file.allowed("num-raw-accum", 0));
     }
 
     #[test]
     fn pragma_inside_a_string_literal_is_inert() {
         let raw =
-            "let s = \"uprob-lint: allow(panic-unwrap) -- smuggled\";\nlet x = opt.unwrap();\n";
+            "let s = \"uprob-lint: allow(num-raw-accum) -- smuggled\";\nlet x = opt.unwrap();\n";
         let file = SourceFile::parse("f.rs", raw);
         assert!(file.pragmas.is_empty());
-        assert!(!file.allowed("panic-unwrap", 0));
+        assert!(!file.allowed("num-raw-accum", 0));
         let line2 = file.line_span(2).0;
-        assert!(!file.allowed("panic-unwrap", line2));
+        assert!(!file.allowed("num-raw-accum", line2));
     }
 
     #[test]
     fn pragma_inside_a_doc_comment_is_inert_and_reported() {
         let raw = "\
-/// uprob-lint: allow(panic-unwrap) -- smuggled via doc
+/// uprob-lint: allow(num-raw-accum) -- smuggled via doc
 fn f() {}
 ";
         let file = SourceFile::parse("f.rs", raw);
         assert!(file.pragmas.is_empty());
-        assert!(!file.allowed("panic-unwrap", 0));
+        assert!(!file.allowed("num-raw-accum", 0));
         assert_eq!(file.inert_doc_pragmas, vec![1]);
     }
 
@@ -631,9 +637,9 @@ fn live_again() {}
 
     #[test]
     fn block_comment_pragma_still_works() {
-        let raw = "let a = x.unwrap(); /* uprob-lint: allow(panic-unwrap) -- block form */\n";
+        let raw = "let a = x.unwrap(); /* uprob-lint: allow(num-raw-accum) -- block form */\n";
         let file = SourceFile::parse("f.rs", raw);
         assert_eq!(file.pragmas.len(), 1);
-        assert!(file.allowed("panic-unwrap", 0));
+        assert!(file.allowed("num-raw-accum", 0));
     }
 }

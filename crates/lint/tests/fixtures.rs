@@ -20,7 +20,7 @@ use uprob_lint::{check_file, LintConfig, SourceFile};
 /// fixtures reuse the scheduler's path so its declared order applies.
 fn virtual_path(rule: &str) -> &'static str {
     match rule {
-        "lock-order" | "lock-undeclared" | "lock-order-graph" => "crates/core/src/parallel.rs",
+        "lock-undeclared" | "lock-order-graph" => "crates/core/src/parallel.rs",
         _ => "crates/core/src/fixture.rs",
     }
 }

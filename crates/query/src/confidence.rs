@@ -226,7 +226,10 @@ where
         (1, *parallel)
     };
     fan_out_indexed(groups.len(), outer, |index| {
-        // uprob-lint: allow(panic-index) -- fan_out_indexed yields indices below groups.len()
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "fan_out_indexed yields indices below groups.len()"
+        )]
         run(index, &groups[index].1, &inner)
     })
     .into_iter()

@@ -43,7 +43,10 @@
 //! tuple. The eager reference compilation implements the identical rules
 //! tuple-by-tuple; see `uprob_urel::violations` and DESIGN.md.
 
-// uprob-lint: allow-file(panic-expect) -- each `.expect` restates an invariant established earlier in this file: `validate` has resolved every column name, and the constraint-kind match arms guarantee a violation plan exists
+#![expect(
+    clippy::expect_used,
+    reason = "each `.expect` restates an invariant established earlier in this file: `validate` has resolved every column name, and the constraint-kind match arms guarantee a violation plan exists"
+)]
 
 use std::sync::Arc;
 use uprob_wsd::FxHashMap;
@@ -385,6 +388,13 @@ impl Constraint {
     /// relation's schema to enumerate the dependent columns).
     pub fn violation_plan(&self, db: &ProbDb) -> Result<Option<Plan>> {
         self.validate(db)?;
+        self.violation_plan_unchecked(db)
+    }
+
+    /// [`Constraint::violation_plan`] for a constraint that already passed
+    /// [`Constraint::validate`] against `db`: builds the plan without
+    /// validating (and, for a denial constraint, type-checking it) again.
+    fn violation_plan_unchecked(&self, db: &ProbDb) -> Result<Option<Plan>> {
         match self {
             Constraint::FunctionalDependency {
                 relation,
@@ -432,12 +442,16 @@ impl Constraint {
     /// [`Constraint::violation_ws_set`] for a constraint that already
     /// passed [`Constraint::validate`] against `db`.
     fn compile_violations(&self, db: &ProbDb) -> Result<WsSet> {
-        match self.violation_plan(db)? {
+        match self.violation_plan_unchecked(db)? {
             Some(plan) => {
                 let answer = db.query(&plan)?;
                 Ok(answer.answer_ws_set().normalized())
             }
             None => {
+                #[expect(
+                    clippy::unreachable,
+                    reason = "the enclosing match arm already excludes every other constraint kind"
+                )]
                 let Constraint::InclusionDependency {
                     child,
                     child_columns,
@@ -445,7 +459,6 @@ impl Constraint {
                     parent_columns,
                 } = self
                 else {
-                    // uprob-lint: allow(panic-macro) -- the enclosing match arm already excludes every other constraint kind
                     unreachable!("only inclusion dependencies have no violation plan");
                 };
                 ind_violations(db, child, child_columns, parent, parent_columns, true)
@@ -540,7 +553,10 @@ fn column_type(schema: &Schema, column: &str) -> uprob_urel::ColumnType {
     let idx = schema
         .column_index(column)
         .expect("column checked by validate");
-    // uprob-lint: allow(panic-index) -- idx was just resolved by `column_index` on the same schema
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "idx was just resolved by `column_index` on the same schema"
+    )]
     schema.columns()[idx].column_type
 }
 
@@ -560,7 +576,10 @@ fn check_columns(
         });
     }
     for (i, column) in columns.iter().enumerate() {
-        // uprob-lint: allow(panic-index) -- `i` comes from enumerate() over `columns`
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`i` comes from enumerate() over `columns`"
+        )]
         if columns[..i].contains(column) {
             return Err(QueryError::InvalidConstraint {
                 constraint: constraint.describe(),
@@ -761,7 +780,10 @@ fn satisfying_world_set(
         .filter_map(|(constraint, set)| set.is_none().then_some(constraint))
         .collect();
     let compiled = fan_out_indexed(stale.len(), parallel.workers(), |k| {
-        // uprob-lint: allow(panic-index) -- fan_out_indexed yields indices below stale.len()
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "fan_out_indexed yields indices below stale.len()"
+        )]
         stale[k].compile_violations(db)
     });
     for (slot, result) in sets.iter_mut().filter(|set| set.is_none()).zip(compiled) {
@@ -1557,6 +1579,60 @@ mod tests {
         assert!(matches!(
             Constraint::denial("empty", &[], Predicate::True).violation_plan(&db),
             Err(QueryError::InvalidConstraint { .. })
+        ));
+    }
+
+    /// `assert_all` validates each constraint once and then compiles its
+    /// violations from the unchecked plan builder: the malformed denial
+    /// constraints of the test above must still surface as the same typed
+    /// errors (the empty-atom one would otherwise reach the panicking plan
+    /// builder).
+    #[test]
+    fn assert_all_reports_malformed_denial_constraints_as_typed_errors() {
+        let db = fk_db();
+        let options = ConditioningOptions::default();
+        let invalid = |c: Constraint, needle: &str| match assert_all(&db, &[c], &options) {
+            Err(QueryError::InvalidConstraint { reason, .. }) => {
+                assert!(reason.contains(needle), "'{reason}' lacks '{needle}'")
+            }
+            other => panic!("expected InvalidConstraint({needle}), got {other:?}"),
+        };
+        invalid(
+            Constraint::denial("empty", &[], Predicate::True),
+            "at least one atom",
+        );
+        invalid(
+            Constraint::denial("dup", &[("P", "a"), ("C", "a")], Predicate::True),
+            "duplicate atom alias",
+        );
+        invalid(
+            Constraint::denial("blank", &[("P", "")], Predicate::True),
+            "empty alias",
+        );
+        assert!(matches!(
+            assert_all(
+                &db,
+                &[Constraint::denial(
+                    "gone",
+                    &[("GONE", "g")],
+                    Predicate::True
+                )],
+                &options
+            ),
+            Err(QueryError::Urel(UrelError::UnknownRelation { .. }))
+        ));
+        // The condition is type-checked against the concatenated schema.
+        assert!(matches!(
+            assert_all(
+                &db,
+                &[Constraint::denial(
+                    "ghost",
+                    &[("P", "a")],
+                    Predicate::col_eq("GHOST", 1i64)
+                )],
+                &options
+            ),
+            Err(QueryError::Urel(_))
         ));
     }
 

@@ -70,6 +70,21 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 pub mod confidence;
 pub mod constraints;

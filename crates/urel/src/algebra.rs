@@ -86,9 +86,12 @@ pub fn join(
             }
             let tuple = lt.concat(rt);
             if predicate.eval(&schema, &tuple)? {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the `is_consistent_with` filter above guarantees the union exists"
+                )]
                 let combined = ld
                     .union(rd)
-                    // uprob-lint: allow(panic-expect) -- the `is_consistent_with` filter above guarantees the union exists
                     .expect("consistent descriptors always have a union");
                 out.push(tuple, combined);
             }

@@ -102,7 +102,10 @@ impl CompiledExpr {
     fn eval<'a>(&'a self, tuple: &'a Tuple) -> &'a Value {
         match self {
             CompiledExpr::Const(v) => v,
-            // uprob-lint: allow(panic-expect) -- column positions were validated against this schema at compile time
+            #[expect(
+                clippy::expect_used,
+                reason = "column positions were validated against this schema at compile time"
+            )]
             CompiledExpr::Column(i) => tuple.get(*i).expect("validated column position"),
         }
     }
@@ -285,9 +288,9 @@ fn compile_join<'a>(
                     }
                     let tuple = lt.concat(rt);
                     if residual.eval(&tuple) {
+                            #[expect(clippy::expect_used, reason = "the `is_consistent_with` filter above guarantees the union exists")]
                         let descriptor = ld
                             .union(rd)
-                            // uprob-lint: allow(panic-expect) -- the `is_consistent_with` filter above guarantees the union exists
                             .expect("consistent descriptors always have a union");
                         out.push((tuple, descriptor));
                     }
@@ -319,9 +322,9 @@ fn compile_join<'a>(
                         }
                         let tuple = lt.concat(rt);
                         if residual_is_true || residual.eval(&tuple) {
+                                #[expect(clippy::expect_used, reason = "the `is_consistent_with` filter above guarantees the union exists")]
                             let descriptor = ld
                                 .union(rd)
-                                // uprob-lint: allow(panic-expect) -- the `is_consistent_with` filter above guarantees the union exists
                                 .expect("consistent descriptors always have a union");
                             out.push((tuple, descriptor));
                         }
@@ -338,7 +341,10 @@ fn compile_join<'a>(
 fn key_of(tuple: &Tuple, positions: &[usize]) -> Option<Vec<Value>> {
     let mut key = Vec::with_capacity(positions.len());
     for &p in positions {
-        // uprob-lint: allow(panic-expect) -- key positions were resolved against the schema when the join was built
+        #[expect(
+            clippy::expect_used,
+            reason = "key positions were resolved against the schema when the join was built"
+        )]
         let v = tuple.get(p).expect("validated key position");
         if v.is_null() {
             return None;

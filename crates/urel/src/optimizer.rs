@@ -29,7 +29,10 @@
 //! guarantee identical resolution — e.g. pushing through a union whose
 //! branches disagree on duplicate names — is skipped rather than risked.
 
-// uprob-lint: allow-file(panic-index) -- every index in this file is resolved by `column_index`/`position` on the same schema, or bounded by that schema's arity, immediately before use
+#![expect(
+    clippy::indexing_slicing,
+    reason = "every index in this file is resolved by `column_index`/`position` on the same schema, or bounded by that schema's arity, immediately before use"
+)]
 
 use std::collections::BTreeSet;
 
@@ -679,7 +682,10 @@ fn push_project_into_join(
     }
     for name in &referenced {
         let old = concat.column_index(name)?;
-        // uprob-lint: allow(panic-expect) -- `referenced` seeded the keep-sets above, so every referenced column survives into kept_concat
+        #[expect(
+            clippy::expect_used,
+            reason = "`referenced` seeded the keep-sets above, so every referenced column survives into kept_concat"
+        )]
         let pos = kept_concat.iter().position(|&i| i == old).expect("kept");
         if narrowed_concat.column_index(name).map(|x| x == pos) != Ok(true) {
             return Ok(rebuild(left, right, predicate, columns));

@@ -75,7 +75,10 @@ impl Expr {
         match self {
             Expr::Column(c) => {
                 let idx = schema.column_index(&c.name)?;
-                // uprob-lint: allow(panic-index) -- idx was just resolved by `column_index` on the same schema
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "idx was just resolved by `column_index` on the same schema"
+                )]
                 Ok(Some(schema.columns()[idx].column_type))
             }
             Expr::Const(Value::Null) => Ok(None),
@@ -221,7 +224,10 @@ impl Predicate {
     }
 
     /// Negation.
-    #[allow(clippy::should_implement_trait)]
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "a builder combinator named to sit beside `and` / `or`, not an operator overload"
+    )]
     pub fn not(self) -> Predicate {
         Predicate::Not(Box::new(self))
     }

@@ -155,7 +155,10 @@ impl Schema {
         let mut projected = Vec::with_capacity(columns.len());
         for &c in columns {
             let idx = self.column_index(c)?;
-            // uprob-lint: allow(panic-index) -- idx was just resolved by `column_index` on self
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "idx was just resolved by `column_index` on self"
+            )]
             projected.push(self.columns[idx].clone());
         }
         Ok(Schema {

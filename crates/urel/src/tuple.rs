@@ -52,7 +52,10 @@ impl Tuple {
     /// the schema first.
     pub fn project(&self, positions: &[usize]) -> Tuple {
         Tuple {
-            // uprob-lint: allow(panic-index) -- documented panic contract: callers resolve positions via the schema
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "documented panic contract: callers resolve positions via the schema"
+            )]
             values: positions.iter().map(|&i| self.values[i].clone()).collect(),
         }
     }

@@ -115,7 +115,10 @@ pub fn row_filter_violation_plan(relation: &str, predicate: &Predicate) -> Plan 
 /// meaning); the constraint layer validates this before calling.
 pub fn denial_constraint_plan(atoms: &[(String, String)], condition: &Predicate) -> Plan {
     let mut iter = atoms.iter();
-    // uprob-lint: allow(panic-expect) -- documented panic contract: the constraint layer rejects atomless constraints
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic contract: the constraint layer rejects atomless constraints"
+    )]
     let (first_relation, first_alias) = iter.next().expect("a denial constraint has atoms");
     let mut plan = Plan::scan(first_relation).rename(first_alias);
     for (relation, alias) in iter {

@@ -6,7 +6,10 @@
 //! worlds obtained by extending it to a total valuation; the empty
 //! descriptor denotes the set of all possible worlds (Section 2).
 
-// uprob-lint: allow-file(panic-index) -- every index is a binary_search hit or a two-pointer cursor bounded by its own `while i < len` guard
+#![expect(
+    clippy::indexing_slicing,
+    reason = "every index is a binary_search hit or a two-pointer cursor bounded by its own `while i < len` guard"
+)]
 
 use std::fmt;
 
@@ -271,9 +274,12 @@ impl WsDescriptor {
         self.assignments
             .iter()
             .map(|a| {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "documented contract: descriptors are built against this table"
+                )]
                 table
                     .probability(a.var, a.value)
-                    // uprob-lint: allow(panic-expect) -- documented contract: descriptors are built against this table
                     .expect("descriptor refers to a variable missing from the world table")
             })
             .product()

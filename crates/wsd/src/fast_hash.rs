@@ -8,6 +8,10 @@
 //! distribution for hash-consing workloads. Not suitable for hashing
 //! untrusted external input.
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "this module defines the sanctioned aliases: std's tables with the RandomState hasher swapped for FxBuildHasher"
+)]
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hash, Hasher};
 
@@ -36,13 +40,16 @@ impl Hasher for FxHasher {
     fn write(&mut self, bytes: &[u8]) {
         let mut chunks = bytes.chunks_exact(8);
         for chunk in &mut chunks {
-            // uprob-lint: allow(panic-expect) -- chunks_exact(8) yields exactly 8 bytes
+            #[expect(clippy::expect_used, reason = "chunks_exact(8) yields exactly 8 bytes")]
             self.combine(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
         }
         let rest = chunks.remainder();
         if !rest.is_empty() {
             let mut word = [0u8; 8];
-            // uprob-lint: allow(panic-index) -- remainder of chunks_exact(8) is < 8 bytes
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "remainder of chunks_exact(8) is < 8 bytes"
+            )]
             word[..rest.len()].copy_from_slice(rest);
             self.combine(u64::from_le_bytes(word));
         }
@@ -88,9 +95,17 @@ impl BuildHasher for FxBuildHasher {
 }
 
 /// A [`HashMap`] keyed with [`FxHasher`].
+#[expect(
+    clippy::disallowed_types,
+    reason = "the sanctioned alias itself: FxBuildHasher replaces RandomState"
+)]
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
 /// A [`HashSet`] keyed with [`FxHasher`].
+#[expect(
+    clippy::disallowed_types,
+    reason = "the sanctioned alias itself: FxBuildHasher replaces RandomState"
+)]
 pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
 /// The `FxHasher` digest of one value — used e.g. to pick a cache shard

@@ -61,9 +61,12 @@ impl std::borrow::Borrow<[u32]> for CanonicalSetKey {
 impl CanonicalSetKey {
     /// Builds a key from ids that are already sorted and deduplicated
     /// (the format produced by [`DescriptorInterner::canonical_ids`]).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "windows(2) yields exactly 2 elements"
+    )]
     pub fn from_sorted_ids(ids: &[u32]) -> Self {
         debug_assert!(
-            // uprob-lint: allow(panic-index) -- windows(2) yields exactly 2 elements
             ids.windows(2).all(|w| w[0] < w[1]),
             "ids must be sorted+deduped"
         );
@@ -126,7 +129,10 @@ impl DescriptorInterner {
             return id;
         }
         let id = DescriptorId(
-            // uprob-lint: allow(panic-expect) -- 2^32 interned descriptors exceeds addressable memory first
+            #[expect(
+                clippy::expect_used,
+                reason = "2^32 interned descriptors exceeds addressable memory first"
+            )]
             u32::try_from(self.descriptors.len()).expect("more than u32::MAX distinct descriptors"),
         );
         self.by_descriptor.insert(descriptor.clone(), id);
@@ -140,7 +146,10 @@ impl DescriptorInterner {
     ///
     /// Panics if `id` was not produced by this interner.
     pub fn resolve(&self, id: DescriptorId) -> &WsDescriptor {
-        // uprob-lint: allow(panic-index) -- documented panic contract: id must come from this interner
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "documented panic contract: id must come from this interner"
+        )]
         &self.descriptors[id.index()]
     }
 

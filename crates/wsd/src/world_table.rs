@@ -289,10 +289,13 @@ impl WorldTable {
             self.variables.len(),
             "a total valuation must assign every variable"
         );
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "idx comes from this table's own domain (asserted total valuation)"
+        )]
         self.variables
             .iter()
             .zip(world)
-            // uprob-lint: allow(panic-index) -- idx comes from this table's own domain (asserted total valuation)
             .map(|(info, idx)| info.probabilities[idx.index()])
             .product()
     }
@@ -344,9 +347,12 @@ impl WorldTable {
                     .copied()
                     .zip(info.probabilities.iter().copied())
                     .collect();
+                #[expect(
+                    clippy::expect_used,
+                    reason = "alternatives are copied verbatim from an already-validated variable"
+                )]
                 let new_id = new_table
                     .add_variable(&info.name, &alternatives)
-                    // uprob-lint: allow(panic-expect) -- alternatives are copied verbatim from an already-validated variable
                     .expect("copying a valid variable cannot fail");
                 mapping.insert(var, new_id);
             }
@@ -499,18 +505,18 @@ impl Iterator for WorldIter<'_> {
         }
         // Advance the odometer.
         let mut i = 0;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "odometer cursor i is guarded by the `i == current.len()` exit above"
+        )]
         loop {
             if i == self.current.len() {
                 self.done = true;
                 return None;
             }
-            // uprob-lint: allow(panic-index) -- odometer cursor i is guarded by the `i == current.len()` exit above
             let size = self.table.variables[i].domain_size() as u16;
-            // uprob-lint: allow(panic-index) -- same bound
             if self.current[i].0 + 1 < size {
-                // uprob-lint: allow(panic-index) -- same bound
                 self.current[i].0 += 1;
-                // uprob-lint: allow(panic-index) -- same bound
                 for slot in &mut self.current[..i] {
                     slot.0 = 0;
                 }

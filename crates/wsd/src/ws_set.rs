@@ -185,7 +185,10 @@ impl WsSet {
     /// probabilities (used by ws-descriptor elimination, Section 6).
     pub fn is_pairwise_mutex(&self) -> bool {
         for (i, d1) in self.descriptors.iter().enumerate() {
-            // uprob-lint: allow(panic-index) -- i comes from enumerate() over the same vec
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "i comes from enumerate() over the same vec"
+            )]
             for d2 in &self.descriptors[i + 1..] {
                 if !d1.is_mutex_with(d2) {
                     return false;
@@ -273,7 +276,10 @@ impl WsSet {
                 groups.push(WsSet::empty());
                 groups.len() - 1
             });
-            // uprob-lint: allow(panic-index) -- index was just created by the or_insert_with push
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "index was just created by the or_insert_with push"
+            )]
             groups[index].push(d.clone());
         }
         groups
@@ -395,23 +401,32 @@ pub fn diff_single(d1: &WsDescriptor, d2: &WsDescriptor, table: &WorldTable) -> 
     let mut result = Vec::new();
     let mut prefix = d1.clone();
     for a in &missing {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented contract: descriptors are built against this table"
+        )]
         let domain_size = table
             .domain_size(a.var)
-            // uprob-lint: allow(panic-expect) -- documented contract: descriptors are built against this table
             .expect("descriptor variable missing from world table");
         for alt in 0..domain_size as u16 {
             if ValueIndex(alt) == a.value {
                 continue;
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "a.var is missing from prefix by construction of `missing`"
+            )]
             let d = prefix
                 .with(a.var, ValueIndex(alt))
-                // uprob-lint: allow(panic-expect) -- a.var is missing from prefix by construction of `missing`
                 .expect("prefix cannot already assign this variable");
             result.push(d);
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "same: a.var is unassigned in prefix until this step"
+        )]
         prefix
             .assign(a.var, a.value)
-            // uprob-lint: allow(panic-expect) -- same: a.var is unassigned in prefix until this step
             .expect("prefix cannot conflict with the subtracted assignment");
     }
     result
@@ -430,21 +445,22 @@ impl UnionFind {
     }
 
     fn find(&mut self, mut x: usize) -> usize {
-        // uprob-lint: allow(panic-index) -- union-find nodes are 0..n by construction; parents stay in range
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "union-find nodes are 0..n by construction; parents stay in range"
+        )]
         while self.parent[x] != x {
-            // uprob-lint: allow(panic-index) -- same union-find range invariant
             self.parent[x] = self.parent[self.parent[x]];
-            // uprob-lint: allow(panic-index) -- same union-find range invariant
             x = self.parent[x];
         }
         x
     }
 
+    #[expect(clippy::indexing_slicing, reason = "same union-find range invariant")]
     fn union(&mut self, a: usize, b: usize) {
         let ra = self.find(a);
         let rb = self.find(b);
         if ra != rb {
-            // uprob-lint: allow(panic-index) -- same union-find range invariant
             self.parent[ra] = rb;
         }
     }
