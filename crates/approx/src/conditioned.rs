@@ -47,7 +47,8 @@ impl ConditionedEstimate {
 /// Estimates `P(query | condition)` on `table` with an overall (ε, δ)
 /// relative-error guarantee (see the module docs for the composition
 /// argument). The two sub-estimates draw from disjoint deterministic RNG
-/// streams derived from `options.seed`.
+/// streams derived from `options.seed`, each fanned out over up to
+/// `workers` sampling threads (the estimate does not depend on the count).
 ///
 /// # Errors
 ///
@@ -60,6 +61,7 @@ pub fn conditioned_monte_carlo(
     condition: &WsSet,
     table: &WorldTable,
     options: &ApproximationOptions,
+    workers: usize,
 ) -> Result<ConditionedEstimate> {
     options.validate()?;
     let sub = ApproximationOptions {
@@ -71,6 +73,7 @@ pub fn conditioned_monte_carlo(
         condition,
         table,
         &sub.with_seed(options.stream_seed(CONDITION_STREAM)),
+        workers,
     )?;
     // A NaN estimate is treated like zero: a condition whose sampled
     // probability vanishes makes the posterior undefined — the typed
@@ -83,6 +86,7 @@ pub fn conditioned_monte_carlo(
         &joint_set,
         table,
         &sub.with_seed(options.stream_seed(JOINT_STREAM)),
+        workers,
     )?;
     Ok(ConditionedEstimate {
         estimate: (joint_run.estimate / condition_run.estimate).min(1.0),
@@ -118,7 +122,7 @@ mod tests {
             .with_epsilon(0.05)
             .with_delta(0.05)
             .with_seed(5);
-        let result = conditioned_monte_carlo(&q, &c, &w, &options).unwrap();
+        let result = conditioned_monte_carlo(&q, &c, &w, &options, 2).unwrap();
         assert!(
             (result.estimate - 0.3).abs() <= 0.05 * 0.3 + 0.01,
             "estimate {}",
@@ -139,7 +143,7 @@ mod tests {
             .with_epsilon(0.05)
             .with_delta(0.05)
             .with_seed(8);
-        let result = conditioned_monte_carlo(&q, &c, &w, &options).unwrap();
+        let result = conditioned_monte_carlo(&q, &c, &w, &options, 2).unwrap();
         assert!(
             (result.estimate - exact).abs() <= 0.05 * exact + 0.01,
             "estimate {} vs exact {exact}",
@@ -153,7 +157,7 @@ mod tests {
         let (w, vars) = independent_booleans(3, 0.4);
         let c: WsSet = vars.iter().map(|&v| singleton(&w, v)).collect();
         let options = ApproximationOptions::default().with_seed(11);
-        let result = conditioned_monte_carlo(&c, &c, &w, &options).unwrap();
+        let result = conditioned_monte_carlo(&c, &c, &w, &options, 2).unwrap();
         assert!(result.estimate <= 1.0);
         assert!(result.estimate > 0.9, "estimate {}", result.estimate);
     }
@@ -163,7 +167,7 @@ mod tests {
         let (w, vars) = independent_booleans(1, 0.5);
         let q = WsSet::from_descriptors(vec![singleton(&w, vars[0])]);
         let err =
-            conditioned_monte_carlo(&q, &WsSet::empty(), &w, &ApproximationOptions::default())
+            conditioned_monte_carlo(&q, &WsSet::empty(), &w, &ApproximationOptions::default(), 1)
                 .unwrap_err();
         assert_eq!(err, ApproxError::ImpossibleCondition);
     }
@@ -174,8 +178,8 @@ mod tests {
         let q = WsSet::from_descriptors(vec![singleton(&w, vars[0])]);
         let c = WsSet::from_descriptors(vec![singleton(&w, vars[0]), singleton(&w, vars[1])]);
         let options = ApproximationOptions::default().with_seed(77);
-        let a = conditioned_monte_carlo(&q, &c, &w, &options).unwrap();
-        let b = conditioned_monte_carlo(&q, &c, &w, &options).unwrap();
+        let a = conditioned_monte_carlo(&q, &c, &w, &options, 2).unwrap();
+        let b = conditioned_monte_carlo(&q, &c, &w, &options, 2).unwrap();
         assert_eq!(a, b);
     }
 
@@ -184,6 +188,6 @@ mod tests {
         let (w, vars) = independent_booleans(1, 0.5);
         let q = WsSet::from_descriptors(vec![singleton(&w, vars[0])]);
         let options = ApproximationOptions::default().with_epsilon(1.5);
-        assert!(conditioned_monte_carlo(&q, &q, &w, &options).is_err());
+        assert!(conditioned_monte_carlo(&q, &q, &w, &options, 2).is_err());
     }
 }

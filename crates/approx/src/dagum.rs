@@ -12,7 +12,7 @@
 use uprob_wsd::{NeumaierSum, WorldTable, WsSet};
 
 use crate::karp_luby::KarpLuby;
-use crate::parallel::{stream_sum, STREAM_CHUNK};
+use crate::parallel::stream_sum;
 use crate::{ApproximationOptions, Result};
 
 /// Result of the optimal Monte-Carlo estimation.
@@ -53,6 +53,7 @@ pub fn optimal_monte_carlo(
     set: &WsSet,
     table: &WorldTable,
     options: &ApproximationOptions,
+    workers: usize,
 ) -> Result<StoppingRuleResult> {
     options.validate()?;
     let estimator = KarpLuby::new(set, table)?;
@@ -63,7 +64,7 @@ pub fn optimal_monte_carlo(
             refinement_iterations: 0,
         });
     }
-    optimal_monte_carlo_prepared(&estimator, options)
+    optimal_monte_carlo_prepared(&estimator, options, workers)
 }
 
 /// [`optimal_monte_carlo`] against an already-prepared estimator, so one
@@ -73,9 +74,9 @@ pub fn optimal_monte_carlo(
 ///
 /// The adaptive stopping-rule phase runs sequentially on the RNG of a
 /// reserved stream; the variance and final-estimation phases (which have
-/// fixed iteration counts) are fanned out over sampling worker threads with
-/// per-stream deterministic RNGs, so the result depends only on
-/// `options.seed` — never on the worker count.
+/// fixed iteration counts) are fanned out over up to `workers` sampling
+/// threads with per-stream deterministic RNGs, so the result depends only
+/// on `options.seed` — never on the worker count.
 ///
 /// # Errors
 ///
@@ -83,6 +84,7 @@ pub fn optimal_monte_carlo(
 pub fn optimal_monte_carlo_prepared(
     estimator: &KarpLuby<'_>,
     options: &ApproximationOptions,
+    workers: usize,
 ) -> Result<StoppingRuleResult> {
     options.validate()?;
     if let Some(p) = estimator.degenerate(1) {
@@ -117,8 +119,6 @@ pub fn optimal_monte_carlo_prepared(
     // Phase 2: estimate the variance ρ̂ from pairs of samples, in parallel
     // over deterministic streams (each iteration draws one pair).
     let n2 = (upsilon * epsilon1 / mu_hat).ceil().max(1.0) as u64;
-    let workers =
-        options.resolved_workers(usize::try_from(n2.div_ceil(STREAM_CHUNK)).unwrap_or(usize::MAX));
     let variance_sum = stream_sum(
         n2,
         workers,
@@ -139,8 +139,6 @@ pub fn optimal_monte_carlo_prepared(
     // Phase 3: final estimate with the optimal number of samples, again in
     // parallel over deterministic streams.
     let n3 = (upsilon * rho_hat / (mu_hat * mu_hat)).ceil().max(1.0) as u64;
-    let workers =
-        options.resolved_workers(usize::try_from(n3.div_ceil(STREAM_CHUNK)).unwrap_or(usize::MAX));
     let final_sum = estimator.sample_sum_streams(n3, options, PHASE3_STREAM_BASE, workers);
     let mu_final = final_sum / n3 as f64;
     Ok(StoppingRuleResult {
@@ -175,7 +173,7 @@ mod tests {
             .with_epsilon(0.05)
             .with_delta(0.05)
             .with_seed(3);
-        let result = optimal_monte_carlo(&set, &w, &options).unwrap();
+        let result = optimal_monte_carlo(&set, &w, &options, 1).unwrap();
         assert!(
             (result.estimate - exact).abs() <= 0.05 * exact + 0.01,
             "estimate {} vs exact {exact}",
@@ -198,7 +196,7 @@ mod tests {
         let (w_many, _, set_many) = independent_booleans(64, 0.5);
         let estimator = KarpLuby::new(&set_many, &w_many).unwrap();
         let worst_case = estimator.iteration_bound(options.epsilon, options.delta);
-        let near_certain = optimal_monte_carlo(&set_many, &w_many, &options).unwrap();
+        let near_certain = optimal_monte_carlo(&set_many, &w_many, &options, 2).unwrap();
         assert!(near_certain.estimate > 0.99);
         assert!(
             near_certain.total_iterations() < worst_case / 2,
@@ -207,7 +205,7 @@ mod tests {
         );
         // A rare union is also handled accurately.
         let (w_rare, _, set_rare) = independent_booleans(2, 0.01);
-        let rare = optimal_monte_carlo(&set_rare, &w_rare, &options).unwrap();
+        let rare = optimal_monte_carlo(&set_rare, &w_rare, &options, 2).unwrap();
         assert!(rare.estimate < 0.05);
     }
 
@@ -215,10 +213,10 @@ mod tests {
     fn degenerate_sets_short_circuit() {
         let (w, _, _) = independent_booleans(2, 0.5);
         let options = ApproximationOptions::default();
-        let empty = optimal_monte_carlo(&WsSet::empty(), &w, &options).unwrap();
+        let empty = optimal_monte_carlo(&WsSet::empty(), &w, &options, 1).unwrap();
         assert_eq!(empty.estimate, 0.0);
         assert_eq!(empty.total_iterations(), 0);
-        let all = optimal_monte_carlo(&WsSet::universal(), &w, &options).unwrap();
+        let all = optimal_monte_carlo(&WsSet::universal(), &w, &options, 1).unwrap();
         assert_eq!(all.estimate, 1.0);
     }
 
@@ -226,9 +224,9 @@ mod tests {
     fn invalid_options_are_rejected() {
         let (w, _, set) = independent_booleans(2, 0.5);
         let options = ApproximationOptions::default().with_delta(1.5);
-        assert!(optimal_monte_carlo(&set, &w, &options).is_err());
+        assert!(optimal_monte_carlo(&set, &w, &options, 1).is_err());
         let estimator = KarpLuby::new(&set, &w).unwrap();
-        assert!(optimal_monte_carlo_prepared(&estimator, &options).is_err());
+        assert!(optimal_monte_carlo_prepared(&estimator, &options, 1).is_err());
     }
 
     #[test]
@@ -240,16 +238,14 @@ mod tests {
             .with_epsilon(0.05)
             .with_delta(0.05)
             .with_seed(41);
-        let reference =
-            optimal_monte_carlo_prepared(&estimator, &base.with_workers(Some(1))).unwrap();
+        let reference = optimal_monte_carlo_prepared(&estimator, &base, 1).unwrap();
         assert!(
             (reference.estimate - exact).abs() <= 0.05 * exact + 0.01,
             "estimate {} vs exact {exact}",
             reference.estimate
         );
         for workers in [2usize, 8] {
-            let got = optimal_monte_carlo_prepared(&estimator, &base.with_workers(Some(workers)))
-                .unwrap();
+            let got = optimal_monte_carlo_prepared(&estimator, &base, workers).unwrap();
             assert_eq!(
                 got.estimate.to_bits(),
                 reference.estimate.to_bits(),
@@ -259,8 +255,9 @@ mod tests {
         }
         // Reusing the estimator with a fresh seed is a fresh, but still
         // deterministic, run.
-        let reseeded = optimal_monte_carlo_prepared(&estimator, &base.with_seed(99)).unwrap();
-        let reseeded_again = optimal_monte_carlo_prepared(&estimator, &base.with_seed(99)).unwrap();
+        let reseeded = optimal_monte_carlo_prepared(&estimator, &base.with_seed(99), 2).unwrap();
+        let reseeded_again =
+            optimal_monte_carlo_prepared(&estimator, &base.with_seed(99), 2).unwrap();
         assert_eq!(reseeded, reseeded_again);
         assert!((reseeded.estimate - exact).abs() <= 0.05 * exact + 0.01);
     }

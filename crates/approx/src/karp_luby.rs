@@ -12,7 +12,6 @@
 //! algorithm of Karp, Luby & Madras 1989).
 
 use rand::rngs::StdRng;
-
 use uprob_wsd::{NeumaierSum, WorldTable, WsSet};
 
 use crate::parallel::stream_sum;
@@ -72,22 +71,6 @@ impl<'a> KarpLuby<'a> {
         1.0 / coverage as f64
     }
 
-    /// Runs a fixed number of iterations and returns the estimate.
-    ///
-    /// Degenerate inputs short-circuit: an empty set has probability 0.
-    pub fn estimate_fixed(&self, iterations: u64, rng: &mut StdRng) -> f64 {
-        if let Some(p) = self.degenerate(iterations) {
-            return p;
-        }
-        let mut world = self.sampler.scratch();
-        let mut sum = 0.0;
-        for _ in 0..iterations {
-            // uprob-lint: allow(num-raw-accum) -- estimator tally of 0/1-bounded terms: bits are pinned by the seeded statistical suites; Monte-Carlo error dominates rounding
-            sum += self.sample(rng, &mut world);
-        }
-        (self.total_weight() * sum / iterations as f64).min(1.0)
-    }
-
     /// The classic iteration bound `⌈4 · m · ln(2/δ) / ε²⌉` that makes the
     /// estimator an (ε, δ)-FPRAS.
     pub fn iteration_bound(&self, epsilon: f64, delta: f64) -> u64 {
@@ -135,26 +118,31 @@ impl<'a> KarpLuby<'a> {
         )
     }
 
-    /// Runs a fixed number of iterations fanned out over sampling worker
-    /// threads with per-stream deterministic RNGs and returns the estimate.
+    /// Runs a fixed number of iterations fanned out over up to `workers`
+    /// sampling threads with per-stream deterministic RNGs and returns the
+    /// estimate.
     ///
-    /// Unlike [`KarpLuby::estimate_fixed`] (one sequential RNG), the result
-    /// here depends only on `options.seed` and `iterations`, never on the
-    /// worker count; degenerate inputs short-circuit the same way.
-    pub fn estimate_fixed_parallel(&self, iterations: u64, options: &ApproximationOptions) -> f64 {
+    /// The result depends only on `options.seed` and `iterations`, never on
+    /// the worker count. Degenerate inputs short-circuit: an empty set (or
+    /// zero iterations) gives 0, a set of nullary descriptors gives 1.
+    pub fn estimate_fixed_parallel(
+        &self,
+        iterations: u64,
+        options: &ApproximationOptions,
+        workers: usize,
+    ) -> f64 {
         if let Some(p) = self.degenerate(iterations) {
             return p;
         }
-        let num_streams = iterations.div_ceil(crate::parallel::STREAM_CHUNK);
-        let workers = options.resolved_workers(usize::try_from(num_streams).unwrap_or(usize::MAX));
         let sum = self.sample_sum_streams(iterations, options, 0, workers);
         (self.total_weight() * sum / iterations as f64).min(1.0)
     }
 }
 
 /// Runs the Karp–Luby estimator with the classic (ε, δ) iteration bound,
-/// fanning the sampling loop out over deterministic per-stream RNGs (the
-/// result is independent of the worker count).
+/// fanning the sampling loop out over up to `workers` threads with
+/// deterministic per-stream RNGs (the result is independent of the worker
+/// count).
 ///
 /// # Errors
 ///
@@ -163,11 +151,12 @@ pub fn karp_luby_epsilon_delta(
     set: &WsSet,
     table: &WorldTable,
     options: &ApproximationOptions,
+    workers: usize,
 ) -> Result<KarpLubyResult> {
     options.validate()?;
     let estimator = KarpLuby::new(set, table)?;
     let iterations = estimator.iteration_bound(options.epsilon, options.delta);
-    let estimate = estimator.estimate_fixed_parallel(iterations, options);
+    let estimate = estimator.estimate_fixed_parallel(iterations, options, workers);
     Ok(KarpLubyResult {
         estimate,
         iterations,
@@ -196,8 +185,8 @@ mod tests {
         // P(t1 ∨ … ∨ t5) = 1 - (1 - 0.3)^5 ≈ 0.83193.
         let (w, _, set) = independent_booleans(5, 0.3);
         let estimator = KarpLuby::new(&set, &w).unwrap();
-        let mut rng = ApproximationOptions::default().with_seed(17).rng();
-        let estimate = estimator.estimate_fixed(40_000, &mut rng);
+        let options = ApproximationOptions::default().with_seed(17);
+        let estimate = estimator.estimate_fixed_parallel(40_000, &options, 1);
         let exact = 1.0 - 0.7f64.powi(5);
         assert!(
             (estimate - exact).abs() < 0.01,
@@ -224,8 +213,8 @@ mod tests {
             WsDescriptor::from_pairs(&w, &[(u, 2)]).unwrap(),
         ]);
         let estimator = KarpLuby::new(&s, &w).unwrap();
-        let mut rng = ApproximationOptions::default().with_seed(23).rng();
-        let estimate = estimator.estimate_fixed(60_000, &mut rng);
+        let options = ApproximationOptions::default().with_seed(23);
+        let estimate = estimator.estimate_fixed_parallel(60_000, &options, 1);
         assert!((estimate - 0.7578).abs() < 0.01, "estimate {estimate}");
     }
 
@@ -238,7 +227,7 @@ mod tests {
                 .with_epsilon(0.05)
                 .with_delta(0.05)
                 .with_seed(seed);
-            let result = karp_luby_epsilon_delta(&set, &w, &options).unwrap();
+            let result = karp_luby_epsilon_delta(&set, &w, &options, 2).unwrap();
             assert!(result.iterations >= 4 * 4);
             assert!(
                 (result.estimate - exact).abs() <= 0.05 * exact + 1e-9,
@@ -262,17 +251,17 @@ mod tests {
     fn degenerate_inputs() {
         let (w, _, _) = independent_booleans(2, 0.5);
         let empty = KarpLuby::new(&WsSet::empty(), &w).unwrap();
-        let mut rng = ApproximationOptions::default().rng();
-        assert_eq!(empty.estimate_fixed(100, &mut rng), 0.0);
+        let options = ApproximationOptions::default();
+        assert_eq!(empty.estimate_fixed_parallel(100, &options, 1), 0.0);
         let universal = KarpLuby::new(&WsSet::universal(), &w).unwrap();
-        assert_eq!(universal.estimate_fixed(100, &mut rng), 1.0);
+        assert_eq!(universal.estimate_fixed_parallel(100, &options, 1), 1.0);
     }
 
     #[test]
     fn invalid_options_are_rejected() {
         let (w, _, set) = independent_booleans(2, 0.5);
         let options = ApproximationOptions::default().with_epsilon(0.0);
-        assert!(karp_luby_epsilon_delta(&set, &w, &options).is_err());
+        assert!(karp_luby_epsilon_delta(&set, &w, &options, 2).is_err());
     }
 
     #[test]
@@ -281,23 +270,23 @@ mod tests {
         let exact = 1.0 - 0.7f64.powi(5);
         let estimator = KarpLuby::new(&set, &w).unwrap();
         let base = ApproximationOptions::default().with_seed(77);
-        let reference = estimator.estimate_fixed_parallel(60_000, &base.with_workers(Some(1)));
+        let reference = estimator.estimate_fixed_parallel(60_000, &base, 1);
         assert!(
             (reference - exact).abs() < 0.01,
             "estimate {reference}, exact {exact}"
         );
         for workers in [2usize, 4, 16] {
-            let got = estimator.estimate_fixed_parallel(60_000, &base.with_workers(Some(workers)));
+            let got = estimator.estimate_fixed_parallel(60_000, &base, workers);
             assert_eq!(
                 got.to_bits(),
                 reference.to_bits(),
                 "workers {workers}: {got} != {reference}"
             );
         }
-        // Degenerate inputs short-circuit exactly like the sequential path.
+        // Degenerate inputs short-circuit before any thread is spawned.
         let empty = KarpLuby::new(&WsSet::empty(), &w).unwrap();
-        assert_eq!(empty.estimate_fixed_parallel(1_000, &base), 0.0);
+        assert_eq!(empty.estimate_fixed_parallel(1_000, &base, 4), 0.0);
         let universal = KarpLuby::new(&WsSet::universal(), &w).unwrap();
-        assert_eq!(universal.estimate_fixed_parallel(1_000, &base), 1.0);
+        assert_eq!(universal.estimate_fixed_parallel(1_000, &base, 4), 1.0);
     }
 }

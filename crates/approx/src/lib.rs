@@ -10,11 +10,12 @@
 //!   Madras), generalised from Boolean DNF to ws-descriptors over
 //!   finite-domain variables;
 //! * [`dagum`]: the optimal Monte-Carlo stopping rule of Dagum, Karp, Luby &
-//!   Ross used by the paper to pick a small sufficient number of iterations;
-//! * [`naive`]: plain Monte-Carlo world sampling, as a sanity baseline.
+//!   Ross used by the paper to pick a small sufficient number of iterations.
 //!
 //! All estimators are deterministic given a seed, so benchmark runs are
-//! reproducible.
+//! reproducible. Sampling loops are pre-partitioned into fixed RNG streams
+//! ([`parallel`]); every entry point takes the number of sampling threads
+//! as its last argument and returns the same bits for every value of it.
 //!
 //! ```
 //! use uprob_wsd::{WorldTable, WsDescriptor, WsSet};
@@ -29,7 +30,7 @@
 //! ]);
 //! let estimate = KarpLuby::new(&s, &w)
 //!     .unwrap()
-//!     .estimate_fixed(20_000, &mut ApproximationOptions::default().rng());
+//!     .estimate_fixed_parallel(20_000, &ApproximationOptions::default(), 2);
 //! assert!((estimate - 0.75).abs() < 0.02);
 //! ```
 
@@ -55,7 +56,6 @@ pub mod conditioned;
 pub mod dagum;
 pub mod error;
 pub mod karp_luby;
-pub mod naive;
 pub mod parallel;
 pub mod pool;
 pub mod sampler;
@@ -64,7 +64,6 @@ pub use conditioned::{conditioned_monte_carlo, ConditionedEstimate};
 pub use dagum::{optimal_monte_carlo, optimal_monte_carlo_prepared, StoppingRuleResult};
 pub use error::ApproxError;
 pub use karp_luby::{karp_luby_epsilon_delta, KarpLuby};
-pub use naive::naive_monte_carlo;
 pub use pool::fan_out_indexed;
 
 use rand::rngs::StdRng;
@@ -85,12 +84,6 @@ pub struct ApproximationOptions {
     /// seed alone, so a given `(instance, options)` pair always reproduces
     /// the same estimate — there is no entropy-seeded path.
     pub seed: u64,
-    /// Number of worker threads for the parallel sampling loops. `None`
-    /// (default) uses the available CPU parallelism. Estimates are
-    /// *independent of the worker count*: iterations are pre-partitioned
-    /// into fixed streams with per-stream RNGs (see [`parallel`]), so this
-    /// knob only changes wall-clock time, never the result.
-    pub workers: Option<usize>,
 }
 
 impl Default for ApproximationOptions {
@@ -99,7 +92,6 @@ impl Default for ApproximationOptions {
             epsilon: 0.1,
             delta: 0.01,
             seed: 0xC0FFEE,
-            workers: None,
         }
     }
 }
@@ -123,18 +115,6 @@ impl ApproximationOptions {
         self
     }
 
-    /// Returns a copy with the given sampling worker count (`None` = use the
-    /// available CPU parallelism).
-    pub fn with_workers(mut self, workers: Option<usize>) -> Self {
-        self.workers = workers;
-        self
-    }
-
-    /// The seeded random number generator used by the estimators.
-    pub fn rng(&self) -> StdRng {
-        StdRng::seed_from_u64(self.seed)
-    }
-
     /// A derived seed for an auxiliary RNG stream (a sampling worker stream,
     /// a per-tuple estimator of a batch, or the numerator / denominator of a
     /// conditioned estimate). The derivation is a SplitMix64 finalizer over
@@ -149,19 +129,6 @@ impl ApproximationOptions {
     /// [`ApproximationOptions::stream_seed`]).
     pub fn rng_for_stream(&self, stream: u64) -> StdRng {
         StdRng::seed_from_u64(self.stream_seed(stream))
-    }
-
-    /// The resolved sampling worker count given `available` units of work:
-    /// the explicit [`ApproximationOptions::workers`] if set, otherwise the
-    /// available CPU parallelism, always clamped to `[1, available]`.
-    pub fn resolved_workers(&self, available: usize) -> usize {
-        self.workers
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1)
-            })
-            .clamp(1, available.max(1))
     }
 
     /// Validates ε and δ.
@@ -237,8 +204,12 @@ mod tests {
     #[test]
     fn rng_is_deterministic_per_seed() {
         use rand::RngExt;
-        let mut a = ApproximationOptions::default().with_seed(3).rng();
-        let mut b = ApproximationOptions::default().with_seed(3).rng();
+        let mut a = ApproximationOptions::default()
+            .with_seed(3)
+            .rng_for_stream(0);
+        let mut b = ApproximationOptions::default()
+            .with_seed(3)
+            .rng_for_stream(0);
         assert_eq!(
             a.random_range(0..1_000_000u64),
             b.random_range(0..1_000_000u64)
@@ -259,12 +230,22 @@ mod tests {
 
     #[test]
     fn worker_resolution_clamps_to_available_work() {
-        let explicit = ApproximationOptions::default().with_workers(Some(4));
-        assert_eq!(explicit.resolved_workers(16), 4);
-        assert_eq!(explicit.resolved_workers(2), 2);
-        assert_eq!(explicit.resolved_workers(0), 1);
-        let auto = ApproximationOptions::default();
-        assert!(auto.resolved_workers(8) >= 1);
-        assert_eq!(auto.resolved_workers(1), 1);
+        use uprob_wsd::{WorldTable, WsDescriptor, WsSet};
+        // 100 iterations are one stream: a worker count of 0 or 64 is
+        // clamped to the one job there is, and the bits do not move.
+        let mut w = WorldTable::new();
+        let a = w.add_boolean("a", 0.5).unwrap();
+        let b = w.add_boolean("b", 0.5).unwrap();
+        let set = WsSet::from_descriptors(vec![
+            WsDescriptor::from_pairs(&w, &[(a, 1)]).unwrap(),
+            WsDescriptor::from_pairs(&w, &[(b, 1)]).unwrap(),
+        ]);
+        let estimator = KarpLuby::new(&set, &w).unwrap();
+        let options = ApproximationOptions::default();
+        let inline = estimator.estimate_fixed_parallel(100, &options, 1);
+        for workers in [0, 64] {
+            let got = estimator.estimate_fixed_parallel(100, &options, workers);
+            assert_eq!(got.to_bits(), inline.to_bits(), "workers {workers}");
+        }
     }
 }

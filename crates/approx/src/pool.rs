@@ -21,7 +21,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// thread, in order, with zero scheduling overhead — so a sequential call
 /// is not merely equivalent but literally the same loop. `run` must be
 /// oblivious to *which* thread invokes it; determinism of the output is
-/// then exactly determinism of the individual jobs.
+/// then exactly determinism of the individual jobs. This is the only place
+/// the product crates spawn threads.
+///
+/// # Panics
+///
+/// A panic inside `run` is re-raised on the calling thread with the job's
+/// own payload once every worker has stopped.
 pub fn fan_out_indexed<T, F>(count: usize, workers: usize, run: F) -> Vec<T>
 where
     T: Send,
@@ -50,15 +56,17 @@ where
             })
             .collect();
         for handle in handles {
-            #[expect(
-                clippy::expect_used,
-                reason = "panic propagation: a panicked fan-out worker must abort the caller"
-            )]
+            // A panicking job unwinds through its worker; re-raise the
+            // job's own payload on the calling thread, so whoever contains
+            // the panic (e.g. `ProbDbService`) reports the job's message.
+            let local = handle
+                .join()
+                .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
             #[expect(
                 clippy::indexing_slicing,
                 reason = "workers only claim indices below the job count `slots` was sized with"
             )]
-            for (index, value) in handle.join().expect("fan-out worker panicked") {
+            for (index, value) in local {
                 slots[index] = Some(value);
             }
         }
@@ -90,6 +98,30 @@ mod tests {
     fn empty_and_single_job_counts() {
         assert_eq!(fan_out_indexed(0, 8, |i| i), Vec::<usize>::new());
         assert_eq!(fan_out_indexed(1, 8, |i| i + 41), vec![41]);
+    }
+
+    #[test]
+    fn one_worker_runs_every_job_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let ran_on = fan_out_indexed(4, 1, |_| std::thread::current().id());
+        assert!(ran_on.iter().all(|&id| id == caller));
+    }
+
+    #[test]
+    fn a_job_panic_reaches_the_caller_with_its_own_message() {
+        let caught = std::panic::catch_unwind(|| {
+            fan_out_indexed(8, 2, |i| {
+                if i == 5 {
+                    panic!("boom at job {i}");
+                }
+                i
+            })
+        })
+        .expect_err("job 5 panics");
+        assert_eq!(
+            caught.downcast_ref::<String>().map(String::as_str),
+            Some("boom at job 5")
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::hint::black_box;
 use std::time::Duration;
 
 use uprob_approx::{optimal_monte_carlo, ApproximationOptions};
-use uprob_core::{confidence, DecompositionOptions};
+use uprob_core::{available_workers, confidence, DecompositionOptions};
 use uprob_datagen::{HardInstance, HardInstanceConfig};
 
 fn bench_fig11b(c: &mut Criterion) {
@@ -42,6 +42,7 @@ fn bench_fig11b(c: &mut Criterion) {
                     black_box(&inst.ws_set),
                     &inst.world_table,
                     &ApproximationOptions::default().with_epsilon(0.1),
+                    available_workers(),
                 )
                 .unwrap()
                 .estimate

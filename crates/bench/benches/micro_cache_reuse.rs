@@ -13,7 +13,8 @@ use uprob_core::{
 };
 use uprob_datagen::{q1_answer_relation, TpchConfig, TpchDatabase};
 use uprob_query::{
-    answer_confidences_with_options, boolean_confidence, tuple_confidences_sequential,
+    answer_confidences_with_options, boolean_confidence,
+    reference::tuple_confidences as tuple_confidences_sequential,
 };
 
 fn bench_cache_reuse(c: &mut Criterion) {

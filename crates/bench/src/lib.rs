@@ -20,6 +20,6 @@ pub use experiments::{
     ingest_load, orders_lineitem_join_plan, parallel_scaling, planned_vs_eager, serve_load,
     ExperimentScale,
 };
-pub use parallel::{available_cores, multicore_gate, ParallelWorkload, ParallelWorkloadConfig};
+pub use parallel::{available_cores, ParallelWorkload, ParallelWorkloadConfig};
 pub use runner::{run_algorithm, Algorithm, RunOutcome};
 pub use table::ResultTable;

@@ -1,17 +1,7 @@
-//! Core-count gating for the multicore speedup bars and the
-//! block-parallel hard workload they measure.
+//! The block-parallel hard workload of the `parallel_decomposition` bench
+//! and the `--exp parallel` sweep.
 //!
-//! The speedup bars in `tests/` assert *wall-clock* ratios, so any bar
-//! that needs real hardware parallelism must first check how many cores
-//! the host actually has — a single-core CI runner cannot show a 2x
-//! multicore speedup no matter how correct the scheduler is. The
-//! [`multicore_gate`] helper centralises that check and prints the
-//! explicit `skipped: N cores` message the CI logs grep for, so a gated
-//! bar can never be silently skipped.
-//!
-//! [`ParallelWorkload`] generates the instance those bars (and the
-//! `parallel_decomposition` bench and the `--exp parallel` sweep) run on:
-//! a union of `blocks` variable-disjoint hard blocks, each shaped like the
+//! [`ParallelWorkload`] generates the instance they run on: a union of `blocks` variable-disjoint hard blocks, each shaped like the
 //! transition-region instances of Figure 12. Because the blocks share no
 //! variables, the very first decomposition step is an independent
 //! partition (⊗) with one child per block — exactly the coarse-grained
@@ -26,23 +16,6 @@ use uprob_wsd::{ValueIndex, VarId, WorldTable, WsDescriptor, WsSet};
 /// scheduler's [`uprob_core::ParallelOptions::auto`] uses).
 pub fn available_cores() -> usize {
     available_workers()
-}
-
-/// Gates a multicore wall-clock bar on the host's core count.
-///
-/// Returns `true` when the host has at least `required` cores. Otherwise
-/// prints the explicit skip message — `NAME: skipped: N cores (...)` —
-/// and returns `false`, so the caller can return early without failing.
-/// Correctness assertions must run *before* this gate: only the
-/// wall-clock ratio depends on physical parallelism.
-pub fn multicore_gate(bar: &str, required: usize) -> bool {
-    let cores = available_cores();
-    if cores >= required {
-        true
-    } else {
-        println!("{bar}: skipped: {cores} cores (multicore wall-clock bar requires >= {required})");
-        false
-    }
 }
 
 /// Shape of the block-parallel workload.
@@ -205,11 +178,5 @@ mod tests {
             assert_eq!(got.probability.to_bits(), sequential.probability.to_bits());
             assert_eq!(got.stats, sequential.stats);
         }
-    }
-
-    #[test]
-    fn gate_accepts_single_core_requirements() {
-        assert!(multicore_gate("test_bar", 1));
-        assert!(available_cores() >= 1);
     }
 }

@@ -4,8 +4,8 @@ use std::time::{Duration, Instant};
 
 use uprob_approx::{karp_luby_epsilon_delta, optimal_monte_carlo, ApproximationOptions};
 use uprob_core::{
-    confidence, confidence_by_elimination_parallel, CoreError, DecompositionOptions,
-    ParallelOptions, VariableHeuristic,
+    available_workers, confidence, confidence_by_elimination_parallel, CoreError,
+    DecompositionOptions, ParallelOptions, VariableHeuristic,
 };
 use uprob_wsd::{WorldTable, WsSet};
 
@@ -153,14 +153,16 @@ pub fn run_algorithm(
             let options = ApproximationOptions::default()
                 .with_epsilon(epsilon)
                 .with_delta(0.01);
-            let result = karp_luby_epsilon_delta(set, table, &options).expect("valid parameters");
+            let result = karp_luby_epsilon_delta(set, table, &options, available_workers())
+                .expect("valid parameters");
             finish(result.estimate, start)
         }
         Algorithm::OptimalKarpLuby { epsilon } => {
             let options = ApproximationOptions::default()
                 .with_epsilon(epsilon)
                 .with_delta(0.01);
-            let result = optimal_monte_carlo(set, table, &options).expect("valid parameters");
+            let result = optimal_monte_carlo(set, table, &options, available_workers())
+                .expect("valid parameters");
             finish(result.estimate, start)
         }
     }

@@ -13,8 +13,9 @@
 //! [`confidence`] composes this recursion with the decomposition of
 //! [`crate::decompose`] without materialising the ws-tree (the
 //! `ComputeTree ∘ P` composition of the paper); [`tree_probability`]
-//! evaluates an already-materialised tree; [`confidence_brute_force`]
-//! enumerates the possible worlds and is used as a test oracle.
+//! evaluates an already-materialised tree. The test oracle for both is
+//! [`WsSet::probability_by_enumeration`], which enumerates the possible
+//! worlds.
 
 use uprob_wsd::{NeumaierSum, WorldTable, WsSet};
 
@@ -146,14 +147,6 @@ pub fn tree_probability(tree: &WsTree, table: &WorldTable) -> f64 {
     }
 }
 
-/// Brute-force probability computation by enumerating all possible worlds.
-///
-/// Exponential in the number of variables of `table`; used as the test
-/// oracle and as the baseline that the paper mentions but does not plot.
-pub fn confidence_brute_force(set: &WsSet, table: &WorldTable) -> f64 {
-    set.probability_by_enumeration(table)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,7 +189,7 @@ mod tests {
                 result.probability
             );
         }
-        assert!((confidence_brute_force(&s, &w) - 0.7578).abs() < 1e-12);
+        assert!((s.probability_by_enumeration(&w) - 0.7578).abs() < 1e-12);
     }
 
     #[test]
@@ -270,7 +263,7 @@ mod tests {
                 }
                 set.push(d);
             }
-            let expected = confidence_brute_force(&set, &w);
+            let expected = set.probability_by_enumeration(&w);
             for heuristic in VariableHeuristic::ALL {
                 for method in [
                     crate::decompose::DecompositionMethod::IndVe,
@@ -402,7 +395,7 @@ mod tests {
                 }
                 set.push(d);
             }
-            let expected = confidence_brute_force(&set, &w);
+            let expected = set.probability_by_enumeration(&w);
             for options in [
                 DecompositionOptions::indve_minlog(),
                 DecompositionOptions::ve_minlog(),

@@ -163,7 +163,6 @@ pub fn mutex_equivalent(set: &WsSet, table: &WorldTable) -> WsSet {
 mod tests {
     use super::*;
     use crate::cache::SharedDecompositionCache;
-    use crate::confidence::confidence_brute_force;
     use uprob_wsd::{VarId, WsDescriptor};
 
     /// The general entry point on one worker.
@@ -239,7 +238,7 @@ mod tests {
         // Linear-time probability of a mutex set: sum of descriptor
         // probabilities.
         let linear: f64 = mutex.iter().map(|d| d.probability(&w)).sum();
-        assert!((linear - confidence_brute_force(&set, &w)).abs() < 1e-12);
+        assert!((linear - set.probability_by_enumeration(&w)).abs() < 1e-12);
     }
 
     #[test]
@@ -269,7 +268,7 @@ mod tests {
                 }
                 set.push(d);
             }
-            let expected = confidence_brute_force(&set, &w);
+            let expected = set.probability_by_enumeration(&w);
             let got = confidence_by_elimination(&set, &w).unwrap().probability;
             assert!(
                 (got - expected).abs() < 1e-9,
@@ -347,7 +346,7 @@ mod tests {
             (fixed.probability - 1.0).abs()
         );
         // The (compensated) brute-force oracle agrees.
-        let brute = confidence_brute_force(&set, &w);
+        let brute = set.probability_by_enumeration(&w);
         assert!((fixed.probability - brute).abs() < 1e-13);
         assert!(fixed.stats.branches >= tiny_count as u64);
     }

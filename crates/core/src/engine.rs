@@ -242,7 +242,12 @@ pub fn estimate_confidence(
 
 /// [`estimate_confidence`] with the exact path running on
 /// `parallel.workers()` work-stealing worker threads
-/// ([`confidence_parallel`]).
+/// ([`confidence_parallel`]) and the sampling streams of an `Approximate`
+/// run or a `Hybrid` fallback fanned out over the same number of threads
+/// — `parallel` is the one worker knob, and
+/// [`ParallelOptions::sequential`] spawns no thread on either path. The
+/// sampled estimate is stream-partitioned and therefore has the same bits
+/// at every worker count.
 ///
 /// The parallel exact fold is bit-identical to the sequential one, so the
 /// strategy semantics are unchanged; under `Hybrid`, the node budget is
@@ -266,7 +271,7 @@ pub fn estimate_confidence_with_options(
     match exact_attempt(set, table, decomposition, strategy, cache, parallel)? {
         ExactAttempt::Completed(run) => Ok(ConfidenceReport::exact(strategy, run)),
         ExactAttempt::Sample { approx, fell_back } => {
-            let run = optimal_monte_carlo(set, table, approx)?;
+            let run = optimal_monte_carlo(set, table, approx, parallel.workers())?;
             Ok(ConfidenceReport::sampled(
                 strategy,
                 run.estimate,
@@ -368,10 +373,11 @@ pub fn estimate_conditioned_confidence(
 }
 
 /// [`estimate_conditioned_confidence`] with both exact folds of the ratio
-/// running on `parallel.workers()` work-stealing worker threads; the
-/// strategy and fallback semantics are unchanged (the parallel folds are
-/// bit-identical to the sequential ones; see
-/// [`estimate_confidence_with_options`] for the budget accounting).
+/// — and the sampling streams of a fallback — running on
+/// `parallel.workers()` worker threads; the strategy and fallback
+/// semantics are unchanged (the parallel folds are bit-identical to the
+/// sequential ones; see [`estimate_confidence_with_options`] for the
+/// budget accounting).
 ///
 /// # Errors
 ///
@@ -391,7 +397,7 @@ pub fn estimate_conditioned_confidence_with_options(
         ExactAttempt::Sample { approx, fell_back } => {
             // No exact P(C) — never attempted, or the condition itself is
             // past the wall: sample the whole ratio.
-            let run = conditioned_monte_carlo(query, condition, table, approx)?;
+            let run = conditioned_monte_carlo(query, condition, table, approx, parallel.workers())?;
             return Ok(ConfidenceReport::sampled(
                 strategy,
                 run.estimate,
@@ -421,7 +427,7 @@ pub fn estimate_conditioned_confidence_with_options(
             // Keep the exact denominator; only the numerator is estimated.
             // The ratio's relative error is exactly the numerator's, so the
             // full (ε, δ) applies unchanged.
-            let joint_run = optimal_monte_carlo(&joint_set, table, approx)?;
+            let joint_run = optimal_monte_carlo(&joint_set, table, approx, parallel.workers())?;
             let mut report = ConfidenceReport::sampled(
                 strategy,
                 (joint_run.estimate / condition_run.probability).min(1.0),
@@ -438,7 +444,6 @@ pub fn estimate_conditioned_confidence_with_options(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::confidence::confidence_brute_force;
     use uprob_wsd::WsDescriptor;
 
     /// The world table and ws-set S of Figure 3 (P(S) = 0.7578).
@@ -559,7 +564,7 @@ mod tests {
         let u = w.variable_by_name("u").unwrap();
         let c = WsSet::from_descriptors(vec![WsDescriptor::from_pairs(&w, &[(u, 1)]).unwrap()]);
         let joint = s.intersect(&c).normalized();
-        let expected = confidence_brute_force(&joint, &w) / confidence_brute_force(&c, &w);
+        let expected = joint.probability_by_enumeration(&w) / c.probability_by_enumeration(&w);
         let options = DecompositionOptions::indve_minlog();
         let exact =
             estimate_conditioned_confidence(&s, &c, &w, &options, &ConfidenceStrategy::Exact, None)
@@ -605,7 +610,7 @@ mod tests {
         let x0 = w.variable_by_name("x0").unwrap();
         let c = WsSet::from_descriptors(vec![WsDescriptor::from_pairs(&w, &[(x0, 1)]).unwrap()]);
         let joint = s.intersect(&c).normalized();
-        let expected = confidence_brute_force(&joint, &w) / 0.5;
+        let expected = joint.probability_by_enumeration(&w) / 0.5;
         let strategy = ConfidenceStrategy::Hybrid {
             budget: 5,
             approx: ApproximationOptions::default()
@@ -708,10 +713,25 @@ mod tests {
             budget: exact_cost * 4,
             approx: ApproximationOptions::default().with_seed(41),
         };
+        // ε is tight enough that every sampling phase spans several RNG
+        // streams, so the worker count really partitions the fallback.
         let tight = ConfidenceStrategy::Hybrid {
             budget: exact_cost / 4,
-            approx: ApproximationOptions::default().with_seed(41),
+            approx: ApproximationOptions::default()
+                .with_epsilon(0.02)
+                .with_seed(41),
         };
+        let sequential_fallback = estimate_confidence_with_options(
+            &s,
+            &w,
+            &DecompositionOptions::ve_minlog(),
+            &tight,
+            None,
+            &ParallelOptions::sequential(),
+        )
+        .unwrap();
+        let sampled = sequential_fallback.sampling.expect("fallback samples");
+        assert!(sampled.iterations > 4 * uprob_approx::parallel::STREAM_CHUNK);
         let reference = estimate_confidence_with_options(
             &s,
             &w,
@@ -759,19 +779,10 @@ mod tests {
             );
             assert_eq!(
                 fallback_side.probability.to_bits(),
-                estimate_confidence_with_options(
-                    &s,
-                    &w,
-                    &DecompositionOptions::ve_minlog(),
-                    &tight,
-                    None,
-                    &ParallelOptions::sequential(),
-                )
-                .unwrap()
-                .probability
-                .to_bits(),
-                "{workers} workers: the seeded sampling fallback is deterministic too"
+                sequential_fallback.probability.to_bits(),
+                "{workers} workers: the stream-partitioned fallback has the same bits"
             );
+            assert_eq!(fallback_side.sampling, sequential_fallback.sampling);
         }
     }
 
@@ -802,6 +813,26 @@ mod tests {
                 "{workers} workers"
             );
             assert_eq!(got.stats, reference.stats);
+        }
+        // A conditioned Hybrid run past the budget wall samples the ratio
+        // on `parallel.workers()` threads — same bits at every count.
+        let (w, s) = independent_pairs(10);
+        let c = WsSet::from_descriptors(s.descriptors()[..5].to_vec());
+        let strategy = ConfidenceStrategy::Hybrid {
+            budget: 5,
+            approx: ApproximationOptions::default().with_seed(43),
+        };
+        let fallback = |parallel: &ParallelOptions| {
+            estimate_conditioned_confidence_with_options(
+                &s, &c, &w, &options, &strategy, None, parallel,
+            )
+            .unwrap()
+        };
+        let reference = fallback(&ParallelOptions::sequential());
+        assert_eq!(reference.path, ResolvedPath::Sampled { fell_back: true });
+        for workers in [1, 2, 4, 8] {
+            let got = fallback(&ParallelOptions::new(workers).with_grain(2));
+            assert_eq!(got, reference, "{workers} workers");
         }
     }
 

@@ -11,8 +11,7 @@
 //!   variable elimination and the **minlog** / **minmax** heuristics
 //!   (Section 4.2, Figure 6);
 //! * [`mod@confidence`]: exact probability computation (Figure 7), streamed over
-//!   the decomposition without materialising the tree, plus a brute-force
-//!   oracle;
+//!   the decomposition without materialising the tree;
 //! * [`elimination`]: the alternative ws-descriptor elimination method (WE,
 //!   Section 6);
 //! * [`conditioning`]: the `assert[B]` operation (Section 5, Figure 8) that
@@ -90,7 +89,7 @@ pub use conditioning::{
     condition, condition_all, intersect_conditions, simplify_with_mapping, Conditioned,
     ConditioningMethod, ConditioningOptions,
 };
-pub use confidence::{confidence, confidence_brute_force, tree_probability};
+pub use confidence::{confidence, tree_probability};
 pub use decompose::{build_tree, DecompositionMethod, DecompositionOptions};
 pub use elimination::{
     confidence_by_elimination, confidence_by_elimination_parallel, mutex_equivalent,

@@ -3,7 +3,8 @@
 //! The ws-tree decomposition is naturally parallel: the parts of an
 //! independent partition (⊗) and the sibling subtrees of a ⊕-split are
 //! disjoint subproblems. [`confidence_parallel`] expands them on scoped
-//! worker threads — one lock-protected deque per worker, owners popping
+//! worker threads (launched through [`fan_out_indexed`], the workspace's
+//! one spawn site) — one lock-protected deque per worker, owners popping
 //! newest-first and thieves stealing oldest-first so the largest pending
 //! subtrees migrate — while an arena of *combine nodes* reassembles the
 //! partial results strictly in canonical child order with the same
@@ -51,6 +52,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 use std::thread;
 
+use uprob_approx::fan_out_indexed;
 use uprob_wsd::{NeumaierSum, WorldTable, WsSet};
 
 use crate::cache::{PendingEntry, SharedDecompositionCache};
@@ -594,20 +596,17 @@ pub fn confidence_parallel(
             parent: ROOT,
             slot: 0,
         });
+    // One job per worker index: a worker leaves its loop only once the run
+    // is done, so each pool thread claims exactly one index (an index left
+    // over after an early finish returns at once). Workers fill
+    // pre-assigned combine-node slots and the fold over the arena is by
+    // slot index, so completion order cannot reach the result bits.
     let mut stats = DecompositionStats::default();
-    thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|worker| {
-                let shared = &shared;
-                let nodes = &nodes;
-                // uprob-lint: allow(det-taint) -- workers fill pre-assigned combine-node slots; the fold over the arena is by slot index, so completion order cannot reach the result bits (pinned by the 1/2/4/8-worker bit-identity matrix)
-                scope.spawn(move || worker_loop(worker, shared, table, *options, nodes))
-            })
-            .collect();
-        for handle in handles {
-            stats.absorb(&handle.join().expect("worker thread must not panic"));
-        }
-    });
+    for worker_stats in fan_out_indexed(workers, workers, |worker| {
+        worker_loop(worker, &shared, table, *options, &nodes)
+    }) {
+        stats.absorb(&worker_stats);
+    }
     // Poison-tolerant like `record_error`: the error slot must stay
     // readable even if the recording worker died while holding it.
     if let Some(error) = shared

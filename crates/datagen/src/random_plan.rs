@@ -517,7 +517,7 @@ mod tests {
                 .output_schema(&db)
                 .expect("recipe-built plans always validate");
             // And they execute on every path.
-            let eager = db.query_eager(&plan).expect("eager execution");
+            let eager = uprob_urel::reference::execute_plan(&db, &plan).expect("eager execution");
             assert_eq!(eager.schema(), &schema);
         }
     }

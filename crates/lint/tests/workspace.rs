@@ -8,10 +8,13 @@
 //! from one crate fails tier-1 here; dropping a lint from the gate, or an
 //! entry from `clippy.toml`, fails `cargo clippy -- -D warnings` through
 //! `src/clippy_contract.rs`.
+//!
+//! It also pins the one-implementation-per-operator rule: the oracles live
+//! in `reference.rs` modules, and no product code imports them back.
 
 use std::path::Path;
 
-use uprob_lint::{find_workspace_root, LintConfig};
+use uprob_lint::{find_workspace_root, workspace_sources, LintConfig, SourceFile};
 
 /// The gate, as written in every gated `lib.rs` (rustfmt breaks it over
 /// several lines; the comparison ignores whitespace).
@@ -39,4 +42,41 @@ fn every_gated_crate_root_carries_the_clippy_gate() {
             lib.display()
         );
     }
+}
+
+/// The reference implementations (`uprob_urel::reference`,
+/// `uprob_query::reference`) are for tests, differential harnesses and
+/// `crates/bench` only: outside the `reference.rs` files themselves, the
+/// non-test code of every product source file — the facade prelude
+/// included — names no `reference::` path. Comments and doc links are
+/// skipped (the sanitized text has them blanked).
+#[test]
+fn product_code_never_imports_a_reference_implementation() {
+    let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("workspace root");
+    let config = LintConfig::default();
+    let mut offenders = Vec::new();
+    for rel_path in workspace_sources(&root, &config).expect("workspace walk") {
+        let product = config
+            .product_prefixes
+            .iter()
+            .any(|p| rel_path.starts_with(p));
+        if !product || rel_path.ends_with("/reference.rs") {
+            continue;
+        }
+        let raw = std::fs::read_to_string(root.join(&rel_path)).expect("readable source");
+        let file = SourceFile::parse(&rel_path, &raw);
+        for (offset, _) in file.text.match_indices("reference::") {
+            let continues_an_identifier = file.text[..offset]
+                .chars()
+                .next_back()
+                .is_some_and(|c| c.is_alphanumeric() || c == '_');
+            if !continues_an_identifier && !file.in_test_code(offset) {
+                offenders.push(format!("{rel_path}:{}", file.line_of(offset)));
+            }
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "product code names a `reference::` path (oracles are for tests and benches only): {offenders:?}"
+    );
 }

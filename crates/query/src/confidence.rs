@@ -56,8 +56,8 @@ pub struct AnswerConfidences {
 ///
 /// `parallel` places the workers: wide answers (at least two tuples per
 /// worker) fan the tuples out, narrow answers parallelize inside each
-/// decomposition. Every probability is **bit-identical** to
-/// [`tuple_confidences_sequential`] / the sequential fold at every worker
+/// decomposition. Every probability is **bit-identical** to the sequential
+/// per-tuple fold ([`crate::reference::tuple_confidences`]) at every worker
 /// count, under either placement, with a cold or a warm cache; only the
 /// aggregated cache hit/miss counters may differ, since scheduling decides
 /// which run warms the cache for which.
@@ -241,7 +241,8 @@ where
 /// answer together with their exact confidence values — the paper-level
 /// short form of [`answer_confidences_with_options`] (a batch-local cache,
 /// one worker per available CPU) that skips the answer-level Boolean fold.
-/// Bit-identical to [`tuple_confidences_sequential`].
+/// Bit-identical to the sequential per-tuple fold
+/// ([`crate::reference::tuple_confidences`]).
 ///
 /// # Errors
 ///
@@ -259,27 +260,6 @@ pub fn tuple_confidences(
         &SharedDecompositionCache::new(),
         &mut DecompositionStats::default(),
     )
-}
-
-/// The sequential per-tuple reference path: no cache, no worker threads.
-///
-/// Kept as the baseline the batch path is validated (and benchmarked)
-/// against.
-///
-/// # Errors
-///
-/// Propagates decomposition errors (e.g. an exhausted node budget).
-pub fn tuple_confidences_sequential(
-    answer: &URelation,
-    table: &WorldTable,
-    options: &DecompositionOptions,
-) -> Result<Vec<(Tuple, f64)>> {
-    let mut out = Vec::new();
-    for (tuple, ws_set) in answer.distinct_tuples() {
-        let result = exact_confidence(&ws_set, table, options)?;
-        out.push((tuple, result.probability));
-    }
-    Ok(out)
 }
 
 /// Computes the exact confidences of pre-grouped `(tuple, ws-set)` pairs
@@ -359,7 +339,7 @@ pub fn possible_tuples(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uprob_urel::{algebra, ColumnType, Predicate, ProbDb, Schema, Value};
+    use uprob_urel::{reference, ColumnType, Predicate, ProbDb, Schema, Value};
     use uprob_wsd::WsDescriptor;
 
     /// The exact batch over a fresh cache at the given worker count.
@@ -414,13 +394,13 @@ mod tests {
     fn introduction_query_bill_confidences() {
         // select SSN, conf(SSN) from R where NAME = 'Bill';
         let db = ssn_db();
-        let bills = algebra::select(
+        let bills = reference::select(
             db.relation("R").unwrap(),
             &Predicate::col_eq("NAME", "Bill"),
             "Bills",
         )
         .unwrap();
-        let ssns = algebra::project(&bills, &["SSN"], "Q").unwrap();
+        let ssns = reference::project(&bills, &["SSN"], "Q").unwrap();
         let answers =
             tuple_confidences(&ssns, db.world_table(), &DecompositionOptions::default()).unwrap();
         assert_eq!(answers.len(), 2);
@@ -443,7 +423,7 @@ mod tests {
         // Projecting to NAME makes John appear twice (SSN 1 and 7); the
         // confidence of (John) is the probability of the union, which is 1.
         let db = ssn_db();
-        let names = algebra::project(db.relation("R").unwrap(), &["NAME"], "Names").unwrap();
+        let names = reference::project(db.relation("R").unwrap(), &["NAME"], "Names").unwrap();
         let answers =
             tuple_confidences(&names, db.world_table(), &DecompositionOptions::default()).unwrap();
         assert_eq!(answers.len(), 2);
@@ -458,13 +438,13 @@ mod tests {
         // {j -> 7, b -> 7}, i.e. with probability .56.
         let db = ssn_db();
         let r = db.relation("R").unwrap();
-        let r2 = algebra::rename(r, "R2");
+        let r2 = reference::rename(r, "R2");
         let phi = Predicate::cols_eq("SSN", "R2.SSN").and(Predicate::cmp(
             uprob_urel::Expr::col("NAME"),
             uprob_urel::Comparison::Ne,
             uprob_urel::Expr::col("R2.NAME"),
         ));
-        let violations = algebra::join(r, &r2, &phi, "V").unwrap();
+        let violations = reference::join(r, &r2, &phi, "V").unwrap();
         let p = boolean_confidence(
             &violations,
             db.world_table(),
@@ -477,11 +457,11 @@ mod tests {
     #[test]
     fn certain_and_possible_tuples() {
         let db = ssn_db();
-        let names = algebra::project(db.relation("R").unwrap(), &["NAME"], "Names").unwrap();
+        let names = reference::project(db.relation("R").unwrap(), &["NAME"], "Names").unwrap();
         let options = DecompositionOptions::default();
         let certain = certain_tuples(&names, db.world_table(), &options).unwrap();
         assert_eq!(certain.len(), 2);
-        let ssns = algebra::project(db.relation("R").unwrap(), &["SSN"], "S").unwrap();
+        let ssns = reference::project(db.relation("R").unwrap(), &["SSN"], "S").unwrap();
         let certain_ssns = certain_tuples(&ssns, db.world_table(), &options).unwrap();
         // No single SSN value is certain before conditioning.
         assert!(certain_ssns.is_empty());
@@ -496,9 +476,9 @@ mod tests {
         let db = ssn_db();
         let options = DecompositionOptions::default();
         for projection in [&["SSN"][..], &["NAME"][..], &["SSN", "NAME"][..]] {
-            let answer = algebra::project(db.relation("R").unwrap(), projection, "Q").unwrap();
+            let answer = reference::project(db.relation("R").unwrap(), projection, "Q").unwrap();
             let sequential =
-                tuple_confidences_sequential(&answer, db.world_table(), &options).unwrap();
+                crate::reference::tuple_confidences(&answer, db.world_table(), &options).unwrap();
             let batched = tuple_confidences(&answer, db.world_table(), &options).unwrap();
             assert_eq!(sequential.len(), batched.len());
             for ((t1, p1), (t2, p2)) in sequential.iter().zip(&batched) {
@@ -531,7 +511,7 @@ mod tests {
         // components, which the batch already memoized — the stats must show
         // the reuse.
         let db = ssn_db();
-        let names = algebra::project(db.relation("R").unwrap(), &["NAME"], "Names").unwrap();
+        let names = reference::project(db.relation("R").unwrap(), &["NAME"], "Names").unwrap();
         let full = exact_batch(&names, &db, 2);
         assert_eq!(full.tuples.len(), 2);
         for (_, p) in &full.tuples {
@@ -550,7 +530,7 @@ mod tests {
     fn strategy_batch_exact_and_hybrid_agree_bit_for_bit() {
         let db = ssn_db();
         let options = DecompositionOptions::default();
-        let names = algebra::project(db.relation("R").unwrap(), &["NAME"], "Names").unwrap();
+        let names = reference::project(db.relation("R").unwrap(), &["NAME"], "Names").unwrap();
         let exact = answer_confidences_with_strategy(
             &names,
             db.world_table(),
@@ -590,7 +570,7 @@ mod tests {
     fn strategy_batch_approximate_lands_near_exact() {
         let db = ssn_db();
         let options = DecompositionOptions::default();
-        let ssns = algebra::project(db.relation("R").unwrap(), &["SSN"], "S").unwrap();
+        let ssns = reference::project(db.relation("R").unwrap(), &["SSN"], "S").unwrap();
         let exact = exact_batch(&ssns, &db, 1);
         let approx = answer_confidences_with_strategy(
             &ssns,
@@ -617,7 +597,7 @@ mod tests {
     fn strategy_batch_is_deterministic_across_worker_counts() {
         let db = ssn_db();
         let options = DecompositionOptions::default();
-        let ssns = algebra::project(db.relation("R").unwrap(), &["SSN"], "S").unwrap();
+        let ssns = reference::project(db.relation("R").unwrap(), &["SSN"], "S").unwrap();
         let strategy = ConfidenceStrategy::approximate(0.1, 0.05).with_seed(23);
         let reference = answer_confidences_with_strategy(
             &ssns,
@@ -656,7 +636,7 @@ mod tests {
         let db = ssn_db();
         let options = DecompositionOptions::default();
         for projection in [&["SSN"][..], &["NAME"][..], &["SSN", "NAME"][..]] {
-            let answer = algebra::project(db.relation("R").unwrap(), projection, "Q").unwrap();
+            let answer = reference::project(db.relation("R").unwrap(), projection, "Q").unwrap();
             let reference = exact_batch(&answer, &db, 1);
             // A tiny grain forces the scheduler onto these small sets; both
             // the wide (tuple fan-out) and narrow (parallel decomposition)
@@ -693,7 +673,7 @@ mod tests {
     fn strategy_batch_with_options_is_bit_identical_across_worker_counts() {
         let db = ssn_db();
         let options = DecompositionOptions::default();
-        let ssns = algebra::project(db.relation("R").unwrap(), &["SSN"], "S").unwrap();
+        let ssns = reference::project(db.relation("R").unwrap(), &["SSN"], "S").unwrap();
         for strategy in [
             ConfidenceStrategy::Exact,
             ConfidenceStrategy::approximate(0.1, 0.05).with_seed(23),
@@ -737,7 +717,7 @@ mod tests {
     #[test]
     fn empty_answers_have_no_confidences() {
         let db = ssn_db();
-        let none = algebra::select(
+        let none = reference::select(
             db.relation("R").unwrap(),
             &Predicate::col_eq("NAME", "Nobody"),
             "none",

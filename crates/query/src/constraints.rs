@@ -40,13 +40,9 @@
 //! violation (NULLs never match), while a dependent pair violates unless
 //! it is **provably equal** — a NULL dependent value cannot certify the
 //! FD, so it violates, including against a second occurrence of the same
-//! tuple. The eager reference compilation implements the identical rules
-//! tuple-by-tuple; see `uprob_urel::violations` and DESIGN.md.
-
-#![expect(
-    clippy::expect_used,
-    reason = "each `.expect` restates an invariant established earlier in this file: `validate` has resolved every column name, and the constraint-kind match arms guarantee a violation plan exists"
-)]
+//! tuple. The oracle compilation ([`crate::reference::violation_ws_set`])
+//! implements the identical rules tuple-by-tuple; see
+//! `uprob_urel::violations` and DESIGN.md.
 
 use std::sync::Arc;
 use uprob_wsd::FxHashMap;
@@ -461,67 +457,7 @@ impl Constraint {
                 else {
                     unreachable!("only inclusion dependencies have no violation plan");
                 };
-                ind_violations(db, child, child_columns, parent, parent_columns, true)
-            }
-        }
-    }
-
-    /// The violation ws-set computed with the **eager reference**
-    /// compilation: hand-rolled tuple-pair loops for FDs/keys, the eager
-    /// materializing interpreter for planned constraints, and a nested
-    /// loop for inclusion dependencies. Semantically identical to
-    /// [`Constraint::violation_ws_set`] (the differential suite pins the
-    /// agreement, NULLs included) but asymptotically slower — it exists as
-    /// the oracle the optimized path is tested against.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Constraint::violation_ws_set`].
-    pub fn violation_ws_set_eager(&self, db: &ProbDb) -> Result<WsSet> {
-        self.validate(db)?;
-        match self {
-            Constraint::FunctionalDependency {
-                relation,
-                determinant,
-                dependent,
-            } => fd_violations_eager(db, relation, determinant, dependent),
-            Constraint::Key { relation, columns } => {
-                let rel = db.relation(relation)?;
-                let dependent: Vec<String> = rel
-                    .schema()
-                    .columns()
-                    .iter()
-                    .map(|c| c.name.clone())
-                    .filter(|name| !columns.contains(name))
-                    .collect();
-                fd_violations_eager(db, relation, columns, &dependent)
-            }
-            Constraint::RowFilter {
-                relation,
-                predicate,
-            } => {
-                let rel = db.relation(relation)?;
-                let mut violations = WsSet::empty();
-                for (tuple, descriptor) in rel.iter() {
-                    if !predicate.eval(rel.schema(), tuple)? {
-                        violations.push(descriptor.clone());
-                    }
-                }
-                violations.normalize();
-                Ok(violations)
-            }
-            Constraint::InclusionDependency {
-                child,
-                child_columns,
-                parent,
-                parent_columns,
-            } => ind_violations(db, child, child_columns, parent, parent_columns, false),
-            Constraint::DenialConstraint { .. } | Constraint::PlanConstraint { .. } => {
-                let plan = self
-                    .violation_plan(db)?
-                    .expect("denial/plan constraints compile to plans");
-                let answer = db.query_eager(&plan)?;
-                Ok(answer.answer_ws_set().normalized())
+                ind_violations(db, child, child_columns, parent, parent_columns)
             }
         }
     }
@@ -543,13 +479,11 @@ impl Constraint {
     }
 }
 
-/// SQL-style equality: satisfied only when both values are non-NULL and
-/// equal (the tuple-level twin of the executor's comparison rule).
-fn sql_eq(a: &Value, b: &Value) -> bool {
-    !a.is_null() && !b.is_null() && a == b
-}
-
 fn column_type(schema: &Schema, column: &str) -> uprob_urel::ColumnType {
+    #[expect(
+        clippy::expect_used,
+        reason = "`check_columns` resolved the column against this schema just before"
+    )]
     let idx = schema
         .column_index(column)
         .expect("column checked by validate");
@@ -609,7 +543,11 @@ fn lift_column_error(e: UrelError, relation: &str) -> QueryError {
 }
 
 /// Resolves a list of column names to positions.
-fn resolve_columns(schema: &Schema, columns: &[String]) -> Vec<usize> {
+#[expect(
+    clippy::expect_used,
+    reason = "only called on constraints that passed `validate`, which resolved every column name"
+)]
+pub(crate) fn resolve_columns(schema: &Schema, columns: &[String]) -> Vec<usize> {
     columns
         .iter()
         .map(|c| schema.column_index(c).expect("columns checked by validate"))
@@ -617,7 +555,11 @@ fn resolve_columns(schema: &Schema, columns: &[String]) -> Vec<usize> {
 }
 
 /// The key values of `tuple` at `positions`; `None` if any is NULL.
-fn non_null_key(tuple: &Tuple, positions: &[usize]) -> Option<Vec<Value>> {
+#[expect(
+    clippy::expect_used,
+    reason = "positions come from `resolve_columns` on the tuple's own schema"
+)]
+pub(crate) fn non_null_key(tuple: &Tuple, positions: &[usize]) -> Option<Vec<Value>> {
     let mut key = Vec::with_capacity(positions.len());
     for &p in positions {
         let v = tuple.get(p).expect("validated column position");
@@ -629,63 +571,15 @@ fn non_null_key(tuple: &Tuple, positions: &[usize]) -> Option<Vec<Value>> {
     Some(key)
 }
 
-/// Worlds in which two consistent tuples agree on `determinant` and are
-/// not provably equal on some `dependent` column — the eager reference of
-/// the FD violation self-join, including the degenerate self-pair (a
-/// non-NULL determinant with a NULL dependent violates by itself). See the
-/// module docs for the NULL semantics.
-fn fd_violations_eager(
-    db: &ProbDb,
-    relation: &str,
-    determinant: &[String],
-    dependent: &[String],
-) -> Result<WsSet> {
-    let rel = db.relation(relation)?;
-    let schema = rel.schema();
-    let det_idx = resolve_columns(schema, determinant);
-    let dep_idx = resolve_columns(schema, dependent);
-    let rows = rel.rows();
-    let mut violations = WsSet::empty();
-    for (i, (t1, d1)) in rows.iter().enumerate() {
-        for (t2, d2) in rows.iter().skip(i) {
-            let same_determinant = det_idx.iter().all(|&k| {
-                sql_eq(
-                    t1.get(k).expect("validated column position"),
-                    t2.get(k).expect("validated column position"),
-                )
-            });
-            if !same_determinant {
-                continue;
-            }
-            let disagrees = dep_idx.iter().any(|&k| {
-                !sql_eq(
-                    t1.get(k).expect("validated column position"),
-                    t2.get(k).expect("validated column position"),
-                )
-            });
-            if !disagrees {
-                continue;
-            }
-            if let Ok(both) = d1.union(d2) {
-                violations.push(both);
-            }
-        }
-    }
-    violations.normalize();
-    Ok(violations)
-}
-
 /// Worlds in which some child tuple co-exists with **no** matching parent
-/// tuple. `hashed` selects the optimized path (parent rows bucketed by
-/// key, as the pipelined hash join would) or the nested-loop reference;
-/// both probe parents in row order, so they produce identical ws-sets.
+/// tuple: parent rows are bucketed by key (as the pipelined hash join
+/// would) and probed in row order, one ws-set difference per child row.
 fn ind_violations(
     db: &ProbDb,
     child: &str,
     child_columns: &[String],
     parent: &str,
     parent_columns: &[String],
-    hashed: bool,
 ) -> Result<WsSet> {
     let child_rel = db.relation(child)?;
     let parent_rel = db.relation(parent)?;
@@ -695,38 +589,19 @@ fn ind_violations(
 
     // Build side: parent descriptors bucketed by (fully non-NULL) key.
     let mut buckets: FxHashMap<Vec<Value>, Vec<WsDescriptor>> = FxHashMap::default();
-    if hashed {
-        for (tuple, descriptor) in parent_rel.iter() {
-            if let Some(key) = non_null_key(tuple, &p_idx) {
-                buckets.entry(key).or_default().push(descriptor.clone());
-            }
+    for (tuple, descriptor) in parent_rel.iter() {
+        if let Some(key) = non_null_key(tuple, &p_idx) {
+            buckets.entry(key).or_default().push(descriptor.clone());
         }
     }
 
     let mut violations = WsSet::empty();
-    let no_parents: Vec<WsDescriptor> = Vec::new();
     for (tuple, descriptor) in child_rel.iter() {
         // SQL MATCH SIMPLE: a child key containing NULL satisfies the FK.
         let Some(key) = non_null_key(tuple, &c_idx) else {
             continue;
         };
-        let matches: &[WsDescriptor];
-        let nested_matches: Vec<WsDescriptor>;
-        if hashed {
-            matches = buckets.get(&key).unwrap_or(&no_parents);
-        } else {
-            nested_matches = parent_rel
-                .iter()
-                .filter(|(p, _)| {
-                    p_idx
-                        .iter()
-                        .zip(&key)
-                        .all(|(&k, v)| sql_eq(p.get(k).expect("validated column position"), v))
-                })
-                .map(|(_, e)| e.clone())
-                .collect();
-            matches = &nested_matches;
-        }
+        let matches = buckets.get(&key).map_or(&[][..], Vec::as_slice);
         // The worlds where the child exists and no matching parent does:
         // ω({d}) − ω({e_1, …, e_k}) (Section 3.2).
         for d in diff_descriptor_set(descriptor, matches, table) {
@@ -1260,7 +1135,7 @@ mod tests {
     use super::*;
     use crate::confidence::{certain_tuples, tuple_confidences};
     use uprob_core::DecompositionOptions;
-    use uprob_urel::{algebra, ColumnType, Comparison, Expr, Schema, Tuple, Value};
+    use uprob_urel::{reference, ColumnType, Comparison, Expr, Schema, Tuple, Value};
     use uprob_wsd::WsDescriptor;
 
     /// The SSN database of Figure 2, optionally extended with Fred
@@ -1373,7 +1248,10 @@ mod tests {
         let satisfying = fd.satisfying_ws_set(&db).unwrap();
         assert!((satisfying.probability_by_enumeration(db.world_table()) - 0.44).abs() < 1e-12);
         // The planned compilation and the eager reference agree exactly.
-        assert_eq!(violations, fd.violation_ws_set_eager(&db).unwrap());
+        assert_eq!(
+            violations,
+            crate::reference::violation_ws_set(&fd, &db).unwrap()
+        );
     }
 
     #[test]
@@ -1382,13 +1260,13 @@ mod tests {
         let fd = Constraint::functional_dependency("R", &["SSN"], &["NAME"]);
         let conditioned = assert_constraint(&db, &fd, &ConditioningOptions::default()).unwrap();
         assert!((conditioned.confidence - 0.44).abs() < 1e-9);
-        let bills = algebra::select(
+        let bills = reference::select(
             conditioned.db.relation("R").unwrap(),
             &uprob_urel::Predicate::col_eq("NAME", "Bill"),
             "Bills",
         )
         .unwrap();
-        let ssns = algebra::project(&bills, &["SSN"], "Q").unwrap();
+        let ssns = reference::project(&bills, &["SSN"], "Q").unwrap();
         let answers = tuple_confidences(
             &ssns,
             conditioned.db.world_table(),
@@ -1411,7 +1289,8 @@ mod tests {
         let db = ssn_db(true);
         let fd = Constraint::functional_dependency("R", &["SSN"], &["NAME"]);
         let conditioned = assert_constraint(&db, &fd, &ConditioningOptions::default()).unwrap();
-        let ssns = algebra::project(conditioned.db.relation("R").unwrap(), &["SSN"], "S").unwrap();
+        let ssns =
+            reference::project(conditioned.db.relation("R").unwrap(), &["SSN"], "S").unwrap();
         let certain = certain_tuples(
             &ssns,
             conditioned.db.world_table(),
@@ -1440,7 +1319,9 @@ mod tests {
         // violation query is trivially false.
         let all = Constraint::key("R", &["SSN", "NAME"]);
         assert!(all.violation_ws_set(&db).unwrap().is_empty());
-        assert!(all.violation_ws_set_eager(&db).unwrap().is_empty());
+        assert!(crate::reference::violation_ws_set(&all, &db)
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
@@ -1456,7 +1337,7 @@ mod tests {
         assert!((conditioned.confidence - 0.2 * 0.3).abs() < 1e-9);
         let r = conditioned.db.relation("R").unwrap();
         let certain = certain_tuples(
-            &algebra::project(r, &["NAME"], "N").unwrap(),
+            &reference::project(r, &["NAME"], "N").unwrap(),
             conditioned.db.world_table(),
             &DecompositionOptions::default(),
         )
@@ -1677,7 +1558,10 @@ mod tests {
         let expected = 0.25 + 0.5 - 0.125;
         assert!((violations.probability_by_enumeration(db.world_table()) - expected).abs() < 1e-12);
         // Hashed and nested-loop compilations agree bit for bit.
-        assert_eq!(violations, fk.violation_ws_set_eager(&db).unwrap());
+        assert_eq!(
+            violations,
+            crate::reference::violation_ws_set(&fk, &db).unwrap()
+        );
         // Asserting the FK conditions on the complement.
         let conditioned = assert_constraint(&db, &fk, &ConditioningOptions::default()).unwrap();
         assert!((conditioned.confidence - (1.0 - expected)).abs() < 1e-9);
@@ -1707,7 +1591,10 @@ mod tests {
         let fk = Constraint::inclusion_dependency("C", &["FK"], "P", &["K"]);
         let violations = fk.violation_ws_set(&db).unwrap();
         assert!((violations.probability_by_enumeration(db.world_table()) - 0.5).abs() < 1e-12);
-        assert_eq!(violations, fk.violation_ws_set_eager(&db).unwrap());
+        assert_eq!(
+            violations,
+            crate::reference::violation_ws_set(&fk, &db).unwrap()
+        );
     }
 
     #[test]
@@ -1727,7 +1614,10 @@ mod tests {
         let v1 = fd.violation_ws_set(&db).unwrap();
         let v2 = denial.violation_ws_set(&db).unwrap();
         assert!(v1.is_equivalent_by_enumeration(&v2, db.world_table()));
-        assert_eq!(v2, denial.violation_ws_set_eager(&db).unwrap());
+        assert_eq!(
+            v2,
+            crate::reference::violation_ws_set(&denial, &db).unwrap()
+        );
         assert_eq!(denial.relations(), vec!["R"]);
         let conditioned = assert_constraint(&db, &denial, &ConditioningOptions::default()).unwrap();
         assert!((conditioned.confidence - 0.44).abs() < 1e-9);
@@ -1746,7 +1636,10 @@ mod tests {
         let violations = denial.violation_ws_set(&db).unwrap();
         // c2 ∧ p2: probability .25.
         assert!((violations.probability_by_enumeration(db.world_table()) - 0.25).abs() < 1e-12);
-        assert_eq!(violations, denial.violation_ws_set_eager(&db).unwrap());
+        assert_eq!(
+            violations,
+            crate::reference::violation_ws_set(&denial, &db).unwrap()
+        );
         assert_eq!(denial.relations(), vec!["C", "P"]);
     }
 
@@ -1812,7 +1705,7 @@ mod tests {
         db.insert_relation(r).unwrap();
         let fd = Constraint::functional_dependency("R", &["K"], &["D"]);
         let planned = fd.violation_ws_set(&db).unwrap();
-        let eager = fd.violation_ws_set_eager(&db).unwrap();
+        let eager = crate::reference::violation_ws_set(&fd, &db).unwrap();
         assert_eq!(planned, eager, "the two compilation paths must agree");
         // The violations: row 2 with itself (NULL dependent cannot be
         // certified) and the pair (2, 3). Worlds: t2 ∨ (t2 ∧ t3) = t2.
@@ -1821,7 +1714,7 @@ mod tests {
         let key = Constraint::key("R", &["K"]);
         assert_eq!(
             key.violation_ws_set(&db).unwrap(),
-            key.violation_ws_set_eager(&db).unwrap()
+            crate::reference::violation_ws_set(&key, &db).unwrap()
         );
     }
 
@@ -1856,7 +1749,10 @@ mod tests {
         db.insert_relation(r).unwrap();
         let fd = Constraint::functional_dependency("R", &["K"], &["D"]);
         let planned = fd.violation_ws_set(&db).unwrap();
-        assert_eq!(planned, fd.violation_ws_set_eager(&db).unwrap());
+        assert_eq!(
+            planned,
+            crate::reference::violation_ws_set(&fd, &db).unwrap()
+        );
         // Each row violates by itself: worlds a ∨ b, probability .75.
         assert!((planned.probability_by_enumeration(db.world_table()) - 0.75).abs() < 1e-12);
     }
@@ -1883,7 +1779,10 @@ mod tests {
             Predicate::cmp(Expr::col("V"), Comparison::Lt, Expr::val(5i64)),
         );
         let planned = check.violation_ws_set(&db).unwrap();
-        assert_eq!(planned, check.violation_ws_set_eager(&db).unwrap());
+        assert_eq!(
+            planned,
+            crate::reference::violation_ws_set(&check, &db).unwrap()
+        );
         assert!((planned.probability_by_enumeration(db.world_table()) - 0.5).abs() < 1e-12);
     }
 
@@ -1971,7 +1870,7 @@ mod tests {
         );
         // Posterior tuple confidences: given all x_i false, every tuple's
         // ws-set {x_i -> 1} has posterior probability 0.
-        let answer = algebra::project(db.relation("T").unwrap(), &["ID"], "Q").unwrap();
+        let answer = reference::project(db.relation("T").unwrap(), &["ID"], "Q").unwrap();
         let posterior = virtual_posterior
             .tuple_confidences(&answer, db.world_table(), &ParallelOptions::new(2))
             .unwrap();

@@ -1,6 +1,6 @@
 //! # uprob-query — queries with `conf()` and constraint-based conditioning
 //!
-//! The user-facing layer that ties the relational algebra of `uprob-urel`
+//! The user-facing layer that ties the query plans of `uprob-urel`
 //! to the exact confidence computation and conditioning of `uprob-core`:
 //!
 //! * [`confidence`]: the `conf()` aggregate — per-tuple confidence values of
@@ -22,14 +22,17 @@
 //!   [`ProbDbService`] serves `query`/`conf`/`assert_all` to any number of
 //!   threads against immutable [`Snapshot`]s, publishing conditioned
 //!   databases by atomic swap, with a per-snapshot plan cache and batched
-//!   admission of identical confidence requests.
+//!   admission of identical confidence requests;
+//! * [`mod@reference`]: the oracles the optimized paths above are differentially
+//!   tested against (eager violation compilation, the per-tuple sequential
+//!   fold) — for tests and benches, not a product API.
 //!
 //! ## Example: the introduction's data-cleaning scenario
 //!
 //! ```
 //! use uprob_query::confidence::tuple_confidences;
 //! use uprob_query::constraints::{assert_constraint, Constraint};
-//! use uprob_urel::{ColumnType, Predicate, ProbDb, Schema, Tuple, Value, algebra};
+//! use uprob_urel::{ColumnType, Plan, Predicate, ProbDb, Schema, Tuple, Value};
 //! use uprob_wsd::WsDescriptor;
 //!
 //! // The SSN database of Figure 2.
@@ -57,11 +60,9 @@
 //! assert!((conditioned.confidence - 0.44).abs() < 1e-9);
 //!
 //! // select SSN, conf() from R where NAME = 'Bill' group by SSN;
-//! let bills = algebra::select(
-//!     conditioned.db.relation("R").unwrap(),
-//!     &Predicate::col_eq("NAME", "Bill"),
-//!     "Bills",
-//! ).unwrap();
+//! let bills = conditioned.db
+//!     .query(&Plan::scan("R").select(Predicate::col_eq("NAME", "Bill")).project(&["SSN"]))
+//!     .unwrap();
 //! let answers = tuple_confidences(&bills, conditioned.db.world_table(), &Default::default()).unwrap();
 //! // P(Bill has SSN 4 | the FD holds) = .3/.44 ≈ .68.
 //! let p4 = answers.iter().find(|(t, _)| t.get(0) == Some(&Value::Int(4))).unwrap().1;
@@ -90,12 +91,13 @@ pub mod confidence;
 pub mod constraints;
 pub mod error;
 pub mod planned;
+pub mod reference;
 pub mod service;
 
 pub use confidence::{
     answer_confidences_with_options, answer_confidences_with_strategy, boolean_confidence,
-    certain_tuples, possible_tuples, tuple_confidences, tuple_confidences_sequential,
-    AnswerConfidences, StrategyAnswerConfidences,
+    certain_tuples, possible_tuples, tuple_confidences, AnswerConfidences,
+    StrategyAnswerConfidences,
 };
 pub use constraints::{
     assert_all, assert_all_delta, assert_all_with_strategy, assert_constraint, Assertion,

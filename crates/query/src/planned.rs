@@ -82,7 +82,7 @@ pub fn planned_boolean_confidence(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uprob_urel::{algebra, ColumnType, Predicate, Schema, Tuple, Value};
+    use uprob_urel::{reference, ColumnType, Predicate, Schema, Tuple, Value};
     use uprob_wsd::WsDescriptor;
 
     /// The SSN database of Figure 2.
@@ -138,13 +138,13 @@ mod tests {
         )
         .unwrap();
         let eager_answer = {
-            let bills = algebra::select(
+            let bills = reference::select(
                 db.relation("R").unwrap(),
                 &Predicate::col_eq("NAME", "Bill"),
                 "Bills",
             )
             .unwrap();
-            algebra::project(&bills, &["SSN"], "Q").unwrap()
+            reference::project(&bills, &["SSN"], "Q").unwrap()
         };
         let eager = answer_confidences_with_options(
             &eager_answer,

@@ -1,162 +1,15 @@
-//! Positive relational algebra on U-relations (Section 2).
-//!
-//! The operations translate queries on the represented probabilistic
-//! database into purely relational processing on the U-relations:
-//!
-//! * selections and projections simply keep the ws-descriptor of each tuple,
-//! * joins additionally require the ws-descriptors of the joined tuples to
-//!   be **consistent** and output the union of the two descriptors,
-//! * set union concatenates the operands,
-//! * the projection to a nullary schema turns a query into a Boolean query
-//!   whose answer is a ws-set (the union of all answer descriptors).
-//!
-//! All operations are world-by-world correct: instantiating the output in a
-//! possible world yields the same tuples as running the classical operator
-//! on the instantiated inputs (tested below and by property tests).
-
-use uprob_wsd::WsSet;
-
-use crate::predicate::Predicate;
-use crate::relation::URelation;
-use crate::schema::Schema;
-use crate::tuple::Tuple;
-use crate::Result;
-
-/// Selection `σ_φ(R)`: keeps the rows whose tuple satisfies `φ`, with their
-/// descriptors unchanged.
-pub fn select(relation: &URelation, predicate: &Predicate, name: &str) -> Result<URelation> {
-    let schema = relation.schema().renamed(name);
-    let mut out = URelation::new(schema);
-    for (tuple, descriptor) in relation.iter() {
-        if predicate.eval(relation.schema(), tuple)? {
-            out.push(tuple.clone(), descriptor.clone());
-        }
-    }
-    Ok(out)
-}
-
-/// Projection `π_A(R)`: projects every tuple onto the named columns, keeping
-/// its descriptor (the paper's `π_{WSD, A}`). Duplicate tuples are *not*
-/// merged; they represent alternative derivations in different world-sets.
-pub fn project(relation: &URelation, columns: &[&str], name: &str) -> Result<URelation> {
-    let schema = relation.schema().project(columns, name)?;
-    let positions: Vec<usize> = columns
-        .iter()
-        .map(|c| relation.schema().column_index(c))
-        .collect::<Result<_>>()?;
-    let mut out = URelation::new(schema);
-    for (tuple, descriptor) in relation.iter() {
-        out.push(tuple.project(&positions), descriptor.clone());
-    }
-    Ok(out)
-}
-
-/// Projection to the nullary schema: the Boolean query whose answer ws-set
-/// is the union of the descriptors of all rows of `relation`.
-pub fn project_boolean(relation: &URelation, name: &str) -> URelation {
-    let schema = Schema::new(name, &[]);
-    let mut out = URelation::new(schema);
-    for (_, descriptor) in relation.iter() {
-        out.push(Tuple::nullary(), descriptor.clone());
-    }
-    out
-}
-
-/// Join `R ⋈_φ S`: pairs of tuples that satisfy `φ` on the concatenated
-/// schema *and* whose ws-descriptors are consistent with each other; the
-/// output descriptor is the union of the two input descriptors
-/// (`U_R ⋈_{φ ∧ ψ} U_S` in the paper, where `ψ` is descriptor consistency).
-pub fn join(
-    left: &URelation,
-    right: &URelation,
-    predicate: &Predicate,
-    name: &str,
-) -> Result<URelation> {
-    let schema = left.schema().concat(right.schema(), name);
-    let mut out = URelation::new(schema.clone());
-    for (lt, ld) in left.iter() {
-        for (rt, rd) in right.iter() {
-            // ψ: the two descriptors must have a common extension. The
-            // consistency check is an allocation-free merge scan, so
-            // inconsistent pairs are skipped before paying for the tuple
-            // concatenation, the predicate evaluation, or the descriptor
-            // union (which is only materialised for matching pairs).
-            if !ld.is_consistent_with(rd) {
-                continue;
-            }
-            let tuple = lt.concat(rt);
-            if predicate.eval(&schema, &tuple)? {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "the `is_consistent_with` filter above guarantees the union exists"
-                )]
-                let combined = ld
-                    .union(rd)
-                    .expect("consistent descriptors always have a union");
-                out.push(tuple, combined);
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Cross product `R × S` (a join with the always-true condition).
-pub fn product(left: &URelation, right: &URelation, name: &str) -> Result<URelation> {
-    join(left, right, &Predicate::True, name)
-}
-
-/// Union `R ∪ S` of two union-compatible relations: simply the concatenation
-/// of their rows (Section 3.2: ws-set union is plain set union).
-pub fn union(left: &URelation, right: &URelation, name: &str) -> Result<URelation> {
-    left.schema().check_union_compatible(right.schema())?;
-    let schema = left.schema().renamed(name);
-    let mut out = URelation::new(schema);
-    for (t, d) in left.iter().chain(right.iter()) {
-        out.push(t.clone(), d.clone());
-    }
-    Ok(out)
-}
-
-/// Duplicate elimination `δ(R)`: drops rows whose `(tuple, descriptor)`
-/// pair already occurred, keeping first occurrences in order. World-by-world
-/// correct: identical rows are present in exactly the same worlds, so the
-/// instantiated output (a set) is unchanged. Rows carrying the same tuple
-/// under *different* descriptors are kept — they are distinct derivations
-/// and their world-sets union in [`URelation::tuple_ws_set`].
-pub fn distinct(relation: &URelation) -> URelation {
-    let mut seen: uprob_wsd::FxHashSet<(&Tuple, &uprob_wsd::WsDescriptor)> =
-        uprob_wsd::FxHashSet::default();
-    let mut out = URelation::new(relation.schema().clone());
-    for (t, d) in relation.iter() {
-        if seen.insert((t, d)) {
-            out.push(t.clone(), d.clone());
-        }
-    }
-    out
-}
-
-/// Renames a relation (schema name only; columns are unchanged).
-pub fn rename(relation: &URelation, name: &str) -> URelation {
-    let mut out = URelation::new(relation.schema().renamed(name));
-    for (t, d) in relation.iter() {
-        out.push(t.clone(), d.clone());
-    }
-    out
-}
-
-/// The answer ws-set of a query result: the union of the descriptors of all
-/// rows. For Boolean queries this is the ws-set whose probability is the
-/// query confidence.
-pub fn answer_ws_set(relation: &URelation) -> WsSet {
-    relation.answer_ws_set()
-}
+//! World-by-world tests of the positive relational algebra (Section 2),
+//! run against the operators of [`crate::reference`]. Kept in their own
+//! test-only module so the oracle file holds nothing but the oracle.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::database::ProbDb;
-    use crate::predicate::{Comparison, Expr};
-    use crate::schema::ColumnType;
+    use crate::predicate::{Comparison, Expr, Predicate};
+    use crate::reference::{distinct, join, product, project, rename, select, union};
+    use crate::relation::URelation;
+    use crate::schema::{ColumnType, Schema};
+    use crate::tuple::Tuple;
     use crate::value::Value;
     use uprob_wsd::WsDescriptor;
 
@@ -232,7 +85,7 @@ mod tests {
             Predicate::cmp(Expr::col("NAME"), Comparison::Ne, Expr::col("R2.NAME")),
         );
         let violations = join(r, &r2, &phi, "V").unwrap();
-        let ws = answer_ws_set(&project_boolean(&violations, "B")).normalized();
+        let ws = violations.answer_ws_set().normalized();
         // The violating world-set is {{j -> 7, b -> 7}} (Example 2.3).
         assert_eq!(ws.len(), 1);
         let d = &ws.descriptors()[0];
@@ -388,19 +241,5 @@ mod tests {
         assert_eq!(u.len(), 8);
         let bad = URelation::new(Schema::new("S", &[("ONLY", ColumnType::Int)]));
         assert!(union(r, &bad, "U").is_err());
-    }
-
-    #[test]
-    fn project_boolean_collects_all_descriptors() {
-        let db = ssn_db();
-        let r = db.relation("R").unwrap();
-        let b = project_boolean(r, "B");
-        assert_eq!(b.schema().arity(), 0);
-        assert_eq!(b.len(), 4);
-        assert_eq!(answer_ws_set(&b).len(), 4);
-        // The answer ws-set covers all worlds: R is nonempty in every world.
-        assert!(
-            (answer_ws_set(&b).probability_by_enumeration(db.world_table()) - 1.0).abs() < 1e-12
-        );
     }
 }

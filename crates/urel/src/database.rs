@@ -91,16 +91,10 @@ impl ProbDb {
     }
 
     /// Inserts or replaces a relation without name-collision checks
-    /// (used by conditioning and by the algebra helpers to materialise
-    /// intermediate results).
+    /// (used by conditioning to materialise posterior relations).
     pub fn replace_relation(&mut self, relation: URelation) {
         self.relations
             .insert(relation.schema().name().to_string(), relation);
-    }
-
-    /// Removes a relation, returning it if it existed.
-    pub fn remove_relation(&mut self, name: &str) -> Option<URelation> {
-        self.relations.remove(name)
     }
 
     /// Looks up a relation by name.
@@ -184,8 +178,8 @@ impl ProbDb {
     /// ([`crate::execute_plan`] — streaming operators, hash equi-joins).
     ///
     /// The result is row-for-row identical (same order, same descriptors)
-    /// to the eager reference [`ProbDb::query_eager`]; the answer feeds
-    /// directly into the `conf()` / constraint layer of `uprob-query`.
+    /// to the eager oracle [`crate::reference::execute_plan`]; the answer
+    /// feeds directly into the `conf()` / constraint layer of `uprob-query`.
     ///
     /// # Errors
     ///
@@ -204,18 +198,6 @@ impl ProbDb {
     /// Returns plan-validation errors.
     pub fn query_unoptimized(&self, plan: &crate::Plan) -> Result<URelation> {
         crate::execute_plan(self, plan)
-    }
-
-    /// Runs a plan through the eager, materializing reference interpreter
-    /// (nested-loop joins; see [`crate::execute_plan_eager`]). The
-    /// semantics oracle for the other two paths — quadratic, keep it away
-    /// from large inputs.
-    ///
-    /// # Errors
-    ///
-    /// Returns plan-validation errors.
-    pub fn query_eager(&self, plan: &crate::Plan) -> Result<URelation> {
-        crate::execute_plan_eager(self, plan)
     }
 
     /// Materialises the deterministic database of one possible world.
@@ -356,14 +338,12 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn replace_and_remove_relation() {
+    fn replace_relation_overwrites_by_name() {
         let mut db = ssn_db();
         let schema = Schema::new("R", &[("X", ColumnType::Int)]);
         db.replace_relation(URelation::new(schema));
         assert_eq!(db.relation("R").unwrap().len(), 0);
-        assert!(db.remove_relation("R").is_some());
-        assert!(db.remove_relation("R").is_none());
-        assert_eq!(db.num_relations(), 0);
+        assert_eq!(db.num_relations(), 1);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!
 //! [`VarId`]: uprob_wsd::VarId
 
-use uprob_wsd::{DomainValue, VarId, WorldTable, WorldTableDelta, WsDescriptor};
+use uprob_wsd::{DomainValue, VarId, WorldTable, WsDescriptor};
 
 use crate::database::ProbDb;
 use crate::tuple::Tuple;
@@ -104,17 +104,6 @@ impl DeltaBuilder {
         let id = self.db.world_table_mut().add_boolean(name, p)?;
         self.added_variables.push(id);
         Ok(id)
-    }
-
-    /// Applies a staged [`WorldTableDelta`] atomically.
-    ///
-    /// # Errors
-    ///
-    /// Propagates validation errors; on error nothing is applied.
-    pub fn apply_world_delta(&mut self, delta: &WorldTableDelta) -> Result<Vec<VarId>> {
-        let ids = self.db.world_table_mut().apply_delta(delta)?;
-        self.added_variables.extend(ids.iter().copied());
-        Ok(ids)
     }
 
     /// Appends a row to `relation`, validating the tuple against the schema

@@ -21,7 +21,7 @@
 //!   only for emitted rows.
 //!
 //! Rows are emitted in exactly the order of the eager reference
-//! interpreter ([`crate::execute_plan_eager`]): every streaming operator
+//! interpreter ([`crate::reference::execute_plan`]): every streaming operator
 //! is order-preserving and the hash join probes in left-row order with
 //! build rows bucketed in input order, so even the per-tuple ws-sets of
 //! the answer come out in the same descriptor order — which is what makes
@@ -357,7 +357,7 @@ fn key_of(tuple: &Tuple, positions: &[usize]) -> Option<Vec<Value>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::execute_plan_eager;
+    use crate::reference::execute_plan as execute_plan_eager;
     use crate::schema::ColumnType;
     use uprob_wsd::WorldTable;
 

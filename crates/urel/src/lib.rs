@@ -9,14 +9,17 @@
 //!   descriptor over a shared [`uprob_wsd::WorldTable`],
 //! * [`ProbDb`]: a probabilistic database (a world table plus a set of
 //!   U-relations) with possible-world semantics,
-//! * the **positive relational algebra** on U-relations: selection,
+//! * the **positive relational algebra** on U-relations — selection,
 //!   projection, join (with the ws-descriptor consistency condition),
-//!   cross product, union and tuple-possibility helpers,
-//! * **logical query plans** over that algebra: the [`Plan`] AST, the
-//!   rule-based [`optimize_plan`] rewriter (predicate/projection pushdown,
-//!   select-product → join recognition, trivial-predicate and
-//!   empty-relation pruning) and the pipelined [`execute_plan`] executor
-//!   with hash equi-joins — run end-to-end via [`ProbDb::query`],
+//!   cross product, union, rename, distinct — as **logical query plans**:
+//!   the [`Plan`] AST, the rule-based [`optimize_plan`] rewriter
+//!   (predicate/projection pushdown, select-product → join recognition,
+//!   trivial-predicate and empty-relation pruning) and the pipelined
+//!   [`execute_plan`] executor with hash equi-joins. [`ProbDb::query`]
+//!   runs both and is the one way to evaluate a query,
+//! * [`mod@reference`]: the eager, materializing translation of each operator
+//!   that the executor is differentially tested against — an oracle for
+//!   tests and benches, not a query API,
 //! * the constraint **violation-plan builders** ([`violations`]): FD/key
 //!   self-joins, row-filter complements and denial-constraint
 //!   conjunctive queries as plans.
@@ -72,7 +75,8 @@
     )
 )]
 
-pub mod algebra;
+#[cfg(test)]
+mod algebra;
 pub mod database;
 pub mod delta;
 pub mod error;
@@ -80,6 +84,7 @@ pub mod exec;
 pub mod optimizer;
 pub mod plan;
 pub mod predicate;
+pub mod reference;
 pub mod relation;
 pub mod schema;
 pub mod tuple;
@@ -91,7 +96,7 @@ pub use delta::{DeltaBuilder, DeltaReport};
 pub use error::UrelError;
 pub use exec::execute_plan;
 pub use optimizer::optimize_plan;
-pub use plan::{execute_plan_eager, Plan};
+pub use plan::Plan;
 pub use predicate::{ColumnRef, Comparison, Expr, Predicate};
 pub use relation::URelation;
 pub use schema::{Column, ColumnType, Schema};

@@ -709,8 +709,8 @@ fn push_project_into_join(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::execute_plan_eager;
     use crate::predicate::{Comparison, Expr};
+    use crate::reference::execute_plan as execute_plan_eager;
     use crate::schema::ColumnType;
     use crate::tuple::Tuple;
     use crate::value::Value;

@@ -1,20 +1,20 @@
 //! Logical query plans over U-relations.
 //!
-//! A [`Plan`] is an AST over the positive relational algebra of
-//! [`crate::algebra`] — scan, select, project, join, product, union,
-//! rename and distinct — evaluated against a [`crate::ProbDb`]. Plans
+//! A [`Plan`] is an AST over the positive relational algebra of Section 2
+//! — scan, select, project, join, product, union, rename and distinct —
+//! evaluated against a [`crate::ProbDb`] with [`ProbDb::query`]. Plans
 //! decouple *what* a query computes from *how* it is computed:
 //!
-//! * [`execute_plan_eager`] is the reference interpreter: every node maps
-//!   one-to-one onto the eager, materializing `algebra::*` free functions
-//!   (nested-loop joins included), and is what the differential
-//!   plan-equivalence harness trusts;
 //! * [`crate::optimize_plan`] rewrites a plan with the classical rule set
 //!   (predicate/projection pushdown, select-product → join recognition,
 //!   trivial-predicate and empty-relation pruning);
 //! * [`crate::execute_plan`] runs a plan through the pipelined executor,
 //!   which streams rows between operators and replaces nested-loop
-//!   equi-joins with hash joins.
+//!   equi-joins with hash joins;
+//! * [`crate::reference::execute_plan`] is the semantics oracle both are
+//!   differentially tested against: every node maps one-to-one onto an
+//!   eager, materializing operator (nested-loop joins included). Tests
+//!   and benches only.
 //!
 //! The ws-descriptor attached to every tuple is **not** a plan-visible
 //! column: it rides alongside each row through every operator (the paper's
@@ -28,10 +28,8 @@
 
 use std::fmt;
 
-use crate::algebra;
 use crate::database::ProbDb;
 use crate::predicate::Predicate;
-use crate::relation::URelation;
 use crate::schema::Schema;
 use crate::Result;
 
@@ -39,8 +37,7 @@ use crate::Result;
 ///
 /// Built with the consuming combinators ([`Plan::scan`],
 /// [`Plan::select`], …) and evaluated with [`ProbDb::query`] (optimized +
-/// pipelined), [`ProbDb::query_unoptimized`] (pipelined only) or
-/// [`ProbDb::query_eager`] (the materializing reference).
+/// pipelined) or [`ProbDb::query_unoptimized`] (pipelined only).
 #[derive(Clone, Debug, PartialEq)]
 pub enum Plan {
     /// Scan of a stored relation by name.
@@ -329,69 +326,12 @@ impl fmt::Display for Plan {
     }
 }
 
-/// The eager reference interpreter: validates the plan, then evaluates it
-/// bottom-up through the materializing [`crate::algebra`] operators
-/// (nested-loop joins, full intermediate relations). Quadratic joins —
-/// use [`crate::execute_plan`] (or [`ProbDb::query`]) for anything large;
-/// this path exists as the semantics oracle the optimizer and the
-/// pipelined executor are differentially tested against.
-///
-/// # Errors
-///
-/// Returns plan-validation errors (unknown relations/columns, predicate
-/// type errors, union incompatibility).
-pub fn execute_plan_eager(db: &ProbDb, plan: &Plan) -> Result<URelation> {
-    plan.output_schema(db)?;
-    eval_eager(db, plan)
-}
-
-fn eval_eager(db: &ProbDb, plan: &Plan) -> Result<URelation> {
-    match plan {
-        Plan::Scan { relation } => Ok(db.relation(relation)?.clone()),
-        Plan::Empty { schema } => Ok(URelation::new(schema.clone())),
-        Plan::Select { input, predicate } => {
-            let rel = eval_eager(db, input)?;
-            let name = rel.schema().name().to_string();
-            algebra::select(&rel, predicate, &name)
-        }
-        Plan::Project { input, columns } => {
-            let rel = eval_eager(db, input)?;
-            let name = rel.schema().name().to_string();
-            let names: Vec<&str> = columns.iter().map(String::as_str).collect();
-            algebra::project(&rel, &names, &name)
-        }
-        Plan::Join {
-            left,
-            right,
-            predicate,
-        } => {
-            let l = eval_eager(db, left)?;
-            let r = eval_eager(db, right)?;
-            let name = l.schema().name().to_string();
-            algebra::join(&l, &r, predicate, &name)
-        }
-        Plan::Product { left, right } => {
-            let l = eval_eager(db, left)?;
-            let r = eval_eager(db, right)?;
-            let name = l.schema().name().to_string();
-            algebra::product(&l, &r, &name)
-        }
-        Plan::Union { left, right } => {
-            let l = eval_eager(db, left)?;
-            let r = eval_eager(db, right)?;
-            let name = l.schema().name().to_string();
-            algebra::union(&l, &r, &name)
-        }
-        Plan::Rename { input, name } => Ok(algebra::rename(&eval_eager(db, input)?, name)),
-        Plan::Distinct { input } => Ok(algebra::distinct(&eval_eager(db, input)?)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::database::tests::ssn_db;
     use crate::predicate::{Comparison, Expr};
+    use crate::reference::{self, execute_plan as execute_plan_eager};
     use crate::schema::ColumnType;
     use crate::UrelError;
 
@@ -478,13 +418,13 @@ mod tests {
             .project(&["SSN"]);
         let got = execute_plan_eager(&db, &plan).unwrap();
         let expected = {
-            let bills = algebra::select(
+            let bills = reference::select(
                 db.relation("R").unwrap(),
                 &Predicate::col_eq("NAME", "Bill"),
                 "R",
             )
             .unwrap();
-            algebra::project(&bills, &["SSN"], "R").unwrap()
+            reference::project(&bills, &["SSN"], "R").unwrap()
         };
         assert_eq!(got, expected);
 

@@ -602,7 +602,7 @@ mod tests {
 
     #[test]
     fn columns_resolve_after_rename_and_projection() {
-        use crate::algebra;
+        use crate::reference;
         use crate::relation::URelation;
         use crate::tuple::Tuple;
         use uprob_wsd::WsDescriptor;
@@ -615,7 +615,7 @@ mod tests {
         // After a projection the surviving columns keep their names, so a
         // predicate written against the projected schema evaluates
         // identically below the projection (the pushdown invariant).
-        let projected = algebra::project(&r, &["NAME", "SSN"], "P").unwrap();
+        let projected = reference::project(&r, &["NAME", "SSN"], "P").unwrap();
         let p = Predicate::col_eq("NAME", "Bill").and(Predicate::col_eq("SSN", 7i64));
         let (pt, pd) = (&projected.rows()[0].0, projected.schema());
         assert!(p.eval(pd, pt).unwrap());
@@ -628,7 +628,7 @@ mod tests {
         // Renaming changes only the relation name: unqualified references
         // keep resolving, and the new name drives the qualified
         // `rel.column` names produced by a subsequent self-join concat.
-        let renamed = algebra::rename(&r, "R2");
+        let renamed = reference::rename(&r, "R2");
         assert!(p.eval(renamed.schema(), &renamed.rows()[0].0).unwrap());
         let concat = r.schema().concat(renamed.schema(), "J");
         assert!(concat.has_column("R2.SSN"));

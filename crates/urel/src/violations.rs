@@ -131,8 +131,8 @@ pub fn denial_constraint_plan(atoms: &[(String, String)], condition: &Predicate)
 mod tests {
     use super::*;
     use crate::database::tests::ssn_db;
-    use crate::plan::execute_plan_eager;
     use crate::predicate::{Comparison, Expr};
+    use crate::reference::execute_plan as execute_plan_eager;
 
     #[test]
     fn fd_violation_plan_reproduces_example_2_3() {

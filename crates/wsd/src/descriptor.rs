@@ -163,12 +163,6 @@ impl WsDescriptor {
             .all(|a| self.get(a.var) == Some(a.value))
     }
 
-    /// Two descriptors are equivalent iff they are mutually contained, i.e.
-    /// they are equal as sets of assignments.
-    pub fn is_equivalent_to(&self, other: &WsDescriptor) -> bool {
-        self == other
-    }
-
     /// Union of two consistent descriptors (the descriptor of the
     /// intersection of the two world-sets).
     ///
@@ -291,12 +285,6 @@ impl WsDescriptor {
         self.assignments
             .iter()
             .all(|a| world.get(a.var.index()) == Some(&a.value))
-    }
-
-    /// True if this descriptor is a total valuation of `table` (assigns every
-    /// variable), in which case it identifies exactly one world.
-    pub fn is_total(&self, table: &WorldTable) -> bool {
-        self.assignments.len() == table.num_variables()
     }
 
     /// Renders the descriptor with variable names and value labels, e.g.
@@ -509,15 +497,6 @@ mod tests {
         renamed.rename_variable(j, b);
         assert_eq!(renamed.len(), 1);
         assert_eq!(renamed.get(b), d.get(b));
-    }
-
-    #[test]
-    fn is_total_detects_full_valuations() {
-        let (w, j, b) = table();
-        let partial = WsDescriptor::from_pairs(&w, &[(j, 1)]).unwrap();
-        let total = WsDescriptor::from_pairs(&w, &[(j, 1), (b, 4)]).unwrap();
-        assert!(!partial.is_total(&w));
-        assert!(total.is_total(&w));
     }
 
     #[test]

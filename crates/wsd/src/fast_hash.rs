@@ -13,7 +13,7 @@
     reason = "this module defines the sanctioned aliases: std's tables with the RandomState hasher swapped for FxBuildHasher"
 )]
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasher, Hash, Hasher};
+use std::hash::{BuildHasher, Hasher};
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
@@ -108,17 +108,17 @@ pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 )]
 pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
-/// The `FxHasher` digest of one value — used e.g. to pick a cache shard
-/// deterministically.
-pub fn fx_hash_one<T: Hash + ?Sized>(value: &T) -> u64 {
-    let mut hasher = FxHasher::default();
-    value.hash(&mut hasher);
-    hasher.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hash::Hash;
+
+    /// The `FxHasher` digest of one value.
+    fn fx_hash_one<T: Hash + ?Sized>(value: &T) -> u64 {
+        let mut hasher = FxHasher::default();
+        value.hash(&mut hasher);
+        hasher.finish()
+    }
 
     #[test]
     fn equal_values_hash_equal() {

@@ -165,7 +165,8 @@ impl DescriptorInterner {
 
     /// Canonicalises a ws-set into its memoization key: interns every
     /// descriptor, sorts the ids and removes duplicates.
-    pub fn canonical_key(&mut self, set: &WsSet) -> CanonicalSetKey {
+    #[cfg(test)]
+    fn canonical_key(&mut self, set: &WsSet) -> CanonicalSetKey {
         let mut ids = Vec::new();
         self.canonical_ids(set, &mut ids);
         CanonicalSetKey(ids.into_boxed_slice())

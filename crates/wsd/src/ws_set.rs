@@ -76,11 +76,6 @@ impl WsSet {
         self.descriptors.iter_mut()
     }
 
-    /// Consumes the set and returns its descriptors.
-    pub fn into_descriptors(self) -> Vec<WsDescriptor> {
-        self.descriptors
-    }
-
     /// Read-only view of the descriptors.
     pub fn descriptors(&self) -> &[WsDescriptor] {
         &self.descriptors
@@ -92,12 +87,6 @@ impl WsSet {
             .iter()
             .flat_map(|d| d.variables())
             .collect()
-    }
-
-    /// Total number of assignments across all descriptors (a proxy for the
-    /// representation size reported in the experiments).
-    pub fn total_assignments(&self) -> usize {
-        self.descriptors.iter().map(|d| d.len()).sum()
     }
 
     /// `Union(S1, S2) := S1 ∪ S2` (Section 3.2).
@@ -672,12 +661,6 @@ mod tests {
         ];
         assert!(!s.matches_world(&world2));
         let _ = (x, y, u);
-    }
-
-    #[test]
-    fn total_assignments_counts_all() {
-        let (_, _, s) = figure3();
-        assert_eq!(s.total_assignments(), 1 + 2 + 2 + 2 + 1);
     }
 
     #[test]

@@ -109,17 +109,17 @@ fn main() {
     // ----------------------------------------------------------------- //
     // 3. Query the posterior: most likely SSN per person.                //
     // ----------------------------------------------------------------- //
-    let person_relation = cleaned.db.relation("person").expect("person exists");
     println!("\n== Posterior: most likely SSN per person ==");
     for person in 0..PERSONS {
         let name = format!("Person#{person:02}");
-        let this_person = algebra::select(
-            person_relation,
-            &Predicate::col_eq("NAME", name.as_str()),
-            "one",
-        )
-        .expect("valid selection");
-        let ssns = algebra::project(&this_person, &["SSN"], "ssns").expect("valid projection");
+        let ssns = cleaned
+            .db
+            .query(
+                &Plan::scan("person")
+                    .select(Predicate::col_eq("NAME", name.as_str()))
+                    .project(&["SSN"]),
+            )
+            .expect("valid plan");
         let mut confidences = tuple_confidences(
             &ssns,
             cleaned.db.world_table(),
@@ -139,7 +139,10 @@ fn main() {
     // ----------------------------------------------------------------- //
     // 4. Exact versus approximate confidence on the cleaned database.    //
     // ----------------------------------------------------------------- //
-    let all = algebra::project(person_relation, &["SSN"], "all").expect("valid projection");
+    let all = cleaned
+        .db
+        .query(&Plan::scan("person").project(&["SSN"]))
+        .expect("valid plan");
     let ws = all.answer_ws_set();
     let exact = confidence(
         &ws,
@@ -151,6 +154,7 @@ fn main() {
         &ws,
         cleaned.db.world_table(),
         &ApproximationOptions::default().with_epsilon(0.1),
+        available_workers(),
     )
     .expect("approximation succeeds");
     println!("\n== P(some SSN is recorded) on the cleaned database ==");

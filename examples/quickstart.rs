@@ -56,13 +56,10 @@ fn main() {
     // ----------------------------------------------------------------- //
     // 2. select SSN, conf() from R where NAME = 'Bill' group by SSN      //
     // ----------------------------------------------------------------- //
-    let bills = algebra::select(
-        db.relation("R").expect("R exists"),
-        &Predicate::col_eq("NAME", "Bill"),
-        "Bills",
-    )
-    .expect("valid selection");
-    let ssns = algebra::project(&bills, &["SSN"], "Q").expect("valid projection");
+    let bills_ssns = Plan::scan("R")
+        .select(Predicate::col_eq("NAME", "Bill"))
+        .project(&["SSN"]);
+    let ssns = db.query(&bills_ssns).expect("valid plan");
     let prior_conf = tuple_confidences(&ssns, db.world_table(), &DecompositionOptions::default())
         .expect("confidence computation succeeds");
     println!("\n== Prior confidences: Bill's SSN ==");
@@ -92,13 +89,7 @@ fn main() {
     // ----------------------------------------------------------------- //
     // 4. The same query on the posterior gives conditional probabilities //
     // ----------------------------------------------------------------- //
-    let bills = algebra::select(
-        posterior.db.relation("R").expect("R exists"),
-        &Predicate::col_eq("NAME", "Bill"),
-        "Bills",
-    )
-    .expect("valid selection");
-    let ssns = algebra::project(&bills, &["SSN"], "Q").expect("valid projection");
+    let ssns = posterior.db.query(&bills_ssns).expect("valid plan");
     let posterior_conf = tuple_confidences(
         &ssns,
         posterior.db.world_table(),
@@ -117,8 +108,10 @@ fn main() {
     // ----------------------------------------------------------------- //
     // 5. select SSN from R where conf(SSN) = 1: the certain SSNs.        //
     // ----------------------------------------------------------------- //
-    let all_ssns = algebra::project(posterior.db.relation("R").expect("R exists"), &["SSN"], "S")
-        .expect("valid projection");
+    let all_ssns = posterior
+        .db
+        .query(&Plan::scan("R").project(&["SSN"]))
+        .expect("valid plan");
     let certain = certain_tuples(
         &all_ssns,
         posterior.db.world_table(),

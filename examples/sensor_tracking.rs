@@ -137,12 +137,10 @@ fn main() {
     assert!((total - 1.0).abs() < 1e-9);
 
     // Certain facts after conditioning.
-    let zones = algebra::project(
-        posterior.db.relation("location").expect("location exists"),
-        &["OBJECT", "ZONE"],
-        "Z",
-    )
-    .expect("valid projection");
+    let zones = posterior
+        .db
+        .query(&Plan::scan("location").project(&["OBJECT", "ZONE"]))
+        .expect("valid plan");
     let certain = certain_tuples(
         &zones,
         posterior.db.world_table(),
@@ -232,11 +230,14 @@ fn main() {
 
 /// Prints, for every object, the confidence of each zone.
 fn print_zone_distributions(db: &ProbDb) {
-    let relation = db.relation("location").expect("location exists");
     for object in 0..3i64 {
-        let rows = algebra::select(relation, &Predicate::col_eq("OBJECT", object), "one")
-            .expect("valid selection");
-        let zones = algebra::project(&rows, &["ZONE"], "zones").expect("valid projection");
+        let zones = db
+            .query(
+                &Plan::scan("location")
+                    .select(Predicate::col_eq("OBJECT", object))
+                    .project(&["ZONE"]),
+            )
+            .expect("valid plan");
         let mut confidences =
             tuple_confidences(&zones, db.world_table(), &DecompositionOptions::default())
                 .expect("confidence computation succeeds");

@@ -89,6 +89,7 @@ fn main() {
             &ApproximationOptions::default()
                 .with_epsilon(0.1)
                 .with_delta(0.01),
+            available_workers(),
         )
         .expect("Karp-Luby succeeds");
         report("KL(eps=.1)", kl.estimate, t.elapsed());

@@ -12,7 +12,7 @@
 //! | module | contents |
 //! |--------|----------|
 //! | [`wsd`] | world tables, ws-descriptors, ws-sets and their set algebra |
-//! | [`urel`] | values, tuples, schemas, U-relations, probabilistic databases and the positive relational algebra |
+//! | [`urel`] | values, tuples, schemas, U-relations, probabilistic databases and the positive relational algebra as query plans |
 //! | [`core`] | ws-trees, the INDVE/VE decomposition with the minlog/minmax heuristics, exact confidence, ws-descriptor elimination and conditioning |
 //! | [`approx`] | the Karp–Luby / Dagum-et-al. Monte-Carlo baseline |
 //! | [`datagen`] | probabilistic TPC-H and #P-hard workload generators |
@@ -83,26 +83,25 @@ pub mod prelude {
     };
     pub use uprob_core::{
         available_workers, build_tree, condition, condition_all, confidence,
-        confidence_brute_force, confidence_by_elimination, confidence_by_elimination_parallel,
-        confidence_parallel, estimate_conditioned_confidence,
-        estimate_conditioned_confidence_with_options, estimate_confidence,
-        estimate_confidence_with_options, intersect_conditions, CacheStats, ConditioningMethod,
-        ConditioningOptions, ConfidenceReport, ConfidenceStrategy, DecompositionMethod,
-        DecompositionOptions, InheritOutcome, ParallelOptions, ResolvedPath, SamplingStats,
-        SharedDecompositionCache, VariableHeuristic, WsTree,
+        confidence_by_elimination, confidence_by_elimination_parallel, confidence_parallel,
+        estimate_conditioned_confidence, estimate_conditioned_confidence_with_options,
+        estimate_confidence, estimate_confidence_with_options, intersect_conditions, CacheStats,
+        ConditioningMethod, ConditioningOptions, ConfidenceReport, ConfidenceStrategy,
+        DecompositionMethod, DecompositionOptions, InheritOutcome, ParallelOptions, ResolvedPath,
+        SamplingStats, SharedDecompositionCache, VariableHeuristic, WsTree,
     };
     pub use uprob_query::{
         answer_confidences_with_options, answer_confidences_with_strategy, assert_all,
         assert_all_delta, assert_all_with_strategy, assert_constraint, boolean_confidence,
         certain_tuples, planned_answer_confidences_with_options,
         planned_answer_confidences_with_strategy, planned_boolean_confidence, possible_tuples,
-        tuple_confidences, tuple_confidences_sequential, AnswerConfidences, AssertOutcome,
-        Assertion, Constraint, DeltaOutcome, EstimatedAssertion, ProbDbService, ServiceOptions,
-        ServiceStats, Snapshot, StrategyAnswerConfidences, ViolationMemo,
+        tuple_confidences, AnswerConfidences, AssertOutcome, Assertion, Constraint, DeltaOutcome,
+        EstimatedAssertion, ProbDbService, ServiceOptions, ServiceStats, Snapshot,
+        StrategyAnswerConfidences, ViolationMemo,
     };
     pub use uprob_urel::{
-        algebra, execute_plan, execute_plan_eager, optimize_plan, ColumnType, Comparison,
-        DeltaBuilder, DeltaReport, Expr, Plan, Predicate, ProbDb, Schema, Tuple, URelation, Value,
+        execute_plan, optimize_plan, ColumnType, Comparison, DeltaBuilder, DeltaReport, Expr, Plan,
+        Predicate, ProbDb, Schema, Tuple, URelation, Value,
     };
     pub use uprob_wsd::{DomainValue, ValueIndex, VarId, WorldTable, WsDescriptor, WsSet};
 }

@@ -37,7 +37,7 @@ proptest! {
     #[test]
     fn all_confidence_methods_agree(recipe in arb_small_recipe()) {
         let instance = recipe.build();
-        let expected = confidence_brute_force(&instance.query, &instance.table);
+        let expected = instance.query.probability_by_enumeration(&instance.table);
 
         // The exact decomposition folds.
         for options in [
@@ -130,7 +130,7 @@ proptest! {
         // reproducible randomness).
         let estimator = KarpLuby::new(&instance.query, &instance.table).unwrap();
         let options = ApproximationOptions::default().with_seed(recipe.probability_seed);
-        let estimate = estimator.estimate_fixed_parallel(KL_ITERATIONS, &options);
+        let estimate = estimator.estimate_fixed_parallel(KL_ITERATIONS, &options, parallel.workers());
         let tolerance = kl_tolerance(expected, estimator.total_weight());
         prop_assert!(
             (estimate - expected).abs() < tolerance,
@@ -147,7 +147,7 @@ proptest! {
     #[test]
     fn conditioned_confidence_methods_agree(recipe in arb_small_recipe()) {
         let instance = recipe.build();
-        let p_condition = confidence_brute_force(&instance.condition, &instance.table);
+        let p_condition = instance.condition.probability_by_enumeration(&instance.table);
         if p_condition < 0.05 {
             // Conditioning on a near-impossible world-set: the posterior is
             // ill-conditioned and the adaptive estimator's iteration count
@@ -157,7 +157,7 @@ proptest! {
         }
         let joint = instance.query.intersect(&instance.condition).normalized();
         let expected =
-            confidence_brute_force(&joint, &instance.table) / p_condition;
+            joint.probability_by_enumeration(&instance.table) / p_condition;
 
         // Exact engine path.
         let exact = estimate_conditioned_confidence(
@@ -222,6 +222,7 @@ proptest! {
                 .with_epsilon(epsilon)
                 .with_delta(0.05)
                 .with_seed(recipe.probability_seed ^ 0xD1FF),
+                parallel.workers(),
         )
         .unwrap();
         prop_assert!(

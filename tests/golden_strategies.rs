@@ -9,6 +9,7 @@ use uprob::datagen::{
     q1_answer_relation, q1_plan, HardInstance, HardInstanceConfig, TpchConfig, TpchDatabase,
 };
 use uprob::prelude::*;
+use uprob::urel::reference;
 
 /// The Figure 3 ws-set with exact probability 0.7578.
 fn figure3() -> (WorldTable, WsSet) {
@@ -263,13 +264,13 @@ fn example_5_1_constraint_through_all_three_strategies() {
     let Assertion::Materialized(conditioned) = &exact else {
         unreachable!()
     };
-    let bills = algebra::select(
+    let bills = reference::select(
         db.relation("R").unwrap(),
         &Predicate::col_eq("NAME", "Bill"),
         "Bills",
     )
     .unwrap();
-    let ssns = algebra::project(&bills, &["SSN"], "Q").unwrap();
+    let ssns = reference::project(&bills, &["SSN"], "Q").unwrap();
     let posterior = virtual_posterior
         .tuple_confidences(&ssns, db.world_table(), &ParallelOptions::sequential())
         .unwrap();
@@ -367,7 +368,7 @@ fn figure3_through_a_query_plan_and_all_three_strategies() {
     // Planned and eager answers are row-identical, and the exact route is
     // bit-identical between them.
     let planned = db.query(&plan).unwrap();
-    let eager = db.query_eager(&plan).unwrap();
+    let eager = reference::execute_plan(&db, &plan).unwrap();
     assert_eq!(planned.rows(), eager.rows());
     let planned_exact = estimate_confidence(
         &planned.answer_ws_set(),
@@ -436,7 +437,7 @@ fn example_5_1_through_a_query_plan_and_all_three_strategies() {
     let options = DecompositionOptions::indve_minlog();
 
     let planned = db.query(&violation).unwrap();
-    let eager = db.query_eager(&violation).unwrap();
+    let eager = reference::execute_plan(&db, &violation).unwrap();
     assert_eq!(planned.rows(), eager.rows(), "planned answer must match");
 
     let exact = estimate_confidence(
@@ -514,7 +515,7 @@ fn tpch_q1_through_a_query_plan_and_all_three_strategies() {
     let options = DecompositionOptions::indve_minlog();
 
     let planned = data.db.query(&q1_plan()).unwrap();
-    let eager = data.db.query_eager(&q1_plan()).unwrap();
+    let eager = reference::execute_plan(&data.db, &q1_plan()).unwrap();
     assert!(!planned.is_empty(), "the instance has Q1 answers");
     assert_eq!(planned.rows(), eager.rows(), "same rows, same order");
 
@@ -674,7 +675,7 @@ fn hybrid_fallback_lands_within_epsilon_on_the_downscaled_twin() {
     {
         assert_eq!(&tuple, reported_tuple);
         assert_eq!(report.path, ResolvedPath::Sampled { fell_back: true });
-        let reference = confidence_brute_force(&ws_set, &instance.world_table);
+        let reference = ws_set.probability_by_enumeration(&instance.world_table);
         assert!(
             (report.probability - reference).abs() <= epsilon * reference + 0.01,
             "tuple {tuple:?}: sampled {} vs brute force {reference}",
@@ -682,8 +683,9 @@ fn hybrid_fallback_lands_within_epsilon_on_the_downscaled_twin() {
         );
     }
     // The answer-level Boolean confidence falls back and lands in-band too.
-    let boolean_reference =
-        confidence_brute_force(&relation.answer_ws_set(), &instance.world_table);
+    let boolean_reference = relation
+        .answer_ws_set()
+        .probability_by_enumeration(&instance.world_table);
     assert!(hybrid.boolean.path.is_sampled());
     assert!(
         (hybrid.boolean.probability - boolean_reference).abs()

@@ -31,7 +31,7 @@ proptest! {
         let instance = HardInstance::generate(config);
         let table = &instance.world_table;
         let set = &instance.ws_set;
-        let expected = confidence_brute_force(set, table);
+        let expected = set.probability_by_enumeration(table);
         for options in [
             DecompositionOptions::indve_minlog(),
             DecompositionOptions::indve_minmax(),
@@ -55,7 +55,7 @@ proptest! {
         prop_assert!(tree.validate(table).is_ok());
         prop_assert!(tree.to_ws_set().is_equivalent_by_enumeration(set, table));
         let p_tree = uprob::core::tree_probability(&tree, table);
-        let p_brute = confidence_brute_force(set, table);
+        let p_brute = set.probability_by_enumeration(table);
         prop_assert!((p_tree - p_brute).abs() < 1e-9);
     }
 
@@ -69,11 +69,12 @@ proptest! {
             return Ok(());
         }
         let table = &instance.world_table;
-        let exact = confidence_brute_force(&instance.ws_set, table);
+        let exact = instance.ws_set.probability_by_enumeration(table);
         let kl = karp_luby_epsilon_delta(
             &instance.ws_set,
             table,
             &ApproximationOptions::default().with_epsilon(0.1).with_delta(0.01).with_seed(config.seed),
+            available_workers(),
         )
         .unwrap();
         prop_assert!((kl.estimate - exact).abs() < 0.1 * exact + 0.02,

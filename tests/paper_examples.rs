@@ -2,6 +2,7 @@
 //! through the public facade (`uprob::prelude`).
 
 use uprob::prelude::*;
+use uprob::urel::reference;
 
 /// The SSN database of Figures 1/2.
 fn ssn_db() -> (ProbDb, VarId, VarId) {
@@ -78,13 +79,13 @@ fn figure_1_the_four_worlds_and_their_probabilities() {
 #[test]
 fn introduction_prior_confidences_of_bills_ssn() {
     let (db, _, _) = ssn_db();
-    let bills = algebra::select(
+    let bills = reference::select(
         db.relation("R").unwrap(),
         &Predicate::col_eq("NAME", "Bill"),
         "Bills",
     )
     .unwrap();
-    let ssns = algebra::project(&bills, &["SSN"], "Q").unwrap();
+    let ssns = reference::project(&bills, &["SSN"], "Q").unwrap();
     let answers =
         tuple_confidences(&ssns, db.world_table(), &DecompositionOptions::default()).unwrap();
     let lookup = |ssn: i64| {
@@ -131,7 +132,7 @@ fn example_4_7_and_figure_3_probability() {
         assert!((confidence(&s, &w, &options).unwrap().probability - 0.7578).abs() < 1e-12);
     }
     assert!((confidence_by_elimination(&s, &w).unwrap().probability - 0.7578).abs() < 1e-12);
-    assert!((confidence_brute_force(&s, &w) - 0.7578).abs() < 1e-12);
+    assert!((s.probability_by_enumeration(&w) - 0.7578).abs() < 1e-12);
     // The materialised ws-tree represents S and evaluates to the same value.
     let (tree, _) = build_tree(&s, &w, &DecompositionOptions::indve_minlog()).unwrap();
     assert!(tree.validate(&w).is_ok());
@@ -154,7 +155,7 @@ fn introduction_conditional_probability_of_bill_given_the_fd() {
     .unwrap()
     .probability;
     assert!((p_b - 0.44).abs() < 1e-12);
-    let bill4_rows = algebra::select(
+    let bill4_rows = reference::select(
         db.relation("R").unwrap(),
         &Predicate::col_eq("NAME", "Bill").and(Predicate::col_eq("SSN", 4i64)),
         "bill4",
@@ -174,7 +175,7 @@ fn introduction_conditional_probability_of_bill_given_the_fd() {
 
     // Via conditioning (assert + conf on the posterior).
     let conditioned = assert_constraint(&db, &fd, &ConditioningOptions::default()).unwrap();
-    let bills = algebra::select(
+    let bills = reference::select(
         conditioned.db.relation("R").unwrap(),
         &Predicate::col_eq("NAME", "Bill").and(Predicate::col_eq("SSN", 4i64)),
         "bill4",
@@ -238,6 +239,7 @@ fn karp_luby_approximates_the_figure_3_probability() {
             .with_epsilon(0.05)
             .with_delta(0.01)
             .with_seed(1),
+        available_workers(),
     )
     .unwrap();
     assert!((kl.estimate - 0.7578).abs() < 0.05 * 0.7578 + 1e-9);
@@ -248,6 +250,7 @@ fn karp_luby_approximates_the_figure_3_probability() {
             .with_epsilon(0.05)
             .with_delta(0.01)
             .with_seed(2),
+        available_workers(),
     )
     .unwrap();
     assert!((optimal.estimate - 0.7578).abs() < 0.06);

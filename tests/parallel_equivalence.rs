@@ -14,7 +14,7 @@
 //!    (confidence and full posterior database);
 //! 5. the `conf()` batch surface: `tuple_confidences`,
 //!    `answer_confidences_with_options(..).tuples` and
-//!    `tuple_confidences_sequential` agree bit for bit, and
+//!    `query::reference::tuple_confidences` agree bit for bit, and
 //!    `answer_confidences_with_strategy` reproduces its one-worker bits at
 //!    workers {1, 2, 4, 8} on a wide and on a narrow answer, so both arms
 //!    of the placement rule run;
@@ -316,7 +316,7 @@ fn zero_weight_and_missing_value_terms_are_bit_identical_across_workers() {
     let expected = 0.3 * 0.75 + 0.3 * 0.75 + 0.4 * 0.5;
     let got = confidence(&set, &w, &ve_in_id_order).unwrap();
     assert!((got.probability - expected).abs() < 1e-12);
-    assert!((got.probability - confidence_brute_force(&set, &w)).abs() < 1e-12);
+    assert!((got.probability - set.probability_by_enumeration(&w)).abs() < 1e-12);
 }
 
 /// Wraps a hard instance's ws-set into a U-relation whose distinct tuples
@@ -355,7 +355,8 @@ fn conf_batch_surface_is_bit_identical_on_wide_and_narrow_answers() {
     ];
     for groups in [16, 3] {
         let answer = grouped_relation(&instance, groups);
-        let reference = tuple_confidences_sequential(&answer, table, &options).unwrap();
+        let reference =
+            uprob::query::reference::tuple_confidences(&answer, table, &options).unwrap();
         assert_eq!(reference.len(), groups);
         let reference_boolean = boolean_confidence(&answer, table, &options).unwrap();
         let short = tuple_confidences(&answer, table, &options).unwrap();

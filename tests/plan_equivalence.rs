@@ -2,7 +2,7 @@
 //! U-relational databases and random query plans
 //! (`uprob_datagen::random_plan`), optimized + pipelined execution must be
 //! **set-equivalent** — same `(tuple, ws-descriptor)` multiset, same
-//! output schema — to the eager `algebra::*` reference interpreter, and
+//! output schema — to the eager oracle `urel::reference::execute_plan`, and
 //! the exact confidences computed through the decomposition fold must be
 //! identical on every path.
 //!
@@ -14,6 +14,7 @@
 use proptest::prelude::*;
 use uprob::datagen::arb_plan_case;
 use uprob::prelude::*;
+use uprob::urel::reference;
 
 /// Sorted copy of the rows: the multiset fingerprint two equivalent
 /// answers must share.
@@ -38,7 +39,7 @@ proptest! {
         let db = case.build_db();
         let plan = case.plan.build(&db);
 
-        let eager = db.query_eager(&plan).unwrap();
+        let eager = reference::execute_plan(&db, &plan).unwrap();
         let unoptimized = db.query_unoptimized(&plan).unwrap();
         let optimized_plan = optimize_plan(&plan, &db).unwrap();
         let planned = db.query(&plan).unwrap();
@@ -88,7 +89,7 @@ proptest! {
         let db = case.build_db();
         let plan = case.plan.build(&db);
 
-        let eager = db.query_eager(&plan).unwrap();
+        let eager = reference::execute_plan(&db, &plan).unwrap();
         let planned = db.query(&plan).unwrap();
         if eager.len() > MAX_CONFIDENCE_ROWS {
             return Ok(());
@@ -106,7 +107,7 @@ proptest! {
             "boolean conf: eager {eager_boolean} vs planned {planned_boolean}\n{}",
             &plan
         );
-        let brute = confidence_brute_force(&planned.answer_ws_set(), db.world_table());
+        let brute = planned.answer_ws_set().probability_by_enumeration(db.world_table());
         prop_assert!(
             (planned_boolean - brute).abs() < 1e-9,
             "planned conf {planned_boolean} vs brute force {brute}\n{}",

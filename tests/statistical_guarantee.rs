@@ -102,6 +102,7 @@ fn dagum_aa_estimator_meets_its_epsilon_delta_guarantee() {
                     .with_epsilon(epsilon)
                     .with_delta(delta)
                     .with_seed(seed),
+                available_workers(),
             )
             .unwrap()
             .estimate
@@ -130,6 +131,7 @@ fn karp_luby_worst_case_bound_meets_its_epsilon_delta_guarantee() {
                 .with_epsilon(epsilon)
                 .with_delta(delta)
                 .with_seed(seed),
+            available_workers(),
         )
         .unwrap()
         .estimate
@@ -164,6 +166,7 @@ fn conditioned_estimator_meets_its_composed_epsilon_delta_guarantee() {
                 .with_epsilon(epsilon)
                 .with_delta(delta)
                 .with_seed(seed),
+            available_workers(),
         )
         .unwrap()
         .estimate

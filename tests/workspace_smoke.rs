@@ -26,7 +26,6 @@ fn prelude_reexports_resolve() {
     let _ = Predicate::col_eq("c", 1i64);
     let _: fn(Vec<Value>) -> Tuple = Tuple::new;
     let _: Option<&URelation> = None;
-    let _ = algebra::answer_ws_set;
     // uprob-core
     let _ = DecompositionOptions::indve_minlog();
     let _ = DecompositionMethod::IndVe;
@@ -36,7 +35,6 @@ fn prelude_reexports_resolve() {
     let _: WsTree = WsTree::Bottom;
     let _ = build_tree;
     let _ = confidence;
-    let _ = confidence_brute_force;
     let _ = confidence_by_elimination;
     let _ = condition;
     // uprob-approx
@@ -115,7 +113,6 @@ fn entry_point_signatures_are_pinned() {
     ) -> Query<StrategyAnswerConfidences> = answer_confidences_with_strategy;
     type SqlForm<T> = fn(&URelation, &WorldTable, &DecompositionOptions) -> Query<T>;
     let _: SqlForm<Vec<(Tuple, f64)>> = tuple_confidences;
-    let _: SqlForm<Vec<(Tuple, f64)>> = tuple_confidences_sequential;
     let _: SqlForm<Vec<(Tuple, f64)>> = possible_tuples;
     let _: SqlForm<Vec<Tuple>> = certain_tuples;
     let _: SqlForm<f64> = boolean_confidence;
@@ -159,6 +156,14 @@ fn entry_point_signatures_are_pinned() {
         &WorldTable,
         &ParallelOptions,
     ) -> Query<Vec<(Tuple, ConfidenceReport)>> = EstimatedAssertion::tuple_confidences;
+
+    // The one way to evaluate a query, and the oracles it is tested against
+    // (reachable only through their `reference` modules, never the prelude).
+    type Urel<T> = Result<T, uprob::urel::UrelError>;
+    let _: fn(&ProbDb, &Plan) -> Urel<URelation> = ProbDb::query;
+    let _: fn(&ProbDb, &Plan) -> Urel<URelation> = uprob::urel::reference::execute_plan;
+    let _: fn(&Constraint, &ProbDb) -> Query<WsSet> = uprob::query::reference::violation_ws_set;
+    let _: SqlForm<Vec<(Tuple, f64)>> = uprob::query::reference::tuple_confidences;
 }
 
 /// The facade's module aliases expose the underlying crates.
