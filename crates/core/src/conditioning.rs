@@ -6,7 +6,11 @@
 //! Davis–Putnam-style decomposition as confidence computation and, while
 //! returning from the recursion, introduces fresh re-weighted variables for
 //! every eliminated variable and rewrites the ws-descriptors of the
-//! U-relations accordingly.
+//! U-relations accordingly. That rewrite depends on the condition alone, so
+//! the recursion carries no rows: it returns the leaves of the condition's
+//! ws-tree, and [`condition`] joins every row against them in one pass
+//! (DESIGN.md, "Conditioning: rewrite the tree, then join the rows"; the
+//! literal row-threading recursion is the oracle in [`crate::reference`]).
 //!
 //! Two variants are provided:
 //!
@@ -26,16 +30,18 @@
 //!   not trigger the ⊗ rule the two variants coincide.
 //!
 //! Conditioning deliberately bypasses the shared decomposition cache of
-//! [`crate::cache`]: its recursion rewrites U-relation descriptors and
-//! allocates fresh variables, so its sub-results are not pure functions
-//! of the sub-ws-set (DESIGN.md, "What is not cached").
+//! [`crate::cache`]: its recursion allocates fresh variables in visit
+//! order, so its sub-results are not pure functions of the sub-ws-set
+//! (DESIGN.md, "What is not cached").
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
-use uprob_wsd::FxHashMap;
-
-use uprob_urel::{ProbDb, URelation};
-use uprob_wsd::{DomainValue, NeumaierSum, ValueIndex, VarId, WorldTable, WsDescriptor, WsSet};
+use uprob_urel::{ProbDb, Tuple, URelation};
+use uprob_wsd::value::Assignment;
+use uprob_wsd::{
+    DomainValue, FxHashMap, NeumaierSum, ValueIndex, VarId, WorldTable, WsDescriptor, WsSet,
+    WsdError,
+};
 
 use crate::decompose::{Decomposer, DecompositionMethod, DecompositionOptions, DecompositionStep};
 use crate::error::CoreError;
@@ -119,21 +125,73 @@ pub struct Conditioned {
     pub prior_remap: FxHashMap<VarId, VarId>,
 }
 
-/// Row identity used while threading U-relation descriptors through the
-/// recursion: `(relation index, row index)`.
-type RowId = (usize, usize);
+/// One `∅` leaf of the condition's ws-tree, as a row sees it: Figure 8
+/// turns a descriptor `d` that is consistent with `path` into
+/// `(d ∖ vars(path)) ∪ fresh`, once per leaf, in DFS order.
+#[derive(Default)]
+struct Leaf {
+    /// The `var → value` choices of the leaf's ⊕ ancestors (sorted by
+    /// variable once the recursion has returned).
+    path: Vec<Assignment>,
+    /// `var' → new index` for the same ancestors. Fresh variables are
+    /// created on the way back up, so pushing them leaf-to-root keeps this
+    /// ascending.
+    fresh: Vec<Assignment>,
+}
 
-/// A set of descriptors tagged with the row they belong to. A row can give
-/// rise to several descriptors in the output (one per surviving branch).
-type TaggedSet = Vec<(RowId, WsDescriptor)>;
+impl Leaf {
+    /// Writes the rewrite of `d` under this leaf into `out`, leaving out the
+    /// variables that `simplified` drops. Returns false (with `out` in an
+    /// unspecified state) if `d` contradicts the path.
+    fn rewrite_into(
+        &self,
+        d: &WsDescriptor,
+        simplified: &[Option<VarId>],
+        out: &mut Vec<Assignment>,
+    ) -> bool {
+        out.clear();
+        for a in d.iter() {
+            let choice = self
+                .path
+                .binary_search_by_key(&a.var, |p| p.var)
+                .ok()
+                .and_then(|at| self.path.get(at));
+            match choice {
+                Some(p) if p.value != a.value => return false,
+                // An eliminated variable: `fresh` carries its replacement.
+                Some(_) => {}
+                None => out.extend(simplified_assignment(simplified, a)),
+            }
+        }
+        out.extend_from_slice(&self.fresh);
+        true
+    }
+}
+
+/// `a` as the simplification table (see [`simplified_variables`]) leaves it.
+fn simplified_assignment(simplified: &[Option<VarId>], a: Assignment) -> Option<Assignment> {
+    let var = simplified.get(a.var.index()).copied().flatten()?;
+    Some(Assignment::new(var, a.value))
+}
+
+/// A re-weighted copy `var'` of an eliminated variable, not yet registered
+/// in any world table.
+struct FreshVariable {
+    source: VarId,
+    name: String,
+    alternatives: Vec<(DomainValue, f64)>,
+}
 
 struct Conditioner<'a> {
     /// Decides every `ComputeTree` node and owns the budget and counters.
     decomposer: Decomposer<'a>,
-    /// The output world table: the input table plus the fresh variables.
-    new_table: WorldTable,
-    /// For every fresh variable: the variable it was derived from.
-    sources: Vec<(VarId, VarId)>,
+    /// The fresh variables in creation order: the `i`-th one will get the
+    /// id `prior variables + i`.
+    fresh: Vec<FreshVariable>,
+    /// Their names, which later fresh names must avoid as well.
+    fresh_names: BTreeSet<String>,
+    /// Per source variable, the position in `fresh` of its latest copy.
+    last_fresh: FxHashMap<VarId, usize>,
 }
 
 impl<'a> Conditioner<'a> {
@@ -148,27 +206,29 @@ impl<'a> Conditioner<'a> {
         };
         Conditioner {
             decomposer: Decomposer::new(table, decomposition),
-            new_table: table.clone(),
-            sources: Vec::new(),
+            fresh: Vec::new(),
+            fresh_names: BTreeSet::new(),
+            last_fresh: FxHashMap::default(),
         }
     }
 
-    /// The recursive `cond` function of Figure 8, operating on the ws-set of
-    /// the condition (decomposed on the fly) and the tagged descriptors of
-    /// the U-relations.
-    fn cond(&mut self, set: &WsSet, u: TaggedSet, depth: u64) -> Result<(f64, TaggedSet)> {
+    /// The recursive `cond` function of Figure 8 with the U-relations
+    /// factored out: it folds over the condition's ws-set (decomposed on the
+    /// fly) and returns its confidence plus the leaves that say how any
+    /// descriptor is rewritten.
+    fn cond(&mut self, set: &WsSet, depth: u64) -> Result<(f64, Vec<Leaf>)> {
         match self.decomposer.step(set, depth)? {
             DecompositionStep::Empty => Ok((0.0, Vec::new())),
-            DecompositionStep::Universal => Ok((1.0, u)),
+            DecompositionStep::Universal => Ok((1.0, vec![Leaf::default()])),
             DecompositionStep::Partition(parts) => {
                 // Figure 8, ⊗ case: every part is conditioned against the
                 // full U and the rewritten descriptor sets are unioned.
                 let mut complement = 1.0;
-                let mut merged: TaggedSet = Vec::new();
+                let mut merged = Vec::new();
                 for part in &parts {
-                    let (ci, ui) = self.cond(part, u.clone(), depth + 1)?;
+                    let (ci, leaves) = self.cond(part, depth + 1)?;
                     complement *= 1.0 - ci;
-                    merged.extend(ui);
+                    merged.extend(leaves);
                 }
                 Ok((1.0 - complement, merged))
             }
@@ -177,22 +237,21 @@ impl<'a> Conditioner<'a> {
                 branches,
                 missing_values,
                 tail,
-            } => self.eliminate(var, &branches, &missing_values, &tail, u, depth),
+            } => self.eliminate(var, &branches, &missing_values, &tail, depth),
         }
     }
 
     /// Figure 8, ⊕ case: recurse into every alternative of the eliminated
     /// `var`, renormalise the branch weights with a fresh variable and
-    /// rewrite the descriptors of the surviving branches.
+    /// extend the leaves of the surviving branches.
     fn eliminate(
         &mut self,
         var: VarId,
         branches: &[(ValueIndex, WsSet)],
         missing_values: &[ValueIndex],
         tail: &WsSet,
-        u: TaggedSet,
         depth: u64,
-    ) -> Result<(f64, TaggedSet)> {
+    ) -> Result<(f64, Vec<Leaf>)> {
         let table = self.decomposer.table();
         let source_info = table.variable(var)?;
         // Child condition per domain value (None = impossible branch).
@@ -215,7 +274,7 @@ impl<'a> Conditioner<'a> {
             value: ValueIndex,
             weight: f64,
             confidence: f64,
-            rewritten: TaggedSet,
+            leaves: Vec<Leaf>,
         }
         let mut results: Vec<Branch> = Vec::new();
         let mut total = NeumaierSum::new();
@@ -230,20 +289,14 @@ impl<'a> Conditioner<'a> {
             if weight == 0.0 {
                 continue;
             }
-            // U_i: the descriptors consistent with `var -> value`, extended
-            // with that assignment.
-            let u_i: TaggedSet = u
-                .iter()
-                .filter_map(|(row, d)| d.with(var, value).ok().map(|extended| (*row, extended)))
-                .collect();
-            let (ci, rewritten) = self.cond(child_set, u_i, depth + 1)?;
+            let (ci, leaves) = self.cond(child_set, depth + 1)?;
             if ci > 0.0 {
                 total.add(weight * ci);
                 results.push(Branch {
                     value,
                     weight,
                     confidence: ci,
-                    rewritten,
+                    leaves,
                 });
             }
         }
@@ -252,8 +305,17 @@ impl<'a> Conditioner<'a> {
             return Ok((0.0, Vec::new()));
         }
         // Fresh variable var' whose alternatives are the surviving values of
-        // `var`, re-weighted so that they sum to one within this node.
-        let fresh_name = self.new_table.fresh_name(&source_info.name);
+        // `var`, re-weighted so that they sum to one within this node. A
+        // taken name stays taken, so the search for this source's next
+        // `x'…'` resumes from its last one instead of from `x'`.
+        let last = self.last_fresh.get(&var).and_then(|&at| self.fresh.get(at));
+        let mut name = match last {
+            Some(last) => format!("{}'", last.name),
+            None => table.fresh_name(&source_info.name),
+        };
+        while self.fresh_names.contains(&name) || table.variable_by_name(&name).is_some() {
+            name.push('\'');
+        }
         let alternatives: Vec<(DomainValue, f64)> = results
             .iter()
             .map(|b| {
@@ -265,24 +327,22 @@ impl<'a> Conditioner<'a> {
                 (label, b.weight * b.confidence / total)
             })
             .collect();
-        let fresh = self
-            .new_table
-            .add_variable(&fresh_name, &alternatives)
-            .map_err(CoreError::Wsd)?;
-        self.sources.push((fresh, var));
+        let fresh = VarId((table.num_variables() + self.fresh.len()) as u32);
+        self.fresh_names.insert(name.clone());
+        self.last_fresh.insert(var, self.fresh.len());
+        self.fresh.push(FreshVariable {
+            source: var,
+            name,
+            alternatives,
+        });
         // Rewrite: replace `var -> old value` by `var' -> new index`.
-        let mut merged: TaggedSet = Vec::new();
+        let mut merged = Vec::new();
         for (new_index, branch) in results.into_iter().enumerate() {
-            for (row, mut descriptor) in branch.rewritten {
-                descriptor.remove(var);
-                #[expect(
-                    clippy::expect_used,
-                    reason = "`fresh` was just created; no input descriptor mentions it"
-                )]
-                descriptor
-                    .assign(fresh, ValueIndex(new_index as u16))
-                    .expect("fresh variable cannot already occur in the descriptor");
-                merged.push((row, descriptor));
+            for mut leaf in branch.leaves {
+                leaf.path.push(Assignment::new(var, branch.value));
+                leaf.fresh
+                    .push(Assignment::new(fresh, ValueIndex(new_index as u16)));
+                merged.push(leaf);
             }
         }
         Ok((total, merged))
@@ -294,6 +354,17 @@ impl<'a> Conditioner<'a> {
 ///
 /// Returns the posterior database, the confidence of the condition in the
 /// input database and decomposition statistics.
+///
+/// The rewrite of Figure 8 is a function of the condition alone, so the
+/// condition is decomposed once into its leaves and every row is then joined
+/// against them (DESIGN.md, "Conditioning: rewrite the tree, then join the
+/// rows"). The three simplification optimisations of Section 5 are tables
+/// keyed by variable, applied while the rows are written:
+///
+/// 1. variables that do not appear in any U-relation are dropped from `W`;
+/// 2. variables with a single domain alternative are dropped everywhere;
+/// 3. fresh variables derived from the same original variable with identical
+///    alternatives and weights are merged.
 ///
 /// # Errors
 ///
@@ -308,259 +379,146 @@ pub fn condition(
 ) -> Result<Conditioned> {
     let table = db.world_table();
     let mut conditioner = Conditioner::new(table, options);
-
-    // Collect the descriptors of every row of every relation, tagged with
-    // their origin.
-    let relation_names = db.relation_names();
-    let mut tagged: TaggedSet = Vec::new();
-    let mut tuples: Vec<Vec<uprob_urel::Tuple>> = Vec::with_capacity(relation_names.len());
-    for (rel_index, name) in relation_names.iter().enumerate() {
-        let relation = db.relation(name)?;
-        let mut rel_tuples = Vec::with_capacity(relation.len());
-        for (row_index, (tuple, descriptor)) in relation.iter().enumerate() {
-            tagged.push(((rel_index, row_index), descriptor.clone()));
-            rel_tuples.push(tuple.clone());
-        }
-        tuples.push(rel_tuples);
-    }
-
-    let (confidence, rewritten) = conditioner.cond(condition, tagged, 1)?;
+    let (confidence, mut leaves) = conditioner.cond(condition, 1)?;
     // A NaN confidence is treated like zero: a degenerate condition must
     // surface as the typed error, never as a NaN/Inf posterior.
     if confidence <= 0.0 || confidence.is_nan() {
         return Err(CoreError::EmptyCondition);
     }
-    let new_variables = conditioner.sources.len();
+    let Conditioner {
+        decomposer, fresh, ..
+    } = conditioner;
+    let prior_vars = table.num_variables();
 
-    // Group the rewritten descriptors by row.
-    let mut per_row: FxHashMap<RowId, Vec<WsDescriptor>> = FxHashMap::default();
-    for (row, descriptor) in rewritten {
-        per_row.entry(row).or_default().push(descriptor);
+    // Optimisations (2) and (3), decided per variable and applied to the
+    // leaves, so that what they remove never reaches a row.
+    let simplified = if options.simplify {
+        simplified_variables(table, &fresh)
+    } else {
+        (0..(prior_vars + fresh.len()) as u32)
+            .map(|v| Some(VarId(v)))
+            .collect()
+    };
+    for leaf in &mut leaves {
+        leaf.path.sort_unstable_by_key(|a| a.var);
+        leaf.fresh = leaf
+            .fresh
+            .iter()
+            .filter_map(|&a| simplified_assignment(&simplified, a))
+            .collect();
+        leaf.fresh.sort_unstable_by_key(|a| a.var);
     }
 
-    // Rebuild the database over the extended world table.
-    let mut out = ProbDb::with_world_table(conditioner.new_table);
-    for (rel_index, name) in relation_names.iter().enumerate() {
-        let schema = db.relation(name)?.schema().clone();
-        let mut relation = URelation::new(schema);
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "rel_index enumerates relation_names, which built `tuples` in the same order"
-        )]
-        for (row_index, tuple) in tuples[rel_index].iter().enumerate() {
-            if let Some(descriptors) = per_row.get(&(rel_index, row_index)) {
-                for descriptor in descriptors {
-                    relation.push(tuple.clone(), descriptor.clone());
+    // The join: every row against every leaf, in DFS order.
+    let mut used = vec![!options.simplify; simplified.len()];
+    let mut relations = Vec::with_capacity(db.num_relations());
+    let mut rewritten = Vec::new();
+    for relation in db.relations() {
+        let mut rows: Vec<(Tuple, Vec<Assignment>)> = Vec::with_capacity(relation.len());
+        for (tuple, descriptor) in relation.iter() {
+            for leaf in &leaves {
+                if leaf.rewrite_into(descriptor, &simplified, &mut rewritten) {
+                    for a in &rewritten {
+                        if let Some(slot) = used.get_mut(a.var.index()) {
+                            *slot = true;
+                        }
+                    }
+                    rows.push((tuple.clone(), rewritten.clone()));
                 }
             }
         }
-        out.replace_relation(relation);
+        relations.push((relation.schema().clone(), rows));
     }
 
-    let mut touched_variables: Vec<VarId> = conditioner
-        .sources
-        .iter()
-        .map(|&(_, source)| source)
+    // Optimisation (1): the posterior table holds the variables some row
+    // still mentions, densely renumbered in registration order.
+    let is_used = |var: VarId| used.get(var.index()).is_some_and(|&u| u);
+    let (mut posterior_table, prior_kept) = table.retain_variables(|var, _| is_used(var));
+    let mut renumber: Vec<Option<VarId>> = table
+        .variable_ids()
+        .map(|var| prior_kept.get(&var).copied())
         .collect();
+    for (index, variable) in fresh.iter().enumerate() {
+        renumber.push(if is_used(VarId((prior_vars + index) as u32)) {
+            Some(posterior_table.add_variable(&variable.name, &variable.alternatives)?)
+        } else {
+            None
+        });
+    }
+    let mut out = ProbDb::with_world_table(posterior_table);
+    for (schema, rows) in relations {
+        let rows = rows
+            .into_iter()
+            .map(|(tuple, mut assignments)| {
+                for a in &mut assignments {
+                    a.var = renumber
+                        .get(a.var.index())
+                        .copied()
+                        .flatten()
+                        .ok_or(WsdError::UnknownVariable { var: a.var })?;
+                }
+                Ok((tuple, WsDescriptor::from_sorted_assignments(assignments)?))
+            })
+            .collect::<Result<_>>()?;
+        out.replace_relation(URelation::from_rows(schema, rows));
+    }
+
+    let mut touched_variables: Vec<VarId> = fresh.iter().map(|variable| variable.source).collect();
     touched_variables.sort();
     touched_variables.dedup();
-
-    let mapping: FxHashMap<VarId, VarId> = if options.simplify {
-        simplify_with_mapping(&mut out, &conditioner.sources)
-    } else {
-        // Without simplification the posterior table is the prior table
-        // plus appended fresh variables: every id maps to itself.
-        out.world_table().variable_ids().map(|v| (v, v)).collect()
-    };
-    let prior_vars = table.num_variables() as u32;
-    let prior_remap: FxHashMap<VarId, VarId> = mapping
-        .into_iter()
-        .filter(|(old, _)| old.0 < prior_vars && touched_variables.binary_search(old).is_err())
+    let prior_remap: FxHashMap<VarId, VarId> = table
+        .variable_ids()
+        .zip(&renumber)
+        .filter(|(old, _)| touched_variables.binary_search(old).is_err())
+        .filter_map(|(old, new)| Some((old, (*new)?)))
         .collect();
 
     Ok(Conditioned {
         db: out,
         confidence,
-        stats: conditioner.decomposer.stats,
-        new_variables,
+        stats: decomposer.stats,
+        new_variables: fresh.len(),
         touched_variables,
         prior_remap,
     })
 }
 
-/// The intersection of several condition ws-sets (Section 3.2), normalised
-/// between folds: the world-set of the *conjunction*. The empty slice
-/// yields the universal set (the empty conjunction is true everywhere);
-/// a one-element slice yields a normalised copy of that set.
-pub fn intersect_conditions(conditions: &[WsSet]) -> WsSet {
-    let mut iter = conditions.iter();
-    let Some(first) = iter.next() else {
-        return WsSet::universal();
-    };
-    let mut combined = first.normalized();
-    for set in iter {
-        combined = combined.intersect(set);
-        combined.normalize();
-    }
-    combined
-}
-
-/// Conditions `db` on the **conjunction** of several conditions in a
-/// single pass: the condition ws-sets are intersected once
-/// ([`intersect_conditions`]) and the decomposition/renormalisation of
-/// [`condition`] runs exactly once over the combined set — instead of
-/// materialising an intermediate posterior database per condition, which
-/// re-translates every U-relation and re-runs the fresh-variable
-/// re-weighting at each step. Asserts compose (Theorem 5.5), so the
-/// result represents the same posterior as the sequential fold.
-///
-/// # Errors
-///
-/// Same as [`condition`]; in particular [`CoreError::EmptyCondition`] when
-/// the conjunction is empty or has probability zero (mutually
-/// contradictory conditions).
-pub fn condition_all(
-    db: &ProbDb,
-    conditions: &[WsSet],
-    options: &ConditioningOptions,
-) -> Result<Conditioned> {
-    condition(db, &intersect_conditions(conditions), options)
-}
-
-/// The three simplification optimisations of Section 5:
-///
-/// 1. variables that do not appear in any U-relation are dropped from `W`;
-/// 2. variables with a single domain alternative are dropped everywhere;
-/// 3. fresh variables derived from the same original variable with identical
-///    alternatives and weights are merged.
-///
-/// Returns the old → new [`VarId`] mapping of the variables that survive
-/// optimisation (1). Variables dropped as unused are absent from the map;
-/// delta consumers treat absence as "do not inherit anything mentioning
-/// this variable".
-pub fn simplify_with_mapping(
-    db: &mut ProbDb,
-    sources: &[(VarId, VarId)],
-) -> FxHashMap<VarId, VarId> {
-    merge_equivalent_variables(db, sources);
-    drop_singleton_assignments(db);
-    drop_unused_variables(db)
-}
-
-/// Optimisation (3): merge fresh variables with the same source, the same
-/// alternatives and the same weights.
-fn merge_equivalent_variables(db: &mut ProbDb, sources: &[(VarId, VarId)]) {
+/// What optimisations (2) and (3) make of every variable id (the prior
+/// variables, then the fresh ones in creation order): `None` for a variable
+/// with a single alternative, whose assignments carry no information;
+/// otherwise the variable itself or, for a fresh variable, the first earlier
+/// fresh variable with the same source, alternatives and weights.
+fn simplified_variables(table: &WorldTable, fresh: &[FreshVariable]) -> Vec<Option<VarId>> {
     const EPSILON: f64 = 1e-12;
-    let table = db.world_table().clone();
-    // BTreeMap, not a hash map: the rename loop below iterates this map
-    // per descriptor, and renames must apply in a reproducible order.
-    let mut canonical: BTreeMap<VarId, VarId> = BTreeMap::new();
-    let mut representatives: Vec<(VarId, VarId)> = Vec::new(); // (source, representative)
-    for &(fresh, source) in sources {
-        let Ok(info) = table.variable(fresh) else {
-            continue;
-        };
-        let mut merged = false;
-        for &(other_source, representative) in &representatives {
-            if other_source != source {
-                continue;
-            }
-            #[expect(
-                clippy::expect_used,
-                reason = "representatives were looked up in this table when recorded"
-            )]
-            let rep_info = table
-                .variable(representative)
-                .expect("representative variable exists");
-            let same = rep_info.values == info.values
-                && rep_info.probabilities.len() == info.probabilities.len()
-                && rep_info
-                    .probabilities
-                    .iter()
-                    .zip(&info.probabilities)
-                    .all(|(a, b)| (a - b).abs() < EPSILON);
-            if same {
-                canonical.insert(fresh, representative);
-                merged = true;
-                break;
-            }
-        }
-        if !merged {
-            representatives.push((source, fresh));
-        }
-    }
-    if canonical.is_empty() {
-        return;
-    }
-    for relation in db.relations_mut() {
-        for (_, descriptor) in relation.rows_mut() {
-            for (from, to) in &canonical {
-                descriptor.rename_variable(*from, *to);
-            }
-        }
-    }
-}
-
-/// Optimisation (2): assignments of variables with a single alternative
-/// (probability 1) are removed from every descriptor.
-fn drop_singleton_assignments(db: &mut ProbDb) {
-    let singletons: Vec<VarId> = db
-        .world_table()
+    let prior_vars = table.num_variables();
+    let prior = table
         .iter()
-        .filter(|(_, info)| info.domain_size() == 1)
-        .map(|(var, _)| var)
-        .collect();
-    if singletons.is_empty() {
-        return;
-    }
-    for relation in db.relations_mut() {
-        for (_, descriptor) in relation.rows_mut() {
-            for var in &singletons {
-                descriptor.remove(*var);
+        .map(|(var, info)| (info.domain_size() > 1).then_some(var));
+    // Per source variable: the fresh variables nothing earlier equals.
+    let mut representatives: FxHashMap<VarId, Vec<(VarId, &FreshVariable)>> = FxHashMap::default();
+    let merged = fresh.iter().enumerate().map(|(index, variable)| {
+        if variable.alternatives.len() == 1 {
+            return None;
+        }
+        let candidates = representatives.entry(variable.source).or_default();
+        let same = candidates.iter().find(|(_, other)| {
+            other.alternatives.len() == variable.alternatives.len()
+                && other
+                    .alternatives
+                    .iter()
+                    .zip(&variable.alternatives)
+                    .all(|(a, b)| a.0 == b.0 && (a.1 - b.1).abs() < EPSILON)
+        });
+        Some(match same {
+            Some(&(representative, _)) => representative,
+            None => {
+                let var = VarId((prior_vars + index) as u32);
+                candidates.push((var, variable));
+                var
             }
-        }
-    }
-}
-
-/// Optimisation (1): rebuild the world table with only the variables that
-/// still occur in some U-relation, remapping the descriptors. Returns the
-/// old → new mapping of the kept variables.
-fn drop_unused_variables(db: &mut ProbDb) -> FxHashMap<VarId, VarId> {
-    let mut used: std::collections::BTreeSet<VarId> = std::collections::BTreeSet::new();
-    for relation in db.relations() {
-        for (_, descriptor) in relation.iter() {
-            used.extend(descriptor.variables());
-        }
-    }
-    let (new_table, mapping) = db
-        .world_table()
-        .retain_variables(|var, _| used.contains(&var));
-    // Remap every descriptor to the new variable ids.
-    for relation in db.relations_mut() {
-        for (_, descriptor) in relation.rows_mut() {
-            #[expect(
-                clippy::indexing_slicing,
-                reason = "mapping covers every variable `used` kept, and descriptors only mention kept variables"
-            )]
-            let remapped: Vec<(VarId, ValueIndex)> = descriptor
-                .iter()
-                .map(|a| (mapping[&a.var], a.value))
-                .collect();
-            let mut rebuilt = WsDescriptor::empty();
-            for (var, value) in remapped {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "injective id remap of an already-functional descriptor"
-                )]
-                rebuilt
-                    .assign(var, value)
-                    .expect("remapping preserves functionality");
-            }
-            *descriptor = rebuilt;
-        }
-    }
-    db.set_world_table(new_table);
-    mapping
+        })
+    });
+    prior.chain(merged).collect()
 }
 
 #[cfg(test)]
@@ -1048,15 +1006,16 @@ mod tests {
         // The combined confidence is the product of the step confidences.
         assert!((step1.confidence * step2.confidence - mass).abs() < 1e-9);
 
-        // condition_all on [B1, B2] (both over the *prior* table) is the
-        // single-pass equivalent: same confidence as the product, same
-        // posterior instance distribution.
+        // Conditioning once on B1 ∧ B2 (both over the *prior* table,
+        // intersected and normalised) is the single-pass equivalent: same
+        // confidence as the product, same posterior instance distribution.
         let b2 = WsSet::from_descriptors(vec![
             WsDescriptor::from_pairs(db.world_table(), &[(y, 1)]).unwrap(),
             WsDescriptor::from_pairs(db.world_table(), &[(y, 2)]).unwrap(),
         ]);
-        let joint = condition_all(&db, &[b1.clone(), b2.clone()], &opts).unwrap();
-        assert_confidence_matches_the_fold(&db, &intersect_conditions(&[b1, b2]));
+        let conjunction = b1.intersect(&b2).normalized();
+        let joint = condition(&db, &conjunction, &opts).unwrap();
+        assert_confidence_matches_the_fold(&db, &conjunction);
         assert!((joint.confidence - mass).abs() < 1e-12);
         let joint_got = instance_distribution(&joint.db);
         assert_eq!(expected.len(), joint_got.len());
@@ -1121,32 +1080,229 @@ mod tests {
     #[test]
     fn intersect_conditions_edge_cases() {
         let (db, cond_set) = ssn_db_and_condition();
-        // Empty slice: the universal set (the empty conjunction).
-        assert!(intersect_conditions(&[]).contains_universal());
-        // Singleton: a normalised copy.
-        assert_eq!(
-            intersect_conditions(std::slice::from_ref(&cond_set)),
-            cond_set.normalized()
-        );
+        let opts = ConditioningOptions::default();
         // Conjunction with the universal set is a no-op (modulo
-        // normalisation).
+        // normalisation), for the ws-set and for the posterior.
+        let with_universal = WsSet::universal().intersect(&cond_set).normalized();
+        assert_eq!(with_universal, cond_set.normalized());
+        let direct = condition(&db, &cond_set, &opts).unwrap();
+        let via_universal = condition(&db, &with_universal, &opts).unwrap();
         assert_eq!(
-            intersect_conditions(&[WsSet::universal(), cond_set.clone()]),
-            cond_set.normalized()
+            direct.confidence.to_bits(),
+            via_universal.confidence.to_bits()
+        );
+        assert_eq!(
+            direct.db.relation("R").unwrap(),
+            via_universal.db.relation("R").unwrap()
         );
         // Contradictory conditions intersect to the empty set, and
-        // condition_all reports the typed error.
+        // conditioning on it reports the typed error.
         let table = db.world_table();
         let j = table.variable_by_name("j").unwrap();
         let j1 = WsSet::from_descriptors(vec![WsDescriptor::from_pairs(table, &[(j, 1)]).unwrap()]);
         let j7 = WsSet::from_descriptors(vec![WsDescriptor::from_pairs(table, &[(j, 7)]).unwrap()]);
-        assert!(intersect_conditions(&[j1.clone(), j7.clone()]).is_empty());
+        let contradiction = j1.intersect(&j7);
+        assert!(contradiction.is_empty());
         assert_eq!(
-            condition_all(&db, &[j1, j7], &ConditioningOptions::default()).unwrap_err(),
+            condition(&db, &contradiction, &opts).unwrap_err(),
             CoreError::EmptyCondition
         );
-        // condition_all on no conditions is the identity.
-        let identity = condition_all(&db, &[], &ConditioningOptions::default()).unwrap();
+        // The empty conjunction is the universal set: the identity.
+        let identity = condition(&db, &WsSet::universal(), &opts).unwrap();
         assert!((identity.confidence - 1.0).abs() < 1e-12);
+    }
+
+    /// One relation `T(ID)` over `db`'s world table with one row per
+    /// descriptor, IDs counting from 1.
+    fn relation_of(db: &mut ProbDb, descriptors: Vec<WsDescriptor>) {
+        let schema = Schema::new("T", &[("ID", ColumnType::Int)]);
+        let mut rel = db.create_relation(schema).unwrap();
+        for (id, descriptor) in descriptors.into_iter().enumerate() {
+            rel.push(Tuple::new(vec![Value::Int(id as i64 + 1)]), descriptor);
+        }
+        db.insert_relation(rel).unwrap();
+    }
+
+    fn ids_and_descriptors(db: &ProbDb) -> Vec<(i64, String)> {
+        let relation = db.relation("T").unwrap();
+        relation
+            .iter()
+            .map(|(tuple, d)| {
+                let Some(Value::Int(id)) = tuple.get(0) else {
+                    panic!("ID column is an integer");
+                };
+                (*id, d.display(db.world_table()).to_string())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn rows_join_the_leaves_in_dfs_order() {
+        // Condition {x -> 0} ∪ {x -> 1, y -> 1} over x ∈ {0,1,2}, y ∈ {0,1}:
+        // a ⊕ on x with two ∅ leaves below it, (x -> 0) and (x -> 1, y -> 1).
+        let mut db = ProbDb::new();
+        let x = db.world_table_mut().add_uniform("x", 3).unwrap();
+        let y = db.world_table_mut().add_uniform("y", 2).unwrap();
+        let z = db.world_table_mut().add_uniform("z", 2).unwrap();
+        let w = db.world_table().clone();
+        relation_of(
+            &mut db,
+            vec![
+                // Inconsistent with every leaf: disappears.
+                WsDescriptor::from_pairs(&w, &[(x, 2)]).unwrap(),
+                // The empty descriptor: one copy per leaf, in DFS order.
+                WsDescriptor::empty(),
+                // Consistent with the second leaf only; z is not touched.
+                WsDescriptor::from_pairs(&w, &[(x, 1), (z, 1)]).unwrap(),
+                // Contradicts the second leaf on y, the first on x.
+                WsDescriptor::from_pairs(&w, &[(x, 1), (y, 0)]).unwrap(),
+            ],
+        );
+        let cond_set = WsSet::from_descriptors(vec![
+            WsDescriptor::from_pairs(&w, &[(x, 0)]).unwrap(),
+            WsDescriptor::from_pairs(&w, &[(x, 1), (y, 1)]).unwrap(),
+        ]);
+        let raw = ConditioningOptions {
+            simplify: false,
+            ..Default::default()
+        };
+        let result = condition(&db, &cond_set, &raw).unwrap();
+        assert_eq!(result.new_variables, 2, "y' below x -> 1, then x'");
+        assert_eq!(
+            ids_and_descriptors(&result.db),
+            vec![
+                (2, "{x' -> 0}".to_string()),
+                (2, "{y' -> 1, x' -> 1}".to_string()),
+                (3, "{z -> 1, y' -> 1, x' -> 1}".to_string()),
+            ]
+        );
+        // Simplified: y' has one alternative and is dropped, x, y are unused.
+        let result = condition(&db, &cond_set, &ConditioningOptions::default()).unwrap();
+        assert_eq!(
+            ids_and_descriptors(&result.db),
+            vec![
+                (2, "{x' -> 0}".to_string()),
+                (2, "{x' -> 1}".to_string()),
+                (3, "{z -> 1, x' -> 1}".to_string()),
+            ]
+        );
+        let names: Vec<&str> = result
+            .db
+            .world_table()
+            .iter()
+            .map(|(_, info)| info.name.as_str())
+            .collect();
+        assert_eq!(names, ["z", "x'"]);
+        assert_eq!(result.touched_variables, vec![x, y]);
+        assert_eq!(result.prior_remap.len(), 1);
+        assert_eq!(result.prior_remap[&z], VarId(0));
+    }
+
+    #[test]
+    fn prior_single_alternative_variables_are_dropped_from_rows() {
+        // `c` is a prior variable with one alternative that the condition
+        // never mentions: simplification (2) still removes it from the rows,
+        // and (1) then drops it from the table.
+        let mut db = ProbDb::new();
+        let c = db.world_table_mut().add_variable("c", &[(5, 1.0)]).unwrap();
+        let x = db.world_table_mut().add_boolean("x", 0.5).unwrap();
+        let y = db.world_table_mut().add_boolean("y", 0.5).unwrap();
+        let w = db.world_table().clone();
+        relation_of(
+            &mut db,
+            vec![
+                WsDescriptor::from_pairs(&w, &[(c, 5), (y, 1)]).unwrap(),
+                WsDescriptor::from_pairs(&w, &[(c, 5)]).unwrap(),
+            ],
+        );
+        let cond_set =
+            WsSet::from_descriptors(vec![WsDescriptor::from_pairs(&w, &[(x, 1)]).unwrap()]);
+        let result = condition(&db, &cond_set, &ConditioningOptions::default()).unwrap();
+        assert_eq!(
+            ids_and_descriptors(&result.db),
+            vec![(1, "{y -> 1}".to_string()), (2, "{}".to_string())]
+        );
+        assert_eq!(result.db.world_table().num_variables(), 1);
+        assert!(!result.prior_remap.contains_key(&c));
+        assert_eq!(result.prior_remap[&y], VarId(0));
+        // Unsimplified, `c` and the one-alternative x' both stay.
+        let raw = ConditioningOptions {
+            simplify: false,
+            ..Default::default()
+        };
+        let result = condition(&db, &cond_set, &raw).unwrap();
+        assert_eq!(
+            ids_and_descriptors(&result.db),
+            vec![
+                (1, "{c -> 5, y -> 1, x' -> 1}".to_string()),
+                (2, "{c -> 5, x' -> 1}".to_string())
+            ]
+        );
+    }
+
+    #[test]
+    fn equivalent_fresh_variables_are_merged_into_the_first() {
+        // {x -> 0, y -> 0} ∪ {x -> 1, y -> 0}: eliminating x leaves the same
+        // sub-condition {y -> 0} under both alternatives, so the two fresh
+        // copies of y are equivalent and the second is renamed to the first.
+        let mut db = ProbDb::new();
+        let x = db.world_table_mut().add_uniform("x", 3).unwrap();
+        let y = db.world_table_mut().add_uniform("y", 3).unwrap();
+        let w = db.world_table().clone();
+        relation_of(&mut db, vec![WsDescriptor::empty()]);
+        let cond_set = WsSet::from_descriptors(vec![
+            WsDescriptor::from_pairs(&w, &[(x, 0), (y, 0)]).unwrap(),
+            WsDescriptor::from_pairs(&w, &[(x, 0), (y, 1)]).unwrap(),
+            WsDescriptor::from_pairs(&w, &[(x, 1), (y, 0)]).unwrap(),
+            WsDescriptor::from_pairs(&w, &[(x, 1), (y, 1)]).unwrap(),
+        ]);
+        let options = ConditioningOptions {
+            heuristic: VariableHeuristic::MinMax,
+            ..Default::default()
+        };
+        let result = condition(&db, &cond_set, &options).unwrap();
+        let reference = crate::reference::condition(&db, &cond_set, &options).unwrap();
+        assert_eq!(result.new_variables, 3);
+        assert_eq!(
+            ids_and_descriptors(&result.db),
+            ids_and_descriptors(&reference.db)
+        );
+        assert_eq!(result.db.world_table().num_variables(), 2);
+        let rows = ids_and_descriptors(&result.db);
+        assert_eq!(rows.len(), 4);
+        assert!(rows.iter().all(|(_, d)| !d.contains("y''")), "{rows:?}");
+    }
+
+    #[test]
+    fn fresh_names_avoid_prior_and_earlier_fresh_names() {
+        // Sources `x` and `x'` compete for the same primed names: `x'` is
+        // eliminated under each of the three alternatives of `x`, then `x`.
+        let mut db = ProbDb::new();
+        let x = db.world_table_mut().add_uniform("x", 3).unwrap();
+        let xp = db.world_table_mut().add_uniform("x'", 3).unwrap();
+        let w = db.world_table().clone();
+        relation_of(&mut db, vec![WsDescriptor::empty()]);
+        let cond_set = WsSet::from_descriptors(vec![
+            WsDescriptor::from_pairs(&w, &[(xp, 0), (x, 0)]).unwrap(),
+            WsDescriptor::from_pairs(&w, &[(xp, 0), (x, 1)]).unwrap(),
+            WsDescriptor::from_pairs(&w, &[(xp, 1), (x, 1)]).unwrap(),
+            WsDescriptor::from_pairs(&w, &[(xp, 1), (x, 2)]).unwrap(),
+        ]);
+        let raw = ConditioningOptions {
+            simplify: false,
+            ..Default::default()
+        };
+        let result = condition(&db, &cond_set, &raw).unwrap();
+        let reference = crate::reference::condition(&db, &cond_set, &raw).unwrap();
+        let names = |db: &ProbDb| -> Vec<String> {
+            let table = db.world_table();
+            table.iter().map(|(_, info)| info.name.clone()).collect()
+        };
+        assert_eq!(names(&result.db), names(&reference.db));
+        assert_eq!(result.new_variables, 4);
+        assert_eq!(
+            names(&result.db).split_off(2),
+            ["x''", "x'''", "x''''", "x'''''"]
+        );
     }
 }

@@ -28,7 +28,10 @@
 //!   [`ConfidenceStrategy`] (`Exact` / `Approximate(ε, δ)` /
 //!   `Hybrid { budget, ε, δ }`) that runs the cached exact decomposition
 //!   under a node budget and transparently falls back to Karp–Luby/Dagum
-//!   sampling, including conditioned confidence `P(Q ∧ C)/P(C)`.
+//!   sampling, including conditioned confidence `P(Q ∧ C)/P(C)`;
+//! * [`mod@reference`]: the literal row-threading Figure 8 recursion that
+//!   [`condition`] is differentially tested against — an oracle for tests,
+//!   not product API.
 //!
 //! ## Quick example
 //!
@@ -81,14 +84,12 @@ pub mod engine;
 pub mod error;
 pub mod heuristics;
 pub mod parallel;
+pub mod reference;
 pub mod stats;
 pub mod wstree;
 
 pub use cache::{CacheStats, InheritOutcome, SharedDecompositionCache};
-pub use conditioning::{
-    condition, condition_all, intersect_conditions, simplify_with_mapping, Conditioned,
-    ConditioningMethod, ConditioningOptions,
-};
+pub use conditioning::{condition, Conditioned, ConditioningMethod, ConditioningOptions};
 pub use confidence::{confidence, tree_probability};
 pub use decompose::{build_tree, DecompositionMethod, DecompositionOptions};
 pub use elimination::{

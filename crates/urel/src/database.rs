@@ -48,11 +48,6 @@ impl ProbDb {
         &mut self.world_table
     }
 
-    /// Replaces the world table, e.g. after conditioning.
-    pub fn set_world_table(&mut self, world_table: WorldTable) {
-        self.world_table = world_table;
-    }
-
     /// Creates an empty [`URelation`] for the given schema after checking
     /// that the name is still free. The relation is *not* inserted; fill it
     /// and pass it to [`ProbDb::insert_relation`].
@@ -126,11 +121,6 @@ impl ProbDb {
     /// Iterates over all relations in name order.
     pub fn relations(&self) -> impl Iterator<Item = &URelation> {
         self.relations.values()
-    }
-
-    /// Mutable iteration over all relations in name order.
-    pub fn relations_mut(&mut self) -> impl Iterator<Item = &mut URelation> {
-        self.relations.values_mut()
     }
 
     /// Names of all relations.

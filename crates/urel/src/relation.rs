@@ -47,9 +47,16 @@ impl PartialEq for URelation {
 impl URelation {
     /// Creates an empty U-relation with the given schema.
     pub fn new(schema: Schema) -> URelation {
+        URelation::from_rows(schema, Vec::new())
+    }
+
+    /// Creates a U-relation from rows built elsewhere, without validation
+    /// (like [`URelation::push`]) and with a single content stamp for the
+    /// whole batch.
+    pub fn from_rows(schema: Schema, rows: Vec<(Tuple, WsDescriptor)>) -> URelation {
         URelation {
             schema,
-            rows: Vec::new(),
+            rows,
             stamp: fresh_relation_stamp(),
         }
     }
@@ -129,8 +136,7 @@ impl URelation {
         self.rows.iter().map(|(t, d)| (t, d))
     }
 
-    /// Mutable access to the rows (used by conditioning to rewrite
-    /// descriptors in place). Conservatively refreshes the content stamp:
+    /// Mutable access to the rows. Conservatively refreshes the content stamp:
     /// callers may mutate through the returned reference, so the old stamp
     /// can no longer witness identical rows.
     pub fn rows_mut(&mut self) -> &mut Vec<(Tuple, WsDescriptor)> {
@@ -252,6 +258,14 @@ mod tests {
         assert!(!r.is_empty());
         assert_eq!(r.iter().count(), 4);
         assert_eq!(r.answer_ws_set().len(), 4);
+    }
+
+    #[test]
+    fn from_rows_keeps_the_rows_and_takes_a_fresh_stamp() {
+        let (_, r) = ssn_relation();
+        let rebuilt = URelation::from_rows(r.schema().clone(), r.rows().to_vec());
+        assert_eq!(rebuilt, r);
+        assert_ne!(rebuilt.stamp(), r.stamp());
     }
 
     #[test]

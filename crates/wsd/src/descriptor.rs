@@ -66,6 +66,24 @@ impl WsDescriptor {
         Ok(d)
     }
 
+    /// Wraps assignments that are already sorted by strictly ascending
+    /// variable id, in linear time and without copying them.
+    ///
+    /// # Errors
+    ///
+    /// Fails with [`WsdError::NotFunctional`] on the first variable that
+    /// does not come after its predecessor (a repeated variable, or input
+    /// that was not sorted).
+    pub fn from_sorted_assignments(assignments: Vec<Assignment>) -> Result<Self> {
+        match assignments
+            .windows(2)
+            .find(|pair| pair[0].var >= pair[1].var)
+        {
+            Some(pair) => Err(WsdError::NotFunctional { var: pair[1].var }),
+            None => Ok(WsDescriptor { assignments }),
+        }
+    }
+
     /// Adds (or confirms) the assignment `var -> value`.
     ///
     /// # Errors
@@ -231,26 +249,6 @@ impl WsDescriptor {
         let mut d = self.clone();
         d.remove(var);
         d
-    }
-
-    /// Replaces every occurrence of variable `from` by `to`, keeping the
-    /// assigned value index.
-    ///
-    /// Used by the conditioning algorithm when an eliminated variable `x` is
-    /// replaced by a fresh re-weighted variable `x'` (Figure 8).
-    pub fn rename_variable(&mut self, from: VarId, to: VarId) {
-        if let Ok(pos) = self.assignments.binary_search_by_key(&from, |a| a.var) {
-            let value = self.assignments[pos].value;
-            self.assignments.remove(pos);
-            // Re-insert under the new id, keeping the vector sorted.
-            match self.assignments.binary_search_by_key(&to, |a| a.var) {
-                Ok(existing) => {
-                    // `to` already assigned: keep the existing assignment.
-                    let _ = existing;
-                }
-                Err(ins) => self.assignments.insert(ins, Assignment::new(to, value)),
-            }
-        }
     }
 
     /// Probability of the world-set denoted by this descriptor:
@@ -469,34 +467,41 @@ mod tests {
     }
 
     #[test]
-    fn remove_without_and_rename() {
+    fn remove_and_without() {
         let (w, j, b) = table();
         let d = WsDescriptor::from_pairs(&w, &[(j, 1), (b, 4)]).unwrap();
         let without_j = d.without(j);
         assert!(!without_j.defines(j));
         assert!(without_j.defines(b));
-
-        let mut renamed = d.clone();
-        let fresh = VarId(10);
-        renamed.rename_variable(j, fresh);
-        assert!(!renamed.defines(j));
-        assert_eq!(renamed.get(fresh), d.get(j));
-        assert_eq!(renamed.get(b), d.get(b));
-        // Renaming keeps the assignment list sorted.
-        let vars: Vec<_> = renamed.variables().collect();
-        let mut sorted = vars.clone();
-        sorted.sort();
-        assert_eq!(vars, sorted);
+        let mut removed = d.clone();
+        assert!(removed.remove(b));
+        assert!(!removed.remove(b));
+        assert_eq!(removed.variables().collect::<Vec<_>>(), vec![j]);
     }
 
     #[test]
-    fn rename_to_existing_variable_keeps_existing_assignment() {
+    fn from_sorted_assignments_accepts_only_strictly_ascending_variables() {
         let (w, j, b) = table();
-        let d = WsDescriptor::from_pairs(&w, &[(j, 1), (b, 7)]).unwrap();
-        let mut renamed = d.clone();
-        renamed.rename_variable(j, b);
-        assert_eq!(renamed.len(), 1);
-        assert_eq!(renamed.get(b), d.get(b));
+        let d = WsDescriptor::from_pairs(&w, &[(b, 4), (j, 1)]).unwrap();
+        let sorted: Vec<Assignment> = d.iter().collect();
+        assert_eq!(
+            WsDescriptor::from_sorted_assignments(sorted.clone()).unwrap(),
+            d
+        );
+        assert_eq!(
+            WsDescriptor::from_sorted_assignments(Vec::new()).unwrap(),
+            WsDescriptor::empty()
+        );
+        let reversed: Vec<Assignment> = sorted.iter().rev().copied().collect();
+        assert_eq!(
+            WsDescriptor::from_sorted_assignments(reversed).unwrap_err(),
+            WsdError::NotFunctional { var: j }
+        );
+        let repeated = vec![sorted[1], sorted[1]];
+        assert_eq!(
+            WsDescriptor::from_sorted_assignments(repeated).unwrap_err(),
+            WsdError::NotFunctional { var: b }
+        );
     }
 
     #[test]

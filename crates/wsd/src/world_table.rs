@@ -337,26 +337,22 @@ impl WorldTable {
     where
         F: FnMut(VarId, &VariableInfo) -> bool,
     {
-        let mut new_table = WorldTable::new();
+        let mut variables = Vec::new();
+        let mut by_name = FxHashMap::default();
         let mut mapping = FxHashMap::default();
         for (var, info) in self.iter() {
             if keep(var, info) {
-                let alternatives: Vec<(DomainValue, f64)> = info
-                    .values
-                    .iter()
-                    .copied()
-                    .zip(info.probabilities.iter().copied())
-                    .collect();
-                #[expect(
-                    clippy::expect_used,
-                    reason = "alternatives are copied verbatim from an already-validated variable"
-                )]
-                let new_id = new_table
-                    .add_variable(&info.name, &alternatives)
-                    .expect("copying a valid variable cannot fail");
+                let new_id = VarId(variables.len() as u32);
+                by_name.insert(info.name.clone(), new_id);
+                variables.push(info.clone());
                 mapping.insert(var, new_id);
             }
         }
+        let new_table = WorldTable {
+            variables,
+            by_name,
+            stamp: fresh_stamp(),
+        };
         (new_table, mapping)
     }
 }

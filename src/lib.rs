@@ -82,13 +82,13 @@ pub mod prelude {
         optimal_monte_carlo_prepared, ApproximationOptions, KarpLuby,
     };
     pub use uprob_core::{
-        available_workers, build_tree, condition, condition_all, confidence,
-        confidence_by_elimination, confidence_by_elimination_parallel, confidence_parallel,
-        estimate_conditioned_confidence, estimate_conditioned_confidence_with_options,
-        estimate_confidence, estimate_confidence_with_options, intersect_conditions, CacheStats,
-        ConditioningMethod, ConditioningOptions, ConfidenceReport, ConfidenceStrategy,
-        DecompositionMethod, DecompositionOptions, InheritOutcome, ParallelOptions, ResolvedPath,
-        SamplingStats, SharedDecompositionCache, VariableHeuristic, WsTree,
+        available_workers, build_tree, condition, confidence, confidence_by_elimination,
+        confidence_by_elimination_parallel, confidence_parallel, estimate_conditioned_confidence,
+        estimate_conditioned_confidence_with_options, estimate_confidence,
+        estimate_confidence_with_options, CacheStats, ConditioningMethod, ConditioningOptions,
+        ConfidenceReport, ConfidenceStrategy, DecompositionMethod, DecompositionOptions,
+        InheritOutcome, ParallelOptions, ResolvedPath, SamplingStats, SharedDecompositionCache,
+        VariableHeuristic, WsTree,
     };
     pub use uprob_query::{
         answer_confidences_with_options, answer_confidences_with_strategy, assert_all,
