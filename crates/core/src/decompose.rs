@@ -20,7 +20,10 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use uprob_wsd::{NeumaierSum, ValueIndex, VarId, WorldTable, WsSet};
+use uprob_wsd::value::Assignment;
+use uprob_wsd::{
+    DomainValue, NeumaierSum, ValueIndex, VarId, WorldTable, WsDescriptor, WsSet, WsdError,
+};
 
 use crate::error::CoreError;
 use crate::heuristics::{choose_variable, VariableHeuristic};
@@ -132,6 +135,11 @@ pub(crate) struct Decomposer<'a> {
     pub(crate) stats: DecompositionStats,
     nodes: u64,
     shared_nodes: Option<&'a AtomicU64>,
+    /// Scratch for the occurrence table of `choose_variable`, reused by
+    /// every step so that choosing a variable allocates nothing.
+    occurrence_runs: Vec<Assignment>,
+    /// Scratch for the assignment weights of a closed-form leaf.
+    weights: Vec<f64>,
 }
 
 impl<'a> Decomposer<'a> {
@@ -142,6 +150,8 @@ impl<'a> Decomposer<'a> {
             stats: DecompositionStats::default(),
             nodes: 0,
             shared_nodes: None,
+            occurrence_runs: Vec::new(),
+            weights: Vec::new(),
         }
     }
 
@@ -186,8 +196,7 @@ impl<'a> Decomposer<'a> {
             return Ok(DecompositionStep::Universal);
         }
         if self.options.method == DecompositionMethod::IndVe {
-            let parts = set.independent_partition();
-            if parts.len() > 1 {
+            if let Some(parts) = set.independent_split() {
                 self.stats.independent_nodes += 1;
                 return Ok(DecompositionStep::Partition(parts));
             }
@@ -196,11 +205,16 @@ impl<'a> Decomposer<'a> {
             clippy::expect_used,
             reason = "the empty and universal cases return earlier in this function"
         )]
-        let var = choose_variable(set, self.table, self.options.heuristic)
-            .expect("a non-empty, non-universal ws-set mentions at least one variable");
+        let var = choose_variable(
+            set,
+            self.table,
+            self.options.heuristic,
+            &mut self.occurrence_runs,
+        )
+        .expect("a non-empty, non-universal ws-set mentions at least one variable");
         self.stats.choice_nodes += 1;
         self.stats.variable_eliminations += 1;
-        let (branches, missing_values, tail) = eliminate_variable(set, var, self.table);
+        let (branches, missing_values, tail) = eliminate_variable(set, var, self.table)?;
         self.stats.branches += branches.len() as u64;
         Ok(DecompositionStep::Eliminate {
             var,
@@ -208,6 +222,37 @@ impl<'a> Decomposer<'a> {
             missing_values,
             tail,
         })
+    }
+
+    /// The probability of the one-descriptor set `{d}` met at recursion
+    /// depth `depth`, in closed form: what the fold over `step` computes
+    /// for it, with the same node charges and counters (DESIGN.md,
+    /// "Closed-form leaves").
+    ///
+    /// Under `step`, `{d}` is a chain of one-branch ⊕ nodes over `d`'s
+    /// assignments in [`VarId`] order (every heuristic ties on a singleton
+    /// and picks the smallest variable) ending in the `∅` leaf, and each
+    /// node's one-term Neumaier sum is its term exactly. So the walk is the
+    /// right-nested product `w₁·(w₂·(…·(w_k·1.0)))`, and it stops with `+0.0`
+    /// at the first zero weight, whose branch it never visits.
+    pub(crate) fn descriptor_probability(&mut self, d: &WsDescriptor, depth: u64) -> Result<f64> {
+        self.weights.clear();
+        for (level, a) in (depth..).zip(d.iter()) {
+            self.charge_node()?;
+            self.stats.choice_nodes += 1;
+            self.stats.variable_eliminations += 1;
+            self.stats.branches += 1;
+            let weight = self.table.probability(a.var, a.value)?;
+            if weight == 0.0 {
+                self.stats.max_depth = self.stats.max_depth.max(level);
+                return Ok(0.0);
+            }
+            self.weights.push(weight);
+        }
+        self.charge_node()?;
+        self.stats.leaves += 1;
+        self.stats.max_depth = self.stats.max_depth.max(depth + d.len() as u64);
+        Ok(self.weights.iter().rev().fold(1.0, |p, w| w * p))
     }
 }
 
@@ -275,37 +320,39 @@ pub(crate) fn for_each_choice_term(
     Ok(())
 }
 
+/// The parts of a [`DecompositionStep::Eliminate`]: branches, missing
+/// values and tail.
+type Elimination = (Vec<(ValueIndex, WsSet)>, Vec<ValueIndex>, WsSet);
+
 /// Splits `set` by the assignments of `var` (the variable-elimination rule
 /// of Figure 4). Returns the child ws-set for every occurring value
 /// (`S_{x→i} ∪ T`, with the `x → i` assignment stripped), the values of
 /// `var` that do not occur, and the tail `T`.
-fn eliminate_variable(
+///
+/// # Errors
+///
+/// A descriptor built against another world table may mention a variable
+/// or value this table does not have: that is a [`CoreError::Wsd`] error.
+pub(crate) fn eliminate_variable(
     set: &WsSet,
     var: VarId,
     table: &WorldTable,
-) -> (Vec<(ValueIndex, WsSet)>, Vec<ValueIndex>, WsSet) {
-    #[expect(
-        clippy::expect_used,
-        reason = "var was chosen from this set's variables over the same table"
-    )]
-    let domain_size = table
-        .domain_size(var)
-        .expect("eliminated variable must belong to the world table");
+) -> Result<Elimination> {
+    let domain_size = table.domain_size(var)?;
     let mut tail = WsSet::empty();
     // Children indexed by value; only materialised for occurring values.
     let mut by_value: Vec<Option<WsSet>> = vec![None; domain_size];
     for descriptor in set.iter() {
         match descriptor.get(var) {
             None => tail.push(descriptor.clone()),
-            Some(value) => {
-                #[expect(
-                    clippy::indexing_slicing,
-                    reason = "by_value has domain_size slots; value indexes the same domain"
-                )]
-                by_value[value.index()]
-                    .get_or_insert_with(WsSet::empty)
-                    .push(descriptor.without(var));
-            }
+            Some(value) => by_value
+                .get_mut(value.index())
+                .ok_or(WsdError::UnknownValue {
+                    var,
+                    value: value.index() as DomainValue,
+                })?
+                .get_or_insert_with(WsSet::empty)
+                .push(descriptor.without(var)),
         }
     }
     let mut branches = Vec::new();
@@ -322,7 +369,7 @@ fn eliminate_variable(
             None => missing_values.push(value),
         }
     }
-    (branches, missing_values, tail)
+    Ok((branches, missing_values, tail))
 }
 
 /// Materialises the ws-tree of `ComputeTree(set)` (Figure 4).
@@ -411,7 +458,7 @@ mod tests {
     #[test]
     fn eliminate_variable_splits_by_value() {
         let (w, [x, ..], s) = figure3();
-        let (branches, missing, tail) = eliminate_variable(&s, x, &w);
+        let (branches, missing, tail) = eliminate_variable(&s, x, &w).unwrap();
         // x occurs with values 1 and 2; value 3 is missing.
         assert_eq!(branches.len(), 2);
         assert_eq!(missing, vec![ValueIndex(2)]);
@@ -513,7 +560,7 @@ mod tests {
             tail_descriptor.clone(),
         ]);
         let terms = |set: &WsSet, table: &WorldTable| {
-            let (branches, missing, tail) = eliminate_variable(set, x, table);
+            let (branches, missing, tail) = eliminate_variable(set, x, table).unwrap();
             let mut out: Vec<(f64, WsSet)> = Vec::new();
             for_each_choice_term(table, x, branches, &missing, tail, |weight, child| {
                 out.push((weight, child));

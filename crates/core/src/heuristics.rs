@@ -16,9 +16,8 @@
 //!
 //! Two simple baselines are included for ablation experiments.
 
-use std::collections::BTreeMap;
-
-use uprob_wsd::{ValueIndex, VarId, WorldTable, WsSet};
+use uprob_wsd::value::Assignment;
+use uprob_wsd::{VarId, WorldTable, WsSet};
 
 /// The variable-ordering heuristic used by variable elimination.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -57,140 +56,111 @@ impl VariableHeuristic {
     }
 }
 
-/// Occurrence statistics of one variable within a ws-set.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct VariableOccurrence {
-    /// The variable.
-    pub var: VarId,
-    /// Number of descriptors mentioning the variable with each value
-    /// (only values that actually occur are listed).
-    pub value_counts: BTreeMap<ValueIndex, usize>,
-    /// Total number of descriptors mentioning the variable.
-    pub occurrences: usize,
-}
-
-impl VariableOccurrence {
-    /// Size of the ws-set `T` of descriptors *not* mentioning the variable,
-    /// given the total ws-set size.
-    pub fn tail_size(&self, set_size: usize) -> usize {
-        set_size - self.occurrences
-    }
-}
-
-/// Collects occurrence statistics for every variable of the ws-set, in
-/// [`VarId`] order (deterministic).
-pub fn collect_occurrences(set: &WsSet) -> Vec<VariableOccurrence> {
-    let mut map: BTreeMap<VarId, VariableOccurrence> = BTreeMap::new();
+/// Overwrites `runs` with the occurrence table of `set`: every assignment
+/// of every descriptor, sorted by `(VarId, ValueIndex)`. One variable's
+/// occurrences then form one contiguous run, and within it one value's
+/// occurrences form a sub-run, in ascending value order.
+fn fill_occurrence_runs(set: &WsSet, runs: &mut Vec<Assignment>) {
+    runs.clear();
     for descriptor in set.iter() {
-        for assignment in descriptor.iter() {
-            let entry = map
-                .entry(assignment.var)
-                .or_insert_with(|| VariableOccurrence {
-                    var: assignment.var,
-                    value_counts: BTreeMap::new(),
-                    occurrences: 0,
-                });
-            *entry.value_counts.entry(assignment.value).or_insert(0) += 1;
-            entry.occurrences += 1;
-        }
+        runs.extend(descriptor.iter());
     }
-    map.into_values().collect()
+    runs.sort_unstable();
 }
 
-/// The cost estimate of Figure 6 (base `k = 2`): an incremental computation
-/// of `log2(Σ_i 2^{s_i})` where `s_i = |S_{x→i} ∪ T|` for the alternatives
-/// `i` of `x` occurring in `S`, plus one term `2^{|T|}` if some alternative
-/// of `x` does not occur in `S` (in which case `T` is translated once).
-pub fn minlog_estimate(
-    occurrence: &VariableOccurrence,
+/// The cost of eliminating the variable whose occurrence run is
+/// `occurrences`, in a set of `set_size` descriptors; lower is better.
+///
+/// * minlog is the estimate of Figure 6 (base `k = 2`): an incremental
+///   `log2(Σ_i 2^{s_i})` with `s_i = |S_{x→i} ∪ T|` over the occurring
+///   alternatives `i` in value order, started at `|T|` when some
+///   alternative does not occur (`T` is then translated once);
+/// * minmax is `max_i |S_{x→i} ∪ T|`;
+/// * most-frequent negates the occurrence count, and first-variable scores
+///   every variable alike, so the smallest [`VarId`] wins the tie.
+fn score(
+    heuristic: VariableHeuristic,
+    occurrences: &[Assignment],
     set_size: usize,
-    domain_size: usize,
+    table: &WorldTable,
 ) -> f64 {
-    let tail = occurrence.tail_size(set_size) as f64;
-    let missing_assignment = occurrence.value_counts.len() < domain_size;
-    let mut estimate = if missing_assignment { tail } else { 0.0 };
-    for &count in occurrence.value_counts.values() {
-        if count == 0 {
-            continue;
+    let tail = set_size - occurrences.len();
+    let by_value = occurrences.chunk_by(|a, b| a.value == b.value);
+    match heuristic {
+        VariableHeuristic::FirstVariable => 0.0,
+        VariableHeuristic::MostFrequent => -(occurrences.len() as f64),
+        VariableHeuristic::MinMax => {
+            let largest = by_value.map(<[Assignment]>::len).max().unwrap_or(0);
+            (largest + tail) as f64
         }
-        let s_j = count as f64 + tail;
-        // e := e + log2(1 + 2^(s_j - e)), the incremental log-sum-exp of
-        // Figure 6, which avoids forming the potentially huge sums directly.
-        // uprob-lint: allow(num-raw-accum) -- Figure 6 log-sum-exp recurrence, not a plain sum; each step rescales the accumulator
-        estimate += (1.0 + (s_j - estimate).exp2()).log2();
+        VariableHeuristic::MinLog => {
+            let tail = tail as f64;
+            let domain = occurrences
+                .first()
+                .and_then(|a| table.domain_size(a.var).ok())
+                .unwrap_or(usize::MAX);
+            let missing_assignment = by_value.clone().count() < domain;
+            let mut estimate = if missing_assignment { tail } else { 0.0 };
+            for count in by_value.map(<[Assignment]>::len) {
+                let s_j = count as f64 + tail;
+                // e := e + log2(1 + 2^(s_j - e)), the incremental log-sum-exp of
+                // Figure 6, which avoids forming the potentially huge sums directly.
+                // uprob-lint: allow(num-raw-accum) -- Figure 6 log-sum-exp recurrence, not a plain sum; each step rescales the accumulator
+                estimate += (1.0 + (s_j - estimate).exp2()).log2();
+            }
+            estimate
+        }
     }
-    estimate
 }
 
-/// The minmax cost estimate: the size of the largest sub-problem
-/// `max_i |S_{x→i} ∪ T|`.
-pub fn minmax_estimate(occurrence: &VariableOccurrence, set_size: usize) -> f64 {
-    let tail = occurrence.tail_size(set_size);
-    occurrence
-        .value_counts
-        .values()
-        .map(|&count| (count + tail) as f64)
-        .fold(0.0, f64::max)
-}
-
-/// Chooses the variable to eliminate next according to `heuristic`.
+/// Chooses the variable to eliminate next according to `heuristic`,
+/// scoring every variable from one sorted occurrence table built in `runs`
+/// (scratch space the caller keeps between steps).
 ///
 /// Returns `None` if the ws-set mentions no variable (it is then either
 /// empty or `{∅}` and the decomposition terminates). Ties are broken by the
 /// smallest [`VarId`], which makes the decomposition deterministic.
-pub fn choose_variable(
+pub(crate) fn choose_variable(
     set: &WsSet,
     table: &WorldTable,
     heuristic: VariableHeuristic,
+    runs: &mut Vec<Assignment>,
 ) -> Option<VarId> {
-    let occurrences = collect_occurrences(set);
-    if occurrences.is_empty() {
-        return None;
-    }
-    let set_size = set.len();
-    match heuristic {
-        VariableHeuristic::FirstVariable => occurrences.first().map(|o| o.var),
-        VariableHeuristic::MostFrequent => occurrences
-            .iter()
-            .max_by_key(|o| (o.occurrences, std::cmp::Reverse(o.var)))
-            .map(|o| o.var),
-        VariableHeuristic::MinMax => select_min(&occurrences, |o| minmax_estimate(o, set_size)),
-        VariableHeuristic::MinLog => select_min(&occurrences, |o| {
-            let domain = table.domain_size(o.var).unwrap_or(usize::MAX);
-            minlog_estimate(o, set_size, domain)
-        }),
-    }
-}
-
-fn select_min<F>(occurrences: &[VariableOccurrence], mut score: F) -> Option<VarId>
-where
-    F: FnMut(&VariableOccurrence) -> f64,
-{
-    let mut best: Option<(f64, VarId)> = None;
-    for o in occurrences {
-        let s = score(o);
-        let better = match best {
-            None => true,
-            // Strict improvement wins; ties keep the earlier (smaller) VarId.
-            Some((current, _)) => s < current,
-        };
-        if better {
-            best = Some((s, o.var));
+    fill_occurrence_runs(set, runs);
+    let mut best: Option<(f64, &[Assignment])> = None;
+    for occurrences in runs.chunk_by(|a, b| a.var == b.var) {
+        let s = score(heuristic, occurrences, set.len(), table);
+        // Strict improvement wins; ties keep the earlier (smaller) VarId.
+        if best.is_none_or(|(current, _)| s < current) {
+            best = Some((s, occurrences));
         }
     }
-    best.map(|(_, var)| var)
+    best.and_then(|(_, occurrences)| occurrences.first())
+        .map(|a| a.var)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uprob_wsd::{WorldTable, WsDescriptor};
+    use uprob_wsd::{ValueIndex, WorldTable, WsDescriptor};
 
     fn two_var_table() -> (WorldTable, VarId, VarId) {
         let mut w = WorldTable::new();
         let x = w.add_uniform("x", 2).unwrap();
         let y = w.add_uniform("y", 2).unwrap();
         (w, x, y)
+    }
+
+    /// The occurrence run of `var` in `set`.
+    fn run_of(set: &WsSet, var: VarId) -> Vec<Assignment> {
+        let mut runs = Vec::new();
+        fill_occurrence_runs(set, &mut runs);
+        runs.retain(|a| a.var == var);
+        runs
+    }
+
+    fn choose(set: &WsSet, table: &WorldTable, heuristic: VariableHeuristic) -> Option<VarId> {
+        choose_variable(set, table, heuristic, &mut Vec::new())
     }
 
     /// Builds the scenario of Remark 4.6: `n` descriptors; variable `x`
@@ -220,14 +190,22 @@ mod tests {
             WsDescriptor::from_pairs(&w, &[(x, 0), (y, 1)]).unwrap(),
             WsDescriptor::from_pairs(&w, &[(y, 0)]).unwrap(),
         ]);
-        let occ = collect_occurrences(&set);
-        assert_eq!(occ.len(), 2);
-        assert_eq!(occ[0].var, x);
-        assert_eq!(occ[0].occurrences, 2);
-        assert_eq!(occ[0].value_counts[&ValueIndex(0)], 2);
-        assert_eq!(occ[1].var, y);
-        assert_eq!(occ[1].occurrences, 2);
-        assert_eq!(occ[1].tail_size(set.len()), 1);
+        let mut runs = Vec::new();
+        fill_occurrence_runs(&set, &mut runs);
+        let by_var: Vec<&[Assignment]> = runs.chunk_by(|a, b| a.var == b.var).collect();
+        assert_eq!(by_var.len(), 2);
+        assert!(by_var[0].iter().all(|a| a.var == x));
+        assert_eq!(by_var[0], &[Assignment::new(x, ValueIndex(0)); 2]);
+        assert_eq!(
+            by_var[1],
+            &[
+                Assignment::new(y, ValueIndex(0)),
+                Assignment::new(y, ValueIndex(1))
+            ]
+        );
+        // MostFrequent scores the negated occurrence count.
+        let score_y = score(VariableHeuristic::MostFrequent, by_var[1], set.len(), &w);
+        assert_eq!(score_y, -2.0);
     }
 
     #[test]
@@ -237,14 +215,8 @@ mod tests {
         // both branches.
         let n = 10;
         let (w, set, x, y) = remark_4_6(n);
-        assert_eq!(
-            choose_variable(&set, &w, VariableHeuristic::MinMax),
-            Some(y)
-        );
-        assert_eq!(
-            choose_variable(&set, &w, VariableHeuristic::MinLog),
-            Some(x)
-        );
+        assert_eq!(choose(&set, &w, VariableHeuristic::MinMax), Some(y));
+        assert_eq!(choose(&set, &w, VariableHeuristic::MinLog), Some(x));
     }
 
     #[test]
@@ -255,15 +227,15 @@ mod tests {
             WsDescriptor::from_pairs(&w, &[(x, 1), (y, 0)]).unwrap(),
             WsDescriptor::from_pairs(&w, &[(y, 1)]).unwrap(),
         ]);
-        let occ = collect_occurrences(&set);
-        let x_occ = &occ[0];
+        let x_run = run_of(&set, x);
         // For x: T = 1, s_0 = 2, s_1 = 2, no missing assignment.
         // Figure 6 starts its running estimate at e = 0, so the incremental
         // log-sum computes log2(2^0 + 2^2 + 2^2) = log2(9).
-        let estimate = minlog_estimate(x_occ, set.len(), 2);
+        let estimate = score(VariableHeuristic::MinLog, &x_run, set.len(), &w);
         assert!((estimate - 9.0f64.log2()).abs() < 1e-9);
         // minmax for x: max(2, 2) = 2.
-        assert!((minmax_estimate(x_occ, set.len()) - 2.0).abs() < 1e-12);
+        let minmax = score(VariableHeuristic::MinMax, &x_run, set.len(), &w);
+        assert!((minmax - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -273,10 +245,9 @@ mod tests {
             WsDescriptor::from_pairs(&w, &[(x, 0)]).unwrap(),
             WsDescriptor::empty(),
         ]);
-        let occ = collect_occurrences(&set);
         // x occurs only with value 0; value 1 is missing, so T (size 1) is
         // translated once: estimate = log2(2^1 + 2^2) ≈ 2.585.
-        let estimate = minlog_estimate(&occ[0], set.len(), 2);
+        let estimate = score(VariableHeuristic::MinLog, &run_of(&set, x), set.len(), &w);
         assert!((estimate - (2.0f64 + 4.0).log2()).abs() < 1e-9);
     }
 
@@ -288,25 +259,16 @@ mod tests {
             WsDescriptor::from_pairs(&w, &[(y, 1)]).unwrap(),
             WsDescriptor::from_pairs(&w, &[(x, 0), (y, 0)]).unwrap(),
         ]);
-        assert_eq!(
-            choose_variable(&set, &w, VariableHeuristic::FirstVariable),
-            Some(x)
-        );
-        assert_eq!(
-            choose_variable(&set, &w, VariableHeuristic::MostFrequent),
-            Some(y)
-        );
+        assert_eq!(choose(&set, &w, VariableHeuristic::FirstVariable), Some(x));
+        assert_eq!(choose(&set, &w, VariableHeuristic::MostFrequent), Some(y));
     }
 
     #[test]
     fn empty_and_universal_sets_have_no_variable() {
         let (w, _, _) = two_var_table();
+        assert_eq!(choose(&WsSet::empty(), &w, VariableHeuristic::MinLog), None);
         assert_eq!(
-            choose_variable(&WsSet::empty(), &w, VariableHeuristic::MinLog),
-            None
-        );
-        assert_eq!(
-            choose_variable(&WsSet::universal(), &w, VariableHeuristic::MinLog),
+            choose(&WsSet::universal(), &w, VariableHeuristic::MinLog),
             None
         );
     }

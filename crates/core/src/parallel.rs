@@ -387,8 +387,9 @@ fn spawn_children(
     }
 }
 
-/// Executes one task: small sets are solved inline by the sequential fold
-/// (same cache interaction, same arithmetic); larger sets take one
+/// Executes one task: small sets, and singletons at any grain (they close
+/// in one product), are solved inline by the sequential fold (same cache
+/// interaction, same arithmetic); larger sets take one
 /// decomposition step, with the resulting subtrees scheduled as child
 /// tasks behind a combine node. The memo probe runs *before* the step,
 /// as in `confidence_rec` (both call `probe_memo`).
@@ -404,7 +405,7 @@ fn run_task(
         parent,
         slot,
     } = task;
-    if set.len() < shared.grain {
+    if set.len() < shared.grain || set.len() == 1 {
         let probability = confidence_rec(&set, decomposer, depth, shared.cache)?;
         resolve(shared, parent, slot, probability, None);
         return Ok(());

@@ -64,11 +64,7 @@ pub fn execute_plan(db: &ProbDb, plan: &Plan) -> Result<URelation> {
     // bottom-up, without re-validating subtrees.
     let schema = plan.output_schema(db)?;
     let (_, stream) = compile(db, plan)?;
-    let mut out = URelation::new(schema);
-    for (tuple, descriptor) in stream {
-        out.push(tuple, descriptor);
-    }
-    Ok(out)
+    Ok(URelation::from_rows(schema, stream.collect()))
 }
 
 /// A predicate with all column references resolved to tuple positions:

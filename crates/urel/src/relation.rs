@@ -1,6 +1,5 @@
 //! U-relations: relations whose tuples carry world-set descriptors.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use uprob_wsd::{ValueIndex, WorldTable, WsDescriptor, WsSet};
@@ -170,13 +169,21 @@ impl URelation {
     }
 
     /// Groups rows by tuple value, returning each distinct tuple with the
-    /// ws-set of the worlds in which it appears.
+    /// ws-set of the worlds in which it appears. Groups come in tuple order
+    /// and each keeps its descriptors in row order.
     pub fn distinct_tuples(&self) -> Vec<(Tuple, WsSet)> {
-        let mut groups: BTreeMap<Tuple, WsSet> = BTreeMap::new();
-        for (t, d) in &self.rows {
-            groups.entry(t.clone()).or_default().push(d.clone());
+        // A stable sort of row references keeps row order inside a group
+        // and clones each distinct tuple once.
+        let mut rows: Vec<&(Tuple, WsDescriptor)> = self.rows.iter().collect();
+        rows.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut groups: Vec<(Tuple, WsSet)> = Vec::new();
+        for (t, d) in rows {
+            match groups.last_mut() {
+                Some((group, set)) if group == t => set.push(d.clone()),
+                _ => groups.push((t.clone(), WsSet::from_descriptors(vec![d.clone()]))),
+            }
         }
-        groups.into_iter().collect()
+        groups
     }
 
     /// Materialises the instance of this relation in the possible world
@@ -314,6 +321,9 @@ mod tests {
         assert_eq!(distinct.len(), 4);
         let entry = distinct.iter().find(|(tuple, _)| tuple == &t).unwrap();
         assert_eq!(entry.1.len(), 2);
+        // Groups in tuple order, descriptors in row order.
+        assert!(distinct.windows(2).all(|pair| pair[0].0 < pair[1].0));
+        assert_eq!(entry.1, ws);
         let _ = w;
     }
 

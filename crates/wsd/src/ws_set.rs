@@ -235,11 +235,21 @@ impl WsSet {
     /// no variables (the nullary descriptor) are placed in the first
     /// partition.
     pub fn independent_partition(&self) -> Vec<WsSet> {
-        if self.descriptors.is_empty() {
-            return Vec::new();
+        match self.independent_split() {
+            Some(parts) => parts,
+            None if self.descriptors.is_empty() => Vec::new(),
+            None => vec![self.clone()],
         }
+    }
+
+    /// The parts of [`WsSet::independent_partition`] when there are at
+    /// least two of them, in the same order; `None` when the set is empty
+    /// or connected, without copying it (the decomposition only needs to
+    /// know that no ⊗ node applies).
+    pub fn independent_split(&self) -> Option<Vec<WsSet>> {
         let n = self.descriptors.len();
         let mut uf = UnionFind::new(n);
+        let mut components = n;
         // Map each variable to the first descriptor that mentions it and
         // union subsequent descriptors into that component.
         let mut first_owner: FxHashMap<VarId, usize> = FxHashMap::default();
@@ -247,13 +257,16 @@ impl WsSet {
             for var in d.variables() {
                 match first_owner.entry(var) {
                     std::collections::hash_map::Entry::Occupied(e) => {
-                        uf.union(*e.get(), i);
+                        components -= usize::from(uf.union(*e.get(), i));
                     }
                     std::collections::hash_map::Entry::Vacant(e) => {
                         e.insert(i);
                     }
                 }
             }
+        }
+        if components < 2 {
+            return None;
         }
         // Group descriptors by component root, preserving first-seen order.
         let mut group_of_root: crate::fast_hash::FxHashMap<usize, usize> =
@@ -271,7 +284,7 @@ impl WsSet {
             )]
             groups[index].push(d.clone());
         }
-        groups
+        Some(groups)
     }
 
     /// Renders the ws-set with variable names and value labels.
@@ -445,13 +458,15 @@ impl UnionFind {
         x
     }
 
+    /// Merges the components of `a` and `b`; true if they were distinct.
     #[expect(clippy::indexing_slicing, reason = "same union-find range invariant")]
-    fn union(&mut self, a: usize, b: usize) {
+    fn union(&mut self, a: usize, b: usize) -> bool {
         let ra = self.find(a);
         let rb = self.find(b);
         if ra != rb {
             self.parent[ra] = rb;
         }
+        ra != rb
     }
 }
 
@@ -622,6 +637,12 @@ mod tests {
         assert!(sizes.contains(&3));
         assert!(sizes.contains(&2));
         assert!(parts[0].is_independent_of(&parts[1]));
+        assert_eq!(s.independent_split(), Some(parts.clone()));
+        // A connected part (and the empty set) does not split: no copy.
+        assert_eq!(parts[0].independent_split(), None);
+        assert_eq!(parts[0].independent_partition(), vec![parts[0].clone()]);
+        assert_eq!(WsSet::empty().independent_split(), None);
+        assert!(WsSet::empty().independent_partition().is_empty());
     }
 
     #[test]
