@@ -124,7 +124,7 @@ mod tests {
             let mut expected: Vec<Tuple> = input_tuples
                 .iter()
                 .filter(|t| t.get(1) == Some(&Value::str("Bill")))
-                .map(|t| t.project(&[0]))
+                .map(|t| Tuple::new(vec![t.get(0).unwrap().clone()]))
                 .collect();
             expected.sort();
             expected.dedup();

@@ -1,29 +1,40 @@
 //! The pipelined plan executor.
 //!
-//! [`execute_plan`] validates a [`Plan`] once, compiles every predicate
+//! [`execute_plan`] validates a [`Plan`] once, compiles every operator
 //! down to positional form (column names are resolved against the operator
 //! schemas exactly once, not per row), and then **streams**
 //! `(tuple, ws-descriptor)` rows between operators instead of
 //! materializing an intermediate U-relation per node:
 //!
-//! * selection, projection, rename, union and distinct are fully
-//!   streaming — a row flows from the scan to the output without ever
-//!   being parked in an intermediate relation;
-//! * a join materializes only its **right (build) side** into a hash
-//!   table keyed on the equi-join columns extracted from the join
-//!   condition, then streams the left (probe) side through it — the
-//!   classical hash join. A join condition without cross-side equality
-//!   conjuncts falls back to a block nested loop over the materialized
-//!   right side;
-//! * descriptor consistency (`ψ` in the paper's
-//!   `U_R ⋈_{φ ∧ ψ} U_S`) is checked with the allocation-free merge scan
-//!   *before* the residual predicate, and the descriptor union is built
-//!   only for emitted rows.
+//! * a row in flight **borrows** its tuple and descriptor from the stored
+//!   relation it was scanned from; a row is owned only once an operator
+//!   creates it (a join output), and copied only where it leaves
+//!   [`execute_plan`];
+//! * every compiled stream carries a **column map** (logical column →
+//!   position in the rows' tuples), so scan, project and rename do no
+//!   per-row work: a projection composes the map, and a selection compiles
+//!   its predicate through the map to tuple positions. Selections over a
+//!   stored relation run inside its scan loop;
+//! * a join builds over the borrowed rows of its **right (build) side**: the
+//!   values of the equi-join key (the cross-side equality conjuncts of the
+//!   condition) are hashed in place through the map, and each key hash
+//!   heads a chain of build rows in input order. The left (probe) side
+//!   streams through the chains. A condition without such conjuncts is the
+//!   one-chain case — a block nested loop — on the same path;
+//! * the join condition is evaluated on the borrowed pair, reading both
+//!   tuples through their maps; a pair that satisfies it becomes a row in
+//!   one fallible step: the descriptor union (`ψ` in the paper's
+//!   `U_R ⋈_{φ ∧ ψ} U_S`) fails, allocating nothing, on an inconsistent
+//!   pair, and otherwise the output tuple is allocated once at its exact
+//!   length;
+//! * distinct, and a union of two streams with different maps, are the
+//!   only operators that copy tuples on the way (to compare whole rows, and
+//!   to give both inputs one map).
 //!
 //! Rows are emitted in exactly the order of the eager reference
 //! interpreter ([`crate::reference::execute_plan`]): every streaming operator
 //! is order-preserving and the hash join probes in left-row order with
-//! build rows bucketed in input order, so even the per-tuple ws-sets of
+//! build rows chained in input order, so even the per-tuple ws-sets of
 //! the answer come out in the same descriptor order — which is what makes
 //! the exact confidence of a planned answer **bit-identical** to the eager
 //! path (see `tests/plan_equivalence.rs` and the golden strategy tests).
@@ -32,11 +43,13 @@
 //! with a NULL equi-join key on either side are dropped by the hash join —
 //! exactly what evaluating the equality predicate would do.
 
-use uprob_wsd::{FxHashMap, FxHashSet};
+use std::borrow::Cow;
+use std::hash::{BuildHasher, Hash, Hasher};
 
-use uprob_wsd::WsDescriptor;
+use uprob_wsd::{FxBuildHasher, FxHashMap, FxHashSet, WsDescriptor};
 
 use crate::database::ProbDb;
+use crate::error::UrelError;
 use crate::plan::Plan;
 use crate::predicate::{Comparison, Expr, Predicate};
 use crate::relation::URelation;
@@ -45,9 +58,48 @@ use crate::tuple::Tuple;
 use crate::value::Value;
 use crate::Result;
 
-/// A streamed row: the tuple plus its ws-descriptor.
-type Row = (Tuple, WsDescriptor);
-type RowStream<'a> = Box<dyn Iterator<Item = Row> + 'a>;
+/// A streamed row: the tuple plus its ws-descriptor, borrowed from a stored
+/// relation until an operator creates the row.
+type Row<'a> = (Cow<'a, Tuple>, Cow<'a, WsDescriptor>);
+type RowStream<'a> = Box<dyn Iterator<Item = Row<'a>> + 'a>;
+
+/// A compiled plan node: its output schema, its rows, and the position in
+/// the rows' tuples of each column of the schema.
+struct Stream<'a> {
+    schema: Schema,
+    map: Vec<usize>,
+    rows: Rows<'a>,
+}
+
+impl<'a> Stream<'a> {
+    /// A stream whose tuples are its schema's columns (the identity map).
+    fn new(schema: Schema, rows: Rows<'a>) -> Stream<'a> {
+        let map = (0..schema.arity()).collect();
+        Stream { schema, map, rows }
+    }
+}
+
+/// The rows of a compiled plan node. Selections over a stored relation
+/// stay beside it and run inside its scan loop, so a row they drop never
+/// crosses an operator boundary.
+enum Rows<'a> {
+    Stored(&'a [(Tuple, WsDescriptor)], Vec<CompiledPredicate>),
+    Streamed(RowStream<'a>),
+}
+
+impl<'a> Rows<'a> {
+    /// The rows as a stream; a stored relation's are lent, not copied.
+    fn stream(self) -> RowStream<'a> {
+        match self {
+            Rows::Stored(rows, predicates) => Box::new(
+                rows.iter()
+                    .filter(move |(t, _)| predicates.iter().all(|p| p.eval(t, t)))
+                    .map(|(t, d)| (Cow::Borrowed(t), Cow::Borrowed(d))),
+            ),
+            Rows::Streamed(rows) => rows,
+        }
+    }
+}
 
 /// Executes `plan` against `db` with the pipelined executor (no
 /// optimization; [`ProbDb::query`] optimizes first). The output relation
@@ -63,8 +115,64 @@ pub fn execute_plan(db: &ProbDb, plan: &Plan) -> Result<URelation> {
     // checking); compile() then recomputes each node's schema exactly once,
     // bottom-up, without re-validating subtrees.
     let schema = plan.output_schema(db)?;
-    let (_, stream) = compile(db, plan)?;
-    Ok(URelation::from_rows(schema, stream.collect()))
+    let Stream { map, rows, .. } = compile(db, plan)?;
+    let rows = rows
+        .stream()
+        .map(|(tuple, descriptor)| (owned_tuple(tuple, &map), descriptor.into_owned()))
+        .collect();
+    Ok(URelation::from_rows(schema, rows))
+}
+
+/// The value at position `position` of a row's tuple.
+fn value_at(tuple: &Tuple, position: usize) -> &Value {
+    #[expect(
+        clippy::expect_used,
+        reason = "column maps and key positions are resolved against the schema the rows were validated against"
+    )]
+    tuple.get(position).expect("validated column position")
+}
+
+/// A copy of the columns `map` reads from a row's tuple, in map order.
+fn read_through(tuple: &Tuple, map: &[usize]) -> Tuple {
+    Tuple::new(map.iter().map(|&p| value_at(tuple, p).clone()).collect())
+}
+
+/// The row's tuple as the map reads it: moved when it already is (an
+/// operator's own output), copied through the map otherwise.
+fn owned_tuple(tuple: Cow<'_, Tuple>, map: &[usize]) -> Tuple {
+    match tuple {
+        Cow::Owned(t) if t.arity() == map.len() && map.iter().enumerate().all(|(i, &p)| i == p) => {
+            t
+        }
+        t => read_through(&t, map),
+    }
+}
+
+/// A stream's rows with their tuples copied into the column order of the
+/// stream's schema (the identity map).
+fn relayout<'a>(Stream { map, rows, .. }: Stream<'a>) -> impl Iterator<Item = Row<'a>> + 'a {
+    rows.stream()
+        .map(move |(t, d)| (Cow::Owned(owned_tuple(t, &map)), d))
+}
+
+/// The entry of `map` for the column `name` of `schema`: first-match
+/// resolution, exactly as [`Schema::column_index`].
+fn resolve<T: Copy>(schema: &Schema, map: &[T], name: &str) -> Result<T> {
+    let column = schema.column_index(name)?;
+    map.get(column)
+        .copied()
+        .ok_or_else(|| UrelError::UnknownColumn {
+            relation: schema.name().to_string(),
+            column: name.to_string(),
+        })
+}
+
+/// Where a compiled column reference reads: a position in the left or the
+/// right tuple of a join pair. A single stream's predicates read `Left`.
+#[derive(Clone, Copy)]
+enum Slot {
+    Left(usize),
+    Right(usize),
 }
 
 /// A predicate with all column references resolved to tuple positions:
@@ -83,122 +191,105 @@ enum CompiledPredicate {
 }
 
 enum CompiledExpr {
-    Column(usize),
+    Column(Slot),
     Const(Value),
 }
 
 impl CompiledExpr {
-    fn compile(expr: &Expr, schema: &Schema) -> Result<CompiledExpr> {
+    fn compile(expr: &Expr, slot: &impl Fn(&str) -> Result<Slot>) -> Result<CompiledExpr> {
         Ok(match expr {
             Expr::Const(v) => CompiledExpr::Const(v.clone()),
-            Expr::Column(c) => CompiledExpr::Column(schema.column_index(&c.name)?),
+            Expr::Column(c) => CompiledExpr::Column(slot(&c.name)?),
         })
     }
 
-    fn eval<'a>(&'a self, tuple: &'a Tuple) -> &'a Value {
+    fn eval<'v>(&'v self, lt: &'v Tuple, rt: &'v Tuple) -> &'v Value {
         match self {
             CompiledExpr::Const(v) => v,
-            #[expect(
-                clippy::expect_used,
-                reason = "column positions were validated against this schema at compile time"
-            )]
-            CompiledExpr::Column(i) => tuple.get(*i).expect("validated column position"),
+            CompiledExpr::Column(Slot::Left(p)) => value_at(lt, *p),
+            CompiledExpr::Column(Slot::Right(p)) => value_at(rt, *p),
         }
     }
 }
 
 impl CompiledPredicate {
-    fn compile(predicate: &Predicate, schema: &Schema) -> Result<CompiledPredicate> {
+    /// Compiles `predicate`, locating each column name with `slot`.
+    fn compile(
+        predicate: &Predicate,
+        slot: &impl Fn(&str) -> Result<Slot>,
+    ) -> Result<CompiledPredicate> {
         Ok(match predicate {
             Predicate::True => CompiledPredicate::True,
             Predicate::False => CompiledPredicate::False,
             Predicate::Cmp { left, op, right } => CompiledPredicate::Cmp {
-                left: CompiledExpr::compile(left, schema)?,
+                left: CompiledExpr::compile(left, slot)?,
                 op: *op,
-                right: CompiledExpr::compile(right, schema)?,
+                right: CompiledExpr::compile(right, slot)?,
             },
             Predicate::And(a, b) => CompiledPredicate::And(
-                Box::new(CompiledPredicate::compile(a, schema)?),
-                Box::new(CompiledPredicate::compile(b, schema)?),
+                Box::new(CompiledPredicate::compile(a, slot)?),
+                Box::new(CompiledPredicate::compile(b, slot)?),
             ),
             Predicate::Or(a, b) => CompiledPredicate::Or(
-                Box::new(CompiledPredicate::compile(a, schema)?),
-                Box::new(CompiledPredicate::compile(b, schema)?),
+                Box::new(CompiledPredicate::compile(a, slot)?),
+                Box::new(CompiledPredicate::compile(b, slot)?),
             ),
             Predicate::Not(p) => {
-                CompiledPredicate::Not(Box::new(CompiledPredicate::compile(p, schema)?))
+                CompiledPredicate::Not(Box::new(CompiledPredicate::compile(p, slot)?))
             }
         })
     }
 
-    fn eval(&self, tuple: &Tuple) -> bool {
+    /// Evaluates on a join pair (a single stream passes its tuple twice).
+    fn eval(&self, lt: &Tuple, rt: &Tuple) -> bool {
         match self {
             CompiledPredicate::True => true,
             CompiledPredicate::False => false,
             CompiledPredicate::Cmp { left, op, right } => {
-                op.apply(left.eval(tuple), right.eval(tuple))
+                op.apply(left.eval(lt, rt), right.eval(lt, rt))
             }
-            CompiledPredicate::And(a, b) => a.eval(tuple) && b.eval(tuple),
-            CompiledPredicate::Or(a, b) => a.eval(tuple) || b.eval(tuple),
-            CompiledPredicate::Not(p) => !p.eval(tuple),
+            CompiledPredicate::And(a, b) => a.eval(lt, rt) && b.eval(lt, rt),
+            CompiledPredicate::Or(a, b) => a.eval(lt, rt) || b.eval(lt, rt),
+            CompiledPredicate::Not(p) => !p.eval(lt, rt),
         }
-    }
-
-    fn is_true(&self) -> bool {
-        matches!(self, CompiledPredicate::True)
     }
 }
 
-/// Compiles a plan node into its output schema and row stream. Each
-/// node's schema is computed exactly once, bottom-up (the full-tree
+/// Compiles a plan node into its output schema, column map and row stream.
+/// Each node's schema is computed exactly once, bottom-up (the full-tree
 /// validation already happened in [`execute_plan`]).
-fn compile<'a>(db: &'a ProbDb, plan: &'a Plan) -> Result<(Schema, RowStream<'a>)> {
+fn compile<'a>(db: &'a ProbDb, plan: &'a Plan) -> Result<Stream<'a>> {
     Ok(match plan {
         Plan::Scan { relation } => {
             let rel = db.relation(relation)?;
-            (
-                rel.schema().clone(),
-                Box::new(rel.iter().map(|(t, d)| (t.clone(), d.clone()))),
-            )
+            Stream::new(rel.schema().clone(), Rows::Stored(rel.rows(), Vec::new()))
         }
-        Plan::Empty { schema } => (schema.clone(), Box::new(std::iter::empty())),
+        Plan::Empty { schema } => Stream::new(schema.clone(), Rows::Stored(&[], Vec::new())),
         Plan::Select { input, predicate } => {
-            // Fused select-over-scan: evaluate on the borrowed row and
-            // clone survivors only (a plain scan clones every row before
-            // the filter would drop it).
-            if let Plan::Scan { relation } = input.as_ref() {
-                let rel = db.relation(relation)?;
-                let schema = rel.schema().clone();
-                let compiled = CompiledPredicate::compile(predicate, &schema)?;
-                (
-                    schema,
-                    Box::new(
-                        rel.iter()
-                            .filter(move |(t, _)| compiled.eval(t))
-                            .map(|(t, d)| (t.clone(), d.clone())),
-                    ),
-                )
-            } else {
-                let (schema, stream) = compile(db, input)?;
-                let compiled = CompiledPredicate::compile(predicate, &schema)?;
-                (
-                    schema,
-                    Box::new(stream.filter(move |(t, _)| compiled.eval(t))),
-                )
-            }
+            let mut s = compile(db, input)?;
+            let compiled = CompiledPredicate::compile(predicate, &|name: &str| {
+                resolve(&s.schema, &s.map, name).map(Slot::Left)
+            })?;
+            s.rows = match s.rows {
+                Rows::Stored(rows, mut predicates) => {
+                    predicates.push(compiled);
+                    Rows::Stored(rows, predicates)
+                }
+                rows => Rows::Streamed(Box::new(
+                    rows.stream().filter(move |(t, _)| compiled.eval(t, t)),
+                )),
+            };
+            s
         }
         Plan::Project { input, columns } => {
-            let (schema, stream) = compile(db, input)?;
-            let positions: Vec<usize> = columns
-                .iter()
-                .map(|c| schema.column_index(c))
-                .collect::<Result<_>>()?;
+            let mut s = compile(db, input)?;
             let names: Vec<&str> = columns.iter().map(String::as_str).collect();
-            let projected = schema.project(&names, schema.name())?;
-            (
-                projected,
-                Box::new(stream.map(move |(t, d)| (t.project(&positions), d))),
-            )
+            s.map = names
+                .iter()
+                .map(|name| resolve(&s.schema, &s.map, name))
+                .collect::<Result<_>>()?;
+            s.schema = s.schema.project(&names, s.schema.name())?;
+            s
         }
         Plan::Join {
             left,
@@ -207,147 +298,166 @@ fn compile<'a>(db: &'a ProbDb, plan: &'a Plan) -> Result<(Schema, RowStream<'a>)
         } => compile_join(db, left, right, predicate)?,
         Plan::Product { left, right } => compile_join(db, left, right, &Predicate::True)?,
         Plan::Union { left, right } => {
-            let (ls, l) = compile(db, left)?;
-            let (rs, r) = compile(db, right)?;
-            ls.check_union_compatible(&rs)?;
-            (ls, Box::new(l.chain(r)))
+            let l = compile(db, left)?;
+            let r = compile(db, right)?;
+            l.schema.check_union_compatible(&r.schema)?;
+            if l.map == r.map {
+                Stream {
+                    rows: Rows::Streamed(Box::new(l.rows.stream().chain(r.rows.stream()))),
+                    ..l
+                }
+            } else {
+                // Two layouts: copy both inputs into the schema's own.
+                let schema = l.schema.clone();
+                Stream::new(
+                    schema,
+                    Rows::Streamed(Box::new(relayout(l).chain(relayout(r)))),
+                )
+            }
         }
         Plan::Rename { input, name } => {
-            let (schema, stream) = compile(db, input)?;
-            (schema.renamed(name), stream)
+            let mut s = compile(db, input)?;
+            s.schema = s.schema.renamed(name);
+            s
         }
         Plan::Distinct { input } => {
-            let (schema, stream) = compile(db, input)?;
-            let mut seen: FxHashSet<Row> = FxHashSet::default();
-            (
-                schema,
-                Box::new(stream.filter(move |row| seen.insert(row.clone()))),
-            )
+            let mut s = compile(db, input)?;
+            let mut seen: FxHashSet<(Tuple, WsDescriptor)> = FxHashSet::default();
+            let map = s.map.clone();
+            s.rows = Rows::Streamed(Box::new(s.rows.stream().filter(move |(t, d)| {
+                seen.insert((read_through(t, &map), WsDescriptor::clone(d)))
+            })));
+            s
         }
     })
 }
 
-/// Compiles a join: splits the condition into cross-side equality conjuncts
-/// (the hash keys) and a compiled residual, materializes the right (build)
-/// side, and streams the left (probe) side through it.
+/// Compiles a join: takes the cross-side equality conjuncts of the
+/// condition as the key, chains the right side's rows by key hash, and
+/// streams the left side through the chains.
 fn compile_join<'a>(
     db: &'a ProbDb,
     left: &'a Plan,
     right: &'a Plan,
     predicate: &Predicate,
-) -> Result<(Schema, RowStream<'a>)> {
-    let (left_schema, left_stream) = compile(db, left)?;
-    let (right_schema, right_stream) = compile(db, right)?;
-    let concat = left_schema.concat(&right_schema, left_schema.name());
-    let left_arity = left_schema.arity();
+) -> Result<Stream<'a>> {
+    let l = compile(db, left)?;
+    let r = compile(db, right)?;
+    let concat = l.schema.concat(&r.schema, l.schema.name());
+    let slots: Vec<Slot> = l
+        .map
+        .iter()
+        .map(|&p| Slot::Left(p))
+        .chain(r.map.iter().map(|&p| Slot::Right(p)))
+        .collect();
+    let slot = |name: &str| resolve(&concat, &slots, name);
 
-    // Extract `left-column = right-column` conjuncts as hash keys.
-    let mut left_keys: Vec<usize> = Vec::new();
-    let mut right_keys: Vec<usize> = Vec::new();
-    let mut residual: Vec<Predicate> = Vec::new();
+    // The `left-column = right-column` conjuncts are the key the build rows
+    // are chained by; the whole condition is then checked on each pair a
+    // chain offers (a chain holds every row whose key hash is equal).
+    let (mut left_key, mut right_key) = (Vec::new(), Vec::new());
     for conjunct in predicate.clone().into_conjuncts() {
         if let Predicate::Cmp {
             left: Expr::Column(a),
             op: Comparison::Eq,
             right: Expr::Column(b),
-        } = &conjunct
+        } = conjunct
         {
-            let ia = concat.column_index(&a.name)?;
-            let ib = concat.column_index(&b.name)?;
-            if ia < left_arity && ib >= left_arity {
-                left_keys.push(ia);
-                right_keys.push(ib - left_arity);
-                continue;
-            }
-            if ib < left_arity && ia >= left_arity {
-                left_keys.push(ib);
-                right_keys.push(ia - left_arity);
-                continue;
+            if let (Slot::Left(p), Slot::Right(q)) | (Slot::Right(q), Slot::Left(p)) =
+                (slot(&a.name)?, slot(&b.name)?)
+            {
+                left_key.push(p);
+                right_key.push(q);
             }
         }
-        residual.push(conjunct);
     }
-    let residual = CompiledPredicate::compile(&Predicate::conjoin(residual), &concat)?;
+    let condition = CompiledPredicate::compile(predicate, &slot)?;
 
-    let right_rows: Vec<Row> = right_stream.collect();
-
-    if left_keys.is_empty() {
-        // No equi-join keys: block nested loop over the materialized right
-        // side (identical pair order to the eager reference).
-        return Ok((
-            concat,
-            Box::new(left_stream.flat_map(move |(lt, ld)| {
-                let mut out = Vec::new();
-                for (rt, rd) in &right_rows {
-                    if !ld.is_consistent_with(rd) {
-                        continue;
-                    }
-                    let tuple = lt.concat(rt);
-                    if residual.eval(&tuple) {
-                            #[expect(clippy::expect_used, reason = "the `is_consistent_with` filter above guarantees the union exists")]
-                        let descriptor = ld
-                            .union(rd)
-                            .expect("consistent descriptors always have a union");
-                        out.push((tuple, descriptor));
-                    }
-                }
-                out
-            })),
-        ));
+    // Chain the build rows by key hash: walking them backwards and pushing
+    // each onto the front of its chain leaves every chain in input order.
+    // A row with a NULL key value can never satisfy the equality and joins
+    // no chain.
+    let mut build: Vec<(Row<'a>, Option<usize>)> = r.rows.stream().map(|row| (row, None)).collect();
+    let mut heads: FxHashMap<u64, usize> = FxHashMap::default();
+    for (j, ((t, _), next)) in build.iter_mut().enumerate().rev() {
+        *next = key_hash(t, &right_key).and_then(|h| heads.insert(h, j));
     }
 
-    // Hash join: bucket the build side by key. Rows with a NULL key value
-    // can never satisfy the equality conjuncts and are dropped up front.
-    let mut table: FxHashMap<Vec<Value>, Vec<Row>> = FxHashMap::default();
-    for (rt, rd) in right_rows {
-        if let Some(key) = key_of(&rt, &right_keys) {
-            table.entry(key).or_default().push((rt, rd));
-        }
-    }
-    let residual_is_true = residual.is_true();
-    Ok((
-        concat,
-        Box::new(left_stream.flat_map(move |(lt, ld)| {
-            let mut out = Vec::new();
-            if let Some(key) = key_of(&lt, &left_keys) {
-                if let Some(bucket) = table.get(&key) {
-                    out.reserve(bucket.len());
-                    for (rt, rd) in bucket {
-                        if !ld.is_consistent_with(rd) {
-                            continue;
-                        }
-                        let tuple = lt.concat(rt);
-                        if residual_is_true || residual.eval(&tuple) {
-                                #[expect(clippy::expect_used, reason = "the `is_consistent_with` filter above guarantees the union exists")]
-                            let descriptor = ld
-                                .union(rd)
-                                .expect("consistent descriptors always have a union");
-                            out.push((tuple, descriptor));
-                        }
-                    }
-                }
-            }
-            out
-        })),
-    ))
+    let join = Join {
+        probe: l.rows.stream(),
+        build,
+        heads,
+        left_key,
+        columns: slots.into_iter().map(CompiledExpr::Column).collect(),
+        condition,
+        current: None,
+    };
+    Ok(Stream::new(concat, Rows::Streamed(Box::new(join))))
 }
 
-/// The hash key of a tuple on the given positions; `None` if any key value
-/// is NULL (such rows never match an equality).
-fn key_of(tuple: &Tuple, positions: &[usize]) -> Option<Vec<Value>> {
-    let mut key = Vec::with_capacity(positions.len());
-    for &p in positions {
-        #[expect(
-            clippy::expect_used,
-            reason = "key positions were resolved against the schema when the join was built"
-        )]
-        let v = tuple.get(p).expect("validated key position");
-        if v.is_null() {
+/// The hash of a row's key values, `None` if one of them is NULL (such a
+/// row never matches an equality). The empty key hashes to one constant.
+fn key_hash(tuple: &Tuple, key: &[usize]) -> Option<u64> {
+    let mut hasher = FxBuildHasher.build_hasher();
+    for &p in key {
+        let value = value_at(tuple, p);
+        if value.is_null() {
             return None;
         }
-        key.push(v.clone());
+        value.hash(&mut hasher);
     }
-    Some(key)
+    Some(hasher.finish())
+}
+
+/// The join operator: probes each left row against the chain of its key
+/// hash, in build-input order, so a left row's matches come out in the
+/// order a nested loop over the right side would emit them.
+struct Join<'a> {
+    probe: RowStream<'a>,
+    /// The build rows, each with the next build row of its chain.
+    build: Vec<(Row<'a>, Option<usize>)>,
+    /// The first build row of each key hash's chain.
+    heads: FxHashMap<u64, usize>,
+    left_key: Vec<usize>,
+    /// The output columns: the left row's, then the right row's.
+    columns: Vec<CompiledExpr>,
+    condition: CompiledPredicate,
+    /// The probe row being matched and the build row its chain visits next.
+    current: Option<(Row<'a>, Option<usize>)>,
+}
+
+impl<'a> Iterator for Join<'a> {
+    type Item = Row<'a>;
+
+    fn next(&mut self) -> Option<Row<'a>> {
+        loop {
+            if let Some(((lt, ld), cursor)) = &mut self.current {
+                while let Some(j) = *cursor {
+                    let Some(((rt, rd), next)) = self.build.get(j) else {
+                        break;
+                    };
+                    *cursor = *next;
+                    if !self.condition.eval(lt, rt) {
+                        continue;
+                    }
+                    // The union is the consistency check: an inconsistent
+                    // pair is skipped without allocating.
+                    let Ok(descriptor) = ld.union(rd) else {
+                        continue;
+                    };
+                    let values = self
+                        .columns
+                        .iter()
+                        .map(|c| c.eval(lt, rt).clone())
+                        .collect();
+                    return Some((Cow::Owned(Tuple::new(values)), Cow::Owned(descriptor)));
+                }
+            }
+            let (lt, ld) = self.probe.next()?;
+            let cursor = key_hash(&lt, &self.left_key).and_then(|h| self.heads.get(&h).copied());
+            self.current = Some(((lt, ld), cursor));
+        }
+    }
 }
 
 #[cfg(test)]
@@ -495,6 +605,109 @@ mod tests {
         ] {
             check_matches_eager(&db, &plan);
         }
+    }
+
+    #[test]
+    fn column_maps_match_eager() {
+        let db = db_with(vec![
+            (
+                "R",
+                vec![
+                    ("A", ColumnType::Int),
+                    ("B", ColumnType::Int),
+                    ("C", ColumnType::Int),
+                ],
+                vec![
+                    vec![Value::Int(1), Value::Int(10), Value::Int(5)],
+                    vec![Value::Int(2), Value::Int(20), Value::Null],
+                    vec![Value::Int(2), Value::Int(20), Value::Int(7)],
+                    vec![Value::Int(3), Value::Int(20), Value::Int(7)],
+                    vec![Value::Int(2), Value::Int(20), Value::Int(7)],
+                    vec![Value::Int(4), Value::Null, Value::Int(9)],
+                ],
+            ),
+            (
+                "S",
+                vec![
+                    ("B", ColumnType::Int),
+                    ("C", ColumnType::Int),
+                    ("D", ColumnType::Int),
+                ],
+                vec![
+                    vec![Value::Int(20), Value::Int(7), Value::Int(200)],
+                    vec![Value::Int(10), Value::Int(5), Value::Int(100)],
+                    vec![Value::Int(20), Value::Null, Value::Int(300)],
+                    vec![Value::Int(20), Value::Int(7), Value::Int(400)],
+                    vec![Value::Null, Value::Int(9), Value::Int(500)],
+                ],
+            ),
+        ]);
+        let lt = |a: &str, b: &str| Predicate::cmp(Expr::col(a), Comparison::Lt, Expr::col(b));
+        // Projections on both join inputs; B clashes, so the right one is
+        // `S.B` in the join's schema.
+        let projected_join = Plan::scan("R").project(&["C", "B", "A"]).join_on(
+            Plan::scan("S").project(&["D", "B"]),
+            Predicate::cols_eq("B", "S.B").and(lt("A", "D")),
+        );
+        let projected_pairs = Plan::scan("R")
+            .join_on(Plan::scan("S"), Predicate::cols_eq("B", "S.B"))
+            .project(&["A", "S.B"]);
+        let plans = [
+            projected_join.clone(),
+            projected_join.clone().project(&["S.B", "A", "D"]),
+            // Select over project over scan, and a projection composed
+            // with another.
+            Plan::scan("R").project(&["C", "A"]).select(Predicate::cmp(
+                Expr::col("A"),
+                Comparison::Ge,
+                Expr::val(2i64),
+            )),
+            Plan::scan("R").project(&["C", "A"]).project(&["A"]),
+            // A two-conjunct key, NULLs in the second key column on both
+            // sides.
+            Plan::scan("R").join_on(
+                Plan::scan("S"),
+                Predicate::cols_eq("S.B", "B").and(Predicate::cols_eq("C", "S.C")),
+            ),
+            // A union of two differently projected streams (R's C is its
+            // third column, S's B its first), then a selection over the
+            // re-laid-out rows.
+            Plan::scan("R")
+                .project(&["C"])
+                .union(Plan::scan("S").project(&["B"]))
+                .select(Predicate::cmp(
+                    Expr::col("C"),
+                    Comparison::Gt,
+                    Expr::val(6i64),
+                )),
+            // Two streams with the same map (both second columns) chain
+            // unchanged.
+            Plan::scan("R")
+                .project(&["B"])
+                .union(Plan::scan("S").project(&["C"])),
+            // Distinct over a projected join.
+            projected_pairs.clone().distinct(),
+            // Key-less joins over projected inputs: a theta join and a
+            // product.
+            Plan::scan("R")
+                .project(&["A"])
+                .join_on(Plan::scan("S").project(&["D", "C"]), lt("A", "C")),
+            Plan::scan("R")
+                .project(&["B"])
+                .product(Plan::scan("S").project(&["B"])),
+        ];
+        for plan in &plans {
+            let out = check_matches_eager(&db, plan);
+            assert!(!out.is_empty(), "every case emits rows:\n{plan}");
+        }
+        // The distinct case drops duplicate (tuple, descriptor) rows.
+        let pairs = execute_plan(&db, &projected_pairs).unwrap();
+        assert!(
+            execute_plan(&db, &projected_pairs.distinct())
+                .unwrap()
+                .len()
+                < pairs.len()
+        );
     }
 
     #[test]

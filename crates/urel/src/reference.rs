@@ -22,10 +22,12 @@
 //! tests).
 
 use crate::database::ProbDb;
+use crate::error::UrelError;
 use crate::plan::Plan;
 use crate::predicate::Predicate;
 use crate::relation::URelation;
 use crate::tuple::Tuple;
+use crate::value::Value;
 use crate::Result;
 
 /// Selection `σ_φ(R)`: keeps the rows whose tuple satisfies `φ`, with their
@@ -52,7 +54,12 @@ pub fn project(relation: &URelation, columns: &[&str], name: &str) -> Result<URe
         .collect::<Result<_>>()?;
     let mut out = URelation::new(schema);
     for (tuple, descriptor) in relation.iter() {
-        out.push(tuple.project(&positions), descriptor.clone());
+        let values: Option<Vec<Value>> = positions.iter().map(|&i| tuple.get(i).cloned()).collect();
+        let values = values.ok_or_else(|| UrelError::TupleSchemaMismatch {
+            relation: relation.schema().name().to_string(),
+            detail: format!("tuple {tuple} is shorter than its schema"),
+        })?;
+        out.push(Tuple::new(values), descriptor.clone());
     }
     Ok(out)
 }

@@ -37,27 +37,13 @@ impl Tuple {
         &self.values
     }
 
-    /// Builds the concatenation of two tuples (used by joins).
+    /// Builds the concatenation of two tuples (used by joins), allocated
+    /// once at its exact length.
     pub fn concat(&self, other: &Tuple) -> Tuple {
-        let mut values = self.values.clone();
-        values.extend(other.values.iter().cloned());
+        let mut values = Vec::with_capacity(self.values.len() + other.values.len());
+        values.extend_from_slice(&self.values);
+        values.extend_from_slice(&other.values);
         Tuple { values }
-    }
-
-    /// Projects the tuple onto the given positions, in order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a position is out of range; callers resolve positions via
-    /// the schema first.
-    pub fn project(&self, positions: &[usize]) -> Tuple {
-        Tuple {
-            #[expect(
-                clippy::indexing_slicing,
-                reason = "documented panic contract: callers resolve positions via the schema"
-            )]
-            values: positions.iter().map(|&i| self.values[i].clone()).collect(),
-        }
     }
 }
 
@@ -101,13 +87,15 @@ mod tests {
     }
 
     #[test]
-    fn concat_and_project() {
+    fn concat_keeps_both_value_lists_in_order() {
         let a = Tuple::new(vec![Value::Int(1), Value::str("x")]);
         let b = Tuple::new(vec![Value::Bool(true)]);
         let c = a.concat(&b);
         assert_eq!(c.arity(), 3);
-        let p = c.project(&[2, 0]);
-        assert_eq!(p.values(), &[Value::Bool(true), Value::Int(1)]);
+        assert_eq!(
+            c.values(),
+            &[Value::Int(1), Value::str("x"), Value::Bool(true)]
+        );
     }
 
     #[test]

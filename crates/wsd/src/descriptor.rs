@@ -152,7 +152,7 @@ impl WsDescriptor {
     /// assignments) is functional, i.e. they have a common extension into a
     /// total valuation.
     pub fn is_consistent_with(&self, other: &WsDescriptor) -> bool {
-        merge_check(self, other, |a, b| a == b)
+        first_clash(self, other, |a, b| a == b).is_none()
     }
 
     /// Two descriptors are *mutually exclusive* (mutex) iff they represent
@@ -165,7 +165,7 @@ impl WsDescriptor {
     /// Two descriptors are *independent* iff they are defined on disjoint
     /// sets of variables (Section 3.1).
     pub fn is_independent_of(&self, other: &WsDescriptor) -> bool {
-        merge_check(self, other, |_, _| false)
+        first_clash(self, other, |_, _| false).is_none()
     }
 
     /// `self` is *contained* in `other` iff `ω(self) ⊆ ω(other)`:
@@ -184,11 +184,17 @@ impl WsDescriptor {
     /// Union of two consistent descriptors (the descriptor of the
     /// intersection of the two world-sets).
     ///
+    /// The consistency check runs first, so an inconsistent pair allocates
+    /// nothing.
+    ///
     /// # Errors
     ///
     /// Fails with [`WsdError::NotFunctional`] if the descriptors are
     /// inconsistent.
     pub fn union(&self, other: &WsDescriptor) -> Result<WsDescriptor> {
+        if let Some(var) = first_clash(self, other, |a, b| a == b) {
+            return Err(WsdError::NotFunctional { var });
+        }
         let mut merged = Vec::with_capacity(self.assignments.len() + other.assignments.len());
         let (mut i, mut j) = (0, 0);
         while i < self.assignments.len() && j < other.assignments.len() {
@@ -204,9 +210,6 @@ impl WsDescriptor {
                     j += 1;
                 }
                 std::cmp::Ordering::Equal => {
-                    if a.value != b.value {
-                        return Err(WsdError::NotFunctional { var: a.var });
-                    }
                     merged.push(a);
                     i += 1;
                     j += 1;
@@ -332,9 +335,9 @@ impl fmt::Display for DescriptorDisplay<'_> {
     }
 }
 
-/// Walks two sorted assignment lists; returns `false` as soon as a shared
-/// variable fails `shared_ok`, `true` otherwise.
-fn merge_check<F>(a: &WsDescriptor, b: &WsDescriptor, shared_ok: F) -> bool
+/// Walks two sorted assignment lists; returns the first shared variable
+/// whose two values fail `shared_ok`, if any.
+fn first_clash<F>(a: &WsDescriptor, b: &WsDescriptor, shared_ok: F) -> Option<VarId>
 where
     F: Fn(ValueIndex, ValueIndex) -> bool,
 {
@@ -347,14 +350,14 @@ where
             std::cmp::Ordering::Greater => j += 1,
             std::cmp::Ordering::Equal => {
                 if !shared_ok(x.value, y.value) {
-                    return false;
+                    return Some(x.var);
                 }
                 i += 1;
                 j += 1;
             }
         }
     }
-    true
+    None
 }
 
 #[cfg(test)]
