@@ -12,7 +12,8 @@ use std::time::Duration;
 
 use uprob_core::ConditioningOptions;
 use uprob_datagen::{ConstraintWorkload, ConstraintWorkloadConfig};
-use uprob_query::{assert_all, assert_constraint, reference, Constraint};
+use uprob_query::{assert_all, assert_constraint, Constraint};
+use uprob_reference::query as reference;
 use uprob_urel::ProbDb;
 
 fn sequential_asserts(db: &ProbDb, constraints: &[Constraint], options: &ConditioningOptions) {

@@ -12,10 +12,8 @@ use uprob_core::{
     confidence_parallel, DecompositionOptions, ParallelOptions, SharedDecompositionCache,
 };
 use uprob_datagen::{q1_answer_relation, TpchConfig, TpchDatabase};
-use uprob_query::{
-    answer_confidences_with_options, boolean_confidence,
-    reference::tuple_confidences as tuple_confidences_sequential,
-};
+use uprob_query::{answer_confidences_with_options, boolean_confidence};
+use uprob_reference::query::tuple_confidences as tuple_confidences_sequential;
 
 fn bench_cache_reuse(c: &mut Criterion) {
     let mut group = c.benchmark_group("micro_cache_reuse");

@@ -1,5 +1,5 @@
 //! Planned vs. eager execution on the TPC-H-shaped equi-join: the eager
-//! nested-loop oracle (`uprob_urel::reference::execute_plan`), the
+//! nested-loop oracle (`uprob_reference::urel::execute_plan`), the
 //! pipelined hash join on the pre-pushed plan (`query_unoptimized`), and
 //! the full unoptimized Q1 product chain through the optimizer + pipelined
 //! executor (`query`). Reports the ratio; regressions of the product path
@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use uprob_bench::orders_lineitem_join_plan;
 use uprob_datagen::{q1_plan, TpchConfig, TpchDatabase};
-use uprob_urel::reference;
+use uprob_reference::urel as reference;
 
 fn bench_planned_vs_eager(c: &mut Criterion) {
     let mut group = c.benchmark_group("planned_vs_eager");

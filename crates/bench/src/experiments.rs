@@ -23,10 +23,9 @@ use uprob_datagen::{
 };
 use uprob_query::{
     answer_confidences_with_options, assert_constraint, boolean_confidence,
-    planned_answer_confidences_with_options,
-    reference::tuple_confidences as tuple_confidences_sequential, Constraint, ProbDbService,
-    ServiceOptions,
+    planned_answer_confidences_with_options, Constraint, ProbDbService, ServiceOptions,
 };
+use uprob_reference::query::tuple_confidences as tuple_confidences_sequential;
 use uprob_urel::{optimize_plan, Plan, Predicate};
 use uprob_wsd::WsDescriptor;
 
@@ -216,7 +215,7 @@ pub fn planned_vs_eager(scale: ExperimentScale) -> ResultTable {
         let join = orders_lineitem_join_plan();
 
         let start = Instant::now();
-        let eager = uprob_urel::reference::execute_plan(&data.db, &join).expect("valid join plan");
+        let eager = uprob_reference::urel::execute_plan(&data.db, &join).expect("valid join plan");
         let eager_elapsed = start.elapsed();
 
         let start = Instant::now();

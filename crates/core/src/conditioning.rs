@@ -10,24 +10,16 @@
 //! the recursion carries no rows: it returns the leaves of the condition's
 //! ws-tree, and [`condition`] joins every row against them in one pass
 //! (DESIGN.md, "Conditioning: rewrite the tree, then join the rows"; the
-//! literal row-threading recursion is the oracle in [`crate::reference`]).
+//! literal row-threading recursion is the test-only oracle `reference`).
 //!
-//! Two variants are provided:
-//!
-//! * [`ConditioningMethod::Exact`] (default): the decomposition uses
-//!   variable elimination only. The produced database represents exactly
-//!   the Bayesian posterior (tested against brute-force enumeration).
-//! * [`ConditioningMethod::PaperFig8`]: the verbatim algorithm of Figure 8,
-//!   including its ⊗-node rule (each independent part of the condition is
-//!   conditioned separately against the full U-relation and the results are
-//!   unioned). This reproduces the paper's worked Examples 5.1/5.2/5.4 and
-//!   its performance profile. Note that when the condition decomposes into
-//!   several independent parts *and* tuples depend on more than one part,
-//!   the ⊗ rule does not preserve tuple marginals (the disjunction of
-//!   independent conditions induces correlations that re-weighting
-//!   variables per part cannot express); see DESIGN.md, section "The
-//!   ⊗-rule marginals caveat", for the analysis. For conditions that do
-//!   not trigger the ⊗ rule the two variants coincide.
+//! The decomposition uses variable elimination only, so the produced
+//! database represents exactly the Bayesian posterior (tested against
+//! brute-force enumeration). Figure 8 also has a ⊗-node rule, which
+//! conditions each independent part of a condition on its own; it does not
+//! preserve tuple marginals when the condition is a disjunction of
+//! independent parts and tuples depend on more than one part (DESIGN.md,
+//! "The ⊗-rule marginals caveat"), so only the oracle implements it. On
+//! conditions without a ⊗ node — Example 5.1's among them — the two agree.
 //!
 //! Conditioning deliberately bypasses the shared decomposition cache of
 //! [`crate::cache`]: its recursion allocates fresh variables in visit
@@ -49,22 +41,9 @@ use crate::heuristics::VariableHeuristic;
 use crate::stats::DecompositionStats;
 use crate::Result;
 
-/// Which conditioning algorithm to run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ConditioningMethod {
-    /// Variable-elimination-only conditioning; exact posterior semantics.
-    #[default]
-    Exact,
-    /// The verbatim algorithm of Figure 8 (independent partitioning + the
-    /// ⊗-node rule).
-    PaperFig8,
-}
-
 /// Options controlling [`condition`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ConditioningOptions {
-    /// Algorithm variant.
-    pub method: ConditioningMethod,
     /// Variable-ordering heuristic used when eliminating variables.
     pub heuristic: VariableHeuristic,
     /// Apply the three simplification optimisations of Section 5
@@ -78,21 +57,9 @@ pub struct ConditioningOptions {
 impl Default for ConditioningOptions {
     fn default() -> Self {
         ConditioningOptions {
-            method: ConditioningMethod::Exact,
             heuristic: VariableHeuristic::MinLog,
             simplify: true,
             node_budget: None,
-        }
-    }
-}
-
-impl ConditioningOptions {
-    /// The verbatim Figure 8 configuration (used to reproduce the paper's
-    /// worked examples and benchmarks).
-    pub fn paper_fig8() -> Self {
-        ConditioningOptions {
-            method: ConditioningMethod::PaperFig8,
-            ..Default::default()
         }
     }
 }
@@ -197,10 +164,7 @@ struct Conditioner<'a> {
 impl<'a> Conditioner<'a> {
     fn new(table: &'a WorldTable, options: &ConditioningOptions) -> Self {
         let decomposition = DecompositionOptions {
-            method: match options.method {
-                ConditioningMethod::Exact => DecompositionMethod::VeOnly,
-                ConditioningMethod::PaperFig8 => DecompositionMethod::IndVe,
-            },
+            method: DecompositionMethod::VeOnly,
             heuristic: options.heuristic,
             node_budget: options.node_budget,
         };
@@ -220,18 +184,11 @@ impl<'a> Conditioner<'a> {
         match self.decomposer.step(set, depth)? {
             DecompositionStep::Empty => Ok((0.0, Vec::new())),
             DecompositionStep::Universal => Ok((1.0, vec![Leaf::default()])),
-            DecompositionStep::Partition(parts) => {
-                // Figure 8, ⊗ case: every part is conditioned against the
-                // full U and the rewritten descriptor sets are unioned.
-                let mut complement = 1.0;
-                let mut merged = Vec::new();
-                for part in &parts {
-                    let (ci, leaves) = self.cond(part, depth + 1)?;
-                    complement *= 1.0 - ci;
-                    merged.extend(leaves);
-                }
-                Ok((1.0 - complement, merged))
-            }
+            #[expect(
+                clippy::unreachable,
+                reason = "`Conditioner::new` decomposes VE-only, and a VE-only step never partitions"
+            )]
+            DecompositionStep::Partition(_) => unreachable!("VE-only decomposition partitioned"),
             DecompositionStep::Eliminate {
                 var,
                 branches,
@@ -522,8 +479,9 @@ fn simplified_variables(table: &WorldTable, fresh: &[FreshVariable]) -> Vec<Opti
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::reference;
     use std::collections::BTreeMap;
     use uprob_urel::{ColumnType, Schema, Tuple, Value};
 
@@ -578,7 +536,7 @@ mod tests {
 
     /// The distribution over deterministic instances of `db`, keyed by the
     /// printed form of the instance (stable and hashable).
-    fn instance_distribution(db: &ProbDb) -> BTreeMap<String, f64> {
+    pub(crate) fn instance_distribution(db: &ProbDb) -> BTreeMap<String, f64> {
         let mut out: BTreeMap<String, f64> = BTreeMap::new();
         for (_, p, instance) in db.enumerate_instances() {
             let key = format!("{instance:?}");
@@ -620,30 +578,37 @@ mod tests {
         condition(db, ws, &ConditioningOptions::default()).unwrap()
     }
 
+    /// Figure 8 read literally, ⊗ rule included: the oracle's `IndVe` mode.
+    fn figure_8(db: &ProbDb, ws: &WsSet, options: &ConditioningOptions) -> Result<Conditioned> {
+        reference::condition(db, ws, options, DecompositionMethod::IndVe)
+    }
+
     /// `Conditioned::confidence` is the Figure 7 fold of the condition, so
-    /// both conditioning variants must agree with `confidence()` on it.
+    /// `condition` and Figure 8 must both agree with `confidence()` on it.
     fn assert_confidence_matches_the_fold(db: &ProbDb, ws: &WsSet) {
         let options = DecompositionOptions::ve_minlog();
         let expected = crate::confidence(ws, db.world_table(), &options)
             .unwrap()
             .probability;
-        for options in [
-            ConditioningOptions::default(),
-            ConditioningOptions::paper_fig8(),
+        let options = ConditioningOptions::default();
+        for (what, got) in [
+            ("condition", condition(db, ws, &options)),
+            ("Figure 8", figure_8(db, ws, &options)),
         ] {
-            let got = condition(db, ws, &options).unwrap().confidence;
+            let got = got.unwrap().confidence;
             assert!(
                 (got - expected).abs() < 1e-12,
-                "{:?}: conditioned confidence {got}, fold {expected}",
-                options.method
+                "{what}: conditioned confidence {got}, fold {expected}"
             );
         }
     }
 
+    /// No ⊗ node occurs on Example 5.1's condition, so VE-only conditioning
+    /// prints the paper's database.
     #[test]
     fn example_5_1_fig8_variant_produces_the_paper_database() {
         let (db, cond_set) = ssn_db_and_condition();
-        let result = condition(&db, &cond_set, &ConditioningOptions::paper_fig8()).unwrap();
+        let result = condition(&db, &cond_set, &ConditioningOptions::default()).unwrap();
         assert!((result.confidence - 0.44).abs() < 1e-12);
         let table = result.db.world_table();
         // After simplification the world table holds b (unchanged) and a
@@ -662,26 +627,25 @@ mod tests {
     #[test]
     fn exact_and_fig8_agree_when_no_independent_partitioning_occurs() {
         let (db, cond_set) = ssn_db_and_condition();
-        let exact = condition(&db, &cond_set, &ConditioningOptions::default()).unwrap();
-        let fig8 = condition(&db, &cond_set, &ConditioningOptions::paper_fig8()).unwrap();
-        assert!((exact.confidence - fig8.confidence).abs() < 1e-12);
+        let options = ConditioningOptions::default();
+        let exact = condition(&db, &cond_set, &options).unwrap();
+        let fig8 = figure_8(&db, &cond_set, &options).unwrap();
+        assert_eq!(exact.confidence.to_bits(), fig8.confidence.to_bits());
+        assert!(exact
+            .db
+            .world_table()
+            .iter()
+            .eq(fig8.db.world_table().iter()));
         assert_eq!(
-            instance_distribution(&exact.db)
-                .keys()
-                .collect::<Vec<_>>()
-                .len(),
-            instance_distribution(&fig8.db)
-                .keys()
-                .collect::<Vec<_>>()
-                .len()
+            exact.db.relation("R").unwrap(),
+            fig8.db.relation("R").unwrap()
         );
     }
 
-    #[test]
-    fn exact_conditioning_matches_bayes_posterior_at_instance_level() {
-        // A condition with two independent parts and tuples spanning both
-        // parts: the case where the ⊗ rule of Figure 8 loses precision but
-        // the exact variant must not.
+    /// `S(ID)` over two fair coins `x`, `y`: row 1 under `x = 1`, row 2
+    /// under `y = 1`, row 3 certain; and the condition `x = 1 ∨ y = 1`, a
+    /// disjunction of two independent parts.
+    pub(crate) fn x_or_y_db() -> (ProbDb, WsSet) {
         let mut db = ProbDb::new();
         let x = db.world_table_mut().add_boolean("x", 0.5).unwrap();
         let y = db.world_table_mut().add_boolean("y", 0.5).unwrap();
@@ -700,26 +664,39 @@ mod tests {
             rel.push(Tuple::new(vec![Value::Int(3)]), WsDescriptor::empty());
         }
         db.insert_relation(rel).unwrap();
-        // Condition: x = 1 OR y = 1.
         let cond_set = WsSet::from_descriptors(vec![
             WsDescriptor::from_pairs(db.world_table(), &[(x, 1)]).unwrap(),
             WsDescriptor::from_pairs(db.world_table(), &[(y, 1)]).unwrap(),
         ]);
+        (db, cond_set)
+    }
 
+    /// The posterior over instances of `db` given `condition`, by direct
+    /// Bayes over the enumerated prior worlds.
+    pub(crate) fn bayes_posterior(db: &ProbDb, condition: &WsSet) -> BTreeMap<String, f64> {
+        let mass = condition.probability_by_enumeration(db.world_table());
+        let mut posterior: BTreeMap<String, f64> = BTreeMap::new();
+        for (world, p) in db.world_table().enumerate_worlds() {
+            if condition.matches_world(&world) {
+                let key = format!("{:?}", db.instantiate_world(&world));
+                *posterior.entry(key).or_insert(0.0) += p / mass;
+            }
+        }
+        posterior
+    }
+
+    #[test]
+    fn exact_conditioning_matches_bayes_posterior_at_instance_level() {
+        // A condition with two independent parts and tuples spanning both
+        // parts: the case where the ⊗ rule of Figure 8 loses precision (the
+        // oracle's `tests` pin that) but `condition` must not.
+        let (db, cond_set) = x_or_y_db();
         let result = condition(&db, &cond_set, &ConditioningOptions::default()).unwrap();
         assert!((result.confidence - 0.75).abs() < 1e-12);
         assert_confidence_matches_the_fold(&db, &cond_set);
 
-        // Expected posterior over instances by direct Bayes on the prior.
         let prior = instance_distribution(&db);
-        let mut expected: BTreeMap<String, f64> = BTreeMap::new();
-        for (world, p) in db.world_table().enumerate_worlds() {
-            if !cond_set.matches_world(&world) {
-                continue;
-            }
-            let key = format!("{:?}", db.instantiate_world(&world));
-            *expected.entry(key).or_insert(0.0) += p / 0.75;
-        }
+        let expected = bayes_posterior(&db, &cond_set);
         let got = instance_distribution(&result.db);
         assert_eq!(expected.len(), got.len(), "prior: {prior:?}");
         for (key, p) in &expected {
@@ -833,13 +810,13 @@ mod tests {
 
     #[test]
     fn budget_enforcement_is_uniform_across_we_exact_and_fig8() {
-        // One hard instance, one budget: the WE confidence path, Exact
-        // conditioning and the PaperFig8 ⊗-branches must all abort with the
+        // One hard instance, one budget: the WE confidence path, `condition`
+        // and the ⊗-branches of Figure 8 must all abort with the
         // budget-exhausted error rather than return a (possibly wrong)
         // answer. The instance is independence-rich (eight variable-disjoint
-        // pairs): WE's difference expansion doubles per descriptor, Exact
-        // (VE-only) conditioning re-translates the tail in every branch,
-        // and Fig8 conditions every ⊗-part separately.
+        // pairs): WE's difference expansion doubles per descriptor, VE-only
+        // conditioning re-translates the tail in every branch, and Figure 8
+        // conditions every ⊗-part separately.
         let mut db = ProbDb::new();
         let mut descriptors = Vec::new();
         {
@@ -879,21 +856,18 @@ mod tests {
             we.unwrap_err(),
             CoreError::BudgetExceeded { budget: BUDGET }
         );
-        for options in [
-            ConditioningOptions {
-                node_budget: Some(BUDGET),
-                ..Default::default()
-            },
-            ConditioningOptions {
-                node_budget: Some(BUDGET),
-                ..ConditioningOptions::paper_fig8()
-            },
+        let budgeted = ConditioningOptions {
+            node_budget: Some(BUDGET),
+            ..Default::default()
+        };
+        for (what, result) in [
+            ("condition", condition(&db, &cond_set, &budgeted)),
+            ("Figure 8", figure_8(&db, &cond_set, &budgeted)),
         ] {
             assert_eq!(
-                condition(&db, &cond_set, &options).unwrap_err(),
+                result.unwrap_err(),
                 CoreError::BudgetExceeded { budget: BUDGET },
-                "method {:?} must hit the budget",
-                options.method
+                "{what} must hit the budget"
             );
         }
         // Sanity: without a budget every path agrees on the confidence.
@@ -901,16 +875,15 @@ mod tests {
         let we_full =
             crate::elimination::confidence_by_elimination(&cond_set, db.world_table()).unwrap();
         assert!((we_full.probability - exact_p).abs() < 1e-12);
-        for options in [
-            ConditioningOptions::default(),
-            ConditioningOptions::paper_fig8(),
+        let options = ConditioningOptions::default();
+        for (what, result) in [
+            ("condition", condition(&db, &cond_set, &options)),
+            ("Figure 8", figure_8(&db, &cond_set, &options)),
         ] {
-            let result = condition(&db, &cond_set, &options).unwrap();
+            let confidence = result.unwrap().confidence;
             assert!(
-                (result.confidence - exact_p).abs() < 1e-12,
-                "method {:?} confidence {}",
-                options.method,
-                result.confidence
+                (confidence - exact_p).abs() < 1e-12,
+                "{what} confidence {confidence}"
             );
         }
     }
@@ -1261,7 +1234,8 @@ mod tests {
             ..Default::default()
         };
         let result = condition(&db, &cond_set, &options).unwrap();
-        let reference = crate::reference::condition(&db, &cond_set, &options).unwrap();
+        let reference =
+            reference::condition(&db, &cond_set, &options, DecompositionMethod::VeOnly).unwrap();
         assert_eq!(result.new_variables, 3);
         assert_eq!(
             ids_and_descriptors(&result.db),
@@ -1293,7 +1267,8 @@ mod tests {
             ..Default::default()
         };
         let result = condition(&db, &cond_set, &raw).unwrap();
-        let reference = crate::reference::condition(&db, &cond_set, &raw).unwrap();
+        let reference =
+            reference::condition(&db, &cond_set, &raw, DecompositionMethod::VeOnly).unwrap();
         let names = |db: &ProbDb| -> Vec<String> {
             let table = db.world_table();
             table.iter().map(|(_, info)| info.name.clone()).collect()

@@ -692,16 +692,18 @@ mod tests {
         ];
         let db = uprob_urel::ProbDb::with_world_table(w.clone());
         for (set, expected) in cases {
-            for options in [
-                ConditioningOptions::default(),
-                ConditioningOptions::paper_fig8(),
-            ] {
-                assert_eq!(
-                    condition(&db, &set, &options).unwrap_err(),
-                    expected,
-                    "{set:?} {options:?}, condition"
-                );
-            }
+            let options = ConditioningOptions::default();
+            assert_eq!(
+                condition(&db, &set, &options).unwrap_err(),
+                expected,
+                "{set:?}, condition"
+            );
+            assert_eq!(
+                crate::reference::condition(&db, &set, &options, crate::DecompositionMethod::IndVe)
+                    .unwrap_err(),
+                expected,
+                "{set:?}, Figure 8"
+            );
             for heuristic in VariableHeuristic::ALL {
                 for options in [
                     DecompositionOptions::indve_minlog(),

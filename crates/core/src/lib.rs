@@ -28,10 +28,11 @@
 //!   [`ConfidenceStrategy`] (`Exact` / `Approximate(ε, δ)` /
 //!   `Hybrid { budget, ε, δ }`) that runs the cached exact decomposition
 //!   under a node budget and transparently falls back to Karp–Luby/Dagum
-//!   sampling, including conditioned confidence `P(Q ∧ C)/P(C)`;
-//! * [`mod@reference`]: the literal row-threading Figure 8 recursion that
-//!   [`condition`] is differentially tested against — an oracle for tests,
-//!   not product API.
+//!   sampling, including conditioned confidence `P(Q ∧ C)/P(C)`.
+//!
+//! The literal row-threading Figure 8 recursion that [`condition`] is
+//! differentially tested against is a `#[cfg(test)]` module of this crate:
+//! an oracle, not product API.
 //!
 //! ## Quick example
 //!
@@ -84,12 +85,13 @@ pub mod engine;
 pub mod error;
 pub mod heuristics;
 pub mod parallel;
-pub mod reference;
+#[cfg(test)]
+mod reference;
 pub mod stats;
 pub mod wstree;
 
 pub use cache::{CacheStats, InheritOutcome, SharedDecompositionCache};
-pub use conditioning::{condition, Conditioned, ConditioningMethod, ConditioningOptions};
+pub use conditioning::{condition, Conditioned, ConditioningOptions};
 pub use confidence::{confidence, tree_probability};
 pub use decompose::{build_tree, DecompositionMethod, DecompositionOptions};
 pub use elimination::{

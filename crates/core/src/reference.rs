@@ -1,8 +1,5 @@
-//! The reference implementation [`crate::condition`] is differentially
-//! tested against — an oracle, **not** product API.
-//!
-//! Nothing on the product path calls into this module; it is imported only
-//! by tests and the differential suite `tests/conditioning_equivalence.rs`.
+//! The oracle [`crate::condition`] is differentially tested against —
+//! test-only code, compiled under `cfg(test)` alone.
 //!
 //! [`condition`] is Figure 8 read literally: the descriptors of every row of
 //! every U-relation are threaded through the recursion — filtered and
@@ -11,13 +8,15 @@
 //! then run one after the other over the materialised posterior. Its cost is
 //! `O(nodes × rows)`; the product twin decomposes the condition once and
 //! joins the rows against its leaves, and must return the same
-//! [`Conditioned`] field for field.
-
-#![expect(
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    reason = "oracle code: each site restates an invariant of the recursion (fresh variables are new, values index their own variable's domain, the retained-variable map covers every surviving assignment)"
-)]
+//! [`Conditioned`] field for field as the oracle's VE-only mode.
+//!
+//! The oracle's other mode, [`DecompositionMethod::IndVe`], is the paper's
+//! Figure 8 with its ⊗ rule: each independent part of the condition is
+//! conditioned against the full U-relation and the results are unioned.
+//! That rule does not preserve marginals (DESIGN.md, "The ⊗-rule marginals
+//! caveat"), so the product does not implement it; `tests` pins the
+//! caveat, and `conditioning::tests` the paper's examples on which the two
+//! agree.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -26,7 +25,7 @@ use uprob_wsd::{
     DomainValue, FxHashMap, NeumaierSum, ValueIndex, VarId, WorldTable, WsDescriptor, WsSet,
 };
 
-use crate::conditioning::{Conditioned, ConditioningMethod, ConditioningOptions};
+use crate::conditioning::{Conditioned, ConditioningOptions};
 use crate::decompose::{Decomposer, DecompositionMethod, DecompositionOptions, DecompositionStep};
 use crate::error::CoreError;
 use crate::Result;
@@ -161,9 +160,11 @@ impl Conditioner<'_> {
     }
 }
 
-/// Conditions `db` on `condition` by the literal row-threading recursion.
-/// Same contract, errors and result as [`crate::condition`], asymptotically
-/// slower.
+/// Conditions `db` on `condition` by the literal row-threading recursion,
+/// decomposing the condition with `method`. Under
+/// [`DecompositionMethod::VeOnly`] this has the contract, errors and result
+/// of [`crate::condition`], asymptotically slower; under
+/// [`DecompositionMethod::IndVe`] it is Figure 8 with the ⊗ rule.
 ///
 /// # Errors
 ///
@@ -172,13 +173,11 @@ pub fn condition(
     db: &ProbDb,
     condition: &WsSet,
     options: &ConditioningOptions,
+    method: DecompositionMethod,
 ) -> Result<Conditioned> {
     let table = db.world_table();
     let decomposition = DecompositionOptions {
-        method: match options.method {
-            ConditioningMethod::Exact => DecompositionMethod::VeOnly,
-            ConditioningMethod::PaperFig8 => DecompositionMethod::IndVe,
-        },
+        method,
         heuristic: options.heuristic,
         node_budget: options.node_budget,
     };
@@ -345,4 +344,218 @@ fn drop_unused_variables(
         *descriptor = rebuilt;
     }
     (new_table, mapping)
+}
+
+#[cfg(test)]
+mod tests {
+    //! The differential conditioning harness: on randomly generated small
+    //! U-relational databases and random condition ws-sets
+    //! (`uprob_datagen::random`), the product [`crate::condition`] — which
+    //! decomposes the condition once and joins every row against the leaves
+    //! of its ws-tree — must return the **same object** as the oracle's
+    //! VE-only mode: the same confidence bits, counters, fresh/touched
+    //! variables, `prior_remap`, world table (names, domains, probability
+    //! bits, ids) and the same rows in the same order, with the Section 5
+    //! simplifications on and off — and the same typed error when there is
+    //! no posterior or the node budget runs out.
+    //!
+    //! All randomness is driven by the (deterministic, pinned-seed) vendored
+    //! proptest runner; a failing case prints the full `SmallInstanceRecipe`,
+    //! which reproduces the database exactly via `database_of(&recipe.build())`.
+    //! The two proptests skip under Miri: 256 cases each are far too slow
+    //! there, and the unit tests of `conditioning` cover the same code.
+
+    use std::result::Result;
+
+    use super::*;
+    use crate::conditioning::tests::{bayes_posterior, instance_distribution, x_or_y_db};
+    use proptest::prelude::*;
+    use uprob_datagen::{arb_small_recipe, SmallInstance};
+    use uprob_urel::{ColumnType, Schema, Value};
+    use uprob_wsd::VariableInfo;
+
+    const VE: DecompositionMethod = DecompositionMethod::VeOnly;
+
+    /// A two-relation database over the instance's world table, extended with
+    /// one single-alternative variable `one`:
+    ///
+    /// * `R(ID)`: one row per descriptor of the instance's query ws-set, every
+    ///   other one also carrying `one -> 0` (simplification (2) must drop it
+    ///   even though no condition mentions it);
+    /// * `S(ID, TAG)`: the certain row, then one row per descriptor of the
+    ///   condition itself, last first — rows that agree with some leaf of the
+    ///   condition's ws-tree on every variable and contradict others.
+    fn database_of(instance: &SmallInstance) -> ProbDb {
+        let mut db = ProbDb::with_world_table(instance.table.clone());
+        let one = db
+            .world_table_mut()
+            .add_variable("one", &[(0, 1.0)])
+            .unwrap();
+        let mut r = db
+            .create_relation(Schema::new("R", &[("ID", ColumnType::Int)]))
+            .unwrap();
+        for (id, descriptor) in instance.query.iter().enumerate() {
+            let mut descriptor = descriptor.clone();
+            if id % 2 == 1 {
+                descriptor.assign(one, ValueIndex(0)).unwrap();
+            }
+            r.push(Tuple::new(vec![Value::Int(id as i64)]), descriptor);
+        }
+        db.insert_relation(r).unwrap();
+        let mut s = db
+            .create_relation(Schema::new(
+                "S",
+                &[("ID", ColumnType::Int), ("TAG", ColumnType::Str)],
+            ))
+            .unwrap();
+        s.push(
+            Tuple::new(vec![Value::Int(-1), Value::str("certain")]),
+            WsDescriptor::empty(),
+        );
+        let condition: Vec<&WsDescriptor> = instance.condition.iter().collect();
+        for (id, descriptor) in condition.into_iter().rev().enumerate() {
+            s.push(
+                Tuple::new(vec![Value::Int(id as i64), Value::str("condition")]),
+                descriptor.clone(),
+            );
+        }
+        db.insert_relation(s).unwrap();
+        db
+    }
+
+    /// Field-by-field equality of two conditioning results; floats by bits.
+    fn assert_same_posterior(got: &Conditioned, want: &Conditioned) -> Result<(), TestCaseError> {
+        prop_assert_eq!(got.confidence.to_bits(), want.confidence.to_bits());
+        prop_assert_eq!(&got.stats, &want.stats);
+        prop_assert_eq!(got.new_variables, want.new_variables);
+        prop_assert_eq!(&got.touched_variables, &want.touched_variables);
+        prop_assert_eq!(&got.prior_remap, &want.prior_remap);
+
+        let (got_table, want_table) = (got.db.world_table(), want.db.world_table());
+        prop_assert_eq!(got_table.num_variables(), want_table.num_variables());
+        for ((got_id, got_info), (want_id, want_info)) in got_table.iter().zip(want_table.iter()) {
+            prop_assert_eq!(got_id, want_id);
+            prop_assert_eq!(&got_info.name, &want_info.name);
+            prop_assert_eq!(&got_info.values, &want_info.values);
+            let bits = |info: &VariableInfo| -> Vec<u64> {
+                info.probabilities.iter().map(|p| p.to_bits()).collect()
+            };
+            prop_assert_eq!(
+                bits(got_info),
+                bits(want_info),
+                "variable {}",
+                &got_info.name
+            );
+            prop_assert_eq!(got_table.variable_by_name(&got_info.name), Some(got_id));
+        }
+
+        prop_assert_eq!(got.db.relation_names(), want.db.relation_names());
+        for (got_relation, want_relation) in got.db.relations().zip(want.db.relations()) {
+            prop_assert_eq!(got_relation.schema(), want_relation.schema());
+            prop_assert_eq!(got_relation.rows(), want_relation.rows());
+        }
+        prop_assert!(got.db.validate().is_ok());
+        Ok(())
+    }
+
+    /// Both sides succeed with the same posterior or fail with the same error.
+    fn assert_same_outcome(
+        got: Result<Conditioned, CoreError>,
+        want: Result<Conditioned, CoreError>,
+        options: &ConditioningOptions,
+    ) -> Result<(), TestCaseError> {
+        match (got, want) {
+            (Ok(got), Ok(want)) => assert_same_posterior(&got, &want),
+            (Err(got), Err(want)) => {
+                prop_assert_eq!(got, want);
+                Ok(())
+            }
+            (got, want) => {
+                prop_assert!(
+                    false,
+                    "{options:?}: product {:?}, reference {:?}",
+                    got.map(|c| c.confidence),
+                    want.map(|c| c.confidence)
+                );
+                Ok(())
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `condition` ≡ the oracle's VE-only mode, field by field.
+        #[test]
+        #[cfg_attr(miri, ignore)]
+        fn the_leaf_join_is_the_row_threading_recursion(recipe in arb_small_recipe()) {
+            let instance = recipe.build();
+            let db = database_of(&instance);
+            for simplify in [true, false] {
+                for node_budget in [None, Some(3)] {
+                    let options = ConditioningOptions {
+                        simplify,
+                        node_budget,
+                        ..Default::default()
+                    };
+                    let got = crate::condition(&db, &instance.condition, &options);
+                    let want = condition(&db, &instance.condition, &options, VE);
+                    assert_same_outcome(got, want, &options)?;
+                }
+            }
+        }
+
+        /// The posterior of a posterior: conditioning the product's output again
+        /// (fresh names colliding with `v0'`-style names already in the table,
+        /// renumbered prior ids) still matches the oracle.
+        #[test]
+        #[cfg_attr(miri, ignore)]
+        fn conditioning_a_posterior_matches_too(recipe in arb_small_recipe()) {
+            let instance = recipe.build();
+            let db = database_of(&instance);
+            let raw = ConditioningOptions { simplify: false, ..Default::default() };
+            let Ok(first) = crate::condition(&db, &instance.condition, &raw) else {
+                return Ok(());
+            };
+            // The instance's query set only mentions prior variables, which the
+            // unsimplified posterior keeps at their ids.
+            for options in [raw, ConditioningOptions::default()] {
+                let got = crate::condition(&first.db, &instance.query, &options);
+                let want = condition(&first.db, &instance.query, &options, VE);
+                assert_same_outcome(got, want, &options)?;
+            }
+        }
+    }
+
+    /// DESIGN.md, "The ⊗-rule marginals caveat": the condition
+    /// `x = 1 ∨ y = 1` splits into two independent parts, and Figure 8's ⊗
+    /// rule conditions each part as if it alone held — every row is
+    /// rewritten once with `x` fixed to 1 and once with `y` fixed to 1 — and
+    /// unions the results. That makes every row certain, `S(1)` included,
+    /// whose Bayes posterior is 0.5 / 0.75. `condition` (VE-only) is the
+    /// Bayes posterior.
+    #[test]
+    fn the_figure_8_rule_misses_the_posterior_of_a_disjunction() {
+        let (db, cond_set) = x_or_y_db();
+        let options = ConditioningOptions::default();
+        let bayes = bayes_posterior(&db, &cond_set);
+        let product = crate::condition(&db, &cond_set, &options).unwrap();
+        let fig8 = condition(&db, &cond_set, &options, DecompositionMethod::IndVe).unwrap();
+        // The condition's confidence is the same on both: only the rewrite
+        // differs.
+        assert_eq!(product.confidence.to_bits(), fig8.confidence.to_bits());
+        assert!((fig8.confidence - 0.75).abs() < 1e-12);
+
+        let close = |got: &BTreeMap<String, f64>| {
+            got.len() == bayes.len()
+                && bayes
+                    .iter()
+                    .all(|(key, p)| got.get(key).is_some_and(|q| (p - q).abs() < 1e-9))
+        };
+        assert!(close(&instance_distribution(&product.db)));
+        let fig8_posterior = instance_distribution(&fig8.db);
+        assert!(!close(&fig8_posterior), "Figure 8: {fig8_posterior:?}");
+        // Every row is certain after the ⊗ rule: one deterministic instance.
+        assert_eq!(fig8_posterior.len(), 1, "{fig8_posterior:?}");
+    }
 }

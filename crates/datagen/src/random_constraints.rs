@@ -469,7 +469,7 @@ mod tests {
             constraint.validate(&db).expect("wrapped recipes are valid");
             // Both compilations run.
             let planned = constraint.violation_ws_set(&db).unwrap();
-            let eager = uprob_query::reference::violation_ws_set(&constraint, &db).unwrap();
+            let eager = uprob_reference::query::violation_ws_set(&constraint, &db).unwrap();
             assert_eq!(planned, eager, "{}", constraint.describe());
         }
     }

@@ -13,7 +13,7 @@
 //! Each query is provided twice: a hand-written hash-join evaluation
 //! tuned for the benchmark sweeps, and a logical [`Plan`] for
 //! [`uprob_urel::ProbDb::query`] — whose eager interpretation
-//! ([`uprob_urel::reference::execute_plan`]) is the
+//! (`uprob_reference::urel::execute_plan`) is the
 //! reference the hand-written evaluation is cross-checked against on
 //! small instances.
 
@@ -250,7 +250,7 @@ mod tests {
     /// True if the answer contains exactly the descriptors of the answer
     /// ws-set of `plan` under the eager reference interpreter.
     fn same_answer(answer: &QueryAnswer, data: &TpchDatabase, plan: &Plan) -> bool {
-        let reference = uprob_urel::reference::execute_plan(&data.db, plan)
+        let reference = uprob_reference::urel::execute_plan(&data.db, plan)
             .unwrap()
             .answer_ws_set();
         answer.ws_set_size() == reference.len()
@@ -353,7 +353,7 @@ mod tests {
         // chain of the unoptimized plan.
         let small =
             TpchDatabase::generate(TpchConfig::scale(0.01).with_row_scale(0.005).with_seed(42));
-        let eager = uprob_urel::reference::execute_plan(&small.db, &q1_plan()).unwrap();
+        let eager = uprob_reference::urel::execute_plan(&small.db, &q1_plan()).unwrap();
         let unoptimized = small.db.query_unoptimized(&q1_plan()).unwrap();
         let planned_small = small.db.query(&q1_plan()).unwrap();
         assert_eq!(as_set(&eager), as_set(&planned_small));

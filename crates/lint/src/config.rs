@@ -10,10 +10,10 @@
 //!   contracts guard. The same crates (and this one) carry the clippy
 //!   gate line in their `lib.rs` for the per-site invariants clippy can
 //!   check: panics, indexing, std hashers, ambient clocks.
-//! * **`uprob-datagen` and `uprob-bench`** are test/benchmark
-//!   infrastructure: they construct fixtures and panic loudly on broken
-//!   recipes by design, and the bench runner must read the wall clock.
-//!   No families apply.
+//! * **`uprob-datagen`, `uprob-reference` and `uprob-bench`** are
+//!   test/benchmark infrastructure: they construct fixtures, oracles that
+//!   panic loudly on broken invariants by design, and the bench runner
+//!   must read the wall clock. No families apply.
 //! * `vendor/`, `target/`, `tests/`, `benches/`, `examples/` and the
 //!   `fixtures/` corpus of deliberate violations are out of scope
 //!   everywhere.
@@ -162,6 +162,7 @@ mod tests {
         let config = LintConfig::default();
         assert!(!config.scans("crates/datagen/src/tpch.rs"));
         assert!(!config.scans("crates/bench/src/runner.rs"));
+        assert!(!config.scans("crates/reference/src/urel.rs"));
         assert!(!config.scans("vendor/rand/src/lib.rs"));
         assert!(!config.scans("tests/workspace_smoke.rs"));
         assert!(!config.scans("examples/quickstart.rs"));

@@ -10,11 +10,11 @@
 //! `src/clippy_contract.rs`.
 //!
 //! It also pins the one-implementation-per-operator rule: the oracles live
-//! in `reference.rs` modules, and no product code imports them back.
+//! in `uprob-reference`, and no product crate depends on it.
 
 use std::path::Path;
 
-use uprob_lint::{find_workspace_root, workspace_sources, LintConfig, SourceFile};
+use uprob_lint::{find_workspace_root, LintConfig};
 
 /// The gate, as written in every gated `lib.rs` (rustfmt breaks it over
 /// several lines; the comparison ignores whitespace).
@@ -44,39 +44,83 @@ fn every_gated_crate_root_carries_the_clippy_gate() {
     }
 }
 
-/// The reference implementations (`uprob_urel::reference`,
-/// `uprob_query::reference`) are for tests, differential harnesses and
-/// `crates/bench` only: outside the `reference.rs` files themselves, the
-/// non-test code of every product source file — the facade prelude
-/// included — names no `reference::` path. Comments and doc links are
-/// skipped (the sanitized text has them blanked).
+/// The oracle crate, which depends on the product crates.
+const ORACLE: &str = "uprob-reference";
+
+/// Whether a manifest table lists dependencies a package is built with:
+/// `[dependencies]`, `[build-dependencies]`, their `target.*` forms and
+/// their dotted one-dependency forms — not `[dev-dependencies]`, and not
+/// the `[workspace.dependencies]` declarations.
+fn is_normal_dependency_table(header: &str) -> bool {
+    !header.starts_with("workspace.")
+        && header
+            .split('.')
+            .any(|key| key == "dependencies" || key == "build-dependencies")
+}
+
+/// The headers of the tables of `manifest` that mention `name`, in order.
+fn tables_naming(manifest: &str, name: &str) -> Vec<String> {
+    let mut header = String::new();
+    let mut found: Vec<String> = Vec::new();
+    for line in manifest.lines() {
+        let line = line.trim();
+        if line.starts_with('#') {
+            continue;
+        }
+        if let Some(table) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
+            header = table.trim().to_string();
+        }
+        if line.contains(name) && found.last() != Some(&header) {
+            found.push(header.clone());
+        }
+    }
+    found
+}
+
+/// The oracles live in `uprob-reference`, which depends on the product
+/// crates, so product code cannot import one: a product crate naming it is
+/// a dependency cycle Cargo rejects. The facade is the one product package
+/// that could name it without a cycle, so no product manifest — the
+/// facade's included — may list it among the dependencies its library is
+/// built with. Dev-dependencies may: that is how the facade's tests and
+/// examples reach the oracles.
 #[test]
 fn product_code_never_imports_a_reference_implementation() {
     let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("workspace root");
-    let config = LintConfig::default();
+    let read = |path: &Path| {
+        std::fs::read_to_string(path)
+            .unwrap_or_else(|e| panic!("{} unreadable: {e}", path.display()))
+    };
+    // Renaming the oracle crate would make the check below vacuous.
+    let oracle = read(&root.join("crates/reference/Cargo.toml"));
+    assert!(
+        oracle
+            .lines()
+            .any(|l| l.trim() == format!("name = \"{ORACLE}\"")),
+        "crates/reference is no longer `{ORACLE}`"
+    );
     let mut offenders = Vec::new();
-    for rel_path in workspace_sources(&root, &config).expect("workspace walk") {
-        let product = config
-            .product_prefixes
-            .iter()
-            .any(|p| rel_path.starts_with(p));
-        if !product || rel_path.ends_with("/reference.rs") {
-            continue;
+    for prefix in LintConfig::default().product_prefixes {
+        let package = prefix
+            .strip_suffix("src/")
+            .expect("product prefixes are `<package>/src/`");
+        let manifest = root.join(package).join("Cargo.toml");
+        let tables = tables_naming(&read(&manifest), ORACLE);
+        if package.is_empty() {
+            assert!(
+                tables.iter().any(|t| t == "dev-dependencies"),
+                "the facade's tests reach the oracles as a dev-dependency: {tables:?}"
+            );
         }
-        let raw = std::fs::read_to_string(root.join(&rel_path)).expect("readable source");
-        let file = SourceFile::parse(&rel_path, &raw);
-        for (offset, _) in file.text.match_indices("reference::") {
-            let continues_an_identifier = file.text[..offset]
-                .chars()
-                .next_back()
-                .is_some_and(|c| c.is_alphanumeric() || c == '_');
-            if !continues_an_identifier && !file.in_test_code(offset) {
-                offenders.push(format!("{rel_path}:{}", file.line_of(offset)));
-            }
-        }
+        offenders.extend(
+            tables
+                .into_iter()
+                .filter(|t| is_normal_dependency_table(t))
+                .map(|t| format!("{}: [{t}]", manifest.display())),
+        );
     }
     assert!(
         offenders.is_empty(),
-        "product code names a `reference::` path (oracles are for tests and benches only): {offenders:?}"
+        "a product manifest depends on `{ORACLE}` (oracles are for tests and benches only): {offenders:?}"
     );
 }

@@ -57,7 +57,7 @@ pub struct AnswerConfidences {
 /// `parallel` places the workers: wide answers (at least two tuples per
 /// worker) fan the tuples out, narrow answers parallelize inside each
 /// decomposition. Every probability is **bit-identical** to the sequential
-/// per-tuple fold ([`crate::reference::tuple_confidences`]) at every worker
+/// per-tuple fold (`uprob_reference::query::tuple_confidences`) at every worker
 /// count, under either placement, with a cold or a warm cache; only the
 /// aggregated cache hit/miss counters may differ, since scheduling decides
 /// which run warms the cache for which.
@@ -242,7 +242,7 @@ where
 /// short form of [`answer_confidences_with_options`] (a batch-local cache,
 /// one worker per available CPU) that skips the answer-level Boolean fold.
 /// Bit-identical to the sequential per-tuple fold
-/// ([`crate::reference::tuple_confidences`]).
+/// (`uprob_reference::query::tuple_confidences`).
 ///
 /// # Errors
 ///
@@ -339,7 +339,7 @@ pub fn possible_tuples(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uprob_urel::{reference, ColumnType, Predicate, ProbDb, Schema, Value};
+    use uprob_urel::{ColumnType, Plan, Predicate, ProbDb, Schema, Value};
     use uprob_wsd::WsDescriptor;
 
     /// The exact batch over a fresh cache at the given worker count.
@@ -394,13 +394,13 @@ mod tests {
     fn introduction_query_bill_confidences() {
         // select SSN, conf(SSN) from R where NAME = 'Bill';
         let db = ssn_db();
-        let bills = reference::select(
-            db.relation("R").unwrap(),
-            &Predicate::col_eq("NAME", "Bill"),
-            "Bills",
-        )
-        .unwrap();
-        let ssns = reference::project(&bills, &["SSN"], "Q").unwrap();
+        let ssns = db
+            .query(
+                &Plan::scan("R")
+                    .select(Predicate::col_eq("NAME", "Bill"))
+                    .project(&["SSN"]),
+            )
+            .unwrap();
         let answers =
             tuple_confidences(&ssns, db.world_table(), &DecompositionOptions::default()).unwrap();
         assert_eq!(answers.len(), 2);
@@ -423,7 +423,7 @@ mod tests {
         // Projecting to NAME makes John appear twice (SSN 1 and 7); the
         // confidence of (John) is the probability of the union, which is 1.
         let db = ssn_db();
-        let names = reference::project(db.relation("R").unwrap(), &["NAME"], "Names").unwrap();
+        let names = db.query(&Plan::scan("R").project(&["NAME"])).unwrap();
         let answers =
             tuple_confidences(&names, db.world_table(), &DecompositionOptions::default()).unwrap();
         assert_eq!(answers.len(), 2);
@@ -437,14 +437,14 @@ mod tests {
         // Example 2.3: the violation query holds exactly on the world
         // {j -> 7, b -> 7}, i.e. with probability .56.
         let db = ssn_db();
-        let r = db.relation("R").unwrap();
-        let r2 = reference::rename(r, "R2");
         let phi = Predicate::cols_eq("SSN", "R2.SSN").and(Predicate::cmp(
             uprob_urel::Expr::col("NAME"),
             uprob_urel::Comparison::Ne,
             uprob_urel::Expr::col("R2.NAME"),
         ));
-        let violations = reference::join(r, &r2, &phi, "V").unwrap();
+        let violations = db
+            .query(&Plan::scan("R").join_on(Plan::scan("R").rename("R2"), phi))
+            .unwrap();
         let p = boolean_confidence(
             &violations,
             db.world_table(),
@@ -457,11 +457,11 @@ mod tests {
     #[test]
     fn certain_and_possible_tuples() {
         let db = ssn_db();
-        let names = reference::project(db.relation("R").unwrap(), &["NAME"], "Names").unwrap();
+        let names = db.query(&Plan::scan("R").project(&["NAME"])).unwrap();
         let options = DecompositionOptions::default();
         let certain = certain_tuples(&names, db.world_table(), &options).unwrap();
         assert_eq!(certain.len(), 2);
-        let ssns = reference::project(db.relation("R").unwrap(), &["SSN"], "S").unwrap();
+        let ssns = db.query(&Plan::scan("R").project(&["SSN"])).unwrap();
         let certain_ssns = certain_tuples(&ssns, db.world_table(), &options).unwrap();
         // No single SSN value is certain before conditioning.
         assert!(certain_ssns.is_empty());
@@ -472,46 +472,13 @@ mod tests {
     }
 
     #[test]
-    fn batch_path_matches_the_sequential_path() {
-        let db = ssn_db();
-        let options = DecompositionOptions::default();
-        for projection in [&["SSN"][..], &["NAME"][..], &["SSN", "NAME"][..]] {
-            let answer = reference::project(db.relation("R").unwrap(), projection, "Q").unwrap();
-            let sequential =
-                crate::reference::tuple_confidences(&answer, db.world_table(), &options).unwrap();
-            let batched = tuple_confidences(&answer, db.world_table(), &options).unwrap();
-            assert_eq!(sequential.len(), batched.len());
-            for ((t1, p1), (t2, p2)) in sequential.iter().zip(&batched) {
-                assert_eq!(t1, t2, "batch must preserve the deterministic order");
-                assert_eq!(
-                    p1.to_bits(),
-                    p2.to_bits(),
-                    "tuple {t1:?}: sequential {p1}, batch {p2}"
-                );
-            }
-            // Explicit worker counts (including more workers than tuples)
-            // agree as well.
-            for workers in [1, 2, 16] {
-                let full = exact_batch(&answer, &db, workers);
-                assert_eq!(sequential.len(), full.tuples.len());
-                for ((t1, p1), (t2, p2)) in sequential.iter().zip(&full.tuples) {
-                    assert_eq!(t1, t2);
-                    assert_eq!(p1.to_bits(), p2.to_bits(), "workers {workers}");
-                }
-                let boolean = boolean_confidence(&answer, db.world_table(), &options).unwrap();
-                assert_eq!(full.boolean.to_bits(), boolean.to_bits());
-            }
-        }
-    }
-
-    #[test]
     fn answer_confidences_reports_cache_reuse_for_overlapping_tuples() {
         // Projecting to NAME groups each person's two rows; the answer-level
         // Boolean set then decomposes into exactly those per-person
         // components, which the batch already memoized — the stats must show
         // the reuse.
         let db = ssn_db();
-        let names = reference::project(db.relation("R").unwrap(), &["NAME"], "Names").unwrap();
+        let names = db.query(&Plan::scan("R").project(&["NAME"])).unwrap();
         let full = exact_batch(&names, &db, 2);
         assert_eq!(full.tuples.len(), 2);
         for (_, p) in &full.tuples {
@@ -530,7 +497,7 @@ mod tests {
     fn strategy_batch_exact_and_hybrid_agree_bit_for_bit() {
         let db = ssn_db();
         let options = DecompositionOptions::default();
-        let names = reference::project(db.relation("R").unwrap(), &["NAME"], "Names").unwrap();
+        let names = db.query(&Plan::scan("R").project(&["NAME"])).unwrap();
         let exact = answer_confidences_with_strategy(
             &names,
             db.world_table(),
@@ -570,7 +537,7 @@ mod tests {
     fn strategy_batch_approximate_lands_near_exact() {
         let db = ssn_db();
         let options = DecompositionOptions::default();
-        let ssns = reference::project(db.relation("R").unwrap(), &["SSN"], "S").unwrap();
+        let ssns = db.query(&Plan::scan("R").project(&["SSN"])).unwrap();
         let exact = exact_batch(&ssns, &db, 1);
         let approx = answer_confidences_with_strategy(
             &ssns,
@@ -597,7 +564,7 @@ mod tests {
     fn strategy_batch_is_deterministic_across_worker_counts() {
         let db = ssn_db();
         let options = DecompositionOptions::default();
-        let ssns = reference::project(db.relation("R").unwrap(), &["SSN"], "S").unwrap();
+        let ssns = db.query(&Plan::scan("R").project(&["SSN"])).unwrap();
         let strategy = ConfidenceStrategy::approximate(0.1, 0.05).with_seed(23);
         let reference = answer_confidences_with_strategy(
             &ssns,
@@ -636,7 +603,7 @@ mod tests {
         let db = ssn_db();
         let options = DecompositionOptions::default();
         for projection in [&["SSN"][..], &["NAME"][..], &["SSN", "NAME"][..]] {
-            let answer = reference::project(db.relation("R").unwrap(), projection, "Q").unwrap();
+            let answer = db.query(&Plan::scan("R").project(projection)).unwrap();
             let reference = exact_batch(&answer, &db, 1);
             // A tiny grain forces the scheduler onto these small sets; both
             // the wide (tuple fan-out) and narrow (parallel decomposition)
@@ -673,7 +640,7 @@ mod tests {
     fn strategy_batch_with_options_is_bit_identical_across_worker_counts() {
         let db = ssn_db();
         let options = DecompositionOptions::default();
-        let ssns = reference::project(db.relation("R").unwrap(), &["SSN"], "S").unwrap();
+        let ssns = db.query(&Plan::scan("R").project(&["SSN"])).unwrap();
         for strategy in [
             ConfidenceStrategy::Exact,
             ConfidenceStrategy::approximate(0.1, 0.05).with_seed(23),
@@ -717,12 +684,9 @@ mod tests {
     #[test]
     fn empty_answers_have_no_confidences() {
         let db = ssn_db();
-        let none = reference::select(
-            db.relation("R").unwrap(),
-            &Predicate::col_eq("NAME", "Nobody"),
-            "none",
-        )
-        .unwrap();
+        let none = db
+            .query(&Plan::scan("R").select(Predicate::col_eq("NAME", "Nobody")))
+            .unwrap();
         let options = DecompositionOptions::default();
         assert!(tuple_confidences(&none, db.world_table(), &options)
             .unwrap()

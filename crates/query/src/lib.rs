@@ -22,10 +22,7 @@
 //!   [`ProbDbService`] serves `query`/`conf`/`assert_all` to any number of
 //!   threads against immutable [`Snapshot`]s, publishing conditioned
 //!   databases by atomic swap, with a per-snapshot plan cache and batched
-//!   admission of identical confidence requests;
-//! * [`mod@reference`]: the oracles the optimized paths above are differentially
-//!   tested against (eager violation compilation, the per-tuple sequential
-//!   fold) — for tests and benches, not a product API.
+//!   admission of identical confidence requests.
 //!
 //! ## Example: the introduction's data-cleaning scenario
 //!
@@ -91,7 +88,6 @@ pub mod confidence;
 pub mod constraints;
 pub mod error;
 pub mod planned;
-pub mod reference;
 pub mod service;
 
 pub use confidence::{

@@ -82,7 +82,7 @@ pub fn planned_boolean_confidence(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uprob_urel::{reference, ColumnType, Predicate, Schema, Tuple, Value};
+    use uprob_urel::{ColumnType, Predicate, Schema, Tuple, Value};
     use uprob_wsd::WsDescriptor;
 
     /// The SSN database of Figure 2.
@@ -137,15 +137,8 @@ mod tests {
             &SharedDecompositionCache::new(),
         )
         .unwrap();
-        let eager_answer = {
-            let bills = reference::select(
-                db.relation("R").unwrap(),
-                &Predicate::col_eq("NAME", "Bill"),
-                "Bills",
-            )
-            .unwrap();
-            reference::project(&bills, &["SSN"], "Q").unwrap()
-        };
+        // The same plan run without the optimizer.
+        let eager_answer = db.query_unoptimized(&plan).unwrap();
         let eager = answer_confidences_with_options(
             &eager_answer,
             db.world_table(),

@@ -1,53 +1,11 @@
 //! World-by-world tests of the positive relational algebra (Section 2),
-//! run against the operators of [`crate::reference`]. Kept in their own
-//! test-only module so the oracle file holds nothing but the oracle.
+//! run against the operators of [`crate::urel`].
 
-#[cfg(test)]
 mod tests {
-    use crate::database::ProbDb;
-    use crate::predicate::{Comparison, Expr, Predicate};
-    use crate::reference::{distinct, join, product, project, rename, select, union};
-    use crate::relation::URelation;
-    use crate::schema::{ColumnType, Schema};
-    use crate::tuple::Tuple;
-    use crate::value::Value;
+    use crate::fixtures::ssn_db;
+    use crate::urel::{distinct, join, product, project, rename, select, union};
+    use uprob_urel::{ColumnType, Comparison, Expr, Predicate, Schema, Tuple, URelation, Value};
     use uprob_wsd::WsDescriptor;
-
-    /// The SSN database of Figures 1/2.
-    fn ssn_db() -> ProbDb {
-        let mut db = ProbDb::new();
-        let j = db
-            .world_table_mut()
-            .add_variable("j", &[(1, 0.2), (7, 0.8)])
-            .unwrap();
-        let b = db
-            .world_table_mut()
-            .add_variable("b", &[(4, 0.3), (7, 0.7)])
-            .unwrap();
-        let schema = Schema::new("R", &[("SSN", ColumnType::Int), ("NAME", ColumnType::Str)]);
-        let mut r = db.create_relation(schema).unwrap();
-        {
-            let w = db.world_table();
-            r.push(
-                Tuple::new(vec![Value::Int(1), Value::str("John")]),
-                WsDescriptor::from_pairs(w, &[(j, 1)]).unwrap(),
-            );
-            r.push(
-                Tuple::new(vec![Value::Int(7), Value::str("John")]),
-                WsDescriptor::from_pairs(w, &[(j, 7)]).unwrap(),
-            );
-            r.push(
-                Tuple::new(vec![Value::Int(4), Value::str("Bill")]),
-                WsDescriptor::from_pairs(w, &[(b, 4)]).unwrap(),
-            );
-            r.push(
-                Tuple::new(vec![Value::Int(7), Value::str("Bill")]),
-                WsDescriptor::from_pairs(w, &[(b, 7)]).unwrap(),
-            );
-        }
-        db.insert_relation(r).unwrap();
-        db
-    }
 
     #[test]
     fn selection_keeps_descriptors() {

@@ -1,32 +1,20 @@
-//! Reference implementations the optimized paths of this crate are
-//! differentially tested against — oracles, **not** product API.
-//!
-//! Nothing on the product path calls into this module; it is imported only
-//! by tests, the differential suites and `crates/bench`:
+//! Oracles of `uprob_query`'s optimized paths — **not** product API:
 //!
 //! * [`violation_ws_set`] compiles a constraint's violation ws-set the slow,
 //!   literal way — hand-rolled tuple-pair loops for FDs/keys, a row scan for
 //!   row filters, a nested loop for inclusion dependencies and the eager
-//!   interpreter ([`uprob_urel::reference::execute_plan`]) for denial and
-//!   plan constraints. Its product twin is
-//!   [`Constraint::violation_ws_set`]; `tests/constraint_equivalence.rs`
-//!   pins the agreement, NULLs included.
+//!   interpreter ([`crate::urel::execute_plan`]) for denial and plan
+//!   constraints. Its product twin is [`Constraint::violation_ws_set`];
+//!   `tests/constraint_equivalence.rs` pins the agreement, NULLs included.
 //! * [`tuple_confidences`] folds every distinct tuple on its own — no
 //!   cache, no worker threads. Its product twin is
-//!   [`crate::tuple_confidences`] /
-//!   [`crate::answer_confidences_with_options`], bit for bit.
-
-#![expect(
-    clippy::expect_used,
-    reason = "each `.expect` restates an invariant `Constraint::validate` established at the top of `violation_ws_set`: every column name resolves, and denial/plan constraints have a violation plan"
-)]
+//!   [`uprob_query::tuple_confidences`] /
+//!   [`uprob_query::answer_confidences_with_options`], bit for bit.
 
 use uprob_core::{confidence, DecompositionOptions};
-use uprob_urel::{ProbDb, Tuple, URelation, Value};
+use uprob_query::{Constraint, Result};
+use uprob_urel::{ProbDb, Schema, Tuple, URelation, Value};
 use uprob_wsd::{diff_descriptor_set, WorldTable, WsDescriptor, WsSet};
-
-use crate::constraints::{non_null_key, resolve_columns, Constraint};
-use crate::Result;
 
 /// The violation ws-set of `constraint`, normalised, computed with the
 /// eager reference compilation. Semantically identical to
@@ -78,10 +66,23 @@ pub fn violation_ws_set(constraint: &Constraint, db: &ProbDb) -> Result<WsSet> {
             let plan = constraint
                 .violation_plan(db)?
                 .expect("denial/plan constraints compile to plans");
-            let answer = uprob_urel::reference::execute_plan(db, &plan)?;
+            let answer = crate::urel::execute_plan(db, &plan)?;
             Ok(answer.answer_ws_set().normalized())
         }
     }
+}
+
+/// Column positions of `columns`, which `Constraint::validate` resolved.
+fn resolve_columns(schema: &Schema, columns: &[String]) -> Vec<usize> {
+    columns
+        .iter()
+        .map(|c| schema.column_index(c).expect("columns checked by validate"))
+        .collect()
+}
+
+/// The value of `tuple` at the validated position `k`.
+fn value_at(tuple: &Tuple, k: usize) -> &Value {
+    tuple.get(k).expect("validated column position")
 }
 
 /// SQL-style equality: satisfied only when both values are non-NULL and
@@ -108,21 +109,15 @@ fn fd_violations(
     let mut violations = WsSet::empty();
     for (i, (t1, d1)) in rows.iter().enumerate() {
         for (t2, d2) in rows.iter().skip(i) {
-            let same_determinant = det_idx.iter().all(|&k| {
-                sql_eq(
-                    t1.get(k).expect("validated column position"),
-                    t2.get(k).expect("validated column position"),
-                )
-            });
+            let same_determinant = det_idx
+                .iter()
+                .all(|&k| sql_eq(value_at(t1, k), value_at(t2, k)));
             if !same_determinant {
                 continue;
             }
-            let disagrees = dep_idx.iter().any(|&k| {
-                !sql_eq(
-                    t1.get(k).expect("validated column position"),
-                    t2.get(k).expect("validated column position"),
-                )
-            });
+            let disagrees = dep_idx
+                .iter()
+                .any(|&k| !sql_eq(value_at(t1, k), value_at(t2, k)));
             if !disagrees {
                 continue;
             }
@@ -137,7 +132,9 @@ fn fd_violations(
 
 /// Worlds in which some child tuple co-exists with **no** matching parent
 /// tuple, by nested loop: every child row scans all parent rows, in row
-/// order (the order the product's hash buckets preserve).
+/// order (the order the product's hash buckets preserve). A child key
+/// containing NULL satisfies the dependency (SQL `MATCH SIMPLE`), and a
+/// parent key containing NULL matches nothing.
 fn ind_violations(
     db: &ProbDb,
     child: &str,
@@ -151,17 +148,16 @@ fn ind_violations(
     let p_idx = resolve_columns(parent_rel.schema(), parent_columns);
     let mut violations = WsSet::empty();
     for (tuple, descriptor) in child_rel.iter() {
-        // SQL MATCH SIMPLE: a child key containing NULL satisfies the FK.
-        let Some(key) = non_null_key(tuple, &c_idx) else {
+        if c_idx.iter().any(|&k| value_at(tuple, k).is_null()) {
             continue;
-        };
+        }
         let matches: Vec<WsDescriptor> = parent_rel
             .iter()
             .filter(|(p, _)| {
                 p_idx
                     .iter()
-                    .zip(&key)
-                    .all(|(&k, v)| sql_eq(p.get(k).expect("validated column position"), v))
+                    .zip(&c_idx)
+                    .all(|(&pk, &ck)| sql_eq(value_at(p, pk), value_at(tuple, ck)))
             })
             .map(|(_, e)| e.clone())
             .collect();

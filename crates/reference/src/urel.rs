@@ -1,12 +1,7 @@
-//! Reference implementations of the positive relational algebra on
-//! U-relations (Section 2) — the semantics oracle, **not** a query API.
-//!
-//! Queries are evaluated with [`ProbDb::query`]; nothing
-//! on the product path calls into this module. It holds the literal
-//! translation of the paper's operators that the optimizer and the
-//! pipelined executor ([`crate::execute_plan`]) are differentially tested
-//! against, and is imported only by tests, differential harnesses and
-//! `crates/bench`:
+//! The positive relational algebra on U-relations (Section 2), translated
+//! literally — the semantics oracle of `uprob_urel`'s optimizer and
+//! pipelined executor, **not** a query API (queries are evaluated with
+//! [`ProbDb::query`]):
 //!
 //! * selections and projections simply keep the ws-descriptor of each tuple,
 //! * joins additionally require the ws-descriptors of the joined tuples to
@@ -21,14 +16,8 @@
 //! on the instantiated inputs (tested in `algebra.rs` and by property
 //! tests).
 
-use crate::database::ProbDb;
-use crate::error::UrelError;
-use crate::plan::Plan;
-use crate::predicate::Predicate;
-use crate::relation::URelation;
-use crate::tuple::Tuple;
-use crate::value::Value;
-use crate::Result;
+use uprob_urel::{Plan, Predicate, ProbDb, Result, Tuple, URelation, UrelError, Value};
+use uprob_wsd::{FxHashSet, WsDescriptor};
 
 /// Selection `σ_φ(R)`: keeps the rows whose tuple satisfies `φ`, with their
 /// descriptors unchanged.
@@ -88,10 +77,6 @@ pub fn join(
             }
             let tuple = lt.concat(rt);
             if predicate.eval(&schema, &tuple)? {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "the `is_consistent_with` filter above guarantees the union exists"
-                )]
                 let combined = ld
                     .union(rd)
                     .expect("consistent descriptors always have a union");
@@ -126,8 +111,7 @@ pub fn union(left: &URelation, right: &URelation, name: &str) -> Result<URelatio
 /// under *different* descriptors are kept — they are distinct derivations
 /// and their world-sets union in [`URelation::tuple_ws_set`].
 pub fn distinct(relation: &URelation) -> URelation {
-    let mut seen: uprob_wsd::FxHashSet<(&Tuple, &uprob_wsd::WsDescriptor)> =
-        uprob_wsd::FxHashSet::default();
+    let mut seen: FxHashSet<(&Tuple, &WsDescriptor)> = FxHashSet::default();
     let mut out = URelation::new(relation.schema().clone());
     for (t, d) in relation.iter() {
         if seen.insert((t, d)) {

@@ -168,7 +168,7 @@ impl ProbDb {
     /// ([`crate::execute_plan`] — streaming operators, hash equi-joins).
     ///
     /// The result is row-for-row identical (same order, same descriptors)
-    /// to the eager oracle [`crate::reference::execute_plan`]; the answer
+    /// to the eager oracle `uprob_reference::urel::execute_plan`; the answer
     /// feeds directly into the `conf()` / constraint layer of `uprob-query`.
     ///
     /// # Errors

@@ -17,9 +17,6 @@
 //!   trivial-predicate and empty-relation pruning) and the pipelined
 //!   [`execute_plan`] executor with hash equi-joins. [`ProbDb::query`]
 //!   runs both and is the one way to evaluate a query,
-//! * [`mod@reference`]: the eager, materializing translation of each operator
-//!   that the executor is differentially tested against — an oracle for
-//!   tests and benches, not a query API,
 //! * the constraint **violation-plan builders** ([`violations`]): FD/key
 //!   self-joins, row-filter complements and denial-constraint
 //!   conjunctive queries as plans.
@@ -75,8 +72,6 @@
     )
 )]
 
-#[cfg(test)]
-mod algebra;
 pub mod database;
 pub mod delta;
 pub mod error;
@@ -84,7 +79,6 @@ pub mod exec;
 pub mod optimizer;
 pub mod plan;
 pub mod predicate;
-pub mod reference;
 pub mod relation;
 pub mod schema;
 pub mod tuple;

@@ -11,10 +11,10 @@
 //! * [`crate::execute_plan`] runs a plan through the pipelined executor,
 //!   which streams rows between operators and replaces nested-loop
 //!   equi-joins with hash joins;
-//! * [`crate::reference::execute_plan`] is the semantics oracle both are
-//!   differentially tested against: every node maps one-to-one onto an
-//!   eager, materializing operator (nested-loop joins included). Tests
-//!   and benches only.
+//! * `uprob_reference::urel::execute_plan` (outside the product crates) is
+//!   the semantics oracle both are differentially tested against: every
+//!   node maps one-to-one onto an eager, materializing operator
+//!   (nested-loop joins included).
 //!
 //! The ws-descriptor attached to every tuple is **not** a plan-visible
 //! column: it rides alongside each row through every operator (the paper's
@@ -331,8 +331,6 @@ mod tests {
     use super::*;
     use crate::database::tests::ssn_db;
     use crate::predicate::{Comparison, Expr};
-    use crate::reference::{self, execute_plan as execute_plan_eager};
-    use crate::schema::ColumnType;
     use crate::UrelError;
 
     /// The FD-violation self-join of Example 2.3 as a plan.
@@ -401,41 +399,13 @@ mod tests {
             incompatible.output_schema(&db),
             Err(UrelError::SchemaMismatch { .. })
         ));
-        // Eager execution validates up front: the error surfaces even
-        // though the selection would never evaluate its predicate (the
-        // input row stream could be empty).
+        // Execution validates up front: the error surfaces even though the
+        // selection would never evaluate its predicate (the input row
+        // stream could be empty).
         let unreachable = Plan::scan("R")
             .select(Predicate::col_eq("NAME", "Nobody"))
             .select(Predicate::col_eq("MISSING", 1i64));
-        assert!(execute_plan_eager(&db, &unreachable).is_err());
-    }
-
-    #[test]
-    fn eager_execution_matches_the_algebra() {
-        let db = ssn_db();
-        let plan = Plan::scan("R")
-            .select(Predicate::col_eq("NAME", "Bill"))
-            .project(&["SSN"]);
-        let got = execute_plan_eager(&db, &plan).unwrap();
-        let expected = {
-            let bills = reference::select(
-                db.relation("R").unwrap(),
-                &Predicate::col_eq("NAME", "Bill"),
-                "R",
-            )
-            .unwrap();
-            reference::project(&bills, &["SSN"], "R").unwrap()
-        };
-        assert_eq!(got, expected);
-
-        // Example 2.3 through the plan: P(violation) world-set is
-        // {{j->7, b->7}}.
-        let ws = execute_plan_eager(&db, &violation_plan())
-            .unwrap()
-            .answer_ws_set()
-            .normalized();
-        assert_eq!(ws.len(), 1);
-        assert!((ws.descriptors()[0].probability(db.world_table()) - 0.56).abs() < 1e-12);
+        assert!(crate::execute_plan(&db, &unreachable).is_err());
     }
 
     #[test]
@@ -447,25 +417,5 @@ mod tests {
         assert!(text.contains("Rename R2"));
         assert!(text.contains("Scan R"));
         assert_eq!(plan.node_count(), 5);
-    }
-
-    #[test]
-    fn union_product_distinct_and_empty_evaluate() {
-        let db = ssn_db();
-        let u = Plan::scan("R").union(Plan::scan("R"));
-        assert_eq!(execute_plan_eager(&db, &u).unwrap().len(), 8);
-        assert_eq!(
-            execute_plan_eager(&db, &u.clone().distinct())
-                .unwrap()
-                .len(),
-            4
-        );
-        let p = Plan::scan("R").product(Plan::scan("R").rename("R2"));
-        assert_eq!(execute_plan_eager(&db, &p).unwrap().len(), 12);
-        let schema = Schema::new("E", &[("X", ColumnType::Int)]);
-        let e = Plan::empty(schema.clone());
-        let out = execute_plan_eager(&db, &e).unwrap();
-        assert!(out.is_empty());
-        assert_eq!(out.schema(), &schema);
     }
 }

@@ -602,20 +602,25 @@ mod tests {
 
     #[test]
     fn columns_resolve_after_rename_and_projection() {
-        use crate::reference;
-        use crate::relation::URelation;
+        use crate::database::ProbDb;
+        use crate::plan::Plan;
         use crate::tuple::Tuple;
         use uprob_wsd::WsDescriptor;
 
-        let mut r = URelation::new(schema());
+        let mut db = ProbDb::new();
+        let mut r = db.create_relation(schema()).unwrap();
         r.push(
             Tuple::new(vec![Value::Int(7), Value::str("Bill"), Value::Float(0.5)]),
             WsDescriptor::empty(),
         );
+        db.insert_relation(r).unwrap();
+        let r = db.relation("R").unwrap();
         // After a projection the surviving columns keep their names, so a
         // predicate written against the projected schema evaluates
         // identically below the projection (the pushdown invariant).
-        let projected = reference::project(&r, &["NAME", "SSN"], "P").unwrap();
+        let projected = db
+            .query(&Plan::scan("R").project(&["NAME", "SSN"]))
+            .unwrap();
         let p = Predicate::col_eq("NAME", "Bill").and(Predicate::col_eq("SSN", 7i64));
         let (pt, pd) = (&projected.rows()[0].0, projected.schema());
         assert!(p.eval(pd, pt).unwrap());
@@ -628,7 +633,7 @@ mod tests {
         // Renaming changes only the relation name: unqualified references
         // keep resolving, and the new name drives the qualified
         // `rel.column` names produced by a subsequent self-join concat.
-        let renamed = reference::rename(&r, "R2");
+        let renamed = db.query(&Plan::scan("R").rename("R2")).unwrap();
         assert!(p.eval(renamed.schema(), &renamed.rows()[0].0).unwrap());
         let concat = r.schema().concat(renamed.schema(), "J");
         assert!(concat.has_column("R2.SSN"));

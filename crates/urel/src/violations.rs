@@ -132,23 +132,6 @@ mod tests {
     use super::*;
     use crate::database::tests::ssn_db;
     use crate::predicate::{Comparison, Expr};
-    use crate::reference::execute_plan as execute_plan_eager;
-
-    #[test]
-    fn fd_violation_plan_reproduces_example_2_3() {
-        let db = ssn_db();
-        let plan = fd_violation_plan("R", &["SSN".to_string()], &["NAME".to_string()]);
-        assert_eq!(plan.output_schema(&db).unwrap().arity(), 0);
-        // {{j->7, b->7}} with probability .56 — both execution paths.
-        for answer in [
-            db.query(&plan).unwrap(),
-            execute_plan_eager(&db, &plan).unwrap(),
-        ] {
-            let ws = answer.answer_ws_set().normalized();
-            assert_eq!(ws.len(), 1);
-            assert!((ws.descriptors()[0].probability(db.world_table()) - 0.56).abs() < 1e-12);
-        }
-    }
 
     #[test]
     fn fd_plan_with_no_dependents_is_trivially_satisfied() {

@@ -104,7 +104,7 @@ fn main() {
         planned_elapsed
     );
     let start = Instant::now();
-    let eager = uprob::urel::reference::execute_plan(&data.db, &q1).unwrap();
+    let eager = uprob_reference::urel::execute_plan(&data.db, &q1).unwrap();
     let eager_elapsed = start.elapsed();
     println!(
         "eager nested-loop reference:     {} answer rows in {:.2?}  ({:.0}x slower)",

@@ -85,10 +85,10 @@ pub mod prelude {
         available_workers, build_tree, condition, confidence, confidence_by_elimination,
         confidence_by_elimination_parallel, confidence_parallel, estimate_conditioned_confidence,
         estimate_conditioned_confidence_with_options, estimate_confidence,
-        estimate_confidence_with_options, CacheStats, ConditioningMethod, ConditioningOptions,
-        ConfidenceReport, ConfidenceStrategy, DecompositionMethod, DecompositionOptions,
-        InheritOutcome, ParallelOptions, ResolvedPath, SamplingStats, SharedDecompositionCache,
-        VariableHeuristic, WsTree,
+        estimate_confidence_with_options, CacheStats, ConditioningOptions, ConfidenceReport,
+        ConfidenceStrategy, DecompositionMethod, DecompositionOptions, InheritOutcome,
+        ParallelOptions, ResolvedPath, SamplingStats, SharedDecompositionCache, VariableHeuristic,
+        WsTree,
     };
     pub use uprob_query::{
         answer_confidences_with_options, answer_confidences_with_strategy, assert_all,

@@ -183,7 +183,7 @@ proptest! {
         let constraints = case.build_constraints(&db);
         for constraint in &constraints {
             let planned = constraint.violation_ws_set(&db).unwrap();
-            let eager = uprob::query::reference::violation_ws_set(constraint, &db).unwrap();
+            let eager = uprob_reference::query::violation_ws_set(constraint, &db).unwrap();
             prop_assert_eq!(
                 &planned,
                 &eager,

@@ -9,7 +9,7 @@ use uprob::datagen::{
     q1_answer_relation, q1_plan, HardInstance, HardInstanceConfig, TpchConfig, TpchDatabase,
 };
 use uprob::prelude::*;
-use uprob::urel::reference;
+use uprob_reference::urel as reference;
 
 /// The Figure 3 ws-set with exact probability 0.7578.
 fn figure3() -> (WorldTable, WsSet) {
@@ -264,13 +264,13 @@ fn example_5_1_constraint_through_all_three_strategies() {
     let Assertion::Materialized(conditioned) = &exact else {
         unreachable!()
     };
-    let bills = reference::select(
-        db.relation("R").unwrap(),
-        &Predicate::col_eq("NAME", "Bill"),
-        "Bills",
-    )
-    .unwrap();
-    let ssns = reference::project(&bills, &["SSN"], "Q").unwrap();
+    let ssns = db
+        .query(
+            &Plan::scan("R")
+                .select(Predicate::col_eq("NAME", "Bill"))
+                .project(&["SSN"]),
+        )
+        .unwrap();
     let posterior = virtual_posterior
         .tuple_confidences(&ssns, db.world_table(), &ParallelOptions::sequential())
         .unwrap();

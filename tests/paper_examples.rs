@@ -2,7 +2,6 @@
 //! through the public facade (`uprob::prelude`).
 
 use uprob::prelude::*;
-use uprob::urel::reference;
 
 /// The SSN database of Figures 1/2.
 fn ssn_db() -> (ProbDb, VarId, VarId) {
@@ -79,13 +78,13 @@ fn figure_1_the_four_worlds_and_their_probabilities() {
 #[test]
 fn introduction_prior_confidences_of_bills_ssn() {
     let (db, _, _) = ssn_db();
-    let bills = reference::select(
-        db.relation("R").unwrap(),
-        &Predicate::col_eq("NAME", "Bill"),
-        "Bills",
-    )
-    .unwrap();
-    let ssns = reference::project(&bills, &["SSN"], "Q").unwrap();
+    let ssns = db
+        .query(
+            &Plan::scan("R")
+                .select(Predicate::col_eq("NAME", "Bill"))
+                .project(&["SSN"]),
+        )
+        .unwrap();
     let answers =
         tuple_confidences(&ssns, db.world_table(), &DecompositionOptions::default()).unwrap();
     let lookup = |ssn: i64| {
@@ -155,12 +154,9 @@ fn introduction_conditional_probability_of_bill_given_the_fd() {
     .unwrap()
     .probability;
     assert!((p_b - 0.44).abs() < 1e-12);
-    let bill4_rows = reference::select(
-        db.relation("R").unwrap(),
-        &Predicate::col_eq("NAME", "Bill").and(Predicate::col_eq("SSN", 4i64)),
-        "bill4",
-    )
-    .unwrap();
+    let bill4 = Plan::scan("R")
+        .select(Predicate::col_eq("NAME", "Bill").and(Predicate::col_eq("SSN", 4i64)));
+    let bill4_rows = db.query(&bill4).unwrap();
     let a4 = bill4_rows.answer_ws_set();
     let a4_and_b = a4.intersect(&satisfying);
     let p_a4_and_b = confidence(
@@ -175,12 +171,7 @@ fn introduction_conditional_probability_of_bill_given_the_fd() {
 
     // Via conditioning (assert + conf on the posterior).
     let conditioned = assert_constraint(&db, &fd, &ConditioningOptions::default()).unwrap();
-    let bills = reference::select(
-        conditioned.db.relation("R").unwrap(),
-        &Predicate::col_eq("NAME", "Bill").and(Predicate::col_eq("SSN", 4i64)),
-        "bill4",
-    )
-    .unwrap();
+    let bills = conditioned.db.query(&bill4).unwrap();
     let posterior = boolean_confidence(
         &bills,
         conditioned.db.world_table(),
@@ -192,14 +183,16 @@ fn introduction_conditional_probability_of_bill_given_the_fd() {
 
 #[test]
 fn example_5_1_and_5_4_the_conditioned_database_of_the_paper() {
-    // The verbatim Figure 8 algorithm reproduces the database printed in
-    // Example 5.1 (two variables b and j' after simplification, five rows).
+    // Conditioning reproduces the database printed in Example 5.1 (two
+    // variables b and j' after simplification, five rows). Figure 8's ⊗ rule
+    // never fires on this condition, so VE-only conditioning is the paper's
+    // algorithm here.
     let (db, j, b) = ssn_db();
     let condition_set = WsSet::from_descriptors(vec![
         WsDescriptor::from_pairs(db.world_table(), &[(j, 1)]).unwrap(),
         WsDescriptor::from_pairs(db.world_table(), &[(j, 7), (b, 4)]).unwrap(),
     ]);
-    let result = condition(&db, &condition_set, &ConditioningOptions::paper_fig8()).unwrap();
+    let result = condition(&db, &condition_set, &ConditioningOptions::default()).unwrap();
     assert!((result.confidence - 0.44).abs() < 1e-12);
     let table = result.db.world_table();
     assert_eq!(table.num_variables(), 2);

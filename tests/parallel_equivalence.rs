@@ -14,7 +14,7 @@
 //!    (confidence and full posterior database);
 //! 5. the `conf()` batch surface: `tuple_confidences`,
 //!    `answer_confidences_with_options(..).tuples` and
-//!    `query::reference::tuple_confidences` agree bit for bit, and
+//!    `uprob_reference::query::tuple_confidences` agree bit for bit, and
 //!    `answer_confidences_with_strategy` reproduces its one-worker bits at
 //!    workers {1, 2, 4, 8} on a wide and on a narrow answer, so both arms
 //!    of the placement rule run;
@@ -356,7 +356,7 @@ fn conf_batch_surface_is_bit_identical_on_wide_and_narrow_answers() {
     for groups in [16, 3] {
         let answer = grouped_relation(&instance, groups);
         let reference =
-            uprob::query::reference::tuple_confidences(&answer, table, &options).unwrap();
+            uprob_reference::query::tuple_confidences(&answer, table, &options).unwrap();
         assert_eq!(reference.len(), groups);
         let reference_boolean = boolean_confidence(&answer, table, &options).unwrap();
         let short = tuple_confidences(&answer, table, &options).unwrap();

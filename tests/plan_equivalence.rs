@@ -2,7 +2,7 @@
 //! U-relational databases and random query plans
 //! (`uprob_datagen::random_plan`), optimized + pipelined execution must be
 //! **set-equivalent** — same `(tuple, ws-descriptor)` multiset, same
-//! output schema — to the eager oracle `urel::reference::execute_plan`, and
+//! output schema — to the eager oracle `uprob_reference::urel::execute_plan`, and
 //! the exact confidences computed through the decomposition fold must be
 //! identical on every path.
 //!
@@ -14,7 +14,7 @@
 use proptest::prelude::*;
 use uprob::datagen::arb_plan_case;
 use uprob::prelude::*;
-use uprob::urel::reference;
+use uprob_reference::urel as reference;
 
 /// Sorted copy of the rows: the multiset fingerprint two equivalent
 /// answers must share.

@@ -31,7 +31,6 @@ fn prelude_reexports_resolve() {
     let _ = DecompositionMethod::IndVe;
     let _ = VariableHeuristic::MinLog;
     let _ = ConditioningOptions::default();
-    let _ = ConditioningMethod::default();
     let _: WsTree = WsTree::Bottom;
     let _ = build_tree;
     let _ = confidence;
@@ -158,12 +157,13 @@ fn entry_point_signatures_are_pinned() {
     ) -> Query<Vec<(Tuple, ConfidenceReport)>> = EstimatedAssertion::tuple_confidences;
 
     // The one way to evaluate a query, and the oracles it is tested against
-    // (reachable only through their `reference` modules, never the prelude).
+    // (in `uprob-reference`, a dev-dependency: never reachable through the
+    // facade).
     type Urel<T> = Result<T, uprob::urel::UrelError>;
     let _: fn(&ProbDb, &Plan) -> Urel<URelation> = ProbDb::query;
-    let _: fn(&ProbDb, &Plan) -> Urel<URelation> = uprob::urel::reference::execute_plan;
-    let _: fn(&Constraint, &ProbDb) -> Query<WsSet> = uprob::query::reference::violation_ws_set;
-    let _: SqlForm<Vec<(Tuple, f64)>> = uprob::query::reference::tuple_confidences;
+    let _: fn(&ProbDb, &Plan) -> Urel<URelation> = uprob_reference::urel::execute_plan;
+    let _: fn(&Constraint, &ProbDb) -> Query<WsSet> = uprob_reference::query::violation_ws_set;
+    let _: SqlForm<Vec<(Tuple, f64)>> = uprob_reference::query::tuple_confidences;
 }
 
 /// The facade's module aliases expose the underlying crates.
