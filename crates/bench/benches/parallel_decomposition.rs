@@ -1,8 +1,9 @@
-//! Micro-benchmark of the work-stealing parallel exact fold: the
+//! Micro-benchmark of the parallel exact fold (the top of the ws-tree
+//! split on the calling thread, its subtrees run as indexed jobs): the
 //! block-parallel hard workload (variable-disjoint hard blocks, so the
 //! root ⊗-partition fans out across workers) decomposed at 1, 2 and 4
 //! workers, plus the TPC-H Q1 boolean answer of Figure 10. Worker count 1
-//! is the sequential fold itself (the scheduler delegates), so the
+//! is the sequential fold itself (`confidence_parallel` delegates), so the
 //! per-worker series directly reads off the scaling curve.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -577,7 +577,7 @@ pub fn ablation_conditioning(scale: ExperimentScale) -> ResultTable {
     table
 }
 
-/// Parallel scaling: wall-clock of the work-stealing exact fold versus
+/// Parallel scaling: wall-clock of the parallel exact fold versus
 /// worker count, on the block-parallel hard workload (variable-disjoint
 /// Figure-12-shaped blocks, so the root ⊗-partition fans out across
 /// workers) and on the TPC-H Q1 boolean answer of Figure 10. Every row
@@ -587,7 +587,7 @@ pub fn ablation_conditioning(scale: ExperimentScale) -> ResultTable {
 pub fn parallel_scaling(scale: ExperimentScale) -> ResultTable {
     let mut table = ResultTable::new(
         &format!(
-            "Parallel scaling: work-stealing exact fold ({} cores detected)",
+            "Parallel scaling: split-and-fan-out exact fold ({} cores detected)",
             available_cores()
         ),
         &[

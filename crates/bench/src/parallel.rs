@@ -5,15 +5,15 @@
 //! transition-region instances of Figure 12. Because the blocks share no
 //! variables, the very first decomposition step is an independent
 //! partition (⊗) with one child per block — exactly the coarse-grained
-//! sibling fan-out the work-stealing scheduler distributes across
-//! workers, while each block stays individually hard for the exact
-//! algorithms.
+//! sibling fan-out the top split of `confidence_parallel` hands to the
+//! workers as indexed jobs, while each block stays individually hard for
+//! the exact algorithms.
 
 use uprob_core::available_workers;
 use uprob_wsd::{ValueIndex, VarId, WorldTable, WsDescriptor, WsSet};
 
-/// Number of logical cores the host exposes (the same detection the
-/// scheduler's [`uprob_core::ParallelOptions::auto`] uses).
+/// Number of logical cores the host exposes (the same detection
+/// [`uprob_core::ParallelOptions::auto`] uses).
 pub fn available_cores() -> usize {
     available_workers()
 }
@@ -22,7 +22,7 @@ pub fn available_cores() -> usize {
 #[derive(Clone, Copy, Debug)]
 pub struct ParallelWorkloadConfig {
     /// Number of variable-disjoint hard blocks (the width of the root
-    /// independent partition, i.e. the available coarse-grained tasks).
+    /// independent partition, i.e. the available coarse-grained jobs).
     pub blocks: usize,
     /// Variables per block.
     pub vars_per_block: usize,

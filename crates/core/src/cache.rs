@@ -30,7 +30,7 @@
 //! coarse: correctness first, sharding later (see `DESIGN.md`).
 //!
 //! Shard access is **poison-tolerant**: a worker that panics while holding
-//! a shard lock (contained by the scheduler or the serving layer) must not
+//! a shard lock (contained by the serving layer) must not
 //! take every later request down with it. Recovering the guard is sound
 //! here because every critical section is one hash-map/interner operation
 //! that either completes or leaves the map untouched — `lookup` only reads

@@ -284,7 +284,8 @@ pub(crate) fn charge_shared_nodes(
 /// non-zero weight, in value order, then — when `var` has missing values
 /// and `T` is non-empty — `T` once, weighted by the compensated sum of the
 /// missing values' weights if that is positive. Figure 7 sums exactly this
-/// list; the sequential fold and the scheduler both take it from here.
+/// list; the sequential fold and the parallel top split both take it from
+/// here.
 ///
 /// `#[inline]`: the sequential fold runs this once per ⊕ node at ~0.5 µs a
 /// node; left as an out-of-line call it read ~2 % lower `ops_s` on the

@@ -241,7 +241,7 @@ pub fn estimate_confidence(
 }
 
 /// [`estimate_confidence`] with the exact path running on
-/// `parallel.workers()` work-stealing worker threads
+/// `parallel.workers()` worker threads
 /// ([`confidence_parallel`]) and the sampling streams of an `Approximate`
 /// run or a `Hybrid` fallback fanned out over the same number of threads
 /// — `parallel` is the one worker knob, and

@@ -44,17 +44,6 @@ pub enum CoreError {
         /// The rejected raw value.
         spec: String,
     },
-    /// A worker thread of the parallel scheduler panicked mid-task. The
-    /// panic is contained to the run that owned the worker: the scheduler
-    /// drains, the remaining workers exit cleanly, and the run fails with
-    /// this error instead of unwinding (or deadlocking) the whole process
-    /// — which is what lets the serving layer fail one request and keep
-    /// serving the rest.
-    WorkerPanicked {
-        /// The panic payload rendered to text (best effort: non-string
-        /// payloads are summarized).
-        message: String,
-    },
 }
 
 impl fmt::Display for CoreError {
@@ -81,9 +70,6 @@ impl fmt::Display for CoreError {
                     f,
                     "invalid worker spec {spec:?}: expected a positive integer                      (unset or empty means automatic)"
                 )
-            }
-            CoreError::WorkerPanicked { message } => {
-                write!(f, "a parallel worker panicked: {message}")
             }
         }
     }
@@ -130,10 +116,6 @@ mod tests {
             .contains("10"));
         let e: CoreError = WsdError::EmptyDomain { name: "x".into() }.into();
         assert!(e.to_string().contains("world-set descriptor"));
-        let e = CoreError::WorkerPanicked {
-            message: "boom".into(),
-        };
-        assert!(e.to_string().contains("boom"));
     }
 
     #[test]

@@ -20,10 +20,11 @@
 //! * [`cache`]: the shared decomposition cache — hash-consed canonical
 //!   ws-set keys memoizing sub-set probabilities, shared across the
 //!   confidence fold, WE and the batch query layer (see `DESIGN.md`);
-//! * [`parallel`]: work-stealing parallel exact confidence — scoped worker
-//!   threads expanding independent partitions and ⊕-split siblings
-//!   concurrently, combined in canonical child order so results are
-//!   **bit-identical** to the sequential fold for every worker count;
+//! * [`parallel`]: parallel exact confidence — the top of the ws-tree is
+//!   split on the calling thread, its independent partitions and ⊕-split
+//!   siblings are solved as scoped jobs, and the splits fold in canonical
+//!   child order so results are **bit-identical** to the sequential fold
+//!   for every worker count;
 //! * [`engine`]: the unified confidence engine — an explicit
 //!   [`ConfidenceStrategy`] (`Exact` / `Approximate(ε, δ)` /
 //!   `Hybrid { budget, ε, δ }`) that runs the cached exact decomposition
@@ -104,7 +105,7 @@ pub use engine::{
 };
 pub use error::CoreError;
 pub use heuristics::VariableHeuristic;
-pub use parallel::{available_workers, confidence_parallel, panic_message, ParallelOptions};
+pub use parallel::{available_workers, confidence_parallel, ParallelOptions};
 pub use stats::{Confidence, DecompositionStats};
 pub use uprob_approx::{fan_out_indexed, ApproximationOptions};
 pub use wstree::WsTree;

@@ -1,15 +1,13 @@
-//! Work-stealing parallel exact confidence computation.
+//! Parallel exact confidence computation.
 //!
 //! The ws-tree decomposition is naturally parallel: the parts of an
-//! independent partition (⊗) and the sibling subtrees of a ⊕-split are
-//! disjoint subproblems. [`confidence_parallel`] expands them on scoped
-//! worker threads (launched through [`fan_out_indexed`], the workspace's
-//! one spawn site) — one lock-protected deque per worker, owners popping
-//! newest-first and thieves stealing oldest-first so the largest pending
-//! subtrees migrate — while an arena of *combine nodes* reassembles the
-//! partial results strictly in canonical child order with the same
-//! compensated (Neumaier) arithmetic as the sequential fold of
-//! [`mod@crate::confidence`].
+//! independent partition (⊗) and the branches of a ⊕-split are disjoint
+//! subproblems. [`confidence_parallel`] expands the top of the tree on the
+//! calling thread, the largest pending subtree first, until every worker
+//! has a few subtrees to take; solves those subtrees as [`fan_out_indexed`]
+//! jobs (the workspace's one spawn site), each with the sequential fold of
+//! [`mod@crate::confidence`]; and folds the expanded splits back together
+//! with that fold's arithmetic.
 //!
 //! # Determinism contract
 //!
@@ -18,38 +16,34 @@
 //! probability of every sub-ws-set is a pure function of the sub-set and
 //! the world table, so it does not matter *which* worker computes it or
 //! *when*; and partial results are never folded in completion order —
-//! each combine node keeps one slot per child and evaluates, only once
-//! all slots are filled, exactly the sequential expression (`1 − Π (1 −
-//! pᵢ)` in part order for ⊗, a Neumaier sum of `wᵢ · pᵢ` in branch order
-//! with the missing-value tail last for ⊕). A shared-cache hit returns a
-//! probability that is itself bit-identical to recomputation, so the
-//! contract holds with or without a [`SharedDecompositionCache`]. The
-//! differential and golden suites pin this under a `UPROB_WORKERS`
-//! matrix in CI.
+//! each split keeps one slot per child, and once every job is done the
+//! splits fold children before parents, each evaluating exactly the
+//! sequential expression (`1 − Π (1 − pᵢ)` in part order for ⊗, a Neumaier
+//! sum of `wᵢ · pᵢ` in branch order with the missing-value tail last for
+//! ⊕). A shared-cache hit returns a probability that is itself
+//! bit-identical to recomputation, so the contract holds with or without a
+//! [`SharedDecompositionCache`]. The differential and golden suites pin
+//! this under a `UPROB_WORKERS` matrix in CI.
 //!
 //! # Budget accounting
 //!
-//! All workers of one run charge decomposition nodes against a single
-//! shared atomic counter, so a [`DecompositionOptions::node_budget`]
+//! The split and every job of one run charge decomposition nodes against a
+//! single shared atomic counter, so a [`DecompositionOptions::node_budget`]
 //! bounds the run's **total** work: `BudgetExceeded` triggers at the
 //! same amount of work regardless of the worker count (without a cache
 //! the decomposition tree — and hence the abort-or-finish outcome — is
 //! exactly the sequential one; cache hits can shift where the charges
 //! fall, just as they do sequentially).
+//!
+//! # Panics
+//!
+//! A panic inside a subtree job reaches the caller with the job's own
+//! payload, as [`fan_out_indexed`] re-raises it; the serving layer
+//! contains it as one failed request.
 
-#![expect(
-    clippy::expect_used,
-    reason = "scheduler discipline: lock `.expect`s propagate a panicked worker (a poisoned lock must abort the run, not limp on), and slot/root `.expect`s assert the combine-node accounting the determinism contract requires"
-)]
-#![expect(
-    clippy::indexing_slicing,
-    reason = "every index is scheduler-internal: worker/victim ids are `% queues`-bounded, arena indices come from `alloc`, and combine slots are sized to the child count at allocation"
-)]
-
-use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::cmp::Reverse;
+use std::sync::atomic::AtomicU64;
+use std::sync::OnceLock;
 use std::thread;
 
 use uprob_approx::fan_out_indexed;
@@ -59,13 +53,18 @@ use crate::cache::{PendingEntry, SharedDecompositionCache};
 use crate::confidence::{confidence_rec, confidence_with_cache};
 use crate::decompose::{for_each_choice_term, Decomposer, DecompositionOptions, DecompositionStep};
 use crate::error::CoreError;
-use crate::stats::{Confidence, DecompositionStats};
+use crate::stats::Confidence;
 use crate::Result;
 
-/// Default grain: ws-sets with fewer descriptors are solved inline by the
-/// sequential fold instead of being scheduled, so the per-task overhead is
-/// only paid where a subtree is plausibly worth stealing.
+/// Default grain: ws-sets with fewer descriptors are solved by the
+/// sequential fold instead of being split further, so a split is only made
+/// where a subtree is plausibly worth sharing out.
 const DEFAULT_GRAIN: usize = 16;
+
+/// Pending subtrees per worker at which the top split stops: enough that a
+/// worker finishing its subtree early finds another, few enough that the
+/// split on the calling thread stays a small share of the run.
+const SUBTREES_PER_WORKER: usize = 4;
 
 /// Worker-count and granularity policy for the parallel exact paths
 /// ([`confidence_parallel`] and the `_with_options` engine/query surface).
@@ -131,9 +130,9 @@ impl ParallelOptions {
         }
     }
 
-    /// Returns a copy with the given scheduling grain: ws-sets with fewer
-    /// than `grain` descriptors are solved inline rather than scheduled.
-    /// Tests over small random instances lower this so the scheduler is
+    /// Returns a copy with the given grain: ws-sets with fewer than
+    /// `grain` descriptors are solved by the sequential fold rather than
+    /// split. Tests over small random instances lower this so the split is
     /// actually exercised; production callers keep the default.
     pub fn with_grain(mut self, grain: usize) -> Self {
         self.grain = grain;
@@ -145,7 +144,7 @@ impl ParallelOptions {
         self.workers
     }
 
-    /// The scheduling grain (minimum descriptor count for a scheduled task).
+    /// The grain (minimum descriptor count of a ws-set that is split).
     pub fn grain(&self) -> usize {
         self.grain
     }
@@ -179,60 +178,52 @@ fn workers_from_spec(spec: Option<&str>) -> Result<usize> {
     }
 }
 
-/// Sentinel parent index for the root task.
-const ROOT: usize = usize::MAX;
+/// Where a subtree's probability goes: slot `.1` of split `.0`, or, for the
+/// root, the result.
+type Target = Option<(usize, usize)>;
 
-/// One unit of schedulable work: compute the probability of `set` and
-/// deliver it to slot `slot` of combine node `parent`.
-struct Task {
+/// A subtree of the top split that the calling thread has not expanded.
+struct Subtree {
     set: WsSet,
     depth: u64,
-    parent: usize,
-    slot: usize,
+    target: Target,
 }
 
-/// How a combine node folds its children: the arithmetic of the sequential
-/// `confidence_rec`, over one slot per child.
+/// How a split folds its children: the arithmetic of the sequential
+/// `confidence_rec`.
 enum CombineKind {
     /// ⊗: `1 − Π (1 − pᵢ)`, factors multiplied in part order.
-    Product {
-        /// One slot per part, filled as children resolve.
-        factors: Vec<Option<f64>>,
-    },
+    Product,
     /// ⊕: Neumaier sum of `wᵢ · pᵢ` over the terms of
-    /// [`for_each_choice_term`] — the list the sequential fold sums.
-    Sum {
-        /// Branch weights, in canonical branch order.
-        weights: Vec<f64>,
-        /// One slot per branch, filled as children resolve.
-        terms: Vec<Option<f64>>,
-    },
+    /// [`for_each_choice_term`] — the list the sequential fold sums — with
+    /// these weights, in term order.
+    Sum(Vec<f64>),
 }
 
-impl CombineKind {
-    fn set(&mut self, slot: usize, value: f64) {
-        let slots = match self {
-            CombineKind::Product { factors } => factors,
-            CombineKind::Sum { terms, .. } => terms,
-        };
-        debug_assert!(slots[slot].is_none(), "combine slot delivered twice");
-        slots[slot] = Some(value);
-    }
+/// An expanded node of the top of the ws-tree: one slot per child, where
+/// its own value goes, and the memo entry that value is owed to.
+struct Split {
+    kind: CombineKind,
+    slots: Vec<f64>,
+    target: Target,
+    entry: Option<PendingEntry>,
+}
 
+impl Split {
     /// Folds the filled slots exactly as the sequential fold would.
     fn combine(&self) -> f64 {
-        match self {
-            CombineKind::Product { factors } => {
+        match &self.kind {
+            CombineKind::Product => {
                 let mut complement = 1.0;
-                for factor in factors {
-                    complement *= 1.0 - factor.expect("combine node resolved unfilled");
+                for p in &self.slots {
+                    complement *= 1.0 - p;
                 }
                 1.0 - complement
             }
-            CombineKind::Sum { weights, terms } => {
+            CombineKind::Sum(weights) => {
                 let mut total = NeumaierSum::new();
-                for (weight, term) in weights.iter().zip(terms) {
-                    total.add(weight * term.expect("combine node resolved unfilled"));
+                for (weight, p) in weights.iter().zip(&self.slots) {
+                    total.add(weight * p);
                 }
                 total.value()
             }
@@ -240,323 +231,123 @@ impl CombineKind {
     }
 }
 
-/// An unresolved inner node of the (virtual) ws-tree: where its own value
-/// goes, how many children are still outstanding, and the pending cache
-/// entry to fill once resolved.
-struct CombineNode {
-    parent: usize,
-    slot: usize,
-    remaining: usize,
-    kind: CombineKind,
-    cache_entry: Option<PendingEntry>,
-}
-
-/// Slab of combine nodes with a free-list: resolved nodes are recycled,
-/// bounding the arena to the active frontier of the decomposition rather
-/// than its full node count.
-#[derive(Default)]
-struct Arena {
-    nodes: Vec<Option<CombineNode>>,
-    free: Vec<usize>,
-}
-
-impl Arena {
-    fn alloc(&mut self, node: CombineNode) -> usize {
-        match self.free.pop() {
-            Some(index) => {
-                self.nodes[index] = Some(node);
-                index
-            }
-            None => {
-                self.nodes.push(Some(node));
-                self.nodes.len() - 1
-            }
-        }
-    }
-
-    fn take(&mut self, index: usize) -> CombineNode {
-        let node = self.nodes[index].take().expect("live combine node");
-        self.free.push(index);
-        node
-    }
-}
-
-/// State shared by all workers of one parallel run.
-struct Shared<'a> {
-    queues: Vec<Mutex<VecDeque<Task>>>,
-    arena: Mutex<Arena>,
-    root: Mutex<Option<f64>>,
-    done: AtomicBool,
-    error: Mutex<Option<CoreError>>,
+/// The top of the ws-tree as the calling thread expanded it: the splits in
+/// creation order (a split always after its parent) and the root's value.
+struct TopSplit<'a> {
     cache: Option<&'a SharedDecompositionCache>,
-    grain: usize,
+    splits: Vec<Split>,
+    root: f64,
 }
 
-impl Shared<'_> {
-    /// Records the first error of the run and tells every worker to stop.
-    /// Poison-tolerant on purpose: this is the containment path a
-    /// panicking worker reports through, so it must stay usable even
-    /// after another worker died while holding the error lock (the slot
-    /// is a plain `Option` — there is no half-written state to observe).
-    fn record_error(&self, error: CoreError) {
-        let mut slot = self.error.lock().unwrap_or_else(PoisonError::into_inner);
-        if slot.is_none() {
-            *slot = Some(error);
-        }
-        self.done.store(true, Ordering::Release);
-    }
-}
-
-/// Renders a `catch_unwind` payload to text, best effort: `&str` and
-/// `String` payloads (what `panic!` produces) are returned verbatim,
-/// anything else is summarized.
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(message) = payload.downcast_ref::<&str>() {
-        (*message).to_string()
-    } else if let Some(message) = payload.downcast_ref::<String>() {
-        message.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Publishes `value` under `pending` (the memo entry of the set it was
-/// computed for, if one is owed), delivers it into `(parent, slot)` and
-/// walks resolutions up the arena: whichever worker fills a node's last
-/// slot folds it (in canonical order) and continues with the parent the
-/// same way. The walk is iterative, so deep ws-trees never deepen the stack.
-fn resolve(
-    shared: &Shared<'_>,
-    mut parent: usize,
-    mut slot: usize,
-    mut value: f64,
-    mut pending: Option<PendingEntry>,
-) {
-    loop {
-        if let (Some(cache), Some(entry)) = (shared.cache, pending) {
+impl TopSplit<'_> {
+    /// Publishes `value` under `entry` (the memo entry of the set it was
+    /// computed for, if one is owed) and stores it at `target`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a target names a split made before it and a slot below that split's child count"
+    )]
+    fn resolve(&mut self, target: Target, value: f64, entry: Option<PendingEntry>) {
+        if let (Some(cache), Some(entry)) = (self.cache, entry) {
             cache.insert(entry, value);
         }
-        if parent == ROOT {
-            *shared.root.lock().expect("root lock poisoned") = Some(value);
-            shared.done.store(true, Ordering::Release);
-            return;
+        match target {
+            None => self.root = value,
+            Some((split, slot)) => self.splits[split].slots[slot] = value,
         }
-        let finished = {
-            let mut arena = shared.arena.lock().expect("arena lock poisoned");
-            let node = arena.nodes[parent].as_mut().expect("live combine node");
-            node.kind.set(slot, value);
-            node.remaining -= 1;
-            if node.remaining > 0 {
-                return;
-            }
-            arena.take(parent)
-        };
-        value = finished.kind.combine();
-        pending = finished.cache_entry;
-        parent = finished.parent;
-        slot = finished.slot;
     }
-}
 
-/// Allocates the combine node for an expanded task and pushes its child
-/// tasks onto the expanding worker's own deque — in reverse slot order, so
-/// LIFO pops visit the children in the same depth-first canonical order as
-/// the sequential recursion (thieves take from the other end: the oldest,
-/// largest subtrees).
-fn spawn_children(
-    shared: &Shared<'_>,
-    worker: usize,
-    node: CombineNode,
-    children: Vec<WsSet>,
-    depth: u64,
-) {
-    debug_assert_eq!(node.remaining, children.len());
-    let index = shared
-        .arena
-        .lock()
-        .expect("arena lock poisoned")
-        .alloc(node);
-    let mut queue = shared.queues[worker].lock().expect("queue lock poisoned");
-    for (child_slot, set) in children.into_iter().enumerate().rev() {
-        queue.push_front(Task {
-            set,
-            depth: depth + 1,
-            parent: index,
-            slot: child_slot,
-        });
-    }
-}
-
-/// Executes one task: small sets, and singletons at any grain (they close
-/// in one product), are solved inline by the sequential fold (same cache
-/// interaction, same arithmetic); larger sets take one
-/// decomposition step, with the resulting subtrees scheduled as child
-/// tasks behind a combine node. The memo probe runs *before* the step,
-/// as in `confidence_rec` (both call `probe_memo`).
-fn run_task(
-    task: Task,
-    worker: usize,
-    shared: &Shared<'_>,
-    decomposer: &mut Decomposer<'_>,
-) -> Result<()> {
-    let Task {
-        set,
-        depth,
-        parent,
-        slot,
-    } = task;
-    if set.len() < shared.grain || set.len() == 1 {
-        let probability = confidence_rec(&set, decomposer, depth, shared.cache)?;
-        resolve(shared, parent, slot, probability, None);
-        return Ok(());
-    }
-    let pending =
-        match SharedDecompositionCache::probe_memo(shared.cache, &set, &mut decomposer.stats) {
-            Ok(probability) => {
-                resolve(shared, parent, slot, probability, None);
+    /// Takes one decomposition step on `subtree` — `probe_memo`, then
+    /// `Decomposer::step`, then for a ⊕ node `for_each_choice_term`, the
+    /// calls `confidence_rec` makes. A memo hit, `⊥` or `∅` resolves the
+    /// subtree; a ⊗ or ⊕ becomes a split whose children join `pending`.
+    fn expand(
+        &mut self,
+        subtree: Subtree,
+        decomposer: &mut Decomposer<'_>,
+        pending: &mut Vec<Subtree>,
+    ) -> Result<()> {
+        let Subtree { set, depth, target } = subtree;
+        let entry =
+            match SharedDecompositionCache::probe_memo(self.cache, &set, &mut decomposer.stats) {
+                Ok(probability) => {
+                    self.resolve(target, probability, None);
+                    return Ok(());
+                }
+                Err(entry) => entry,
+            };
+        let (kind, children) = match decomposer.step(&set, depth)? {
+            DecompositionStep::Empty => {
+                self.resolve(target, 0.0, entry);
                 return Ok(());
             }
-            Err(pending) => pending,
-        };
-    let (kind, children) = match decomposer.step(&set, depth)? {
-        DecompositionStep::Empty => {
-            resolve(shared, parent, slot, 0.0, pending);
-            return Ok(());
-        }
-        DecompositionStep::Universal => {
-            resolve(shared, parent, slot, 1.0, pending);
-            return Ok(());
-        }
-        DecompositionStep::Partition(parts) => {
-            let factors = vec![None; parts.len()];
-            (CombineKind::Product { factors }, parts)
-        }
-        DecompositionStep::Eliminate {
-            var,
-            branches,
-            missing_values,
-            tail,
-        } => {
-            let mut weights = Vec::with_capacity(branches.len() + 1);
-            let mut children = Vec::with_capacity(branches.len() + 1);
-            for_each_choice_term(
-                decomposer.table(),
+            DecompositionStep::Universal => {
+                self.resolve(target, 1.0, entry);
+                return Ok(());
+            }
+            DecompositionStep::Partition(parts) => (CombineKind::Product, parts),
+            DecompositionStep::Eliminate {
                 var,
                 branches,
-                &missing_values,
+                missing_values,
                 tail,
-                |weight, child| {
-                    weights.push(weight);
-                    children.push(child);
-                    Ok(())
-                },
-            )?;
-            let terms = vec![None; children.len()];
-            (CombineKind::Sum { weights, terms }, children)
-        }
-    };
-    if children.is_empty() {
-        // A ⊕ without a single term folds to the empty Neumaier sum.
-        resolve(shared, parent, slot, kind.combine(), pending);
-    } else {
-        let node = CombineNode {
-            parent,
-            slot,
-            remaining: children.len(),
-            kind,
-            cache_entry: pending,
-        };
-        spawn_children(shared, worker, node, children, depth);
-    }
-    Ok(())
-}
-
-/// Pops the worker's own newest task, or steals the oldest task of another
-/// worker's deque.
-fn next_task(shared: &Shared<'_>, worker: usize) -> Option<Task> {
-    if let Some(task) = shared.queues[worker]
-        .lock()
-        .expect("queue lock poisoned")
-        .pop_front()
-    {
-        return Some(task);
-    }
-    let queues = shared.queues.len();
-    for offset in 1..queues {
-        let victim = (worker + offset) % queues;
-        if let Some(task) = shared.queues[victim]
-            .lock()
-            .expect("queue lock poisoned")
-            .pop_back()
-        {
-            return Some(task);
-        }
-    }
-    None
-}
-
-/// Test-only fault injection: panics inside the next scheduled task when
-/// the tests have armed [`tests::INJECT_TASK_PANIC`] and the run uses the
-/// sentinel grain (so concurrently running tests never trip it).
-#[cfg(test)]
-fn maybe_inject_panic(grain: usize) {
-    if grain == tests::INJECTION_GRAIN && tests::INJECT_TASK_PANIC.swap(false, Ordering::SeqCst) {
-        panic!("injected task panic");
-    }
-}
-
-#[cfg(not(test))]
-fn maybe_inject_panic(_grain: usize) {}
-
-/// The worker main loop: drain tasks until the root resolves or a worker
-/// reports an error; idle workers yield between steal attempts.
-///
-/// Each iteration runs under `catch_unwind`: a panic anywhere in task
-/// execution (or in a steal attempt hitting a lock the panicking worker
-/// poisoned) is converted into [`CoreError::WorkerPanicked`] and recorded,
-/// which sets `done` and drains the scheduler. Without this containment a
-/// panicking worker would never set `done`, the surviving workers would
-/// spin forever, and `thread::scope` would deadlock the process.
-fn worker_loop(
-    worker: usize,
-    shared: &Shared<'_>,
-    table: &WorldTable,
-    options: DecompositionOptions,
-    nodes: &AtomicU64,
-) -> DecompositionStats {
-    let mut decomposer = Decomposer::with_shared_nodes(table, options, nodes);
-    while !shared.done.load(Ordering::Acquire) {
-        let step = catch_unwind(AssertUnwindSafe(|| {
-            maybe_inject_panic(shared.grain);
-            match next_task(shared, worker) {
-                Some(task) => {
-                    if let Err(error) = run_task(task, worker, shared, &mut decomposer) {
-                        shared.record_error(error);
-                    }
-                    true
-                }
-                None => false,
+            } => {
+                let mut weights = Vec::with_capacity(branches.len() + 1);
+                let mut children = Vec::with_capacity(branches.len() + 1);
+                for_each_choice_term(
+                    decomposer.table(),
+                    var,
+                    branches,
+                    &missing_values,
+                    tail,
+                    |weight, child| {
+                        weights.push(weight);
+                        children.push(child);
+                        Ok(())
+                    },
+                )?;
+                (CombineKind::Sum(weights), children)
             }
+        };
+        let split = self.splits.len();
+        self.splits.push(Split {
+            kind,
+            slots: vec![f64::NAN; children.len()],
+            target,
+            entry,
+        });
+        pending.extend(children.into_iter().enumerate().map(|(slot, set)| Subtree {
+            set,
+            depth: depth + 1,
+            target: Some((split, slot)),
         }));
-        match step {
-            Ok(true) => {}
-            Ok(false) => thread::yield_now(),
-            Err(payload) => shared.record_error(CoreError::WorkerPanicked {
-                message: panic_message(payload.as_ref()),
-            }),
-        }
+        Ok(())
     }
-    decomposer.stats
+
+    /// Folds the splits in reverse creation order, so that every child is
+    /// folded before its parent, and returns the root's value.
+    fn fold(mut self) -> f64 {
+        while let Some(split) = self.splits.pop() {
+            let value = split.combine();
+            self.resolve(split.target, value, split.entry);
+        }
+        self.root
+    }
 }
 
 /// The general exact-confidence entry point: the probability of `set` on
-/// `parallel.workers()` work-stealing worker threads through an optional
-/// shared decomposition cache, **bit-identical** to the sequential fold
+/// `parallel.workers()` worker threads through an optional shared
+/// decomposition cache, **bit-identical** to the sequential fold
 /// ([`crate::confidence()`]) for every worker count, with or without the
 /// cache (see the module documentation for the contract and the budget
-/// semantics). With one worker — or a set below the scheduling grain —
-/// this *is* the sequential fold. The `cache_hits` / `cache_misses`
-/// counters of the returned [`Confidence::stats`] report this run's reuse.
+/// semantics). With one worker — or a set below the grain — this *is* the
+/// sequential fold. The `cache_hits` / `cache_misses` counters of the
+/// returned [`Confidence::stats`] report this run's reuse.
+///
+/// At more than one worker, the calling thread expands the largest pending
+/// subtree that has at least `grain` descriptors and more than one, until
+/// there are `4 × workers` pending subtrees or none is left to expand; the
+/// pending subtrees then run as [`fan_out_indexed`] jobs, largest first,
+/// and the expanded splits fold children first.
 ///
 /// # Errors
 ///
@@ -564,6 +355,10 @@ fn worker_loop(
 /// and the run's total (cross-worker) node count exhausts it, and
 /// [`CoreError::CacheTableMismatch`] if `cache` was first used with a
 /// different world table.
+///
+/// # Panics
+///
+/// A panic inside a subtree job is re-raised with the job's own payload.
 pub fn confidence_parallel(
     set: &WsSet,
     table: &WorldTable,
@@ -577,54 +372,52 @@ pub fn confidence_parallel(
     if let Some(shared_cache) = cache {
         shared_cache.bind_table(table)?;
     }
-    let workers = parallel.workers();
     let nodes = AtomicU64::new(0);
-    let shared = Shared {
-        queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-        arena: Mutex::new(Arena::default()),
-        root: Mutex::new(None),
-        done: AtomicBool::new(false),
-        error: Mutex::new(None),
+    let mut decomposer = Decomposer::with_shared_nodes(table, *options, &nodes);
+    let mut top = TopSplit {
         cache,
-        grain: parallel.grain,
+        splits: Vec::new(),
+        root: f64::NAN,
     };
-    shared.queues[0]
-        .lock()
-        .expect("queue lock poisoned")
-        .push_front(Task {
-            set: set.clone(),
-            depth: 1,
-            parent: ROOT,
-            slot: 0,
-        });
-    // One job per worker index: a worker leaves its loop only once the run
-    // is done, so each pool thread claims exactly one index (an index left
-    // over after an early finish returns at once). Workers fill
-    // pre-assigned combine-node slots and the fold over the arena is by
-    // slot index, so completion order cannot reach the result bits.
-    let mut stats = DecompositionStats::default();
-    for worker_stats in fan_out_indexed(workers, workers, |worker| {
-        worker_loop(worker, &shared, table, *options, &nodes)
-    }) {
-        stats.absorb(&worker_stats);
+    let mut pending = vec![Subtree {
+        set: set.clone(),
+        depth: 1,
+        target: None,
+    }];
+    while pending.len() < SUBTREES_PER_WORKER * parallel.workers() {
+        let largest = pending
+            .iter()
+            .enumerate()
+            .filter(|(_, subtree)| subtree.set.len() >= parallel.grain.max(2))
+            .max_by_key(|(_, subtree)| subtree.set.len());
+        let Some((index, _)) = largest else {
+            break;
+        };
+        let subtree = pending.swap_remove(index);
+        top.expand(subtree, &mut decomposer, &mut pending)?;
     }
-    // Poison-tolerant like `record_error`: the error slot must stay
-    // readable even if the recording worker died while holding it.
-    if let Some(error) = shared
-        .error
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .take()
-    {
-        return Err(error);
+    // Largest first, so the small subtrees fill the workers' tails. Each
+    // job's value lands in its own split slot, and the fold reads the slots
+    // in child order, so neither job nor completion order reaches the bits.
+    pending.sort_by_key(|subtree| Reverse(subtree.set.len()));
+    let solved = fan_out_indexed(pending.len(), parallel.workers(), |index| {
+        #[cfg(test)]
+        tests::maybe_inject_panic(parallel.grain);
+        let subtree = pending.get(index)?;
+        let mut job = Decomposer::with_shared_nodes(table, *options, &nodes);
+        let probability = confidence_rec(&subtree.set, &mut job, subtree.depth, cache);
+        Some((subtree.target, probability.map(|p| (p, job.stats))))
+    });
+    let mut stats = decomposer.stats;
+    for (target, solved) in solved.into_iter().flatten() {
+        let (probability, job_stats) = solved?;
+        stats.absorb(&job_stats);
+        top.resolve(target, probability, None);
     }
-    let probability = shared
-        .root
-        .lock()
-        .expect("root lock poisoned")
-        .take()
-        .expect("finished parallel run must resolve the root");
-    Ok(Confidence { probability, stats })
+    Ok(Confidence {
+        probability: top.fold(),
+        stats,
+    })
 }
 
 #[cfg(test)]
@@ -632,13 +425,22 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicBool, Ordering};
     use uprob_wsd::{ValueIndex, VarId, WsDescriptor};
 
-    /// Arms [`maybe_inject_panic`]: the next task of a run whose grain is
+    /// Arms [`maybe_inject_panic`]: the next job of a run whose grain is
     /// [`INJECTION_GRAIN`] panics. The sentinel grain keeps concurrently
-    /// running tests (which use grains 0 and 2) from consuming the flag.
-    pub(super) static INJECT_TASK_PANIC: AtomicBool = AtomicBool::new(false);
-    pub(super) const INJECTION_GRAIN: usize = 3;
+    /// running tests (which use grains 0, 2 and 16) from consuming the flag.
+    static INJECT_TASK_PANIC: AtomicBool = AtomicBool::new(false);
+    const INJECTION_GRAIN: usize = 3;
+
+    /// Fault injection, called at the start of every subtree job.
+    pub(super) fn maybe_inject_panic(grain: usize) {
+        if grain == INJECTION_GRAIN && INJECT_TASK_PANIC.swap(false, Ordering::SeqCst) {
+            panic!("injected task panic");
+        }
+    }
 
     /// The world table and ws-set S of Figure 3 (P(S) = 0.7578).
     fn figure3() -> (WorldTable, WsSet) {
@@ -660,7 +462,7 @@ mod tests {
         (w, s)
     }
 
-    /// A seeded random instance large enough to exercise the scheduler.
+    /// A seeded random instance large enough to exercise the top split.
     fn random_instance(seed: u64) -> (WorldTable, WsSet) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut w = WorldTable::new();
@@ -827,12 +629,100 @@ mod tests {
         }
     }
 
+    /// An instance shaped for the top split, over weights that make every
+    /// slot matter: a root ⊗ whose parts (20, 5 and 1 descriptors)
+    /// straddle each tested grain; in the 20-descriptor part, a ⊕ on `h`
+    /// whose `h = 0` branch holds 18 descriptors, a chain that splits again
+    /// further down while its siblings stop one level up; and that branch
+    /// as a set of its own, to warm a cache with.
+    fn top_split_instance() -> (WorldTable, WsSet, WsSet) {
+        let mut w = WorldTable::new();
+        let h = w
+            .add_variable("h", &[(0, 0.5), (1, 0.2), (2, 0.3)])
+            .unwrap();
+        let a: Vec<VarId> = (0..19)
+            .map(|i| {
+                w.add_variable(&format!("a{i}"), &[(0, 0.35), (1, 0.65)])
+                    .unwrap()
+            })
+            .collect();
+        let b0 = w.add_variable("b0", &[(0, 0.6), (1, 0.4)]).unwrap();
+        let b1 = w.add_variable("b1", &[(0, 0.15), (1, 0.85)]).unwrap();
+        let c: Vec<VarId> = (0..3)
+            .map(|i| {
+                w.add_variable(&format!("c{i}"), &[(0, 0.1), (1, 0.3), (2, 0.6)])
+                    .unwrap()
+            })
+            .collect();
+        let d = w.add_variable("d", &[(0, 0.45), (1, 0.55)]).unwrap();
+        let descriptor = |pairs: &[(VarId, i64)]| WsDescriptor::from_pairs(&w, pairs).unwrap();
+        let branch: WsSet = a
+            .windows(2)
+            .map(|pair| descriptor(&[(pair[0], 1), (pair[1], 0)]))
+            .collect();
+        let mut set: WsSet = a
+            .windows(2)
+            .map(|pair| descriptor(&[(h, 0), (pair[0], 1), (pair[1], 0)]))
+            .collect();
+        for pairs in [
+            &[(h, 1), (b0, 1)][..],
+            &[(h, 2), (b1, 1)],
+            &[(c[0], 0), (c[1], 1)],
+            &[(c[0], 1), (c[2], 2)],
+            &[(c[1], 2), (c[2], 0)],
+            &[(c[0], 2), (c[1], 0)],
+            &[(c[2], 1)],
+            &[(d, 1)],
+        ] {
+            set.push(descriptor(pairs));
+        }
+        (w, set, branch)
+    }
+
+    #[test]
+    fn the_top_split_folds_like_the_sequential_fold() {
+        let (w, set, branch) = top_split_instance();
+        for options in [
+            DecompositionOptions::indve_minlog(),
+            DecompositionOptions::indve_minmax(),
+        ] {
+            let sequential = confidence_with_cache(&set, &w, &options, None).unwrap();
+            for workers in [2, 3, 8] {
+                for grain in [0, 2, 16] {
+                    let context = format!("{options:?}, {workers} workers, grain {grain}");
+                    let parallel = ParallelOptions::new(workers).with_grain(grain);
+                    let got = confidence_parallel(&set, &w, &options, &parallel, None).unwrap();
+                    assert_eq!(
+                        got.probability.to_bits(),
+                        sequential.probability.to_bits(),
+                        "{context}: {} vs {}",
+                        got.probability,
+                        sequential.probability
+                    );
+                    assert_eq!(got.stats, sequential.stats, "{context}");
+                    // A cache warmed by the `h = 0` branch answers that
+                    // branch while the top is being split.
+                    let cache = SharedDecompositionCache::new();
+                    confidence_with_cache(&branch, &w, &options, Some(&cache)).unwrap();
+                    let warm =
+                        confidence_parallel(&set, &w, &options, &parallel, Some(&cache)).unwrap();
+                    assert_eq!(
+                        warm.probability.to_bits(),
+                        sequential.probability.to_bits(),
+                        "{context}, warm cache"
+                    );
+                    assert!(warm.stats.cache_hits >= 1, "{context}, warm cache");
+                }
+            }
+        }
+    }
+
     #[test]
     fn trivial_sets_and_single_worker_degenerate_to_sequential() {
         let (w, s) = figure3();
         let options = DecompositionOptions::indve_minlog();
         let sequential = confidence_with_cache(&s, &w, &options, None).unwrap();
-        // One worker: the scheduler is bypassed entirely.
+        // One worker: nothing is split.
         let one =
             confidence_parallel(&s, &w, &options, &ParallelOptions::sequential(), None).unwrap();
         assert_eq!(one.probability.to_bits(), sequential.probability.to_bits());
@@ -843,7 +733,7 @@ mod tests {
             small.probability.to_bits(),
             sequential.probability.to_bits()
         );
-        // Empty and universal sets under the scheduler-less path.
+        // Empty and universal sets, resolved by the split's first step.
         let parallel = ParallelOptions::new(4).with_grain(0);
         assert_eq!(
             confidence_parallel(&WsSet::empty(), &w, &options, &parallel, None)
@@ -876,19 +766,21 @@ mod tests {
         let options = DecompositionOptions::indve_minlog();
         let parallel = ParallelOptions::new(4).with_grain(INJECTION_GRAIN);
         INJECT_TASK_PANIC.store(true, Ordering::SeqCst);
-        let err = confidence_parallel(&s, &w, &options, &parallel, None).unwrap_err();
-        match err {
-            CoreError::WorkerPanicked { ref message } => {
-                assert!(message.contains("injected"), "unexpected payload: {err}");
-            }
-            other => panic!("expected WorkerPanicked, got {other:?}"),
-        }
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            confidence_parallel(&s, &w, &options, &parallel, None)
+        }))
+        .expect_err("the injected job panics");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"injected task panic"),
+            "the job's own payload reaches the caller"
+        );
         assert!(
             !INJECT_TASK_PANIC.load(Ordering::SeqCst),
             "the injection must have been consumed"
         );
-        // Containment: the failed run owned the panic; the same call made
-        // afterwards (fresh scheduler state) succeeds bit-identically.
+        // The failed run owned the panic; the same call made afterwards
+        // succeeds bit-identically.
         let sequential = confidence_with_cache(&s, &w, &options, None).unwrap();
         let got = confidence_parallel(&s, &w, &options, &parallel, None).unwrap();
         assert_eq!(got.probability.to_bits(), sequential.probability.to_bits());
@@ -901,19 +793,6 @@ mod tests {
         let first = ParallelOptions::from_env();
         let second = ParallelOptions::from_env();
         assert_eq!(first, second);
-    }
-
-    #[test]
-    fn panic_message_renders_common_payloads() {
-        let static_payload: Box<dyn std::any::Any + Send> = Box::new("boom");
-        assert_eq!(panic_message(static_payload.as_ref()), "boom");
-        let string_payload: Box<dyn std::any::Any + Send> = Box::new(String::from("formatted"));
-        assert_eq!(panic_message(string_payload.as_ref()), "formatted");
-        let odd_payload: Box<dyn std::any::Any + Send> = Box::new(7u32);
-        assert_eq!(
-            panic_message(odd_payload.as_ref()),
-            "non-string panic payload"
-        );
     }
 
     #[test]

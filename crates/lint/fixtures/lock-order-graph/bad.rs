@@ -1,19 +1,21 @@
 //! Fixture: locks acquired against the declared order, nested in one body
 //! (a path of zero calls) or only across functions (further down).
-//! Checked under the virtual path of the scheduler, whose declared order
-//! is `queues` before `arena` before `root` before `error`.
+//! Checked under the virtual path of the serving layer, whose declared
+//! order is `writer` before `prior` before `plans` before `inflight`
+//! before `slot` before `current`.
 
-impl Shared {
+impl Service {
     pub fn backwards(&self) {
-        let arena = self.arena.lock();
-        let queues = self.queues.lock(); //~ lock-order-graph
-        drop(queues);
-        drop(arena);
+        // A poison-tolerant guard is a named guard like any other.
+        let plans = self.plans.lock().unwrap_or_else(PoisonError::into_inner);
+        let writer = self.writer.lock(); //~ lock-order-graph
+        drop(writer);
+        drop(plans);
     }
 
     pub fn reentrant(&self) {
-        let first = self.root.lock();
-        let second = self.root.lock(); //~ lock-order-graph
+        let first = self.inflight.lock();
+        let second = self.inflight.lock(); //~ lock-order-graph
         drop(second);
         drop(first);
     }
@@ -21,40 +23,40 @@ impl Shared {
     // Inversions that only exist *across* functions: each body below is
     // locally clean, and only the call graph connects the guard to the
     // acquisition. The two-lock deadlock cycle: `forward_path` holds
-    // `queues` while its callee takes `arena` (legal, forward through the
-    // order), and `backward_path` holds `arena` while its callee takes
-    // `queues` (flagged — two threads running these concurrently deadlock).
+    // `writer` while its callee takes `plans` (legal, forward through the
+    // order), and `backward_path` holds `plans` while its callee takes
+    // `writer` (flagged — two threads running these concurrently deadlock).
 
     pub fn forward_path(&self) {
-        let queues = self.queues.lock();
-        self.take_arena();
-        drop(queues);
+        let writer = self.writer.lock();
+        self.take_plans();
+        drop(writer);
     }
 
     pub fn backward_path(&self) {
-        let arena = self.arena.lock();
-        self.take_queues(); //~ lock-order-graph
-        drop(arena);
+        let plans = self.plans.lock();
+        self.take_writer(); //~ lock-order-graph
+        drop(plans);
     }
 
     pub fn reentrant_path(&self) {
-        let root = self.root.lock();
-        self.take_root_again(); //~ lock-order-graph
-        drop(root);
+        let inflight = self.inflight.lock();
+        self.take_inflight_again(); //~ lock-order-graph
+        drop(inflight);
     }
 
-    pub fn take_arena(&self) {
-        let arena = self.arena.lock();
-        drop(arena);
+    pub fn take_plans(&self) {
+        let plans = self.plans.lock();
+        drop(plans);
     }
 
-    pub fn take_queues(&self) {
-        let queues = self.queues.lock();
-        drop(queues);
+    pub fn take_writer(&self) {
+        let writer = self.writer.lock();
+        drop(writer);
     }
 
-    pub fn take_root_again(&self) {
-        let root = self.root.lock();
-        drop(root);
+    pub fn take_inflight_again(&self) {
+        let inflight = self.inflight.lock();
+        drop(inflight);
     }
 }

@@ -1,53 +1,53 @@
 //! Fixture: lock usage — nested in one body and across functions — that
-//! respects the declared order `queues` before `arena` before `root`
-//! before `error`, never nests, or drops the outer guard before calling
-//! down.
+//! respects the serving layer's declared order (`writer` before `plans`
+//! before `inflight` before `slot`), never nests, or drops the outer guard
+//! before calling down.
 
-impl Shared {
+impl Service {
     pub fn in_order(&self) {
-        let queues = self.queues.lock();
-        let arena = self.arena.lock();
-        drop(arena);
-        drop(queues);
+        let writer = self.writer.lock();
+        let plans = self.plans.lock();
+        drop(plans);
+        drop(writer);
     }
 
     pub fn disjoint(&self) {
         {
-            let queues = self.queues.lock();
-            drop(queues);
+            let writer = self.writer.lock();
+            drop(writer);
         }
         {
-            let arena = self.arena.lock();
-            drop(arena);
+            let plans = self.plans.lock();
+            drop(plans);
         }
     }
 
     pub fn forward_path(&self) {
-        let queues = self.queues.lock();
-        self.take_arena();
-        drop(queues);
+        let writer = self.writer.lock();
+        self.take_plans();
+        drop(writer);
     }
 
     pub fn drop_before_call(&self) {
         {
-            let arena = self.arena.lock();
-            drop(arena);
+            let plans = self.plans.lock();
+            drop(plans);
         }
-        self.take_queues();
+        self.take_writer();
     }
 
     pub fn sequential_not_nested(&self) {
-        self.take_arena();
-        self.take_queues();
+        self.take_plans();
+        self.take_writer();
     }
 
-    pub fn take_arena(&self) {
-        let arena = self.arena.lock();
-        drop(arena);
+    pub fn take_plans(&self) {
+        let plans = self.plans.lock();
+        drop(plans);
     }
 
-    pub fn take_queues(&self) {
-        let queues = self.queues.lock();
-        drop(queues);
+    pub fn take_writer(&self) {
+        let writer = self.writer.lock();
+        drop(writer);
     }
 }

@@ -1,6 +1,6 @@
 //! Fixture: a mutex acquired that the file's declared order never lists.
 
-impl Shared {
+impl Service {
     pub fn surprise(&self) {
         let stats = self.stats.lock(); //~ lock-undeclared
         drop(stats);

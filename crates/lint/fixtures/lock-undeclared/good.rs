@@ -1,10 +1,10 @@
 //! Fixture: only declared locks are acquired.
 
-impl Shared {
+impl Service {
     pub fn declared(&self) {
-        let queues = self.queues.lock();
-        drop(queues);
-        let root = self.root.lock();
-        drop(root);
+        let writer = self.writer.lock();
+        drop(writer);
+        let inflight = self.inflight.lock();
+        drop(inflight);
     }
 }

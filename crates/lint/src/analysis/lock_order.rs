@@ -399,16 +399,17 @@ fn skip_parens(bytes: &[u8], open: usize) -> usize {
 /// Models the guard scope of the `method` (`.lock`, `.read`, `.write`)
 /// call at `call`, returning `(scope end, named guard)`:
 ///
-/// * a `let guard = ..lock()[.expect(..)];` binding lives to the end of
-///   its enclosing block;
+/// * a `let guard = ..lock()[.expect(..) | .unwrap_or_else(..)];` binding
+///   lives to the end of its enclosing block;
 /// * any other use is a temporary living to the end of its statement — and
 ///   when the statement flows into a block before reaching `;` (if-let /
 ///   while-let / match scrutinees), to the end of that block (the Rust
 ///   2021 temporary-scope extension).
 fn guard_scope(text: &str, call: usize, method: &str, blocks: &[(usize, usize)]) -> (usize, bool) {
     let bytes = text.as_bytes();
-    // Where does the lock expression's chain end? Skip `.expect(..)` and
-    // `.unwrap()` which forward the guard.
+    // Where does the lock expression's chain end? Skip `.expect(..)`,
+    // `.unwrap()` and the poison-tolerant `.unwrap_or_else(..)`, which
+    // forward the guard.
     let mut i = skip_parens(bytes, call + method.len());
     loop {
         // rustfmt splits long chains across lines: skip whitespace before
@@ -418,6 +419,8 @@ fn guard_scope(text: &str, call: usize, method: &str, blocks: &[(usize, usize)])
             i = skip_parens(bytes, next + ".expect".len());
         } else if text[next..].starts_with(".unwrap(") {
             i = skip_parens(bytes, next + ".unwrap".len());
+        } else if text[next..].starts_with(".unwrap_or_else(") {
+            i = skip_parens(bytes, next + ".unwrap_or_else".len());
         } else {
             i = next;
             break;

@@ -70,10 +70,6 @@ impl Default for LintConfig {
             numeric_exempt: &["crates/wsd/src/numeric.rs"],
             lock_manifests: &[
                 LockManifest {
-                    file: "crates/core/src/parallel.rs",
-                    order: &["queues", "arena", "root", "error"],
-                },
-                LockManifest {
                     file: "crates/core/src/cache.rs",
                     order: &["shards"],
                 },
@@ -175,10 +171,11 @@ mod tests {
     }
 
     #[test]
-    fn lock_manifests_cover_the_scheduler_and_the_cache() {
+    fn lock_manifests_cover_the_cache_and_the_service() {
         let config = LintConfig::default();
-        let scheduler = config.lock_manifest("crates/core/src/parallel.rs").unwrap();
-        assert_eq!(scheduler.order, ["queues", "arena", "root", "error"]);
+        assert!(config
+            .lock_manifest("crates/core/src/parallel.rs")
+            .is_none());
         assert!(config.lock_manifest("crates/core/src/cache.rs").is_some());
         assert!(config.lock_manifest("crates/core/src/engine.rs").is_none());
         let service = config.lock_manifest("crates/query/src/service.rs").unwrap();

@@ -3,8 +3,8 @@
 //! The paper reproduction rests on contracts no type system checks for
 //! us: determinism (parallel ≡ sequential bit-for-bit, results a pure
 //! function of the database), the Neumaier numeric policy, panic hygiene
-//! in library code, and deadlock-free lock ordering in the scheduler,
-//! cache and serving layer. The ones a single expression can violate —
+//! in library code, and deadlock-free lock ordering in the cache and the
+//! serving layer. The ones a single expression can violate —
 //! a panic, an unchecked index, a std hasher, a clock read — are stock
 //! clippy lints, switched on by the gate line at the top of each gated
 //! crate's `lib.rs` (this one included) with the workspace `clippy.toml`.

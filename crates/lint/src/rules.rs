@@ -105,14 +105,12 @@ exempt.",
         family: "locks",
         summary: "lock acquired — in the same body or through calls — against the declared order",
         explanation: "\
-The work-stealing scheduler (crates/core/src/parallel.rs) holds several \
-mutexes: per-worker deques, the combine-node arena, the root slot and the \
-error slot; the decomposition cache holds its shard array; the serving \
-layer its writer/plan/admission locks. Deadlock freedom rests on a total \
+The decomposition cache holds its shard array; the serving layer its \
+writer/plan/admission locks. Deadlock freedom rests on a total \
 acquisition order, declared per file in crates/lint/src/config.rs:
 
-    crates/core/src/parallel.rs: queues < arena < root < error
-    crates/core/src/cache.rs:    shards (never nested with itself)
+    crates/core/src/cache.rs:     shards (never nested with itself)
+    crates/query/src/service.rs:  writer < prior < plans < inflight < slot < current
 
 The analysis extracts every .lock() (and empty-argument RwLock \
 .read()/.write()) site, models guard lifetimes (a `let` guard lives to the \

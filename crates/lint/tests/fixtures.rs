@@ -2,8 +2,8 @@
 //! pinned line-by-line with `//~ <rule>` markers (`//~v <rule>` pins the
 //! following line), and a `good.rs` fixture that must come out clean. The
 //! fixtures are checked under a *virtual* product path so every family
-//! applies; lock fixtures borrow the scheduler's path so the default lock
-//! manifest governs them.
+//! applies; lock fixtures borrow the serving layer's path so its default
+//! lock manifest governs them.
 //!
 //! A second set of tests runs the actual `uprob-lint` binary against
 //! throwaway mini-workspaces to pin the exit-code contract: nonzero on a
@@ -17,10 +17,10 @@ use std::process::Command;
 use uprob_lint::{check_file, LintConfig, SourceFile};
 
 /// The virtual workspace-relative path a fixture is checked under. Lock
-/// fixtures reuse the scheduler's path so its declared order applies.
+/// fixtures reuse the serving layer's path so its declared order applies.
 fn virtual_path(rule: &str) -> &'static str {
     match rule {
-        "lock-undeclared" | "lock-order-graph" => "crates/core/src/parallel.rs",
+        "lock-undeclared" | "lock-order-graph" => "crates/query/src/service.rs",
         _ => "crates/core/src/fixture.rs",
     }
 }

@@ -605,7 +605,7 @@ mod tests {
         for projection in [&["SSN"][..], &["NAME"][..], &["SSN", "NAME"][..]] {
             let answer = db.query(&Plan::scan("R").project(projection)).unwrap();
             let reference = exact_batch(&answer, &db, 1);
-            // A tiny grain forces the scheduler onto these small sets; both
+            // A tiny grain forces the top split onto these small sets; both
             // the wide (tuple fan-out) and narrow (parallel decomposition)
             // régimes must reproduce the reference bits.
             for workers in [1, 2, 4, 8] {

@@ -86,9 +86,10 @@
 //! Every service entry point runs the request under
 //! [`std::panic::catch_unwind`]: a panicking request fails with
 //! [`QueryError::RequestPanicked`] instead of unwinding into the caller,
-//! and the locks it may have poisoned (the scheduler's and the cache's are
-//! poison-tolerant, as are the service's own) stay usable, so subsequent
-//! requests succeed.
+//! and the locks it may have poisoned (the cache's are poison-tolerant, as
+//! are the service's own) stay usable, so subsequent requests succeed. A
+//! panic in a parallel job reaches the service with the job's own payload,
+//! so the error names what actually panicked.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -96,8 +97,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 
 use uprob_core::{
-    panic_message, CacheStats, ConditioningOptions, DecompositionOptions, DecompositionStats,
-    InheritOutcome, ParallelOptions, SharedDecompositionCache,
+    CacheStats, ConditioningOptions, DecompositionOptions, DecompositionStats, InheritOutcome,
+    ParallelOptions, SharedDecompositionCache,
 };
 use uprob_urel::{execute_plan, optimize_plan, DeltaBuilder, DeltaReport, Plan, ProbDb, URelation};
 use uprob_wsd::{FxHashMap, VarId, WorldTable};
@@ -936,6 +937,19 @@ impl ProbDbService {
     }
 }
 
+/// Renders a `catch_unwind` payload to text, best effort: `&str` and
+/// `String` payloads (what `panic!` produces) are returned verbatim,
+/// anything else is summarized.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(message) = payload.downcast_ref::<&str>() {
+        (*message).to_string()
+    } else if let Some(message) = payload.downcast_ref::<String>() {
+        message.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1115,6 +1129,19 @@ mod tests {
         let stats = service.stats();
         assert_eq!(stats.contained_panics, 1);
         assert!(stats.requests >= 2);
+    }
+
+    #[test]
+    fn panic_message_renders_common_payloads() {
+        let static_payload: Box<dyn std::any::Any + Send> = Box::new("boom");
+        assert_eq!(panic_message(static_payload.as_ref()), "boom");
+        let string_payload: Box<dyn std::any::Any + Send> = Box::new(String::from("formatted"));
+        assert_eq!(panic_message(string_payload.as_ref()), "formatted");
+        let odd_payload: Box<dyn std::any::Any + Send> = Box::new(7u32);
+        assert_eq!(
+            panic_message(odd_payload.as_ref()),
+            "non-string panic payload"
+        );
     }
 
     /// The SSN database plus an independent relation T over its own

@@ -3,7 +3,7 @@
 //! algorithm must agree with the brute-force world-enumeration oracle —
 //! the (cached and uncached) decomposition fold under all heuristics,
 //! ws-descriptor elimination (WE), and the Karp–Luby estimator within its
-//! sampling tolerance — with the work-stealing parallel fold and parallel
+//! sampling tolerance — with the parallel fold and parallel
 //! WE additionally pinned **bit-identical** to their sequential forms
 //! under the worker count the CI matrix routes through `UPROB_WORKERS`. Conditioned confidence `P(Q | C)` is cross-checked
 //! the same way between the exact ratio, the engine strategies and the
@@ -72,11 +72,11 @@ proptest! {
             );
         }
 
-        // The work-stealing parallel fold under the worker count the CI
+        // The parallel fold under the worker count the CI
         // determinism matrix routes through `UPROB_WORKERS` (the available
         // parallelism when unset): **bit-identical** to the sequential
         // fold, not merely within tolerance. The tiny grain forces the
-        // scheduler onto these small instances.
+        // top split onto these small instances.
         let parallel = ParallelOptions::from_env()
             .expect("CI sets a well-formed UPROB_WORKERS")
             .with_grain(2);

@@ -127,7 +127,7 @@ fn figure3_through_all_three_strategies() {
 fn golden_values_are_bit_identical_under_the_ci_worker_matrix() {
     // The worker count the CI `parallel-determinism` matrix routes through
     // `UPROB_WORKERS` (the available parallelism when unset), with a tiny
-    // grain so the scheduler is exercised on these small fixtures.
+    // grain so the top split is exercised on these small fixtures.
     let parallel = ParallelOptions::from_env()
         .expect("CI sets a well-formed UPROB_WORKERS")
         .with_grain(2);

@@ -1,6 +1,7 @@
 //! Parallel-equivalence harness: the **bit-identity contract** of the
-//! work-stealing parallel decomposition, property-tested over the same
-//! random instance recipes as the differential suites.
+//! parallel decomposition (the top of the ws-tree split on the calling
+//! thread, its subtrees run as indexed jobs), property-tested over the
+//! same random instance recipes as the differential suites.
 //!
 //! For every generated instance and every worker count, the parallel paths
 //! must reproduce the sequential results **bit for bit** — not merely
@@ -48,7 +49,7 @@ fn worker_counts() -> Vec<usize> {
     counts
 }
 
-/// A tiny grain forces the scheduler onto these deliberately small
+/// A tiny grain forces the top split onto these deliberately small
 /// instances instead of the sequential small-set shortcut.
 fn parallel_options(workers: usize) -> ParallelOptions {
     ParallelOptions::new(workers).with_grain(2)
@@ -266,7 +267,7 @@ proptest! {
 /// The ⊕-term rule on one deterministic instance that mixes its special
 /// cases: `x -> 1` occurs in the set but has probability zero (no term),
 /// `x -> 4` never occurs and `T = {d4, d5}` is non-empty (the tail term,
-/// last). The scheduler and the fold take their terms from the same list,
+/// last). The top split and the fold take their terms from the same list,
 /// so bits and — where no memo hit can reorder the work — counters agree
 /// at every worker count, cache off and on.
 #[test]
