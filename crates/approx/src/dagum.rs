@@ -82,7 +82,7 @@ pub fn optimal_monte_carlo(
 ///
 /// Fails if ε or δ are invalid.
 pub fn optimal_monte_carlo_prepared(
-    estimator: &KarpLuby<'_>,
+    estimator: &KarpLuby,
     options: &ApproximationOptions,
     workers: usize,
 ) -> Result<StoppingRuleResult> {

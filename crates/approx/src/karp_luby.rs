@@ -19,8 +19,8 @@ use crate::sampler::SetSampler;
 use crate::{ApproximationOptions, Result};
 
 /// A prepared Karp–Luby estimator for one ws-set.
-pub struct KarpLuby<'a> {
-    sampler: SetSampler<'a>,
+pub struct KarpLuby {
+    sampler: SetSampler,
 }
 
 /// Result of an (ε, δ) estimation run.
@@ -32,14 +32,14 @@ pub struct KarpLubyResult {
     pub iterations: u64,
 }
 
-impl<'a> KarpLuby<'a> {
-    /// Prepares the estimator (computes descriptor weights and the sampling
-    /// tables).
+impl KarpLuby {
+    /// Prepares the estimator (computes descriptor weights, the sampling
+    /// tables and the coverage index).
     ///
     /// # Errors
     ///
     /// Fails if the set refers to variables unknown to `table`.
-    pub fn new(set: &WsSet, table: &'a WorldTable) -> Result<Self> {
+    pub fn new(set: &WsSet, table: &WorldTable) -> Result<Self> {
         Ok(KarpLuby {
             sampler: SetSampler::new(set, table)?,
         })
@@ -56,13 +56,15 @@ impl<'a> KarpLuby<'a> {
     }
 
     /// A scratch world vector of the right length for [`KarpLuby::sample`].
-    pub fn scratch(&self) -> Vec<uprob_wsd::ValueIndex> {
+    pub(crate) fn scratch(&self) -> Vec<uprob_wsd::ValueIndex> {
         self.sampler.scratch()
     }
 
     /// Draws one sample of the `[0, 1]`-valued estimator variable `Z`
-    /// (so that `E[M · Z]` is the confidence).
-    pub fn sample(&self, rng: &mut StdRng, world: &mut [uprob_wsd::ValueIndex]) -> f64 {
+    /// (so that `E[M · Z]` is the confidence). Callers short-circuit an
+    /// empty set first ([`KarpLuby::degenerate`]): it has no descriptor to
+    /// draw.
+    pub(crate) fn sample(&self, rng: &mut StdRng, world: &mut [uprob_wsd::ValueIndex]) -> f64 {
         let descriptor = self.sampler.sample_descriptor(rng);
         self.sampler
             .sample_world_given_descriptor(descriptor, rng, world);
@@ -96,7 +98,7 @@ impl<'a> KarpLuby<'a> {
     /// `options.rng_for_stream(stream_base + s)`. The result is a pure
     /// function of `(options.seed, stream_base, iterations)` — it does not
     /// depend on the worker count.
-    pub fn sample_sum_streams(
+    pub(crate) fn sample_sum_streams(
         &self,
         iterations: u64,
         options: &ApproximationOptions,

@@ -58,7 +58,7 @@ pub mod error;
 pub mod karp_luby;
 pub mod parallel;
 pub mod pool;
-pub mod sampler;
+mod sampler;
 
 pub use conditioned::{conditioned_monte_carlo, ConditionedEstimate};
 pub use dagum::{optimal_monte_carlo, optimal_monte_carlo_prepared, StoppingRuleResult};

@@ -4,6 +4,8 @@
 //! scenario: a `Hybrid` batch on a `#P`-hard datagen instance that exact
 //! computation aborts on (BudgetExceeded) must complete via sampling, and
 //! must land within the requested ε on a brute-forceable downscaled twin.
+//! The sampled bits of both Karp–Luby entry points are pinned literally on a
+//! downscaled intractable shape.
 
 use uprob::datagen::{
     q1_answer_relation, q1_plan, HardInstance, HardInstanceConfig, TpchConfig, TpchDatabase,
@@ -693,6 +695,47 @@ fn hybrid_fallback_lands_within_epsilon_on_the_downscaled_twin() {
         "boolean {} vs brute force {boolean_reference}",
         hybrid.boolean.probability
     );
+}
+
+#[test]
+fn karp_luby_bits_are_pinned_on_a_downscaled_intractable_shape() {
+    // The hybrid fallback's shape (r = 4, s = 4, w = 10n) at a fifth of its
+    // size. A change to the RNG words a trial draws, or to which descriptors
+    // count as covering its world, moves these bits and iteration counts;
+    // the worker count never does.
+    let instance = HardInstance::generate(HardInstanceConfig {
+        num_variables: 20,
+        alternatives: 4,
+        descriptor_length: 4,
+        num_descriptors: 200,
+        seed: 2008,
+    });
+    let (set, table) = (&instance.ws_set, &instance.world_table);
+    let adaptive = ApproximationOptions::default()
+        .with_epsilon(0.02)
+        .with_seed(2008);
+    let bounded = ApproximationOptions::default()
+        .with_epsilon(0.2)
+        .with_delta(0.05)
+        .with_seed(7);
+    for workers in [1, 2] {
+        let run = optimal_monte_carlo(set, table, &adaptive, workers).unwrap();
+        assert_eq!(
+            (
+                run.estimate.to_bits(),
+                run.stopping_iterations,
+                run.refinement_iterations
+            ),
+            (0x3fe1_1d09_2209_21a4, 1_507, 26_551),
+            "optimal_monte_carlo at {workers} workers: {run:?}"
+        );
+        let run = karp_luby_epsilon_delta(set, table, &bounded, workers).unwrap();
+        assert_eq!(
+            (run.estimate.to_bits(), run.iterations),
+            (0x3fe1_4c6a_9060_ab7e, 73_778),
+            "karp_luby_epsilon_delta at {workers} workers: {run:?}"
+        );
+    }
 }
 
 #[test]
