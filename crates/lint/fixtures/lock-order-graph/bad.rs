@@ -1,8 +1,7 @@
 //! Fixture: locks acquired against the declared order, nested in one body
 //! (a path of zero calls) or only across functions (further down).
 //! Checked under the virtual path of the serving layer, whose declared
-//! order is `writer` before `prior` before `plans` before `inflight`
-//! before `slot` before `current`.
+//! order is `writer` before `plans` before `inflight` before `current`.
 
 impl Service {
     pub fn backwards(&self) {

@@ -1,7 +1,7 @@
 //! Fixture: lock usage — nested in one body and across functions — that
 //! respects the serving layer's declared order (`writer` before `plans`
-//! before `inflight` before `slot`), never nests, or drops the outer guard
-//! before calling down.
+//! before `inflight` before `current`), never nests, or drops the outer
+//! guard before calling down.
 
 impl Service {
     pub fn in_order(&self) {

@@ -15,7 +15,6 @@
 //! one.
 
 pub mod lock_order;
-pub mod stamp_refresh;
 pub mod taint;
 
 use crate::ast::FileAst;
@@ -59,7 +58,6 @@ impl CrateView<'_> {
 
 /// Runs every structural analysis over one crate.
 pub fn run(view: &CrateView<'_>, findings: &mut Vec<Finding>) {
-    stamp_refresh::check(view, findings);
     taint::check(view, findings);
     lock_order::check(view, findings);
 }

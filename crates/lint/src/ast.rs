@@ -3,10 +3,9 @@
 //!
 //! This is deliberately not a full Rust parser. It walks the sanitized
 //! token stream of one file and recovers exactly the shapes the analyses
-//! need: `fn` items with their receiver kind and body spans, the self
-//! type of the `impl`/`trait` block each method sits in, `use`
-//! declarations as an alias → path map, and struct declarations carrying
-//! a `stamp` field. Everything else (expressions, generics, patterns) is
+//! need: `fn` items with their body spans, the self type of the
+//! `impl`/`trait` block each method sits in, and `use` declarations as an
+//! alias → path map. Everything else (expressions, generics, patterns) is
 //! skipped by brace/paren matching over tokens — which the lexer
 //! guarantees can never be confused by strings, comments or lifetimes.
 
@@ -27,10 +26,6 @@ pub struct FnItem {
     pub qual: String,
     /// The self type of the enclosing impl/trait block, if any.
     pub self_type: Option<String>,
-    /// Whether the first parameter is a `self` receiver of any kind.
-    pub has_self: bool,
-    /// Whether the receiver is `&mut self` (or `mut self`).
-    pub is_mut_self: bool,
     /// Byte offset of the `fn` keyword (diagnostic anchor).
     pub decl_offset: usize,
     /// Interior byte span of the body block (between the braces),
@@ -45,8 +40,6 @@ pub struct FileAst {
     pub fns: Vec<FnItem>,
     /// `use` aliases: last-segment-or-`as`-alias → full path.
     pub uses: Vec<(String, String)>,
-    /// Names of struct types declaring a field named exactly `stamp`.
-    pub stamped_types: Vec<String>,
 }
 
 impl FileAst {
@@ -118,14 +111,9 @@ pub fn parse_items(file: &SourceFile) -> FileAst {
             (TokenKind::Ident, "use") => {
                 i = parse_use(src, &code, i + 1, &mut ast.uses);
             }
-            (TokenKind::Ident, "struct") => {
-                i = parse_struct(src, &code, i + 1, &mut ast.stamped_types);
-            }
             _ => i += 1,
         }
     }
-    ast.stamped_types.sort();
-    ast.stamped_types.dedup();
     ast
 }
 
@@ -196,22 +184,6 @@ fn parse_fn(src: &str, code: &[Token], at: usize, stack: &[Ctx], out: &mut Vec<F
     let Some(close) = matching_punct(src, code, i, "(", ")") else {
         return at + 1;
     };
-    // Receiver: look at the tokens of the first parameter.
-    let mut has_self = false;
-    let mut is_mut_self = false;
-    let mut saw_mut = false;
-    for tok in &code[i + 1..close] {
-        match tok.text(src) {
-            "," | ":" => break,
-            "mut" => saw_mut = true,
-            "self" => {
-                has_self = true;
-                is_mut_self = saw_mut;
-                break;
-            }
-            _ => {}
-        }
-    }
     // Find the body opener or the declaration-terminating `;` at depth 0.
     let mut j = close + 1;
     let mut depth = 0i32;
@@ -245,8 +217,6 @@ fn parse_fn(src: &str, code: &[Token], at: usize, stack: &[Ctx], out: &mut Vec<F
         name,
         qual,
         self_type,
-        has_self,
-        is_mut_self,
         decl_offset: code[at].start,
         body,
     });
@@ -363,49 +333,6 @@ fn parse_use_tree(toks: &[&str], prefix: &str, out: &mut Vec<(String, String)>) 
     }
 }
 
-/// Parses a struct declaration after the `struct` keyword, recording its
-/// name when a field named `stamp` is declared. Returns the resume index.
-fn parse_struct(src: &str, code: &[Token], from: usize, stamped: &mut Vec<String>) -> usize {
-    let Some(name_tok) = code.get(from).filter(|t| t.kind == TokenKind::Ident) else {
-        return from;
-    };
-    let name = name_tok.text(src);
-    // Find the record body brace at angle depth 0; `;`/`(` first means a
-    // unit/tuple struct with no named fields.
-    let mut angle = 0i32;
-    let mut i = from + 1;
-    let mut open = None;
-    while i < code.len() {
-        match code[i].text(src) {
-            "<" => angle += 1,
-            ">" => angle -= 1,
-            "{" if angle <= 0 => {
-                open = Some(i);
-                break;
-            }
-            ";" | "(" if angle <= 0 => return i,
-            _ => {}
-        }
-        i += 1;
-    }
-    let Some(open) = open else {
-        return i;
-    };
-    let close = matching_punct(src, code, open, "{", "}").unwrap_or(code.len());
-    let body = &code[open + 1..close.min(code.len())];
-    let has_stamp = body.windows(2).any(|w| {
-        w[0].kind == TokenKind::Ident
-            && w[0].text(src) == "stamp"
-            && w[1].kind == TokenKind::Punct
-            && w[1].text(src) == ":"
-    });
-    if has_stamp {
-        stamped.push(name.to_string());
-    }
-    // Resume at the body: nothing interesting inside a struct body.
-    close + 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -418,11 +345,11 @@ mod tests {
     fn free_and_impl_fns_are_classified() {
         let src = "\
 fn free(a: u32) -> u32 { a }
-struct S { stamp: u64 }
+struct S { count: u64 }
 impl S {
-    fn get(&self) -> u64 { self.stamp }
-    fn bump(&mut self) { self.stamp += 1; }
-    fn mk() -> S { S { stamp: 0 } }
+    fn get(&self) -> u64 { self.count }
+    fn bump(&mut self) { self.count += 1; }
+    fn mk() -> S { S { count: 0 } }
 }
 impl std::fmt::Display for S {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result { write!(f, \"\") }
@@ -431,11 +358,10 @@ impl std::fmt::Display for S {
         let ast = ast_of(src);
         let quals: Vec<&str> = ast.fns.iter().map(|f| f.qual.as_str()).collect();
         assert_eq!(quals, ["free", "S::get", "S::bump", "S::mk", "S::fmt"]);
-        assert!(!ast.fns[0].has_self);
-        assert!(ast.fns[1].has_self && !ast.fns[1].is_mut_self);
-        assert!(ast.fns[2].is_mut_self);
-        assert!(!ast.fns[3].has_self);
-        assert_eq!(ast.stamped_types, ["S"]);
+        assert!(ast.fns[0].self_type.is_none());
+        assert!(ast.fns[1..]
+            .iter()
+            .all(|f| f.self_type.as_deref() == Some("S")));
     }
 
     #[test]
@@ -473,7 +399,6 @@ impl<T: Clone> Wrapper<T> {
         let ast = ast_of(src);
         assert_eq!(ast.fns.len(), 1);
         assert_eq!(ast.fns[0].qual, "Wrapper::map");
-        assert!(ast.fns[0].has_self);
         assert!(ast.fns[0].body.is_some());
     }
 
@@ -513,13 +438,6 @@ use crate::engine::Engine;
         assert_eq!(get("Engine"), Some("crate::engine::Engine"));
         assert_eq!(ast.resolve_segment("Map"), "HashMap");
         assert_eq!(ast.resolve_segment("Unknown"), "Unknown");
-    }
-
-    #[test]
-    fn tuple_and_unit_structs_have_no_stamp_field() {
-        let src = "struct A(u64);\nstruct B;\nstruct C { stamp: u64 }\nstruct D { stamped: u64 }\n";
-        let ast = ast_of(src);
-        assert_eq!(ast.stamped_types, ["C"]);
     }
 
     #[test]

@@ -5,10 +5,9 @@
 //! based, anchored on the sanitized text the lexer-backed sanitizer
 //! produces (so matches can never come from comments or string
 //! literals). The cross-function analyses (lock-order-graph,
-//! lock-undeclared, det-taint, stamp-refresh) live in `crate::analysis`
-//! on top of the call graph; this module keeps the shared low-level
-//! helpers they borrow. Test
-//! regions are excluded up front, and each heuristic errs on the side of
+//! lock-undeclared, det-taint) live in `crate::analysis` on top of the
+//! call graph; this module keeps the shared low-level helpers they
+//! borrow. Test regions are excluded up front, and each heuristic errs on the side of
 //! flagging — the inline allow pragma (with a mandatory reason) is the
 //! designed pressure valve, and `lint-pragma` keeps the allowlist honest
 //! by flagging entries that have gone stale.

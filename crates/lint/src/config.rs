@@ -21,7 +21,7 @@
 /// Rule families.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Family {
-    /// det-hash-iter, det-taint, stamp-refresh.
+    /// det-hash-iter, det-taint.
     Determinism,
     /// num-raw-accum.
     Numeric,
@@ -75,7 +75,7 @@ impl Default for LintConfig {
                 },
                 LockManifest {
                     file: "crates/query/src/service.rs",
-                    order: &["writer", "prior", "plans", "inflight", "slot", "current"],
+                    order: &["writer", "plans", "inflight", "current"],
                 },
             ],
             exclude_dirs: &[".git", "target", "vendor", "fixtures", "node_modules"],
@@ -179,9 +179,6 @@ mod tests {
         assert!(config.lock_manifest("crates/core/src/cache.rs").is_some());
         assert!(config.lock_manifest("crates/core/src/engine.rs").is_none());
         let service = config.lock_manifest("crates/query/src/service.rs").unwrap();
-        assert_eq!(
-            service.order,
-            ["writer", "prior", "plans", "inflight", "slot", "current"]
-        );
+        assert_eq!(service.order, ["writer", "plans", "inflight", "current"]);
     }
 }

@@ -9,8 +9,8 @@
 //! clippy lints, switched on by the gate line at the top of each gated
 //! crate's `lib.rs` (this one included) with the workspace `clippy.toml`.
 //! This crate enforces the rest, the invariants that span functions or
-//! that clippy has no notion of (stamps, the Neumaier policy, declared
-//! lock orders, the bit-identity cone), with a hand-written lexer
+//! that clippy has no notion of (the Neumaier policy, declared lock
+//! orders, the bit-identity cone), with a hand-written lexer
 //! ([`lexer`]), an item-level parser ([`ast`]), an intra-crate call graph
 //! ([`callgraph`]) and both lexical per-file rules ([`check`]) and
 //! structural cross-function analyses ([`analysis`]) — zero external

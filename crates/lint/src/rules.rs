@@ -22,31 +22,6 @@ pub struct Rule {
 /// All registered rules.
 pub const RULES: &[Rule] = &[
     Rule {
-        id: "stamp-refresh",
-        family: "determinism",
-        summary: "&mut self method on a stamped type that never refreshes the stamp",
-        explanation: "\
-Stamp-based cache binding (PR 2, DESIGN.md) rests on one invariant: equal \
-stamps imply identical contents. Every mutation of a stamped value (the \
-world table today; any future stamped type) must refresh its `stamp` \
-field from the global counter, or a SharedDecompositionCache bound to the \
-old stamp will keep serving probabilities computed for contents that no \
-longer exist — silently wrong confidences, the worst failure mode this \
-workspace has. The serving layer compounds the blast radius: a snapshot's \
-plan cache and admission table key on stamps too.
-
-The rule finds struct declarations carrying a `stamp` field, then checks \
-every `&mut self` method in impl blocks of those types: a mutator must \
-either mention `stamp` in its body (a direct refresh) or transitively \
-call something that does — resolved as a fixpoint over the intra-crate \
-call graph, so delegation through free functions, associated functions \
-and cross-file helpers is credited. A mutator that genuinely cannot \
-change observable contents (e.g. reserving capacity) may be allowed \
-inline:
-
-    // uprob-lint: allow(stamp-refresh) -- <why contents are unchanged>",
-    },
-    Rule {
         id: "num-raw-accum",
         family: "numeric",
         summary: "raw f64 accumulation (+= / .sum()) outside uprob_wsd::numeric",
@@ -110,7 +85,7 @@ writer/plan/admission locks. Deadlock freedom rests on a total \
 acquisition order, declared per file in crates/lint/src/config.rs:
 
     crates/core/src/cache.rs:     shards (never nested with itself)
-    crates/query/src/service.rs:  writer < prior < plans < inflight < slot < current
+    crates/query/src/service.rs:  writer < plans < inflight < current
 
 The analysis extracts every .lock() (and empty-argument RwLock \
 .read()/.write()) site, models guard lifetimes (a `let` guard lives to the \
@@ -243,7 +218,7 @@ mod tests {
 
     #[test]
     fn lookup_finds_registered_rules_only() {
-        assert!(rule("stamp-refresh").is_some());
+        assert!(rule("det-taint").is_some());
         assert!(rule("no-such-rule").is_none());
         assert!(is_registered("lock-order-graph"));
         assert!(!is_registered("lock-order"));

@@ -552,7 +552,7 @@ let b = 2;
         let (line3, _) = file.line_span(3);
         assert!(file.allowed("det-taint", line3));
         assert!(file.allowed("det-hash-iter", line3));
-        assert!(!file.allowed("stamp-refresh", line3));
+        assert!(!file.allowed("lock-order-graph", line3));
     }
 
     #[test]

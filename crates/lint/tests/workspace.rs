@@ -1,6 +1,6 @@
 //! The live tree keeps both halves of the invariant contract switched on.
 //!
-//! `uprob-lint`'s own half — the workspace is clean under its seven rules
+//! `uprob-lint`'s own half — the workspace is clean under its six rules
 //! — is `tests::live_workspace_is_clean` in `src/lib.rs`. This file pins
 //! the clippy half: every crate `uprob-lint` treats as product code, and
 //! the linter itself, carries the crate-root gate line that turns the

@@ -5,9 +5,10 @@
 //! run against. This module maps that semantics directly onto concurrency:
 //!
 //! * a [`Snapshot`] is one immutable database version — the world table,
-//!   the U-relations (whose rows embed the ws-descriptor state), and an
-//!   [`Arc`]-held [`SharedDecompositionCache`] that the stamp-binding of
-//!   PR 2 ties to exactly this version;
+//!   the U-relations (whose rows embed the ws-descriptor state), the
+//!   [`Arc`]-held [`SharedDecompositionCache`] that its stamp check ties
+//!   to exactly this version, and the snapshot's own plan memo and
+//!   admission table, which die with it;
 //! * a [`ProbDbService`] serves any number of reader threads against the
 //!   current snapshot while a writer builds the next one: conditioning
 //!   never mutates in place — [`ProbDbService::assert_all`] conditions the
@@ -19,31 +20,30 @@
 //!
 //! `current` is an `RwLock<Arc<Snapshot>>` used only as a swap cell: a
 //! reader takes the read lock just long enough to clone the `Arc` (no
-//! query work happens under it), and the single writer — serialized by the
-//! `writer` mutex — replaces the `Arc` under the write lock. Readers that
-//! pinned the old snapshot keep using it; it is freed when the last
-//! reference drops.
+//! query work happens under it), and the single writer replaces the `Arc`
+//! under the write lock. Writers are serialized by the `writer` mutex,
+//! which also holds the delta path's prior line, since only writers touch
+//! it. Readers that pinned the old snapshot keep using it, plan memo and
+//! admission table included; it is freed when the last reference drops.
 //!
-//! # Plan cache and batched admission
+//! # Plan memo and batched admission
 //!
-//! Repeated queries skip the optimizer through a plan cache keyed on
-//! *(plan fingerprint, snapshot stamp)*: a published snapshot invalidates
-//! the cache simply by never matching the old keys. The plan rendering is
-//! produced **once per request** and shared (`Arc<str>`) between the
-//! lookup, the memo insert and the admission table, and the memo itself is
-//! capacity-capped ([`ServiceOptions::plan_capacity`]): beyond the cap the
-//! oldest-inserted entries are evicted (counted in
+//! Repeated queries skip the optimizer through the snapshot's plan memo,
+//! keyed by the plan rendering. The rendering is produced **once per
+//! request** and shared (`Arc<str>`) between the lookup, the memo insert
+//! and the admission table. The memo holds a constant number of entries;
+//! beyond it the oldest-inserted entry is evicted (counted in
 //! [`ServiceStats::plan_evictions`]), so a read-heavy service with many
 //! distinct plans cannot grow without bound within one snapshot's
-//! lifetime. Concurrent `conf` requests for the same *(plan, snapshot)*
-//! are coalesced by batched admission: the first requester runs the
-//! shared-cache fold on the configured worker pool and every concurrent
-//! duplicate waits for — and shares — that one result, so identical
-//! requests never compete for the pool (one pool, not competing pools).
+//! lifetime. Concurrent `conf` requests for the same plan on the same
+//! snapshot are coalesced by batched admission: they share one
+//! [`OnceLock`], one of them runs the shared-cache fold on the configured
+//! worker pool, and the others wait in `get_or_init` and share its
+//! result, so identical requests never compete for the pool.
 //!
 //! # Delta publish and cache inheritance
 //!
-//! A publish no longer cold-starts the decomposition cache. Every publish
+//! A publish does not cold-start the decomposition cache. Every publish
 //! path derives a variable remap from the old published snapshot to the
 //! new database and carries warm entries across through
 //! [`SharedDecompositionCache::inherit_from`] — the descriptor-
@@ -73,12 +73,12 @@
 //!
 //! A served answer equals the single-owner library call bit for bit at
 //! every worker and reader count: the served `query` path is exactly
-//! `optimize_plan` + `execute_plan` (the plan cache memoizes the optimizer
+//! `optimize_plan` + `execute_plan` (the plan memo holds the optimizer
 //! output, which is a pure function of plan and catalog), the served
 //! `conf` path is exactly [`answer_confidences_with_options`] over the
 //! snapshot's cache (shared-cache hits are bit-identical to recomputation
-//! by the PR 2 contract), and coalesced requests share a result that each
-//! of them would have computed bit-identically anyway. The workspace
+//! by the cache's contract), and coalesced requests share a result that
+//! each of them would have computed bit-identically anyway. The workspace
 //! stress test pins this under the CI `UPROB_WORKERS` matrix.
 //!
 //! # Panic containment
@@ -94,61 +94,52 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 
 use uprob_core::{
     CacheStats, ConditioningOptions, DecompositionOptions, DecompositionStats, InheritOutcome,
     ParallelOptions, SharedDecompositionCache,
 };
 use uprob_urel::{execute_plan, optimize_plan, DeltaBuilder, DeltaReport, Plan, ProbDb, URelation};
-use uprob_wsd::{FxHashMap, VarId, WorldTable};
+use uprob_wsd::{FxHashMap, Stamped, VarId, WorldTable};
 
 use crate::confidence::{answer_confidences_with_options, AnswerConfidences};
 use crate::constraints::{assert_all_delta, assert_all_in, Constraint, ViolationMemo};
 use crate::error::QueryError;
 use crate::Result;
 
-/// Source of fresh snapshot stamps (0 is reserved, mirroring world-table
-/// stamps). Snapshot stamps are distinct from world-table stamps: two
-/// snapshots can share an unmutated world table while differing in their
-/// relations, and the plan cache must tell them apart.
-static NEXT_SNAPSHOT_STAMP: AtomicU64 = AtomicU64::new(1);
-
-fn fresh_snapshot_stamp() -> u64 {
-    NEXT_SNAPSHOT_STAMP.fetch_add(1, Ordering::Relaxed)
-}
-
 /// One immutable published version of a probabilistic database: the world
-/// table and relations (with their ws-descriptor state), plus the shared
-/// decomposition cache bound to exactly this version.
+/// table and relations (with their ws-descriptor state), the shared
+/// decomposition cache bound to exactly this version, and the version's
+/// plan memo and admission table.
 ///
-/// Snapshots are cheap to share (`Arc`) and never mutated after
-/// construction; conditioning produces a *new* snapshot (see
+/// Snapshots are cheap to share (`Arc`) and their database is never
+/// mutated after construction; conditioning produces a *new* snapshot (see
 /// [`ProbDbService::assert_all`]).
 pub struct Snapshot {
-    db: ProbDb,
+    /// The database under the snapshot stamp. A fresh stamp per snapshot:
+    /// two snapshots can share an unmutated world table while differing in
+    /// their relations.
+    db: Stamped<ProbDb>,
     cache: Arc<SharedDecompositionCache>,
-    stamp: u64,
+    /// Optimized plans of this version, keyed by plan rendering.
+    plans: Mutex<PlanMemo>,
+    /// In-flight confidence folds of this version, keyed like `plans`.
+    inflight: Mutex<FxHashMap<Arc<str>, Admission>>,
 }
 
 impl Snapshot {
-    /// Wraps a database as an immutable snapshot with a fresh stamp and an
-    /// empty decomposition cache. The cache binds itself to the snapshot's
-    /// world table on first use (the PR 2 stamp check), so it can never
-    /// serve probabilities computed for a different version.
-    pub fn new(db: ProbDb) -> Self {
-        Snapshot::with_cache(db, SharedDecompositionCache::new())
-    }
-
-    /// Wraps a database as an immutable snapshot around an explicit cache
-    /// — the publish paths pass in a cache pre-warmed by
-    /// [`SharedDecompositionCache::inherit_from`], which has already bound
-    /// it to `db`'s world table.
-    pub fn with_cache(db: ProbDb, cache: SharedDecompositionCache) -> Self {
+    /// Wraps `db` around `cache` under a fresh stamp. A publish passes in a
+    /// cache pre-warmed by [`SharedDecompositionCache::inherit_from`], which
+    /// has already bound it to `db`'s world table; a cold cache binds itself
+    /// on first use, so it can never serve probabilities computed for a
+    /// different version.
+    fn new(db: ProbDb, cache: SharedDecompositionCache) -> Self {
         Snapshot {
-            db,
+            db: Stamped::new(db),
             cache: Arc::new(cache),
-            stamp: fresh_snapshot_stamp(),
+            plans: Mutex::default(),
+            inflight: Mutex::default(),
         }
     }
 
@@ -157,10 +148,9 @@ impl Snapshot {
         &self.db
     }
 
-    /// The snapshot stamp: unique per published version, used to key the
-    /// plan cache and the admission table.
+    /// The snapshot stamp: unique per published version.
     pub fn stamp(&self) -> u64 {
-        self.stamp
+        self.db.stamp()
     }
 
     /// The decomposition cache bound to this snapshot.
@@ -179,7 +169,7 @@ impl Snapshot {
 /// policy — the service never consults the environment per request (see
 /// [`ParallelOptions::from_env`] for the read-once rationale; resolve the
 /// environment once at startup and pass the result in here).
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ServiceOptions {
     /// Decomposition policy for every confidence computation.
     pub decomposition: DecompositionOptions,
@@ -188,25 +178,6 @@ pub struct ServiceOptions {
     /// Worker-count policy shared by every request (one pool policy, not
     /// per-request environment reads).
     pub parallel: ParallelOptions,
-    /// Capacity of the optimized-plan memo in entries (all snapshots
-    /// combined); the oldest-inserted entries are evicted beyond it
-    /// (clamped to at least 1).
-    pub plan_capacity: usize,
-}
-
-/// Default [`ServiceOptions::plan_capacity`]: generous for interactive
-/// workloads, bounded for plan-diverse ones.
-const DEFAULT_PLAN_CAPACITY: usize = 512;
-
-impl Default for ServiceOptions {
-    fn default() -> Self {
-        ServiceOptions {
-            decomposition: DecompositionOptions::default(),
-            conditioning: ConditioningOptions::default(),
-            parallel: ParallelOptions::default(),
-            plan_capacity: DEFAULT_PLAN_CAPACITY,
-        }
-    }
 }
 
 /// The outcome of a served [`ProbDbService::assert_all`]: the snapshot
@@ -251,18 +222,17 @@ pub struct ServiceStats {
     /// Requests admitted (queries, confidence requests and assertions,
     /// including failed ones).
     pub requests: u64,
-    /// Plan-cache hits (optimizer skipped).
+    /// Plan-memo hits (optimizer skipped).
     pub plan_hits: u64,
-    /// Plan-cache misses (optimizer ran, result memoized).
+    /// Plan-memo misses (optimizer ran, result memoized).
     pub plan_misses: u64,
-    /// Plan-cache entries evicted by the capacity cap
-    /// ([`ServiceOptions::plan_capacity`]); retirements of a replaced
-    /// snapshot's keys on publish are not counted.
+    /// Plan-memo entries evicted by a snapshot's capacity cap; a retired
+    /// snapshot's entries, dropped with it, are not counted.
     pub plan_evictions: u64,
-    /// Confidence folds actually executed (admission leaders).
+    /// Confidence folds actually executed.
     pub confidence_folds: u64,
     /// Confidence requests served by waiting for a concurrent identical
-    /// fold instead of running their own (admission followers).
+    /// fold instead of running their own.
     pub coalesced: u64,
     /// Requests that panicked and were contained as
     /// [`QueryError::RequestPanicked`].
@@ -270,7 +240,7 @@ pub struct ServiceStats {
 }
 
 impl ServiceStats {
-    /// Fraction of plan lookups answered from the plan cache (0 if none).
+    /// Fraction of plan lookups answered from the plan memo (0 if none).
     pub fn plan_hit_rate(&self) -> f64 {
         let lookups = self.plan_hits + self.plan_misses;
         if lookups == 0 {
@@ -292,84 +262,53 @@ struct Counters {
     contained_panics: AtomicU64,
 }
 
-/// One in-flight coalesced confidence fold: the leader fills `slot` and
-/// notifies if any follower joined; followers wait on `ready`.
-struct Inflight {
-    slot: Mutex<Option<Result<AnswerConfidences>>>,
-    ready: Condvar,
+/// One admission-table entry: the first holder to reach `get_or_init`
+/// folds, and every other holder waits there for the same result.
+type Admission = Arc<OnceLock<Result<AnswerConfidences>>>;
+
+/// The key of the plan memo and the admission table: the full plan
+/// rendering — not a hash of it — so two distinct plans can never collide
+/// into sharing an optimized form or a coalesced result. It is rendered
+/// **once per request** and shared by every cache interaction.
+fn request_key(plan: &Plan) -> Arc<str> {
+    Arc::from(format!("{plan:?}"))
 }
 
-impl Inflight {
-    fn new() -> Self {
-        Inflight {
-            slot: Mutex::new(None),
-            ready: Condvar::new(),
-        }
-    }
-}
-
-/// Key of the plan cache and the admission table: (snapshot stamp, plan
-/// rendering). The full rendering — not a hash of it — is the key, so two
-/// distinct plans can never collide into sharing an optimized form or a
-/// coalesced result. It is rendered **once per request** and shared as an
-/// `Arc<str>` between the lookup, the memo insert and the admission table
-/// (satellite: no per-lookup `format!` on the hot path).
-type RequestKey = (u64, Arc<str>);
-
-/// Renders the one key a request uses for every cache interaction.
-fn request_key(snapshot: &Snapshot, plan: &Plan) -> RequestKey {
-    (snapshot.stamp(), Arc::from(format!("{plan:?}")))
-}
+/// Entries one snapshot's plan memo holds: generous for interactive
+/// workloads, bounded for plan-diverse ones.
+const PLAN_CAPACITY: usize = 512;
 
 /// The optimized-plan memo behind [`ProbDbService::query`] /
-/// [`ProbDbService::conf`], capacity-capped: once `capacity` entries are
-/// held, the oldest-inserted entry is evicted per insert. Eviction is a
-/// space policy, never a correctness one — an evicted plan re-optimizes on
-/// its next request, bit-identically (optimization is a pure function of
-/// plan and catalog).
-struct PlanCache {
-    map: FxHashMap<RequestKey, Arc<Plan>>,
-    /// Insertion order of the keys in `map` (kept in lockstep by
-    /// `insert`/`retain_stamp`).
-    order: VecDeque<RequestKey>,
-    capacity: usize,
+/// [`ProbDbService::conf`], capped at [`PLAN_CAPACITY`] entries: a full
+/// memo evicts its oldest-inserted entry per insert. Eviction is a space
+/// policy, never a correctness one — an evicted plan re-optimizes on its
+/// next request, bit-identically (optimization is a pure function of plan
+/// and catalog).
+#[derive(Default)]
+struct PlanMemo {
+    map: FxHashMap<Arc<str>, Arc<Plan>>,
+    /// Insertion order of the keys in `map`.
+    order: VecDeque<Arc<str>>,
 }
 
-impl PlanCache {
-    fn new(capacity: usize) -> Self {
-        PlanCache {
-            map: FxHashMap::default(),
-            order: VecDeque::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    fn get(&self, key: &RequestKey) -> Option<Arc<Plan>> {
+impl PlanMemo {
+    fn get(&self, key: &str) -> Option<Arc<Plan>> {
         self.map.get(key).cloned()
     }
 
-    /// Memoizes `plan` under `key`, evicting oldest entries down to the
-    /// capacity; returns how many entries were evicted.
-    fn insert(&mut self, key: RequestKey, plan: Arc<Plan>) -> u64 {
-        if self.map.insert(key.clone(), plan).is_none() {
-            self.order.push_back(key);
+    /// Memoizes `plan` under `key`; returns whether the oldest entry was
+    /// evicted to make room.
+    fn insert(&mut self, key: Arc<str>, plan: Arc<Plan>) -> bool {
+        if self.map.insert(key.clone(), plan).is_some() {
+            return false;
         }
-        let mut evicted = 0;
-        while self.map.len() > self.capacity {
-            let Some(oldest) = self.order.pop_front() else {
-                break;
-            };
-            if self.map.remove(&oldest).is_some() {
-                evicted += 1;
-            }
+        self.order.push_back(key);
+        if self.map.len() <= PLAN_CAPACITY {
+            return false;
         }
-        evicted
-    }
-
-    /// Retires every key of snapshots other than `live` (on publish).
-    fn retain_stamp(&mut self, live: u64) {
-        self.map.retain(|(stamp, _), _| *stamp == live);
-        self.order.retain(|(stamp, _)| *stamp == live);
+        self.order
+            .pop_front()
+            .is_some_and(|oldest| self.map.remove(&oldest).is_some())
     }
 }
 
@@ -377,8 +316,8 @@ impl PlanCache {
 /// database evolving by [`DeltaBuilder`] mutations, the violation memo
 /// keyed to it, and the conditioning remap of the last posterior publish
 /// (prior variable → published posterior variable), used to compose the
-/// posterior → posterior inheritance remap. Guarded by its own mutex,
-/// always taken under `writer` (see the lint lock manifest).
+/// posterior → posterior inheritance remap. It is the contents of the
+/// `writer` mutex, so only a serialized writer can reach it.
 #[derive(Default)]
 struct PriorLine {
     /// `None` until the first delta request; initialized from the then-
@@ -394,21 +333,15 @@ struct PriorLine {
 /// threads run [`query`](ProbDbService::query) /
 /// [`conf`](ProbDbService::conf) against a consistent [`Snapshot`] while
 /// [`assert_all`](ProbDbService::assert_all) builds and publishes the next
-/// one. See the module docs for the publish protocol, the plan cache, the
+/// one. See the module docs for the publish protocol, the plan memo, the
 /// batched admission and the bit-identity contract.
 pub struct ProbDbService {
     /// The swap cell holding the current snapshot (see module docs).
     current: RwLock<Arc<Snapshot>>,
-    /// Serializes writers (conditioning + publish).
-    writer: Mutex<()>,
-    /// The delta path's prior line (see [`PriorLine`]); taken only under
-    /// `writer`.
-    prior: Mutex<PriorLine>,
+    /// Serializes writers (conditioning + publish) and holds the delta
+    /// path's prior line (see [`PriorLine`]).
+    writer: Mutex<PriorLine>,
     options: ServiceOptions,
-    /// Optimized-plan memo keyed by (snapshot stamp, plan rendering).
-    plans: Mutex<PlanCache>,
-    /// Admission table of in-flight confidence folds, same key space.
-    inflight: Mutex<FxHashMap<RequestKey, Arc<Inflight>>>,
     counters: Counters,
 }
 
@@ -421,12 +354,9 @@ impl ProbDbService {
     /// Serves `db` under an explicit request policy.
     pub fn with_options(db: ProbDb, options: ServiceOptions) -> Self {
         ProbDbService {
-            current: RwLock::new(Arc::new(Snapshot::new(db))),
-            writer: Mutex::new(()),
-            prior: Mutex::new(PriorLine::default()),
+            current: RwLock::new(Arc::new(Snapshot::new(db, SharedDecompositionCache::new()))),
+            writer: Mutex::default(),
             options,
-            plans: Mutex::new(PlanCache::new(options.plan_capacity)),
-            inflight: Mutex::new(FxHashMap::default()),
             counters: Counters::default(),
         }
     }
@@ -460,8 +390,8 @@ impl ProbDbService {
         }
     }
 
-    /// Evaluates `plan` against the current snapshot through the plan
-    /// cache: the optimizer runs at most once per (plan, snapshot) and the
+    /// Evaluates `plan` against the current snapshot through its plan
+    /// memo: the optimizer runs at most once per (plan, snapshot) and the
     /// rows are bit-identical to the single-owner `ProbDb::query`.
     ///
     /// # Errors
@@ -476,7 +406,7 @@ impl ProbDbService {
     }
 
     /// The `conf()` aggregate of `plan` against the current snapshot:
-    /// plan-cached evaluation followed by the shared-cache batch
+    /// plan-memoized evaluation followed by the shared-cache batch
     /// confidence fold, with concurrent identical requests coalesced into
     /// one fold (see the module docs).
     ///
@@ -493,8 +423,8 @@ impl ProbDbService {
 
     /// [`conf`](ProbDbService::conf) against an explicitly pinned
     /// snapshot (e.g. to keep a multi-query read transaction consistent
-    /// across publishes). Requests for the *current* snapshot share its
-    /// plan cache and admission table entries.
+    /// across publishes). It shares the snapshot's plan memo and admission
+    /// table with every other request on that snapshot.
     ///
     /// # Errors
     ///
@@ -535,7 +465,7 @@ impl ProbDbService {
     /// [`QueryError::RequestPanicked`].
     pub fn assert_all(&self, constraints: &[Constraint]) -> Result<AssertOutcome> {
         self.guarded(|| {
-            let _writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut prior = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
             let snapshot = self.snapshot();
             let conditioned = assert_all_in(
                 snapshot.db(),
@@ -552,12 +482,12 @@ impl ProbDbService {
             );
             // A full conditioning starts a fresh delta line: the published
             // posterior has no tracked relationship to any earlier prior.
-            *self.prior.lock().unwrap_or_else(PoisonError::into_inner) = PriorLine::default();
+            *prior = PriorLine::default();
             let confidence = conditioned.confidence;
             let stats = conditioned.stats;
             let new_variables = conditioned.new_variables;
             Ok(AssertOutcome {
-                snapshot: self.publish_with_cache(conditioned.db, cache),
+                snapshot: self.publish(conditioned.db, cache),
                 confidence,
                 stats,
                 new_variables,
@@ -585,9 +515,8 @@ impl ProbDbService {
     /// error.
     pub fn assert_all_delta(&self, constraints: &[Constraint]) -> Result<AssertOutcome> {
         self.guarded(|| {
-            let _writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut prior = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
             let published = self.snapshot();
-            let mut prior = self.prior.lock().unwrap_or_else(PoisonError::into_inner);
             let PriorLine {
                 db,
                 memo,
@@ -643,12 +572,11 @@ impl ProbDbService {
                 None => Self::cold_cache(),
             };
             *posterior_remap = Some(conditioned.prior_remap.clone());
-            drop(prior);
             let confidence = conditioned.confidence;
             let stats = conditioned.stats;
             let new_variables = conditioned.new_variables;
             Ok(AssertOutcome {
-                snapshot: self.publish_with_cache(conditioned.db, cache),
+                snapshot: self.publish(conditioned.db, cache),
                 confidence,
                 stats,
                 new_variables,
@@ -674,9 +602,8 @@ impl ProbDbService {
         build: impl FnOnce(&mut DeltaBuilder) -> uprob_urel::Result<()>,
     ) -> Result<DeltaReport> {
         self.guarded(|| {
-            let _writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut prior = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
             let published = self.snapshot();
-            let mut prior = self.prior.lock().unwrap_or_else(PoisonError::into_inner);
             let base = prior.db.get_or_insert_with(|| published.db().clone());
             let mut builder = DeltaBuilder::new(base);
             build(&mut builder)?;
@@ -703,9 +630,8 @@ impl ProbDbService {
         build: impl FnOnce(&mut DeltaBuilder) -> uprob_urel::Result<()>,
     ) -> Result<DeltaOutcome> {
         self.guarded(|| {
-            let _writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut prior = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
             let published = self.snapshot();
-            let mut prior = self.prior.lock().unwrap_or_else(PoisonError::into_inner);
             let PriorLine {
                 db,
                 posterior_remap,
@@ -719,27 +645,12 @@ impl ProbDbService {
             let (cache, inherited) = Self::extended_cache(&published, next_db.world_table());
             // The published snapshot is now the prior line itself.
             *posterior_remap = None;
-            drop(prior);
             Ok(DeltaOutcome {
-                snapshot: self.publish_with_cache(next_db, cache),
+                snapshot: self.publish(next_db, cache),
                 report,
                 inherited,
             })
         })
-    }
-
-    /// Publishes `db` as the new current snapshot without conditioning
-    /// (e.g. after loading fresh data). If `db`'s world table extends the
-    /// published snapshot's (append-only growth), the decomposition cache
-    /// is inherited wholesale; otherwise the new snapshot starts cold.
-    /// Serialized with [`assert_all`](ProbDbService::assert_all); resets
-    /// the delta path's prior line.
-    pub fn publish(&self, db: ProbDb) -> Arc<Snapshot> {
-        let _writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
-        let published = self.snapshot();
-        let (cache, _inherited) = Self::extended_cache(&published, db.world_table());
-        *self.prior.lock().unwrap_or_else(PoisonError::into_inner) = PriorLine::default();
-        self.publish_with_cache(db, cache)
     }
 
     /// Builds the successor cache for a publish: every entry of `old`'s
@@ -790,18 +701,12 @@ impl ProbDbService {
         (SharedDecompositionCache::new(), InheritOutcome::default())
     }
 
-    /// The swap: wraps `db` around `cache`, replaces `current`, and prunes
-    /// plan-cache entries of retired snapshots (pinned-snapshot requests
-    /// re-insert on demand, so pruning is a space policy, never a
-    /// correctness one).
-    fn publish_with_cache(&self, db: ProbDb, cache: SharedDecompositionCache) -> Arc<Snapshot> {
-        let next = Arc::new(Snapshot::with_cache(db, cache));
+    /// The swap: wraps `db` around `cache` as a new snapshot and replaces
+    /// `current` with it. The retired snapshot's plan memo and admission
+    /// table go with it when its last reader lets go.
+    fn publish(&self, db: ProbDb, cache: SharedDecompositionCache) -> Arc<Snapshot> {
+        let next = Arc::new(Snapshot::new(db, cache));
         *self.current.write().unwrap_or_else(PoisonError::into_inner) = next.clone();
-        let live = next.stamp();
-        self.plans
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .retain_stamp(live);
         next
     }
 
@@ -821,109 +726,108 @@ impl ProbDbService {
         }
     }
 
-    /// The optimized form of `plan` for `snapshot`, memoized: a pure
-    /// function of (plan rendering, snapshot), so a cache hit is
-    /// bit-identical to re-optimizing.
+    /// The optimized form of `plan` for `snapshot`, memoized in the
+    /// snapshot: a pure function of (plan rendering, snapshot), so a memo
+    /// hit is bit-identical to re-optimizing.
     fn optimized_plan(
         &self,
         snapshot: &Snapshot,
         plan: &Plan,
-        key: &RequestKey,
+        key: &Arc<str>,
     ) -> Result<Arc<Plan>> {
-        {
-            let plans = self.plans.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some(hit) = plans.get(key) {
-                self.counters.plan_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(hit);
-            }
+        let hit = snapshot
+            .plans
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(key);
+        if let Some(hit) = hit {
+            self.counters.plan_hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(hit);
         }
         self.counters.plan_misses.fetch_add(1, Ordering::Relaxed);
         let optimized = Arc::new(optimize_plan(plan, snapshot.db())?);
-        let evicted = self
+        let evicted = snapshot
             .plans
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .insert(key.clone(), optimized.clone());
-        if evicted > 0 {
-            self.counters
-                .plan_evictions
-                .fetch_add(evicted, Ordering::Relaxed);
+        if evicted {
+            self.counters.plan_evictions.fetch_add(1, Ordering::Relaxed);
         }
         Ok(optimized)
     }
 
     fn query_on(&self, snapshot: &Snapshot, plan: &Plan) -> Result<URelation> {
-        let key = request_key(snapshot, plan);
-        let optimized = self.optimized_plan(snapshot, plan, &key)?;
+        let optimized = self.optimized_plan(snapshot, plan, &request_key(plan))?;
         Ok(execute_plan(snapshot.db(), &optimized)?)
     }
 
-    /// The coalesced confidence fold: first requester per (snapshot, plan)
-    /// computes, concurrent duplicates share the result.
-    fn conf_coalesced(&self, snapshot: &Arc<Snapshot>, plan: &Plan) -> Result<AnswerConfidences> {
-        let key = request_key(snapshot, plan);
+    /// The coalesced confidence fold: concurrent requests for one plan on
+    /// one snapshot share an admission entry, and exactly one of them
+    /// folds.
+    fn conf_coalesced(&self, snapshot: &Snapshot, plan: &Plan) -> Result<AnswerConfidences> {
+        let key = request_key(plan);
         let (entry, leader) = {
-            let mut inflight = self.inflight.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut inflight = snapshot
+                .inflight
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             match inflight.get(&key) {
                 Some(entry) => (entry.clone(), false),
                 None => {
-                    let entry = Arc::new(Inflight::new());
+                    let entry = Admission::default();
                     inflight.insert(key.clone(), entry.clone());
                     (entry, true)
                 }
             }
         };
-        if leader {
-            self.counters
-                .confidence_folds
-                .fetch_add(1, Ordering::Relaxed);
-            // Contain panics *inside* the fold here too: the slot must be
-            // filled and the admission entry removed no matter what, or
-            // followers would wait forever.
-            let result =
-                match catch_unwind(AssertUnwindSafe(|| self.conf_fold(snapshot, plan, &key))) {
-                    Ok(result) => result,
-                    Err(payload) => Err(QueryError::RequestPanicked {
+        let mut folded = false;
+        let result = entry.get_or_init(|| {
+            folded = true;
+            // Contain panics inside the fold too: a panic must still
+            // initialize the entry, or the next holder would fold again.
+            catch_unwind(AssertUnwindSafe(|| self.conf_fold(snapshot, plan, &key))).unwrap_or_else(
+                |payload| {
+                    Err(QueryError::RequestPanicked {
                         message: panic_message(payload.as_ref()),
-                    }),
-                };
-            // Retire the admission entry first: followers take their `Arc`
-            // under the `inflight` lock, so once the entry is gone the
-            // strong count is exactly this leader plus the followers still
-            // waiting — and the (possibly large) result is cloned into the
-            // slot only if somebody will read it.
-            self.inflight
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .remove(&key);
-            if Arc::strong_count(&entry) > 1 {
-                let mut slot = entry.slot.lock().unwrap_or_else(PoisonError::into_inner);
-                *slot = Some(result.clone());
-                entry.ready.notify_all();
-            }
-            result
+                    })
+                },
+            )
+        });
+        let counter = if folded {
+            &self.counters.confidence_folds
         } else {
-            self.counters.coalesced.fetch_add(1, Ordering::Relaxed);
-            let mut slot = entry.slot.lock().unwrap_or_else(PoisonError::into_inner);
-            loop {
-                if let Some(result) = slot.as_ref() {
-                    return result.clone();
-                }
-                slot = entry
-                    .ready
-                    .wait(slot)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
+            &self.counters.coalesced
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        if !leader {
+            return result.clone();
         }
+        // The admitting request retires the entry. Followers take their
+        // `Arc` under the `inflight` lock, so once the entry is gone the
+        // strong count is exact: the (possibly large) answer moves out, and
+        // is cloned only if a follower still holds the entry.
+        snapshot
+            .inflight
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&key);
+        let answer = match Arc::try_unwrap(entry) {
+            Ok(entry) => entry.into_inner(),
+            Err(entry) => entry.get().cloned(),
+        };
+        // `get_or_init` above initialized the entry; folding again would
+        // give the same bits.
+        answer.unwrap_or_else(|| self.conf_fold(snapshot, plan, &key))
     }
 
-    /// One actual fold: plan-cached evaluation + the shared-cache batch
+    /// One actual fold: plan-memoized evaluation + the shared-cache batch
     /// confidence path on the configured worker pool.
     fn conf_fold(
         &self,
         snapshot: &Snapshot,
         plan: &Plan,
-        key: &RequestKey,
+        key: &Arc<str>,
     ) -> Result<AnswerConfidences> {
         let optimized = self.optimized_plan(snapshot, plan, key)?;
         let answer = execute_plan(snapshot.db(), &optimized)?;
@@ -1041,7 +945,7 @@ mod tests {
         );
         assert!(stats.plan_hits >= 1);
         assert!(stats.plan_hit_rate() > 0.0);
-        // Publishing a new snapshot retires the old keys: the same plan
+        // The published snapshot starts with an empty memo: the same plan
         // re-optimizes exactly once more.
         let before = service.snapshot().stamp();
         service
@@ -1196,34 +1100,72 @@ mod tests {
 
     #[test]
     fn plan_cache_evicts_oldest_entries_at_capacity() {
-        let service = ProbDbService::with_options(
-            ssn_db(),
-            ServiceOptions {
-                plan_capacity: 2,
-                ..ServiceOptions::default()
-            },
-        );
-        let plans = [
-            Plan::scan("R").project(&["SSN"]),
-            Plan::scan("R").project(&["NAME"]),
-            Plan::scan("R").select(Predicate::col_eq("NAME", "Bill")),
-        ];
-        for plan in &plans {
-            service.query(plan).unwrap();
+        let service = ProbDbService::new(ssn_db());
+        // PLAN_CAPACITY + 1 distinct plans: the last insert evicts the
+        // first.
+        let plan = |ssn: usize| Plan::scan("R").select(Predicate::col_eq("SSN", ssn as i64));
+        for ssn in 0..=PLAN_CAPACITY {
+            service.query(&plan(ssn)).unwrap();
         }
         let stats = service.stats();
-        assert_eq!(stats.plan_misses, 3);
+        assert_eq!(stats.plan_misses, PLAN_CAPACITY as u64 + 1);
         assert_eq!(
             stats.plan_evictions, 1,
-            "the third insert evicts the oldest"
+            "the insert past capacity evicts the oldest"
         );
         // The newest plan is still memoized; the evicted one re-optimizes
         // (bit-identically — eviction is a space policy only).
-        service.query(&plans[2]).unwrap();
+        service.query(&plan(PLAN_CAPACITY)).unwrap();
         assert_eq!(service.stats().plan_hits, 1);
-        let rows = service.query(&plans[0]).unwrap();
-        assert_eq!(service.stats().plan_misses, 4);
-        assert_eq!(rows, service.snapshot().db().query(&plans[0]).unwrap());
+        let rows = service.query(&plan(0)).unwrap();
+        assert_eq!(service.stats().plan_misses, PLAN_CAPACITY as u64 + 2);
+        assert_eq!(rows, service.snapshot().db().query(&plan(0)).unwrap());
+    }
+
+    #[test]
+    fn pinned_snapshot_keeps_its_plan_memo_across_a_publish() {
+        let service = ProbDbService::new(ssn_db());
+        let plan = bills_plan();
+        let pinned = service.snapshot();
+        let before = service.conf_pinned(&pinned, &plan).unwrap();
+        service
+            .assert_all(&[Constraint::functional_dependency("R", &["SSN"], &["NAME"])])
+            .unwrap();
+        assert_ne!(service.snapshot().stamp(), pinned.stamp());
+        // The publish retired the pinned snapshot from `current`, not its
+        // memo: the pinned read skips the optimizer.
+        let after = service.conf_pinned(&pinned, &plan).unwrap();
+        assert_conf_bits(&after, &before);
+        let stats = service.stats();
+        assert_eq!((stats.plan_misses, stats.plan_hits), (1, 1));
+        // The published snapshot has a memo of its own.
+        service.conf(&plan).unwrap();
+        assert_eq!(service.stats().plan_misses, 2);
+    }
+
+    #[test]
+    fn concurrent_requests_for_a_missing_relation_share_one_typed_error() {
+        let service = ProbDbService::new(ssn_db());
+        let plan = Plan::scan("Missing").project(&["SSN"]);
+        let expected = QueryError::Urel(uprob_urel::UrelError::UnknownRelation {
+            relation: "Missing".into(),
+        });
+        let readers = 8;
+        let barrier = std::sync::Barrier::new(readers);
+        std::thread::scope(|scope| {
+            for _ in 0..readers {
+                scope.spawn(|| {
+                    barrier.wait();
+                    assert_eq!(service.conf(&plan).unwrap_err(), expected);
+                });
+            }
+        });
+        let stats = service.stats();
+        assert_eq!(stats.confidence_folds + stats.coalesced, readers as u64);
+        assert_eq!(stats.contained_panics, 0);
+        // The failed folds retired their admission entries.
+        assert!(service.snapshot().inflight.lock().unwrap().is_empty());
+        assert!(service.conf(&bills_plan()).unwrap().boolean > 0.0);
     }
 
     /// The id of the variable named `name` in `db`'s world table.

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use uprob_wsd::{ValueIndex, WorldTable, WsDescriptor, WsSet};
+use uprob_wsd::{Stamped, ValueIndex, WorldTable, WsDescriptor, WsSet};
 
 use crate::error::UrelError;
 use crate::schema::Schema;
@@ -19,19 +19,12 @@ use crate::Result;
 #[derive(Clone, Debug)]
 pub struct URelation {
     schema: Schema,
-    rows: Vec<(Tuple, WsDescriptor)>,
-    /// Content stamp: refreshed on every mutation, shared by (unmutated)
-    /// clones. Equal stamps imply identical rows, which lets the delta
-    /// conditioning path prove in O(1) that a memoized per-constraint
-    /// violation ws-set is still valid for this relation.
-    stamp: u64,
-}
-
-/// Source of fresh relation stamps (0 is reserved for "unbound").
-static NEXT_RELATION_STAMP: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
-
-fn fresh_relation_stamp() -> u64 {
-    NEXT_RELATION_STAMP.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+    /// The rows under one content stamp: refreshed on every mutation,
+    /// shared by (unmutated) clones. Equal stamps imply identical rows,
+    /// which lets the delta conditioning path prove in O(1) that a
+    /// memoized per-constraint violation ws-set is still valid for this
+    /// relation.
+    rows: Stamped<Vec<(Tuple, WsDescriptor)>>,
 }
 
 /// Row equality only: the stamp is an identity witness, not content, so two
@@ -39,7 +32,7 @@ fn fresh_relation_stamp() -> u64 {
 /// (query outputs are compared against hand-built expectations this way).
 impl PartialEq for URelation {
     fn eq(&self, other: &Self) -> bool {
-        self.schema == other.schema && self.rows == other.rows
+        self.schema == other.schema && *self.rows == *other.rows
     }
 }
 
@@ -55,8 +48,7 @@ impl URelation {
     pub fn from_rows(schema: Schema, rows: Vec<(Tuple, WsDescriptor)>) -> URelation {
         URelation {
             schema,
-            rows,
-            stamp: fresh_relation_stamp(),
+            rows: Stamped::new(rows),
         }
     }
 
@@ -71,7 +63,7 @@ impl URelation {
     /// relations without comparing rows.
     #[inline]
     pub fn stamp(&self) -> u64 {
-        self.stamp
+        self.rows.stamp()
     }
 
     /// Number of rows (tuple/descriptor pairs).
@@ -87,8 +79,7 @@ impl URelation {
     /// Appends a row without validation (arity/type checks are performed by
     /// [`URelation::try_insert`] or [`crate::ProbDb::insert_relation`]).
     pub fn push(&mut self, tuple: Tuple, descriptor: WsDescriptor) {
-        self.rows.push((tuple, descriptor));
-        self.stamp = fresh_relation_stamp();
+        self.rows.get_mut().push((tuple, descriptor));
     }
 
     /// Appends a row, validating it against the schema.
@@ -99,8 +90,7 @@ impl URelation {
     /// type does not match the schema.
     pub fn try_insert(&mut self, tuple: Tuple, descriptor: WsDescriptor) -> Result<()> {
         self.validate_tuple(&tuple)?;
-        self.rows.push((tuple, descriptor));
-        self.stamp = fresh_relation_stamp();
+        self.rows.get_mut().push((tuple, descriptor));
         Ok(())
     }
 
@@ -139,8 +129,7 @@ impl URelation {
     /// callers may mutate through the returned reference, so the old stamp
     /// can no longer witness identical rows.
     pub fn rows_mut(&mut self) -> &mut Vec<(Tuple, WsDescriptor)> {
-        self.stamp = fresh_relation_stamp();
-        &mut self.rows
+        self.rows.get_mut()
     }
 
     /// Read-only access to the rows.

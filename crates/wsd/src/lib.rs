@@ -61,6 +61,7 @@ pub mod error;
 pub mod fast_hash;
 pub mod intern;
 pub mod numeric;
+pub mod stamped;
 pub mod value;
 pub mod world_table;
 pub mod ws_set;
@@ -70,6 +71,7 @@ pub use error::WsdError;
 pub use fast_hash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use intern::{CanonicalSetKey, DescriptorId, DescriptorInterner};
 pub use numeric::NeumaierSum;
+pub use stamped::Stamped;
 pub use value::{DomainValue, ValueIndex, VarId};
 pub use world_table::{VariableInfo, WorldTable, WorldTableDelta};
 pub use ws_set::{diff_descriptor_set, diff_single, try_diff_descriptor_set, WsSet};

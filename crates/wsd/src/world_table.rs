@@ -11,6 +11,7 @@ use std::fmt;
 use crate::error::WsdError;
 use crate::fast_hash::{FxHashMap, FxHashSet};
 use crate::numeric::{compensated_sum, NeumaierSum};
+use crate::stamped::Stamped;
 use crate::value::{DomainValue, ValueIndex, VarId};
 use crate::Result;
 
@@ -48,28 +49,24 @@ impl VariableInfo {
 /// their probability distributions (the relation `W` of the paper).
 #[derive(Clone, Debug)]
 pub struct WorldTable {
-    variables: Vec<VariableInfo>,
-    by_name: FxHashMap<String, VarId>,
-    /// Content stamp: refreshed on every mutation, shared by (unmutated)
-    /// clones. Equal stamps imply identical contents, which lets memo
-    /// caches detect in O(1) that they are being reused across a different
-    /// (or conditioned, hence re-numbered) database.
-    stamp: u64,
+    /// The variables under one content stamp: refreshed on every mutation,
+    /// shared by (unmutated) clones. Equal stamps imply identical contents,
+    /// which lets memo caches detect in O(1) that they are being reused
+    /// across a different (or conditioned, hence re-numbered) database.
+    contents: Stamped<Contents>,
 }
 
-/// Source of fresh world-table stamps (0 is reserved for "unbound").
-static NEXT_TABLE_STAMP: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
-
-fn fresh_stamp() -> u64 {
-    NEXT_TABLE_STAMP.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+/// What a world table's stamp covers.
+#[derive(Clone, Debug, Default)]
+struct Contents {
+    variables: Vec<VariableInfo>,
+    by_name: FxHashMap<String, VarId>,
 }
 
 impl Default for WorldTable {
     fn default() -> Self {
         WorldTable {
-            variables: Vec::new(),
-            by_name: FxHashMap::default(),
-            stamp: fresh_stamp(),
+            contents: Stamped::new(Contents::default()),
         }
     }
 }
@@ -86,7 +83,7 @@ impl WorldTable {
     /// reject reuse across different databases.
     #[inline]
     pub fn stamp(&self) -> u64 {
-        self.stamp
+        self.contents.stamp()
     }
 
     /// Registers a new variable with the given `(value, probability)`
@@ -116,7 +113,7 @@ impl WorldTable {
                 size: alternatives.len(),
             });
         }
-        if self.by_name.contains_key(name) {
+        if self.contents.by_name.contains_key(name) {
             return Err(WsdError::DuplicateVariable {
                 name: name.to_string(),
             });
@@ -149,14 +146,14 @@ impl WorldTable {
                 sum,
             });
         }
-        let id = VarId(self.variables.len() as u32);
-        self.by_name.insert(name.to_string(), id);
-        self.variables.push(VariableInfo {
+        let contents = self.contents.get_mut();
+        let id = VarId(contents.variables.len() as u32);
+        contents.by_name.insert(name.to_string(), id);
+        contents.variables.push(VariableInfo {
             name: name.to_string(),
             values,
             probabilities,
         });
-        self.stamp = fresh_stamp();
         Ok(id)
     }
 
@@ -179,13 +176,13 @@ impl WorldTable {
     /// Number of registered variables.
     #[inline]
     pub fn num_variables(&self) -> usize {
-        self.variables.len()
+        self.contents.variables.len()
     }
 
     /// True if no variable has been registered (exactly one world).
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.variables.is_empty()
+        self.contents.variables.is_empty()
     }
 
     /// Metadata of a variable.
@@ -195,19 +192,21 @@ impl WorldTable {
     /// Returns [`WsdError::UnknownVariable`] if `var` does not belong to this
     /// table.
     pub fn variable(&self, var: VarId) -> Result<&VariableInfo> {
-        self.variables
+        self.contents
+            .variables
             .get(var.index())
             .ok_or(WsdError::UnknownVariable { var })
     }
 
     /// Looks up a variable by name.
     pub fn variable_by_name(&self, name: &str) -> Option<VarId> {
-        self.by_name.get(name).copied()
+        self.contents.by_name.get(name).copied()
     }
 
     /// Iterates over all `(VarId, VariableInfo)` pairs in registration order.
     pub fn iter(&self) -> impl Iterator<Item = (VarId, &VariableInfo)> {
-        self.variables
+        self.contents
+            .variables
             .iter()
             .enumerate()
             .map(|(i, info)| (VarId(i as u32), info))
@@ -215,7 +214,7 @@ impl WorldTable {
 
     /// All registered variable ids.
     pub fn variable_ids(&self) -> impl Iterator<Item = VarId> + '_ {
-        (0..self.variables.len() as u32).map(VarId)
+        (0..self.contents.variables.len() as u32).map(VarId)
     }
 
     /// Domain size of a variable.
@@ -261,7 +260,8 @@ impl WorldTable {
     /// logarithm is exposed.
     pub fn log2_world_count(&self) -> f64 {
         compensated_sum(
-            self.variables
+            self.contents
+                .variables
                 .iter()
                 .map(|v| (v.domain_size() as f64).log2()),
         )
@@ -270,7 +270,7 @@ impl WorldTable {
     /// Exact number of possible worlds, if it fits in a `u128`.
     pub fn world_count(&self) -> Option<u128> {
         let mut count: u128 = 1;
-        for v in &self.variables {
+        for v in &self.contents.variables {
             count = count.checked_mul(v.domain_size() as u128)?;
         }
         Some(count)
@@ -286,14 +286,15 @@ impl WorldTable {
     pub fn world_probability(&self, world: &[ValueIndex]) -> f64 {
         assert_eq!(
             world.len(),
-            self.variables.len(),
+            self.contents.variables.len(),
             "a total valuation must assign every variable"
         );
         #[expect(
             clippy::indexing_slicing,
             reason = "idx comes from this table's own domain (asserted total valuation)"
         )]
-        self.variables
+        self.contents
+            .variables
             .iter()
             .zip(world)
             .map(|(info, idx)| info.probabilities[idx.index()])
@@ -308,8 +309,8 @@ impl WorldTable {
     pub fn enumerate_worlds(&self) -> WorldIter<'_> {
         WorldIter {
             table: self,
-            current: vec![ValueIndex(0); self.variables.len()],
-            done: self.variables.iter().any(|v| v.domain_size() == 0),
+            current: vec![ValueIndex(0); self.contents.variables.len()],
+            done: self.contents.variables.iter().any(|v| v.domain_size() == 0),
             first: true,
         }
     }
@@ -321,7 +322,7 @@ impl WorldTable {
     /// copies of eliminated variables (Section 5).
     pub fn fresh_name(&self, base: &str) -> String {
         let mut candidate = format!("{base}'");
-        while self.by_name.contains_key(&candidate) {
+        while self.contents.by_name.contains_key(&candidate) {
             candidate.push('\'');
         }
         candidate
@@ -349,9 +350,7 @@ impl WorldTable {
             }
         }
         let new_table = WorldTable {
-            variables,
-            by_name,
-            stamp: fresh_stamp(),
+            contents: Stamped::new(Contents { variables, by_name }),
         };
         (new_table, mapping)
     }
@@ -420,7 +419,6 @@ impl WorldTable {
     /// *within* the batch — bad distribution, …), the table is left
     /// completely unmodified and its stamp is preserved, matching the
     /// failed-mutations-preserve-stamps contract of the stamp proptests.
-    // uprob-lint: allow(stamp-refresh) -- the commit replaces *self wholesale with a scratch clone whose stamp was refreshed by its add_variable mutations; the empty-delta early return mutates nothing
     pub fn apply_delta(&mut self, delta: &WorldTableDelta) -> Result<Vec<VarId>> {
         if delta.is_empty() {
             return Ok(Vec::new());
@@ -431,8 +429,8 @@ impl WorldTable {
         for (name, alternatives) in delta.iter() {
             ids.push(scratch.add_variable(name, alternatives)?);
         }
-        // Phase 2: commit. The scratch already carries a fresh stamp from
-        // its last mutation, so content identity is preserved.
+        // Phase 2: commit. The scratch carries the stamp its last mutation
+        // refreshed.
         *self = scratch;
         Ok(ids)
     }
@@ -445,15 +443,16 @@ impl WorldTable {
     /// that extends the memoized one cannot change the probability or the
     /// descriptor semantics of any ws-set over the old variables.
     pub fn extends(&self, base: &WorldTable) -> bool {
-        if self.variables.len() < base.variables.len() {
+        if self.contents.variables.len() < base.contents.variables.len() {
             return false;
         }
-        if self.stamp == base.stamp {
+        if self.stamp() == base.stamp() {
             return true;
         }
-        base.variables
+        base.contents
+            .variables
             .iter()
-            .zip(&self.variables)
+            .zip(&self.contents.variables)
             .all(|(old, new)| {
                 old.name == new.name
                     && old.values == new.values
@@ -470,7 +469,7 @@ impl WorldTable {
 impl fmt::Display for WorldTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "W   Var   Dom   P")?;
-        for info in &self.variables {
+        for info in &self.contents.variables {
             for (value, p) in info.values.iter().zip(&info.probabilities) {
                 writeln!(f, "    {}   {}   {}", info.name, value, p)?;
             }
@@ -510,7 +509,7 @@ impl Iterator for WorldIter<'_> {
                 self.done = true;
                 return None;
             }
-            let size = self.table.variables[i].domain_size() as u16;
+            let size = self.table.contents.variables[i].domain_size() as u16;
             if self.current[i].0 + 1 < size {
                 self.current[i].0 += 1;
                 for slot in &mut self.current[..i] {
