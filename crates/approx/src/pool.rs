@@ -8,9 +8,8 @@
 //! whatever (possibly order-sensitive, compensated) fold they need, so the
 //! final value is a pure function of the inputs — one worker or
 //! sixty-four. The sampling streams of [`crate::parallel::stream_sum`],
-//! the per-descriptor partials of ws-descriptor elimination and the
-//! per-tuple batch confidence workers of `uprob-query` all reduce to this
-//! primitive.
+//! the subtree jobs of `uprob-core`'s parallel fold and the per-tuple batch
+//! confidence workers of `uprob-query` all reduce to this primitive.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

@@ -51,7 +51,7 @@ fn bench_ablation(c: &mut Criterion) {
         if w <= 16 {
             group.bench_with_input(BenchmarkId::new("we", w), &instance, |b, inst| {
                 b.iter(|| {
-                    confidence_by_elimination(black_box(&inst.ws_set), &inst.world_table)
+                    confidence_by_elimination(black_box(&inst.ws_set), &inst.world_table, None)
                         .unwrap()
                         .probability
                 })

@@ -5,9 +5,7 @@
 //! ```
 //!
 //! `NAME` is one of `fig10`, `fig11a`, `fig11b`, `fig12`, `fig13`,
-//! `ablation`, `conditioning`, `planned`, `parallel`, `serve`, `ingest` or `all`
-//! (default).
-//! `--paper` switches from
+//! `ablation`, `conditioning` or `all` (default). `--paper` switches from
 //! the quick instance sizes to sizes close to the paper's (slower). `--csv`
 //! additionally prints each table as CSV for post-processing.
 
@@ -17,8 +15,22 @@ use std::process::ExitCode;
 use uprob_bench::runner::with_large_stack;
 use uprob_bench::{
     ablation_conditioning, ablation_decomposition, fig10, fig11a, fig11b, fig12, fig13,
-    ingest_load, parallel_scaling, planned_vs_eager, serve_load, ExperimentScale, ResultTable,
+    ExperimentScale, ResultTable,
 };
+
+/// One sweep: builds its workloads at a scale and times them.
+type Experiment = fn(ExperimentScale) -> ResultTable;
+
+/// Every experiment by name, in the order `all` runs them.
+const EXPERIMENTS: [(&str, Experiment); 7] = [
+    ("fig10", fig10),
+    ("fig11a", fig11a),
+    ("fig11b", fig11b),
+    ("fig12", fig12),
+    ("fig13", fig13),
+    ("ablation", ablation_decomposition),
+    ("conditioning", ablation_conditioning),
+];
 
 fn main() -> ExitCode {
     let mut experiment = "all".to_string();
@@ -37,8 +49,10 @@ fn main() -> ExitCode {
             "--quick" => scale = ExperimentScale::Quick,
             "--csv" => csv = true,
             "--help" | "-h" => {
+                let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
                 println!(
-                    "usage: experiments [--exp fig10|fig11a|fig11b|fig12|fig13|ablation|conditioning|planned|parallel|serve|ingest|all] [--paper] [--csv]"
+                    "usage: experiments [--exp {}|all] [--paper] [--csv]",
+                    names.join("|")
                 );
                 return ExitCode::SUCCESS;
             }
@@ -49,43 +63,16 @@ fn main() -> ExitCode {
         }
     }
 
-    let selected: Vec<&str> = if experiment == "all" {
-        vec![
-            "fig10",
-            "fig11a",
-            "fig11b",
-            "fig12",
-            "fig13",
-            "ablation",
-            "conditioning",
-            "planned",
-            "parallel",
-            "serve",
-            "ingest",
-        ]
-    } else {
-        vec![experiment.as_str()]
-    };
-
-    for name in selected {
-        let name = name.to_string();
-        let table: ResultTable = match name.as_str() {
-            "fig10" => with_large_stack(move || fig10(scale)),
-            "fig11a" => with_large_stack(move || fig11a(scale)),
-            "fig11b" => with_large_stack(move || fig11b(scale)),
-            "fig12" => with_large_stack(move || fig12(scale)),
-            "fig13" => with_large_stack(move || fig13(scale)),
-            "ablation" => with_large_stack(move || ablation_decomposition(scale)),
-            "conditioning" => with_large_stack(move || ablation_conditioning(scale)),
-            "planned" => with_large_stack(move || planned_vs_eager(scale)),
-            "parallel" => with_large_stack(move || parallel_scaling(scale)),
-            "serve" => with_large_stack(move || serve_load(scale)),
-            "ingest" => with_large_stack(move || ingest_load(scale)),
-            other => {
-                eprintln!("unknown experiment: {other}");
-                return ExitCode::from(2);
-            }
-        };
+    let selected: Vec<_> = EXPERIMENTS
+        .iter()
+        .filter(|(name, _)| experiment == "all" || experiment == *name)
+        .collect();
+    if selected.is_empty() {
+        eprintln!("unknown experiment: {experiment}");
+        return ExitCode::from(2);
+    }
+    for &(_, run) in selected {
+        let table = with_large_stack(move || run(scale));
         println!("{table}");
         if csv {
             println!("{}", table.to_csv());

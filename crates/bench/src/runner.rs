@@ -4,8 +4,8 @@ use std::time::{Duration, Instant};
 
 use uprob_approx::{karp_luby_epsilon_delta, optimal_monte_carlo, ApproximationOptions};
 use uprob_core::{
-    available_workers, confidence, confidence_by_elimination_parallel, CoreError,
-    DecompositionOptions, ParallelOptions, VariableHeuristic,
+    available_workers, confidence, confidence_by_elimination, CoreError, DecompositionOptions,
+    VariableHeuristic,
 };
 use uprob_wsd::{WorldTable, WsSet};
 
@@ -136,13 +136,7 @@ pub fn run_algorithm(
                 Err(e) => panic!("VE failed: {e}"),
             }
         }
-        Algorithm::We => match confidence_by_elimination_parallel(
-            set,
-            table,
-            node_budget,
-            None,
-            &ParallelOptions::sequential(),
-        ) {
+        Algorithm::We => match confidence_by_elimination(set, table, node_budget) {
             Ok(result) => finish(result.probability, start),
             Err(CoreError::BudgetExceeded { .. }) => RunOutcome::BudgetExceeded {
                 elapsed: start.elapsed(),

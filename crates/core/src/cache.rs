@@ -625,16 +625,6 @@ mod tests {
         mutated.add_boolean("extra", 0.5).unwrap();
         let err = confidence_with_cache(&s12, &mutated, &options, Some(&cache)).unwrap_err();
         assert!(matches!(err, crate::CoreError::CacheTableMismatch { .. }));
-        // WE shares the same binding.
-        let err = crate::elimination::confidence_by_elimination_parallel(
-            &other_set,
-            &other,
-            None,
-            Some(&cache),
-            &crate::ParallelOptions::sequential(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, crate::CoreError::CacheTableMismatch { .. }));
     }
 
     #[test]

@@ -845,12 +845,10 @@ pub(crate) mod tests {
             .collect();
 
         const BUDGET: u64 = 20;
-        let we = crate::elimination::confidence_by_elimination_parallel(
+        let we = crate::elimination::confidence_by_elimination(
             &cond_set,
             db.world_table(),
             Some(BUDGET),
-            None,
-            &crate::ParallelOptions::sequential(),
         );
         assert_eq!(
             we.unwrap_err(),
@@ -873,7 +871,8 @@ pub(crate) mod tests {
         // Sanity: without a budget every path agrees on the confidence.
         let exact_p = 1.0 - 0.75f64.powi(8);
         let we_full =
-            crate::elimination::confidence_by_elimination(&cond_set, db.world_table()).unwrap();
+            crate::elimination::confidence_by_elimination(&cond_set, db.world_table(), None)
+                .unwrap();
         assert!((we_full.probability - exact_p).abs() < 1e-12);
         let options = ConditioningOptions::default();
         for (what, result) in [

@@ -258,7 +258,7 @@ impl<'a> Decomposer<'a> {
 
 /// The budget check of every decomposition-node charge — the one place
 /// [`CoreError::BudgetExceeded`] is raised.
-fn within_budget(total: u64, budget: Option<u64>) -> Result<()> {
+pub(crate) fn within_budget(total: u64, budget: Option<u64>) -> Result<()> {
     match budget {
         Some(budget) if total > budget => Err(CoreError::BudgetExceeded { budget }),
         _ => Ok(()),

@@ -14,171 +14,83 @@
 //! are generated and summed on the fly (they are pairwise mutex and need not
 //! be stored), exactly as described at the end of Section 6.
 
-use std::sync::atomic::AtomicU64;
+use uprob_wsd::ws_set::try_diff_descriptor_set;
+use uprob_wsd::{NeumaierSum, WorldTable, WsSet};
 
-use uprob_approx::fan_out_indexed;
-use uprob_wsd::ws_set::{diff_descriptor_set, try_diff_descriptor_set};
-use uprob_wsd::{NeumaierSum, WorldTable, WsDescriptor, WsSet};
-
-use crate::cache::SharedDecompositionCache;
-use crate::decompose::charge_shared_nodes;
-use crate::parallel::ParallelOptions;
+use crate::decompose::within_budget;
 use crate::stats::{Confidence, DecompositionStats};
 use crate::Result;
 
-/// Computes the exact probability of `set` by ws-descriptor elimination:
-/// the paper-level form of [`confidence_by_elimination_parallel`] — one
-/// worker, no node budget, no cache.
+/// Computes the exact probability of `set` by ws-descriptor elimination.
+///
+/// Each descriptor is differenced against the *later* ones only
+/// (Corollary 6.4), expanded subtrahend by subtrahend; the generated
+/// descriptors are pairwise mutex, so their probabilities add up into one
+/// compensated partial per input descriptor, and the partials feed one
+/// compensated outer sum in descriptor order.
+///
+/// `node_budget` has the same semantics as for the decomposition-based
+/// algorithms: one node per eliminated input descriptor and one per
+/// descriptor generated while expanding the differences (including
+/// intermediate ones), so a WE run aborts *during* the exponential
+/// expansion instead of returning late or wrong.
 ///
 /// The `stats` of the returned [`Confidence`] reuse the decomposition
 /// counters: `branches` counts the mutex descriptors generated by the
 /// differences and `variable_eliminations` the number of eliminated input
 /// descriptors.
-pub fn confidence_by_elimination(set: &WsSet, table: &WorldTable) -> Result<Confidence> {
-    confidence_by_elimination_parallel(set, table, None, None, &ParallelOptions::sequential())
-}
-
-/// The general WE entry point: [`confidence_by_elimination`] with the same
-/// `node_budget` semantics as the decomposition-based algorithms, an
-/// optional shared cache, and the per-descriptor eliminations fanned out
-/// over `parallel.workers()` worker threads.
-///
-/// The budget charges one node per eliminated input descriptor and one per
-/// descriptor generated while expanding the differences (including
-/// intermediate ones), so a WE run aborts with
-/// [`crate::CoreError::BudgetExceeded`] *during* the exponential expansion instead
-/// of returning late or wrong — mirroring how `Exact` decomposition charges
-/// every visited node. All workers charge one shared counter, so the abort
-/// triggers at the same total work no matter how many workers split it. The
-/// cache memoizes the probability of the whole set (WE has no recursive
-/// sub-set structure to share), which lets repeated tuples and answer-level
-/// queries reuse each other's work.
-///
-/// The eliminations of different input descriptors are independent (each
-/// one differences its descriptor against the *later* ones only), so
-/// workers steal descriptor indices off a shared pool; the per-descriptor
-/// partial sums come back in index order and feed one compensated outer
-/// sum, making the result **bit-identical** for every worker count (one
-/// worker, or a set below the scheduling grain, runs the same loop inline).
 ///
 /// # Errors
 ///
 /// Returns [`crate::CoreError::BudgetExceeded`] if `node_budget` is set and
-/// exhausted, and [`crate::CoreError::CacheTableMismatch`] if `cache` was first
-/// used with a different world table.
-pub fn confidence_by_elimination_parallel(
+/// exhausted.
+pub fn confidence_by_elimination(
     set: &WsSet,
     table: &WorldTable,
     node_budget: Option<u64>,
-    cache: Option<&SharedDecompositionCache>,
-    parallel: &ParallelOptions,
 ) -> Result<Confidence> {
-    if let Some(shared) = cache {
-        shared.bind_table(table)?;
-    }
     let mut stats = DecompositionStats::default();
-    let pending = match SharedDecompositionCache::probe_memo(cache, set, &mut stats) {
-        Ok(probability) => return Ok(Confidence { probability, stats }),
-        Err(pending) => pending,
+    let mut nodes = 0u64;
+    let mut charge = |amount: u64| {
+        nodes = nodes.saturating_add(amount);
+        within_budget(nodes, node_budget)
     };
-    let descriptors = set.descriptors();
-    let workers = if set.len() < parallel.grain().max(2) {
-        1
-    } else {
-        parallel.workers()
-    };
-    let nodes = AtomicU64::new(0);
-    let partials = fan_out_indexed(descriptors.len(), workers, |index| {
-        eliminate_descriptor(index, descriptors, table, &nodes, node_budget)
-    });
     let mut total = NeumaierSum::new();
-    for partial in partials {
-        let (value, branches) = partial?;
-        stats.variable_eliminations += 1;
-        stats.branches += branches;
-        total.add(value);
-    }
-    let probability = total.value();
-    if let (Some(shared), Some(entry)) = (cache, pending) {
-        shared.insert(entry, probability);
-    }
-    Ok(Confidence { probability, stats })
-}
-
-/// Eliminates input descriptor `index`: the worlds of `descriptors[index]`
-/// not covered by any *later* descriptor (Corollary 6.4), expanded
-/// subtrahend by subtrahend so the node budget is enforced while the
-/// difference grows. The produced descriptors are pairwise mutex, so their
-/// probabilities add up into one compensated partial (returned together
-/// with the number of generated mutex descriptors); they are discarded
-/// right away.
-fn eliminate_descriptor(
-    index: usize,
-    descriptors: &[WsDescriptor],
-    table: &WorldTable,
-    nodes: &AtomicU64,
-    budget: Option<u64>,
-) -> Result<(f64, u64)> {
-    charge_shared_nodes(nodes, 1, budget)?;
-    let remainder = try_diff_descriptor_set(
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "recursion bound: index < descriptors.len() checked by the caller"
-        )]
-        &descriptors[index],
-        #[expect(clippy::indexing_slicing, reason = "same bound")]
-        &descriptors[index + 1..],
-        table,
-        |generated| charge_shared_nodes(nodes, generated as u64, budget),
-    )?;
-    let mut partial = NeumaierSum::new();
-    for d in &remainder {
-        partial.add(d.probability(table));
-    }
-    Ok((partial.value(), remainder.len() as u64))
-}
-
-/// Builds the equivalent pairwise-mutex ws-set of Corollary 6.4:
-/// `⋃_{i<n} ({d_i} − {d_{i+1}, …, d_n}) ∪ {d_n}`.
-///
-/// The probability of the result can be computed in linear time by summing
-/// descriptor probabilities; the result can however be exponentially larger
-/// than the input. Exposed mainly for tests and for the ws-set examples.
-pub fn mutex_equivalent(set: &WsSet, table: &WorldTable) -> WsSet {
-    let descriptors = set.descriptors();
-    let mut out = WsSet::empty();
-    for (index, descriptor) in descriptors.iter().enumerate() {
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "index comes from enumerate() over the same slice"
-        )]
-        for d in diff_descriptor_set(descriptor, &descriptors[index + 1..], table) {
-            out.push(d);
+    let mut rest = set.descriptors();
+    while let Some((descriptor, later)) = rest.split_first() {
+        charge(1)?;
+        let remainder = try_diff_descriptor_set(descriptor, later, table, |generated| {
+            charge(generated as u64)
+        })?;
+        let mut partial = NeumaierSum::new();
+        for d in &remainder {
+            partial.add(d.probability(table));
         }
+        stats.variable_eliminations += 1;
+        stats.branches += remainder.len() as u64;
+        total.add(partial.value());
+        rest = later;
     }
-    out
+    Ok(Confidence {
+        probability: total.value(),
+        stats,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::SharedDecompositionCache;
+    use uprob_wsd::ws_set::diff_descriptor_set;
     use uprob_wsd::{VarId, WsDescriptor};
 
-    /// The general entry point on one worker.
-    fn sequential_we(
+    /// The entry point the pin test below calls: a named seam, so the pin
+    /// runs unchanged against any signature of WE.
+    fn we_with_budget(
         set: &WsSet,
         table: &WorldTable,
         node_budget: Option<u64>,
-        cache: Option<&SharedDecompositionCache>,
     ) -> Result<Confidence> {
-        confidence_by_elimination_parallel(
-            set,
-            table,
-            node_budget,
-            cache,
-            &ParallelOptions::sequential(),
-        )
+        confidence_by_elimination(set, table, node_budget)
     }
 
     fn ssn_table() -> (WorldTable, VarId, VarId) {
@@ -198,7 +110,7 @@ mod tests {
             WsDescriptor::from_pairs(&w, &[(j, 7)]).unwrap(),
             WsDescriptor::from_pairs(&w, &[(j, 1), (b, 4)]).unwrap(),
         ]);
-        let result = confidence_by_elimination(&set, &w).unwrap();
+        let result = confidence_by_elimination(&set, &w, None).unwrap();
         assert!((result.probability - 1.0).abs() < 1e-12);
     }
 
@@ -219,9 +131,24 @@ mod tests {
             WsDescriptor::from_pairs(&w, &[(u, 1), (v, 1)]).unwrap(),
             WsDescriptor::from_pairs(&w, &[(u, 2)]).unwrap(),
         ]);
-        let result = confidence_by_elimination(&s, &w).unwrap();
+        let result = confidence_by_elimination(&s, &w, None).unwrap();
         assert!((result.probability - 0.7578).abs() < 1e-12);
         assert!(result.stats.branches > 0);
+    }
+
+    /// Builds the equivalent pairwise-mutex ws-set of Corollary 6.4:
+    /// `⋃_{i<n} ({d_i} − {d_{i+1}, …, d_n}) ∪ {d_n}`. Its probability is the
+    /// plain sum of its descriptors' probabilities, but it can be
+    /// exponentially larger than the input.
+    fn mutex_equivalent(set: &WsSet, table: &WorldTable) -> WsSet {
+        let descriptors = set.descriptors();
+        let mut out = WsSet::empty();
+        for (index, descriptor) in descriptors.iter().enumerate() {
+            for d in diff_descriptor_set(descriptor, &descriptors[index + 1..], table) {
+                out.push(d);
+            }
+        }
+        out
     }
 
     #[test]
@@ -269,7 +196,9 @@ mod tests {
                 set.push(d);
             }
             let expected = set.probability_by_enumeration(&w);
-            let got = confidence_by_elimination(&set, &w).unwrap().probability;
+            let got = confidence_by_elimination(&set, &w, None)
+                .unwrap()
+                .probability;
             assert!(
                 (got - expected).abs() < 1e-9,
                 "WE computed {got}, expected {expected}"
@@ -281,13 +210,13 @@ mod tests {
     fn empty_and_universal_sets() {
         let (w, _, _) = ssn_table();
         assert_eq!(
-            confidence_by_elimination(&WsSet::empty(), &w)
+            confidence_by_elimination(&WsSet::empty(), &w, None)
                 .unwrap()
                 .probability,
             0.0
         );
         assert!(
-            (confidence_by_elimination(&WsSet::universal(), &w)
+            (confidence_by_elimination(&WsSet::universal(), &w, None)
                 .unwrap()
                 .probability
                 - 1.0)
@@ -339,7 +268,7 @@ mod tests {
             (naive - 1.0).abs()
         );
 
-        let fixed = confidence_by_elimination(&set, &w).unwrap();
+        let fixed = confidence_by_elimination(&set, &w, None).unwrap();
         assert!(
             (fixed.probability - 1.0).abs() < 1e-13,
             "compensated WE drifted: {:e}",
@@ -365,123 +294,74 @@ mod tests {
             descriptors.push(WsDescriptor::from_pairs(&w, &[(x, 1), (y, 1)]).unwrap());
         }
         let set = WsSet::from_descriptors(descriptors);
-        let err = sequential_we(&set, &w, Some(100), None).unwrap_err();
+        let err = confidence_by_elimination(&set, &w, Some(100)).unwrap_err();
         assert_eq!(err, crate::CoreError::BudgetExceeded { budget: 100 });
         // Without a budget the same instance still finishes and is exact.
-        let unbudgeted = confidence_by_elimination(&set, &w).unwrap();
+        let unbudgeted = confidence_by_elimination(&set, &w, None).unwrap();
         let exact = 1.0 - 0.75f64.powi(12);
         assert!((unbudgeted.probability - exact).abs() < 1e-12);
     }
 
+    /// WE's answers pinned bit for bit, with their counters: Figure 3's
+    /// set, the bench runner's test instance (`HardInstance` n=12, r=2,
+    /// s=2, w=20, seed 5), and the smallest node budget under which the
+    /// 12-pair instance of `node_budget_aborts_the_difference_expansion`
+    /// completes.
     #[test]
-    fn parallel_elimination_is_bit_identical_to_sequential() {
-        use rand::rngs::StdRng;
-        use rand::{RngExt, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(29);
-        for case in 0..20 {
-            let mut w = WorldTable::new();
-            let num_vars = rng.random_range(3..=6usize);
-            let vars: Vec<VarId> = (0..num_vars)
-                .map(|i| {
-                    w.add_uniform(&format!("v{i}"), rng.random_range(2..=3usize))
-                        .unwrap()
-                })
-                .collect();
-            let mut set = WsSet::empty();
-            for _ in 0..rng.random_range(2..=8usize) {
-                let mut d = WsDescriptor::empty();
-                for _ in 0..rng.random_range(0..=num_vars) {
-                    let var = vars[rng.random_range(0..num_vars)];
-                    let domain = w.domain_size(var).unwrap();
-                    let _ = d.assign(
-                        var,
-                        uprob_wsd::ValueIndex(rng.random_range(0..domain) as u16),
-                    );
-                }
-                set.push(d);
-            }
-            let sequential = confidence_by_elimination(&set, &w).unwrap();
-            for workers in [2, 4, 8] {
-                let parallel = ParallelOptions::new(workers).with_grain(2);
-                let got =
-                    confidence_by_elimination_parallel(&set, &w, None, None, &parallel).unwrap();
-                assert_eq!(
-                    got.probability.to_bits(),
-                    sequential.probability.to_bits(),
-                    "case {case}, {workers} workers"
-                );
-                assert_eq!(got.stats, sequential.stats, "case {case}");
-            }
-        }
-    }
+    fn pinned_bits_stats_and_budget_threshold() {
+        let counters = |branches, variable_eliminations| DecompositionStats {
+            branches,
+            variable_eliminations,
+            ..DecompositionStats::default()
+        };
 
-    #[test]
-    fn parallel_elimination_budget_aborts_like_sequential() {
-        // The same independence-rich instance as the sequential budget test:
-        // the difference expansion doubles per step, so a small budget must
-        // abort for every worker count.
         let mut w = WorldTable::new();
-        let mut descriptors = Vec::new();
+        let x = w
+            .add_variable("x", &[(1, 0.1), (2, 0.4), (3, 0.5)])
+            .unwrap();
+        let y = w.add_variable("y", &[(1, 0.2), (2, 0.8)]).unwrap();
+        let z = w.add_variable("z", &[(1, 0.4), (2, 0.6)]).unwrap();
+        let u = w.add_variable("u", &[(1, 0.7), (2, 0.3)]).unwrap();
+        let v = w.add_variable("v", &[(1, 0.5), (2, 0.5)]).unwrap();
+        let figure3 = WsSet::from_descriptors(vec![
+            WsDescriptor::from_pairs(&w, &[(x, 1)]).unwrap(),
+            WsDescriptor::from_pairs(&w, &[(x, 2), (y, 1)]).unwrap(),
+            WsDescriptor::from_pairs(&w, &[(x, 2), (z, 1)]).unwrap(),
+            WsDescriptor::from_pairs(&w, &[(u, 1), (v, 1)]).unwrap(),
+            WsDescriptor::from_pairs(&w, &[(u, 2)]).unwrap(),
+        ]);
+        let got = we_with_budget(&figure3, &w, None).unwrap();
+        assert_eq!(got.probability.to_bits(), 0x3fe8_3fe5_c91d_14e4);
+        assert_eq!(got.stats, counters(5, 5));
+
+        let hard = uprob_datagen::HardInstance::generate(uprob_datagen::HardInstanceConfig {
+            num_variables: 12,
+            alternatives: 2,
+            descriptor_length: 2,
+            num_descriptors: 20,
+            seed: 5,
+        });
+        let got = we_with_budget(&hard.ws_set, &hard.world_table, None).unwrap();
+        assert_eq!(got.probability.to_bits(), 0x3fef_ac00_0000_0000);
+        assert_eq!(got.stats, counters(61, 20));
+
+        let mut w = WorldTable::new();
+        let mut pairs = Vec::new();
         for i in 0..12 {
             let x = w.add_boolean(&format!("x{i}"), 0.5).unwrap();
             let y = w.add_boolean(&format!("y{i}"), 0.5).unwrap();
-            descriptors.push(WsDescriptor::from_pairs(&w, &[(x, 1), (y, 1)]).unwrap());
+            pairs.push(WsDescriptor::from_pairs(&w, &[(x, 1), (y, 1)]).unwrap());
         }
-        let set = WsSet::from_descriptors(descriptors);
-        let sequential = confidence_by_elimination(&set, &w).unwrap();
-        for workers in [2, 4] {
-            let parallel = ParallelOptions::new(workers).with_grain(2);
-            let err = confidence_by_elimination_parallel(&set, &w, Some(100), None, &parallel)
-                .unwrap_err();
-            assert_eq!(err, crate::CoreError::BudgetExceeded { budget: 100 });
-            let got = confidence_by_elimination_parallel(&set, &w, None, None, &parallel).unwrap();
-            assert_eq!(got.probability.to_bits(), sequential.probability.to_bits());
-        }
-    }
-
-    #[test]
-    fn parallel_elimination_consults_and_populates_the_shared_cache() {
-        let (w, j, b) = ssn_table();
-        let set = WsSet::from_descriptors(vec![
-            WsDescriptor::from_pairs(&w, &[(j, 1)]).unwrap(),
-            WsDescriptor::from_pairs(&w, &[(j, 7), (b, 4)]).unwrap(),
-        ]);
-        let cache = SharedDecompositionCache::new();
-        let parallel = ParallelOptions::new(4).with_grain(2);
-        let cold =
-            confidence_by_elimination_parallel(&set, &w, None, Some(&cache), &parallel).unwrap();
-        assert_eq!(cold.stats.cache_misses, 1);
-        assert!((cold.probability - 0.44).abs() < 1e-12);
-        // Warm runs — sequential or parallel — answer from the cache.
-        let warm = sequential_we(&set, &w, None, Some(&cache)).unwrap();
-        assert_eq!(warm.stats.cache_hits, 1);
-        assert_eq!(warm.probability.to_bits(), cold.probability.to_bits());
-        let warm_parallel =
-            confidence_by_elimination_parallel(&set, &w, None, Some(&cache), &parallel).unwrap();
-        assert_eq!(warm_parallel.stats.cache_hits, 1);
+        let pairs = WsSet::from_descriptors(pairs);
+        let threshold = 8178;
+        let got = we_with_budget(&pairs, &w, Some(threshold)).unwrap();
+        assert_eq!(got.probability.to_bits(), 0x3fee_fc81_e000_0000);
+        assert_eq!(got.stats, counters(4095, 12));
         assert_eq!(
-            warm_parallel.probability.to_bits(),
-            cold.probability.to_bits()
+            we_with_budget(&pairs, &w, Some(threshold - 1)).unwrap_err(),
+            crate::CoreError::BudgetExceeded {
+                budget: threshold - 1
+            }
         );
-    }
-
-    #[test]
-    fn elimination_consults_and_populates_the_shared_cache() {
-        let (w, j, b) = ssn_table();
-        let set = WsSet::from_descriptors(vec![
-            WsDescriptor::from_pairs(&w, &[(j, 1)]).unwrap(),
-            WsDescriptor::from_pairs(&w, &[(j, 7), (b, 4)]).unwrap(),
-        ]);
-        let cache = SharedDecompositionCache::new();
-        let cold = sequential_we(&set, &w, None, Some(&cache)).unwrap();
-        assert_eq!(cold.stats.cache_hits, 0);
-        assert_eq!(cold.stats.cache_misses, 1);
-        let warm = sequential_we(&set, &w, None, Some(&cache)).unwrap();
-        assert_eq!(warm.stats.cache_hits, 1);
-        assert_eq!(warm.probability, cold.probability);
-        assert!((warm.probability - 0.44).abs() < 1e-12);
-        // A warm cache even rescues a budget too small for a cold run.
-        let rescued = sequential_we(&set, &w, Some(1), Some(&cache)).unwrap();
-        assert_eq!(rescued.probability, cold.probability);
     }
 }

@@ -19,7 +19,7 @@
 //!   three simplification optimisations;
 //! * [`cache`]: the shared decomposition cache — hash-consed canonical
 //!   ws-set keys memoizing sub-set probabilities, shared across the
-//!   confidence fold, WE and the batch query layer (see `DESIGN.md`);
+//!   confidence fold and the batch query layer (see `DESIGN.md`);
 //! * [`parallel`]: parallel exact confidence — the top of the ws-tree is
 //!   split on the calling thread, its independent partitions and ⊕-split
 //!   siblings are solved as scoped jobs, and the splits fold in canonical
@@ -95,9 +95,7 @@ pub use cache::{CacheStats, InheritOutcome, SharedDecompositionCache};
 pub use conditioning::{condition, Conditioned, ConditioningOptions};
 pub use confidence::{confidence, tree_probability};
 pub use decompose::{build_tree, DecompositionMethod, DecompositionOptions};
-pub use elimination::{
-    confidence_by_elimination, confidence_by_elimination_parallel, mutex_equivalent,
-};
+pub use elimination::confidence_by_elimination;
 pub use engine::{
     estimate_conditioned_confidence, estimate_conditioned_confidence_with_options,
     estimate_confidence, estimate_confidence_with_options, ConfidenceReport, ConfidenceStrategy,

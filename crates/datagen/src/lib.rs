@@ -22,11 +22,11 @@
 //! * [`random_constraints`]: random constraint workloads (with NULL
 //!   injections) for the sequential-vs-batch `assert` harness
 //!   (`tests/constraint_equivalence.rs`), plus the deterministic
-//!   FK/denial fixture behind the `constraint_pipeline` bench;
+//!   FK/denial fixture behind the `condition_assert` benchmark workload;
 //! * [`sensor`]: the continuous-ingest sensor stream (fixed uncertain
 //!   fleet, per-reading reliability variables, clean canonical
-//!   constraints) behind the `--exp ingest` serving benchmark and the
-//!   `sensor_tracking` example.
+//!   constraints) behind the `sensor_ingest_serve` benchmark workload and
+//!   the `sensor_tracking` example.
 //!
 //! The paper ran TPC-H's `dbgen` at scale factors 0.01–0.10 on a 2008-era
 //! machine; this crate substitutes an in-process, seeded generator that

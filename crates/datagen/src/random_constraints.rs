@@ -1,7 +1,7 @@
 //! Random constraint workloads (and a deterministic FK fixture) for the
 //! sequential-vs-batch `assert` differential harness
-//! (`tests/constraint_equivalence.rs`) and the `constraint_pipeline`
-//! bench.
+//! (`tests/constraint_equivalence.rs`) and the four-family leg of the
+//! repository benchmark's `condition_assert` workload.
 //!
 //! Mirrors [`crate::random_plan`]: every generated case is plain,
 //! `Debug`-printable data — a [`ConstraintCaseRecipe`] reproduces the
@@ -268,8 +268,9 @@ pub fn arb_constraint_case() -> impl Strategy<Value = ConstraintCaseRecipe> {
         })
 }
 
-/// Configuration of the deterministic FK/constraint workload fixture used
-/// by the `constraint_pipeline` bench and its ≥ 3x acceptance test.
+/// Configuration of the deterministic FK/constraint workload fixture: the
+/// four-family leg of the repository benchmark's `condition_assert`
+/// workload, and a golden strategy test.
 #[derive(Clone, Copy, Debug)]
 pub struct ConstraintWorkloadConfig {
     /// Number of departments (the IND parent relation).

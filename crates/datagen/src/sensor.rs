@@ -1,5 +1,6 @@
 //! Continuous-ingest sensor workload for the delta-conditioning serving
-//! benchmark (`--exp ingest`) and the `sensor_tracking` example.
+//! benchmark workload (`sensor_ingest_serve`) and the `sensor_tracking`
+//! example.
 //!
 //! The scenario is the paper's sensor-data motivation turned into a
 //! stream: a fixed fleet of uncertain sensors (`sensors(SID, ZONE)`, one

@@ -591,7 +591,7 @@ impl ProbDbService {
     /// conditioned) snapshot until the next
     /// [`assert_all_delta`](ProbDbService::assert_all_delta) publishes a
     /// fresh posterior over the accumulated deltas — the bounded-staleness
-    /// ingest flow of the `--exp ingest` benchmark.
+    /// ingest flow of the `sensor_ingest_serve` benchmark workload.
     ///
     /// # Errors
     ///

@@ -78,7 +78,7 @@ fn main() {
         // to the selection query where descriptors are independent.
         if name == "Q2" {
             let t = Instant::now();
-            let we = confidence_by_elimination(&answer.ws_set, table).expect("WE succeeds");
+            let we = confidence_by_elimination(&answer.ws_set, table, None).expect("WE succeeds");
             report("WE", we.probability, t.elapsed());
         }
 

@@ -83,7 +83,7 @@ pub mod prelude {
     };
     pub use uprob_core::{
         available_workers, build_tree, condition, confidence, confidence_by_elimination,
-        confidence_by_elimination_parallel, confidence_parallel, estimate_conditioned_confidence,
+        confidence_parallel, estimate_conditioned_confidence,
         estimate_conditioned_confidence_with_options, estimate_confidence,
         estimate_confidence_with_options, CacheStats, ConditioningOptions, ConfidenceReport,
         ConfidenceStrategy, DecompositionMethod, DecompositionOptions, InheritOutcome,

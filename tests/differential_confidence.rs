@@ -104,25 +104,13 @@ proptest! {
             parallel.workers()
         );
 
-        // Ws-descriptor elimination, sequential and parallel (also
-        // bit-identical between themselves).
-        let we = confidence_by_elimination(&instance.query, &instance.table)
+        // Ws-descriptor elimination.
+        let we = confidence_by_elimination(&instance.query, &instance.table, None)
             .unwrap()
             .probability;
         prop_assert!(
             (we - expected).abs() < 1e-9,
             "WE {we} vs brute force {expected}"
-        );
-        let we_parallel =
-            confidence_by_elimination_parallel(&instance.query, &instance.table, None, None, &parallel)
-                .unwrap()
-                .probability;
-        prop_assert!(
-            we_parallel.to_bits() == we.to_bits(),
-            "parallel WE {} vs sequential WE {} at {} workers",
-            we_parallel,
-            we,
-            parallel.workers()
         );
 
         // Karp–Luby with fixed iterations over parallel deterministic

@@ -40,7 +40,7 @@ proptest! {
             let got = confidence(set, table, &options).unwrap().probability;
             prop_assert!((got - expected).abs() < 1e-9, "{options:?}: {got} vs {expected}");
         }
-        let we = confidence_by_elimination(set, table).unwrap().probability;
+        let we = confidence_by_elimination(set, table, None).unwrap().probability;
         prop_assert!((we - expected).abs() < 1e-9, "WE: {we} vs {expected}");
     }
 

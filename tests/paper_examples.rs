@@ -130,7 +130,7 @@ fn example_4_7_and_figure_3_probability() {
     ] {
         assert!((confidence(&s, &w, &options).unwrap().probability - 0.7578).abs() < 1e-12);
     }
-    assert!((confidence_by_elimination(&s, &w).unwrap().probability - 0.7578).abs() < 1e-12);
+    assert!((confidence_by_elimination(&s, &w, None).unwrap().probability - 0.7578).abs() < 1e-12);
     assert!((s.probability_by_enumeration(&w) - 0.7578).abs() < 1e-12);
     // The materialised ws-tree represents S and evaluates to the same value.
     let (tree, _) = build_tree(&s, &w, &DecompositionOptions::indve_minlog()).unwrap();
@@ -218,7 +218,7 @@ fn example_6_1_ws_descriptor_elimination() {
         WsDescriptor::from_pairs(w, &[(j, 7)]).unwrap(),
         WsDescriptor::from_pairs(w, &[(j, 1), (b, 4)]).unwrap(),
     ]);
-    let result = confidence_by_elimination(&set, w).unwrap();
+    let result = confidence_by_elimination(&set, w, None).unwrap();
     assert!((result.probability - 1.0).abs() < 1e-12);
 }
 

@@ -9,7 +9,8 @@
 //!
 //! 1. `confidence_parallel` vs the sequential fold (with and without a
 //!    shared cache, and stats-identical without one);
-//! 2. parallel ws-descriptor elimination vs sequential WE;
+//! 2. ws-descriptor elimination run concurrently on worker threads vs one
+//!    call on the calling thread;
 //! 3. conditioned confidence through the engine's `_with_options` path;
 //! 4. the general `assert_all_delta` (fresh memo) vs `assert_all`
 //!    (confidence and full posterior database);
@@ -31,6 +32,7 @@
 //! its own worker count here.
 
 use proptest::prelude::*;
+use uprob::core::fan_out_indexed;
 use uprob::datagen::{arb_constraint_case, arb_small_recipe, HardInstance, HardInstanceConfig};
 use uprob::prelude::*;
 use uprob::query::QueryError;
@@ -123,33 +125,31 @@ proptest! {
         }
     }
 
-    /// Parallel ws-descriptor elimination is bit-identical to sequential
-    /// WE, stats included.
+    /// Ws-descriptor elimination run concurrently on worker threads is
+    /// bit-identical to one call on the calling thread, stats included: WE
+    /// keeps no state between or across calls.
     #[test]
     fn parallel_elimination_is_bit_identical(recipe in arb_small_recipe()) {
         let instance = recipe.build();
         let sequential =
-            confidence_by_elimination(&instance.query, &instance.table).unwrap();
+            confidence_by_elimination(&instance.query, &instance.table, None).unwrap();
         for workers in worker_counts() {
-            let parallel = parallel_options(workers);
-            let got = confidence_by_elimination_parallel(
-                &instance.query,
-                &instance.table,
-                None,
-                None,
-                &parallel,
-            )
-            .unwrap();
-            prop_assert_eq!(
-                got.probability.to_bits(),
-                sequential.probability.to_bits(),
-                "WE, workers {}: parallel {} vs sequential {} on {:?}",
-                workers,
-                got.probability,
-                sequential.probability,
-                &recipe
-            );
-            prop_assert_eq!(&got.stats, &sequential.stats);
+            let concurrent = fan_out_indexed(workers, workers, |_| {
+                confidence_by_elimination(&instance.query, &instance.table, None)
+            });
+            for got in concurrent {
+                let got = got.unwrap();
+                prop_assert_eq!(
+                    got.probability.to_bits(),
+                    sequential.probability.to_bits(),
+                    "WE, workers {}: concurrent {} vs calling thread {} on {:?}",
+                    workers,
+                    got.probability,
+                    sequential.probability,
+                    &recipe
+                );
+                prop_assert_eq!(&got.stats, &sequential.stats);
+            }
         }
     }
 

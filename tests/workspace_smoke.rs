@@ -70,14 +70,7 @@ fn entry_point_signatures_are_pinned() {
         &ParallelOptions,
         Option<&Cache>,
     ) -> Core<Confidence> = confidence_parallel;
-    let _: fn(&WsSet, &WorldTable) -> Core<Confidence> = confidence_by_elimination;
-    let _: fn(
-        &WsSet,
-        &WorldTable,
-        Option<u64>,
-        Option<&Cache>,
-        &ParallelOptions,
-    ) -> Core<Confidence> = confidence_by_elimination_parallel;
+    let _: fn(&WsSet, &WorldTable, Option<u64>) -> Core<Confidence> = confidence_by_elimination;
     let _: fn(
         &WsSet,
         &WorldTable,
