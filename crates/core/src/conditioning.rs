@@ -366,12 +366,16 @@ pub fn condition(
         leaf.fresh.sort_unstable_by_key(|a| a.var);
     }
 
-    // The join: every row against every leaf, in DFS order.
+    // The join: every row against every leaf, in DFS order. The rewrites
+    // share one buffer (with each row's length in `lens`) until the
+    // posterior numbering is known; the rows hold a placeholder descriptor.
     let mut used = vec![!options.simplify; simplified.len()];
     let mut relations = Vec::with_capacity(db.num_relations());
     let mut rewritten = Vec::new();
+    let mut assignments: Vec<Assignment> = Vec::new();
+    let mut lens: Vec<usize> = Vec::new();
     for relation in db.relations() {
-        let mut rows: Vec<(Tuple, Vec<Assignment>)> = Vec::with_capacity(relation.len());
+        let mut rows: Vec<(Tuple, WsDescriptor)> = Vec::with_capacity(relation.len());
         for (tuple, descriptor) in relation.iter() {
             for leaf in &leaves {
                 if leaf.rewrite_into(descriptor, &simplified, &mut rewritten) {
@@ -380,7 +384,9 @@ pub fn condition(
                             *slot = true;
                         }
                     }
-                    rows.push((tuple.clone(), rewritten.clone()));
+                    assignments.extend_from_slice(&rewritten);
+                    lens.push(rewritten.len());
+                    rows.push((tuple.clone(), WsDescriptor::empty()));
                 }
             }
         }
@@ -402,21 +408,19 @@ pub fn condition(
             None
         });
     }
+    for a in &mut assignments {
+        a.var = renumber
+            .get(a.var.index())
+            .copied()
+            .flatten()
+            .ok_or(WsdError::UnknownVariable { var: a.var })?;
+    }
+    let (mut assignments, mut lens) = (assignments.into_iter(), lens.into_iter());
     let mut out = ProbDb::with_world_table(posterior_table);
-    for (schema, rows) in relations {
-        let rows = rows
-            .into_iter()
-            .map(|(tuple, mut assignments)| {
-                for a in &mut assignments {
-                    a.var = renumber
-                        .get(a.var.index())
-                        .copied()
-                        .flatten()
-                        .ok_or(WsdError::UnknownVariable { var: a.var })?;
-                }
-                Ok((tuple, WsDescriptor::from_sorted_assignments(assignments)?))
-            })
-            .collect::<Result<_>>()?;
+    for (schema, mut rows) in relations {
+        for ((_, descriptor), len) in rows.iter_mut().zip(lens.by_ref()) {
+            *descriptor = WsDescriptor::from_assignments(assignments.by_ref().take(len))?;
+        }
         out.replace_relation(URelation::from_rows(schema, rows));
     }
 
@@ -528,9 +532,10 @@ pub(crate) mod tests {
     /// Probability that `tuple` appears in relation `name` of `db`, by
     /// brute-force world enumeration.
     fn tuple_marginal(db: &ProbDb, name: &str, tuple: &Tuple) -> f64 {
-        db.enumerate_instances()
-            .filter(|(_, _, instance)| instance[name].contains(tuple))
-            .map(|(_, p, _)| p)
+        db.world_table()
+            .enumerate_worlds()
+            .filter(|(world, _)| db.instantiate_world(world)[name].contains(tuple))
+            .map(|(_, p)| p)
             .sum()
     }
 
@@ -538,8 +543,8 @@ pub(crate) mod tests {
     /// printed form of the instance (stable and hashable).
     pub(crate) fn instance_distribution(db: &ProbDb) -> BTreeMap<String, f64> {
         let mut out: BTreeMap<String, f64> = BTreeMap::new();
-        for (_, p, instance) in db.enumerate_instances() {
-            let key = format!("{instance:?}");
+        for (world, p) in db.world_table().enumerate_worlds() {
+            let key = format!("{:?}", db.instantiate_world(&world));
             *out.entry(key).or_insert(0.0) += p;
         }
         out.retain(|_, p| *p > 1e-15);

@@ -160,7 +160,9 @@ mod tests {
             WsDescriptor::from_pairs(&w, &[(j, 7), (b, 7)]).unwrap(),
         ]);
         let mutex = mutex_equivalent(&set, &w);
-        assert!(mutex.is_pairwise_mutex());
+        for (i, d1) in mutex.iter().enumerate() {
+            assert!(mutex.iter().skip(i + 1).all(|d2| d1.is_mutex_with(d2)));
+        }
         assert!(mutex.is_equivalent_by_enumeration(&set, &w));
         // Linear-time probability of a mutex set: sum of descriptor
         // probabilities.

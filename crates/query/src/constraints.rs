@@ -185,15 +185,6 @@ impl Constraint {
         }
     }
 
-    /// Convenience constructor for a plan-based constraint (the plan is
-    /// the *violation* query and must project to the nullary schema).
-    pub fn from_violation_plan(name: &str, plan: Plan) -> Self {
-        Constraint::PlanConstraint {
-            name: name.to_string(),
-            plan,
-        }
-    }
-
     /// A short human-readable description.
     pub fn describe(&self) -> String {
         match self {
@@ -949,11 +940,6 @@ impl Assertion {
             Assertion::Estimated(e) => e.confidence.probability,
         }
     }
-
-    /// True if the posterior database was materialised.
-    pub fn is_materialized(&self) -> bool {
-        matches!(self, Assertion::Materialized(_))
-    }
 }
 
 /// A *virtual* posterior: the satisfying world-set `C` of an asserted
@@ -1415,7 +1401,10 @@ mod tests {
 
         // Plan constraints must be Boolean queries.
         invalid(
-            &Constraint::from_violation_plan("wide", Plan::scan("P")),
+            &Constraint::PlanConstraint {
+                name: "wide".into(),
+                plan: Plan::scan("P"),
+            },
             "nullary",
         );
 
@@ -1532,7 +1521,10 @@ mod tests {
                 )),
             )
             .project(&[]);
-        let constraint = Constraint::from_violation_plan("fd-by-plan", plan);
+        let constraint = Constraint::PlanConstraint {
+            name: "fd-by-plan".into(),
+            plan,
+        };
         assert_eq!(constraint.describe(), "plan(fd-by-plan)");
         assert_eq!(constraint.relations(), vec!["R"]);
         let conditioned =
@@ -1552,7 +1544,7 @@ mod tests {
             &ConfidenceStrategy::hybrid(1_000_000, 0.1, 0.01),
         )
         .unwrap();
-        assert!(assertion.is_materialized());
+        assert!(matches!(assertion, Assertion::Materialized(_)));
         let exact = assert_constraint(&db, &fd, &options).unwrap();
         assert!((assertion.confidence() - exact.confidence).abs() < 1e-12);
         // The Exact strategy is the plain assert.
@@ -1563,7 +1555,7 @@ mod tests {
             &ConfidenceStrategy::Exact,
         )
         .unwrap();
-        assert!(exact_assertion.is_materialized());
+        assert!(matches!(exact_assertion, Assertion::Materialized(_)));
     }
 
     #[test]
@@ -1880,7 +1872,7 @@ mod tests {
         let exact =
             assert_all_with_strategy(&db, &constraints, &options, &ConfidenceStrategy::Exact)
                 .unwrap();
-        assert!(exact.is_materialized());
+        assert!(matches!(exact, Assertion::Materialized(_)));
         let batch = assert_all(&db, &constraints, &options).unwrap();
         assert_eq!(exact.confidence().to_bits(), batch.confidence.to_bits());
 
@@ -1892,7 +1884,7 @@ mod tests {
             &ConfidenceStrategy::hybrid(1_000_000, 0.1, 0.01),
         )
         .unwrap();
-        assert!(hybrid.is_materialized());
+        assert!(matches!(hybrid, Assertion::Materialized(_)));
         assert_eq!(hybrid.confidence().to_bits(), batch.confidence.to_bits());
 
         // The approximate strategy returns a virtual posterior whose

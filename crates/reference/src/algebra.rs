@@ -3,7 +3,7 @@
 
 mod tests {
     use crate::fixtures::ssn_db;
-    use crate::urel::{distinct, join, product, project, rename, select, union};
+    use crate::urel::{distinct, join, product, project, rename, select, tuple_ws_set, union};
     use uprob_urel::{ColumnType, Comparison, Expr, Predicate, Schema, Tuple, URelation, Value};
     use uprob_wsd::WsDescriptor;
 
@@ -28,7 +28,7 @@ mod tests {
         assert_eq!(names.schema().arity(), 1);
         // Two rows carry the tuple (John) with different descriptors.
         let john = Tuple::new(vec![Value::str("John")]);
-        assert_eq!(names.tuple_ws_set(&john).len(), 2);
+        assert_eq!(tuple_ws_set(&names, &john).len(), 2);
         assert!(project(r, &["BAD"], "P").is_err());
     }
 
@@ -185,7 +185,7 @@ mod tests {
         let deduped = distinct(&doubled);
         // 4 distinct rows + the extra derivation of (7, Bill).
         assert_eq!(deduped.len(), 5);
-        assert_eq!(deduped.tuple_ws_set(&extra).len(), 2);
+        assert_eq!(tuple_ws_set(&deduped, &extra).len(), 2);
         // Idempotent, and a no-op on an already-duplicate-free relation.
         assert_eq!(distinct(&deduped), deduped);
         assert_eq!(distinct(r).len(), 4);

@@ -8,7 +8,9 @@
 //!   plan interpreter — the oracle of `ProbDb::query` (optimizer +
 //!   pipelined hash joins);
 //! * [`query`]: the eager violation compilation of every constraint form and
-//!   the cache-free, thread-free per-tuple confidence fold.
+//!   the cache-free, thread-free per-tuple confidence fold;
+//! * [`wstree`]: the ws-set a ws-tree denotes and the structural constraints
+//!   of Definition 4.1 — the oracle of `uprob_core::build_tree`.
 //!
 //! This crate depends on the product crates, so no product crate can depend
 //! on it: that would be a cycle, which Cargo rejects. Its users are the
@@ -24,6 +26,7 @@
 
 pub mod query;
 pub mod urel;
+pub mod wstree;
 
 #[cfg(test)]
 mod algebra;
@@ -31,6 +34,8 @@ mod algebra;
 mod confidence;
 #[cfg(test)]
 mod constraints;
+#[cfg(test)]
+mod decompose;
 #[cfg(test)]
 mod exec;
 #[cfg(test)]

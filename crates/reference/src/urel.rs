@@ -16,8 +16,10 @@
 //! on the instantiated inputs (tested in `algebra.rs` and by property
 //! tests).
 
+use std::collections::BTreeMap;
 use uprob_urel::{Plan, Predicate, ProbDb, Result, Tuple, URelation, UrelError, Value};
-use uprob_wsd::{FxHashSet, WsDescriptor};
+
+use uprob_wsd::{FxHashSet, ValueIndex, WsDescriptor, WsSet};
 
 /// Selection `σ_φ(R)`: keeps the rows whose tuple satisfies `φ`, with their
 /// descriptors unchanged.
@@ -109,7 +111,7 @@ pub fn union(left: &URelation, right: &URelation, name: &str) -> Result<URelatio
 /// correct: identical rows are present in exactly the same worlds, so the
 /// instantiated output (a set) is unchanged. Rows carrying the same tuple
 /// under *different* descriptors are kept — they are distinct derivations
-/// and their world-sets union in [`URelation::tuple_ws_set`].
+/// and their world-sets union in [`tuple_ws_set`].
 pub fn distinct(relation: &URelation) -> URelation {
     let mut seen: FxHashSet<(&Tuple, &WsDescriptor)> = FxHashSet::default();
     let mut out = URelation::new(relation.schema().clone());
@@ -119,6 +121,27 @@ pub fn distinct(relation: &URelation) -> URelation {
         }
     }
     out
+}
+
+/// The ws-set of the worlds in which `tuple` is present: the descriptors of
+/// all rows of `relation` whose tuple equals `tuple`.
+pub fn tuple_ws_set(relation: &URelation, tuple: &Tuple) -> WsSet {
+    relation
+        .iter()
+        .filter(|(t, _)| *t == tuple)
+        .map(|(_, d)| d.clone())
+        .collect()
+}
+
+/// Enumerates all `(world, probability, instance)` triples of `db`.
+/// Exponential in the number of variables.
+pub fn enumerate_instances(
+    db: &ProbDb,
+) -> impl Iterator<Item = (Vec<ValueIndex>, f64, BTreeMap<String, Vec<Tuple>>)> + '_ {
+    db.world_table().enumerate_worlds().map(move |(world, p)| {
+        let instance = db.instantiate_world(&world);
+        (world, p, instance)
+    })
 }
 
 /// Renames a relation (schema name only; columns are unchanged).

@@ -197,19 +197,6 @@ impl ProbDb {
             .map(|(name, rel)| (name.clone(), rel.instantiate(world)))
             .collect()
     }
-
-    /// Enumerates all `(world, probability, instance)` triples.
-    ///
-    /// Exponential in the number of variables; tests and brute-force
-    /// baselines only.
-    pub fn enumerate_instances(
-        &self,
-    ) -> impl Iterator<Item = (Vec<ValueIndex>, f64, WorldInstance)> + '_ {
-        self.world_table.enumerate_worlds().map(move |(world, p)| {
-            let instance = self.instantiate_world(&world);
-            (world, p, instance)
-        })
-    }
 }
 
 impl fmt::Display for ProbDb {
@@ -310,7 +297,14 @@ pub(crate) mod tests {
     #[test]
     fn world_instances_match_figure_1() {
         let db = ssn_db();
-        let instances: Vec<_> = db.enumerate_instances().collect();
+        let instances: Vec<_> = db
+            .world_table()
+            .enumerate_worlds()
+            .map(|(world, p)| {
+                let instance = db.instantiate_world(&world);
+                (world, p, instance)
+            })
+            .collect();
         assert_eq!(instances.len(), 4);
         let total: f64 = instances.iter().map(|(_, p, _)| p).sum();
         assert!((total - 1.0).abs() < 1e-12);

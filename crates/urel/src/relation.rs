@@ -147,16 +147,6 @@ impl URelation {
         self.rows.iter().map(|(_, d)| d.clone()).collect()
     }
 
-    /// The ws-set of the worlds in which `tuple` is present: the descriptors
-    /// of all rows whose tuple equals `tuple`.
-    pub fn tuple_ws_set(&self, tuple: &Tuple) -> WsSet {
-        self.rows
-            .iter()
-            .filter(|(t, _)| t == tuple)
-            .map(|(_, d)| d.clone())
-            .collect()
-    }
-
     /// Groups rows by tuple value, returning each distinct tuple with the
     /// ws-set of the worlds in which it appears. Groups come in tuple order
     /// and each keeps its descriptors in row order.
@@ -304,7 +294,11 @@ mod tests {
         let extra = WsDescriptor::empty();
         r.push(Tuple::new(vec![Value::Int(7), Value::str("Bill")]), extra);
         let t = Tuple::new(vec![Value::Int(7), Value::str("Bill")]);
-        let ws = r.tuple_ws_set(&t);
+        let ws: WsSet = r
+            .iter()
+            .filter(|(tuple, _)| *tuple == &t)
+            .map(|(_, d)| d.clone())
+            .collect();
         assert_eq!(ws.len(), 2);
         let distinct = r.distinct_tuples();
         assert_eq!(distinct.len(), 4);

@@ -5,18 +5,148 @@
 //! identifies a single possible world; a partial descriptor denotes all
 //! worlds obtained by extending it to a total valuation; the empty
 //! descriptor denotes the set of all possible worlds (Section 2).
+//!
+//! The descriptors a workload builds are short (one to four assignments on
+//! every benchmark read), so up to four are stored inline and cloning,
+//! splitting or grouping such a descriptor does not allocate; longer ones
+//! spill to a heap `Vec`. Equality, order and hashing are those of the
+//! assignment slice whatever the storage, so the representation cannot
+//! change a result (DESIGN.md, "Descriptor storage").
 
 #![expect(
     clippy::indexing_slicing,
-    reason = "every index is a binary_search hit or a two-pointer cursor bounded by its own `while i < len` guard"
+    reason = "every index is a binary_search hit, a two-pointer cursor bounded by its own `while i < len` guard, or a position at most the inline length"
 )]
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::{Deref, DerefMut};
 
 use crate::error::WsdError;
 use crate::value::{Assignment, DomainValue, ValueIndex, VarId};
 use crate::world_table::WorldTable;
 use crate::Result;
+
+/// How many assignments a descriptor stores without a heap allocation.
+const INLINE: usize = 4;
+
+/// Fills the unused inline slots; never read through the slice.
+const FILLER: Assignment = Assignment {
+    var: VarId(0),
+    value: ValueIndex(0),
+};
+
+/// A descriptor's assignments: inline while there are at most [`INLINE`] of
+/// them, in a heap `Vec` otherwise (the representation is a function of the
+/// length). Everything else sees the slice it derefs to.
+#[derive(Clone)]
+enum Assignments {
+    /// The first `len` slots; the others hold [`FILLER`].
+    Inline(u8, [Assignment; INLINE]),
+    Spilled(Vec<Assignment>),
+}
+
+impl Assignments {
+    /// `len` copies of [`FILLER`], to be overwritten through the slice.
+    fn filled(len: usize) -> Self {
+        if len <= INLINE {
+            Assignments::Inline(len as u8, [FILLER; INLINE])
+        } else {
+            Assignments::Spilled(vec![FILLER; len])
+        }
+    }
+
+    /// `head` followed by `tail`.
+    fn concat(head: &[Assignment], tail: &[Assignment]) -> Self {
+        let len = head.len() + tail.len();
+        if len > INLINE {
+            let mut spilled = Vec::with_capacity(len);
+            spilled.extend_from_slice(head);
+            spilled.extend_from_slice(tail);
+            return Assignments::Spilled(spilled);
+        }
+        let mut items = [FILLER; INLINE];
+        items[..head.len()].copy_from_slice(head);
+        items[head.len()..len].copy_from_slice(tail);
+        Assignments::Inline(len as u8, items)
+    }
+
+    /// Inserts `a` at `pos`. Past [`INLINE`] the assignments spill to a
+    /// `Vec` with room for `2 * INLINE`, so a descriptor grown one
+    /// assignment at a time allocates once on the way to that length.
+    fn insert(&mut self, pos: usize, a: Assignment) {
+        match self {
+            Assignments::Inline(len, items) if usize::from(*len) < INLINE => {
+                items.copy_within(pos..usize::from(*len), pos + 1);
+                items[pos] = a;
+                *len += 1;
+            }
+            Assignments::Inline(_, items) => {
+                let mut spilled = Vec::with_capacity(2 * INLINE);
+                spilled.extend_from_slice(items);
+                spilled.insert(pos, a);
+                *self = Assignments::Spilled(spilled);
+            }
+            Assignments::Spilled(v) => v.insert(pos, a),
+        }
+    }
+}
+
+impl Default for Assignments {
+    fn default() -> Self {
+        Assignments::filled(0)
+    }
+}
+
+impl Deref for Assignments {
+    type Target = [Assignment];
+
+    #[inline]
+    fn deref(&self) -> &[Assignment] {
+        match self {
+            Assignments::Inline(len, items) => &items[..usize::from(*len)],
+            Assignments::Spilled(v) => v,
+        }
+    }
+}
+
+impl DerefMut for Assignments {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [Assignment] {
+        match self {
+            Assignments::Inline(len, items) => &mut items[..usize::from(*len)],
+            Assignments::Spilled(v) => v,
+        }
+    }
+}
+
+// Equality, order and hashing are the slice's, exactly as the derived `Vec`
+// ones were: the filler slots never take part.
+impl PartialEq for Assignments {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Assignments {}
+
+impl PartialOrd for Assignments {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Assignments {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (**self).cmp(&**other)
+    }
+}
+
+impl Hash for Assignments {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (**self).hash(state);
+    }
+}
 
 /// A functional partial assignment of variables to domain-value indexes.
 ///
@@ -27,7 +157,7 @@ use crate::Result;
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct WsDescriptor {
     /// Sorted by variable id; at most one entry per variable.
-    assignments: Vec<Assignment>,
+    assignments: Assignments,
 }
 
 impl WsDescriptor {
@@ -59,6 +189,19 @@ impl WsDescriptor {
     /// Fails with [`WsdError::NotFunctional`] if a variable occurs twice with
     /// different values.
     pub fn from_assignments(assignments: impl IntoIterator<Item = Assignment>) -> Result<Self> {
+        let assignments = assignments.into_iter();
+        // Too many to fit inline: one `Vec`, kept as it is when sorted.
+        if assignments.size_hint().0 > INLINE {
+            let all: Vec<Assignment> = assignments.collect();
+            if all.windows(2).all(|pair| pair[0].var < pair[1].var) {
+                return WsDescriptor::from_sorted_assignments(all);
+            }
+            return WsDescriptor::assign_each(all);
+        }
+        WsDescriptor::assign_each(assignments)
+    }
+
+    fn assign_each(assignments: impl IntoIterator<Item = Assignment>) -> Result<Self> {
         let mut d = WsDescriptor::empty();
         for a in assignments {
             d.assign(a.var, a.value)?;
@@ -67,7 +210,8 @@ impl WsDescriptor {
     }
 
     /// Wraps assignments that are already sorted by strictly ascending
-    /// variable id, in linear time and without copying them.
+    /// variable id, in linear time; a spilled descriptor keeps `assignments`
+    /// without copying them.
     ///
     /// # Errors
     ///
@@ -80,7 +224,12 @@ impl WsDescriptor {
             .find(|pair| pair[0].var >= pair[1].var)
         {
             Some(pair) => Err(WsdError::NotFunctional { var: pair[1].var }),
-            None => Ok(WsDescriptor { assignments }),
+            None if assignments.len() > INLINE => Ok(WsDescriptor {
+                assignments: Assignments::Spilled(assignments),
+            }),
+            None => Ok(WsDescriptor {
+                assignments: Assignments::concat(&assignments, &[]),
+            }),
         }
     }
 
@@ -92,12 +241,8 @@ impl WsDescriptor {
     /// different value.
     pub fn assign(&mut self, var: VarId, value: ValueIndex) -> Result<()> {
         match self.assignments.binary_search_by_key(&var, |a| a.var) {
-            Ok(pos) => {
-                if self.assignments[pos].value != value {
-                    return Err(WsdError::NotFunctional { var });
-                }
-                Ok(())
-            }
+            Ok(pos) if self.assignments[pos].value != value => Err(WsdError::NotFunctional { var }),
+            Ok(_) => Ok(()),
             Err(pos) => {
                 self.assignments.insert(pos, Assignment::new(var, value));
                 Ok(())
@@ -114,10 +259,7 @@ impl WsDescriptor {
 
     /// The value assigned to `var`, if any.
     pub fn get(&self, var: VarId) -> Option<ValueIndex> {
-        self.assignments
-            .binary_search_by_key(&var, |a| a.var)
-            .ok()
-            .map(|pos| self.assignments[pos].value)
+        value_of(&self.assignments, var)
     }
 
     /// True if `var` is assigned by this descriptor.
@@ -152,7 +294,7 @@ impl WsDescriptor {
     /// assignments) is functional, i.e. they have a common extension into a
     /// total valuation.
     pub fn is_consistent_with(&self, other: &WsDescriptor) -> bool {
-        first_clash(self, other, |a, b| a == b).is_none()
+        shared_variables(self, other, |a, b| a == b).is_ok()
     }
 
     /// Two descriptors are *mutually exclusive* (mutex) iff they represent
@@ -165,20 +307,18 @@ impl WsDescriptor {
     /// Two descriptors are *independent* iff they are defined on disjoint
     /// sets of variables (Section 3.1).
     pub fn is_independent_of(&self, other: &WsDescriptor) -> bool {
-        first_clash(self, other, |_, _| false).is_none()
+        shared_variables(self, other, |_, _| false).is_ok()
     }
 
     /// `self` is *contained* in `other` iff `ω(self) ⊆ ω(other)`:
     /// syntactically, `self` extends `other` (every assignment of `other`
     /// also appears in `self`).
     pub fn is_contained_in(&self, other: &WsDescriptor) -> bool {
-        if other.assignments.len() > self.assignments.len() {
-            return false;
-        }
-        other
-            .assignments
-            .iter()
-            .all(|a| self.get(a.var) == Some(a.value))
+        let (mine, theirs) = (&*self.assignments, &*other.assignments);
+        theirs.len() <= mine.len()
+            && theirs
+                .iter()
+                .all(|a| value_of(mine, a.var) == Some(a.value))
     }
 
     /// Union of two consistent descriptors (the descriptor of the
@@ -192,66 +332,62 @@ impl WsDescriptor {
     /// Fails with [`WsdError::NotFunctional`] if the descriptors are
     /// inconsistent.
     pub fn union(&self, other: &WsDescriptor) -> Result<WsDescriptor> {
-        if let Some(var) = first_clash(self, other, |a, b| a == b) {
-            return Err(WsdError::NotFunctional { var });
+        let shared = shared_variables(self, other, |a, b| a == b)
+            .map_err(|var| WsdError::NotFunctional { var })?;
+        let (a, b) = (&*self.assignments, &*other.assignments);
+        let mut assignments = Assignments::filled(a.len() + b.len() - shared);
+        let out = &mut *assignments;
+        let (mut i, mut j, mut k) = (0, 0, 0);
+        while i < a.len() && j < b.len() {
+            let (x, y) = (a[i], b[j]);
+            out[k] = if y.var < x.var {
+                j += 1;
+                y
+            } else {
+                i += 1;
+                j += usize::from(x.var == y.var);
+                x
+            };
+            k += 1;
         }
-        let mut merged = Vec::with_capacity(self.assignments.len() + other.assignments.len());
-        let (mut i, mut j) = (0, 0);
-        while i < self.assignments.len() && j < other.assignments.len() {
-            let a = self.assignments[i];
-            let b = other.assignments[j];
-            match a.var.cmp(&b.var) {
-                std::cmp::Ordering::Less => {
-                    merged.push(a);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    merged.push(b);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    merged.push(a);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        merged.extend_from_slice(&self.assignments[i..]);
-        merged.extend_from_slice(&other.assignments[j..]);
-        Ok(WsDescriptor {
-            assignments: merged,
-        })
+        let (rest_a, rest_b) = (&a[i..], &b[j..]);
+        out[k..k + rest_a.len()].copy_from_slice(rest_a);
+        out[k + rest_a.len()..].copy_from_slice(rest_b);
+        Ok(WsDescriptor { assignments })
     }
 
     /// The assignments of `other` that are not part of `self`
     /// (`other − self` as sets of assignments), used by the ws-set
     /// difference operation (Section 3.2).
     pub fn assignments_missing_from(&self, other: &WsDescriptor) -> Vec<Assignment> {
+        let mine = &*self.assignments;
         other
             .assignments
             .iter()
             .copied()
-            .filter(|a| self.get(a.var) != Some(a.value))
+            .filter(|a| value_of(mine, a.var) != Some(a.value))
             .collect()
     }
 
     /// Removes the assignment of `var`, if present, returning whether it was
     /// removed.
     pub fn remove(&mut self, var: VarId) -> bool {
-        match self.assignments.binary_search_by_key(&var, |a| a.var) {
-            Ok(pos) => {
-                self.assignments.remove(pos);
-                true
-            }
-            Err(_) => false,
+        let found = self.defines(var);
+        if found {
+            *self = self.without(var);
         }
+        found
     }
 
     /// Returns a copy of this descriptor without the assignment of `var`.
     pub fn without(&self, var: VarId) -> WsDescriptor {
-        let mut d = self.clone();
-        d.remove(var);
-        d
+        let a = &*self.assignments;
+        match a.binary_search_by_key(&var, |a| a.var) {
+            Ok(pos) => WsDescriptor {
+                assignments: Assignments::concat(&a[..pos], &a[pos + 1..]),
+            },
+            Err(_) => self.clone(),
+        }
     }
 
     /// Probability of the world-set denoted by this descriptor:
@@ -335,29 +471,44 @@ impl fmt::Display for DescriptorDisplay<'_> {
     }
 }
 
-/// Walks two sorted assignment lists; returns the first shared variable
-/// whose two values fail `shared_ok`, if any.
-fn first_clash<F>(a: &WsDescriptor, b: &WsDescriptor, shared_ok: F) -> Option<VarId>
+/// The value `assignments` (sorted by variable) gives `var`, if any.
+#[inline]
+fn value_of(assignments: &[Assignment], var: VarId) -> Option<ValueIndex> {
+    assignments
+        .binary_search_by_key(&var, |a| a.var)
+        .ok()
+        .map(|pos| assignments[pos].value)
+}
+
+/// Walks two sorted assignment lists: the number of variables they share,
+/// or the first shared variable whose two values fail `shared_ok`.
+fn shared_variables<F>(
+    a: &WsDescriptor,
+    b: &WsDescriptor,
+    shared_ok: F,
+) -> std::result::Result<usize, VarId>
 where
     F: Fn(ValueIndex, ValueIndex) -> bool,
 {
-    let (mut i, mut j) = (0, 0);
-    while i < a.assignments.len() && j < b.assignments.len() {
-        let x = a.assignments[i];
-        let y = b.assignments[j];
+    let (a, b) = (&*a.assignments, &*b.assignments);
+    let (mut i, mut j, mut shared) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        let x = a[i];
+        let y = b[j];
         match x.var.cmp(&y.var) {
             std::cmp::Ordering::Less => i += 1,
             std::cmp::Ordering::Greater => j += 1,
             std::cmp::Ordering::Equal => {
                 if !shared_ok(x.value, y.value) {
-                    return Some(x.var);
+                    return Err(x.var);
                 }
+                shared += 1;
                 i += 1;
                 j += 1;
             }
         }
     }
-    None
+    Ok(shared)
 }
 
 #[cfg(test)]

@@ -169,24 +169,6 @@ impl WsSet {
             .all(|d1| other.descriptors.iter().all(|d2| d1.is_independent_of(d2)))
     }
 
-    /// True if the descriptors *within* this set are pairwise mutex, in which
-    /// case the probability of the set is simply the sum of descriptor
-    /// probabilities (used by ws-descriptor elimination, Section 6).
-    pub fn is_pairwise_mutex(&self) -> bool {
-        for (i, d1) in self.descriptors.iter().enumerate() {
-            #[expect(
-                clippy::indexing_slicing,
-                reason = "i comes from enumerate() over the same vec"
-            )]
-            for d2 in &self.descriptors[i + 1..] {
-                if !d1.is_mutex_with(d2) {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
     /// True if the total valuation `world` belongs to the world-set of this
     /// ws-set.
     pub fn matches_world(&self, world: &[ValueIndex]) -> bool {
@@ -575,8 +557,9 @@ mod tests {
         let _ = (y, z, v);
         let d = WsDescriptor::from_pairs(&w, &[(x, 1), (u, 1)]).unwrap();
         let result = diff_descriptor_set(&d, s.descriptors(), &w);
-        let as_set = WsSet::from_descriptors(result);
-        assert!(as_set.is_pairwise_mutex());
+        for (i, d1) in result.iter().enumerate() {
+            assert!(result[i + 1..].iter().all(|d2| d1.is_mutex_with(d2)));
+        }
     }
 
     #[test]

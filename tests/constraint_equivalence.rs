@@ -147,7 +147,7 @@ fn fd_violated(
 /// printed form of the instance (stable and hashable).
 fn instance_distribution(db: &ProbDb) -> BTreeMap<String, f64> {
     let mut out: BTreeMap<String, f64> = BTreeMap::new();
-    for (_, p, instance) in db.enumerate_instances() {
+    for (_, p, instance) in uprob_reference::urel::enumerate_instances(db) {
         let key = format!("{instance:?}");
         *out.entry(key).or_insert(0.0) += p;
     }
@@ -190,7 +190,7 @@ proptest! {
                 "planned and eager violation ws-sets diverge for {}",
                 constraint.describe()
             );
-            for (world, _, instance) in db.enumerate_instances() {
+            for (world, _, instance) in uprob_reference::urel::enumerate_instances(&db) {
                 let expected = instance_violates(&db, &instance, constraint);
                 let got = planned.matches_world(&world);
                 prop_assert_eq!(

@@ -230,7 +230,7 @@ fn example_5_1_constraint_through_all_three_strategies() {
         &ConfidenceStrategy::Exact,
     )
     .unwrap();
-    assert!(exact.is_materialized());
+    assert!(matches!(exact, Assertion::Materialized(_)));
     assert!((exact.confidence() - 0.44).abs() < 1e-12);
 
     let hybrid = assert_all_with_strategy(
@@ -240,7 +240,10 @@ fn example_5_1_constraint_through_all_three_strategies() {
         &ConfidenceStrategy::hybrid(1_000_000, 0.1, 0.01),
     )
     .unwrap();
-    assert!(hybrid.is_materialized(), "feasible: must materialise");
+    assert!(
+        matches!(hybrid, Assertion::Materialized(_)),
+        "feasible: must materialise"
+    );
     assert_eq!(hybrid.confidence().to_bits(), exact.confidence().to_bits());
 
     let epsilon = 0.05;
@@ -251,7 +254,7 @@ fn example_5_1_constraint_through_all_three_strategies() {
         &ConfidenceStrategy::approximate(epsilon, 0.05).with_seed(44),
     )
     .unwrap();
-    assert!(!approx.is_materialized());
+    assert!(!matches!(approx, Assertion::Materialized(_)));
     assert!(
         (approx.confidence() - 0.44).abs() <= epsilon * 0.44 + 0.01,
         "estimated P(C) {}",
@@ -809,7 +812,10 @@ fn assert_all_on_figure3_is_bit_identical_to_the_singleton_assert() {
         f.push(Tuple::new(vec![Value::Int(i as i64)]), d.clone());
     }
     db.insert_relation(f).unwrap();
-    let constraint = Constraint::from_violation_plan("fig3", Plan::scan("F").project(&[]));
+    let constraint = Constraint::PlanConstraint {
+        name: "fig3".into(),
+        plan: Plan::scan("F").project(&[]),
+    };
     let options = ConditioningOptions::default();
 
     let single = assert_constraint(&db, &constraint, &options).unwrap();
@@ -837,7 +843,10 @@ fn assert_all_on_the_fig10_tpch_fixture_is_bit_identical_to_sequential() {
     // point, and the hybrid fallback's job; here the *exact* batch is the
     // golden value).
     let data = TpchDatabase::generate(TpchConfig::scale(0.01).with_row_scale(0.002).with_seed(7));
-    let q1_boolean = Constraint::from_violation_plan("q1-nonempty", q1_plan().project(&[]));
+    let q1_boolean = Constraint::PlanConstraint {
+        name: "q1-nonempty".into(),
+        plan: q1_plan().project(&[]),
+    };
     let quantity_range =
         Constraint::row_filter("lineitem", Predicate::between("quantity", 0i64, 50i64));
     let constraints = vec![q1_boolean.clone(), quantity_range.clone()];
@@ -891,7 +900,7 @@ fn fk_and_denial_workload_through_all_three_strategies() {
         &ConfidenceStrategy::Exact,
     )
     .unwrap();
-    assert!(exact.is_materialized());
+    assert!(matches!(exact, Assertion::Materialized(_)));
     assert!(exact.confidence() > 0.0 && exact.confidence() < 1.0);
 
     // Hybrid with an ample budget: bit-identical materialisation.
@@ -902,7 +911,7 @@ fn fk_and_denial_workload_through_all_three_strategies() {
         &ConfidenceStrategy::hybrid(10_000_000, 0.1, 0.01),
     )
     .unwrap();
-    assert!(hybrid.is_materialized());
+    assert!(matches!(hybrid, Assertion::Materialized(_)));
     assert_eq!(hybrid.confidence().to_bits(), exact.confidence().to_bits());
 
     // Hybrid with a starvation budget: the virtual posterior answers
@@ -939,7 +948,7 @@ fn fk_and_denial_workload_through_all_three_strategies() {
         &ConfidenceStrategy::approximate(0.1, 0.05).with_seed(1010),
     )
     .unwrap();
-    assert!(!approx.is_materialized());
+    assert!(!matches!(approx, Assertion::Materialized(_)));
     assert!(
         (approx.confidence() - exact.confidence()).abs() <= 0.1 * exact.confidence() + 0.02,
         "approximate P(C) {} vs exact {}",

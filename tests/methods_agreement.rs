@@ -52,8 +52,8 @@ proptest! {
         let table = &instance.world_table;
         let set = &instance.ws_set;
         let (tree, _) = build_tree(set, table, &DecompositionOptions::indve_minlog()).unwrap();
-        prop_assert!(tree.validate(table).is_ok());
-        prop_assert!(tree.to_ws_set().is_equivalent_by_enumeration(set, table));
+        prop_assert!(uprob_reference::wstree::validate(&tree, table).is_ok());
+        prop_assert!(uprob_reference::wstree::ws_set(&tree).is_equivalent_by_enumeration(set, table));
         let p_tree = uprob::core::tree_probability(&tree, table);
         let p_brute = set.probability_by_enumeration(table);
         prop_assert!((p_tree - p_brute).abs() < 1e-9);
@@ -137,7 +137,7 @@ fn conditioning_matches_bayes_on_random_tuple_independent_databases() {
         }
         expected.retain(|_, p| *p > 1e-15);
         let mut got: std::collections::BTreeMap<String, f64> = Default::default();
-        for (_, p, instance) in conditioned.db.enumerate_instances() {
+        for (_, p, instance) in uprob_reference::urel::enumerate_instances(&conditioned.db) {
             *got.entry(format!("{instance:?}")).or_insert(0.0) += p;
         }
         got.retain(|_, p| *p > 1e-15);

@@ -134,8 +134,8 @@ fn example_4_7_and_figure_3_probability() {
     assert!((s.probability_by_enumeration(&w) - 0.7578).abs() < 1e-12);
     // The materialised ws-tree represents S and evaluates to the same value.
     let (tree, _) = build_tree(&s, &w, &DecompositionOptions::indve_minlog()).unwrap();
-    assert!(tree.validate(&w).is_ok());
-    assert!(tree.to_ws_set().is_equivalent_by_enumeration(&s, &w));
+    assert!(uprob_reference::wstree::validate(&tree, &w).is_ok());
+    assert!(uprob_reference::wstree::ws_set(&tree).is_equivalent_by_enumeration(&s, &w));
     assert!((uprob::core::tree_probability(&tree, &w) - 0.7578).abs() < 1e-12);
 }
 
@@ -272,7 +272,7 @@ fn theorem_5_5_asserts_commute() {
     };
     let distribution = |db: &ProbDb| {
         let mut out = std::collections::BTreeMap::new();
-        for (_, p, instance) in db.enumerate_instances() {
+        for (_, p, instance) in uprob_reference::urel::enumerate_instances(db) {
             *out.entry(format!("{instance:?}")).or_insert(0.0) += p;
         }
         out.retain(|_, p: &mut f64| *p > 1e-12);
