@@ -110,7 +110,6 @@ pub fn optimal_monte_carlo_prepared(
     let mut sum = 0.0;
     let mut n1 = 0u64;
     while sum < upsilon1 {
-        // uprob-lint: allow(num-raw-accum) -- stopping-rule tally (the AA algorithm compares the raw running sum against its threshold); bits are pinned by the seeded statistical suites
         sum += estimator.sample(&mut rng, &mut world);
         n1 += 1;
     }

@@ -38,6 +38,10 @@ where
     }
     let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(count).collect();
     let next = AtomicUsize::new(0);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one sanctioned thread fan-out: results come back in index order"
+    )]
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {

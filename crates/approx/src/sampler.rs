@@ -79,7 +79,6 @@ impl SetSampler {
                 .probabilities
                 .iter()
                 .map(|p| {
-                    // uprob-lint: allow(num-raw-accum) -- CDF prefix sums: bits are pinned by the seeded statistical suites, and per-variable domains are tiny
                     acc += p;
                     acc
                 })
@@ -108,7 +107,6 @@ impl SetSampler {
             }
             pivot_slot.push(pivot.1);
             bucket_start[pivot.1 + 1] += 1;
-            // uprob-lint: allow(num-raw-accum) -- proposal-weight tally: bits are pinned by the seeded statistical suites; Monte-Carlo error dominates rounding
             total_weight += p;
             descriptor_cumulative.push(total_weight);
         }

@@ -20,7 +20,7 @@
 //!
 //! # Thread safety
 //!
-//! [`SharedDecompositionCache`] wraps the cache in a [`Mutex`] so that the
+//! [`SharedDecompositionCache`] puts each shard behind a [`LeafLock`] so that the
 //! batch confidence workers of `uprob-query` (spawned with
 //! `std::thread::scope`) can share one cache by reference. Every lookup and
 //! insert takes the lock for the duration of one hash-map operation only;
@@ -29,7 +29,7 @@
 //! and no worker can observe a wrong entry. The lock is intentionally
 //! coarse: correctness first, sharding later (see `DESIGN.md`).
 //!
-//! Shard access is **poison-tolerant**: a worker that panics while holding
+//! Shard access is **poison-tolerant** (the [`LeafLock`] contract): a worker that panics while holding
 //! a shard lock (contained by the serving layer) must not
 //! take every later request down with it. Recovering the guard is sound
 //! here because every critical section is one hash-map/interner operation
@@ -41,11 +41,11 @@
 
 use std::collections::hash_map::Entry;
 use std::hash::{Hash, Hasher};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use uprob_wsd::fast_hash::FxHasher;
 use uprob_wsd::{
-    CanonicalSetKey, DescriptorInterner, FxHashMap, VarId, WorldTable, WsDescriptor, WsSet,
+    CanonicalSetKey, DescriptorInterner, FxHashMap, LeafLock, VarId, WorldTable, WsDescriptor,
+    WsSet,
 };
 
 use crate::stats::DecompositionStats;
@@ -200,19 +200,29 @@ impl DecompositionCache {
         self.scratch = ids;
     }
 
-    /// Resolves every memoized entry back to its descriptor list (keys are
-    /// interner-local, so export must happen inside the owning shard).
+    /// Resolves every memoized entry back to its sorted descriptor list
+    /// (keys are interner-local, so export must happen inside the owning
+    /// shard), in descriptor order: two shards holding the same entries
+    /// export the same list whatever order they were filled in, so
+    /// [`SharedDecompositionCache::inherit_from`] re-interns them in one
+    /// order.
     fn export_entries(&self) -> Vec<(Vec<WsDescriptor>, f64)> {
-        self.probabilities
-            .iter()
+        let mut exported: Vec<(Vec<WsDescriptor>, f64)> = self
+            .probabilities
+            .sorted_entries()
+            .into_iter()
             .map(|(key, entry)| {
-                let descriptors = key
+                let mut descriptors: Vec<WsDescriptor> = key
                     .ids()
                     .map(|id| self.interner.resolve(id).clone())
                     .collect();
+                descriptors.sort_unstable();
                 (descriptors, entry.probability)
             })
-            .collect()
+            .collect();
+        // Distinct keys of one interner are distinct descriptor sets: no ties.
+        exported.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        exported
     }
 
     /// Current counters.
@@ -241,7 +251,7 @@ const SHARDS: usize = 16;
 /// shard; each shard owns an independent interner and memo table.
 #[derive(Debug)]
 pub struct SharedDecompositionCache {
-    shards: Vec<Mutex<DecompositionCache>>,
+    shards: Vec<LeafLock<DecompositionCache>>,
     /// Stamp of the world table this cache is bound to (0 = not yet bound).
     /// Cached probabilities are only valid for one (unmutated) table, so
     /// the first cached run binds the cache and later runs with a
@@ -253,7 +263,7 @@ pub struct SharedDecompositionCache {
 impl Default for SharedDecompositionCache {
     fn default() -> Self {
         SharedDecompositionCache {
-            shards: (0..SHARDS).map(|_| Mutex::default()).collect(),
+            shards: (0..SHARDS).map(|_| LeafLock::default()).collect(),
             bound_table: std::sync::atomic::AtomicU64::new(0),
         }
     }
@@ -321,18 +331,11 @@ impl SharedDecompositionCache {
         (digest % SHARDS as u64) as usize
     }
 
-    /// Locks one shard, recovering from poisoning (see the module docs for
-    /// why recovery is sound here: every critical section is a single
-    /// atomic-in-effect map operation over deterministic values).
-    fn shard_guard(shard: &Mutex<DecompositionCache>) -> MutexGuard<'_, DecompositionCache> {
-        shard.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Looks up the probability of `set`, counting the hit or miss.
     fn lookup(&self, set: &WsSet) -> CacheLookup {
         let shard = self.shard_of(set);
         #[expect(clippy::indexing_slicing, reason = "shard_of masks into 0..SHARDS")]
-        match Self::shard_guard(&self.shards[shard]).lookup(set) {
+        match self.shards[shard].with(|memo| memo.lookup(set)) {
             Ok(p) => CacheLookup::Hit(p),
             Err(key) => CacheLookup::Miss(PendingEntry { shard, key }),
         }
@@ -370,14 +373,14 @@ impl SharedDecompositionCache {
             clippy::indexing_slicing,
             reason = "pending.shard was produced by shard_of"
         )]
-        Self::shard_guard(&self.shards[pending.shard]).insert(pending.key, probability);
+        self.shards[pending.shard].with(|memo| memo.insert(pending.key, probability));
     }
 
     /// Non-counting presence probe (tests and diagnostics).
     pub fn probe(&self, set: &WsSet) -> Option<f64> {
         let shard = self.shard_of(set);
         #[expect(clippy::indexing_slicing, reason = "shard_of masks into 0..SHARDS")]
-        Self::shard_guard(&self.shards[shard]).probe(set)
+        self.shards[shard].with(|memo| memo.probe(set))
     }
 
     /// Carries forward every entry of `old` whose descriptors survive the
@@ -453,7 +456,7 @@ impl SharedDecompositionCache {
 
         let mut outcome = InheritOutcome::default();
         for shard in &old.shards {
-            let exported = Self::shard_guard(shard).export_entries();
+            let exported = shard.with(|memo| memo.export_entries());
             'entry: for (descriptors, probability) in exported {
                 let mut remapped = Vec::with_capacity(descriptors.len());
                 for descriptor in &descriptors {
@@ -476,7 +479,7 @@ impl SharedDecompositionCache {
                 let set = WsSet::from_descriptors(remapped);
                 let target = self.shard_of(&set);
                 #[expect(clippy::indexing_slicing, reason = "shard_of masks into 0..SHARDS")]
-                Self::shard_guard(&self.shards[target]).insert_inherited_set(&set, probability);
+                self.shards[target].with(|memo| memo.insert_inherited_set(&set, probability));
                 outcome.inherited += 1;
             }
         }
@@ -488,7 +491,7 @@ impl SharedDecompositionCache {
     pub fn stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
         for shard in &self.shards {
-            let stats = Self::shard_guard(shard).stats();
+            let stats = shard.with(|memo| memo.stats());
             total.hits += stats.hits;
             total.misses += stats.misses;
             total.entries += stats.entries;
@@ -641,8 +644,7 @@ mod tests {
         let poisoner = std::thread::scope(|scope| {
             scope
                 .spawn(|| {
-                    let _guard = cache.shards[shard].lock().unwrap();
-                    panic!("poison the shard");
+                    cache.shards[shard].with(|_| panic!("poison the shard"));
                 })
                 .join()
         });
@@ -727,8 +729,8 @@ mod tests {
         );
 
         // The surviving entry answers under the *new* variable ids…
-        let nb = remap[&b];
-        let nc = remap[&c];
+        let nb = remap.get(&b).copied().unwrap();
+        let nc = remap.get(&c).copied().unwrap();
         let d_nb = {
             let mut d = WsDescriptor::empty();
             d.assign(nb, uprob_wsd::ValueIndex(0)).unwrap();
@@ -805,5 +807,85 @@ mod tests {
         assert_eq!(outcome.inherited, 1);
         assert_eq!(outcome.dropped, 0);
         assert_eq!(fresh.probe(&s12).map(f64::to_bits), Some(0.44f64.to_bits()));
+    }
+
+    #[test]
+    fn export_and_inheritance_do_not_depend_on_fill_order() {
+        let mut w = WorldTable::new();
+        let vars: Vec<VarId> = (0..5)
+            .map(|i| {
+                w.add_boolean(&format!("x{i}"), 0.1 + 0.2 * i as f64)
+                    .unwrap()
+            })
+            .collect();
+        // Every pair and triple of the ten one-assignment descriptors: enough
+        // entries that each shard holds several.
+        let atoms: Vec<WsDescriptor> = (0..10)
+            .map(|i| WsDescriptor::from_pairs(&w, &[(vars[i / 2], (i % 2) as i64)]).unwrap())
+            .collect();
+        let set_of = |ids: &[usize]| {
+            WsSet::from_descriptors(ids.iter().map(|&i| atoms[i].clone()).collect())
+        };
+        let mut sets: Vec<WsSet> = Vec::new();
+        for i in 0..10 {
+            for j in i + 1..10 {
+                sets.push(set_of(&[i, j]));
+                sets.extend((j + 1..10).map(|k| set_of(&[i, j, k])));
+            }
+        }
+        // The same entries, met in opposite orders and with each set's
+        // descriptors reversed, so the two interners number them apart.
+        let fill = |reversed: bool| {
+            let cache = SharedDecompositionCache::new();
+            cache.bind_table(&w).unwrap();
+            let mut order: Vec<WsSet> = sets.clone();
+            if reversed {
+                order.reverse();
+                for set in &mut order {
+                    *set =
+                        WsSet::from_descriptors(set.descriptors().iter().rev().cloned().collect());
+                }
+            }
+            for set in &order {
+                let CacheLookup::Miss(pending) = cache.lookup(set) else {
+                    panic!("every set is new");
+                };
+                cache.insert(pending, set.probability_by_enumeration(&w));
+            }
+            cache
+        };
+        let (forward, backward) = (fill(false), fill(true));
+        let export = |cache: &SharedDecompositionCache| -> Vec<(Vec<WsDescriptor>, u64)> {
+            cache
+                .shards
+                .iter()
+                .flat_map(|shard| shard.with(|memo| memo.export_entries()))
+                .map(|(descriptors, p)| (descriptors, p.to_bits()))
+                .collect()
+        };
+        assert_eq!(export(&forward).len(), sets.len());
+        assert_eq!(export(&forward), export(&backward));
+
+        let mut next = w.clone();
+        next.add_boolean("extra", 0.5).unwrap();
+        let remap: FxHashMap<VarId, VarId> = w.variable_ids().map(|v| (v, v)).collect();
+        let inherit = |old: &SharedDecompositionCache| {
+            let heir = SharedDecompositionCache::new();
+            let outcome = heir
+                .inherit_from(old, &w, &next, &remap, &[vars[4]])
+                .unwrap();
+            (heir, outcome)
+        };
+        let ((from_forward, outcome), (from_backward, _)) = (inherit(&forward), inherit(&backward));
+        assert_eq!(from_forward.stats(), from_backward.stats());
+        // The sets over x0..x3 survive, those mentioning x4 are dropped.
+        assert_eq!(outcome.inherited, 8 * 7 / 2 + 8 * 7 * 6 / 6);
+        assert_eq!(outcome.inherited + outcome.dropped, sets.len() as u64);
+        for set in &sets {
+            assert_eq!(
+                from_forward.probe(set).map(f64::to_bits),
+                from_backward.probe(set).map(f64::to_bits)
+            );
+        }
     }
 }

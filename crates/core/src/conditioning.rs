@@ -1011,11 +1011,12 @@ pub(crate) mod tests {
         // Both prior variables are eliminated by this condition (it mentions
         // j and b), so nothing survives into the remap…
         assert!(result.touched_variables.contains(&j));
-        for old in result.prior_remap.keys() {
+        let remapped = result.prior_remap.sorted_entries();
+        for (old, _) in &remapped {
             assert!(!result.touched_variables.contains(old));
         }
         // …and every remapped variable is a verbatim copy in the posterior.
-        for (&old, &new) in &result.prior_remap {
+        for (&old, &new) in remapped {
             let before = db.world_table().variable(old).unwrap();
             let after = result.db.world_table().variable(new).unwrap();
             assert_eq!(before, after);
@@ -1029,7 +1030,7 @@ pub(crate) mod tests {
             ]);
         let result = condition(&db, &only_j, &ConditioningOptions::default()).unwrap();
         assert_eq!(result.touched_variables, vec![j]);
-        let new_b = result.prior_remap[&b];
+        let new_b = result.prior_remap.get(&b).copied().unwrap();
         let before = db.world_table().variable(b).unwrap();
         let after = result.db.world_table().variable(new_b).unwrap();
         assert_eq!(before.name, after.name);
@@ -1050,7 +1051,7 @@ pub(crate) mod tests {
             },
         )
         .unwrap();
-        assert_eq!(raw.prior_remap[&b], b);
+        assert_eq!(raw.prior_remap.get(&b), Some(&b));
         assert!(!raw.prior_remap.contains_key(&j));
     }
 
@@ -1172,7 +1173,7 @@ pub(crate) mod tests {
         assert_eq!(names, ["z", "x'"]);
         assert_eq!(result.touched_variables, vec![x, y]);
         assert_eq!(result.prior_remap.len(), 1);
-        assert_eq!(result.prior_remap[&z], VarId(0));
+        assert_eq!(result.prior_remap.get(&z), Some(&VarId(0)));
     }
 
     #[test]
@@ -1201,7 +1202,7 @@ pub(crate) mod tests {
         );
         assert_eq!(result.db.world_table().num_variables(), 1);
         assert!(!result.prior_remap.contains_key(&c));
-        assert_eq!(result.prior_remap[&y], VarId(0));
+        assert_eq!(result.prior_remap.get(&y), Some(&VarId(0)));
         // Unsimplified, `c` and the one-alternative x' both stay.
         let raw = ConditioningOptions {
             simplify: false,

@@ -105,7 +105,6 @@ fn score(
                 let s_j = count as f64 + tail;
                 // e := e + log2(1 + 2^(s_j - e)), the incremental log-sum-exp of
                 // Figure 6, which avoids forming the potentially huge sums directly.
-                // uprob-lint: allow(num-raw-accum) -- Figure 6 log-sum-exp recurrence, not a plain sum; each step rescales the accumulator
                 estimate += (1.0 + (s_j - estimate).exp2()).log2();
             }
             estimate

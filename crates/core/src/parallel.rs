@@ -121,6 +121,10 @@ impl ParallelOptions {
     pub fn from_env() -> Result<Self> {
         static ENV_WORKERS: OnceLock<std::result::Result<usize, CoreError>> = OnceLock::new();
         let resolved = ENV_WORKERS.get_or_init(|| {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the one sanctioned environment read, resolved once per process"
+            )]
             let spec = std::env::var("UPROB_WORKERS").ok();
             workers_from_spec(spec.as_deref())
         });

@@ -233,8 +233,10 @@ pub fn condition(
     };
     let prior_vars = table.num_variables() as u32;
     let prior_remap: FxHashMap<VarId, VarId> = mapping
+        .sorted_entries()
         .into_iter()
         .filter(|(old, _)| old.0 < prior_vars && touched_variables.binary_search(old).is_err())
+        .map(|(&old, &new)| (old, new))
         .collect();
 
     let mut out = ProbDb::with_world_table(posterior_table);
@@ -338,7 +340,10 @@ fn drop_unused_variables(
         let mut rebuilt = WsDescriptor::empty();
         for a in descriptor.iter() {
             rebuilt
-                .assign(mapping[&a.var], a.value)
+                .assign(
+                    *mapping.get(&a.var).expect("every used variable is kept"),
+                    a.value,
+                )
                 .expect("remapping preserves functionality");
         }
         *descriptor = rebuilt;

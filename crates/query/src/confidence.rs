@@ -128,7 +128,7 @@ impl StrategyAnswerConfidences {
         self.tuples
             .iter()
             .map(|(_, r)| r.sampling.map_or(0, |s| s.iterations))
-            .sum::<u64>()
+            .fold(0, u64::saturating_add)
             + self.boolean.sampling.map_or(0, |s| s.iterations)
     }
 }

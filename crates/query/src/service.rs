@@ -18,13 +18,18 @@
 //!
 //! # Publish protocol
 //!
-//! `current` is an `RwLock<Arc<Snapshot>>` used only as a swap cell: a
-//! reader takes the read lock just long enough to clone the `Arc` (no
-//! query work happens under it), and the single writer replaces the `Arc`
-//! under the write lock. Writers are serialized by the `writer` mutex,
-//! which also holds the delta path's prior line, since only writers touch
-//! it. Readers that pinned the old snapshot keep using it, plan memo and
-//! admission table included; it is freed when the last reference drops.
+//! The current snapshot lives in an `RwLock<Arc<Snapshot>>` used only as a
+//! swap cell: a reader takes the read lock just long enough to clone the
+//! `Arc` (no query work happens under it), and the single writer replaces
+//! the `Arc` under the write lock. Writers are serialized by the writer
+//! mutex, which also holds the delta path's prior line, since only writers
+//! touch it. Both locks are private to the `publish` module, and the swap
+//! cell can be written only through the `Writer` that
+//! exists while the writer mutex is held, so the lock order writer →
+//! current is a type. Readers that pinned the old snapshot keep using it,
+//! plan memo and admission table included; it is freed when the last
+//! reference drops. The plan memo and the admission table are
+//! [`LeafLock`]s: each is taken for one map operation, with no other lock.
 //!
 //! # Plan memo and batched admission
 //!
@@ -94,14 +99,14 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
+use std::sync::{Arc, OnceLock};
 
 use uprob_core::{
     CacheStats, ConditioningOptions, DecompositionOptions, DecompositionStats, InheritOutcome,
     ParallelOptions, SharedDecompositionCache,
 };
 use uprob_urel::{execute_plan, optimize_plan, DeltaBuilder, DeltaReport, Plan, ProbDb, URelation};
-use uprob_wsd::{FxHashMap, Stamped, VarId, WorldTable};
+use uprob_wsd::{FxHashMap, LeafLock, Stamped, VarId, WorldTable};
 
 use crate::confidence::{answer_confidences_with_options, AnswerConfidences};
 use crate::constraints::{assert_all_delta, assert_all_in, Constraint, ViolationMemo};
@@ -123,9 +128,9 @@ pub struct Snapshot {
     db: Stamped<ProbDb>,
     cache: Arc<SharedDecompositionCache>,
     /// Optimized plans of this version, keyed by plan rendering.
-    plans: Mutex<PlanMemo>,
+    plans: LeafLock<PlanMemo>,
     /// In-flight confidence folds of this version, keyed like `plans`.
-    inflight: Mutex<FxHashMap<Arc<str>, Admission>>,
+    inflight: LeafLock<FxHashMap<Arc<str>, Admission>>,
 }
 
 impl Snapshot {
@@ -138,8 +143,8 @@ impl Snapshot {
         Snapshot {
             db: Stamped::new(db),
             cache: Arc::new(cache),
-            plans: Mutex::default(),
-            inflight: Mutex::default(),
+            plans: LeafLock::default(),
+            inflight: LeafLock::default(),
         }
     }
 
@@ -317,7 +322,7 @@ impl PlanMemo {
 /// keyed to it, and the conditioning remap of the last posterior publish
 /// (prior variable → published posterior variable), used to compose the
 /// posterior → posterior inheritance remap. It is the contents of the
-/// `writer` mutex, so only a serialized writer can reach it.
+/// writer mutex, so only a serialized [`publish::Writer`] can reach it.
 #[derive(Default)]
 struct PriorLine {
     /// `None` until the first delta request; initialized from the then-
@@ -336,11 +341,8 @@ struct PriorLine {
 /// one. See the module docs for the publish protocol, the plan memo, the
 /// batched admission and the bit-identity contract.
 pub struct ProbDbService {
-    /// The swap cell holding the current snapshot (see module docs).
-    current: RwLock<Arc<Snapshot>>,
-    /// Serializes writers (conditioning + publish) and holds the delta
-    /// path's prior line (see [`PriorLine`]).
-    writer: Mutex<PriorLine>,
+    /// The current snapshot and the writer lock (see module docs).
+    published: publish::Published,
     options: ServiceOptions,
     counters: Counters,
 }
@@ -354,8 +356,7 @@ impl ProbDbService {
     /// Serves `db` under an explicit request policy.
     pub fn with_options(db: ProbDb, options: ServiceOptions) -> Self {
         ProbDbService {
-            current: RwLock::new(Arc::new(Snapshot::new(db, SharedDecompositionCache::new()))),
-            writer: Mutex::default(),
+            published: publish::Published::new(Snapshot::new(db, SharedDecompositionCache::new())),
             options,
             counters: Counters::default(),
         }
@@ -371,10 +372,7 @@ impl ProbDbService {
     /// usable (and internally consistent) across any number of concurrent
     /// publishes.
     pub fn snapshot(&self) -> Arc<Snapshot> {
-        self.current
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
+        self.published.snapshot()
     }
 
     /// Aggregate service counters.
@@ -464,8 +462,7 @@ impl ProbDbService {
     /// error. A panicking request fails with
     /// [`QueryError::RequestPanicked`].
     pub fn assert_all(&self, constraints: &[Constraint]) -> Result<AssertOutcome> {
-        self.guarded(|| {
-            let mut prior = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+        self.write(|writer| {
             let snapshot = self.snapshot();
             let conditioned = assert_all_in(
                 snapshot.db(),
@@ -482,12 +479,12 @@ impl ProbDbService {
             );
             // A full conditioning starts a fresh delta line: the published
             // posterior has no tracked relationship to any earlier prior.
-            *prior = PriorLine::default();
+            *writer.prior = PriorLine::default();
             let confidence = conditioned.confidence;
             let stats = conditioned.stats;
             let new_variables = conditioned.new_variables;
             Ok(AssertOutcome {
-                snapshot: self.publish(conditioned.db, cache),
+                snapshot: writer.publish(Snapshot::new(conditioned.db, cache)),
                 confidence,
                 stats,
                 new_variables,
@@ -514,14 +511,13 @@ impl ProbDbService {
     /// published (and neither the prior line nor the memo is corrupted) on
     /// error.
     pub fn assert_all_delta(&self, constraints: &[Constraint]) -> Result<AssertOutcome> {
-        self.guarded(|| {
-            let mut prior = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+        self.write(|writer| {
             let published = self.snapshot();
             let PriorLine {
                 db,
                 memo,
                 posterior_remap,
-            } = &mut *prior;
+            } = &mut *writer.prior;
             let prior_db = db.get_or_insert_with(|| published.db().clone());
             let reused_before = memo.reused();
             let conditioned = assert_all_delta(
@@ -548,7 +544,8 @@ impl ProbDbService {
             } else {
                 posterior_remap.as_ref().map(|saved| {
                     let composed: FxHashMap<VarId, VarId> = saved
-                        .iter()
+                        .sorted_entries()
+                        .into_iter()
                         .filter_map(|(prior_var, old_post)| {
                             conditioned
                                 .prior_remap
@@ -576,7 +573,7 @@ impl ProbDbService {
             let stats = conditioned.stats;
             let new_variables = conditioned.new_variables;
             Ok(AssertOutcome {
-                snapshot: self.publish(conditioned.db, cache),
+                snapshot: writer.publish(Snapshot::new(conditioned.db, cache)),
                 confidence,
                 stats,
                 new_variables,
@@ -601,10 +598,12 @@ impl ProbDbService {
         &self,
         build: impl FnOnce(&mut DeltaBuilder) -> uprob_urel::Result<()>,
     ) -> Result<DeltaReport> {
-        self.guarded(|| {
-            let mut prior = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+        self.write(|writer| {
             let published = self.snapshot();
-            let base = prior.db.get_or_insert_with(|| published.db().clone());
+            let base = writer
+                .prior
+                .db
+                .get_or_insert_with(|| published.db().clone());
             let mut builder = DeltaBuilder::new(base);
             build(&mut builder)?;
             let (next_db, report) = builder.finish();
@@ -629,14 +628,13 @@ impl ProbDbService {
         &self,
         build: impl FnOnce(&mut DeltaBuilder) -> uprob_urel::Result<()>,
     ) -> Result<DeltaOutcome> {
-        self.guarded(|| {
-            let mut prior = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+        self.write(|writer| {
             let published = self.snapshot();
             let PriorLine {
                 db,
                 posterior_remap,
                 ..
-            } = &mut *prior;
+            } = &mut *writer.prior;
             let base = db.get_or_insert_with(|| published.db().clone());
             let mut builder = DeltaBuilder::new(base);
             build(&mut builder)?;
@@ -646,7 +644,7 @@ impl ProbDbService {
             // The published snapshot is now the prior line itself.
             *posterior_remap = None;
             Ok(DeltaOutcome {
-                snapshot: self.publish(next_db, cache),
+                snapshot: writer.publish(Snapshot::new(next_db, cache)),
                 report,
                 inherited,
             })
@@ -701,13 +699,10 @@ impl ProbDbService {
         (SharedDecompositionCache::new(), InheritOutcome::default())
     }
 
-    /// The swap: wraps `db` around `cache` as a new snapshot and replaces
-    /// `current` with it. The retired snapshot's plan memo and admission
-    /// table go with it when its last reader lets go.
-    fn publish(&self, db: ProbDb, cache: SharedDecompositionCache) -> Arc<Snapshot> {
-        let next = Arc::new(Snapshot::new(db, cache));
-        *self.current.write().unwrap_or_else(PoisonError::into_inner) = next.clone();
-        next
+    /// Runs one writer request under panic containment: the writer mutex
+    /// is held for the whole of `request`.
+    fn write<T>(&self, request: impl FnOnce(publish::Writer<'_>) -> Result<T>) -> Result<T> {
+        self.guarded(|| self.published.write(request))
     }
 
     /// Runs one request under panic containment (see the module docs).
@@ -735,11 +730,7 @@ impl ProbDbService {
         plan: &Plan,
         key: &Arc<str>,
     ) -> Result<Arc<Plan>> {
-        let hit = snapshot
-            .plans
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(key);
+        let hit = snapshot.plans.with(|memo| memo.get(key));
         if let Some(hit) = hit {
             self.counters.plan_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(hit);
@@ -748,9 +739,7 @@ impl ProbDbService {
         let optimized = Arc::new(optimize_plan(plan, snapshot.db())?);
         let evicted = snapshot
             .plans
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(key.clone(), optimized.clone());
+            .with(|memo| memo.insert(key.clone(), optimized.clone()));
         if evicted {
             self.counters.plan_evictions.fetch_add(1, Ordering::Relaxed);
         }
@@ -767,20 +756,14 @@ impl ProbDbService {
     /// folds.
     fn conf_coalesced(&self, snapshot: &Snapshot, plan: &Plan) -> Result<AnswerConfidences> {
         let key = request_key(plan);
-        let (entry, leader) = {
-            let mut inflight = snapshot
-                .inflight
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            match inflight.get(&key) {
-                Some(entry) => (entry.clone(), false),
-                None => {
-                    let entry = Admission::default();
-                    inflight.insert(key.clone(), entry.clone());
-                    (entry, true)
-                }
+        let (entry, leader) = snapshot.inflight.with(|inflight| match inflight.get(&key) {
+            Some(entry) => (entry.clone(), false),
+            None => {
+                let entry = Admission::default();
+                inflight.insert(key.clone(), entry.clone());
+                (entry, true)
             }
-        };
+        });
         let mut folded = false;
         let result = entry.get_or_init(|| {
             folded = true;
@@ -807,11 +790,7 @@ impl ProbDbService {
         // `Arc` under the `inflight` lock, so once the entry is gone the
         // strong count is exact: the (possibly large) answer moves out, and
         // is cloned only if a follower still holds the entry.
-        snapshot
-            .inflight
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(&key);
+        snapshot.inflight.with(|inflight| inflight.remove(&key));
         let answer = match Arc::try_unwrap(entry) {
             Ok(entry) => entry.into_inner(),
             Err(entry) => entry.get().cloned(),
@@ -838,6 +817,71 @@ impl ProbDbService {
             &self.options.parallel,
             snapshot.cache(),
         )
+    }
+}
+
+/// The publish protocol as types (see the module docs). The two locks are
+/// private here, and this module is the one place that takes them.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the sanctioned writer-mutex and swap-cell site: the lock order writer → current is the `Writer` type"
+)]
+mod publish {
+    use std::sync::{Arc, Mutex, PoisonError, RwLock};
+
+    use super::{PriorLine, Snapshot};
+
+    /// The swap cell holding the current snapshot, and the writer mutex
+    /// holding the delta path's prior line.
+    pub(super) struct Published {
+        current: RwLock<Arc<Snapshot>>,
+        writer: Mutex<PriorLine>,
+    }
+
+    /// A writer holding the writer mutex: the only way to reach the prior
+    /// line and to replace the current snapshot. It lives for one
+    /// [`Published::write`] closure and cannot escape it.
+    pub(super) struct Writer<'g> {
+        pub(super) prior: &'g mut PriorLine,
+        current: &'g RwLock<Arc<Snapshot>>,
+    }
+
+    impl Published {
+        pub(super) fn new(snapshot: Snapshot) -> Self {
+            Published {
+                current: RwLock::new(Arc::new(snapshot)),
+                writer: Mutex::default(),
+            }
+        }
+
+        /// The current snapshot: an `Arc` clone under a read lock held for
+        /// the clone only.
+        pub(super) fn snapshot(&self) -> Arc<Snapshot> {
+            self.current
+                .read()
+                .unwrap_or_else(PoisonError::into_inner)
+                .clone()
+        }
+
+        /// Runs `section` as the one writer, under the writer mutex.
+        pub(super) fn write<T>(&self, section: impl FnOnce(Writer<'_>) -> T) -> T {
+            let mut prior = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+            section(Writer {
+                prior: &mut prior,
+                current: &self.current,
+            })
+        }
+    }
+
+    impl Writer<'_> {
+        /// The swap: replaces the current snapshot with `next`. The retired
+        /// snapshot's plan memo and admission table go with it when its
+        /// last reader lets go.
+        pub(super) fn publish(&self, next: Snapshot) -> Arc<Snapshot> {
+            let next = Arc::new(next);
+            *self.current.write().unwrap_or_else(PoisonError::into_inner) = next.clone();
+            next
+        }
     }
 }
 
@@ -1164,7 +1208,10 @@ mod tests {
         assert_eq!(stats.confidence_folds + stats.coalesced, readers as u64);
         assert_eq!(stats.contained_panics, 0);
         // The failed folds retired their admission entries.
-        assert!(service.snapshot().inflight.lock().unwrap().is_empty());
+        assert!(service
+            .snapshot()
+            .inflight
+            .with(|inflight| inflight.is_empty()));
         assert!(service.conf(&bills_plan()).unwrap().boolean > 0.0);
     }
 

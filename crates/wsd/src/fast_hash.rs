@@ -8,12 +8,15 @@
 //! distribution for hash-consing workloads. Not suitable for hashing
 //! untrusted external input.
 
-#[expect(
+#![expect(
     clippy::disallowed_types,
-    reason = "this module defines the sanctioned aliases: std's tables with the RandomState hasher swapped for FxBuildHasher"
+    reason = "this module defines the sanctioned wrappers: std's tables with the RandomState hasher swapped for FxBuildHasher and iteration taken away"
 )]
+
+use std::borrow::Borrow;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasher, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher};
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
@@ -94,24 +97,139 @@ impl BuildHasher for FxBuildHasher {
     }
 }
 
-/// A [`HashMap`] keyed with [`FxHasher`].
-#[expect(
-    clippy::disallowed_types,
-    reason = "the sanctioned alias itself: FxBuildHasher replaces RandomState"
-)]
-pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
+/// A hash map keyed with [`FxHasher`] that cannot be iterated.
+///
+/// Hash order is an accident of the hasher and the insertion history, and a
+/// result that depends on it is not reproducible. So the map offers lookups
+/// and updates only, and the one way to walk it is in key order,
+/// [`sorted_entries`](FxHashMap::sorted_entries). There is no `iter`,
+/// `keys`, `values`, `drain` and no `IntoIterator`; each of these fails to
+/// compile:
+///
+/// ```compile_fail,E0277
+/// let map: uprob_wsd::FxHashMap<u32, u32> = uprob_wsd::FxHashMap::default();
+/// for _ in &map {}
+/// ```
+///
+/// ```compile_fail,E0599
+/// let map: uprob_wsd::FxHashMap<u32, u32> = uprob_wsd::FxHashMap::default();
+/// let _ = map.iter();
+/// ```
+#[derive(Clone, Debug)]
+pub struct FxHashMap<K, V>(HashMap<K, V, FxBuildHasher>);
 
-/// A [`HashSet`] keyed with [`FxHasher`].
-#[expect(
-    clippy::disallowed_types,
-    reason = "the sanctioned alias itself: FxBuildHasher replaces RandomState"
-)]
-pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
+impl<K, V> Default for FxHashMap<K, V> {
+    fn default() -> Self {
+        FxHashMap(HashMap::default())
+    }
+}
+
+impl<K: Eq + Hash, V> FxHashMap<K, V> {
+    /// The value under `key`, if any.
+    #[inline]
+    pub fn get<Q>(&self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        self.0.get(key)
+    }
+
+    /// True if `key` has a value.
+    #[inline]
+    pub fn contains_key<Q>(&self, key: &Q) -> bool
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        self.0.contains_key(key)
+    }
+
+    /// Stores `value` under `key`, returning the value it replaced.
+    #[inline]
+    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
+        self.0.insert(key, value)
+    }
+
+    /// The slot of `key`, for an insert-if-absent or an in-place update.
+    #[inline]
+    pub fn entry(&mut self, key: K) -> Entry<'_, K, V> {
+        self.0.entry(key)
+    }
+
+    /// Removes and returns the value under `key`.
+    #[inline]
+    pub fn remove<Q>(&mut self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        self.0.remove(key)
+    }
+
+    /// Number of entries.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True if the map has no entries.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Every entry, in ascending key order: the map's only walk, so what a
+    /// caller builds from it does not depend on hash order.
+    pub fn sorted_entries(&self) -> Vec<(&K, &V)>
+    where
+        K: Ord,
+    {
+        let mut entries: Vec<(&K, &V)> = self.0.iter().collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        entries
+    }
+}
+
+impl<K: Eq + Hash, V> FromIterator<(K, V)> for FxHashMap<K, V> {
+    fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> Self {
+        FxHashMap(HashMap::from_iter(iter))
+    }
+}
+
+impl<K: Eq + Hash, V: PartialEq> PartialEq for FxHashMap<K, V> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0 == other.0
+    }
+}
+
+/// A hash set keyed with [`FxHasher`] that cannot be iterated, for the
+/// reason [`FxHashMap`] gives; today's callers only deduplicate. This fails
+/// to compile:
+///
+/// ```compile_fail,E0599
+/// let set: uprob_wsd::FxHashSet<u32> = uprob_wsd::FxHashSet::default();
+/// for _ in set.into_iter() {}
+/// ```
+pub struct FxHashSet<T>(HashSet<T, FxBuildHasher>);
+
+impl<T> Default for FxHashSet<T> {
+    fn default() -> Self {
+        FxHashSet(HashSet::default())
+    }
+}
+
+impl<T: Eq + Hash> FxHashSet<T> {
+    /// Adds `value`; true if it was not present.
+    #[inline]
+    pub fn insert(&mut self, value: T) -> bool {
+        self.0.insert(value)
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::hash::Hash;
 
     /// The `FxHasher` digest of one value.
     fn fx_hash_one<T: Hash + ?Sized>(value: &T) -> u64 {
@@ -148,8 +266,8 @@ mod tests {
         map.insert("a".into(), 1);
         assert_eq!(map.get("a"), Some(&1));
         let mut set: FxHashSet<u64> = FxHashSet::default();
-        set.insert(9);
-        assert!(set.contains(&9));
+        assert!(set.insert(9));
+        assert!(!set.insert(9), "9 is already present");
     }
 
     #[test]

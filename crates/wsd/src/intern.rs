@@ -49,7 +49,7 @@ impl DescriptorId {
 /// The derived `Hash` of the boxed slice equals the hash of the borrowed
 /// `[u32]` slice, so memo tables can be probed allocation-free with a
 /// scratch id buffer through [`std::borrow::Borrow`].
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct CanonicalSetKey(Box<[u32]>);
 
 impl std::borrow::Borrow<[u32]> for CanonicalSetKey {

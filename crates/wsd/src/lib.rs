@@ -60,6 +60,7 @@ pub mod descriptor;
 pub mod error;
 pub mod fast_hash;
 pub mod intern;
+pub mod leaf_lock;
 pub mod numeric;
 pub mod stamped;
 pub mod value;
@@ -70,6 +71,7 @@ pub use descriptor::WsDescriptor;
 pub use error::WsdError;
 pub use fast_hash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use intern::{CanonicalSetKey, DescriptorId, DescriptorInterner};
+pub use leaf_lock::LeafLock;
 pub use numeric::NeumaierSum;
 pub use stamped::Stamped;
 pub use value::{DomainValue, ValueIndex, VarId};

@@ -120,7 +120,7 @@ impl WorldTable {
         }
         let mut values = Vec::with_capacity(alternatives.len());
         let mut probabilities = Vec::with_capacity(alternatives.len());
-        let mut seen = FxHashSet::with_capacity_and_hasher(alternatives.len(), Default::default());
+        let mut seen = FxHashSet::default();
         let mut sum = NeumaierSum::new();
         for &(value, p) in alternatives {
             if !seen.insert(value) {

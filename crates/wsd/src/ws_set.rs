@@ -10,7 +10,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::fast_hash::{FxHashMap, FxHashSet};
+use crate::fast_hash::FxHashMap;
 use std::fmt;
 
 use crate::descriptor::WsDescriptor;
@@ -179,7 +179,7 @@ impl WsSet {
     ///
     /// Exponential in the number of variables of `table`; intended for tests
     /// and brute-force baselines only.
-    pub fn enumerate_worlds(&self, table: &WorldTable) -> FxHashSet<Vec<ValueIndex>> {
+    pub fn enumerate_worlds(&self, table: &WorldTable) -> BTreeSet<Vec<ValueIndex>> {
         table
             .enumerate_worlds()
             .filter(|(world, _)| self.matches_world(world))
@@ -251,8 +251,7 @@ impl WsSet {
             return None;
         }
         // Group descriptors by component root, preserving first-seen order.
-        let mut group_of_root: crate::fast_hash::FxHashMap<usize, usize> =
-            crate::fast_hash::FxHashMap::default();
+        let mut group_of_root: FxHashMap<usize, usize> = FxHashMap::default();
         let mut groups: Vec<WsSet> = Vec::new();
         for (i, d) in self.descriptors.iter().enumerate() {
             let root = uf.find(i);
@@ -528,21 +527,21 @@ mod tests {
         let s1 = WsSet::from_descriptors(vec![d1.clone(), d2.clone()]);
         let s2 = WsSet::from_descriptors(vec![d2.clone(), d3.clone()]);
 
-        let union_worlds: FxHashSet<_> = s1
+        let union_worlds: BTreeSet<_> = s1
             .enumerate_worlds(&w)
             .union(&s2.enumerate_worlds(&w))
             .cloned()
             .collect();
         assert_eq!(s1.union(&s2).enumerate_worlds(&w), union_worlds);
 
-        let inter_worlds: FxHashSet<_> = s1
+        let inter_worlds: BTreeSet<_> = s1
             .enumerate_worlds(&w)
             .intersection(&s2.enumerate_worlds(&w))
             .cloned()
             .collect();
         assert_eq!(s1.intersect(&s2).enumerate_worlds(&w), inter_worlds);
 
-        let diff_worlds: FxHashSet<_> = s1
+        let diff_worlds: BTreeSet<_> = s1
             .enumerate_worlds(&w)
             .difference(&s2.enumerate_worlds(&w))
             .cloned()

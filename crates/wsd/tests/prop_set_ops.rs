@@ -75,7 +75,7 @@ proptest! {
     #[test]
     fn union_matches_enumeration(scenario in scenario_strategy()) {
         let (table, a, b) = build(&scenario);
-        let expected: uprob_wsd::FxHashSet<_> = a
+        let expected: std::collections::BTreeSet<_> = a
             .enumerate_worlds(&table)
             .union(&b.enumerate_worlds(&table))
             .cloned()
@@ -87,7 +87,7 @@ proptest! {
     #[test]
     fn intersect_matches_enumeration(scenario in scenario_strategy()) {
         let (table, a, b) = build(&scenario);
-        let expected: uprob_wsd::FxHashSet<_> = a
+        let expected: std::collections::BTreeSet<_> = a
             .enumerate_worlds(&table)
             .intersection(&b.enumerate_worlds(&table))
             .cloned()
@@ -99,7 +99,7 @@ proptest! {
     #[test]
     fn difference_matches_enumeration(scenario in scenario_strategy()) {
         let (table, a, b) = build(&scenario);
-        let expected: uprob_wsd::FxHashSet<_> = a
+        let expected: std::collections::BTreeSet<_> = a
             .enumerate_worlds(&table)
             .difference(&b.enumerate_worlds(&table))
             .cloned()

@@ -1,23 +1,18 @@
 //! The clippy half of the invariant contract, pinned.
 //!
-//! The per-site invariants — no panic, no unchecked index, no std hasher,
-//! no ambient clock in non-test library code — are enforced by stock
-//! clippy lints that the gate line at the top of each gated crate's
-//! `lib.rs` switches on, with the disallowed type and method lists in the
-//! workspace `clippy.toml`. This module is compiled only under
-//! `cfg(clippy)` and commits the violations the retired `panic-*`,
-//! `det-default-hasher` and `det-ambient-source` fixtures used to mark —
-//! one per lint of the gate and one per `clippy.toml` entry — each under
-//! its own `#[expect]`, so no line can stand in for another: if a lint is
-//! ever dropped from clippy, or an entry from `clippy.toml`, that
-//! expectation goes unfulfilled and `cargo clippy -- -D warnings` fails.
-//! It is the mutation test of the clippy side, as the `fixtures/` corpus
-//! is of the rules `uprob-lint` implements itself.
+//! The per-site invariants of non-test library code are stock clippy lints
+//! that the gate line at the top of each product crate's `lib.rs` switches
+//! on, with the disallowed type and method lists in the workspace
+//! `clippy.toml`. This module is compiled only under `cfg(clippy)` and
+//! commits one violation per lint of the gate and one per `clippy.toml`
+//! entry, each under its own `#[expect]`: if a lint is ever dropped from
+//! clippy, or an entry from `clippy.toml`, that expectation goes
+//! unfulfilled and `cargo clippy -- -D warnings` fails. The type half is
+//! pinned by the `compile_fail` doctests of `FxHashMap`, `FxHashSet`,
+//! `LeafLock` and `Stamped` (DESIGN.md "Invariants as types and clippy").
 //!
-//! The old fixture's ambient thread-local randomness line
-//! (`rand::thread_rng()`) has no counterpart here: the vendored `rand`
-//! shim exposes no thread-local generator, so there is nothing to call —
-//! and nothing to forbid.
+//! The vendored `rand` shim has no thread-local generator, so there is no
+//! `rand::thread_rng()` line: nothing to call, and nothing to forbid.
 
 #![expect(dead_code, reason = "never called: these functions exist to be linted")]
 
@@ -120,3 +115,43 @@ fn whoami() -> std::thread::ThreadId {
     reason = "contract: clippy must flag this"
 )]
 fn unexplained() {}
+
+fn workers() -> bool {
+    #[expect(clippy::disallowed_methods, reason = "contract: clippy must flag this")]
+    std::env::var("UPROB_WORKERS").is_ok()
+}
+
+fn workers_os() -> bool {
+    #[expect(clippy::disallowed_methods, reason = "contract: clippy must flag this")]
+    std::env::var_os("UPROB_WORKERS").is_some()
+}
+
+fn scoped() {
+    #[expect(clippy::disallowed_methods, reason = "contract: clippy must flag this")]
+    std::thread::scope(|_| ());
+}
+
+fn detached() -> std::thread::JoinHandle<()> {
+    #[expect(clippy::disallowed_methods, reason = "contract: clippy must flag this")]
+    std::thread::spawn(|| ())
+}
+
+fn locked(memo: &std::sync::Mutex<u64>) -> bool {
+    #[expect(clippy::disallowed_methods, reason = "contract: clippy must flag this")]
+    memo.lock().is_ok()
+}
+
+fn read(cell: &std::sync::RwLock<u64>) -> bool {
+    #[expect(clippy::disallowed_methods, reason = "contract: clippy must flag this")]
+    cell.read().is_ok()
+}
+
+fn swap(cell: &std::sync::RwLock<u64>) -> bool {
+    #[expect(clippy::disallowed_methods, reason = "contract: clippy must flag this")]
+    cell.write().is_ok()
+}
+
+fn total(weights: &[f64]) -> f64 {
+    #[expect(clippy::disallowed_methods, reason = "contract: clippy must flag this")]
+    weights.iter().sum()
+}

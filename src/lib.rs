@@ -68,6 +68,9 @@
     )
 )]
 
+#[cfg(clippy)]
+mod clippy_contract;
+
 pub use uprob_approx as approx;
 pub use uprob_core as core;
 pub use uprob_datagen as datagen;
