@@ -20,9 +20,9 @@
 //!   execution) composed with the batch confidence paths in one call;
 //! * [`service`]: the snapshot-isolated concurrent serving layer —
 //!   [`ProbDbService`] serves `query`/`conf`/`assert_all` to any number of
-//!   threads against immutable [`Snapshot`]s, publishing conditioned
-//!   databases by atomic swap, with a per-snapshot plan cache and batched
-//!   admission of identical confidence requests.
+//!   threads against immutable [`Snapshot`]s — each a stamped database and
+//!   its decomposition cache — publishing conditioned databases by atomic
+//!   swap.
 //!
 //! ## Example: the introduction's data-cleaning scenario
 //!

@@ -4,11 +4,10 @@
 //! assertion produces a new conditioned database that subsequent queries
 //! run against. This module maps that semantics directly onto concurrency:
 //!
-//! * a [`Snapshot`] is one immutable database version — the world table,
-//!   the U-relations (whose rows embed the ws-descriptor state), the
-//!   [`Arc`]-held [`SharedDecompositionCache`] that its stamp check ties
-//!   to exactly this version, and the snapshot's own plan memo and
-//!   admission table, which die with it;
+//! * a [`Snapshot`] is one immutable database version — the world table
+//!   and the U-relations (whose rows embed the ws-descriptor state) under
+//!   a stamp, and the [`Arc`]-held [`SharedDecompositionCache`] that its
+//!   stamp check ties to exactly this version;
 //! * a [`ProbDbService`] serves any number of reader threads against the
 //!   current snapshot while a writer builds the next one: conditioning
 //!   never mutates in place — [`ProbDbService::assert_all`] conditions the
@@ -26,25 +25,9 @@
 //! touch it. Both locks are private to the `publish` module, and the swap
 //! cell can be written only through the `Writer` that
 //! exists while the writer mutex is held, so the lock order writer →
-//! current is a type. Readers that pinned the old snapshot keep using it,
-//! plan memo and admission table included; it is freed when the last
-//! reference drops. The plan memo and the admission table are
-//! [`LeafLock`]s: each is taken for one map operation, with no other lock.
-//!
-//! # Plan memo and batched admission
-//!
-//! Repeated queries skip the optimizer through the snapshot's plan memo,
-//! keyed by the plan rendering. The rendering is produced **once per
-//! request** and shared (`Arc<str>`) between the lookup, the memo insert
-//! and the admission table. The memo holds a constant number of entries;
-//! beyond it the oldest-inserted entry is evicted (counted in
-//! [`ServiceStats::plan_evictions`]), so a read-heavy service with many
-//! distinct plans cannot grow without bound within one snapshot's
-//! lifetime. Concurrent `conf` requests for the same plan on the same
-//! snapshot are coalesced by batched admission: they share one
-//! [`OnceLock`], one of them runs the shared-cache fold on the configured
-//! worker pool, and the others wait in `get_or_init` and share its
-//! result, so identical requests never compete for the pool.
+//! current is a type. These are the service's only locks. Readers that
+//! pinned the old snapshot keep using it, warm cache included; it is freed
+//! when the last reference drops.
 //!
 //! # Delta publish and cache inheritance
 //!
@@ -76,19 +59,17 @@
 //!
 //! # Bit-identity contract
 //!
-//! A served answer equals the single-owner library call bit for bit at
-//! every worker and reader count: the served `query` path is exactly
-//! `optimize_plan` + `execute_plan` (the plan memo holds the optimizer
-//! output, which is a pure function of plan and catalog), the served
-//! `conf` path is exactly [`answer_confidences_with_options`] over the
-//! snapshot's cache (shared-cache hits are bit-identical to recomputation
-//! by the cache's contract), and coalesced requests share a result that
-//! each of them would have computed bit-identically anyway. The workspace
-//! stress test pins this under the CI `UPROB_WORKERS` matrix.
+//! A served read *is* the single-owner library call on the snapshot's
+//! database: `query` is [`ProbDb::query`], and `conf` is
+//! [`planned_answer_confidences_with_options`] over the snapshot's cache
+//! at the service's options (shared-cache hits are bit-identical to
+//! recomputation by the cache's contract). So a served answer equals the
+//! library call bit for bit at every worker and reader count; the
+//! workspace stress test pins this under the CI `UPROB_WORKERS` matrix.
 //!
 //! # Panic containment
 //!
-//! Every service entry point runs the request under
+//! Every service entry point runs the request under one
 //! [`std::panic::catch_unwind`]: a panicking request fails with
 //! [`QueryError::RequestPanicked`] instead of unwinding into the caller,
 //! and the locks it may have poisoned (the cache's are poison-tolerant, as
@@ -96,27 +77,26 @@
 //! panic in a parallel job reaches the service with the job's own payload,
 //! so the error names what actually panicked.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use uprob_core::{
     CacheStats, ConditioningOptions, DecompositionOptions, DecompositionStats, InheritOutcome,
     ParallelOptions, SharedDecompositionCache,
 };
-use uprob_urel::{execute_plan, optimize_plan, DeltaBuilder, DeltaReport, Plan, ProbDb, URelation};
-use uprob_wsd::{FxHashMap, LeafLock, Stamped, VarId, WorldTable};
+use uprob_urel::{DeltaBuilder, DeltaReport, Plan, ProbDb, URelation};
+use uprob_wsd::{FxHashMap, Stamped, VarId, WorldTable};
 
-use crate::confidence::{answer_confidences_with_options, AnswerConfidences};
+use crate::confidence::AnswerConfidences;
 use crate::constraints::{assert_all_delta, assert_all_in, Constraint, ViolationMemo};
 use crate::error::QueryError;
+use crate::planned::planned_answer_confidences_with_options;
 use crate::Result;
 
 /// One immutable published version of a probabilistic database: the world
-/// table and relations (with their ws-descriptor state), the shared
-/// decomposition cache bound to exactly this version, and the version's
-/// plan memo and admission table.
+/// table and relations (with their ws-descriptor state), and the shared
+/// decomposition cache bound to exactly this version.
 ///
 /// Snapshots are cheap to share (`Arc`) and their database is never
 /// mutated after construction; conditioning produces a *new* snapshot (see
@@ -127,10 +107,6 @@ pub struct Snapshot {
     /// their relations.
     db: Stamped<ProbDb>,
     cache: Arc<SharedDecompositionCache>,
-    /// Optimized plans of this version, keyed by plan rendering.
-    plans: LeafLock<PlanMemo>,
-    /// In-flight confidence folds of this version, keyed like `plans`.
-    inflight: LeafLock<FxHashMap<Arc<str>, Admission>>,
 }
 
 impl Snapshot {
@@ -143,8 +119,6 @@ impl Snapshot {
         Snapshot {
             db: Stamped::new(db),
             cache: Arc::new(cache),
-            plans: LeafLock::default(),
-            inflight: LeafLock::default(),
         }
     }
 
@@ -227,17 +201,11 @@ pub struct ServiceStats {
     /// Requests admitted (queries, confidence requests and assertions,
     /// including failed ones).
     pub requests: u64,
-    /// Plan-memo hits (optimizer skipped).
-    pub plan_hits: u64,
-    /// Plan-memo misses (optimizer ran, result memoized).
-    pub plan_misses: u64,
-    /// Plan-memo entries evicted by a snapshot's capacity cap; a retired
-    /// snapshot's entries, dropped with it, are not counted.
-    pub plan_evictions: u64,
-    /// Confidence folds actually executed.
+    /// Confidence requests (`conf` and `conf_pinned`, including failed
+    /// ones): each runs its own fold.
     pub confidence_folds: u64,
-    /// Confidence requests served by waiting for a concurrent identical
-    /// fold instead of running their own.
+    /// Always 0: every `conf` request runs its own fold. Kept for the
+    /// benchmark's frozen call surface.
     pub coalesced: u64,
     /// Requests that panicked and were contained as
     /// [`QueryError::RequestPanicked`].
@@ -245,76 +213,18 @@ pub struct ServiceStats {
 }
 
 impl ServiceStats {
-    /// Fraction of plan lookups answered from the plan memo (0 if none).
+    /// Always 0: the service keeps no plan memo, so every request runs the
+    /// optimizer. Kept for the benchmark's frozen call surface.
     pub fn plan_hit_rate(&self) -> f64 {
-        let lookups = self.plan_hits + self.plan_misses;
-        if lookups == 0 {
-            0.0
-        } else {
-            self.plan_hits as f64 / lookups as f64
-        }
+        0.0
     }
 }
 
 #[derive(Default)]
 struct Counters {
     requests: AtomicU64,
-    plan_hits: AtomicU64,
-    plan_misses: AtomicU64,
-    plan_evictions: AtomicU64,
     confidence_folds: AtomicU64,
-    coalesced: AtomicU64,
     contained_panics: AtomicU64,
-}
-
-/// One admission-table entry: the first holder to reach `get_or_init`
-/// folds, and every other holder waits there for the same result.
-type Admission = Arc<OnceLock<Result<AnswerConfidences>>>;
-
-/// The key of the plan memo and the admission table: the full plan
-/// rendering — not a hash of it — so two distinct plans can never collide
-/// into sharing an optimized form or a coalesced result. It is rendered
-/// **once per request** and shared by every cache interaction.
-fn request_key(plan: &Plan) -> Arc<str> {
-    Arc::from(format!("{plan:?}"))
-}
-
-/// Entries one snapshot's plan memo holds: generous for interactive
-/// workloads, bounded for plan-diverse ones.
-const PLAN_CAPACITY: usize = 512;
-
-/// The optimized-plan memo behind [`ProbDbService::query`] /
-/// [`ProbDbService::conf`], capped at [`PLAN_CAPACITY`] entries: a full
-/// memo evicts its oldest-inserted entry per insert. Eviction is a space
-/// policy, never a correctness one — an evicted plan re-optimizes on its
-/// next request, bit-identically (optimization is a pure function of plan
-/// and catalog).
-#[derive(Default)]
-struct PlanMemo {
-    map: FxHashMap<Arc<str>, Arc<Plan>>,
-    /// Insertion order of the keys in `map`.
-    order: VecDeque<Arc<str>>,
-}
-
-impl PlanMemo {
-    fn get(&self, key: &str) -> Option<Arc<Plan>> {
-        self.map.get(key).cloned()
-    }
-
-    /// Memoizes `plan` under `key`; returns whether the oldest entry was
-    /// evicted to make room.
-    fn insert(&mut self, key: Arc<str>, plan: Arc<Plan>) -> bool {
-        if self.map.insert(key.clone(), plan).is_some() {
-            return false;
-        }
-        self.order.push_back(key);
-        if self.map.len() <= PLAN_CAPACITY {
-            return false;
-        }
-        self.order
-            .pop_front()
-            .is_some_and(|oldest| self.map.remove(&oldest).is_some())
-    }
 }
 
 /// The writer-side state of the delta path: the unconditioned **prior**
@@ -338,8 +248,8 @@ struct PriorLine {
 /// threads run [`query`](ProbDbService::query) /
 /// [`conf`](ProbDbService::conf) against a consistent [`Snapshot`] while
 /// [`assert_all`](ProbDbService::assert_all) builds and publishes the next
-/// one. See the module docs for the publish protocol, the plan memo, the
-/// batched admission and the bit-identity contract.
+/// one. See the module docs for the publish protocol and the bit-identity
+/// contract.
 pub struct ProbDbService {
     /// The current snapshot and the writer lock (see module docs).
     published: publish::Published,
@@ -379,56 +289,55 @@ impl ProbDbService {
     pub fn stats(&self) -> ServiceStats {
         ServiceStats {
             requests: self.counters.requests.load(Ordering::Relaxed),
-            plan_hits: self.counters.plan_hits.load(Ordering::Relaxed),
-            plan_misses: self.counters.plan_misses.load(Ordering::Relaxed),
-            plan_evictions: self.counters.plan_evictions.load(Ordering::Relaxed),
             confidence_folds: self.counters.confidence_folds.load(Ordering::Relaxed),
-            coalesced: self.counters.coalesced.load(Ordering::Relaxed),
+            coalesced: 0,
             contained_panics: self.counters.contained_panics.load(Ordering::Relaxed),
         }
     }
 
-    /// Evaluates `plan` against the current snapshot through its plan
-    /// memo: the optimizer runs at most once per (plan, snapshot) and the
-    /// rows are bit-identical to the single-owner `ProbDb::query`.
+    /// Evaluates `plan` against the current snapshot: [`ProbDb::query`] on
+    /// the snapshot's database.
     ///
     /// # Errors
     ///
     /// Propagates plan-validation errors; a panicking request fails with
     /// [`QueryError::RequestPanicked`].
     pub fn query(&self, plan: &Plan) -> Result<URelation> {
-        self.guarded(|| {
-            let snapshot = self.snapshot();
-            self.query_on(&snapshot, plan)
-        })
+        self.guarded(|| Ok(self.snapshot().db().query(plan)?))
     }
 
-    /// The `conf()` aggregate of `plan` against the current snapshot:
-    /// plan-memoized evaluation followed by the shared-cache batch
-    /// confidence fold, with concurrent identical requests coalesced into
-    /// one fold (see the module docs).
+    /// The `conf()` aggregate of `plan` against the current snapshot (see
+    /// [`conf_pinned`](ProbDbService::conf_pinned)).
     ///
     /// # Errors
     ///
     /// Propagates plan-validation and decomposition errors; a panicking
     /// request fails with [`QueryError::RequestPanicked`].
     pub fn conf(&self, plan: &Plan) -> Result<AnswerConfidences> {
-        self.guarded(|| {
-            let snapshot = self.snapshot();
-            self.conf_coalesced(&snapshot, plan)
-        })
+        self.conf_pinned(&self.snapshot(), plan)
     }
 
-    /// [`conf`](ProbDbService::conf) against an explicitly pinned
+    /// The `conf()` aggregate of `plan` against an explicitly pinned
     /// snapshot (e.g. to keep a multi-query read transaction consistent
-    /// across publishes). It shares the snapshot's plan memo and admission
-    /// table with every other request on that snapshot.
+    /// across publishes): [`planned_answer_confidences_with_options`] on
+    /// the snapshot's database and cache, at the service's options.
     ///
     /// # Errors
     ///
     /// As for [`conf`](ProbDbService::conf).
     pub fn conf_pinned(&self, snapshot: &Arc<Snapshot>, plan: &Plan) -> Result<AnswerConfidences> {
-        self.guarded(|| self.conf_coalesced(snapshot, plan))
+        self.guarded(|| {
+            self.counters
+                .confidence_folds
+                .fetch_add(1, Ordering::Relaxed);
+            planned_answer_confidences_with_options(
+                snapshot.db(),
+                plan,
+                &self.options.decomposition,
+                &self.options.parallel,
+                snapshot.cache(),
+            )
+        })
     }
 
     /// Runs an arbitrary read-only request against a pinned snapshot under
@@ -720,104 +629,6 @@ impl ProbDbService {
             }
         }
     }
-
-    /// The optimized form of `plan` for `snapshot`, memoized in the
-    /// snapshot: a pure function of (plan rendering, snapshot), so a memo
-    /// hit is bit-identical to re-optimizing.
-    fn optimized_plan(
-        &self,
-        snapshot: &Snapshot,
-        plan: &Plan,
-        key: &Arc<str>,
-    ) -> Result<Arc<Plan>> {
-        let hit = snapshot.plans.with(|memo| memo.get(key));
-        if let Some(hit) = hit {
-            self.counters.plan_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(hit);
-        }
-        self.counters.plan_misses.fetch_add(1, Ordering::Relaxed);
-        let optimized = Arc::new(optimize_plan(plan, snapshot.db())?);
-        let evicted = snapshot
-            .plans
-            .with(|memo| memo.insert(key.clone(), optimized.clone()));
-        if evicted {
-            self.counters.plan_evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(optimized)
-    }
-
-    fn query_on(&self, snapshot: &Snapshot, plan: &Plan) -> Result<URelation> {
-        let optimized = self.optimized_plan(snapshot, plan, &request_key(plan))?;
-        Ok(execute_plan(snapshot.db(), &optimized)?)
-    }
-
-    /// The coalesced confidence fold: concurrent requests for one plan on
-    /// one snapshot share an admission entry, and exactly one of them
-    /// folds.
-    fn conf_coalesced(&self, snapshot: &Snapshot, plan: &Plan) -> Result<AnswerConfidences> {
-        let key = request_key(plan);
-        let (entry, leader) = snapshot.inflight.with(|inflight| match inflight.get(&key) {
-            Some(entry) => (entry.clone(), false),
-            None => {
-                let entry = Admission::default();
-                inflight.insert(key.clone(), entry.clone());
-                (entry, true)
-            }
-        });
-        let mut folded = false;
-        let result = entry.get_or_init(|| {
-            folded = true;
-            // Contain panics inside the fold too: a panic must still
-            // initialize the entry, or the next holder would fold again.
-            catch_unwind(AssertUnwindSafe(|| self.conf_fold(snapshot, plan, &key))).unwrap_or_else(
-                |payload| {
-                    Err(QueryError::RequestPanicked {
-                        message: panic_message(payload.as_ref()),
-                    })
-                },
-            )
-        });
-        let counter = if folded {
-            &self.counters.confidence_folds
-        } else {
-            &self.counters.coalesced
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        if !leader {
-            return result.clone();
-        }
-        // The admitting request retires the entry. Followers take their
-        // `Arc` under the `inflight` lock, so once the entry is gone the
-        // strong count is exact: the (possibly large) answer moves out, and
-        // is cloned only if a follower still holds the entry.
-        snapshot.inflight.with(|inflight| inflight.remove(&key));
-        let answer = match Arc::try_unwrap(entry) {
-            Ok(entry) => entry.into_inner(),
-            Err(entry) => entry.get().cloned(),
-        };
-        // `get_or_init` above initialized the entry; folding again would
-        // give the same bits.
-        answer.unwrap_or_else(|| self.conf_fold(snapshot, plan, &key))
-    }
-
-    /// One actual fold: plan-memoized evaluation + the shared-cache batch
-    /// confidence path on the configured worker pool.
-    fn conf_fold(
-        &self,
-        snapshot: &Snapshot,
-        plan: &Plan,
-        key: &Arc<str>,
-    ) -> Result<AnswerConfidences> {
-        let optimized = self.optimized_plan(snapshot, plan, key)?;
-        let answer = execute_plan(snapshot.db(), &optimized)?;
-        answer_confidences_with_options(
-            &answer,
-            snapshot.db().world_table(),
-            &self.options.decomposition,
-            &self.options.parallel,
-            snapshot.cache(),
-        )
-    }
 }
 
 /// The publish protocol as types (see the module docs). The two locks are
@@ -875,8 +686,8 @@ mod publish {
 
     impl Writer<'_> {
         /// The swap: replaces the current snapshot with `next`. The retired
-        /// snapshot's plan memo and admission table go with it when its
-        /// last reader lets go.
+        /// snapshot, warm cache included, is freed when its last reader
+        /// lets go.
         pub(super) fn publish(&self, next: Snapshot) -> Arc<Snapshot> {
             let next = Arc::new(next);
             *self.current.write().unwrap_or_else(PoisonError::into_inner) = next.clone();
@@ -974,30 +785,6 @@ mod tests {
         assert_eq!(served.boolean.to_bits(), reference.boolean.to_bits());
         // The served rows match the single-owner query as well.
         assert_eq!(service.query(&plan).unwrap(), db.query(&plan).unwrap());
-    }
-
-    #[test]
-    fn plan_cache_hits_on_repeats_and_invalidates_on_publish() {
-        let service = ProbDbService::new(ssn_db());
-        let plan = bills_plan();
-        service.conf(&plan).unwrap();
-        service.conf(&plan).unwrap();
-        let stats = service.stats();
-        assert_eq!(
-            stats.plan_misses, 1,
-            "one optimization per (plan, snapshot)"
-        );
-        assert!(stats.plan_hits >= 1);
-        assert!(stats.plan_hit_rate() > 0.0);
-        // The published snapshot starts with an empty memo: the same plan
-        // re-optimizes exactly once more.
-        let before = service.snapshot().stamp();
-        service
-            .assert_all(&[Constraint::functional_dependency("R", &["SSN"], &["NAME"])])
-            .unwrap();
-        assert_ne!(service.snapshot().stamp(), before);
-        service.conf(&plan).unwrap();
-        assert_eq!(service.stats().plan_misses, 2);
     }
 
     #[test]
@@ -1143,48 +930,38 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_evicts_oldest_entries_at_capacity() {
-        let service = ProbDbService::new(ssn_db());
-        // PLAN_CAPACITY + 1 distinct plans: the last insert evicts the
-        // first.
-        let plan = |ssn: usize| Plan::scan("R").select(Predicate::col_eq("SSN", ssn as i64));
-        for ssn in 0..=PLAN_CAPACITY {
-            service.query(&plan(ssn)).unwrap();
-        }
-        let stats = service.stats();
-        assert_eq!(stats.plan_misses, PLAN_CAPACITY as u64 + 1);
-        assert_eq!(
-            stats.plan_evictions, 1,
-            "the insert past capacity evicts the oldest"
-        );
-        // The newest plan is still memoized; the evicted one re-optimizes
-        // (bit-identically — eviction is a space policy only).
-        service.query(&plan(PLAN_CAPACITY)).unwrap();
-        assert_eq!(service.stats().plan_hits, 1);
-        let rows = service.query(&plan(0)).unwrap();
-        assert_eq!(service.stats().plan_misses, PLAN_CAPACITY as u64 + 2);
-        assert_eq!(rows, service.snapshot().db().query(&plan(0)).unwrap());
-    }
-
-    #[test]
-    fn pinned_snapshot_keeps_its_plan_memo_across_a_publish() {
-        let service = ProbDbService::new(ssn_db());
+    fn pinned_snapshot_keeps_its_answer_across_a_publish() {
+        let db = ssn_db();
+        let service = ProbDbService::new(db.clone());
         let plan = bills_plan();
         let pinned = service.snapshot();
         let before = service.conf_pinned(&pinned, &plan).unwrap();
-        service
-            .assert_all(&[Constraint::functional_dependency("R", &["SSN"], &["NAME"])])
-            .unwrap();
+        let fd = Constraint::functional_dependency("R", &["SSN"], &["NAME"]);
+        service.assert_all(std::slice::from_ref(&fd)).unwrap();
         assert_ne!(service.snapshot().stamp(), pinned.stamp());
-        // The publish retired the pinned snapshot from `current`, not its
-        // memo: the pinned read skips the optimizer.
+        // The publish retired the pinned snapshot from `current`, not from
+        // its reader: the pinned read still answers from the prior.
         let after = service.conf_pinned(&pinned, &plan).unwrap();
         assert_conf_bits(&after, &before);
-        let stats = service.stats();
-        assert_eq!((stats.plan_misses, stats.plan_hits), (1, 1));
-        // The published snapshot has a memo of its own.
-        service.conf(&plan).unwrap();
-        assert_eq!(service.stats().plan_misses, 2);
+        assert_conf_bits(&after, &reference_conf(&db, &plan));
+        // An unpinned read serves the posterior.
+        let conditioned =
+            crate::constraints::assert_all(&db, &[fd], &ConditioningOptions::default()).unwrap();
+        assert_conf_bits(
+            &service.conf(&plan).unwrap(),
+            &reference_conf(&conditioned.db, &plan),
+        );
+        // …which differs from the prior: P(SSN 4 | FD) = .3/.44, not .3.
+        let p4 = |answer: &AnswerConfidences| {
+            answer
+                .tuples
+                .iter()
+                .find(|(t, _)| t.get(0) == Some(&Value::Int(4)))
+                .unwrap()
+                .1
+        };
+        assert!((p4(&before) - 0.3).abs() < 1e-9);
+        assert!((p4(&service.conf(&plan).unwrap()) - 0.3 / 0.44).abs() < 1e-9);
     }
 
     #[test]
@@ -1205,13 +982,8 @@ mod tests {
             }
         });
         let stats = service.stats();
-        assert_eq!(stats.confidence_folds + stats.coalesced, readers as u64);
+        assert_eq!(stats.confidence_folds, readers as u64);
         assert_eq!(stats.contained_panics, 0);
-        // The failed folds retired their admission entries.
-        assert!(service
-            .snapshot()
-            .inflight
-            .with(|inflight| inflight.is_empty()));
         assert!(service.conf(&bills_plan()).unwrap().boolean > 0.0);
     }
 
@@ -1442,27 +1214,28 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_identical_requests_coalesce_into_one_fold() {
-        let service = std::sync::Arc::new(ProbDbService::new(ssn_db()));
+    fn concurrent_identical_requests_each_get_the_library_bits() {
+        let db = ssn_db();
+        let service = ProbDbService::new(db.clone());
         let plan = bills_plan();
-        // Warm the plan cache so the race below is about the fold only.
-        let expected = service.conf(&plan).unwrap();
+        let expected = reference_conf(&db, &plan);
+        assert_conf_bits(&service.conf(&plan).unwrap(), &expected);
         let readers = 8;
         let barrier = std::sync::Barrier::new(readers);
         std::thread::scope(|scope| {
             for _ in 0..readers {
                 scope.spawn(|| {
                     barrier.wait();
-                    let got = service.conf(&plan).unwrap();
-                    assert_eq!(got.boolean.to_bits(), expected.boolean.to_bits());
+                    assert_conf_bits(&service.conf(&plan).unwrap(), &expected);
                 });
             }
         });
         let stats = service.stats();
         assert_eq!(
-            stats.confidence_folds + stats.coalesced,
+            stats.confidence_folds,
             1 + readers as u64,
-            "every request either folds or coalesces"
+            "every request runs its own fold"
         );
+        assert_eq!(stats.coalesced, 0);
     }
 }

@@ -5,7 +5,9 @@
 //!   lints and the `clippy.toml` lists apply to it;
 //! * no product crate depends on the oracles of `uprob-reference`;
 //! * no product code accumulates a float with a raw `+=`, except the sites
-//!   on [`RAW_SUMS`], each with its reason.
+//!   on [`RAW_SUMS`], each with its reason;
+//! * the standing counts of ROADMAP.md — product `pub fn`s, clippy
+//!   exemptions and product lines of code — stay at or under [`CEILINGS`].
 
 use std::path::{Path, PathBuf};
 
@@ -238,6 +240,12 @@ fn sources(dir: &Path) -> Vec<PathBuf> {
     found
 }
 
+/// `text` up to its first `mod tests`: the non-test library code of a
+/// product source.
+fn library_part(text: &str) -> &str {
+    text.find("mod tests").map_or(text, |at| &text[..at])
+}
+
 /// The numeric policy: floats are summed through `uprob_wsd::NeumaierSum`.
 /// `.sum()` is a `clippy.toml` disallowed method; this is the `+=` half.
 /// Each product source is cut at its first `mod tests`, and the policy
@@ -256,10 +264,7 @@ fn float_accumulation_is_compensated_outside_the_allowlist() {
                 continue;
             }
             let text = read(&path);
-            let library = text
-                .find("mod tests")
-                .map_or(text.as_str(), |at| &text[..at]);
-            let code = without_line_comments(library);
+            let code = without_line_comments(library_part(&text));
             found.extend(
                 raw_accumulations(&code)
                     .into_iter()
@@ -291,4 +296,100 @@ fn the_accumulation_scan_sees_what_it_must() {
                 let t = x.0.1;\nt += 1;";
     assert_eq!(float_locals(code), ["total", "weight"]);
     assert_eq!(raw_accumulations(code), ["total"]);
+}
+
+/// The standing counts of ROADMAP.md, measured by [`standing_counts`].
+#[derive(Debug)]
+struct Counts {
+    /// `pub fn` items of non-test product code.
+    pub_fns: usize,
+    /// `#[expect(clippy::..)]` exemptions of non-test product code.
+    expects: usize,
+    /// Non-blank, non-comment lines of non-test product code.
+    loc: usize,
+}
+
+/// The committed ceilings. Raising one is an explicit edit here with its
+/// reason in CHANGES.md, as for [`RAW_SUMS`]; lowering one after a cut
+/// keeps the next change honest.
+const CEILINGS: Counts = Counts {
+    pub_fns: 332,
+    expects: 51,
+    loc: 7962,
+};
+
+/// The module files declared in `code` (the source at `path`) that are never
+/// built into the library: `mod name;` under `#[cfg(test)]` or
+/// `#[cfg(clippy)]`.
+fn gated_modules(path: &Path, code: &str) -> Vec<PathBuf> {
+    let lines: Vec<&str> = code.lines().map(str::trim).collect();
+    lines
+        .windows(2)
+        .filter(|pair| pair[0] == "#[cfg(test)]" || pair[0] == "#[cfg(clippy)]")
+        .filter_map(|pair| {
+            let name = pair[1]
+                .trim_start_matches("pub ")
+                .trim_start_matches("pub(crate) ")
+                .strip_prefix("mod ")?
+                .strip_suffix(';')?;
+            Some(path.with_file_name(format!("{name}.rs")))
+        })
+        .collect()
+}
+
+/// Counts every product source's library part (cut at its first
+/// `mod tests`), leaving out the files only tests or clippy compile
+/// (`uprob-core`'s `reference.rs`, the facade's `clippy_contract.rs`).
+fn standing_counts() -> Counts {
+    let files: Vec<(PathBuf, String)> = PRODUCT_CRATES
+        .iter()
+        .flat_map(|package| sources(&root().join(package).join("src")))
+        .map(|path| {
+            let text = read(&path);
+            (path, text)
+        })
+        .collect();
+    let gated: Vec<PathBuf> = files
+        .iter()
+        .flat_map(|(path, text)| gated_modules(path, text))
+        .collect();
+    let mut counts = Counts {
+        pub_fns: 0,
+        expects: 0,
+        loc: 0,
+    };
+    for (_, text) in files.iter().filter(|(path, _)| !gated.contains(path)) {
+        let library = library_part(text);
+        let code = without_line_comments(library);
+        counts.pub_fns += code.matches("pub fn ").count();
+        counts.expects += without_whitespace(&code)
+            .matches("[expect(clippy::")
+            .count();
+        counts.loc += library
+            .lines()
+            .map(str::trim)
+            .filter(|line| !line.is_empty() && !line.starts_with("//"))
+            .count();
+    }
+    counts
+}
+
+/// ROADMAP.md's standing counts do not go up.
+#[test]
+fn standing_counts_do_not_go_up() {
+    let counts = standing_counts();
+    println!("{counts:?}");
+    let over: Vec<String> = [
+        ("product `pub fn`", counts.pub_fns, CEILINGS.pub_fns),
+        ("clippy exemptions", counts.expects, CEILINGS.expects),
+        ("product LoC", counts.loc, CEILINGS.loc),
+    ]
+    .into_iter()
+    .filter(|&(_, count, ceiling)| count > ceiling)
+    .map(|(what, count, ceiling)| format!("{what}: {count} > {ceiling}"))
+    .collect();
+    assert!(
+        over.is_empty(),
+        "standing counts went up (raise a CEILINGS entry only with its reason in CHANGES.md): {over:?}"
+    );
 }
