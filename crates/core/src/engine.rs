@@ -337,7 +337,11 @@ fn exact_attempt<'s>(
 /// given strategy, **without materialising the conditioned database**: the
 /// exact path evaluates the ratio of two decomposition folds
 /// (`P(Intersect(Q, C)) / P(C)`), the sampling path runs
-/// [`conditioned_monte_carlo`] with its composed (ε, δ) guarantee.
+/// [`conditioned_monte_carlo`] with its composed (ε, δ) guarantee. Both
+/// exact folds of the ratio — and the sampling streams of a fallback — run
+/// on `parallel.workers()` worker threads; the parallel folds are
+/// bit-identical to the sequential ones (see
+/// [`estimate_confidence_with_options`] for the budget accounting).
 ///
 /// Under `Hybrid`, *each* of the two exact folds runs under the node
 /// budget. If only the joint fold aborts, the already-computed **exact**
@@ -353,35 +357,6 @@ fn exact_attempt<'s>(
 ///   [`uprob_approx::ApproxError::ImpossibleCondition`] as
 ///   [`CoreError::Approx`]);
 /// * otherwise as [`estimate_confidence`].
-pub fn estimate_conditioned_confidence(
-    query: &WsSet,
-    condition: &WsSet,
-    table: &WorldTable,
-    decomposition: &DecompositionOptions,
-    strategy: &ConfidenceStrategy,
-    cache: Option<&SharedDecompositionCache>,
-) -> Result<ConfidenceReport> {
-    estimate_conditioned_confidence_with_options(
-        query,
-        condition,
-        table,
-        decomposition,
-        strategy,
-        cache,
-        &ParallelOptions::sequential(),
-    )
-}
-
-/// [`estimate_conditioned_confidence`] with both exact folds of the ratio
-/// — and the sampling streams of a fallback — running on
-/// `parallel.workers()` worker threads; the strategy and fallback
-/// semantics are unchanged (the parallel folds are bit-identical to the
-/// sequential ones; see [`estimate_confidence_with_options`] for the
-/// budget accounting).
-///
-/// # Errors
-///
-/// As [`estimate_conditioned_confidence`].
 pub fn estimate_conditioned_confidence_with_options(
     query: &WsSet,
     condition: &WsSet,
@@ -566,23 +541,31 @@ mod tests {
         let joint = s.intersect(&c).normalized();
         let expected = joint.probability_by_enumeration(&w) / c.probability_by_enumeration(&w);
         let options = DecompositionOptions::indve_minlog();
-        let exact =
-            estimate_conditioned_confidence(&s, &c, &w, &options, &ConfidenceStrategy::Exact, None)
-                .unwrap();
+        let exact = estimate_conditioned_confidence_with_options(
+            &s,
+            &c,
+            &w,
+            &options,
+            &ConfidenceStrategy::Exact,
+            None,
+            &ParallelOptions::sequential(),
+        )
+        .unwrap();
         assert!((exact.probability - expected).abs() < 1e-12);
         assert!(exact.stats.total_nodes() > 0);
-        let hybrid = estimate_conditioned_confidence(
+        let hybrid = estimate_conditioned_confidence_with_options(
             &s,
             &c,
             &w,
             &options,
             &ConfidenceStrategy::hybrid(1_000_000, 0.1, 0.01),
             None,
+            &ParallelOptions::sequential(),
         )
         .unwrap();
         assert_eq!(hybrid.probability.to_bits(), exact.probability.to_bits());
         assert_eq!(hybrid.path, ResolvedPath::Exact);
-        let sampled = estimate_conditioned_confidence(
+        let sampled = estimate_conditioned_confidence_with_options(
             &s,
             &c,
             &w,
@@ -594,6 +577,7 @@ mod tests {
                     .with_seed(31),
             ),
             None,
+            &ParallelOptions::sequential(),
         )
         .unwrap();
         assert!(
@@ -618,13 +602,14 @@ mod tests {
                 .with_delta(0.05)
                 .with_seed(17),
         };
-        let report = estimate_conditioned_confidence(
+        let report = estimate_conditioned_confidence_with_options(
             &s,
             &c,
             &w,
             &DecompositionOptions::ve_minlog(),
             &strategy,
             None,
+            &ParallelOptions::sequential(),
         )
         .unwrap();
         assert_eq!(report.path, ResolvedPath::Sampled { fell_back: true });
@@ -639,22 +624,24 @@ mod tests {
     fn empty_conditions_are_errors_on_both_paths() {
         let (w, s) = figure3();
         let options = DecompositionOptions::default();
-        let exact = estimate_conditioned_confidence(
+        let exact = estimate_conditioned_confidence_with_options(
             &s,
             &WsSet::empty(),
             &w,
             &options,
             &ConfidenceStrategy::Exact,
             None,
+            &ParallelOptions::sequential(),
         );
         assert_eq!(exact.unwrap_err(), CoreError::EmptyCondition);
-        let sampled = estimate_conditioned_confidence(
+        let sampled = estimate_conditioned_confidence_with_options(
             &s,
             &WsSet::empty(),
             &w,
             &options,
             &ConfidenceStrategy::approximate(0.1, 0.05),
             None,
+            &ParallelOptions::sequential(),
         );
         assert_eq!(
             sampled.unwrap_err(),
@@ -792,9 +779,16 @@ mod tests {
         let u = w.variable_by_name("u").unwrap();
         let c = WsSet::from_descriptors(vec![WsDescriptor::from_pairs(&w, &[(u, 1)]).unwrap()]);
         let options = DecompositionOptions::indve_minlog();
-        let reference =
-            estimate_conditioned_confidence(&s, &c, &w, &options, &ConfidenceStrategy::Exact, None)
-                .unwrap();
+        let reference = estimate_conditioned_confidence_with_options(
+            &s,
+            &c,
+            &w,
+            &options,
+            &ConfidenceStrategy::Exact,
+            None,
+            &ParallelOptions::sequential(),
+        )
+        .unwrap();
         for workers in [2, 4, 8] {
             let parallel = ParallelOptions::new(workers).with_grain(2);
             let got = estimate_conditioned_confidence_with_options(

@@ -97,9 +97,9 @@ pub use confidence::{confidence, tree_probability};
 pub use decompose::{build_tree, DecompositionMethod, DecompositionOptions};
 pub use elimination::confidence_by_elimination;
 pub use engine::{
-    estimate_conditioned_confidence, estimate_conditioned_confidence_with_options,
-    estimate_confidence, estimate_confidence_with_options, ConfidenceReport, ConfidenceStrategy,
-    ResolvedPath, SamplingStats,
+    estimate_conditioned_confidence_with_options, estimate_confidence,
+    estimate_confidence_with_options, ConfidenceReport, ConfidenceStrategy, ResolvedPath,
+    SamplingStats,
 };
 pub use error::CoreError;
 pub use heuristics::VariableHeuristic;

@@ -1,49 +1,239 @@
-//! The `conf()` aggregate: exact tuple confidence values on query results.
+//! The `conf()` aggregate: tuple confidence values on query results.
 //!
 //! The confidence of a tuple `t` in the result of a query is the combined
 //! probability weight of all possible worlds in which `t` is in the result.
 //! On a U-relational query answer this is the probability of the ws-set
 //! collecting the descriptors of all rows carrying `t`, computed exactly
-//! with the decomposition algorithms of `uprob-core`.
+//! with the decomposition algorithms of `uprob-core` — or, under an explicit
+//! [`ConfidenceStrategy`], estimated by sampling where the exact fold is
+//! out of reach.
 //!
-//! All distinct tuples of one answer are computed as a **batch**: a single
+//! All distinct tuples of one answer are computed as a **batch**, and every
+//! batch — the exact one, the strategy one and the virtual posterior's of
+//! [`crate::EstimatedAssertion`] — is one body: a single
 //! [`SharedDecompositionCache`] is shared by every tuple (and by the
 //! answer-level Boolean confidence), so sub-ws-sets that recur across
 //! tuples — or between a tuple and the answer's independent components —
-//! are solved once, and the workers of a [`ParallelOptions`] are placed by
-//! one rule (wide answers fan the tuples out, narrow answers parallelize
-//! inside each decomposition). See `DESIGN.md` ("Entry points") for the
-//! surface, the cache architecture and the thread-safety contract.
+//! are solved once; the workers of a [`ParallelOptions`] are placed by one
+//! rule (wide answers fan the tuples out, narrow answers parallelize inside
+//! each decomposition); and each tuple samples from its own seed stream.
+//! The exact batch is that body at [`ConfidenceStrategy::Exact`]. See
+//! `DESIGN.md` ("Entry points") for the surface, the cache architecture and
+//! the thread-safety contract.
 
-use uprob_core::stats::{Confidence, DecompositionStats};
+use uprob_core::stats::DecompositionStats;
 use uprob_core::{
-    confidence as exact_confidence, confidence_parallel, estimate_confidence_with_options,
-    fan_out_indexed, ConfidenceReport, ConfidenceStrategy, DecompositionOptions, ParallelOptions,
-    SharedDecompositionCache,
+    confidence as exact_confidence, estimate_conditioned_confidence_with_options,
+    estimate_confidence_with_options, fan_out_indexed, ConfidenceReport, ConfidenceStrategy,
+    DecompositionOptions, ParallelOptions, SharedDecompositionCache,
 };
-use uprob_urel::{Tuple, URelation};
+use uprob_urel::{Plan, ProbDb, Tuple, URelation};
 use uprob_wsd::{WorldTable, WsSet};
 
 use crate::Result;
 
-/// The batch result of the `conf()` aggregates over one query answer.
+/// The batch result of the `conf()` aggregates over one query answer: `P`
+/// is `f64` for the exact batch and [`ConfidenceReport`] for the strategy
+/// batch, whose reports record whether the exact path or the sampling
+/// fallback produced each value.
 #[derive(Clone, Debug)]
-pub struct AnswerConfidences {
-    /// The distinct tuples of the answer with their exact confidences, in
+pub struct AnswerConfidences<P = f64> {
+    /// The distinct tuples of the answer with their confidences, in
     /// deterministic (sorted-tuple) order.
-    pub tuples: Vec<(Tuple, f64)>,
+    pub tuples: Vec<(Tuple, P)>,
     /// The Boolean confidence of the answer (probability that the answer is
     /// non-empty), computed through the same cache.
-    pub boolean: f64,
+    pub boolean: P,
     /// Aggregated decomposition counters of all per-tuple runs and the
     /// Boolean run, including the cache hit/miss counters.
     pub stats: DecompositionStats,
 }
 
+impl AnswerConfidences<ConfidenceReport> {
+    /// Number of tuples whose exact attempt exhausted its budget and fell
+    /// back to sampling (always 0 for the `Exact` strategy; equal to the
+    /// tuple count for `Approximate`).
+    pub fn sampled_tuples(&self) -> usize {
+        self.tuples
+            .iter()
+            .filter(|(_, r)| r.path.is_sampled())
+            .count()
+    }
+
+    /// Total Monte-Carlo iterations across all sampled tuples and the
+    /// Boolean run.
+    pub fn sampling_iterations(&self) -> u64 {
+        self.tuples
+            .iter()
+            .map(|(_, r)| r.sampling.map_or(0, |s| s.iterations))
+            .fold(0, u64::saturating_add)
+            + self.boolean.sampling.map_or(0, |s| s.iterations)
+    }
+}
+
+/// What a batch keeps of one report, and the report's counters.
+type Keep<P> = fn(ConfidenceReport) -> (P, DecompositionStats);
+
+/// The exact batch keeps the probability.
+fn probability(report: ConfidenceReport) -> (f64, DecompositionStats) {
+    (report.probability, report.stats)
+}
+
+/// The strategy batches keep the whole report.
+pub(crate) fn whole_report(report: ConfidenceReport) -> (ConfidenceReport, DecompositionStats) {
+    let stats = report.stats.clone();
+    (report, stats)
+}
+
+/// What every value of one `conf()` batch is computed with: the world
+/// table, the decomposition options, the strategy and the decomposition
+/// cache all runs of the batch share — and, for a virtual posterior, the
+/// condition `C` that turns each value into `P(· | C)`.
+pub(crate) struct Batch<'a> {
+    pub(crate) table: &'a WorldTable,
+    pub(crate) options: &'a DecompositionOptions,
+    pub(crate) strategy: &'a ConfidenceStrategy,
+    pub(crate) cache: &'a SharedDecompositionCache,
+    pub(crate) condition: Option<&'a WsSet>,
+}
+
+impl<'a> Batch<'a> {
+    /// The exact batch on `cache`.
+    fn exact(
+        table: &'a WorldTable,
+        options: &'a DecompositionOptions,
+        cache: &'a SharedDecompositionCache,
+    ) -> Self {
+        Batch {
+            table,
+            options,
+            strategy: &ConfidenceStrategy::Exact,
+            cache,
+            condition: None,
+        }
+    }
+
+    /// The engine call behind every value of a batch, and the only place
+    /// the **seed-stream rule** lives: tuple `index` samples from stream
+    /// `index + 1`, the answer-level Boolean run (`tuple: None`) from
+    /// stream 0, so no sampled estimate depends on the worker count or the
+    /// scheduling order.
+    fn confidence(
+        &self,
+        set: &WsSet,
+        tuple: Option<usize>,
+        parallel: &ParallelOptions,
+    ) -> uprob_core::Result<ConfidenceReport> {
+        let strategy = self
+            .strategy
+            .for_stream(tuple.map_or(0, |index| index as u64 + 1));
+        let cache = Some(self.cache);
+        match self.condition {
+            None => estimate_confidence_with_options(
+                set,
+                self.table,
+                self.options,
+                &strategy,
+                cache,
+                parallel,
+            ),
+            Some(condition) => estimate_conditioned_confidence_with_options(
+                set,
+                condition,
+                self.table,
+                self.options,
+                &strategy,
+                cache,
+                parallel,
+            ),
+        }
+    }
+
+    /// The Boolean confidence of `answer` (the probability that it is
+    /// non-empty).
+    pub(crate) fn boolean(
+        &self,
+        answer: &URelation,
+        parallel: &ParallelOptions,
+    ) -> Result<ConfidenceReport> {
+        Ok(self.confidence(&answer.answer_ws_set(), None, parallel)?)
+    }
+
+    /// The one `conf()` batch body — every distinct tuple of `answer`, in
+    /// sorted-tuple order, with the counters of all runs — and the only
+    /// place the worker **placement rule** lives: a *wide* batch (at least
+    /// two tuples per worker) fans the tuples out over the workers and
+    /// runs each on one thread — parallelism inside a tuple would only add
+    /// scheduling overhead when the batch already saturates the pool; a
+    /// *narrow* batch runs the tuples in order and hands each the full
+    /// `parallel` policy, so a handful of hard tuples still uses every
+    /// core. Bit-identity across worker counts is then exactly the
+    /// bit-identity of the individual engine calls.
+    ///
+    /// Each report is cut down by `keep` as soon as its run ends (the
+    /// exact batch keeps only the probability), so a wide answer never
+    /// holds a full report per tuple.
+    pub(crate) fn tuples<P: Send>(
+        &self,
+        answer: &URelation,
+        parallel: &ParallelOptions,
+        keep: Keep<P>,
+    ) -> Result<(Vec<(Tuple, P)>, DecompositionStats)> {
+        let groups = answer.distinct_tuples();
+        let (outer, inner) = if groups.len() >= 2 * parallel.workers() {
+            (parallel.workers(), ParallelOptions::sequential())
+        } else {
+            (1, *parallel)
+        };
+        let runs = fan_out_indexed(groups.len(), outer, |index| {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "fan_out_indexed yields indices below groups.len()"
+            )]
+            Ok(keep(self.confidence(
+                &groups[index].1,
+                Some(index),
+                &inner,
+            )?))
+        })
+        .into_iter()
+        .collect::<uprob_core::Result<Vec<_>>>()?;
+        let mut stats = DecompositionStats::default();
+        let tuples = groups
+            .into_iter()
+            .zip(runs)
+            .map(|((tuple, _), (value, run))| {
+                stats.absorb(&run);
+                (tuple, value)
+            })
+            .collect();
+        Ok((tuples, stats))
+    }
+
+    /// [`Batch::tuples`] plus the Boolean run, which goes last so it finds
+    /// the tuples' components in the cache.
+    fn answer<P: Send>(
+        &self,
+        answer: &URelation,
+        parallel: &ParallelOptions,
+        keep: Keep<P>,
+    ) -> Result<AnswerConfidences<P>> {
+        let (tuples, mut stats) = self.tuples(answer, parallel, keep)?;
+        let (boolean, run) = keep(self.boolean(answer, parallel)?);
+        stats.absorb(&run);
+        Ok(AnswerConfidences {
+            tuples,
+            boolean,
+            stats,
+        })
+    }
+}
+
 /// The exact `conf()` batch — `select ..., conf() from Q group by ...`
 /// **and** `select conf() from Q` in one call: every distinct tuple of the
 /// answer plus the answer-level Boolean confidence, computed through the
-/// caller-held `cache` on the workers of `parallel`.
+/// caller-held `cache` on the workers of `parallel`. It is the batch body
+/// of [`answer_confidences_with_strategy`] at [`ConfidenceStrategy::Exact`].
 ///
 /// `cache` is the "solved once per database" knob: hold one
 /// [`SharedDecompositionCache`] next to a database and pass it to every
@@ -72,65 +262,30 @@ pub fn answer_confidences_with_options(
     parallel: &ParallelOptions,
     cache: &SharedDecompositionCache,
 ) -> Result<AnswerConfidences> {
-    let mut stats = DecompositionStats::default();
-    let tuples = batch_over_groups(
-        answer.distinct_tuples(),
-        table,
-        options,
-        parallel,
-        cache,
-        &mut stats,
-    )?;
-    let boolean_run = confidence_parallel(
-        &answer.answer_ws_set(),
-        table,
-        options,
-        parallel,
-        Some(cache),
-    )?;
-    stats.absorb(&boolean_run.stats);
-    Ok(AnswerConfidences {
-        tuples,
-        boolean: boolean_run.probability,
-        stats,
-    })
+    Batch::exact(table, options, cache).answer(answer, parallel, probability)
 }
 
-/// The batch result of a strategy-driven `conf()` run over one query
-/// answer: per-tuple [`ConfidenceReport`]s (each recording whether the
-/// exact path or the sampling fallback produced the value) plus the
-/// answer-level Boolean confidence and aggregated counters.
-#[derive(Clone, Debug)]
-pub struct StrategyAnswerConfidences {
-    /// The distinct tuples of the answer with their confidence reports, in
-    /// deterministic (sorted-tuple) order.
-    pub tuples: Vec<(Tuple, ConfidenceReport)>,
-    /// The Boolean confidence of the answer under the same strategy.
-    pub boolean: ConfidenceReport,
-    /// Aggregated exact-path decomposition counters of all runs.
-    pub stats: DecompositionStats,
-}
-
-impl StrategyAnswerConfidences {
-    /// Number of tuples whose exact attempt exhausted its budget and fell
-    /// back to sampling (always 0 for the `Exact` strategy; equal to the
-    /// tuple count for `Approximate`).
-    pub fn sampled_tuples(&self) -> usize {
-        self.tuples
-            .iter()
-            .filter(|(_, r)| r.path.is_sampled())
-            .count()
-    }
-
-    /// Total Monte-Carlo iterations across all sampled tuples and the
-    /// Boolean run.
-    pub fn sampling_iterations(&self) -> u64 {
-        self.tuples
-            .iter()
-            .map(|(_, r)| r.sampling.map_or(0, |s| s.iterations))
-            .fold(0, u64::saturating_add)
-            + self.boolean.sampling.map_or(0, |s| s.iterations)
-    }
+/// `select ..., conf() from <plan> group by ...` in one call: evaluates
+/// `plan` with [`ProbDb::query`] (rule-based optimization + pipelined
+/// hash-join execution) and runs [`answer_confidences_with_options`] over
+/// the answer — same `parallel` placement, same caller-held per-database
+/// `cache` (repeated or overlapping planned queries over one database reuse
+/// every decomposition any of them solved), same bit-identity contract.
+/// Because the pipelined executor emits rows in the same order as the
+/// eager reference, the confidences of a planned answer are bit-identical
+/// to the eager path's.
+///
+/// # Errors
+///
+/// Propagates plan-validation errors and decomposition errors.
+pub fn planned_answer_confidences_with_options(
+    db: &ProbDb,
+    plan: &Plan,
+    options: &DecompositionOptions,
+    parallel: &ParallelOptions,
+    cache: &SharedDecompositionCache,
+) -> Result<AnswerConfidences> {
+    answer_confidences_with_options(&db.query(plan)?, db.world_table(), options, parallel, cache)
 }
 
 /// The `conf()` batch under an explicit [`ConfidenceStrategy`]: with
@@ -164,77 +319,15 @@ pub fn answer_confidences_with_strategy(
     options: &DecompositionOptions,
     strategy: &ConfidenceStrategy,
     parallel: &ParallelOptions,
-) -> Result<StrategyAnswerConfidences> {
-    let cache = SharedDecompositionCache::new();
-    let groups = answer.distinct_tuples();
-    let reports = fan_out_over_groups(&groups, parallel, |index, ws_set, inner| {
-        // Stream 0 is reserved for the answer-level Boolean run.
-        let tuple_strategy = strategy.for_stream(index as u64 + 1);
-        estimate_confidence_with_options(
-            ws_set,
-            table,
-            options,
-            &tuple_strategy,
-            Some(&cache),
-            inner,
-        )
-    })?;
-    let boolean = estimate_confidence_with_options(
-        &answer.answer_ws_set(),
+) -> Result<AnswerConfidences<ConfidenceReport>> {
+    Batch {
         table,
         options,
-        &strategy.for_stream(0),
-        Some(&cache),
-        parallel,
-    )?;
-    let mut stats = boolean.stats.clone();
-    let mut tuples = Vec::with_capacity(groups.len());
-    for ((tuple, _), report) in groups.into_iter().zip(reports) {
-        stats.absorb(&report.stats);
-        tuples.push((tuple, report));
+        strategy,
+        cache: &SharedDecompositionCache::new(),
+        condition: None,
     }
-    Ok(StrategyAnswerConfidences {
-        tuples,
-        boolean,
-        stats,
-    })
-}
-
-/// The one per-group fan-out every batch goes through, and the only place
-/// the worker **placement rule** lives: a *wide* batch (at least two groups
-/// per worker) fans the groups out over the workers and hands each
-/// computation the sequential policy — parallelism inside a group would
-/// only add scheduling overhead when the batch already saturates the pool;
-/// a *narrow* batch runs the groups in order and hands each computation the
-/// full `parallel` policy, so a handful of hard groups still uses every
-/// core. Results come back in input order. The closure receives the group
-/// index (for deterministic per-group seed streams), the group's ws-set and
-/// the policy to run it under; bit-identity across worker counts is then
-/// exactly the bit-identity of the individual computations.
-pub(crate) fn fan_out_over_groups<T, F>(
-    groups: &[(Tuple, WsSet)],
-    parallel: &ParallelOptions,
-    run: F,
-) -> Result<Vec<T>>
-where
-    T: Send,
-    F: Fn(usize, &WsSet, &ParallelOptions) -> uprob_core::Result<T> + Sync,
-{
-    let (outer, inner) = if groups.len() >= 2 * parallel.workers() {
-        (parallel.workers(), ParallelOptions::sequential())
-    } else {
-        (1, *parallel)
-    };
-    fan_out_indexed(groups.len(), outer, |index| {
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "fan_out_indexed yields indices below groups.len()"
-        )]
-        run(index, &groups[index].1, &inner)
-    })
-    .into_iter()
-    .map(|result| result.map_err(crate::QueryError::Core))
-    .collect()
+    .answer(answer, parallel, whole_report)
 }
 
 /// `select ..., conf() from Q group by ...`: the distinct tuples of a query
@@ -252,36 +345,12 @@ pub fn tuple_confidences(
     table: &WorldTable,
     options: &DecompositionOptions,
 ) -> Result<Vec<(Tuple, f64)>> {
-    batch_over_groups(
-        answer.distinct_tuples(),
-        table,
-        options,
+    let (tuples, _) = Batch::exact(table, options, &SharedDecompositionCache::new()).tuples(
+        answer,
         &ParallelOptions::auto(),
-        &SharedDecompositionCache::new(),
-        &mut DecompositionStats::default(),
-    )
-}
-
-/// Computes the exact confidences of pre-grouped `(tuple, ws-set)` pairs
-/// through the shared cache, preserving input order and aggregating the
-/// per-run statistics into `stats`.
-fn batch_over_groups(
-    groups: Vec<(Tuple, WsSet)>,
-    table: &WorldTable,
-    options: &DecompositionOptions,
-    parallel: &ParallelOptions,
-    cache: &SharedDecompositionCache,
-    stats: &mut DecompositionStats,
-) -> Result<Vec<(Tuple, f64)>> {
-    let runs: Vec<Confidence> = fan_out_over_groups(&groups, parallel, |_, ws_set, inner| {
-        confidence_parallel(ws_set, table, options, inner, Some(cache))
-    })?;
-    let mut out = Vec::with_capacity(groups.len());
-    for ((tuple, _), run) in groups.into_iter().zip(runs) {
-        stats.absorb(&run.stats);
-        out.push((tuple, run.probability));
-    }
-    Ok(out)
+        probability,
+    )?;
+    Ok(tuples)
 }
 
 /// `select conf() from Q`: the confidence of a Boolean query, i.e. the
@@ -339,7 +408,7 @@ pub fn possible_tuples(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uprob_urel::{ColumnType, Plan, Predicate, ProbDb, Schema, Value};
+    use uprob_urel::{ColumnType, Predicate, Schema, Value};
     use uprob_wsd::WsDescriptor;
 
     /// The exact batch over a fresh cache at the given worker count.
@@ -695,5 +764,112 @@ mod tests {
             boolean_confidence(&none, db.world_table(), &options).unwrap(),
             0.0
         );
+    }
+
+    #[test]
+    fn planned_conf_is_bit_identical_to_the_eager_answer() {
+        let db = ssn_db();
+        let options = DecompositionOptions::default();
+        let plan = Plan::scan("R")
+            .select(Predicate::col_eq("NAME", "Bill"))
+            .project(&["SSN"]);
+        let sequential = ParallelOptions::sequential();
+        let planned = planned_answer_confidences_with_options(
+            &db,
+            &plan,
+            &options,
+            &sequential,
+            &SharedDecompositionCache::new(),
+        )
+        .unwrap();
+        // The same plan run without the optimizer.
+        let eager_answer = db.query_unoptimized(&plan).unwrap();
+        let eager = answer_confidences_with_options(
+            &eager_answer,
+            db.world_table(),
+            &options,
+            &sequential,
+            &SharedDecompositionCache::new(),
+        )
+        .unwrap();
+        assert_eq!(planned.tuples.len(), eager.tuples.len());
+        for ((t1, p1), (t2, p2)) in planned.tuples.iter().zip(&eager.tuples) {
+            assert_eq!(t1, t2);
+            assert_eq!(p1.to_bits(), p2.to_bits());
+        }
+        assert_eq!(planned.boolean.to_bits(), eager.boolean.to_bits());
+        assert!((planned.tuples[0].1 - 0.3).abs() < 1e-12);
+        assert!((planned.tuples[1].1 - 0.7).abs() < 1e-12);
+    }
+
+    #[test]
+    fn planned_strategies_and_boolean_confidence() {
+        let db = ssn_db();
+        let options = DecompositionOptions::default();
+        // Example 2.3: the FD-violation self-join has confidence .56.
+        let violation = Plan::scan("R")
+            .join_on(
+                Plan::scan("R").rename("R2"),
+                Predicate::cols_eq("SSN", "R2.SSN").and(Predicate::cmp(
+                    uprob_urel::Expr::col("NAME"),
+                    uprob_urel::Comparison::Ne,
+                    uprob_urel::Expr::col("R2.NAME"),
+                )),
+            )
+            .project(&[]);
+        let p =
+            boolean_confidence(&db.query(&violation).unwrap(), db.world_table(), &options).unwrap();
+        assert!((p - 0.56).abs() < 1e-12);
+
+        let names = Plan::scan("R").project(&["NAME"]);
+        let answer = db.query(&names).unwrap();
+        let exact = answer_confidences_with_strategy(
+            &answer,
+            db.world_table(),
+            &options,
+            &ConfidenceStrategy::Exact,
+            &ParallelOptions::sequential(),
+        )
+        .unwrap();
+        let hybrid = answer_confidences_with_strategy(
+            &answer,
+            db.world_table(),
+            &options,
+            &ConfidenceStrategy::hybrid(1_000_000, 0.1, 0.01),
+            &ParallelOptions::sequential(),
+        )
+        .unwrap();
+        assert_eq!(hybrid.sampled_tuples(), 0);
+        for ((t1, r1), (t2, r2)) in exact.tuples.iter().zip(&hybrid.tuples) {
+            assert_eq!(t1, t2);
+            assert_eq!(r1.probability.to_bits(), r2.probability.to_bits());
+        }
+        // A cache shared across two planned queries reports reuse.
+        let cache = SharedDecompositionCache::new();
+        let sequential = ParallelOptions::sequential();
+        let first =
+            planned_answer_confidences_with_options(&db, &names, &options, &sequential, &cache)
+                .unwrap();
+        let second =
+            planned_answer_confidences_with_options(&db, &names, &options, &sequential, &cache)
+                .unwrap();
+        assert_eq!(first.tuples, second.tuples);
+        assert!(second.stats.cache_hits > 0, "warm run must hit the cache");
+    }
+
+    #[test]
+    fn planned_errors_propagate() {
+        let db = ssn_db();
+        let bad = Plan::scan("NOPE");
+        assert!(matches!(
+            planned_answer_confidences_with_options(
+                &db,
+                &bad,
+                &DecompositionOptions::default(),
+                &ParallelOptions::sequential(),
+                &SharedDecompositionCache::new(),
+            ),
+            Err(crate::QueryError::Urel(_))
+        ));
     }
 }

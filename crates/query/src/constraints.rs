@@ -48,9 +48,9 @@ use std::sync::Arc;
 use uprob_wsd::FxHashMap;
 
 use uprob_core::{
-    condition, estimate_conditioned_confidence, estimate_conditioned_confidence_with_options,
-    estimate_confidence, fan_out_indexed, Conditioned, ConditioningOptions, ConfidenceReport,
-    ConfidenceStrategy, CoreError, DecompositionOptions, ParallelOptions, SharedDecompositionCache,
+    condition, estimate_confidence, fan_out_indexed, Conditioned, ConditioningOptions,
+    ConfidenceReport, ConfidenceStrategy, CoreError, DecompositionOptions, ParallelOptions,
+    SharedDecompositionCache,
 };
 use uprob_urel::{
     denial_constraint_plan, fd_violation_plan, row_filter_violation_plan, Plan, Predicate, ProbDb,
@@ -58,6 +58,7 @@ use uprob_urel::{
 };
 use uprob_wsd::{diff_descriptor_set, WorldTable, WsDescriptor, WsSet};
 
+use crate::confidence::{whole_report, Batch};
 use crate::error::QueryError;
 use crate::Result;
 
@@ -685,32 +686,31 @@ fn satisfying_world_set(
     Ok(satisfying)
 }
 
-/// One human-readable description for a constraint set.
-fn describe_all(constraints: &[Constraint]) -> String {
-    constraints
-        .iter()
-        .map(Constraint::describe)
-        .collect::<Vec<_>>()
-        .join(" AND ")
+/// The typed error for a constraint set that no world of positive
+/// probability satisfies, naming the whole set.
+fn unsatisfiable(constraints: &[Constraint]) -> QueryError {
+    QueryError::UnsatisfiableConstraint {
+        constraint: constraints
+            .iter()
+            .map(Constraint::describe)
+            .collect::<Vec<_>>()
+            .join(" AND "),
+    }
 }
 
-/// Conditions `db` on a precomputed satisfying world-set, mapping the
-/// empty / zero-probability cases to the typed unsatisfiable error.
+/// Conditions `db` on a precomputed satisfying world-set; an empty or
+/// zero-probability one is [`unsatisfiable`].
 fn condition_on_satisfying(
     db: &ProbDb,
     satisfying: &WsSet,
     options: &ConditioningOptions,
-    describe: impl Fn() -> String,
+    constraints: &[Constraint],
 ) -> Result<Conditioned> {
     if satisfying.is_empty() {
-        return Err(QueryError::UnsatisfiableConstraint {
-            constraint: describe(),
-        });
+        return Err(unsatisfiable(constraints));
     }
     condition(db, satisfying, options).map_err(|e| match e {
-        CoreError::EmptyCondition => QueryError::UnsatisfiableConstraint {
-            constraint: describe(),
-        },
+        CoreError::EmptyCondition => unsatisfiable(constraints),
         other => QueryError::Core(other),
     })
 }
@@ -779,7 +779,7 @@ pub(crate) fn assert_all_in(
     memo: Option<&mut ViolationMemo>,
 ) -> Result<Conditioned> {
     let satisfying = satisfying_world_set(db, constraints, parallel, memo)?;
-    condition_on_satisfying(db, &satisfying, options, || describe_all(constraints))
+    condition_on_satisfying(db, &satisfying, options, constraints)
 }
 
 /// One memoized per-constraint violation ws-set with the evidence that
@@ -969,6 +969,18 @@ pub struct EstimatedAssertion {
 }
 
 impl EstimatedAssertion {
+    /// The batch whose values are the posterior confidences `P(· | C)`:
+    /// the assertion's strategy and shared cache, conditioned on `C`.
+    fn batch<'a>(&'a self, table: &'a WorldTable) -> Batch<'a> {
+        Batch {
+            table,
+            options: &self.decomposition,
+            strategy: &self.strategy,
+            cache: &self.cache,
+            condition: Some(&self.condition),
+        }
+    }
+
     /// Posterior tuple confidences of a query answer over the prior
     /// database: for every distinct tuple `t` with ws-set `Q_t`, the
     /// conditioned confidence `P(Q_t | C)`, with per-tuple deterministic
@@ -990,28 +1002,11 @@ impl EstimatedAssertion {
         table: &WorldTable,
         parallel: &ParallelOptions,
     ) -> Result<Vec<(Tuple, ConfidenceReport)>> {
-        let groups = answer.distinct_tuples();
-        let reports =
-            crate::confidence::fan_out_over_groups(&groups, parallel, |index, ws_set, inner| {
-                estimate_conditioned_confidence_with_options(
-                    ws_set,
-                    &self.condition,
-                    table,
-                    &self.decomposition,
-                    &self.strategy.for_stream(index as u64 + 1),
-                    Some(&self.cache),
-                    inner,
-                )
-            })?;
-        Ok(groups
-            .into_iter()
-            .map(|(tuple, _)| tuple)
-            .zip(reports)
-            .collect())
+        Ok(self.batch(table).tuples(answer, parallel, whole_report)?.0)
     }
 
     /// Posterior Boolean confidence of a query answer (the probability that
-    /// the answer is non-empty *given the constraint*).
+    /// the answer is non-empty *given the constraint*), on one thread.
     ///
     /// # Errors
     ///
@@ -1021,15 +1016,8 @@ impl EstimatedAssertion {
         answer: &URelation,
         table: &WorldTable,
     ) -> Result<ConfidenceReport> {
-        estimate_conditioned_confidence(
-            &answer.answer_ws_set(),
-            &self.condition,
-            table,
-            &self.decomposition,
-            &self.strategy.for_stream(0),
-            Some(&self.cache),
-        )
-        .map_err(QueryError::Core)
+        self.batch(table)
+            .boolean(answer, &ParallelOptions::sequential())
     }
 }
 
@@ -1063,12 +1051,6 @@ pub fn assert_all_with_strategy(
     strategy: &ConfidenceStrategy,
 ) -> Result<Assertion> {
     let satisfying = satisfying_world_set(db, constraints, &ParallelOptions::sequential(), None)?;
-    let unsatisfiable = || QueryError::UnsatisfiableConstraint {
-        constraint: describe_all(constraints),
-    };
-    if satisfying.is_empty() {
-        return Err(unsatisfiable());
-    }
     let decomposition = DecompositionOptions {
         heuristic: options.heuristic,
         node_budget: options.node_budget,
@@ -1085,7 +1067,7 @@ pub fn assert_all_with_strategy(
         )
         .map_err(QueryError::Core)?;
         if confidence.probability <= 0.0 || confidence.probability.is_nan() {
-            return Err(unsatisfiable());
+            return Err(unsatisfiable(constraints));
         }
         Ok(Assertion::Estimated(EstimatedAssertion {
             condition: satisfying,
@@ -1095,24 +1077,23 @@ pub fn assert_all_with_strategy(
             cache: Arc::clone(&cache),
         }))
     };
-    match strategy {
-        ConfidenceStrategy::Exact => {
-            condition_on_satisfying(db, &satisfying, options, || describe_all(constraints))
-                .map(Assertion::Materialized)
-        }
-        ConfidenceStrategy::Approximate(_) => estimated(satisfying),
-        ConfidenceStrategy::Hybrid { budget, .. } => {
-            let budgeted = ConditioningOptions {
+    // `Exact` is `Hybrid` without a fallback, as in the confidence engine.
+    let (conditioning, falls_back) = match strategy {
+        ConfidenceStrategy::Approximate(_) => return estimated(satisfying),
+        ConfidenceStrategy::Exact => (*options, false),
+        ConfidenceStrategy::Hybrid { budget, .. } => (
+            ConditioningOptions {
                 node_budget: Some(*budget),
                 ..*options
-            };
-            match condition(db, &satisfying, &budgeted) {
-                Ok(conditioned) => Ok(Assertion::Materialized(conditioned)),
-                Err(CoreError::BudgetExceeded { .. }) => estimated(satisfying),
-                Err(CoreError::EmptyCondition) => Err(unsatisfiable()),
-                Err(other) => Err(QueryError::Core(other)),
-            }
+            },
+            true,
+        ),
+    };
+    match condition_on_satisfying(db, &satisfying, &conditioning, constraints) {
+        Err(QueryError::Core(CoreError::BudgetExceeded { .. })) if falls_back => {
+            estimated(satisfying)
         }
+        conditioned => conditioned.map(Assertion::Materialized),
     }
 }
 

@@ -4,7 +4,9 @@
 //! to the exact confidence computation and conditioning of `uprob-core`:
 //!
 //! * [`confidence`]: the `conf()` aggregate — per-tuple confidence values of
-//!   a query result, and the confidence of Boolean queries;
+//!   a query result or of a query plan, exact or under a
+//!   [`ConfidenceStrategy`](uprob_core::ConfidenceStrategy), and the
+//!   confidence of Boolean queries;
 //! * [`constraints`]: integrity constraints (functional dependencies, keys,
 //!   row-level predicates, inclusion dependencies / foreign keys,
 //!   cross-relation denial constraints and arbitrary Boolean violation
@@ -15,9 +17,6 @@
 //!   conditions on a whole constraint set at once;
 //! * the confidence comparison predicates that motivate exact computation
 //!   in the paper (e.g. `conf(t) = 1`, "certain answers");
-//! * [`planned`]: the same `conf()` aggregates over logical query plans —
-//!   `ProbDb::query(plan)` (rule-based optimization + pipelined hash-join
-//!   execution) composed with the batch confidence paths in one call;
 //! * [`service`]: the snapshot-isolated concurrent serving layer —
 //!   [`ProbDbService`] serves `query`/`conf`/`assert_all` to any number of
 //!   threads against immutable [`Snapshot`]s — each a stamped database and
@@ -87,23 +86,18 @@
 pub mod confidence;
 pub mod constraints;
 pub mod error;
-pub mod planned;
 pub mod service;
 
 pub use confidence::{
     answer_confidences_with_options, answer_confidences_with_strategy, boolean_confidence,
-    certain_tuples, possible_tuples, tuple_confidences, AnswerConfidences,
-    StrategyAnswerConfidences,
+    certain_tuples, planned_answer_confidences_with_options, possible_tuples, tuple_confidences,
+    AnswerConfidences,
 };
 pub use constraints::{
     assert_all, assert_all_delta, assert_all_with_strategy, assert_constraint, Assertion,
     Constraint, EstimatedAssertion, ViolationMemo,
 };
 pub use error::QueryError;
-pub use planned::{
-    planned_answer_confidences_with_options, planned_answer_confidences_with_strategy,
-    planned_boolean_confidence,
-};
 pub use service::{
     AssertOutcome, DeltaOutcome, ProbDbService, ServiceOptions, ServiceStats, Snapshot,
 };

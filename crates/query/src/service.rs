@@ -88,10 +88,9 @@ use uprob_core::{
 use uprob_urel::{DeltaBuilder, DeltaReport, Plan, ProbDb, URelation};
 use uprob_wsd::{FxHashMap, Stamped, VarId, WorldTable};
 
-use crate::confidence::AnswerConfidences;
+use crate::confidence::{planned_answer_confidences_with_options, AnswerConfidences};
 use crate::constraints::{assert_all_delta, assert_all_in, Constraint, ViolationMemo};
 use crate::error::QueryError;
-use crate::planned::planned_answer_confidences_with_options;
 use crate::Result;
 
 /// One immutable published version of a probabilistic database: the world
@@ -769,7 +768,7 @@ mod tests {
         );
         let plan = bills_plan();
         let served = service.conf(&plan).unwrap();
-        let reference = crate::planned::planned_answer_confidences_with_options(
+        let reference = planned_answer_confidences_with_options(
             &db,
             &plan,
             &service.options().decomposition,
@@ -799,7 +798,7 @@ mod tests {
         // The reader's pinned snapshot still answers from the prior: the
         // publish did not mutate it.
         let prior = service.conf_pinned(&pinned, &bills_plan()).unwrap();
-        let reference = crate::planned::planned_answer_confidences_with_options(
+        let reference = planned_answer_confidences_with_options(
             &db,
             &bills_plan(),
             &service.options().decomposition,
@@ -817,7 +816,7 @@ mod tests {
         )
         .unwrap();
         let served = service.conf(&bills_plan()).unwrap();
-        let library = crate::planned::planned_answer_confidences_with_options(
+        let library = planned_answer_confidences_with_options(
             &conditioned.db,
             &bills_plan(),
             &service.options().decomposition,
@@ -919,7 +918,7 @@ mod tests {
     }
 
     fn reference_conf(db: &ProbDb, plan: &Plan) -> AnswerConfidences {
-        crate::planned::planned_answer_confidences_with_options(
+        planned_answer_confidences_with_options(
             db,
             plan,
             &DecompositionOptions::default(),
@@ -1237,5 +1236,87 @@ mod tests {
             "every request runs its own fold"
         );
         assert_eq!(stats.coalesced, 0);
+    }
+
+    /// A delta request whose `build` fails: through `ingest` and through
+    /// `publish_delta` it publishes nothing, and the next `assert_all_delta`
+    /// is bit-identical to the same call on a twin service that never saw
+    /// the request — the prior line is left as it was.
+    fn assert_failed_delta_leaves_no_trace(
+        build: fn(&mut DeltaBuilder) -> uprob_urel::Result<()>,
+        expected: impl Fn(&QueryError) -> bool,
+    ) {
+        let fd = Constraint::functional_dependency("R", &["SSN"], &["NAME"]);
+        for publish in [false, true] {
+            let service = ProbDbService::new(db_with_extra_relation());
+            let twin = ProbDbService::new(db_with_extra_relation());
+            let before = service.snapshot().stamp();
+            let err = if publish {
+                service.publish_delta(build).map(|_| ()).unwrap_err()
+            } else {
+                service.ingest(build).map(|_| ()).unwrap_err()
+            };
+            assert!(expected(&err), "publish {publish}: unexpected {err:?}");
+            assert_eq!(
+                service.snapshot().stamp(),
+                before,
+                "publish {publish}: a failed delta must not publish"
+            );
+            let next = service.assert_all_delta(std::slice::from_ref(&fd)).unwrap();
+            let reference = twin.assert_all_delta(std::slice::from_ref(&fd)).unwrap();
+            assert_eq!(next.confidence.to_bits(), reference.confidence.to_bits());
+            assert_eq!(next.new_variables, reference.new_variables);
+            assert_eq!(
+                next.snapshot.db().world_table().num_variables(),
+                reference.snapshot.db().world_table().num_variables()
+            );
+            for relation in ["R", "T"] {
+                assert_eq!(
+                    next.snapshot.db().relation(relation).unwrap(),
+                    reference.snapshot.db().relation(relation).unwrap(),
+                    "publish {publish}: posterior {relation}"
+                );
+            }
+            for plan in [bills_plan(), t_plan()] {
+                assert_conf_bits(&service.conf(&plan).unwrap(), &twin.conf(&plan).unwrap());
+            }
+        }
+    }
+
+    #[test]
+    fn failing_delta_builder_publishes_nothing() {
+        // A fresh variable and a row of R are staged before the second
+        // append fails: the whole batch must be dropped, not half-applied
+        // to the prior line.
+        assert_failed_delta_leaves_no_trace(
+            |delta| {
+                let v = delta.add_boolean("n1", 0.9)?;
+                let d = WsDescriptor::from_pairs(delta.world_table(), &[(v, 1)])?;
+                let ann = Tuple::new(vec![Value::Int(3), Value::str("Ann")]);
+                delta.append("R", ann, d.clone())?;
+                delta.append("Missing", Tuple::new(vec![Value::Int(3)]), d)
+            },
+            |err| {
+                *err == QueryError::Urel(uprob_urel::UrelError::UnknownRelation {
+                    relation: "Missing".into(),
+                })
+            },
+        );
+    }
+
+    #[test]
+    fn panicking_delta_builder_publishes_nothing() {
+        assert_failed_delta_leaves_no_trace(
+            |delta| {
+                let v = delta.add_boolean("n1", 0.9)?;
+                let d = WsDescriptor::from_pairs(delta.world_table(), &[(v, 1)])?;
+                delta.append("R", Tuple::new(vec![Value::Int(3), Value::str("Ann")]), d)?;
+                panic!("injected builder panic")
+            },
+            |err| {
+                matches!(err, QueryError::RequestPanicked { message }
+                    if message.contains("injected builder panic"))
+            },
+        );
     }
 }

@@ -354,86 +354,6 @@ impl WorldTable {
         };
         (new_table, mapping)
     }
-}
-
-/// A staged, append-only batch of world-table mutations.
-///
-/// The delta path never rewrites an existing variable's
-/// distribution: conditioning appends fresh re-weighted variables, and
-/// ingest appends tuple-presence variables. A delta therefore only *adds*
-/// variables; applying it via [`WorldTable::apply_delta`] is atomic — the
-/// whole batch is validated up front, so a failed application leaves the
-/// table (and its stamp) untouched.
-#[derive(Clone, Debug, Default)]
-pub struct WorldTableDelta {
-    additions: Vec<(String, Vec<(DomainValue, f64)>)>,
-}
-
-impl WorldTableDelta {
-    /// Creates an empty delta.
-    pub fn new() -> Self {
-        WorldTableDelta::default()
-    }
-
-    /// Stages a new variable with the given alternatives.
-    ///
-    /// Validation happens at [`WorldTable::apply_delta`] time against the
-    /// target table; staging never fails.
-    pub fn add_variable(&mut self, name: &str, alternatives: &[(DomainValue, f64)]) -> &mut Self {
-        self.additions
-            .push((name.to_string(), alternatives.to_vec()));
-        self
-    }
-
-    /// Stages a Boolean variable (`1` with probability `p`, `0` otherwise).
-    pub fn add_boolean(&mut self, name: &str, p: f64) -> &mut Self {
-        self.add_variable(name, &[(1, p), (0, 1.0 - p)])
-    }
-
-    /// Number of staged variable additions.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.additions.len()
-    }
-
-    /// True if nothing is staged.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.additions.is_empty()
-    }
-
-    /// Iterates over the staged `(name, alternatives)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &[(DomainValue, f64)])> {
-        self.additions
-            .iter()
-            .map(|(name, alts)| (name.as_str(), alts.as_slice()))
-    }
-}
-
-impl WorldTable {
-    /// Applies a staged delta atomically, returning the [`VarId`]s assigned
-    /// to the staged variables in staging order.
-    ///
-    /// The whole batch is validated against a scratch copy first: if any
-    /// staged variable is invalid (duplicate name — including duplicates
-    /// *within* the batch — bad distribution, …), the table is left
-    /// completely unmodified and its stamp is preserved, matching the
-    /// failed-mutations-preserve-stamps contract of the stamp proptests.
-    pub fn apply_delta(&mut self, delta: &WorldTableDelta) -> Result<Vec<VarId>> {
-        if delta.is_empty() {
-            return Ok(Vec::new());
-        }
-        // Phase 1: validate the entire batch on a scratch clone.
-        let mut scratch = self.clone();
-        let mut ids = Vec::with_capacity(delta.len());
-        for (name, alternatives) in delta.iter() {
-            ids.push(scratch.add_variable(name, alternatives)?);
-        }
-        // Phase 2: commit. The scratch carries the stamp its last mutation
-        // refreshed.
-        *self = scratch;
-        Ok(ids)
-    }
 
     /// True if `self` extends `base` append-only: every variable of `base`
     /// exists in `self` at the same [`VarId`] with an identical name, domain
@@ -660,46 +580,6 @@ mod tests {
         assert!(!mapping.contains_key(&j));
         assert_eq!(w2.variable_by_name("b"), Some(VarId(0)));
         assert!((w2.probability(VarId(0), ValueIndex(0)).unwrap() - 0.3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn apply_delta_appends_atomically() {
-        let (mut w, j, b) = ssn_table();
-        let before = w.stamp();
-        let mut delta = WorldTableDelta::new();
-        delta
-            .add_boolean("t1", 0.25)
-            .add_variable("u", &[(0, 0.5), (1, 0.5)]);
-        let ids = w.apply_delta(&delta).unwrap();
-        assert_eq!(ids, vec![VarId(2), VarId(3)]);
-        assert_eq!(w.num_variables(), 4);
-        assert_ne!(w.stamp(), before);
-        // The prior variables are untouched (append-only).
-        assert!((w.probability(j, ValueIndex(0)).unwrap() - 0.2).abs() < 1e-12);
-        assert!((w.probability(b, ValueIndex(1)).unwrap() - 0.7).abs() < 1e-12);
-    }
-
-    #[test]
-    fn failed_delta_leaves_table_and_stamp_untouched() {
-        let (mut w, _, _) = ssn_table();
-        let before = w.stamp();
-        // Second staged addition is invalid: the batch must not half-apply.
-        let mut delta = WorldTableDelta::new();
-        delta
-            .add_boolean("ok", 0.5)
-            .add_variable("bad", &[(1, 0.5), (2, 0.4)]);
-        assert!(w.apply_delta(&delta).is_err());
-        assert_eq!(w.num_variables(), 2);
-        assert_eq!(w.stamp(), before);
-        assert_eq!(w.variable_by_name("ok"), None);
-        // Duplicates within the batch are rejected too.
-        let mut dup = WorldTableDelta::new();
-        dup.add_boolean("twice", 0.5).add_boolean("twice", 0.5);
-        assert!(w.apply_delta(&dup).is_err());
-        assert_eq!(w.stamp(), before);
-        // An empty delta is a no-op that preserves the stamp.
-        assert!(w.apply_delta(&WorldTableDelta::new()).unwrap().is_empty());
-        assert_eq!(w.stamp(), before);
     }
 
     #[test]

@@ -15,8 +15,8 @@
 
 use std::time::Instant;
 
-use uprob::datagen::{HardInstance, HardInstanceConfig};
 use uprob::prelude::*;
+use uprob_datagen::{HardInstance, HardInstanceConfig};
 
 fn report_line(label: &str, report: &ConfidenceReport, elapsed: std::time::Duration) {
     let path = match report.path {

@@ -9,8 +9,8 @@
 
 use std::time::Instant;
 
-use uprob::datagen::{q1_plan, TpchConfig, TpchDatabase};
 use uprob::prelude::*;
+use uprob_datagen::{q1_plan, TpchConfig, TpchDatabase};
 
 fn main() {
     // ── The SSN database of Figure 2 ────────────────────────────────────
@@ -62,7 +62,12 @@ fn main() {
 
     // `ProbDb::query` = optimize + pipelined execution; `conf()` of the
     // Boolean answer is the violation probability of Example 2.3.
-    let p = planned_boolean_confidence(&db, &violation, &DecompositionOptions::default()).unwrap();
+    let p = boolean_confidence(
+        &db.query(&violation).unwrap(),
+        db.world_table(),
+        &DecompositionOptions::default(),
+    )
+    .unwrap();
     println!("conf(FD violated) = {p:.2}   (paper: 0.56; assert[SSN→NAME] keeps 0.44)\n");
 
     // Per-tuple conf() over a planned query: Bill's SSN marginals.

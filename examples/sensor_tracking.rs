@@ -20,8 +20,8 @@
 //!
 //! Run with `cargo run --example sensor_tracking`.
 
-use uprob::datagen::{SensorConfig, SensorWorkload};
 use uprob::prelude::*;
+use uprob_datagen::{SensorConfig, SensorWorkload};
 
 const ZONES: [&str; 4] = ["dock", "aisle", "office", "yard"];
 

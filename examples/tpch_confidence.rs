@@ -11,8 +11,8 @@
 
 use std::time::Instant;
 
-use uprob::datagen::{q1_answer, q2_answer, TpchConfig, TpchDatabase};
 use uprob::prelude::*;
+use uprob_datagen::{q1_answer, q2_answer, TpchConfig, TpchDatabase};
 
 fn main() {
     // A scaled-down instance so the example finishes in seconds even in

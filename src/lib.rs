@@ -15,7 +15,6 @@
 //! | [`urel`] | values, tuples, schemas, U-relations, probabilistic databases and the positive relational algebra as query plans |
 //! | [`core`] | ws-trees, the INDVE/VE decomposition with the minlog/minmax heuristics, exact confidence, ws-descriptor elimination and conditioning |
 //! | [`approx`] | the Karp–Luby / Dagum-et-al. Monte-Carlo baseline |
-//! | [`datagen`] | probabilistic TPC-H and #P-hard workload generators |
 //! | [`query`] | `conf()` aggregates, constraints, `assert` and the snapshot-isolated [`ProbDbService`](query::ProbDbService) serving layer |
 //!
 //! The [`prelude`] re-exports the types needed by typical applications.
@@ -73,7 +72,6 @@ mod clippy_contract;
 
 pub use uprob_approx as approx;
 pub use uprob_core as core;
-pub use uprob_datagen as datagen;
 pub use uprob_query as query;
 pub use uprob_urel as urel;
 pub use uprob_wsd as wsd;
@@ -86,8 +84,7 @@ pub mod prelude {
     };
     pub use uprob_core::{
         available_workers, build_tree, condition, confidence, confidence_by_elimination,
-        confidence_parallel, estimate_conditioned_confidence,
-        estimate_conditioned_confidence_with_options, estimate_confidence,
+        confidence_parallel, estimate_conditioned_confidence_with_options, estimate_confidence,
         estimate_confidence_with_options, CacheStats, ConditioningOptions, ConfidenceReport,
         ConfidenceStrategy, DecompositionMethod, DecompositionOptions, InheritOutcome,
         ParallelOptions, ResolvedPath, SamplingStats, SharedDecompositionCache, VariableHeuristic,
@@ -96,11 +93,9 @@ pub mod prelude {
     pub use uprob_query::{
         answer_confidences_with_options, answer_confidences_with_strategy, assert_all,
         assert_all_delta, assert_all_with_strategy, assert_constraint, boolean_confidence,
-        certain_tuples, planned_answer_confidences_with_options,
-        planned_answer_confidences_with_strategy, planned_boolean_confidence, possible_tuples,
+        certain_tuples, planned_answer_confidences_with_options, possible_tuples,
         tuple_confidences, AnswerConfidences, AssertOutcome, Assertion, Constraint, DeltaOutcome,
-        EstimatedAssertion, ProbDbService, ServiceOptions, ServiceStats, Snapshot,
-        StrategyAnswerConfidences, ViolationMemo,
+        EstimatedAssertion, ProbDbService, ServiceOptions, ServiceStats, Snapshot, ViolationMemo,
     };
     pub use uprob_urel::{
         execute_plan, optimize_plan, ColumnType, Comparison, DeltaBuilder, DeltaReport, Expr, Plan,

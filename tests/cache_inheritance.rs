@@ -19,9 +19,9 @@
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
-use uprob::datagen::arb_constraint_case;
 use uprob::prelude::*;
 use uprob::wsd::FxHashMap;
+use uprob_datagen::arb_constraint_case;
 
 /// Remaps `set` through `remap`, translating value indexes back to
 /// domain values via the old table. Returns `None` when some mentioned

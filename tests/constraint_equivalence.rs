@@ -20,9 +20,9 @@
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use uprob::datagen::arb_constraint_case;
 use uprob::prelude::*;
 use uprob::query::QueryError;
+use uprob_datagen::arb_constraint_case;
 
 /// SQL-style equality: both values non-NULL and equal.
 fn sql_eq(a: &Value, b: &Value) -> bool {

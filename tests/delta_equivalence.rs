@@ -13,9 +13,9 @@
 //! `ConstraintCaseRecipe`, which reproduces the instance exactly.
 
 use proptest::prelude::*;
-use uprob::datagen::arb_constraint_case;
 use uprob::prelude::*;
 use uprob::query::QueryError;
+use uprob_datagen::arb_constraint_case;
 
 /// Worker counts exercised by the parallel recompute leg. The CI matrix
 /// adds its own count via `UPROB_WORKERS`.

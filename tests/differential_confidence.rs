@@ -14,8 +14,8 @@
 //! which reproduces the instance exactly via `recipe.build()`.
 
 use proptest::prelude::*;
-use uprob::datagen::arb_small_recipe;
 use uprob::prelude::*;
+use uprob_datagen::arb_small_recipe;
 
 /// Karp–Luby iterations for the fixed-iteration differential check.
 const KL_ITERATIONS: u64 = 40_000;
@@ -148,13 +148,13 @@ proptest! {
             joint.probability_by_enumeration(&instance.table) / p_condition;
 
         // Exact engine path.
-        let exact = estimate_conditioned_confidence(
+        let exact = estimate_conditioned_confidence_with_options(
             &instance.query,
             &instance.condition,
             &instance.table,
             &DecompositionOptions::indve_minlog(),
             &ConfidenceStrategy::Exact,
-            None,
+            None, &ParallelOptions::sequential(),
         )
         .unwrap();
         prop_assert!(
@@ -164,13 +164,13 @@ proptest! {
         );
 
         // Hybrid with an ample budget must be the exact value, bit for bit.
-        let hybrid = estimate_conditioned_confidence(
+        let hybrid = estimate_conditioned_confidence_with_options(
             &instance.query,
             &instance.condition,
             &instance.table,
             &DecompositionOptions::indve_minlog(),
             &ConfidenceStrategy::hybrid(1_000_000, 0.1, 0.05),
-            None,
+            None, &ParallelOptions::sequential(),
         )
         .unwrap();
         prop_assert!(hybrid.probability.to_bits() == exact.probability.to_bits());

@@ -7,10 +7,10 @@
 //! The sampled bits of both Karp–Luby entry points are pinned literally on a
 //! downscaled intractable shape.
 
-use uprob::datagen::{
+use uprob::prelude::*;
+use uprob_datagen::{
     q1_answer_relation, q1_plan, HardInstance, HardInstanceConfig, TpchConfig, TpchDatabase,
 };
-use uprob::prelude::*;
 use uprob_reference::urel as reference;
 
 /// The Figure 3 ws-set with exact probability 0.7578.
@@ -554,9 +554,9 @@ fn tpch_q1_through_a_query_plan_and_all_three_strategies() {
     );
 
     // Hybrid with an ample budget: bit-identical, no fallback.
-    let hybrid = planned_answer_confidences_with_strategy(
-        &data.db,
-        &q1_plan(),
+    let hybrid = answer_confidences_with_strategy(
+        &planned,
+        world_table,
         &options,
         &ConfidenceStrategy::hybrid(1_000_000, 0.1, 0.01),
         &ParallelOptions::new(2),
@@ -570,9 +570,9 @@ fn tpch_q1_through_a_query_plan_and_all_three_strategies() {
 
     // Approximate: in-band per tuple (pinned seed).
     let epsilon = 0.1;
-    let approx = planned_answer_confidences_with_strategy(
-        &data.db,
-        &q1_plan(),
+    let approx = answer_confidences_with_strategy(
+        &planned,
+        world_table,
         &options,
         &ConfidenceStrategy::approximate(epsilon, 0.05).with_seed(1995),
         &ParallelOptions::new(2),
@@ -868,9 +868,9 @@ fn assert_all_on_the_fig10_tpch_fixture_is_bit_identical_to_sequential() {
     }
     // Cross-check the confidence against the planned Boolean query:
     // P(all constraints) = 1 − P(Q1 non-empty).
-    let p_q1 = planned_boolean_confidence(
-        &data.db,
-        &q1_plan().project(&[]),
+    let p_q1 = boolean_confidence(
+        &data.db.query(&q1_plan().project(&[])).unwrap(),
+        data.db.world_table(),
         &DecompositionOptions::default(),
     )
     .unwrap();
@@ -884,7 +884,7 @@ fn fk_and_denial_workload_through_all_three_strategies() {
     // constraints) and the hash-bucket difference (the FK), under every
     // strategy variant.
     let workload =
-        uprob::datagen::ConstraintWorkload::generate(uprob::datagen::ConstraintWorkloadConfig {
+        uprob_datagen::ConstraintWorkload::generate(uprob_datagen::ConstraintWorkloadConfig {
             departments: 5,
             people: 40,
             conflicts: 2,

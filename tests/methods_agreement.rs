@@ -4,8 +4,8 @@
 //! must produce the Bayesian posterior.
 
 use proptest::prelude::*;
-use uprob::datagen::{HardInstance, HardInstanceConfig};
 use uprob::prelude::*;
+use uprob_datagen::{HardInstance, HardInstanceConfig};
 
 fn hard_config_strategy() -> impl Strategy<Value = HardInstanceConfig> {
     (2usize..=8, 2usize..=3, 1usize..=3, 0usize..=12, 0u64..1000).prop_map(
@@ -158,7 +158,7 @@ fn conditioning_matches_bayes_on_random_tuple_independent_databases() {
 /// other).
 #[test]
 fn tpch_answers_have_consistent_confidences() {
-    use uprob::datagen::{q1_answer, q2_answer, TpchConfig, TpchDatabase};
+    use uprob_datagen::{q1_answer, q2_answer, TpchConfig, TpchDatabase};
     let data = TpchDatabase::generate(TpchConfig::scale(0.01).with_row_scale(0.02).with_seed(3));
     for answer in [q1_answer(&data), q2_answer(&data)] {
         let table = data.db.world_table();

@@ -33,9 +33,9 @@
 
 use proptest::prelude::*;
 use uprob::core::fan_out_indexed;
-use uprob::datagen::{arb_constraint_case, arb_small_recipe, HardInstance, HardInstanceConfig};
 use uprob::prelude::*;
 use uprob::query::QueryError;
+use uprob_datagen::{arb_constraint_case, arb_small_recipe, HardInstance, HardInstanceConfig};
 
 /// Worker counts exercised per case: fixed fan-outs plus whatever
 /// `UPROB_WORKERS` requests (the CI matrix routes 1/2/4/8 through the
@@ -159,13 +159,13 @@ proptest! {
     fn parallel_conditioned_confidence_is_bit_identical(recipe in arb_small_recipe()) {
         let instance = recipe.build();
         let decomposition = DecompositionOptions::indve_minlog();
-        let sequential = estimate_conditioned_confidence(
+        let sequential = estimate_conditioned_confidence_with_options(
             &instance.query,
             &instance.condition,
             &instance.table,
             &decomposition,
             &ConfidenceStrategy::Exact,
-            None,
+            None, &ParallelOptions::sequential(),
         );
         for workers in worker_counts() {
             let parallel = parallel_options(workers);
@@ -370,7 +370,7 @@ fn conf_batch_surface_is_bit_identical_on_wide_and_narrow_answers() {
                 "tuple_confidences, {groups} tuples"
             );
         }
-        let one_worker: Vec<StrategyAnswerConfidences> = strategies
+        let one_worker: Vec<AnswerConfidences<ConfidenceReport>> = strategies
             .iter()
             .map(|strategy| {
                 answer_confidences_with_strategy(

@@ -12,8 +12,8 @@
 //! `recipe.plan.build(&db)`.
 
 use proptest::prelude::*;
-use uprob::datagen::arb_plan_case;
 use uprob::prelude::*;
+use uprob_datagen::arb_plan_case;
 use uprob_reference::urel as reference;
 
 /// Sorted copy of the rows: the multiset fingerprint two equivalent

@@ -3,7 +3,8 @@
 //!
 //! * every product crate root carries the clippy gate line, so the per-site
 //!   lints and the `clippy.toml` lists apply to it;
-//! * no product crate depends on the oracles of `uprob-reference`;
+//! * no product crate depends on the oracles of `uprob-reference` or on
+//!   the workload generators of `uprob-datagen`;
 //! * no product code accumulates a float with a raw `+=`, except the sites
 //!   on [`RAW_SUMS`], each with its reason;
 //! * the standing counts of ROADMAP.md — product `pub fn`s, clippy
@@ -61,6 +62,9 @@ fn every_gated_crate_root_carries_the_clippy_gate() {
 /// The oracle crate, which depends on the product crates.
 const ORACLE: &str = "uprob-reference";
 
+/// The workload generators, which build on the vendored test frameworks.
+const GENERATORS: &str = "uprob-datagen";
+
 /// Whether a manifest table lists dependencies a package is built with:
 /// `[dependencies]`, `[build-dependencies]`, their `target.*` forms and
 /// their dotted one-dependency forms — not `[dev-dependencies]`, and not
@@ -91,31 +95,26 @@ fn tables_naming(manifest: &str, name: &str) -> Vec<String> {
     found
 }
 
-/// The oracles live in `uprob-reference`, which depends on the product
-/// crates, so product code cannot import one: a product crate naming it is
-/// a dependency cycle Cargo rejects. The facade is the one product package
-/// that could name it without a cycle, so no product manifest — the
-/// facade's included — may list it among the dependencies its library is
-/// built with. Dev-dependencies may: that is how the facade's tests and
-/// examples reach the oracles.
-#[test]
-fn product_code_never_imports_a_reference_implementation() {
-    // Renaming the oracle crate would make the check below vacuous.
-    let oracle = read(&root().join("crates/reference/Cargo.toml"));
+/// The tables of a product manifest that build its library with
+/// `name`, checking first that `name` is still the package at `dir` (a
+/// rename would make the scan vacuous) and that the facade lists it as a
+/// dev-dependency, which is how its tests and examples reach it.
+fn product_tables_building_with(name: &str, dir: &str) -> Vec<String> {
+    let package = read(&root().join(dir).join("Cargo.toml"));
     assert!(
-        oracle
+        package
             .lines()
-            .any(|l| l.trim() == format!("name = \"{ORACLE}\"")),
-        "crates/reference is no longer `{ORACLE}`"
+            .any(|l| l.trim() == format!("name = \"{name}\"")),
+        "{dir} is no longer `{name}`"
     );
     let mut offenders = Vec::new();
     for package in PRODUCT_CRATES {
         let manifest = root().join(package).join("Cargo.toml");
-        let tables = tables_naming(&read(&manifest), ORACLE);
+        let tables = tables_naming(&read(&manifest), name);
         if package.is_empty() {
             assert!(
                 tables.iter().any(|t| t == "dev-dependencies"),
-                "the facade's tests reach the oracles as a dev-dependency: {tables:?}"
+                "the facade's tests reach `{name}` as a dev-dependency: {tables:?}"
             );
         }
         offenders.extend(
@@ -125,9 +124,33 @@ fn product_code_never_imports_a_reference_implementation() {
                 .map(|t| format!("{}: [{t}]", manifest.display())),
         );
     }
+    offenders
+}
+
+/// The oracles live in `uprob-reference`, which depends on the product
+/// crates, so product code cannot import one: a product crate naming it is
+/// a dependency cycle Cargo rejects. The facade is the one product package
+/// that could name it without a cycle, so no product manifest — the
+/// facade's included — may list it among the dependencies its library is
+/// built with.
+#[test]
+fn product_code_never_imports_a_reference_implementation() {
+    let offenders = product_tables_building_with(ORACLE, "crates/reference");
     assert!(
         offenders.is_empty(),
         "a product manifest depends on `{ORACLE}` (oracles are for tests and benches only): {offenders:?}"
+    );
+}
+
+/// `uprob-datagen` depends on the vendored `proptest` and `rand` shims, so
+/// a product crate building with it would compile a test framework into
+/// every product build.
+#[test]
+fn product_code_never_builds_the_workload_generators() {
+    let offenders = product_tables_building_with(GENERATORS, "crates/datagen");
+    assert!(
+        offenders.is_empty(),
+        "a product manifest depends on `{GENERATORS}` (generators are for tests, examples and benches only): {offenders:?}"
     );
 }
 
@@ -313,9 +336,9 @@ struct Counts {
 /// reason in CHANGES.md, as for [`RAW_SUMS`]; lowering one after a cut
 /// keeps the next change honest.
 const CEILINGS: Counts = Counts {
-    pub_fns: 332,
+    pub_fns: 322,
     expects: 51,
-    loc: 7962,
+    loc: 7859,
 };
 
 /// The module files declared in `code` (the source at `path`) that are never

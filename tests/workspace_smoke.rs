@@ -61,7 +61,8 @@ fn entry_point_signatures_are_pinned() {
     type Query<T> = Result<T, uprob::query::QueryError>;
     type Cache = SharedDecompositionCache;
 
-    // conf() on one ws-set: paper form, general form, WE, strategy engine.
+    // conf() on one ws-set: paper form, general form, WE, strategy engine
+    // (plain and conditioned).
     let _: fn(&WsSet, &WorldTable, &DecompositionOptions) -> Core<Confidence> = confidence;
     let _: fn(
         &WsSet,
@@ -86,6 +87,15 @@ fn entry_point_signatures_are_pinned() {
         Option<&Cache>,
         &ParallelOptions,
     ) -> Core<ConfidenceReport> = estimate_confidence_with_options;
+    let _: fn(
+        &WsSet,
+        &WsSet,
+        &WorldTable,
+        &DecompositionOptions,
+        &ConfidenceStrategy,
+        Option<&Cache>,
+        &ParallelOptions,
+    ) -> Core<ConfidenceReport> = estimate_conditioned_confidence_with_options;
     let _: fn(&ProbDb, &WsSet, &ConditioningOptions) -> Core<Conditioned> = condition;
 
     // conf() over a query answer: general batch, strategy batch, SQL forms.
@@ -102,14 +112,15 @@ fn entry_point_signatures_are_pinned() {
         &DecompositionOptions,
         &ConfidenceStrategy,
         &ParallelOptions,
-    ) -> Query<StrategyAnswerConfidences> = answer_confidences_with_strategy;
+    ) -> Query<AnswerConfidences<ConfidenceReport>> = answer_confidences_with_strategy;
     type SqlForm<T> = fn(&URelation, &WorldTable, &DecompositionOptions) -> Query<T>;
     let _: SqlForm<Vec<(Tuple, f64)>> = tuple_confidences;
     let _: SqlForm<Vec<(Tuple, f64)>> = possible_tuples;
     let _: SqlForm<Vec<Tuple>> = certain_tuples;
     let _: SqlForm<f64> = boolean_confidence;
 
-    // conf() over a plan.
+    // conf() over a plan: the frozen form (any other answer form runs on
+    // `ProbDb::query(plan)`).
     let _: fn(
         &ProbDb,
         &Plan,
@@ -117,14 +128,6 @@ fn entry_point_signatures_are_pinned() {
         &ParallelOptions,
         &Cache,
     ) -> Query<AnswerConfidences> = planned_answer_confidences_with_options;
-    let _: fn(
-        &ProbDb,
-        &Plan,
-        &DecompositionOptions,
-        &ConfidenceStrategy,
-        &ParallelOptions,
-    ) -> Query<StrategyAnswerConfidences> = planned_answer_confidences_with_strategy;
-    let _: fn(&ProbDb, &Plan, &DecompositionOptions) -> Query<f64> = planned_boolean_confidence;
 
     // assert[·]: paper form, batch form, general form, strategy form.
     let _: fn(&ProbDb, &Constraint, &ConditioningOptions) -> Query<Conditioned> = assert_constraint;
@@ -148,6 +151,8 @@ fn entry_point_signatures_are_pinned() {
         &WorldTable,
         &ParallelOptions,
     ) -> Query<Vec<(Tuple, ConfidenceReport)>> = EstimatedAssertion::tuple_confidences;
+    let _: fn(&EstimatedAssertion, &URelation, &WorldTable) -> Query<ConfidenceReport> =
+        EstimatedAssertion::boolean_confidence;
 
     // The one way to evaluate a query, and the oracles it is tested against
     // (in `uprob-reference`, a dev-dependency: never reachable through the
@@ -166,13 +171,6 @@ fn facade_modules_point_at_workspace_crates() {
     let _: uprob::urel::ProbDb = uprob::urel::ProbDb::new();
     let _ = uprob::core::DecompositionOptions::indve_minlog();
     let _ = uprob::approx::ApproximationOptions::default();
-    let _ = uprob::datagen::HardInstanceConfig {
-        num_variables: 2,
-        alternatives: 2,
-        descriptor_length: 1,
-        num_descriptors: 1,
-        seed: 0,
-    };
     let _ = uprob::query::Constraint::functional_dependency("R", &["SSN"], &["NAME"]);
 }
 
