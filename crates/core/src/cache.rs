@@ -307,27 +307,26 @@ impl SharedDecompositionCache {
         (2..=MAX_CACHED_SET_LEN).contains(&set.len()) && !set.contains_universal()
     }
 
-    /// The shard responsible for `set`: an order-independent and
-    /// duplicate-insensitive combination of per-descriptor digests, so
-    /// every descriptor list with the same canonical form (sorted,
-    /// deduplicated — what `DescriptorInterner::canonical_ids` produces)
-    /// routes to the same shard. Duplicate insensitivity matters beyond a
+    /// The shard responsible for `set`: the smallest of its per-descriptor
+    /// digests, an order-independent and duplicate-insensitive combination
+    /// that needs no scratch buffer, so every descriptor list with the same
+    /// canonical form (sorted, deduplicated — what
+    /// `DescriptorInterner::canonical_ids` produces) routes to the same
+    /// shard. Duplicate insensitivity matters beyond a
     /// missed reuse: [`Self::inherit_from`] re-inserts entries from their
     /// deduplicated canonical keys, so a duplicate-sensitive digest would
     /// route an inherited entry away from the raw sets that hit it before
     /// the publish.
     fn shard_of(&self, set: &WsSet) -> usize {
-        let mut hashes: Vec<u64> = set
+        let digest = set
             .iter()
             .map(|descriptor| {
                 let mut hasher = FxHasher::default();
                 descriptor.hash(&mut hasher);
-                hasher.finish() | 1
+                hasher.finish()
             })
-            .collect();
-        hashes.sort_unstable();
-        hashes.dedup();
-        let digest = hashes.into_iter().fold(0u64, u64::wrapping_add);
+            .min()
+            .unwrap_or(0);
         (digest % SHARDS as u64) as usize
     }
 
@@ -443,13 +442,10 @@ impl SharedDecompositionCache {
                 let new_var = *remap.get(&var)?;
                 let old_info = old_table.variable(var).ok()?;
                 let new_info = new_table.variable(new_var).ok()?;
+                let bits = |p: &f64| p.to_bits();
                 let same = old_info.values == new_info.values
-                    && old_info.probabilities.len() == new_info.probabilities.len()
-                    && old_info
-                        .probabilities
-                        .iter()
-                        .zip(&new_info.probabilities)
-                        .all(|(a, b)| a.to_bits() == b.to_bits());
+                    && (old_info.probabilities.iter().map(bits))
+                        .eq(new_info.probabilities.iter().map(bits));
                 same.then_some(new_var)
             })
         };
@@ -628,6 +624,28 @@ mod tests {
         mutated.add_boolean("extra", 0.5).unwrap();
         let err = confidence_with_cache(&s12, &mutated, &options, Some(&cache)).unwrap_err();
         assert!(matches!(err, crate::CoreError::CacheTableMismatch { .. }));
+    }
+
+    /// Shard routing is a function of the descriptor set — order and
+    /// duplicates do not move it — and it spreads sets over every shard,
+    /// even and odd alike.
+    #[test]
+    fn shard_routing_ignores_order_and_duplicates_and_reaches_every_shard() {
+        let mut w = WorldTable::new();
+        let vars: Vec<VarId> = (0..256)
+            .map(|i| w.add_boolean(&format!("x{i}"), 0.5).unwrap())
+            .collect();
+        let d = |var: VarId| WsDescriptor::from_pairs(&w, &[(var, 1)]).unwrap();
+        let cache = SharedDecompositionCache::new();
+        let mut reached = [false; SHARDS];
+        for pair in vars.windows(2) {
+            let (x, y) = (pair[0], pair[1]);
+            let shard = cache.shard_of(&WsSet::from_descriptors(vec![d(x), d(y)]));
+            let permuted = WsSet::from_descriptors(vec![d(y), d(x), d(y)]);
+            assert_eq!(cache.shard_of(&permuted), shard);
+            reached[shard] = true;
+        }
+        assert!(reached.iter().all(|&r| r), "shards reached: {reached:?}");
     }
 
     #[test]

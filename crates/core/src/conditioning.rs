@@ -268,7 +268,7 @@ impl<'a> Conditioner<'a> {
         let last = self.last_fresh.get(&var).and_then(|&at| self.fresh.get(at));
         let mut name = match last {
             Some(last) => format!("{}'", last.name),
-            None => table.fresh_name(&source_info.name),
+            None => table.fresh_name(source_info.name),
         };
         while self.fresh_names.contains(&name) || table.variable_by_name(&name).is_some() {
             name.push('\'');
@@ -1038,7 +1038,7 @@ pub(crate) mod tests {
         assert!(before
             .probabilities
             .iter()
-            .zip(&after.probabilities)
+            .zip(after.probabilities)
             .all(|(x, y)| x.to_bits() == y.to_bits()));
 
         // With simplify off, surviving prior variables map to themselves.
@@ -1168,7 +1168,7 @@ pub(crate) mod tests {
             .db
             .world_table()
             .iter()
-            .map(|(_, info)| info.name.as_str())
+            .map(|(_, info)| info.name)
             .collect();
         assert_eq!(names, ["z", "x'"]);
         assert_eq!(result.touched_variables, vec![x, y]);
@@ -1276,7 +1276,10 @@ pub(crate) mod tests {
             reference::condition(&db, &cond_set, &raw, DecompositionMethod::VeOnly).unwrap();
         let names = |db: &ProbDb| -> Vec<String> {
             let table = db.world_table();
-            table.iter().map(|(_, info)| info.name.clone()).collect()
+            table
+                .iter()
+                .map(|(_, info)| info.name.to_string())
+                .collect()
         };
         assert_eq!(names(&result.db), names(&reference.db));
         assert_eq!(result.new_variables, 4);

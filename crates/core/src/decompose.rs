@@ -138,8 +138,6 @@ pub(crate) struct Decomposer<'a> {
     /// Scratch for the occurrence table of `choose_variable`, reused by
     /// every step so that choosing a variable allocates nothing.
     occurrence_runs: Vec<Assignment>,
-    /// Scratch for the assignment weights of a closed-form leaf.
-    weights: Vec<f64>,
 }
 
 impl<'a> Decomposer<'a> {
@@ -151,7 +149,6 @@ impl<'a> Decomposer<'a> {
             nodes: 0,
             shared_nodes: None,
             occurrence_runs: Vec::new(),
-            weights: Vec::new(),
         }
     }
 
@@ -234,9 +231,10 @@ impl<'a> Decomposer<'a> {
     /// and picks the smallest variable) ending in the `∅` leaf, and each
     /// node's one-term Neumaier sum is its term exactly. So the walk is the
     /// right-nested product `w₁·(w₂·(…·(w_k·1.0)))`, and it stops with `+0.0`
-    /// at the first zero weight, whose branch it never visits.
+    /// at the first zero weight, whose branch it never visits. The charges
+    /// and the zero check walk forwards; the product walks backwards, so no
+    /// scratch buffer holds the weights in between.
     pub(crate) fn descriptor_probability(&mut self, d: &WsDescriptor, depth: u64) -> Result<f64> {
-        self.weights.clear();
         for (level, a) in (depth..).zip(d.iter()) {
             self.charge_node()?;
             self.stats.choice_nodes += 1;
@@ -247,12 +245,13 @@ impl<'a> Decomposer<'a> {
                 self.stats.max_depth = self.stats.max_depth.max(level);
                 return Ok(0.0);
             }
-            self.weights.push(weight);
         }
         self.charge_node()?;
         self.stats.leaves += 1;
         self.stats.max_depth = self.stats.max_depth.max(depth + d.len() as u64);
-        Ok(self.weights.iter().rev().fold(1.0, |p, w| w * p))
+        d.iter()
+            .rev()
+            .try_fold(1.0, |p, a| Ok(self.table.probability(a.var, a.value)? * p))
     }
 }
 

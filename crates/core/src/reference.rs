@@ -135,7 +135,7 @@ impl Conditioner<'_> {
         if total <= 0.0 {
             return Ok((0.0, Vec::new()));
         }
-        let fresh_name = self.new_table.fresh_name(&source_info.name);
+        let fresh_name = self.new_table.fresh_name(source_info.name);
         let alternatives: Vec<(DomainValue, f64)> = results
             .iter()
             .map(|b| {
@@ -282,7 +282,7 @@ fn merge_equivalent_variables(
                     && rep_info
                         .probabilities
                         .iter()
-                        .zip(&info.probabilities)
+                        .zip(info.probabilities)
                         .all(|(a, b)| (a - b).abs() < EPSILON)
             });
         match merged_into {
@@ -442,7 +442,7 @@ mod tests {
             prop_assert_eq!(got_id, want_id);
             prop_assert_eq!(&got_info.name, &want_info.name);
             prop_assert_eq!(&got_info.values, &want_info.values);
-            let bits = |info: &VariableInfo| -> Vec<u64> {
+            let bits = |info: VariableInfo<'_>| -> Vec<u64> {
                 info.probabilities.iter().map(|p| p.to_bits()).collect()
             };
             prop_assert_eq!(
@@ -451,7 +451,7 @@ mod tests {
                 "variable {}",
                 &got_info.name
             );
-            prop_assert_eq!(got_table.variable_by_name(&got_info.name), Some(got_id));
+            prop_assert_eq!(got_table.variable_by_name(got_info.name), Some(got_id));
         }
 
         prop_assert_eq!(got.db.relation_names(), want.db.relation_names());

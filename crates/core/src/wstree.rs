@@ -155,7 +155,7 @@ impl fmt::Display for TreeDisplay<'_> {
                 WsTree::Choice { var, branches } => {
                     let name = table
                         .variable(*var)
-                        .map(|v| v.name.clone())
+                        .map(|v| v.name.to_string())
                         .unwrap_or_else(|_| format!("{var}"));
                     writeln!(f, "{pad}⊕ {name}")?;
                     for (value, child) in branches {

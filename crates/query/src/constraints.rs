@@ -1006,7 +1006,8 @@ impl EstimatedAssertion {
     }
 
     /// Posterior Boolean confidence of a query answer (the probability that
-    /// the answer is non-empty *given the constraint*), on one thread.
+    /// the answer is non-empty *given the constraint*), run on the workers
+    /// of `parallel`; the report is bit-identical at every worker count.
     ///
     /// # Errors
     ///
@@ -1015,9 +1016,9 @@ impl EstimatedAssertion {
         &self,
         answer: &URelation,
         table: &WorldTable,
+        parallel: &ParallelOptions,
     ) -> Result<ConfidenceReport> {
-        self.batch(table)
-            .boolean(answer, &ParallelOptions::sequential())
+        self.batch(table).boolean(answer, parallel)
     }
 }
 
@@ -1611,7 +1612,7 @@ mod tests {
         }
         // Boolean posterior of the full answer is likewise ~0.
         let boolean = virtual_posterior
-            .boolean_confidence(&answer, db.world_table())
+            .boolean_confidence(&answer, db.world_table(), &ParallelOptions::new(2))
             .unwrap();
         assert!(boolean.probability <= 0.01);
     }
@@ -1902,7 +1903,7 @@ mod tests {
             assert_eq!(va.1.name, vb.1.name);
             assert_eq!(va.1.values, vb.1.values);
             assert_eq!(va.1.probabilities.len(), vb.1.probabilities.len());
-            for (pa, pb) in va.1.probabilities.iter().zip(&vb.1.probabilities) {
+            for (pa, pb) in va.1.probabilities.iter().zip(vb.1.probabilities) {
                 assert_eq!(pa.to_bits(), pb.to_bits());
             }
         }

@@ -281,7 +281,7 @@ impl WsDescriptor {
     }
 
     /// Iterates over the assignments in [`VarId`] order.
-    pub fn iter(&self) -> impl Iterator<Item = Assignment> + '_ {
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = Assignment> + ExactSizeIterator + '_ {
         self.assignments.iter().copied()
     }
 

@@ -57,7 +57,8 @@ pub enum WsdError {
         /// The variable assigned twice.
         var: VarId,
     },
-    /// A domain exceeded the maximum supported size (`u16::MAX` alternatives).
+    /// A domain exceeded the maximum supported size (`u16::MAX` alternatives),
+    /// or adding it would overflow the world table's `u32` column offsets.
     DomainTooLarge {
         /// Human-readable variable name.
         name: String,
@@ -99,7 +100,7 @@ impl fmt::Display for WsdError {
             ),
             WsdError::DomainTooLarge { name, size } => write!(
                 f,
-                "variable '{name}' has {size} alternatives, more than the supported maximum"
+                "variable '{name}' with {size} alternatives exceeds the supported domain or world-table size"
             ),
         }
     }

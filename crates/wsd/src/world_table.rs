@@ -5,8 +5,13 @@
 //! variable `x`, the finite domain `Dom_x` and the probability
 //! `P({x -> i})` of each assignment, such that the probabilities of all
 //! assignments of a variable sum to one.
+//!
+//! The table is columnar: one offsets column delimits each variable's run
+//! in flat label and weight columns, the names share one arena, and a
+//! [`VariableInfo`] is a borrowed view of one variable's runs.
 
 use std::fmt;
+use std::ops::Range;
 
 use crate::error::WsdError;
 use crate::fast_hash::{FxHashMap, FxHashSet};
@@ -18,18 +23,19 @@ use crate::Result;
 /// Tolerance used when checking that a distribution sums to one.
 pub const NORMALIZATION_TOLERANCE: f64 = 1e-6;
 
-/// Domain and probability distribution of a single random variable.
-#[derive(Clone, Debug, PartialEq)]
-pub struct VariableInfo {
+/// Domain and probability distribution of a single random variable: a view
+/// into the columns of its [`WorldTable`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct VariableInfo<'a> {
     /// Human-readable name (unique within a world table).
-    pub name: String,
+    pub name: &'a str,
     /// External labels of the domain values, in registration order.
-    pub values: Vec<DomainValue>,
+    pub values: &'a [DomainValue],
     /// `probabilities[i]` is `P({x -> values[i]})`.
-    pub probabilities: Vec<f64>,
+    pub probabilities: &'a [f64],
 }
 
-impl VariableInfo {
+impl VariableInfo<'_> {
     /// Number of alternatives of this variable.
     #[inline]
     pub fn domain_size(&self) -> usize {
@@ -56,11 +62,74 @@ pub struct WorldTable {
     contents: Stamped<Contents>,
 }
 
-/// What a world table's stamp covers.
-#[derive(Clone, Debug, Default)]
+/// What a world table's stamp covers: the variables, in columns. Variable
+/// `v`'s alternatives sit at `offsets[v]..offsets[v + 1]` of `labels` and
+/// `weights`, and its name at `name_offsets[v]..name_offsets[v + 1]` of
+/// `names`; both offset columns start at 0 and hold one entry more than
+/// there are variables.
+#[derive(Clone, Debug)]
 struct Contents {
-    variables: Vec<VariableInfo>,
+    offsets: Vec<u32>,
+    labels: Vec<DomainValue>,
+    weights: Vec<f64>,
+    name_offsets: Vec<u32>,
+    names: String,
     by_name: FxHashMap<String, VarId>,
+}
+
+impl Default for Contents {
+    fn default() -> Self {
+        Contents {
+            offsets: vec![0],
+            labels: Vec::new(),
+            weights: Vec::new(),
+            name_offsets: vec![0],
+            names: String::new(),
+            by_name: FxHashMap::default(),
+        }
+    }
+}
+
+/// `offsets[index]..offsets[index + 1]`, if both entries exist.
+#[inline]
+fn span(offsets: &[u32], index: usize) -> Option<Range<usize>> {
+    match *offsets.get(index..index + 2)? {
+        [start, end] => Some(start as usize..end as usize),
+        _ => None,
+    }
+}
+
+impl Contents {
+    fn len(&self) -> usize {
+        self.offsets.len().saturating_sub(1)
+    }
+
+    /// Appends a variable. The callers check that its name is new and that
+    /// the columns stay within `u32` offsets.
+    fn push(
+        &mut self,
+        name: &str,
+        labels: impl Iterator<Item = DomainValue>,
+        weights: impl Iterator<Item = f64>,
+    ) -> VarId {
+        let id = VarId(self.len() as u32);
+        self.by_name.insert(name.to_string(), id);
+        self.names.push_str(name);
+        self.name_offsets.push(self.names.len() as u32);
+        self.labels.extend(labels);
+        self.weights.extend(weights);
+        self.offsets.push(self.labels.len() as u32);
+        id
+    }
+
+    fn view(&self, var: VarId) -> Option<VariableInfo<'_>> {
+        let alternatives = span(&self.offsets, var.index())?;
+        Some(VariableInfo {
+            name: self.names.get(span(&self.name_offsets, var.index())?)?,
+            values: self.labels.get(alternatives.clone())?,
+            probabilities: self.weights.get(alternatives)?,
+        })
+    }
 }
 
 impl Default for WorldTable {
@@ -90,13 +159,14 @@ impl WorldTable {
     /// alternatives.
     ///
     /// The probabilities must be in `[0, 1]` and sum to one (within
-    /// [`NORMALIZATION_TOLERANCE`]).
+    /// [`NORMALIZATION_TOLERANCE`]). A failed registration leaves the table
+    /// and its stamp as they were.
     ///
     /// # Errors
     ///
-    /// Returns an error if the domain is empty, contains duplicate values,
-    /// the name is already taken, a probability is out of range or the
-    /// distribution is not normalised.
+    /// Returns an error if the domain is empty, too large or contains
+    /// duplicate values, the name is already taken, a probability is out
+    /// of range or the distribution is not normalised.
     pub fn add_variable(
         &mut self,
         name: &str,
@@ -107,7 +177,11 @@ impl WorldTable {
                 name: name.to_string(),
             });
         }
-        if alternatives.len() > u16::MAX as usize {
+        let fits = |column: usize, more: usize| u32::try_from(column + more).is_ok();
+        if alternatives.len() > u16::MAX as usize
+            || !fits(self.contents.labels.len(), alternatives.len())
+            || !fits(self.contents.names.len(), name.len())
+        {
             return Err(WsdError::DomainTooLarge {
                 name: name.to_string(),
                 size: alternatives.len(),
@@ -118,8 +192,6 @@ impl WorldTable {
                 name: name.to_string(),
             });
         }
-        let mut values = Vec::with_capacity(alternatives.len());
-        let mut probabilities = Vec::with_capacity(alternatives.len());
         let mut seen = FxHashSet::default();
         let mut sum = NeumaierSum::new();
         for &(value, p) in alternatives {
@@ -135,8 +207,6 @@ impl WorldTable {
                     probability: p,
                 });
             }
-            values.push(value);
-            probabilities.push(p);
             sum.add(p);
         }
         let sum = sum.value();
@@ -146,15 +216,12 @@ impl WorldTable {
                 sum,
             });
         }
-        let contents = self.contents.get_mut();
-        let id = VarId(contents.variables.len() as u32);
-        contents.by_name.insert(name.to_string(), id);
-        contents.variables.push(VariableInfo {
-            name: name.to_string(),
-            values,
-            probabilities,
-        });
-        Ok(id)
+        // Validated: only now touch the columns (and refresh the stamp).
+        Ok(self.contents.get_mut().push(
+            name,
+            alternatives.iter().map(|&(value, _)| value),
+            alternatives.iter().map(|&(_, p)| p),
+        ))
     }
 
     /// Registers a Boolean variable: value `1` ("the tuple is present") with
@@ -176,13 +243,13 @@ impl WorldTable {
     /// Number of registered variables.
     #[inline]
     pub fn num_variables(&self) -> usize {
-        self.contents.variables.len()
+        self.contents.len()
     }
 
     /// True if no variable has been registered (exactly one world).
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.contents.variables.is_empty()
+        self.contents.len() == 0
     }
 
     /// Metadata of a variable.
@@ -191,10 +258,9 @@ impl WorldTable {
     ///
     /// Returns [`WsdError::UnknownVariable`] if `var` does not belong to this
     /// table.
-    pub fn variable(&self, var: VarId) -> Result<&VariableInfo> {
+    pub fn variable(&self, var: VarId) -> Result<VariableInfo<'_>> {
         self.contents
-            .variables
-            .get(var.index())
+            .view(var)
             .ok_or(WsdError::UnknownVariable { var })
     }
 
@@ -204,28 +270,31 @@ impl WorldTable {
     }
 
     /// Iterates over all `(VarId, VariableInfo)` pairs in registration order.
-    pub fn iter(&self) -> impl Iterator<Item = (VarId, &VariableInfo)> {
-        self.contents
-            .variables
-            .iter()
-            .enumerate()
-            .map(|(i, info)| (VarId(i as u32), info))
+    pub fn iter(&self) -> impl Iterator<Item = (VarId, VariableInfo<'_>)> {
+        self.variable_ids()
+            .map_while(|var| Some((var, self.contents.view(var)?)))
     }
 
     /// All registered variable ids.
     pub fn variable_ids(&self) -> impl Iterator<Item = VarId> + '_ {
-        (0..self.contents.variables.len() as u32).map(VarId)
+        (0..self.contents.len() as u32).map(VarId)
     }
 
     /// Domain size of a variable.
     pub fn domain_size(&self, var: VarId) -> Result<usize> {
-        Ok(self.variable(var)?.domain_size())
+        span(&self.contents.offsets, var.index())
+            .map(|alternatives| alternatives.len())
+            .ok_or(WsdError::UnknownVariable { var })
     }
 
     /// Probability `P({var -> value_index})`.
+    #[inline]
     pub fn probability(&self, var: VarId, value: ValueIndex) -> Result<f64> {
-        let info = self.variable(var)?;
-        info.probabilities
+        let alternatives =
+            span(&self.contents.offsets, var.index()).ok_or(WsdError::UnknownVariable { var })?;
+        // Within `var`'s own weights, so never a neighbour's.
+        let weights = self.contents.weights.get(alternatives).unwrap_or_default();
+        weights
             .get(value.index())
             .copied()
             .ok_or(WsdError::UnknownValue {
@@ -259,18 +328,13 @@ impl WorldTable {
     /// (the paper reports experiments with `10^(10^6)` worlds), so only the
     /// logarithm is exposed.
     pub fn log2_world_count(&self) -> f64 {
-        compensated_sum(
-            self.contents
-                .variables
-                .iter()
-                .map(|v| (v.domain_size() as f64).log2()),
-        )
+        compensated_sum(self.iter().map(|(_, v)| (v.domain_size() as f64).log2()))
     }
 
     /// Exact number of possible worlds, if it fits in a `u128`.
     pub fn world_count(&self) -> Option<u128> {
         let mut count: u128 = 1;
-        for v in &self.contents.variables {
+        for (_, v) in self.iter() {
             count = count.checked_mul(v.domain_size() as u128)?;
         }
         Some(count)
@@ -281,23 +345,21 @@ impl WorldTable {
     ///
     /// # Panics
     ///
-    /// Panics if `world` does not supply exactly one value index per
-    /// registered variable; this is an internal-enumeration API.
+    /// Panics if `world` does not supply exactly one in-domain value index
+    /// per registered variable; this is an internal-enumeration API.
     pub fn world_probability(&self, world: &[ValueIndex]) -> f64 {
         assert_eq!(
             world.len(),
-            self.contents.variables.len(),
+            self.contents.len(),
             "a total valuation must assign every variable"
         );
         #[expect(
             clippy::indexing_slicing,
             reason = "idx comes from this table's own domain (asserted total valuation)"
         )]
-        self.contents
-            .variables
-            .iter()
+        self.iter()
             .zip(world)
-            .map(|(info, idx)| info.probabilities[idx.index()])
+            .map(|((_, info), idx)| info.probabilities[idx.index()])
             .product()
     }
 
@@ -309,8 +371,8 @@ impl WorldTable {
     pub fn enumerate_worlds(&self) -> WorldIter<'_> {
         WorldIter {
             table: self,
-            current: vec![ValueIndex(0); self.contents.variables.len()],
-            done: self.contents.variables.iter().any(|v| v.domain_size() == 0),
+            current: vec![ValueIndex(0); self.contents.len()],
+            done: self.iter().any(|(_, v)| v.domain_size() == 0),
             first: true,
         }
     }
@@ -333,24 +395,21 @@ impl WorldTable {
     ///
     /// This implements simplification optimisation (1) of Section 5:
     /// variables that no longer appear in any U-relation can be dropped from
-    /// `W`.
+    /// `W`. The kept variables' columns are copied slice by slice.
     pub fn retain_variables<F>(&self, mut keep: F) -> (WorldTable, FxHashMap<VarId, VarId>)
     where
-        F: FnMut(VarId, &VariableInfo) -> bool,
+        F: FnMut(VarId, VariableInfo<'_>) -> bool,
     {
-        let mut variables = Vec::new();
-        let mut by_name = FxHashMap::default();
+        let mut kept = Contents::default();
         let mut mapping = FxHashMap::default();
         for (var, info) in self.iter() {
             if keep(var, info) {
-                let new_id = VarId(variables.len() as u32);
-                by_name.insert(info.name.clone(), new_id);
-                variables.push(info.clone());
-                mapping.insert(var, new_id);
+                let (labels, weights) = (info.values.iter(), info.probabilities.iter());
+                mapping.insert(var, kept.push(info.name, labels.copied(), weights.copied()));
             }
         }
         let new_table = WorldTable {
-            contents: Stamped::new(Contents { variables, by_name }),
+            contents: Stamped::new(kept),
         };
         (new_table, mapping)
     }
@@ -363,34 +422,31 @@ impl WorldTable {
     /// that extends the memoized one cannot change the probability or the
     /// descriptor semantics of any ws-set over the old variables.
     pub fn extends(&self, base: &WorldTable) -> bool {
-        if self.contents.variables.len() < base.contents.variables.len() {
+        let (new, old) = (&*self.contents, &*base.contents);
+        if new.len() < old.len() {
             return false;
         }
         if self.stamp() == base.stamp() {
             return true;
         }
-        base.contents
-            .variables
-            .iter()
-            .zip(&self.contents.variables)
-            .all(|(old, new)| {
-                old.name == new.name
-                    && old.values == new.values
-                    && old.probabilities.len() == new.probabilities.len()
-                    && old
-                        .probabilities
-                        .iter()
-                        .zip(&new.probabilities)
-                        .all(|(a, b)| a.to_bits() == b.to_bits())
-            })
+        // Equal offset prefixes line the label, weight and name prefixes up.
+        new.offsets.starts_with(&old.offsets)
+            && new.name_offsets.starts_with(&old.name_offsets)
+            && new.names.starts_with(old.names.as_str())
+            && new.labels.starts_with(&old.labels)
+            && new
+                .weights
+                .iter()
+                .zip(&old.weights)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
     }
 }
 
 impl fmt::Display for WorldTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "W   Var   Dom   P")?;
-        for info in &self.contents.variables {
-            for (value, p) in info.values.iter().zip(&info.probabilities) {
+        for (_, info) in self.iter() {
+            for (value, p) in info.values.iter().zip(info.probabilities) {
                 writeln!(f, "    {}   {}   {}", info.name, value, p)?;
             }
         }
@@ -429,7 +485,7 @@ impl Iterator for WorldIter<'_> {
                 self.done = true;
                 return None;
             }
-            let size = self.table.contents.variables[i].domain_size() as u16;
+            let size = self.table.domain_size(VarId(i as u32)).unwrap_or(0) as u16;
             if self.current[i].0 + 1 < size {
                 self.current[i].0 += 1;
                 for slot in &mut self.current[..i] {
@@ -545,6 +601,152 @@ mod tests {
             w.probability(j, ValueIndex(9)),
             Err(WsdError::UnknownValue { .. })
         ));
+    }
+
+    /// Three variables of different domain sizes, so every variable's
+    /// one-past-the-end index is a valid index of the next one's weights.
+    fn ragged_table() -> WorldTable {
+        let mut w = WorldTable::new();
+        w.add_variable("first", &[(1, 0.25), (2, 0.75)]).unwrap();
+        w.add_variable("middle", &[(5, 0.5), (6, 0.125), (7, 0.375)])
+            .unwrap();
+        w.add_variable("last", &[(9, 1.0)]).unwrap();
+        w
+    }
+
+    #[test]
+    fn value_past_the_domain_is_unknown_not_the_neighbours_weight() {
+        let w = ragged_table();
+        for var in w.variable_ids() {
+            let size = w.domain_size(var).unwrap();
+            let past = ValueIndex(size as u16);
+            assert_eq!(
+                w.probability(var, past),
+                Err(WsdError::UnknownValue {
+                    var,
+                    value: size as DomainValue
+                })
+            );
+            assert!(w.value_label(var, past).is_err());
+            let info = w.variable(var).unwrap();
+            assert_eq!(info.probabilities.len(), size);
+            assert_eq!(info.values.len(), size);
+            for index in 0..size {
+                let p = w.probability(var, ValueIndex(index as u16)).unwrap();
+                assert_eq!(p.to_bits(), info.probabilities[index].to_bits());
+            }
+        }
+        assert_eq!(w.probability(VarId(1), ValueIndex(2)), Ok(0.375));
+    }
+
+    #[test]
+    fn variable_past_the_table_is_unknown() {
+        let w = ragged_table();
+        let past = VarId(w.num_variables() as u32);
+        let unknown = WsdError::UnknownVariable { var: past };
+        assert_eq!(w.probability(past, ValueIndex(0)), Err(unknown.clone()));
+        assert_eq!(w.domain_size(past), Err(unknown.clone()));
+        assert_eq!(w.variable(past), Err(unknown));
+        assert_eq!(
+            WorldTable::new().domain_size(VarId(0)),
+            Err(WsdError::UnknownVariable { var: VarId(0) })
+        );
+    }
+
+    #[test]
+    fn views_read_the_registered_columns() {
+        let w = ragged_table();
+        let names: Vec<&str> = w.iter().map(|(_, info)| info.name).collect();
+        assert_eq!(names, ["first", "middle", "last"]);
+        let middle = w.variable(VarId(1)).unwrap();
+        assert_eq!(middle.values, [5, 6, 7]);
+        assert_eq!(middle.probabilities, [0.5, 0.125, 0.375]);
+        assert_eq!(middle.index_of(7), Some(ValueIndex(2)));
+        assert_eq!(w.world_count(), Some(6));
+    }
+
+    /// `(kind, variable)` tweaks one variable of a random table: 1 changes
+    /// its weights, 2 renames it, 3 relabels its domain, 0 leaves it alone.
+    type Tweak = (u8, usize);
+
+    /// A table of one variable per entry of `specs`, each entry the integer
+    /// weights of its alternatives.
+    fn build(specs: &[Vec<u8>], (kind, target): Tweak) -> WorldTable {
+        let mut w = WorldTable::new();
+        for (i, weights) in specs.iter().enumerate() {
+            let tweak = if i == target { kind } else { 0 };
+            let bump = |k: usize| f64::from(u8::from(tweak == 1 && k == 0));
+            let total: f64 = (0..weights.len())
+                .map(|k| f64::from(weights[k]) + bump(k))
+                .sum();
+            let alternatives: Vec<(DomainValue, f64)> = (0..weights.len())
+                .map(|k| {
+                    let label = 3 * k as DomainValue + DomainValue::from(tweak == 3);
+                    (label, (f64::from(weights[k]) + bump(k)) / total)
+                })
+                .collect();
+            let name = if tweak == 2 {
+                format!("w{i}")
+            } else {
+                format!("v{i}")
+            };
+            w.add_variable(&name, &alternatives).unwrap();
+        }
+        w
+    }
+
+    /// What `extends` must answer, one variable view at a time.
+    fn extends_by_views(new: &WorldTable, base: &WorldTable) -> bool {
+        let same = |a: VariableInfo<'_>, b: VariableInfo<'_>| {
+            a.name == b.name
+                && a.values == b.values
+                && (a.probabilities.iter().map(|p| p.to_bits()))
+                    .eq(b.probabilities.iter().map(|p| p.to_bits()))
+        };
+        new.num_variables() >= base.num_variables()
+            && base
+                .iter()
+                .zip(new.iter())
+                .all(|((_, a), (_, b))| same(a, b))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// `retain_variables` equals re-adding the kept views one by one,
+        /// and `extends` equals comparing the prefix's views one by one.
+        #[test]
+        fn retain_and_extends_agree_with_a_per_variable_rebuild(
+            (specs, keep, split, tweak) in (
+                proptest::collection::vec(proptest::collection::vec(1u8..=9, 1..=4), 0..8),
+                proptest::collection::vec(0u8..2, 8),
+                0usize..9,
+                (0u8..4, 0usize..8),
+            )
+        ) {
+            let table = build(&specs, (0, 0));
+            let (kept, mapping) = table.retain_variables(|var, _| keep[var.index()] == 1);
+            let mut rebuilt = WorldTable::new();
+            for (var, info) in table.iter().filter(|(var, _)| keep[var.index()] == 1) {
+                let alternatives: Vec<(DomainValue, f64)> =
+                    info.values.iter().copied().zip(info.probabilities.iter().copied()).collect();
+                let id = rebuilt.add_variable(info.name, &alternatives).unwrap();
+                proptest::prop_assert_eq!(mapping.get(&var), Some(&id));
+            }
+            proptest::prop_assert_eq!(mapping.len(), rebuilt.num_variables());
+            proptest::prop_assert!(extends_by_views(&kept, &rebuilt));
+            proptest::prop_assert!(extends_by_views(&rebuilt, &kept));
+            for (var, info) in kept.iter() {
+                proptest::prop_assert_eq!(kept.variable_by_name(info.name), Some(var));
+            }
+
+            let base = build(&specs[..split.min(specs.len())], (0, 0));
+            proptest::prop_assert!(table.extends(&base));
+            let changed = build(&specs, tweak);
+            for (new, old) in [(&changed, &base), (&base, &changed), (&changed, &table)] {
+                proptest::prop_assert_eq!(new.extends(old), extends_by_views(new, old));
+            }
+        }
     }
 
     #[test]

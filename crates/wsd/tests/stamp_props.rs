@@ -76,16 +76,45 @@ proptest! {
         }
     }
 
-    /// A failed mutation leaves the contents unchanged, so the stamp must
-    /// not move either — refreshing it would needlessly invalidate caches.
+    /// A failed mutation leaves the contents unchanged — every variable
+    /// view, the variable count and every weight bit — so the stamp must
+    /// not move either: refreshing it would needlessly invalidate caches.
     #[test]
-    fn failed_mutations_preserve_the_stamp(p in 1u8..=99) {
+    fn failed_mutations_preserve_the_stamp(
+        (ops, p) in (prop::collection::vec(op_strategy(), 1..6), 1u8..=99)
+    ) {
         let mut table = WorldTable::new();
-        table.add_boolean("x", f64::from(p) / 100.0).unwrap();
-        let before = table.stamp();
-        prop_assert!(table.add_boolean("x", 0.5).is_err(), "duplicate name must fail");
+        for (index, op) in ops.iter().enumerate() {
+            apply(&mut table, index, op);
+        }
+        let snapshot = |table: &WorldTable| -> Vec<(String, Vec<i64>, Vec<u64>)> {
+            table
+                .iter()
+                .map(|(_, info)| {
+                    let bits = info.probabilities.iter().map(|w| w.to_bits()).collect();
+                    (info.name.to_string(), info.values.to_vec(), bits)
+                })
+                .collect()
+        };
+        let (before, contents) = (table.stamp(), snapshot(&table));
+        let p = f64::from(p) / 100.0;
+        prop_assert!(table.add_boolean("v0", p).is_err(), "duplicate name must fail");
         prop_assert!(table.add_uniform("y", 0).is_err(), "empty domain must fail");
+        prop_assert!(
+            table.add_variable("y", &[(1, p), (2, 1.0)]).is_err(),
+            "an unnormalised distribution must fail"
+        );
+        prop_assert!(
+            table.add_variable("y", &[(1, p), (1, 1.0 - p)]).is_err(),
+            "a duplicate domain value must fail"
+        );
+        prop_assert!(
+            table.add_variable("y", &[(1, -p), (2, 1.0 + p)]).is_err(),
+            "a probability outside [0, 1] must fail"
+        );
         prop_assert_eq!(table.stamp(), before);
+        prop_assert_eq!(table.num_variables(), ops.len());
+        prop_assert_eq!(snapshot(&table), contents);
     }
 
     /// Stamps of independently built tables are globally distinct even when

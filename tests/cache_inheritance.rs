@@ -32,7 +32,7 @@ fn remapped_set(
     new_table: &WorldTable,
     remap: &FxHashMap<VarId, VarId>,
 ) -> Option<WsSet> {
-    let domains: Vec<&[DomainValue]> = old_table.iter().map(|(_, info)| &info.values[..]).collect();
+    let domains: Vec<&[DomainValue]> = old_table.iter().map(|(_, info)| info.values).collect();
     let mut out = WsSet::empty();
     for descriptor in set.iter() {
         let mut pairs: Vec<(VarId, DomainValue)> = Vec::with_capacity(descriptor.len());

@@ -22,7 +22,8 @@
 //!    of the placement rule run;
 //! 6. the ⊕-term rule (zero-weight alternative skipped, missing-value
 //!    tail last) on a deterministic instance: bits *and* counters at
-//!    workers {1, 2, 4, 8}, cache off and on.
+//!    workers {1, 2, 4, 8}, cache off and on;
+//! 7. a virtual posterior's `boolean_confidence` at workers {1, 2, 4}.
 //!
 //! All randomness is driven by the (deterministic, pinned-seed) vendored
 //! proptest runner; a failing case prints the full recipe **and** the
@@ -258,6 +259,61 @@ proptest! {
                         "workers {workers}: verdicts diverge, sequential \
                          {expected:?} vs parallel {got:?} on {case:?}"
                     )));
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// A virtual posterior's Boolean confidence reproduces its one-worker
+    /// report at workers {2, 4}: probability bits, path and sampling
+    /// metadata. Each worker count gets a freshly built assertion, so no
+    /// run reads another's entries from the assertion's shared cache.
+    #[test]
+    fn virtual_posterior_boolean_confidence_is_bit_identical(case in arb_constraint_case()) {
+        let db = case.build_db();
+        let constraints = case.build_constraints(&db);
+        let strategies = [
+            ConfidenceStrategy::approximate(0.1, 0.05).with_seed(7),
+            ConfidenceStrategy::hybrid(4, 0.1, 0.05).with_seed(7),
+        ];
+        for strategy in &strategies {
+            for name in db.relation_names() {
+                let answer = db.query(&Plan::scan(&name)).unwrap();
+                let report = |workers: usize| {
+                    let assertion = assert_all_with_strategy(
+                        &db,
+                        &constraints,
+                        &ConditioningOptions::default(),
+                        strategy,
+                    );
+                    let Ok(Assertion::Estimated(assertion)) = assertion else {
+                        return None;
+                    };
+                    let report = assertion.boolean_confidence(
+                        &answer,
+                        db.world_table(),
+                        &parallel_options(workers),
+                    );
+                    Some(
+                        report
+                            .map(|r| (r.probability.to_bits(), r.path, r.sampling))
+                            .map_err(|e| e.to_string()),
+                    )
+                };
+                let one_worker = report(1);
+                for workers in [2, 4] {
+                    prop_assert_eq!(
+                        &report(workers),
+                        &one_worker,
+                        "{:?}, relation {}, workers {}",
+                        strategy,
+                        &name,
+                        workers
+                    );
                 }
             }
         }

@@ -338,7 +338,7 @@ struct Counts {
 const CEILINGS: Counts = Counts {
     pub_fns: 322,
     expects: 51,
-    loc: 7859,
+    loc: 7887,
 };
 
 /// The module files declared in `code` (the source at `path`) that are never

@@ -151,8 +151,12 @@ fn entry_point_signatures_are_pinned() {
         &WorldTable,
         &ParallelOptions,
     ) -> Query<Vec<(Tuple, ConfidenceReport)>> = EstimatedAssertion::tuple_confidences;
-    let _: fn(&EstimatedAssertion, &URelation, &WorldTable) -> Query<ConfidenceReport> =
-        EstimatedAssertion::boolean_confidence;
+    let _: fn(
+        &EstimatedAssertion,
+        &URelation,
+        &WorldTable,
+        &ParallelOptions,
+    ) -> Query<ConfidenceReport> = EstimatedAssertion::boolean_confidence;
 
     // The one way to evaluate a query, and the oracles it is tested against
     // (in `uprob-reference`, a dev-dependency: never reachable through the
