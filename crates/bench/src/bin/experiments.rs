@@ -12,7 +12,6 @@
 use std::env;
 use std::process::ExitCode;
 
-use uprob_bench::runner::with_large_stack;
 use uprob_bench::{
     ablation_conditioning, ablation_decomposition, fig10, fig11a, fig11b, fig12, fig13,
     ExperimentScale, ResultTable,
@@ -72,7 +71,7 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
     for &(_, run) in selected {
-        let table = with_large_stack(move || run(scale));
+        let table = run(scale);
         println!("{table}");
         if csv {
             println!("{}", table.to_csv());

@@ -162,24 +162,6 @@ pub fn run_algorithm(
     }
 }
 
-/// Runs a closure on a dedicated thread with a large stack.
-///
-/// Variable-elimination recursions can be as deep as the number of
-/// descriptors; a 512 MiB stack comfortably covers the sweeps of the
-/// harness.
-pub fn with_large_stack<T, F>(f: F) -> T
-where
-    T: Send + 'static,
-    F: FnOnce() -> T + Send + 'static,
-{
-    std::thread::Builder::new()
-        .stack_size(512 * 1024 * 1024)
-        .spawn(f)
-        .expect("spawning the worker thread succeeds")
-        .join()
-        .expect("the worker thread does not panic")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,20 +232,5 @@ mod tests {
             "indve(minlog)"
         );
         assert_eq!(Algorithm::KarpLuby { epsilon: 0.1 }.name(), "kl(e0.1)");
-    }
-
-    #[test]
-    fn with_large_stack_runs_deep_recursions() {
-        let value = with_large_stack(|| {
-            fn depth(n: u64) -> u64 {
-                if n == 0 {
-                    0
-                } else {
-                    1 + depth(n - 1)
-                }
-            }
-            depth(100_000)
-        });
-        assert_eq!(value, 100_000);
     }
 }

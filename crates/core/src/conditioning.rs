@@ -2,13 +2,14 @@
 //!
 //! `assert[B]` removes all possible worlds in which the condition `B` does
 //! not hold and renormalises the remaining worlds so their probabilities sum
-//! to one, *without* enumerating worlds: the algorithm folds over the same
-//! Davis–Putnam-style decomposition as confidence computation and, while
-//! returning from the recursion, introduces fresh re-weighted variables for
-//! every eliminated variable and rewrites the ws-descriptors of the
-//! U-relations accordingly. That rewrite depends on the condition alone, so
-//! the recursion carries no rows: it returns the leaves of the condition's
-//! ws-tree, and [`condition`] joins every row against them in one pass
+//! to one, *without* enumerating worlds: the algorithm is a second algebra
+//! of the one fold over the Davis–Putnam-style decomposition that computes
+//! confidence ([`crate::decompose`]), and as each ⊕ frame closes it
+//! introduces a fresh re-weighted variable for the eliminated variable and
+//! rewrites the ws-descriptors of the U-relations accordingly. That rewrite
+//! depends on the condition alone, so the fold carries no rows: it returns
+//! the leaves of the condition's ws-tree, and [`condition`] joins every row
+//! against them in one pass
 //! (DESIGN.md, "Conditioning: rewrite the tree, then join the rows"; the
 //! literal row-threading recursion is the test-only oracle `reference`).
 //!
@@ -22,20 +23,23 @@
 //! conditions without a ⊗ node — Example 5.1's among them — the two agree.
 //!
 //! Conditioning deliberately bypasses the shared decomposition cache of
-//! [`crate::cache`]: its recursion allocates fresh variables in visit
-//! order, so its sub-results are not pure functions of the sub-ws-set
-//! (DESIGN.md, "What is not cached").
+//! [`crate::cache`]: its fold allocates fresh variables in visit order, so
+//! its sub-results are not pure functions of the sub-ws-set (DESIGN.md,
+//! "What is not cached").
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 use uprob_urel::{ProbDb, Tuple, URelation};
 use uprob_wsd::value::Assignment;
 use uprob_wsd::{
-    DomainValue, FxHashMap, NeumaierSum, ValueIndex, VarId, WorldTable, WsDescriptor, WsSet,
-    WsdError,
+    DomainValue, FxHashMap, NeumaierSum, ValueIndex, VarId, VariableInfo, WorldTable, WsDescriptor,
+    WsSet, WsdError,
 };
 
-use crate::decompose::{Decomposer, DecompositionMethod, DecompositionOptions, DecompositionStep};
+use crate::decompose::{
+    Algebra, Child, Decomposer, DecompositionMethod, DecompositionOptions, Elimination, Fold,
+};
 use crate::error::CoreError;
 use crate::heuristics::VariableHeuristic;
 use crate::stats::DecompositionStats;
@@ -76,7 +80,7 @@ pub struct Conditioned {
     pub stats: DecompositionStats,
     /// Number of fresh variables introduced (before simplification).
     pub new_variables: usize,
-    /// Prior variables eliminated by the conditioning recursion (sorted,
+    /// Prior variables eliminated by the conditioning fold (sorted,
     /// deduplicated, in prior [`VarId`]s). Any ws-set mentioning one of
     /// these changed meaning under the posterior measure; cached entries
     /// over them must be dropped.
@@ -98,7 +102,7 @@ pub struct Conditioned {
 #[derive(Default)]
 struct Leaf {
     /// The `var → value` choices of the leaf's ⊕ ancestors (sorted by
-    /// variable once the recursion has returned).
+    /// variable once the fold has returned).
     path: Vec<Assignment>,
     /// `var' → new index` for the same ancestors. Fresh variables are
     /// created on the way back up, so pushing them leaf-to-root keeps this
@@ -149,9 +153,11 @@ struct FreshVariable {
     alternatives: Vec<(DomainValue, f64)>,
 }
 
+/// Figure 8's `cond` as an algebra over the decomposition, with the
+/// U-relations factored out: the value of a sub-condition is its confidence
+/// plus the leaves that say how any descriptor is rewritten.
 struct Conditioner<'a> {
-    /// Decides every `ComputeTree` node and owns the budget and counters.
-    decomposer: Decomposer<'a>,
+    table: &'a WorldTable,
     /// The fresh variables in creation order: the `i`-th one will get the
     /// id `prior variables + i`.
     fresh: Vec<FreshVariable>,
@@ -161,105 +167,98 @@ struct Conditioner<'a> {
     last_fresh: FxHashMap<VarId, usize>,
 }
 
-impl<'a> Conditioner<'a> {
-    fn new(table: &'a WorldTable, options: &ConditioningOptions) -> Self {
-        let decomposition = DecompositionOptions {
-            method: DecompositionMethod::VeOnly,
-            heuristic: options.heuristic,
-            node_budget: options.node_budget,
-        };
-        Conditioner {
-            decomposer: Decomposer::new(table, decomposition),
-            fresh: Vec::new(),
-            fresh_names: BTreeSet::new(),
-            last_fresh: FxHashMap::default(),
+/// An open ⊕ node of the condition: one child per value of the eliminated
+/// `var` with a non-zero weight and a non-empty sub-condition, in value
+/// order; every missing value conditions `T` again.
+struct Choice<'a> {
+    var: VarId,
+    source: VariableInfo<'a>,
+    /// The children not yet listed: value, weight and sub-condition
+    /// (`None`: `T`).
+    children: std::vec::IntoIter<(ValueIndex, f64, Option<WsSet>)>,
+    /// `T`, lent to the child of every missing value in turn.
+    tail: WsSet,
+    total: NeumaierSum,
+    /// The branches whose sub-condition has positive confidence: value,
+    /// `weight · confidence` and leaves.
+    results: Vec<(ValueIndex, f64, Vec<Leaf>)>,
+}
+
+impl<'a> Algebra for Conditioner<'a> {
+    type Value = (f64, Vec<Leaf>);
+    /// The value of `var` a child conditions, and its prior weight.
+    type Tag = (ValueIndex, f64);
+    type Node = Choice<'a>;
+
+    fn leaf(&mut self, universal: bool) -> Self::Value {
+        match universal {
+            true => (1.0, vec![Leaf::default()]),
+            false => (0.0, Vec::new()),
         }
     }
 
-    /// The recursive `cond` function of Figure 8 with the U-relations
-    /// factored out: it folds over the condition's ws-set (decomposed on the
-    /// fly) and returns its confidence plus the leaves that say how any
-    /// descriptor is rewritten.
-    fn cond(&mut self, set: &WsSet, depth: u64) -> Result<(f64, Vec<Leaf>)> {
-        match self.decomposer.step(set, depth)? {
-            DecompositionStep::Empty => Ok((0.0, Vec::new())),
-            DecompositionStep::Universal => Ok((1.0, vec![Leaf::default()])),
-            #[expect(
-                clippy::unreachable,
-                reason = "`Conditioner::new` decomposes VE-only, and a VE-only step never partitions"
-            )]
-            DecompositionStep::Partition(_) => unreachable!("VE-only decomposition partitioned"),
-            DecompositionStep::Eliminate {
-                var,
-                branches,
-                missing_values,
-                tail,
-            } => self.eliminate(var, &branches, &missing_values, &tail, depth),
-        }
+    #[expect(
+        clippy::unreachable,
+        reason = "`condition` decomposes VE-only, and a VE-only step never partitions"
+    )]
+    fn partition(&mut self, _parts: Vec<WsSet>) -> Result<Choice<'a>> {
+        unreachable!("VE-only decomposition partitioned")
     }
 
-    /// Figure 8, ⊕ case: recurse into every alternative of the eliminated
-    /// `var`, renormalise the branch weights with a fresh variable and
-    /// extend the leaves of the surviving branches.
-    fn eliminate(
-        &mut self,
-        var: VarId,
-        branches: &[(ValueIndex, WsSet)],
-        missing_values: &[ValueIndex],
-        tail: &WsSet,
-        depth: u64,
-    ) -> Result<(f64, Vec<Leaf>)> {
-        let table = self.decomposer.table();
-        let source_info = table.variable(var)?;
-        // Child condition per domain value (None = impossible branch).
-        let mut child_sets: Vec<Option<&WsSet>> = vec![None; source_info.domain_size()];
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "child_sets has domain_size slots; values index the same domain"
-        )]
-        for (value, child) in branches {
-            child_sets[value.index()] = Some(child);
-        }
-        if !tail.is_empty() {
-            #[expect(clippy::indexing_slicing, reason = "same domain bound as above")]
-            for value in missing_values {
-                child_sets[value.index()] = Some(tail);
-            }
-        }
-
-        struct Branch {
-            value: ValueIndex,
-            weight: f64,
-            confidence: f64,
-            leaves: Vec<Leaf>,
-        }
-        let mut results: Vec<Branch> = Vec::new();
-        let mut total = NeumaierSum::new();
-        for (index, slot) in child_sets.iter().enumerate() {
-            let Some(child_set) = *slot else {
-                continue;
-            };
+    fn eliminate(&mut self, var: VarId, elimination: Elimination) -> Result<Choice<'a>> {
+        let (branches, _, tail) = elimination;
+        let source = self.table.variable(var)?;
+        let mut branches = branches.into_iter().peekable();
+        let mut children = Vec::new();
+        for (index, &weight) in source.probabilities.iter().enumerate() {
             let value = ValueIndex(index as u16);
-            let weight = table.probability(var, value)?;
+            let child = branches.next_if(|(v, _)| *v == value).map(|(_, set)| set);
             // A zero-probability alternative contributes nothing: skip it
             // before conditioning its branch, as the confidence fold does.
-            if weight == 0.0 {
-                continue;
-            }
-            let (ci, leaves) = self.cond(child_set, depth + 1)?;
-            if ci > 0.0 {
-                total.add(weight * ci);
-                results.push(Branch {
-                    value,
-                    weight,
-                    confidence: ci,
-                    leaves,
-                });
+            if (child.is_some() || !tail.is_empty()) && weight != 0.0 {
+                children.push((value, weight, child));
             }
         }
+        Ok(Choice {
+            var,
+            source,
+            children: children.into_iter(),
+            tail,
+            total: NeumaierSum::new(),
+            results: Vec::new(),
+        })
+    }
+
+    fn next_child<'n>(&mut self, node: &'n mut Choice<'a>) -> Result<Child<'n, Self::Tag>> {
+        Ok(node.children.next().map(|(value, weight, child)| {
+            let child = child.map_or(Cow::Borrowed(&node.tail), Cow::Owned);
+            ((value, weight), child)
+        }))
+    }
+
+    fn absorb(&mut self, node: &mut Choice<'a>, tag: Self::Tag, child: Self::Value) {
+        let ((value, weight), (confidence, leaves)) = (tag, child);
+        if confidence > 0.0 {
+            node.total.add(weight * confidence);
+            node.results.push((value, weight * confidence, leaves));
+        }
+    }
+
+    /// Figure 8, ⊕ case, on the way back up: renormalise the branch weights
+    /// with a fresh variable and extend the leaves of the surviving
+    /// branches.
+    fn close(&mut self, node: Choice<'a>) -> Self::Value {
+        let Choice {
+            var,
+            source,
+            total,
+            results,
+            ..
+        } = node;
+        let table = self.table;
         let total = total.value();
         if total <= 0.0 {
-            return Ok((0.0, Vec::new()));
+            return (0.0, Vec::new());
         }
         // Fresh variable var' whose alternatives are the surviving values of
         // `var`, re-weighted so that they sum to one within this node. A
@@ -268,20 +267,20 @@ impl<'a> Conditioner<'a> {
         let last = self.last_fresh.get(&var).and_then(|&at| self.fresh.get(at));
         let mut name = match last {
             Some(last) => format!("{}'", last.name),
-            None => table.fresh_name(source_info.name),
+            None => table.fresh_name(source.name),
         };
         while self.fresh_names.contains(&name) || table.variable_by_name(&name).is_some() {
             name.push('\'');
         }
         let alternatives: Vec<(DomainValue, f64)> = results
             .iter()
-            .map(|b| {
+            .map(|(value, mass, _)| {
                 #[expect(
                     clippy::indexing_slicing,
                     reason = "surviving branch values come from this variable's domain"
                 )]
-                let label = source_info.values[b.value.index()];
-                (label, b.weight * b.confidence / total)
+                let label = source.values[value.index()];
+                (label, mass / total)
             })
             .collect();
         let fresh = VarId((table.num_variables() + self.fresh.len()) as u32);
@@ -294,15 +293,15 @@ impl<'a> Conditioner<'a> {
         });
         // Rewrite: replace `var -> old value` by `var' -> new index`.
         let mut merged = Vec::new();
-        for (new_index, branch) in results.into_iter().enumerate() {
-            for mut leaf in branch.leaves {
-                leaf.path.push(Assignment::new(var, branch.value));
+        for (new_index, (value, _, leaves)) in results.into_iter().enumerate() {
+            for mut leaf in leaves {
+                leaf.path.push(Assignment::new(var, value));
                 leaf.fresh
                     .push(Assignment::new(fresh, ValueIndex(new_index as u16)));
                 merged.push(leaf);
             }
         }
-        Ok((total, merged))
+        (total, merged)
     }
 }
 
@@ -335,16 +334,28 @@ pub fn condition(
     options: &ConditioningOptions,
 ) -> Result<Conditioned> {
     let table = db.world_table();
-    let mut conditioner = Conditioner::new(table, options);
-    let (confidence, mut leaves) = conditioner.cond(condition, 1)?;
+    let decomposition = DecompositionOptions {
+        method: DecompositionMethod::VeOnly,
+        heuristic: options.heuristic,
+        node_budget: options.node_budget,
+    };
+    let conditioner = Conditioner {
+        table,
+        fresh: Vec::new(),
+        fresh_names: BTreeSet::new(),
+        last_fresh: FxHashMap::default(),
+    };
+    let mut fold = Fold::new(Decomposer::new(table, decomposition), conditioner);
+    let (confidence, mut leaves) = fold.run(condition, 1)?;
     // A NaN confidence is treated like zero: a degenerate condition must
     // surface as the typed error, never as a NaN/Inf posterior.
     if confidence <= 0.0 || confidence.is_nan() {
         return Err(CoreError::EmptyCondition);
     }
-    let Conditioner {
-        decomposer, fresh, ..
-    } = conditioner;
+    let Fold {
+        decomposer,
+        algebra: Conditioner { fresh, .. },
+    } = fold;
     let prior_vars = table.num_variables();
 
     // Optimisations (2) and (3), decided per variable and applied to the

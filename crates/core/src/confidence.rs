@@ -12,17 +12,20 @@
 //!
 //! [`confidence`] composes this recursion with the decomposition of
 //! [`crate::decompose`] without materialising the ws-tree (the
-//! `ComputeTree ∘ P` composition of the paper); [`tree_probability`]
-//! evaluates an already-materialised tree. The test oracle for both is
+//! `ComputeTree ∘ P` composition of the paper): Figure 7 is the
+//! probability algebra of the one fold over Figure 4, whose depth lives on
+//! the heap (DESIGN.md, "One fold"). The test oracle is
 //! [`WsSet::probability_by_enumeration`], which enumerates the possible
-//! worlds.
+//! worlds; `uprob_reference::wstree::probability` evaluates a materialised
+//! tree.
 
-use uprob_wsd::{NeumaierSum, WorldTable, WsSet};
+use std::borrow::Cow;
 
-use crate::cache::SharedDecompositionCache;
-use crate::decompose::{for_each_choice_term, Decomposer, DecompositionOptions, DecompositionStep};
+use uprob_wsd::{NeumaierSum, ValueIndex, VarId, WorldTable, WsSet};
+
+use crate::cache::{PendingEntry, SharedDecompositionCache};
+use crate::decompose::{Algebra, Child, Decomposer, DecompositionOptions, Elimination, Fold, Memo};
 use crate::stats::Confidence;
-use crate::wstree::WsTree;
 use crate::Result;
 
 /// Computes the exact probability of the world-set denoted by `set`,
@@ -57,104 +60,142 @@ pub(crate) fn confidence_with_cache(
     if let Some(shared) = cache {
         shared.bind_table(table)?;
     }
-    let mut decomposer = Decomposer::new(table, *options);
-    let probability = confidence_rec(set, &mut decomposer, 1, cache)?;
+    let decomposer = Decomposer::new(table, *options);
+    let mut fold = Fold::new(decomposer, Probability { table, cache });
+    let probability = fold.run(set, 1)?;
     Ok(Confidence {
         probability,
-        stats: decomposer.stats,
+        stats: fold.decomposer.stats,
     })
 }
 
-pub(crate) fn confidence_rec(
-    set: &WsSet,
-    decomposer: &mut Decomposer<'_>,
-    depth: u64,
-    cache: Option<&SharedDecompositionCache>,
-) -> Result<f64> {
-    // A singleton is never memoized (the cache keys sets of two or more).
-    if let [descriptor] = set.descriptors() {
-        return decomposer.descriptor_probability(descriptor, depth);
-    }
-    let pending = match SharedDecompositionCache::probe_memo(cache, set, &mut decomposer.stats) {
-        Ok(probability) => return Ok(probability),
-        Err(pending) => pending,
-    };
-    let probability = match decomposer.step(set, depth)? {
-        DecompositionStep::Empty => 0.0,
-        DecompositionStep::Universal => 1.0,
-        DecompositionStep::Partition(parts) => {
-            let mut complement = 1.0;
-            for part in &parts {
-                let p = confidence_rec(part, decomposer, depth + 1, cache)?;
-                complement *= 1.0 - p;
-            }
-            1.0 - complement
-        }
-        DecompositionStep::Eliminate {
-            var,
-            branches,
-            missing_values,
-            tail,
-        } => {
-            let mut total = NeumaierSum::new();
-            for_each_choice_term(
-                decomposer.table(),
-                var,
-                branches,
-                &missing_values,
-                tail,
-                |weight, child| {
-                    total.add(weight * confidence_rec(&child, decomposer, depth + 1, cache)?);
-                    Ok(())
-                },
-            )?;
-            total.value()
-        }
-    };
-    if let (Some(shared), Some(entry)) = (cache, pending) {
-        shared.insert(entry, probability);
-    }
-    Ok(probability)
+/// Figure 7 as an algebra over the decomposition: the fold behind
+/// [`confidence`] and every job and split of [`crate::confidence_parallel`].
+/// A one-descriptor set takes the closed form
+/// (`Decomposer::descriptor_probability`) and is never memoized; every other
+/// sub-set goes through the optional shared cache.
+#[derive(Clone, Copy)]
+pub(crate) struct Probability<'a> {
+    pub(crate) table: &'a WorldTable,
+    pub(crate) cache: Option<&'a SharedDecompositionCache>,
 }
 
-/// Evaluates the probability of a materialised ws-tree (Figure 7).
-///
-/// # Panics
-///
-/// Panics if the tree refers to variables or values missing from `table`;
-/// validate the tree first if its provenance is untrusted.
-pub fn tree_probability(tree: &WsTree, table: &WorldTable) -> f64 {
-    match tree {
-        WsTree::Bottom => 0.0,
-        WsTree::Leaf => 1.0,
-        WsTree::Independent(children) => {
-            let complement: f64 = children
-                .iter()
-                .map(|c| 1.0 - tree_probability(c, table))
-                .product();
-            1.0 - complement
+/// An open node of [`Probability`].
+pub(crate) enum Combine {
+    /// ⊗: the parts not yet listed and `Π (1 − pᵢ)` so far, in part order.
+    Product {
+        parts: std::vec::IntoIter<WsSet>,
+        complement: f64,
+    },
+    /// ⊕ on `var`: the terms not yet listed and the Neumaier sum of
+    /// `wᵢ · pᵢ` so far. The terms, in order: every occurring value with a
+    /// non-zero weight, in value order, then `T` once, weighted by the
+    /// compensated sum of the missing values' weights, if `T` is non-empty
+    /// and that sum positive.
+    Sum {
+        var: VarId,
+        branches: std::vec::IntoIter<(ValueIndex, WsSet)>,
+        tail: Option<(f64, WsSet)>,
+        total: NeumaierSum,
+    },
+}
+
+impl Algebra for Probability<'_> {
+    type Value = f64;
+    /// The weight `wᵢ` of a ⊕ term (1 for a ⊗ part).
+    type Tag = f64;
+    type Node = Combine;
+
+    fn probe(&mut self, set: &WsSet, depth: u64, dec: &mut Decomposer<'_>) -> Result<Memo<f64>> {
+        Ok(match set.descriptors() {
+            [descriptor] => Ok(dec.descriptor_probability(descriptor, depth)?),
+            _ => SharedDecompositionCache::probe_memo(self.cache, set, &mut dec.stats),
+        })
+    }
+
+    fn insert(&mut self, entry: PendingEntry, probability: &f64) {
+        if let Some(cache) = self.cache {
+            cache.insert(entry, *probability);
         }
-        WsTree::Choice { var, branches } => branches
-            .iter()
-            .map(|(value, child)| {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "tree nodes are built from this table's domains"
-                )]
-                let weight = table
-                    .probability(*var, *value)
-                    .expect("tree value must be in the variable domain");
-                weight * tree_probability(child, table)
-            })
-            .collect::<NeumaierSum>()
-            .value(),
+    }
+
+    fn leaf(&mut self, universal: bool) -> f64 {
+        match universal {
+            true => 1.0,
+            false => 0.0,
+        }
+    }
+
+    fn partition(&mut self, parts: Vec<WsSet>) -> Result<Combine> {
+        Ok(Combine::Product {
+            parts: parts.into_iter(),
+            complement: 1.0,
+        })
+    }
+
+    fn eliminate(&mut self, var: VarId, elimination: Elimination) -> Result<Combine> {
+        let (branches, missing_values, tail) = elimination;
+        // Alternatives of `var` not occurring in the set only contribute
+        // through the tail T, whose probability is computed once.
+        let mut missing_weight = NeumaierSum::new();
+        if !tail.is_empty() {
+            for value in missing_values {
+                missing_weight.add(self.table.probability(var, value)?);
+            }
+        }
+        let missing_weight = missing_weight.value();
+        Ok(Combine::Sum {
+            var,
+            branches: branches.into_iter(),
+            tail: (missing_weight > 0.0).then_some((missing_weight, tail)),
+            total: NeumaierSum::new(),
+        })
+    }
+
+    /// `#[inline]`: the fold lists every child through here at ~0.5 µs a
+    /// node; the ⊕ term list as an out-of-line call read ~2 % lower `ops_s`
+    /// on the benchmark's `hard_confidence` workload.
+    #[inline]
+    fn next_child<'n>(&mut self, node: &'n mut Combine) -> Result<Child<'n, f64>> {
+        let term = match node {
+            Combine::Product { parts, .. } => parts.next().map(|part| (1.0, part)),
+            Combine::Sum {
+                var,
+                branches,
+                tail,
+                ..
+            } => loop {
+                let Some((value, child)) = branches.next() else {
+                    break tail.take();
+                };
+                let weight = self.table.probability(*var, value)?;
+                if weight != 0.0 {
+                    break Some((weight, child));
+                }
+            },
+        };
+        Ok(term.map(|(weight, child)| (weight, Cow::Owned(child))))
+    }
+
+    #[inline]
+    fn absorb(&mut self, node: &mut Combine, weight: f64, p: f64) {
+        match node {
+            Combine::Product { complement, .. } => *complement *= 1.0 - p,
+            Combine::Sum { total, .. } => total.add(weight * p),
+        }
+    }
+
+    fn close(&mut self, node: Combine) -> f64 {
+        match node {
+            Combine::Product { complement, .. } => 1.0 - complement,
+            Combine::Sum { total, .. } => total.value(),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decompose::build_tree;
     use crate::error::CoreError;
     use crate::heuristics::VariableHeuristic;
     use uprob_wsd::{VarId, WsDescriptor};
@@ -431,17 +472,6 @@ mod tests {
             );
         }
         assert!((s.probability_by_enumeration(&w) - 0.7578).abs() < 1e-12);
-    }
-
-    #[test]
-    fn tree_probability_matches_streaming_confidence() {
-        let (w, s) = figure3();
-        let options = DecompositionOptions::indve_minlog();
-        let (tree, _) = build_tree(&s, &w, &options).unwrap();
-        let from_tree = tree_probability(&tree, &w);
-        let streamed = confidence(&s, &w, &options).unwrap().probability;
-        assert!((from_tree - streamed).abs() < 1e-12);
-        assert!((from_tree - 0.7578).abs() < 1e-12);
     }
 
     #[test]

@@ -12,19 +12,23 @@
 //!   not mentioning `x`) and combine the recursive translations with a
 //!   ⊕ node.
 //!
-//! The same recursion is reused, without materialising the tree, by exact
-//! confidence computation ([`mod@crate::confidence`]) and by conditioning
-//! ([`crate::conditioning`]): they *fold* probability computation or
-//! database rewriting over the decomposition, which is exactly the
-//! `ComputeTree ∘ P` composition described in Section 4.3.
+//! This module holds the one walk of that recursion, a private `Fold` of
+//! an *algebra* over `Decomposer::step` that keeps every open node as a
+//! frame on a heap stack, so a decomposition as deep as its input never
+//! touches the thread's stack (DESIGN.md, "One fold"). Exact confidence
+//! ([`mod@crate::confidence`], Figure 7, also the jobs and the frontier of
+//! [`crate::parallel`]), conditioning ([`crate::conditioning`], Figure 8)
+//! and [`build_tree`] are its three algebras; none of them materialises a
+//! tree it does not return, which is the `ComputeTree ∘ P` composition
+//! described in Section 4.3.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use uprob_wsd::value::Assignment;
-use uprob_wsd::{
-    DomainValue, NeumaierSum, ValueIndex, VarId, WorldTable, WsDescriptor, WsSet, WsdError,
-};
+use uprob_wsd::{DomainValue, ValueIndex, VarId, WorldTable, WsDescriptor, WsSet, WsdError};
 
+use crate::cache::PendingEntry;
 use crate::error::CoreError;
 use crate::heuristics::{choose_variable, VariableHeuristic};
 use crate::stats::DecompositionStats;
@@ -99,8 +103,7 @@ impl DecompositionOptions {
 }
 
 /// One step of the decomposition: what `ComputeTree` would do at this node.
-#[derive(Clone, Debug)]
-pub enum DecompositionStep {
+pub(crate) enum DecompositionStep {
     /// The ws-set is empty: the node is `⊥`.
     Empty,
     /// The ws-set contains the nullary descriptor: the node is the `∅` leaf.
@@ -163,10 +166,6 @@ impl<'a> Decomposer<'a> {
             shared_nodes: Some(shared_nodes),
             ..Decomposer::new(table, options)
         }
-    }
-
-    pub(crate) fn table(&self) -> &'a WorldTable {
-        self.table
     }
 
     fn charge_node(&mut self) -> Result<()> {
@@ -278,51 +277,9 @@ pub(crate) fn charge_shared_nodes(
     within_budget(total, budget)
 }
 
-/// The ⊕ terms of a [`DecompositionStep::Eliminate`] step, handed to `term`
-/// as `(weight, child)` in canonical order: every occurring value with a
-/// non-zero weight, in value order, then — when `var` has missing values
-/// and `T` is non-empty — `T` once, weighted by the compensated sum of the
-/// missing values' weights if that is positive. Figure 7 sums exactly this
-/// list; the sequential fold and the parallel top split both take it from
-/// here.
-///
-/// `#[inline]`: the sequential fold runs this once per ⊕ node at ~0.5 µs a
-/// node; left as an out-of-line call it read ~2 % lower `ops_s` on the
-/// benchmark's `hard_confidence` workload.
-#[inline]
-pub(crate) fn for_each_choice_term(
-    table: &WorldTable,
-    var: VarId,
-    branches: Vec<(ValueIndex, WsSet)>,
-    missing_values: &[ValueIndex],
-    tail: WsSet,
-    mut term: impl FnMut(f64, WsSet) -> Result<()>,
-) -> Result<()> {
-    for (value, child) in branches {
-        let weight = table.probability(var, value)?;
-        if weight == 0.0 {
-            continue;
-        }
-        term(weight, child)?;
-    }
-    // Alternatives of `var` not occurring in the set only contribute
-    // through the tail T, whose probability is computed once.
-    if !missing_values.is_empty() && !tail.is_empty() {
-        let mut missing_weight = NeumaierSum::new();
-        for value in missing_values {
-            missing_weight.add(table.probability(var, *value)?);
-        }
-        let missing_weight = missing_weight.value();
-        if missing_weight > 0.0 {
-            term(missing_weight, tail)?;
-        }
-    }
-    Ok(())
-}
-
 /// The parts of a [`DecompositionStep::Eliminate`]: branches, missing
 /// values and tail.
-type Elimination = (Vec<(ValueIndex, WsSet)>, Vec<ValueIndex>, WsSet);
+pub(crate) type Elimination = (Vec<(ValueIndex, WsSet)>, Vec<ValueIndex>, WsSet);
 
 /// Splits `set` by the assignments of `var` (the variable-elimination rule
 /// of Figure 4). Returns the child ws-set for every occurring value
@@ -372,11 +329,166 @@ pub(crate) fn eliminate_variable(
     Ok((branches, missing_values, tail))
 }
 
+/// What the hooks before a step found: the value of a sub-set settled
+/// without a step, or the memo entry (if any) its value is owed to.
+pub(crate) type Memo<V> = std::result::Result<V, Option<PendingEntry>>;
+
+/// The next child an open node lists: the tag it gets its value back with,
+/// and its sub-set.
+pub(crate) type Child<'n, T> = Option<(T, Cow<'n, WsSet>)>;
+
+/// A fold over the decomposition (DESIGN.md, "One fold"): the leaf values,
+/// how an open ⊗ or ⊕ node lists its children and combines their values,
+/// and the hooks [`Fold`] calls on a sub-set before stepping it. Figure 7's
+/// probability, Figure 8's conditioning and [`build_tree`]'s ws-tree are
+/// its instances.
+pub(crate) trait Algebra {
+    /// What the fold computes for one sub-set.
+    type Value;
+    /// What an open node says about a child it lists and gets back with the
+    /// child's value: a ⊕ branch's weight or value, say.
+    type Tag: Copy;
+    /// An open ⊗ or ⊕ node: its children not yet listed and its partial
+    /// accumulator.
+    type Node;
+
+    /// The closed-form leaf and the memo probe, called on every sub-set
+    /// before its step: a value (with the charges the steps would have
+    /// made), or the memo entry owed the value the steps compute.
+    fn probe(&mut self, _: &WsSet, _: u64, _: &mut Decomposer<'_>) -> Result<Memo<Self::Value>> {
+        Ok(Err(None))
+    }
+
+    /// Publishes `value` under the memo entry `probe` returned.
+    fn insert(&mut self, _entry: PendingEntry, _value: &Self::Value) {}
+
+    /// The value of the `∅` leaf if `universal`, else of `⊥`.
+    fn leaf(&mut self, universal: bool) -> Self::Value;
+
+    /// Opens a ⊗ node over `parts`.
+    fn partition(&mut self, parts: Vec<WsSet>) -> Result<Self::Node>;
+
+    /// Opens a ⊕ node on `var` ([`DecompositionStep::Eliminate`]'s fields).
+    fn eliminate(&mut self, var: VarId, elimination: Elimination) -> Result<Self::Node>;
+
+    /// The next child of `node`, in the order [`Algebra::absorb`] combines
+    /// the values, or `None` once every child has been listed.
+    fn next_child<'n>(&mut self, node: &'n mut Self::Node) -> Result<Child<'n, Self::Tag>>;
+
+    /// Combines the value of the child listed with `tag` into `node`.
+    fn absorb(&mut self, node: &mut Self::Node, tag: Self::Tag, value: Self::Value);
+
+    /// The value of `node` once every child has been absorbed.
+    fn close(&mut self, node: Self::Node) -> Self::Value;
+}
+
+/// An open node of a fold: its depth, the algebra's node and the memo entry
+/// its value is owed to.
+pub(crate) struct Frame<A: Algebra> {
+    depth: u64,
+    pub(crate) node: A::Node,
+    entry: Option<PendingEntry>,
+}
+
+/// What visiting a sub-set produced: its value, or an open node.
+pub(crate) enum Visit<A: Algebra> {
+    Done(A::Value),
+    Open(Frame<A>),
+}
+
+/// The one walk of Figure 4: folds an [`Algebra`] over [`Decomposer::step`]
+/// depth first, with every open node a [`Frame`] on a stack on the heap, so
+/// the depth of a decomposition is bounded by memory, not by the thread's
+/// stack.
+pub(crate) struct Fold<'a, A> {
+    pub(crate) decomposer: Decomposer<'a>,
+    pub(crate) algebra: A,
+}
+
+impl<'a, A: Algebra> Fold<'a, A> {
+    pub(crate) fn new(decomposer: Decomposer<'a>, algebra: A) -> Self {
+        Fold {
+            decomposer,
+            algebra,
+        }
+    }
+
+    /// Visits `set` at recursion depth `depth`: the hooks, then one step. A
+    /// leaf is done on the spot; a ⊗ or ⊕ opens a frame.
+    pub(crate) fn visit(&mut self, set: &WsSet, depth: u64) -> Result<Visit<A>> {
+        let entry = match self.algebra.probe(set, depth, &mut self.decomposer)? {
+            Ok(value) => return Ok(Visit::Done(value)),
+            Err(entry) => entry,
+        };
+        let node = match self.decomposer.step(set, depth)? {
+            DecompositionStep::Partition(parts) => self.algebra.partition(parts)?,
+            DecompositionStep::Eliminate {
+                var,
+                branches,
+                missing_values,
+                tail,
+            } => (self.algebra).eliminate(var, (branches, missing_values, tail))?,
+            step => {
+                let leaf = self
+                    .algebra
+                    .leaf(matches!(step, DecompositionStep::Universal));
+                return Ok(Visit::Done(self.settle(leaf, entry)));
+            }
+        };
+        Ok(Visit::Open(Frame { depth, node, entry }))
+    }
+
+    /// `value`, published under the memo entry it is owed to.
+    fn settle(&mut self, value: A::Value, entry: Option<PendingEntry>) -> A::Value {
+        if let Some(entry) = entry {
+            self.algebra.insert(entry, &value);
+        }
+        value
+    }
+
+    /// The value of `frame` once every child has been absorbed.
+    pub(crate) fn close(&mut self, frame: Frame<A>) -> A::Value {
+        let value = self.algebra.close(frame.node);
+        self.settle(value, frame.entry)
+    }
+
+    /// The value of `set` at recursion depth `depth`. Every open node below
+    /// the root is a frame on one heap stack, with the tag its parent listed
+    /// it with; a child is visited when its parent lists it, and a closed
+    /// frame's value goes to its parent.
+    pub(crate) fn run(&mut self, set: &WsSet, depth: u64) -> Result<A::Value> {
+        let mut root = match self.visit(set, depth)? {
+            Visit::Done(value) => return Ok(value),
+            Visit::Open(frame) => frame,
+        };
+        let mut stack: Vec<(A::Tag, Frame<A>)> = Vec::new();
+        loop {
+            let top = stack.last_mut().map_or(&mut root, |(_, frame)| frame);
+            let Some((tag, child)) = self.algebra.next_child(&mut top.node)? else {
+                let Some((tag, frame)) = stack.pop() else {
+                    return Ok(self.close(root));
+                };
+                let value = self.close(frame);
+                let parent = stack.last_mut().map_or(&mut root, |(_, frame)| frame);
+                self.algebra.absorb(&mut parent.node, tag, value);
+                continue;
+            };
+            let visited = self.visit(&child, top.depth + 1);
+            drop(child);
+            match visited? {
+                Visit::Done(value) => self.algebra.absorb(&mut top.node, tag, value),
+                Visit::Open(frame) => stack.push((tag, frame)),
+            }
+        }
+    }
+}
+
 /// Materialises the ws-tree of `ComputeTree(set)` (Figure 4).
 ///
 /// Exact confidence computation and conditioning do **not** need the
-/// materialised tree (they fold over the same recursion); this function is
-/// useful for inspection, testing and the knowledge-compilation examples.
+/// materialised tree (they fold other algebras over the same walk); this
+/// function is useful for inspection, testing and the knowledge-compilation
+/// examples.
 ///
 /// # Errors
 ///
@@ -387,53 +499,124 @@ pub fn build_tree(
     table: &WorldTable,
     options: &DecompositionOptions,
 ) -> Result<(WsTree, DecompositionStats)> {
-    let mut decomposer = Decomposer::new(table, *options);
-    let tree = build_rec(set, &mut decomposer, 1)?;
-    Ok((tree, decomposer.stats))
+    let mut fold = Fold::new(Decomposer::new(table, *options), TreeAlgebra);
+    let tree = fold.run(set, 1)?;
+    Ok((tree, fold.decomposer.stats))
 }
 
-fn build_rec(set: &WsSet, decomposer: &mut Decomposer<'_>, depth: u64) -> Result<WsTree> {
-    match decomposer.step(set, depth)? {
-        DecompositionStep::Empty => Ok(WsTree::Bottom),
-        DecompositionStep::Universal => Ok(WsTree::Leaf),
-        DecompositionStep::Partition(parts) => {
-            let children = parts
-                .iter()
-                .map(|part| build_rec(part, decomposer, depth + 1))
-                .collect::<Result<Vec<_>>>()?;
-            Ok(WsTree::Independent(children))
-        }
-        DecompositionStep::Eliminate {
-            var,
-            branches,
-            missing_values,
-            tail,
-        } => {
-            let mut tree_branches = Vec::with_capacity(branches.len() + missing_values.len());
-            for (value, child_set) in &branches {
-                let child = build_rec(child_set, decomposer, depth + 1)?;
-                tree_branches.push((*value, child));
-            }
-            // Branches for values that do not occur in the set: their child
-            // is the translation of T, computed once and shared (cloned).
-            if !missing_values.is_empty() && !tail.is_empty() {
-                let tail_tree = build_rec(&tail, decomposer, depth + 1)?;
-                for value in missing_values {
-                    tree_branches.push((value, tail_tree.clone()));
-                }
-            }
-            Ok(WsTree::Choice {
-                var,
-                branches: tree_branches,
-            })
+/// The ws-tree as an algebra: every node becomes its [`WsTree`] node.
+struct TreeAlgebra;
+
+/// An open node of [`TreeAlgebra`]: its tree so far, its children not yet
+/// translated, each with the value it branches on (none for a ⊗ part), and,
+/// for a ⊕ with missing values, `T` last, its tree shared (cloned) by every
+/// missing value, as Figure 4 notes.
+struct TreeNode {
+    tree: WsTree,
+    children: std::vec::IntoIter<(Option<ValueIndex>, WsSet)>,
+    missing_values: Vec<ValueIndex>,
+}
+
+impl Algebra for TreeAlgebra {
+    type Value = WsTree;
+    /// The value a ⊕ child branches on; `None` for a ⊗ part and for `T`.
+    type Tag = Option<ValueIndex>;
+    type Node = TreeNode;
+
+    fn leaf(&mut self, universal: bool) -> WsTree {
+        match universal {
+            true => WsTree::Leaf,
+            false => WsTree::Bottom,
         }
     }
+
+    fn partition(&mut self, parts: Vec<WsSet>) -> Result<TreeNode> {
+        let tree = WsTree::Independent(Vec::with_capacity(parts.len()));
+        let children: Vec<_> = parts.into_iter().map(|part| (None, part)).collect();
+        let missing_values = Vec::new();
+        Ok(TreeNode {
+            tree,
+            children: children.into_iter(),
+            missing_values,
+        })
+    }
+
+    fn eliminate(&mut self, var: VarId, elimination: Elimination) -> Result<TreeNode> {
+        let (branches, missing_values, tail) = elimination;
+        let tree = WsTree::Choice {
+            var,
+            branches: Vec::with_capacity(branches.len() + missing_values.len()),
+        };
+        let mut children: Vec<_> = branches
+            .into_iter()
+            .map(|(v, set)| (Some(v), set))
+            .collect();
+        if !missing_values.is_empty() && !tail.is_empty() {
+            children.push((None, tail));
+        }
+        Ok(TreeNode {
+            tree,
+            children: children.into_iter(),
+            missing_values,
+        })
+    }
+
+    fn next_child<'n>(&mut self, node: &'n mut TreeNode) -> Result<Child<'n, Self::Tag>> {
+        Ok(node.children.next().map(|(v, set)| (v, Cow::Owned(set))))
+    }
+
+    fn absorb(&mut self, node: &mut TreeNode, tag: Self::Tag, tree: WsTree) {
+        match (&mut node.tree, tag) {
+            (WsTree::Independent(parts), _) => parts.push(tree),
+            (WsTree::Choice { branches, .. }, Some(value)) => branches.push((value, tree)),
+            (WsTree::Choice { branches, .. }, None) => {
+                branches.extend(node.missing_values.iter().map(|&v| (v, tree.clone())));
+            }
+            // A leaf is never an open node.
+            (WsTree::Bottom | WsTree::Leaf, _) => {}
+        }
+    }
+
+    fn close(&mut self, node: TreeNode) -> WsTree {
+        node.tree
+    }
 }
+
+/// The closure form of the ⊕ terms that the test-only step walk folds with.
+#[cfg(test)]
+pub(crate) use tests::for_each_choice_term;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::confidence::Probability;
     use uprob_wsd::WsDescriptor;
+
+    impl<'a> Decomposer<'a> {
+        /// The world table, for the conditioning oracle (every algebra of
+        /// the product holds its own).
+        pub(crate) fn table(&self) -> &'a WorldTable {
+            self.table
+        }
+    }
+
+    /// The ⊕ terms of an elimination, handed to `term` as `(weight, child)`
+    /// in the order the probability algebra lists them.
+    pub(crate) fn for_each_choice_term(
+        table: &WorldTable,
+        var: VarId,
+        branches: Vec<(ValueIndex, WsSet)>,
+        missing_values: &[ValueIndex],
+        tail: WsSet,
+        mut term: impl FnMut(f64, WsSet) -> Result<()>,
+    ) -> Result<()> {
+        let mut algebra = Probability { table, cache: None };
+        let mut node = algebra.eliminate(var, (branches, missing_values.to_vec(), tail))?;
+        while let Some((weight, child)) = algebra.next_child(&mut node)? {
+            term(weight, child.into_owned())?;
+        }
+        Ok(())
+    }
 
     /// The world table and ws-set S of Figure 3.
     fn figure3() -> (WorldTable, [VarId; 5], WsSet) {

@@ -10,8 +10,8 @@
 //!   ws-trees (`ComputeTree`, Figure 4), with independent partitioning and
 //!   variable elimination and the **minlog** / **minmax** heuristics
 //!   (Section 4.2, Figure 6);
-//! * [`mod@confidence`]: exact probability computation (Figure 7), streamed over
-//!   the decomposition without materialising the tree;
+//! * [`mod@confidence`]: exact probability computation (Figure 7), an algebra
+//!   folded over the decomposition without materialising the tree;
 //! * [`elimination`]: the alternative ws-descriptor elimination method (WE,
 //!   Section 6);
 //! * [`conditioning`]: the `assert[B]` operation (Section 5, Figure 8) that
@@ -20,11 +20,11 @@
 //! * [`cache`]: the shared decomposition cache — hash-consed canonical
 //!   ws-set keys memoizing sub-set probabilities, shared across the
 //!   confidence fold and the batch query layer (see `DESIGN.md`);
-//! * [`parallel`]: parallel exact confidence — the top of the ws-tree is
-//!   split on the calling thread, its independent partitions and ⊕-split
-//!   siblings are solved as scoped jobs, and the splits fold in canonical
-//!   child order so results are **bit-identical** to the sequential fold
-//!   for every worker count;
+//! * [`parallel`]: parallel exact confidence — the one fold of
+//!   [`decompose`] runs to a frontier on the calling thread, the frontier's
+//!   sub-sets are solved as scoped jobs, and the open frames resume in
+//!   canonical child order so results are **bit-identical** to the
+//!   sequential fold for every worker count;
 //! * [`engine`]: the unified confidence engine — an explicit
 //!   [`ConfidenceStrategy`] (`Exact` / `Approximate(ε, δ)` /
 //!   `Hybrid { budget, ε, δ }`) that runs the cached exact decomposition
@@ -93,7 +93,7 @@ pub mod wstree;
 
 pub use cache::{CacheStats, InheritOutcome, SharedDecompositionCache};
 pub use conditioning::{condition, Conditioned, ConditioningOptions};
-pub use confidence::{confidence, tree_probability};
+pub use confidence::confidence;
 pub use decompose::{build_tree, DecompositionMethod, DecompositionOptions};
 pub use elimination::confidence_by_elimination;
 pub use engine::{

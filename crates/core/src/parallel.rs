@@ -2,12 +2,13 @@
 //!
 //! The ws-tree decomposition is naturally parallel: the parts of an
 //! independent partition (⊗) and the branches of a ⊕-split are disjoint
-//! subproblems. [`confidence_parallel`] expands the top of the tree on the
-//! calling thread, the largest pending subtree first, until every worker
-//! has a few subtrees to take; solves those subtrees as [`fan_out_indexed`]
-//! jobs (the workspace's one spawn site), each with the sequential fold of
-//! [`mod@crate::confidence`]; and folds the expanded splits back together
-//! with that fold's arithmetic.
+//! subproblems. [`confidence_parallel`] runs the one fold of
+//! [`crate::decompose`] with the probability algebra of
+//! [`mod@crate::confidence`] to a frontier: on the calling thread it visits
+//! the largest pending sub-set first, until every worker has a few to take;
+//! it runs each pending sub-set as a [`fan_out_indexed`] job (the
+//! workspace's one spawn site) that runs the fold; and it resumes the fold
+//! of the frames it opened with each job's value in its slot.
 //!
 //! # Determinism contract
 //!
@@ -16,11 +17,10 @@
 //! probability of every sub-ws-set is a pure function of the sub-set and
 //! the world table, so it does not matter *which* worker computes it or
 //! *when*; and partial results are never folded in completion order —
-//! each split keeps one slot per child, and once every job is done the
-//! splits fold children before parents, each evaluating exactly the
-//! sequential expression (`1 − Π (1 − pᵢ)` in part order for ⊗, a Neumaier
-//! sum of `wᵢ · pᵢ` in branch order with the missing-value tail last for
-//! ⊕). A shared-cache hit returns a probability that is itself
+//! each open frame of the frontier keeps one slot per child, and once every
+//! job is done the frames close children before parents, absorbing their
+//! slots in child order through the algebra the sequential fold uses, so
+//! each evaluates exactly the sequential expression. A shared-cache hit returns a probability that is itself
 //! bit-identical to recomputation, so the contract holds with or without a
 //! [`SharedDecompositionCache`]. The differential and golden suites pin
 //! this under a `UPROB_WORKERS` matrix in CI.
@@ -42,16 +42,17 @@
 //! contains it as one failed request.
 
 use std::cmp::Reverse;
+use std::ops::Range;
 use std::sync::atomic::AtomicU64;
 use std::sync::OnceLock;
 use std::thread;
 
 use uprob_approx::fan_out_indexed;
-use uprob_wsd::{NeumaierSum, WorldTable, WsSet};
+use uprob_wsd::{WorldTable, WsSet};
 
-use crate::cache::{PendingEntry, SharedDecompositionCache};
-use crate::confidence::{confidence_rec, confidence_with_cache};
-use crate::decompose::{for_each_choice_term, Decomposer, DecompositionOptions, DecompositionStep};
+use crate::cache::SharedDecompositionCache;
+use crate::confidence::{confidence_with_cache, Probability};
+use crate::decompose::{Algebra, Decomposer, DecompositionOptions, Fold, Frame, Visit};
 use crate::error::CoreError;
 use crate::stats::Confidence;
 use crate::Result;
@@ -182,159 +183,14 @@ fn workers_from_spec(spec: Option<&str>) -> Result<usize> {
     }
 }
 
-/// Where a subtree's probability goes: slot `.1` of split `.0`, or, for the
-/// root, the result.
-type Target = Option<(usize, usize)>;
+/// An open frame of the frontier, the slots of its children in child
+/// order, and its own slot.
+type Split<'a> = (Frame<Probability<'a>>, Range<usize>, usize);
 
-/// A subtree of the top split that the calling thread has not expanded.
-struct Subtree {
-    set: WsSet,
-    depth: u64,
-    target: Target,
-}
-
-/// How a split folds its children: the arithmetic of the sequential
-/// `confidence_rec`.
-enum CombineKind {
-    /// ⊗: `1 − Π (1 − pᵢ)`, factors multiplied in part order.
-    Product,
-    /// ⊕: Neumaier sum of `wᵢ · pᵢ` over the terms of
-    /// [`for_each_choice_term`] — the list the sequential fold sums — with
-    /// these weights, in term order.
-    Sum(Vec<f64>),
-}
-
-/// An expanded node of the top of the ws-tree: one slot per child, where
-/// its own value goes, and the memo entry that value is owed to.
-struct Split {
-    kind: CombineKind,
-    slots: Vec<f64>,
-    target: Target,
-    entry: Option<PendingEntry>,
-}
-
-impl Split {
-    /// Folds the filled slots exactly as the sequential fold would.
-    fn combine(&self) -> f64 {
-        match &self.kind {
-            CombineKind::Product => {
-                let mut complement = 1.0;
-                for p in &self.slots {
-                    complement *= 1.0 - p;
-                }
-                1.0 - complement
-            }
-            CombineKind::Sum(weights) => {
-                let mut total = NeumaierSum::new();
-                for (weight, p) in weights.iter().zip(&self.slots) {
-                    total.add(weight * p);
-                }
-                total.value()
-            }
-        }
-    }
-}
-
-/// The top of the ws-tree as the calling thread expanded it: the splits in
-/// creation order (a split always after its parent) and the root's value.
-struct TopSplit<'a> {
-    cache: Option<&'a SharedDecompositionCache>,
-    splits: Vec<Split>,
-    root: f64,
-}
-
-impl TopSplit<'_> {
-    /// Publishes `value` under `entry` (the memo entry of the set it was
-    /// computed for, if one is owed) and stores it at `target`.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "a target names a split made before it and a slot below that split's child count"
-    )]
-    fn resolve(&mut self, target: Target, value: f64, entry: Option<PendingEntry>) {
-        if let (Some(cache), Some(entry)) = (self.cache, entry) {
-            cache.insert(entry, value);
-        }
-        match target {
-            None => self.root = value,
-            Some((split, slot)) => self.splits[split].slots[slot] = value,
-        }
-    }
-
-    /// Takes one decomposition step on `subtree` — `probe_memo`, then
-    /// `Decomposer::step`, then for a ⊕ node `for_each_choice_term`, the
-    /// calls `confidence_rec` makes. A memo hit, `⊥` or `∅` resolves the
-    /// subtree; a ⊗ or ⊕ becomes a split whose children join `pending`.
-    fn expand(
-        &mut self,
-        subtree: Subtree,
-        decomposer: &mut Decomposer<'_>,
-        pending: &mut Vec<Subtree>,
-    ) -> Result<()> {
-        let Subtree { set, depth, target } = subtree;
-        let entry =
-            match SharedDecompositionCache::probe_memo(self.cache, &set, &mut decomposer.stats) {
-                Ok(probability) => {
-                    self.resolve(target, probability, None);
-                    return Ok(());
-                }
-                Err(entry) => entry,
-            };
-        let (kind, children) = match decomposer.step(&set, depth)? {
-            DecompositionStep::Empty => {
-                self.resolve(target, 0.0, entry);
-                return Ok(());
-            }
-            DecompositionStep::Universal => {
-                self.resolve(target, 1.0, entry);
-                return Ok(());
-            }
-            DecompositionStep::Partition(parts) => (CombineKind::Product, parts),
-            DecompositionStep::Eliminate {
-                var,
-                branches,
-                missing_values,
-                tail,
-            } => {
-                let mut weights = Vec::with_capacity(branches.len() + 1);
-                let mut children = Vec::with_capacity(branches.len() + 1);
-                for_each_choice_term(
-                    decomposer.table(),
-                    var,
-                    branches,
-                    &missing_values,
-                    tail,
-                    |weight, child| {
-                        weights.push(weight);
-                        children.push(child);
-                        Ok(())
-                    },
-                )?;
-                (CombineKind::Sum(weights), children)
-            }
-        };
-        let split = self.splits.len();
-        self.splits.push(Split {
-            kind,
-            slots: vec![f64::NAN; children.len()],
-            target,
-            entry,
-        });
-        pending.extend(children.into_iter().enumerate().map(|(slot, set)| Subtree {
-            set,
-            depth: depth + 1,
-            target: Some((split, slot)),
-        }));
-        Ok(())
-    }
-
-    /// Folds the splits in reverse creation order, so that every child is
-    /// folded before its parent, and returns the root's value.
-    fn fold(mut self) -> f64 {
-        while let Some(split) = self.splits.pop() {
-            let value = split.combine();
-            self.resolve(split.target, value, split.entry);
-        }
-        self.root
+/// Stores `probability` in slot `slot`, a `(weight, probability)` pair.
+fn resolve(slots: &mut [(f64, f64)], slot: usize, probability: f64) {
+    if let Some((_, value)) = slots.get_mut(slot) {
+        *value = probability;
     }
 }
 
@@ -377,51 +233,70 @@ pub fn confidence_parallel(
         shared_cache.bind_table(table)?;
     }
     let nodes = AtomicU64::new(0);
-    let mut decomposer = Decomposer::with_shared_nodes(table, *options, &nodes);
-    let mut top = TopSplit {
-        cache,
-        splits: Vec::new(),
-        root: f64::NAN,
+    let algebra = Probability { table, cache };
+    // The calling thread and every job charge the one node counter.
+    let fold_on_nodes = || {
+        let decomposer = Decomposer::with_shared_nodes(table, *options, &nodes);
+        Fold::new(decomposer, algebra)
     };
-    let mut pending = vec![Subtree {
-        set: set.clone(),
-        depth: 1,
-        target: None,
-    }];
+    let mut fold = fold_on_nodes();
+    // Slot 0 is the root's; every child of a split has one, holding the
+    // weight it was listed with and, once known, its probability.
+    let mut slots = vec![(1.0, f64::NAN)];
+    let mut splits: Vec<Split> = Vec::new();
+    // The sets of the frontier not yet visited: set, depth and slot.
+    let mut pending = vec![(set.clone(), 1, 0)];
     while pending.len() < SUBTREES_PER_WORKER * parallel.workers() {
         let largest = pending
             .iter()
             .enumerate()
-            .filter(|(_, subtree)| subtree.set.len() >= parallel.grain.max(2))
-            .max_by_key(|(_, subtree)| subtree.set.len());
+            .filter(|(_, (set, ..))| set.len() >= parallel.grain.max(2))
+            .max_by_key(|(_, (set, ..))| set.len());
         let Some((index, _)) = largest else {
             break;
         };
-        let subtree = pending.swap_remove(index);
-        top.expand(subtree, &mut decomposer, &mut pending)?;
+        let (set, depth, slot) = pending.swap_remove(index);
+        match fold.visit(&set, depth)? {
+            Visit::Done(probability) => resolve(&mut slots, slot, probability),
+            Visit::Open(mut frame) => {
+                let first = slots.len();
+                while let Some((weight, child)) = fold.algebra.next_child(&mut frame.node)? {
+                    pending.push((child.into_owned(), depth + 1, slots.len()));
+                    slots.push((weight, f64::NAN));
+                }
+                splits.push((frame, first..slots.len(), slot));
+            }
+        }
     }
-    // Largest first, so the small subtrees fill the workers' tails. Each
-    // job's value lands in its own split slot, and the fold reads the slots
-    // in child order, so neither job nor completion order reaches the bits.
-    pending.sort_by_key(|subtree| Reverse(subtree.set.len()));
+    // Largest first, so the small sets fill the workers' tails. Each job's
+    // value lands in its own slot, and the fold reads the slots in child
+    // order, so neither job nor completion order reaches the bits.
+    pending.sort_by_key(|(set, ..)| Reverse(set.len()));
     let solved = fan_out_indexed(pending.len(), parallel.workers(), |index| {
         #[cfg(test)]
         tests::maybe_inject_panic(parallel.grain);
-        let subtree = pending.get(index)?;
-        let mut job = Decomposer::with_shared_nodes(table, *options, &nodes);
-        let probability = confidence_rec(&subtree.set, &mut job, subtree.depth, cache);
-        Some((subtree.target, probability.map(|p| (p, job.stats))))
+        let (set, depth, slot) = pending.get(index)?;
+        let mut job = fold_on_nodes();
+        let probability = job.run(set, *depth);
+        Some((*slot, probability.map(|p| (p, job.decomposer.stats))))
     });
-    let mut stats = decomposer.stats;
-    for (target, solved) in solved.into_iter().flatten() {
+    let mut stats = fold.decomposer.stats.clone();
+    for (slot, solved) in solved.into_iter().flatten() {
         let (probability, job_stats) = solved?;
         stats.absorb(&job_stats);
-        top.resolve(target, probability, None);
+        resolve(&mut slots, slot, probability);
     }
-    Ok(Confidence {
-        probability: top.fold(),
-        stats,
-    })
+    // Resume the fold: the splits in reverse creation order, so that every
+    // child is closed before its parent.
+    while let Some((mut frame, children, slot)) = splits.pop() {
+        for &(weight, probability) in slots.get(children).unwrap_or_default() {
+            fold.algebra.absorb(&mut frame.node, weight, probability);
+        }
+        let probability = fold.close(frame);
+        resolve(&mut slots, slot, probability);
+    }
+    let probability = slots.first().map_or(f64::NAN, |(_, root)| *root);
+    Ok(Confidence { probability, stats })
 }
 
 #[cfg(test)]

@@ -9,7 +9,6 @@
 //! Definition 4.1 are the oracles `uprob_reference::wstree` checks
 //! [`build_tree`](crate::build_tree) against.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use uprob_wsd::{ValueIndex, VarId, WorldTable};
@@ -60,30 +59,6 @@ impl TreeShape {
 }
 
 impl WsTree {
-    /// The set of variables occurring in the tree.
-    pub fn variables(&self) -> BTreeSet<VarId> {
-        let mut vars = BTreeSet::new();
-        self.collect_variables(&mut vars);
-        vars
-    }
-
-    fn collect_variables(&self, vars: &mut BTreeSet<VarId>) {
-        match self {
-            WsTree::Bottom | WsTree::Leaf => {}
-            WsTree::Independent(children) => {
-                for child in children {
-                    child.collect_variables(vars);
-                }
-            }
-            WsTree::Choice { var, branches } => {
-                vars.insert(*var);
-                for (_, child) in branches {
-                    child.collect_variables(vars);
-                }
-            }
-        }
-    }
-
     /// Shape statistics (node counts, height).
     pub fn shape(&self) -> TreeShape {
         let mut shape = TreeShape::default();

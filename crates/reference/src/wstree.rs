@@ -1,12 +1,14 @@
 //! The semantics of a ws-tree (Section 4), the oracle `uprob_core`'s
 //! [`build_tree`](uprob_core::build_tree) is tested against: the ws-set a
-//! tree denotes ([`ws_set`]) and the structural constraints of
-//! Definition 4.1 ([`validate`]).
+//! tree denotes ([`ws_set`]), the structural constraints of
+//! Definition 4.1 ([`validate`], over the [`variables`] of each subtree) and
+//! Figure 7 evaluated on the materialised tree ([`probability`]), which the
+//! confidence fold must agree with.
 
 use std::collections::BTreeSet;
 
 use uprob_core::WsTree;
-use uprob_wsd::{VarId, WorldTable, WsDescriptor, WsSet};
+use uprob_wsd::{NeumaierSum, VarId, WorldTable, WsDescriptor, WsSet};
 
 /// The ws-set of all root-to-leaf path annotations of `tree`.
 ///
@@ -39,6 +41,61 @@ fn collect_paths(tree: &WsTree, prefix: &WsDescriptor, out: &mut WsSet) {
     }
 }
 
+/// The probability of a materialised ws-tree, by Figure 7's structural
+/// recursion: `1 − Π (1 − pᵢ)` at a ⊗, `Σ P({x → i}) · pᵢ` at a ⊕.
+///
+/// # Panics
+///
+/// Panics if the tree refers to variables or values missing from `table`,
+/// which [`validate`] rejects.
+pub fn probability(tree: &WsTree, table: &WorldTable) -> f64 {
+    match tree {
+        WsTree::Bottom => 0.0,
+        WsTree::Leaf => 1.0,
+        WsTree::Independent(children) => {
+            let complement: f64 = children
+                .iter()
+                .map(|c| 1.0 - probability(c, table))
+                .product();
+            1.0 - complement
+        }
+        WsTree::Choice { var, branches } => branches
+            .iter()
+            .map(|(value, child)| {
+                let weight = table
+                    .probability(*var, *value)
+                    .expect("tree value must be in the variable domain");
+                weight * probability(child, table)
+            })
+            .collect::<NeumaierSum>()
+            .value(),
+    }
+}
+
+/// The set of variables occurring in `tree`.
+pub fn variables(tree: &WsTree) -> BTreeSet<VarId> {
+    let mut vars = BTreeSet::new();
+    collect_variables(tree, &mut vars);
+    vars
+}
+
+fn collect_variables(tree: &WsTree, vars: &mut BTreeSet<VarId>) {
+    match tree {
+        WsTree::Bottom | WsTree::Leaf => {}
+        WsTree::Independent(children) => {
+            for child in children {
+                collect_variables(child, vars);
+            }
+        }
+        WsTree::Choice { var, branches } => {
+            vars.insert(*var);
+            for (_, child) in branches {
+                collect_variables(child, vars);
+            }
+        }
+    }
+}
+
 /// Checks the three structural constraints of Definition 4.1:
 ///
 /// 1. a variable occurs at most once on each root-to-leaf path,
@@ -59,7 +116,7 @@ fn validate_rec(
         WsTree::Independent(children) => {
             let mut seen: BTreeSet<VarId> = BTreeSet::new();
             for child in children {
-                let child_vars = child.variables();
+                let child_vars = variables(child);
                 if !seen.is_disjoint(&child_vars) {
                     return Err("children of a ⊗ node share variables".to_string());
                 }
@@ -98,8 +155,8 @@ fn validate_rec(
 
 #[cfg(test)]
 mod tests {
-    use super::{validate, ws_set};
-    use uprob_core::WsTree;
+    use super::{probability, validate, variables, ws_set};
+    use uprob_core::{build_tree, confidence, DecompositionOptions, WsTree};
     use uprob_wsd::{ValueIndex, VarId, WorldTable, WsDescriptor, WsSet};
 
     /// Builds the world table of Figure 3 and the ws-tree R shown there.
@@ -161,7 +218,7 @@ mod tests {
         assert_eq!(shape.bottoms, 0);
         assert_eq!(shape.total_nodes(), 12);
         assert_eq!(shape.height, 5);
-        assert_eq!(tree.variables().len(), 5);
+        assert_eq!(variables(&tree).len(), 5);
     }
 
     #[test]
@@ -177,6 +234,25 @@ mod tests {
         let paths = ws_set(&tree);
         assert_eq!(paths.len(), 5);
         assert!(paths.is_equivalent_by_enumeration(&s, &w));
+    }
+
+    #[test]
+    fn tree_probability_matches_streaming_confidence() {
+        let (w, [x, y, z, u, v], tree) = figure3();
+        assert!((probability(&tree, &w) - 0.7578).abs() < 1e-12);
+        let s = WsSet::from_descriptors(vec![
+            WsDescriptor::from_pairs(&w, &[(x, 1)]).unwrap(),
+            WsDescriptor::from_pairs(&w, &[(x, 2), (y, 1)]).unwrap(),
+            WsDescriptor::from_pairs(&w, &[(x, 2), (z, 1)]).unwrap(),
+            WsDescriptor::from_pairs(&w, &[(u, 1), (v, 1)]).unwrap(),
+            WsDescriptor::from_pairs(&w, &[(u, 2)]).unwrap(),
+        ]);
+        let options = DecompositionOptions::indve_minlog();
+        let (built, _) = build_tree(&s, &w, &options).unwrap();
+        let from_tree = probability(&built, &w);
+        let streamed = confidence(&s, &w, &options).unwrap().probability;
+        assert!((from_tree - streamed).abs() < 1e-12);
+        assert!((from_tree - 0.7578).abs() < 1e-12);
     }
 
     #[test]

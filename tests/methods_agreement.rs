@@ -54,7 +54,7 @@ proptest! {
         let (tree, _) = build_tree(set, table, &DecompositionOptions::indve_minlog()).unwrap();
         prop_assert!(uprob_reference::wstree::validate(&tree, table).is_ok());
         prop_assert!(uprob_reference::wstree::ws_set(&tree).is_equivalent_by_enumeration(set, table));
-        let p_tree = uprob::core::tree_probability(&tree, table);
+        let p_tree = uprob_reference::wstree::probability(&tree, table);
         let p_brute = set.probability_by_enumeration(table);
         prop_assert!((p_tree - p_brute).abs() < 1e-9);
     }

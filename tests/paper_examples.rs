@@ -136,7 +136,7 @@ fn example_4_7_and_figure_3_probability() {
     let (tree, _) = build_tree(&s, &w, &DecompositionOptions::indve_minlog()).unwrap();
     assert!(uprob_reference::wstree::validate(&tree, &w).is_ok());
     assert!(uprob_reference::wstree::ws_set(&tree).is_equivalent_by_enumeration(&s, &w));
-    assert!((uprob::core::tree_probability(&tree, &w) - 0.7578).abs() < 1e-12);
+    assert!((uprob_reference::wstree::probability(&tree, &w) - 0.7578).abs() < 1e-12);
 }
 
 #[test]
