@@ -4,9 +4,7 @@
 //! evaluation (Fig. 10–13 and two ablations): workload construction, timed
 //! runs of each algorithm (INDVE/VE with both heuristics, WE, Karp–Luby
 //! with the classic and the optimal iteration rule), and plain-text result
-//! tables. The `experiments` binary drives the sweeps; the Criterion
-//! benches under `benches/` time the same workloads at smaller sizes, plus
-//! the ws-set operations of Section 3.2. Serving, ingest, planned execution
+//! tables. The `experiments` binary drives the sweeps. Serving, ingest, planned execution
 //! and parallel folding are measured by the repository benchmark
 //! (`perfbench/`), not here.
 

@@ -1,4 +1,4 @@
-//! The shared decomposition cache: hash-consed ws-set memoization.
+//! The shared decomposition cache: ws-set memoization.
 //!
 //! Exact confidence computation decomposes ws-sets recursively, and the same
 //! sub-ws-set recurs constantly: the tail `T` of a variable elimination is
@@ -9,63 +9,57 @@
 //! sub-ws-set it sees, so each distinct sub-problem is solved once per
 //! database instead of once per occurrence.
 //!
-//! Keys are built by the hash-consing machinery of `uprob-wsd`
-//! ([`DescriptorInterner`] / [`CanonicalSetKey`]): descriptors are interned
-//! to dense `u32` ids and a ws-set's key is the sorted, deduplicated id
-//! sequence. Equal keys imply equal descriptor sets and therefore equal
-//! world-sets, so a cached probability is always sound to reuse. The
-//! canonicalisation is purely syntactic (no absorption), so semantically
-//! equal but syntactically different sets occupy separate entries — a space
-//! trade-off, never a correctness one.
+//! A set's key is its descriptors, sorted and deduplicated
+//! (`Box<[WsDescriptor]>`). Equal keys are equal descriptor sets and
+//! therefore equal world-sets, so a cached probability is always sound to
+//! reuse. The canonicalisation is purely syntactic (no absorption), so
+//! semantically equal but syntactically different sets occupy separate
+//! entries — a space trade-off, never a correctness one.
 //!
 //! # Thread safety
 //!
 //! [`SharedDecompositionCache`] puts each shard behind a [`LeafLock`] so that the
 //! batch confidence workers of `uprob-query` (spawned with
 //! `std::thread::scope`) can share one cache by reference. Every lookup and
-//! insert takes the lock for the duration of one hash-map operation only;
-//! probabilities of a ws-set are deterministic, so two workers racing to
-//! insert the same key write the same value (the second insert is a no-op)
-//! and no worker can observe a wrong entry. The lock is intentionally
-//! coarse: correctness first, sharding later (see `DESIGN.md`).
+//! insert takes one shard's lock for the duration of one hash-map operation
+//! only; probabilities of a ws-set are deterministic, so two workers racing
+//! to insert the same key write the same value (the second insert is a
+//! no-op) and no worker can observe a wrong entry.
 //!
 //! Shard access is **poison-tolerant** (the [`LeafLock`] contract): a worker that panics while holding
 //! a shard lock (contained by the serving layer) must not
 //! take every later request down with it. Recovering the guard is sound
-//! here because every critical section is one hash-map/interner operation
-//! that either completes or leaves the map untouched — `lookup` only reads
-//! (its scratch buffer is left valid by `mem::take`), and `insert` is a
-//! single first-write-wins entry insertion — and memoized values are pure
-//! functions of their keys, so a recovered shard can never serve a wrong
-//! probability.
+//! here because every critical section is one hash-map operation
+//! that either completes or leaves the map untouched — `lookup` and `probe`
+//! only read (the scratch key buffer is left valid by `mem::take`), and
+//! `insert` is a single first-write-wins entry insertion — and memoized
+//! values are pure functions of their keys, so a recovered shard can never
+//! serve a wrong probability.
 
 use std::collections::hash_map::Entry;
 use std::hash::{Hash, Hasher};
 
 use uprob_wsd::fast_hash::FxHasher;
-use uprob_wsd::{
-    CanonicalSetKey, DescriptorInterner, FxHashMap, LeafLock, VarId, WorldTable, WsDescriptor,
-    WsSet,
-};
+use uprob_wsd::{FxHashMap, LeafLock, VarId, WorldTable, WsDescriptor, WsSet};
 
 use crate::stats::DecompositionStats;
 
 /// Ws-sets larger than this are decomposed without consulting the cache.
 ///
-/// Canonicalising a set costs one hash per descriptor; for the very large
-/// outer sets of a decomposition (which almost never recur — reuse lives in
-/// the small independent components and elimination tails) that overhead
-/// exceeds the expected savings. Sub-sets at or below this size are where
-/// sharing actually happens, and their keys are cheap.
+/// Keying a set compares and hashes all of its descriptors at every visit
+/// (and copies and sorts them when they are out of order), and a miss
+/// stores them all; the cap bounds both costs. It is not free: a set above
+/// the cap is recomputed each time it recurs, which makes a long
+/// path-shaped lineage exponential where a shared sub-problem would keep it
+/// linear (DESIGN.md, "The memo table").
 pub const MAX_CACHED_SET_LEN: usize = 64;
 
-/// A pending cache entry: the canonical key of a missed set together with
-/// the shard that produced it (keys are only meaningful within one shard's
-/// interner).
+/// A pending cache entry: the key of a missed set together with the shard
+/// it routes to.
 #[derive(Debug)]
 pub(crate) struct PendingEntry {
     shard: usize,
-    key: CanonicalSetKey,
+    key: Box<[WsDescriptor]>,
 }
 
 /// Outcome of a cache lookup: either a memoized probability, or the
@@ -88,8 +82,6 @@ pub struct CacheStats {
     pub misses: u64,
     /// Number of memoized ws-set probabilities.
     pub entries: u64,
-    /// Number of distinct descriptors interned.
-    pub interned_descriptors: u64,
     /// Entries carried forward from a predecessor cache by
     /// [`SharedDecompositionCache::inherit_from`].
     pub inherited_entries: u64,
@@ -118,14 +110,14 @@ struct MemoEntry {
     inherited: bool,
 }
 
-/// The single-threaded core of one cache shard: an interner plus the
-/// probability memo table and hit/miss counters.
+/// The single-threaded core of one cache shard: the probability memo
+/// table, keyed by each set's sorted, deduplicated descriptors, and its
+/// hit/miss counters.
 #[derive(Debug, Default)]
 struct DecompositionCache {
-    interner: DescriptorInterner,
-    probabilities: FxHashMap<CanonicalSetKey, MemoEntry>,
-    /// Reusable id buffer so hit lookups allocate nothing.
-    scratch: Vec<u32>,
+    probabilities: FxHashMap<Box<[WsDescriptor]>, MemoEntry>,
+    /// Reusable key buffer so hit lookups allocate nothing.
+    scratch: Vec<WsDescriptor>,
     hits: u64,
     misses: u64,
     inherited_entries: u64,
@@ -133,51 +125,62 @@ struct DecompositionCache {
 }
 
 impl DecompositionCache {
+    /// Runs `with_key` on this shard and the key of `set`: its descriptors,
+    /// sorted and deduplicated into the reused scratch buffer, or borrowed
+    /// as they are when they already ascend strictly.
+    fn canonical<R>(
+        &mut self,
+        set: &WsSet,
+        with_key: impl FnOnce(&mut Self, &[WsDescriptor]) -> R,
+    ) -> R {
+        if set.descriptors().is_sorted_by(|a, b| a < b) {
+            return with_key(self, set.descriptors());
+        }
+        let mut key = std::mem::take(&mut self.scratch);
+        key.clear();
+        key.extend(set.iter().cloned());
+        key.sort_unstable();
+        key.dedup();
+        let result = with_key(self, &key);
+        self.scratch = key;
+        result
+    }
+
     /// Looks up the probability of `set`, counting the hit or miss.
-    fn lookup(&mut self, set: &WsSet) -> Result<f64, CanonicalSetKey> {
-        let mut ids = std::mem::take(&mut self.scratch);
-        self.interner.canonical_ids(set, &mut ids);
-        // Probe through Borrow<[u32]> — no key allocation on the hit path.
-        let result = match self.probabilities.get(ids.as_slice()) {
+    fn lookup(&mut self, set: &WsSet) -> Result<f64, Box<[WsDescriptor]>> {
+        self.canonical(set, |memo, key| match memo.probabilities.get(key) {
             Some(&entry) => {
-                self.hits += 1;
+                memo.hits += 1;
                 if entry.inherited {
-                    self.inherited_hits += 1;
+                    memo.inherited_hits += 1;
                 }
                 Ok(entry.probability)
             }
             None => {
-                self.misses += 1;
-                Err(CanonicalSetKey::from_sorted_ids(&ids))
+                memo.misses += 1;
+                Err(key.into())
             }
-        };
-        self.scratch = ids;
-        result
+        })
     }
 
-    /// Memoizes the probability of the set behind `key`. The first write
-    /// wins; concurrent writers always carry the same value.
-    fn insert(&mut self, key: CanonicalSetKey, probability: f64) {
-        if let Entry::Vacant(slot) = self.probabilities.entry(key) {
-            slot.insert(MemoEntry {
-                probability,
-                inherited: false,
-            });
-        }
+    /// Memoizes `entry` under `key` unless the key is taken: the first
+    /// write wins, and concurrent writers always carry the same value.
+    /// True if the entry went in.
+    fn insert(&mut self, key: Box<[WsDescriptor]>, entry: MemoEntry) -> bool {
+        let Entry::Vacant(slot) = self.probabilities.entry(key) else {
+            return false;
+        };
+        slot.insert(entry);
+        true
     }
 
     /// Non-counting presence probe (tests and diagnostics): the memoized
     /// probability of `set`, if present, without perturbing the hit/miss
     /// counters.
     fn probe(&mut self, set: &WsSet) -> Option<f64> {
-        let mut ids = std::mem::take(&mut self.scratch);
-        self.interner.canonical_ids(set, &mut ids);
-        let result = self
-            .probabilities
-            .get(ids.as_slice())
-            .map(|e| e.probability);
-        self.scratch = ids;
-        result
+        self.canonical(set, |memo, key| {
+            memo.probabilities.get(key).map(|e| e.probability)
+        })
     }
 
     /// Memoizes an entry carried forward from a predecessor cache. Private
@@ -185,44 +188,25 @@ impl DecompositionCache {
     /// [`SharedDecompositionCache::inherit_from`], which performs the
     /// descriptor-disjointness/eligibility check.
     fn insert_inherited_set(&mut self, set: &WsSet, probability: f64) {
-        let mut ids = std::mem::take(&mut self.scratch);
-        self.interner.canonical_ids(set, &mut ids);
-        if let Entry::Vacant(slot) = self
-            .probabilities
-            .entry(CanonicalSetKey::from_sorted_ids(&ids))
-        {
-            slot.insert(MemoEntry {
-                probability,
-                inherited: true,
-            });
+        let entry = MemoEntry {
+            probability,
+            inherited: true,
+        };
+        if self.canonical(set, |memo, key| memo.insert(key.into(), entry)) {
             self.inherited_entries += 1;
         }
-        self.scratch = ids;
     }
 
-    /// Resolves every memoized entry back to its sorted descriptor list
-    /// (keys are interner-local, so export must happen inside the owning
-    /// shard), in descriptor order: two shards holding the same entries
-    /// export the same list whatever order they were filled in, so
-    /// [`SharedDecompositionCache::inherit_from`] re-interns them in one
+    /// Every memoized entry, in key order: two shards holding the same
+    /// entries export the same list whatever order they were filled in, so
+    /// [`SharedDecompositionCache::inherit_from`] re-inserts them in one
     /// order.
-    fn export_entries(&self) -> Vec<(Vec<WsDescriptor>, f64)> {
-        let mut exported: Vec<(Vec<WsDescriptor>, f64)> = self
-            .probabilities
+    fn export_entries(&self) -> Vec<(Box<[WsDescriptor]>, f64)> {
+        self.probabilities
             .sorted_entries()
             .into_iter()
-            .map(|(key, entry)| {
-                let mut descriptors: Vec<WsDescriptor> = key
-                    .ids()
-                    .map(|id| self.interner.resolve(id).clone())
-                    .collect();
-                descriptors.sort_unstable();
-                (descriptors, entry.probability)
-            })
-            .collect();
-        // Distinct keys of one interner are distinct descriptor sets: no ties.
-        exported.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        exported
+            .map(|(key, entry)| (key.clone(), entry.probability))
+            .collect()
     }
 
     /// Current counters.
@@ -231,7 +215,6 @@ impl DecompositionCache {
             hits: self.hits,
             misses: self.misses,
             entries: self.probabilities.len() as u64,
-            interned_descriptors: self.interner.len() as u64,
             inherited_entries: self.inherited_entries,
             inherited_hits: self.inherited_hits,
         }
@@ -248,7 +231,7 @@ const SHARDS: usize = 16;
 ///
 /// A set is routed to its shard by an order-independent digest of its
 /// descriptors, so permutations of the same set always meet in the same
-/// shard; each shard owns an independent interner and memo table.
+/// shard; each shard owns an independent memo table.
 #[derive(Debug)]
 pub struct SharedDecompositionCache {
     shards: Vec<LeafLock<DecompositionCache>>,
@@ -310,11 +293,9 @@ impl SharedDecompositionCache {
     /// The shard responsible for `set`: the smallest of its per-descriptor
     /// digests, an order-independent and duplicate-insensitive combination
     /// that needs no scratch buffer, so every descriptor list with the same
-    /// canonical form (sorted, deduplicated — what
-    /// `DescriptorInterner::canonical_ids` produces) routes to the same
-    /// shard. Duplicate insensitivity matters beyond a
-    /// missed reuse: [`Self::inherit_from`] re-inserts entries from their
-    /// deduplicated canonical keys, so a duplicate-sensitive digest would
+    /// key (sorted, deduplicated) routes to the same shard. Duplicate
+    /// insensitivity matters beyond a missed reuse: [`Self::inherit_from`]
+    /// re-inserts entries from their deduplicated keys, so a duplicate-sensitive digest would
     /// route an inherited entry away from the raw sets that hit it before
     /// the publish.
     fn shard_of(&self, set: &WsSet) -> usize {
@@ -372,7 +353,15 @@ impl SharedDecompositionCache {
             clippy::indexing_slicing,
             reason = "pending.shard was produced by shard_of"
         )]
-        self.shards[pending.shard].with(|memo| memo.insert(pending.key, probability));
+        self.shards[pending.shard].with(|memo| {
+            memo.insert(
+                pending.key,
+                MemoEntry {
+                    probability,
+                    inherited: false,
+                },
+            )
+        });
     }
 
     /// Non-counting presence probe (tests and diagnostics).
@@ -491,7 +480,6 @@ impl SharedDecompositionCache {
             total.hits += stats.hits;
             total.misses += stats.misses;
             total.entries += stats.entries;
-            total.interned_descriptors += stats.interned_descriptors;
             total.inherited_entries += stats.inherited_entries;
             total.inherited_hits += stats.inherited_hits;
         }
@@ -542,7 +530,6 @@ mod tests {
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.entries, 1);
-        assert_eq!(stats.interned_descriptors, 2);
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
     }
 
@@ -575,8 +562,12 @@ mod tests {
         let Err(key) = cache.lookup(&s12) else {
             panic!("first lookup must miss");
         };
-        cache.insert(key.clone(), 0.44);
-        cache.insert(key, 0.99);
+        let entry = |probability| MemoEntry {
+            probability,
+            inherited: false,
+        };
+        assert!(cache.insert(key.clone(), entry(0.44)));
+        assert!(!cache.insert(key, entry(0.99)));
         assert_eq!(cache.lookup(&s12), Ok(0.44));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
@@ -852,7 +843,7 @@ mod tests {
             }
         }
         // The same entries, met in opposite orders and with each set's
-        // descriptors reversed, so the two interners number them apart.
+        // descriptors reversed, so the two hash maps are filled apart.
         let fill = |reversed: bool| {
             let cache = SharedDecompositionCache::new();
             cache.bind_table(&w).unwrap();
@@ -873,7 +864,7 @@ mod tests {
             cache
         };
         let (forward, backward) = (fill(false), fill(true));
-        let export = |cache: &SharedDecompositionCache| -> Vec<(Vec<WsDescriptor>, u64)> {
+        let export = |cache: &SharedDecompositionCache| -> Vec<(Box<[WsDescriptor]>, u64)> {
             cache
                 .shards
                 .iter()
@@ -904,6 +895,102 @@ mod tests {
                 from_forward.probe(set).map(f64::to_bits),
                 from_backward.probe(set).map(f64::to_bits)
             );
+        }
+    }
+
+    /// A random set over five three-valued variables: one descriptor per
+    /// row, where entry `i` of a row is 0 for "`x_i` unassigned" or `v`
+    /// for `x_i -> v - 1`.
+    fn set_from_rows(vars: &[VarId], rows: &[Vec<u8>]) -> WsSet {
+        let descriptors = rows.iter().map(|row| {
+            let mut d = WsDescriptor::empty();
+            for (&var, &value) in vars.iter().zip(row) {
+                if value > 0 {
+                    d.assign(var, uprob_wsd::ValueIndex(u16::from(value - 1)))
+                        .unwrap();
+                }
+            }
+            d
+        });
+        WsSet::from_descriptors(descriptors.collect())
+    }
+
+    fn hit_bits(cache: &SharedDecompositionCache, set: &WsSet) -> Option<u64> {
+        match cache.lookup(set) {
+            CacheLookup::Hit(p) => Some(p.to_bits()),
+            CacheLookup::Miss(_) => None,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// The key is the set of descriptors: a permutation or duplication
+        /// of a cached set hits with the same bits, a set with one
+        /// descriptor more or less misses, and an identity inheritance
+        /// re-probes every exported entry as a hit with the same bits.
+        #[test]
+        fn keys_are_descriptor_sets(
+            (rows, rotation, duplicate) in (
+                proptest::collection::vec(proptest::collection::vec(0..=3u8, 5), 1..=8),
+                0..8usize,
+                0..8usize,
+            )
+        ) {
+            let mut w = WorldTable::new();
+            let vars: Vec<VarId> = (0..5)
+                .map(|i| w.add_uniform(&format!("x{i}"), 3).unwrap())
+                .collect();
+            let extra = w.add_boolean("extra", 0.5).unwrap();
+            let set = set_from_rows(&vars, &rows);
+            let cache = SharedDecompositionCache::new();
+            cache.bind_table(&w).unwrap();
+            let CacheLookup::Miss(pending) = cache.lookup(&set) else {
+                panic!("a fresh cache must miss");
+            };
+            let p = 0.3 + rows.len() as f64 / 97.0;
+            cache.insert(pending, p);
+
+            let mut shuffled = set.descriptors().to_vec();
+            shuffled.rotate_left(rotation % set.len());
+            shuffled.reverse();
+            shuffled.push(set.descriptors()[duplicate % set.len()].clone());
+            let shuffled = WsSet::from_descriptors(shuffled);
+            proptest::prop_assert_eq!(hit_bits(&cache, &shuffled), Some(p.to_bits()));
+            proptest::prop_assert_eq!(cache.probe(&shuffled).map(f64::to_bits), Some(p.to_bits()));
+
+            let mut more = set.clone();
+            more.push(WsDescriptor::from_pairs(&w, &[(extra, 1)]).unwrap());
+            proptest::prop_assert_eq!(hit_bits(&cache, &more), None);
+            let dropped = &set.descriptors()[duplicate % set.len()];
+            let fewer: Vec<WsDescriptor> =
+                set.iter().filter(|&d| d != dropped).cloned().collect();
+            if !fewer.is_empty() {
+                proptest::prop_assert_eq!(hit_bits(&cache, &WsSet::from_descriptors(fewer)), None);
+            }
+
+            // Every prefix of the set, so shards hold several entries.
+            for len in 1..set.len() {
+                let prefix = WsSet::from_descriptors(set.descriptors()[..len].to_vec());
+                if let CacheLookup::Miss(pending) = cache.lookup(&prefix) {
+                    cache.insert(pending, 1.0 / (len + 2) as f64);
+                }
+            }
+            let mut grown = w.clone();
+            grown.add_boolean("later", 0.25).unwrap();
+            let identity: FxHashMap<VarId, VarId> = w.variable_ids().map(|v| (v, v)).collect();
+            let heir = SharedDecompositionCache::new();
+            let outcome = heir.inherit_from(&cache, &w, &grown, &identity, &[]).unwrap();
+            let entries = cache.stats().entries;
+            proptest::prop_assert_eq!((outcome.inherited, outcome.dropped), (entries, 0));
+            for shard in &cache.shards {
+                for (key, probability) in shard.with(|memo| memo.export_entries()) {
+                    let again = WsSet::from_descriptors(key.to_vec());
+                    proptest::prop_assert_eq!(hit_bits(&heir, &again), Some(probability.to_bits()));
+                }
+            }
+            let stats = heir.stats();
+            proptest::prop_assert_eq!((stats.hits, stats.inherited_hits, stats.misses), (entries, entries, 0));
         }
     }
 }

@@ -17,8 +17,8 @@
 //! * [`conditioning`]: the `assert[B]` operation (Section 5, Figure 8) that
 //!   transforms a database of priors into a posterior database, with the
 //!   three simplification optimisations;
-//! * [`cache`]: the shared decomposition cache — hash-consed canonical
-//!   ws-set keys memoizing sub-set probabilities, shared across the
+//! * [`cache`]: the shared decomposition cache — sub-set probabilities
+//!   keyed by each set's sorted, deduplicated descriptors, shared across the
 //!   confidence fold and the batch query layer (see `DESIGN.md`);
 //! * [`parallel`]: parallel exact confidence — the one fold of
 //!   [`decompose`] runs to a frontier on the calling thread, the frontier's

@@ -34,69 +34,7 @@ pub enum WsTree {
     },
 }
 
-/// Size and shape statistics of a materialised ws-tree.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TreeShape {
-    /// Number of ⊗ nodes.
-    pub independent_nodes: u64,
-    /// Number of ⊕ nodes.
-    pub choice_nodes: u64,
-    /// Number of `∅` leaves.
-    pub leaves: u64,
-    /// Number of `⊥` nodes.
-    pub bottoms: u64,
-    /// Number of edges out of ⊕ nodes.
-    pub edges: u64,
-    /// Height of the tree (a single leaf has height 1).
-    pub height: u64,
-}
-
-impl TreeShape {
-    /// Total number of nodes.
-    pub fn total_nodes(&self) -> u64 {
-        self.independent_nodes + self.choice_nodes + self.leaves + self.bottoms
-    }
-}
-
 impl WsTree {
-    /// Shape statistics (node counts, height).
-    pub fn shape(&self) -> TreeShape {
-        let mut shape = TreeShape::default();
-        let height = self.shape_rec(&mut shape);
-        shape.height = height;
-        shape
-    }
-
-    fn shape_rec(&self, shape: &mut TreeShape) -> u64 {
-        match self {
-            WsTree::Bottom => {
-                shape.bottoms += 1;
-                1
-            }
-            WsTree::Leaf => {
-                shape.leaves += 1;
-                1
-            }
-            WsTree::Independent(children) => {
-                shape.independent_nodes += 1;
-                1 + children
-                    .iter()
-                    .map(|c| c.shape_rec(shape))
-                    .max()
-                    .unwrap_or(0)
-            }
-            WsTree::Choice { branches, .. } => {
-                shape.choice_nodes += 1;
-                shape.edges += branches.len() as u64;
-                1 + branches
-                    .iter()
-                    .map(|(_, c)| c.shape_rec(shape))
-                    .max()
-                    .unwrap_or(0)
-            }
-        }
-    }
-
     /// Renders the tree with indentation, variable names and value labels.
     pub fn display<'a>(&'a self, table: &'a WorldTable) -> impl fmt::Display + 'a {
         TreeDisplay { tree: self, table }

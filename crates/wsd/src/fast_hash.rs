@@ -1,11 +1,11 @@
-//! A fast, non-cryptographic hasher for interning and memo tables.
+//! A fast, non-cryptographic hasher for memo tables and indexes.
 //!
-//! The decomposition cache hashes millions of tiny keys (descriptors of a
-//! few assignments, id slices of a few `u32`s). The standard library's
+//! The decomposition cache hashes millions of tiny keys (sets of a few
+//! descriptors of a few assignments each). The standard library's
 //! SipHash is DoS-resistant but pays ~1–2ns per byte in setup-heavy rounds;
 //! for trusted in-process keys a multiply-rotate hash (the design of
 //! rustc's `FxHasher`) is several times faster and has more than adequate
-//! distribution for hash-consing workloads. Not suitable for hashing
+//! distribution for these workloads. Not suitable for hashing
 //! untrusted external input.
 
 #![expect(

@@ -59,7 +59,6 @@
 pub mod descriptor;
 pub mod error;
 pub mod fast_hash;
-pub mod intern;
 pub mod leaf_lock;
 pub mod numeric;
 pub mod stamped;
@@ -70,7 +69,6 @@ pub mod ws_set;
 pub use descriptor::WsDescriptor;
 pub use error::WsdError;
 pub use fast_hash::{FxBuildHasher, FxHashMap, FxHashSet};
-pub use intern::{CanonicalSetKey, DescriptorId, DescriptorInterner};
 pub use leaf_lock::LeafLock;
 pub use numeric::NeumaierSum;
 pub use stamped::Stamped;

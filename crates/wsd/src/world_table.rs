@@ -10,11 +10,13 @@
 //! in flat label and weight columns, the names share one arena, and a
 //! [`VariableInfo`] is a borrowed view of one variable's runs.
 
+use std::collections::hash_map::Entry;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::ops::Range;
 
 use crate::error::WsdError;
-use crate::fast_hash::{FxHashMap, FxHashSet};
+use crate::fast_hash::{FxHashMap, FxHashSet, FxHasher};
 use crate::numeric::{compensated_sum, NeumaierSum};
 use crate::stamped::Stamped;
 use crate::value::{DomainValue, ValueIndex, VarId};
@@ -67,6 +69,11 @@ pub struct WorldTable {
 /// `weights`, and its name at `name_offsets[v]..name_offsets[v + 1]` of
 /// `names`; both offset columns start at 0 and hold one entry more than
 /// there are variables.
+///
+/// The name index keeps no copy of a name: `by_name` maps a name's
+/// [`name_hash`] to the first variable registered under that hash, every
+/// hit is confirmed against the arena, and a later name whose hash is
+/// taken goes on the `collided` list.
 #[derive(Clone, Debug)]
 struct Contents {
     offsets: Vec<u32>,
@@ -74,7 +81,8 @@ struct Contents {
     weights: Vec<f64>,
     name_offsets: Vec<u32>,
     names: String,
-    by_name: FxHashMap<String, VarId>,
+    by_name: FxHashMap<u64, VarId>,
+    collided: Vec<VarId>,
 }
 
 impl Default for Contents {
@@ -86,7 +94,21 @@ impl Default for Contents {
             name_offsets: vec![0],
             names: String::new(),
             by_name: FxHashMap::default(),
+            collided: Vec::new(),
         }
+    }
+}
+
+/// The key of `name` in the name index. The unit tests keep two bits of
+/// it, so their tables collide and exercise the `collided` list.
+fn name_hash(name: &str) -> u64 {
+    let mut hasher = FxHasher::default();
+    name.hash(&mut hasher);
+    let hash = hasher.finish();
+    if cfg!(test) {
+        hash & 0b11
+    } else {
+        hash
     }
 }
 
@@ -113,7 +135,11 @@ impl Contents {
         weights: impl Iterator<Item = f64>,
     ) -> VarId {
         let id = VarId(self.len() as u32);
-        self.by_name.insert(name.to_string(), id);
+        if let Entry::Vacant(slot) = self.by_name.entry(name_hash(name)) {
+            slot.insert(id);
+        } else {
+            self.collided.push(id);
+        }
         self.names.push_str(name);
         self.name_offsets.push(self.names.len() as u32);
         self.labels.extend(labels);
@@ -122,10 +148,23 @@ impl Contents {
         id
     }
 
+    fn name(&self, var: VarId) -> Option<&str> {
+        self.names.get(span(&self.name_offsets, var.index())?)
+    }
+
+    /// The variable registered under `name`, if any.
+    fn by_name(&self, name: &str) -> Option<VarId> {
+        let first = *self.by_name.get(&name_hash(name))?;
+        let named = |&var: &VarId| self.name(var) == Some(name);
+        std::iter::once(first)
+            .chain(self.collided.iter().copied())
+            .find(named)
+    }
+
     fn view(&self, var: VarId) -> Option<VariableInfo<'_>> {
         let alternatives = span(&self.offsets, var.index())?;
         Some(VariableInfo {
-            name: self.names.get(span(&self.name_offsets, var.index())?)?,
+            name: self.name(var)?,
             values: self.labels.get(alternatives.clone())?,
             probabilities: self.weights.get(alternatives)?,
         })
@@ -187,7 +226,7 @@ impl WorldTable {
                 size: alternatives.len(),
             });
         }
-        if self.contents.by_name.contains_key(name) {
+        if self.contents.by_name(name).is_some() {
             return Err(WsdError::DuplicateVariable {
                 name: name.to_string(),
             });
@@ -266,7 +305,7 @@ impl WorldTable {
 
     /// Looks up a variable by name.
     pub fn variable_by_name(&self, name: &str) -> Option<VarId> {
-        self.contents.by_name.get(name).copied()
+        self.contents.by_name(name)
     }
 
     /// Iterates over all `(VarId, VariableInfo)` pairs in registration order.
@@ -384,7 +423,7 @@ impl WorldTable {
     /// copies of eliminated variables (Section 5).
     pub fn fresh_name(&self, base: &str) -> String {
         let mut candidate = format!("{base}'");
-        while self.contents.by_name.contains_key(&candidate) {
+        while self.contents.by_name(&candidate).is_some() {
             candidate.push('\'');
         }
         candidate
@@ -782,6 +821,34 @@ mod tests {
         assert!(!mapping.contains_key(&j));
         assert_eq!(w2.variable_by_name("b"), Some(VarId(0)));
         assert!((w2.probability(VarId(0), ValueIndex(0)).unwrap() - 0.3).abs() < 1e-12);
+    }
+
+    /// Under the tests' two-bit name hash, most names land on a taken hash:
+    /// each still resolves to its own variable, is refused a second time,
+    /// and survives `retain_variables`, while an unknown name on a taken
+    /// hash resolves to nothing.
+    #[test]
+    fn names_on_a_taken_hash_resolve_through_the_collided_list() {
+        let mut w = WorldTable::new();
+        let vars: Vec<VarId> = (0..64)
+            .map(|i| w.add_boolean(&format!("v{i}"), 0.5).unwrap())
+            .collect();
+        assert!(w.contents.collided.len() >= 60);
+        for (i, &var) in vars.iter().enumerate() {
+            let name = format!("v{i}");
+            assert_eq!(w.variable_by_name(&name), Some(var));
+            assert!(matches!(
+                w.add_boolean(&name, 0.5),
+                Err(WsdError::DuplicateVariable { .. })
+            ));
+        }
+        assert_eq!(w.variable_by_name("v64"), None);
+        assert_eq!(w.fresh_name("v3"), "v3'");
+        let (odd, mapping) = w.retain_variables(|var, _| var.index() % 2 == 1);
+        for &var in &vars {
+            let name = format!("v{}", var.index());
+            assert_eq!(odd.variable_by_name(&name), mapping.get(&var).copied());
+        }
     }
 
     #[test]

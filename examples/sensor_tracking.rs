@@ -99,10 +99,10 @@ fn main() {
     .expect("decomposition succeeds");
     println!(
         "ws-tree: {} nodes ({} ⊕, {} ⊗), height {}",
-        tree.shape().total_nodes(),
+        stats.total_nodes(),
         stats.choice_nodes,
         stats.independent_nodes,
-        tree.shape().height
+        stats.max_depth
     );
     println!("{}", tree.display(db.world_table()));
 

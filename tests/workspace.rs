@@ -336,9 +336,9 @@ struct Counts {
 /// reason in CHANGES.md, as for [`RAW_SUMS`]; lowering one after a cut
 /// keeps the next change honest.
 const CEILINGS: Counts = Counts {
-    pub_fns: 320,
-    expects: 47,
-    loc: 7871,
+    pub_fns: 307,
+    expects: 44,
+    loc: 7745,
 };
 
 /// The module files declared in `code` (the source at `path`) that are never
