@@ -67,10 +67,10 @@ pub fn optimal_monte_carlo(
     optimal_monte_carlo_prepared(&estimator, options, workers)
 }
 
-/// [`optimal_monte_carlo`] against an already-prepared estimator, so one
-/// [`KarpLuby`] (descriptor weights + sampling tables) can be reused across
-/// several estimation runs — e.g. the per-tuple estimates of a batch, or the
-/// numerator and denominator of a conditioned estimate over the same set.
+/// [`optimal_monte_carlo`] once the set's [`KarpLuby`] estimator
+/// (descriptor weights + sampling tables) is built. Every estimate prepares
+/// its own estimator; the unit tests call this directly to run one
+/// estimator under several seeds and worker counts.
 ///
 /// The adaptive stopping-rule phase runs sequentially on the RNG of a
 /// reserved stream; the variance and final-estimation phases (which have
@@ -81,7 +81,7 @@ pub fn optimal_monte_carlo(
 /// # Errors
 ///
 /// Fails if ε or δ are invalid.
-pub fn optimal_monte_carlo_prepared(
+fn optimal_monte_carlo_prepared(
     estimator: &KarpLuby,
     options: &ApproximationOptions,
     workers: usize,

@@ -61,7 +61,7 @@ pub mod pool;
 mod sampler;
 
 pub use conditioned::{conditioned_monte_carlo, ConditionedEstimate};
-pub use dagum::{optimal_monte_carlo, optimal_monte_carlo_prepared, StoppingRuleResult};
+pub use dagum::{optimal_monte_carlo, StoppingRuleResult};
 pub use error::ApproxError;
 pub use karp_luby::{karp_luby_epsilon_delta, KarpLuby};
 pub use pool::fan_out_indexed;

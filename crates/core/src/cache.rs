@@ -500,6 +500,7 @@ pub struct InheritOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uprob_reference::worlds::SetWorlds;
     use uprob_wsd::{WorldTable, WsDescriptor};
 
     fn two_sets() -> (WorldTable, WsSet, WsSet) {
@@ -657,8 +658,8 @@ mod tests {
                 })
                 .join()
         });
+        // A section that panics poisons its lock (`LeafLock`'s own tests).
         assert!(poisoner.is_err(), "the poisoning thread must panic");
-        assert!(cache.shards[shard].is_poisoned());
         // Lookup, insert and stats all recover instead of propagating.
         match cache.lookup(&s21) {
             CacheLookup::Hit(p) => assert_eq!(p, 0.44),

@@ -498,6 +498,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::reference;
     use std::collections::BTreeMap;
+    use uprob_reference::worlds::{SetWorlds, TableWorlds};
     use uprob_urel::{ColumnType, Schema, Tuple, Value};
 
     /// The SSN database of Figures 1/2 plus the FD world-set of Example 5.1.

@@ -14,10 +14,10 @@
 //! [`crate::decompose`] without materialising the ws-tree (the
 //! `ComputeTree ∘ P` composition of the paper): Figure 7 is the
 //! probability algebra of the one fold over Figure 4, whose depth lives on
-//! the heap (DESIGN.md, "One fold"). The test oracle is
-//! [`WsSet::probability_by_enumeration`], which enumerates the possible
-//! worlds; `uprob_reference::wstree::probability` evaluates a materialised
-//! tree.
+//! the heap (DESIGN.md, "One fold"). The test oracles are in
+//! `uprob-reference`: `worlds::SetWorlds::probability_by_enumeration`
+//! enumerates the possible worlds, and `wstree::probability` evaluates a
+//! materialised tree.
 
 use std::borrow::Cow;
 
@@ -198,6 +198,7 @@ mod tests {
     use super::*;
     use crate::error::CoreError;
     use crate::heuristics::VariableHeuristic;
+    use uprob_reference::worlds::SetWorlds;
     use uprob_wsd::{VarId, WsDescriptor};
 
     /// The fold as it stood before closed-form leaves, kept as the oracle
@@ -205,10 +206,15 @@ mod tests {
     /// verbatim, over a walk that takes every node — singletons included —
     /// through one `ComputeTree` step and chooses each variable from
     /// `BTreeMap` occurrence tables.
+    ///
+    /// Every step it takes is also held to Definition 4.1 and Figure 4
+    /// (`check_step`), and the product decomposer must take the same step on
+    /// the same set, so the ws-tree the product folds over without building
+    /// it is a valid one that denotes its input.
     mod step_walk {
         use std::collections::BTreeMap;
 
-        use uprob_wsd::{NeumaierSum, ValueIndex, VarId, WorldTable, WsSet};
+        use uprob_wsd::{NeumaierSum, ValueIndex, VarId, WorldTable, WsDescriptor, WsSet};
 
         use crate::cache::SharedDecompositionCache;
         use crate::decompose::{
@@ -232,7 +238,7 @@ mod tests {
                 self.table
             }
 
-            fn step(&mut self, set: &WsSet, depth: u64) -> Result<DecompositionStep> {
+            fn take_step(&mut self, set: &WsSet, depth: u64) -> Result<DecompositionStep> {
                 self.nodes += 1;
                 if let Some(budget) = self.options.node_budget {
                     if self.nodes > budget {
@@ -267,6 +273,97 @@ mod tests {
                     missing_values,
                     tail,
                 })
+            }
+
+            /// [`Decomposer::take_step`], checked against Definition 4.1
+            /// and against the product decomposer's step on `set`.
+            fn step(&mut self, set: &WsSet, depth: u64) -> Result<DecompositionStep> {
+                let step = self.take_step(set, depth)?;
+                check_step(set, &step, self.table);
+                let options = DecompositionOptions {
+                    node_budget: None,
+                    ..self.options
+                };
+                let product = crate::decompose::Decomposer::new(self.table, options)
+                    .step(set, depth)
+                    .expect("the step walk took this step");
+                assert_eq!(
+                    product, step,
+                    "the decomposer and the step walk part ways on {set:?}"
+                );
+                Ok(step)
+            }
+        }
+
+        /// What Definition 4.1 and Figure 4 ask of one step on `set`: a ⊗
+        /// splits `set` into at least two non-empty parts over pairwise
+        /// disjoint variables that together are `set`; a ⊕ on `x` has, in
+        /// value order, one branch `S_{x→i} ∪ T` for every value `i` that
+        /// occurs in `set` (its descriptors with `x → i`, the assignment
+        /// removed, then the descriptors `T` not mentioning `x`), and lists
+        /// every value that does not occur as missing.
+        fn check_step(set: &WsSet, step: &DecompositionStep, table: &WorldTable) {
+            match step {
+                DecompositionStep::Empty => assert!(set.is_empty()),
+                DecompositionStep::Universal => assert!(set.contains_universal()),
+                DecompositionStep::Partition(parts) => {
+                    assert!(parts.len() >= 2, "a ⊗ over one part: {set:?}");
+                    for (i, part) in parts.iter().enumerate() {
+                        assert!(!part.is_empty(), "an empty ⊗ part of {set:?}");
+                        for other in &parts[i + 1..] {
+                            assert!(
+                                part.variables().is_disjoint(&other.variables()),
+                                "⊗ parts {part:?} and {other:?} share a variable"
+                            );
+                        }
+                    }
+                    let sorted = |mut descriptors: Vec<WsDescriptor>| {
+                        descriptors.sort();
+                        descriptors
+                    };
+                    assert_eq!(
+                        sorted(parts.iter().flat_map(|p| p.iter().cloned()).collect()),
+                        sorted(set.descriptors().to_vec()),
+                        "the ⊗ parts of {set:?} are not the set"
+                    );
+                }
+                DecompositionStep::Eliminate {
+                    var,
+                    branches,
+                    missing_values,
+                    tail,
+                } => {
+                    let expected_tail: WsSet =
+                        set.iter().filter(|d| !d.defines(*var)).cloned().collect();
+                    assert_eq!(tail, &expected_tail, "T of {set:?} on {var}");
+                    let mut expected_branches = Vec::new();
+                    let mut expected_missing = Vec::new();
+                    for index in 0..table.domain_size(*var).unwrap() {
+                        let value = ValueIndex(index as u16);
+                        let mut child: WsSet = set
+                            .iter()
+                            .filter(|d| d.get(*var) == Some(value))
+                            .map(|d| d.without(*var))
+                            .collect();
+                        if child.is_empty() {
+                            expected_missing.push(value);
+                        } else {
+                            for d in expected_tail.iter() {
+                                child.push(d.clone());
+                            }
+                            expected_branches.push((value, child));
+                        }
+                    }
+                    assert!(
+                        !expected_branches.is_empty(),
+                        "{set:?} never mentions {var}"
+                    );
+                    assert_eq!(branches, &expected_branches, "⊕ branches of {set:?}");
+                    assert_eq!(
+                        missing_values, &expected_missing,
+                        "missing values of {var} in {set:?}"
+                    );
+                }
             }
         }
 

@@ -17,10 +17,10 @@
 //! frame on a heap stack, so a decomposition as deep as its input never
 //! touches the thread's stack (DESIGN.md, "One fold"). Exact confidence
 //! ([`mod@crate::confidence`], Figure 7, also the jobs and the frontier of
-//! [`crate::parallel`]), conditioning ([`crate::conditioning`], Figure 8)
-//! and [`build_tree`] are its three algebras; none of them materialises a
-//! tree it does not return, which is the `ComputeTree ∘ P` composition
-//! described in Section 4.3.
+//! [`crate::parallel`]) and conditioning ([`crate::conditioning`],
+//! Figure 8) are its two algebras; neither materialises the ws-tree, which
+//! is the `ComputeTree ∘ P` composition described in Section 4.3. The tree
+//! itself, with its semantics, is the oracle `uprob_reference::wstree`.
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -32,7 +32,6 @@ use crate::cache::PendingEntry;
 use crate::error::CoreError;
 use crate::heuristics::{choose_variable, VariableHeuristic};
 use crate::stats::DecompositionStats;
-use crate::wstree::WsTree;
 use crate::Result;
 
 /// Which decomposition rules are enabled.
@@ -103,6 +102,7 @@ impl DecompositionOptions {
 }
 
 /// One step of the decomposition: what `ComputeTree` would do at this node.
+#[cfg_attr(test, derive(Debug, PartialEq))]
 pub(crate) enum DecompositionStep {
     /// The ws-set is empty: the node is `⊥`.
     Empty,
@@ -340,8 +340,7 @@ pub(crate) type Child<'n, T> = Option<(T, Cow<'n, WsSet>)>;
 /// A fold over the decomposition (DESIGN.md, "One fold"): the leaf values,
 /// how an open ⊗ or ⊕ node lists its children and combines their values,
 /// and the hooks [`Fold`] calls on a sub-set before stepping it. Figure 7's
-/// probability, Figure 8's conditioning and [`build_tree`]'s ws-tree are
-/// its instances.
+/// probability and Figure 8's conditioning are its instances.
 pub(crate) trait Algebra {
     /// What the fold computes for one sub-set.
     type Value;
@@ -483,105 +482,6 @@ impl<'a, A: Algebra> Fold<'a, A> {
     }
 }
 
-/// Materialises the ws-tree of `ComputeTree(set)` (Figure 4).
-///
-/// Exact confidence computation and conditioning do **not** need the
-/// materialised tree (they fold other algebras over the same walk); this
-/// function is useful for inspection, testing and the knowledge-compilation
-/// examples.
-///
-/// # Errors
-///
-/// Returns [`CoreError::BudgetExceeded`] if a node budget is configured and
-/// exhausted.
-pub fn build_tree(
-    set: &WsSet,
-    table: &WorldTable,
-    options: &DecompositionOptions,
-) -> Result<(WsTree, DecompositionStats)> {
-    let mut fold = Fold::new(Decomposer::new(table, *options), TreeAlgebra);
-    let tree = fold.run(set, 1)?;
-    Ok((tree, fold.decomposer.stats))
-}
-
-/// The ws-tree as an algebra: every node becomes its [`WsTree`] node.
-struct TreeAlgebra;
-
-/// An open node of [`TreeAlgebra`]: its tree so far, its children not yet
-/// translated, each with the value it branches on (none for a ⊗ part), and,
-/// for a ⊕ with missing values, `T` last, its tree shared (cloned) by every
-/// missing value, as Figure 4 notes.
-struct TreeNode {
-    tree: WsTree,
-    children: std::vec::IntoIter<(Option<ValueIndex>, WsSet)>,
-    missing_values: Vec<ValueIndex>,
-}
-
-impl Algebra for TreeAlgebra {
-    type Value = WsTree;
-    /// The value a ⊕ child branches on; `None` for a ⊗ part and for `T`.
-    type Tag = Option<ValueIndex>;
-    type Node = TreeNode;
-
-    fn leaf(&mut self, universal: bool) -> WsTree {
-        match universal {
-            true => WsTree::Leaf,
-            false => WsTree::Bottom,
-        }
-    }
-
-    fn partition(&mut self, parts: Vec<WsSet>) -> Result<TreeNode> {
-        let tree = WsTree::Independent(Vec::with_capacity(parts.len()));
-        let children: Vec<_> = parts.into_iter().map(|part| (None, part)).collect();
-        let missing_values = Vec::new();
-        Ok(TreeNode {
-            tree,
-            children: children.into_iter(),
-            missing_values,
-        })
-    }
-
-    fn eliminate(&mut self, var: VarId, elimination: Elimination) -> Result<TreeNode> {
-        let (branches, missing_values, tail) = elimination;
-        let tree = WsTree::Choice {
-            var,
-            branches: Vec::with_capacity(branches.len() + missing_values.len()),
-        };
-        let mut children: Vec<_> = branches
-            .into_iter()
-            .map(|(v, set)| (Some(v), set))
-            .collect();
-        if !missing_values.is_empty() && !tail.is_empty() {
-            children.push((None, tail));
-        }
-        Ok(TreeNode {
-            tree,
-            children: children.into_iter(),
-            missing_values,
-        })
-    }
-
-    fn next_child<'n>(&mut self, node: &'n mut TreeNode) -> Result<Child<'n, Self::Tag>> {
-        Ok(node.children.next().map(|(v, set)| (v, Cow::Owned(set))))
-    }
-
-    fn absorb(&mut self, node: &mut TreeNode, tag: Self::Tag, tree: WsTree) {
-        match (&mut node.tree, tag) {
-            (WsTree::Independent(parts), _) => parts.push(tree),
-            (WsTree::Choice { branches, .. }, Some(value)) => branches.push((value, tree)),
-            (WsTree::Choice { branches, .. }, None) => {
-                branches.extend(node.missing_values.iter().map(|&v| (v, tree.clone())));
-            }
-            // A leaf is never an open node.
-            (WsTree::Bottom | WsTree::Leaf, _) => {}
-        }
-    }
-
-    fn close(&mut self, node: TreeNode) -> WsTree {
-        node.tree
-    }
-}
-
 /// The closure form of the ⊕ terms that the test-only step walk folds with.
 #[cfg(test)]
 pub(crate) use tests::for_each_choice_term;
@@ -589,7 +489,7 @@ pub(crate) use tests::for_each_choice_term;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::confidence::Probability;
+    use crate::confidence::{confidence, Probability};
     use uprob_wsd::WsDescriptor;
 
     impl<'a> Decomposer<'a> {
@@ -660,11 +560,15 @@ mod tests {
     #[test]
     fn indve_uses_independent_partitioning_on_figure3() {
         let (w, _, s) = figure3();
-        let (tree, stats) = build_tree(&s, &w, &DecompositionOptions::indve_minlog()).unwrap();
+        let options = DecompositionOptions::indve_minlog();
+        let stats = confidence(&s, &w, &options).unwrap().stats;
         assert!(stats.independent_nodes >= 1);
-        assert!(matches!(tree, WsTree::Independent(_)));
+        let root = Decomposer::new(&w, options).step(&s, 1).unwrap();
+        assert!(matches!(root, DecompositionStep::Partition(_)));
         // VE-only never creates ⊗ nodes.
-        let (_, ve_stats) = build_tree(&s, &w, &DecompositionOptions::ve_minlog()).unwrap();
+        let ve_stats = confidence(&s, &w, &DecompositionOptions::ve_minlog())
+            .unwrap()
+            .stats;
         assert_eq!(ve_stats.independent_nodes, 0);
     }
 
@@ -672,19 +576,19 @@ mod tests {
     fn empty_and_universal_sets() {
         let (w, _, _) = figure3();
         let options = DecompositionOptions::default();
-        let (tree, stats) = build_tree(&WsSet::empty(), &w, &options).unwrap();
-        assert_eq!(tree, WsTree::Bottom);
-        assert_eq!(stats.bottoms, 1);
-        let (tree, stats) = build_tree(&WsSet::universal(), &w, &options).unwrap();
-        assert_eq!(tree, WsTree::Leaf);
-        assert_eq!(stats.leaves, 1);
+        let empty = confidence(&WsSet::empty(), &w, &options).unwrap();
+        assert_eq!(empty.probability, 0.0);
+        assert_eq!(empty.stats.bottoms, 1);
+        let universal = confidence(&WsSet::universal(), &w, &options).unwrap();
+        assert_eq!(universal.probability, 1.0);
+        assert_eq!(universal.stats.leaves, 1);
     }
 
     #[test]
     fn node_budget_aborts_large_decompositions() {
         let (w, _, s) = figure3();
         let options = DecompositionOptions::indve_minlog().with_budget(2);
-        let err = build_tree(&s, &w, &options).unwrap_err();
+        let err = confidence(&s, &w, &options).unwrap_err();
         assert!(matches!(err, CoreError::BudgetExceeded { budget: 2 }));
     }
 

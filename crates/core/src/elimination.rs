@@ -80,6 +80,7 @@ pub fn confidence_by_elimination(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uprob_reference::worlds::SetWorlds;
     use uprob_wsd::ws_set::diff_descriptor_set;
     use uprob_wsd::{VarId, WsDescriptor};
 

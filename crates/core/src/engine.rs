@@ -419,6 +419,7 @@ pub fn estimate_conditioned_confidence_with_options(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uprob_reference::worlds::SetWorlds;
     use uprob_wsd::WsDescriptor;
 
     /// The world table and ws-set S of Figure 3 (P(S) = 0.7578).

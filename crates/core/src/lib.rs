@@ -1,17 +1,16 @@
-//! # uprob-core — ws-trees, exact confidence computation and conditioning
+//! # uprob-core — decomposition, exact confidence computation and conditioning
 //!
 //! The primary contribution of *Conditioning Probabilistic Databases*
 //! (Koch & Olteanu, VLDB 2008), implemented on top of the `uprob-wsd` and
 //! `uprob-urel` substrates:
 //!
-//! * [`WsTree`]: world-set trees (Section 4) with ⊗ (independence) and ⊕
-//!   (mutually exclusive variable branching) nodes;
-//! * [`decompose`]: the Davis–Putnam-style translation of ws-sets into
-//!   ws-trees (`ComputeTree`, Figure 4), with independent partitioning and
-//!   variable elimination and the **minlog** / **minmax** heuristics
-//!   (Section 4.2, Figure 6);
+//! * [`decompose`]: the Davis–Putnam-style decomposition of ws-sets
+//!   (`ComputeTree`, Figure 4), with independent partitioning (⊗) and
+//!   variable elimination (⊕) and the **minlog** / **minmax** heuristics
+//!   (Section 4.2, Figure 6), walked as one fold that never materialises
+//!   the ws-tree (Section 4.3);
 //! * [`mod@confidence`]: exact probability computation (Figure 7), an algebra
-//!   folded over the decomposition without materialising the tree;
+//!   of that fold;
 //! * [`elimination`]: the alternative ws-descriptor elimination method (WE,
 //!   Section 6);
 //! * [`conditioning`]: the `assert[B]` operation (Section 5, Figure 8) that
@@ -33,7 +32,10 @@
 //!
 //! The literal row-threading Figure 8 recursion that [`condition`] is
 //! differentially tested against is a `#[cfg(test)]` module of this crate:
-//! an oracle, not product API.
+//! an oracle, not product API. The materialised ws-tree with its semantics
+//! and the possible-world enumerators are oracles too, in the
+//! `uprob-reference` crate (`wstree`, `worlds`), which this crate's tests
+//! reach as a dev-dependency.
 //!
 //! ## Quick example
 //!
@@ -89,12 +91,11 @@ pub mod parallel;
 #[cfg(test)]
 mod reference;
 pub mod stats;
-pub mod wstree;
 
 pub use cache::{CacheStats, InheritOutcome, SharedDecompositionCache};
 pub use conditioning::{condition, Conditioned, ConditioningOptions};
 pub use confidence::confidence;
-pub use decompose::{build_tree, DecompositionMethod, DecompositionOptions};
+pub use decompose::{DecompositionMethod, DecompositionOptions};
 pub use elimination::confidence_by_elimination;
 pub use engine::{
     estimate_conditioned_confidence_with_options, estimate_confidence,
@@ -106,7 +107,6 @@ pub use heuristics::VariableHeuristic;
 pub use parallel::{available_workers, confidence_parallel, ParallelOptions};
 pub use stats::{Confidence, DecompositionStats};
 pub use uprob_approx::{fan_out_indexed, ApproximationOptions};
-pub use wstree::WsTree;
 
 /// Result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, CoreError>;

@@ -149,11 +149,6 @@ impl ParallelOptions {
         self.workers
     }
 
-    /// The grain (minimum descriptor count of a ws-set that is split).
-    pub fn grain(&self) -> usize {
-        self.grain
-    }
-
     /// Whether this policy runs on a single worker.
     pub fn is_sequential(&self) -> bool {
         self.workers <= 1
@@ -634,8 +629,8 @@ mod tests {
         assert_eq!(ParallelOptions::new(0).workers(), 1);
         assert_eq!(ParallelOptions::new(4).workers(), 4);
         assert!(!ParallelOptions::new(4).is_sequential());
-        assert_eq!(ParallelOptions::new(4).grain(), DEFAULT_GRAIN);
-        assert_eq!(ParallelOptions::new(4).with_grain(2).grain(), 2);
+        assert_eq!(ParallelOptions::new(4).grain, DEFAULT_GRAIN);
+        assert_eq!(ParallelOptions::new(4).with_grain(2).grain, 2);
         assert!(ParallelOptions::auto().workers() >= 1);
     }
 

@@ -1103,6 +1103,7 @@ mod tests {
     use super::*;
     use crate::confidence::{certain_tuples, tuple_confidences};
     use uprob_core::DecompositionOptions;
+    use uprob_reference::worlds::SetWorlds;
     use uprob_urel::{ColumnType, Comparison, Expr, Schema, Tuple, Value};
     use uprob_wsd::WsDescriptor;
 

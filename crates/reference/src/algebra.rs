@@ -4,6 +4,7 @@
 mod tests {
     use crate::fixtures::ssn_db;
     use crate::urel::{distinct, join, product, project, rename, select, tuple_ws_set, union};
+    use crate::worlds::TableWorlds;
     use uprob_urel::{ColumnType, Comparison, Expr, Predicate, Schema, Tuple, URelation, Value};
     use uprob_wsd::WsDescriptor;
 

@@ -5,6 +5,7 @@
 mod tests {
     use crate::fixtures::ssn_db;
     use crate::query::violation_ws_set;
+    use crate::worlds::SetWorlds;
     use uprob_core::ConditioningOptions;
     use uprob_query::{assert_constraint, Constraint};
     use uprob_urel::{ColumnType, Comparison, Expr, Predicate, ProbDb, Schema, Tuple, Value};

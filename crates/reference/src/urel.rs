@@ -17,9 +17,11 @@
 //! tests).
 
 use std::collections::BTreeMap;
-use uprob_urel::{Plan, Predicate, ProbDb, Result, Tuple, URelation, UrelError, Value};
 
+use uprob_urel::{Plan, Predicate, ProbDb, Result, Tuple, URelation, UrelError, Value};
 use uprob_wsd::{FxHashSet, ValueIndex, WsDescriptor, WsSet};
+
+use crate::worlds::TableWorlds;
 
 /// Selection `σ_φ(R)`: keeps the rows whose tuple satisfies `φ`, with their
 /// descriptors unchanged.

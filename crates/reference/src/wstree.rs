@@ -1,14 +1,40 @@
-//! The semantics of a ws-tree (Section 4), the oracle `uprob_core`'s
-//! [`build_tree`](uprob_core::build_tree) is tested against: the ws-set a
-//! tree denotes ([`ws_set`]), the structural constraints of
-//! Definition 4.1 ([`validate`], over the [`variables`] of each subtree) and
-//! Figure 7 evaluated on the materialised tree ([`probability`]), which the
-//! confidence fold must agree with.
+//! World-set trees (Section 4, Definition 4.1) and their semantics.
+//!
+//! A ws-tree makes the structure of a ws-set explicit: ⊗ nodes combine
+//! **independent** children (their variable sets are disjoint), ⊕ nodes
+//! branch on the **mutually exclusive** assignments of one variable, and
+//! leaves hold the nullary descriptor `∅`. The product never builds one:
+//! `uprob_core::confidence` and `uprob_core::condition` fold over the
+//! decomposition of Figure 4 without materialising it (the `ComputeTree ∘ P`
+//! composition of Section 4.3). This module keeps the tree as the paper
+//! defines it: the ws-set a tree denotes ([`ws_set`]), the structural
+//! constraints of Definition 4.1 ([`validate`], over the [`variables`] of
+//! each subtree) and Figure 7 evaluated on the materialised tree
+//! ([`probability`]), which the confidence fold must agree with.
 
 use std::collections::BTreeSet;
 
-use uprob_core::WsTree;
-use uprob_wsd::{NeumaierSum, VarId, WorldTable, WsDescriptor, WsSet};
+use uprob_wsd::{NeumaierSum, ValueIndex, VarId, WorldTable, WsDescriptor, WsSet};
+
+/// A world-set tree.
+#[derive(Clone, Debug, PartialEq)]
+pub enum WsTree {
+    /// `⊥`: the empty world-set (probability 0).
+    Bottom,
+    /// `∅` leaf: the whole world-set in the current context (probability 1).
+    Leaf,
+    /// `⊗` node: children over pairwise disjoint variable sets; the
+    /// represented world-set is the union of the children's world-sets.
+    Independent(Vec<WsTree>),
+    /// `⊕` node: branches on the alternative assignments of `var`; each
+    /// outgoing edge is annotated with a different assignment.
+    Choice {
+        /// The variable this node eliminates.
+        var: VarId,
+        /// `(value, subtree)` pairs; values are pairwise distinct.
+        branches: Vec<(ValueIndex, WsTree)>,
+    },
+}
 
 /// The ws-set of all root-to-leaf path annotations of `tree`.
 ///
@@ -155,8 +181,9 @@ fn validate_rec(
 
 #[cfg(test)]
 mod tests {
-    use super::{probability, validate, variables, ws_set};
-    use uprob_core::{build_tree, confidence, DecompositionOptions, WsTree};
+    use super::{probability, validate, variables, ws_set, WsTree};
+    use crate::worlds::SetWorlds;
+    use uprob_core::{confidence, DecompositionOptions};
     use uprob_wsd::{ValueIndex, VarId, WorldTable, WsDescriptor, WsSet};
 
     /// Builds the world table of Figure 3 and the ws-tree R shown there.
@@ -240,10 +267,10 @@ mod tests {
             WsDescriptor::from_pairs(&w, &[(u, 1), (v, 1)]).unwrap(),
             WsDescriptor::from_pairs(&w, &[(u, 2)]).unwrap(),
         ]);
-        let options = DecompositionOptions::indve_minlog();
-        let (built, _) = build_tree(&s, &w, &options).unwrap();
-        let from_tree = probability(&built, &w);
-        let streamed = confidence(&s, &w, &options).unwrap().probability;
+        let from_tree = probability(&tree, &w);
+        let streamed = confidence(&s, &w, &DecompositionOptions::indve_minlog())
+            .unwrap()
+            .probability;
         assert!((from_tree - streamed).abs() < 1e-12);
         assert!((from_tree - 0.7578).abs() < 1e-12);
     }
@@ -296,15 +323,5 @@ mod tests {
         let leaf = ws_set(&WsTree::Leaf);
         assert!(leaf.contains_universal());
         assert!((leaf.probability_by_enumeration(&w) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn display_contains_node_markers() {
-        let (w, _, tree) = figure3();
-        let text = format!("{}", tree.display(&w));
-        assert!(text.contains("⊗"));
-        assert!(text.contains("⊕ x"));
-        assert!(text.contains("x -> 2:"));
-        assert!(text.contains("∅"));
     }
 }

@@ -71,7 +71,7 @@ impl Expr {
     /// # Errors
     ///
     /// Returns [`UrelError::UnknownColumn`] for an unresolvable reference.
-    pub fn static_type(&self, schema: &Schema) -> Result<Option<ColumnType>> {
+    fn static_type(&self, schema: &Schema) -> Result<Option<ColumnType>> {
         match self {
             Expr::Column(c) => {
                 let idx = schema.column_index(&c.name)?;

@@ -39,12 +39,6 @@ impl<T> LeafLock<T> {
         let mut guard = self.0.lock().unwrap_or_else(PoisonError::into_inner);
         section(&mut guard)
     }
-
-    /// True if a closure panicked under the lock. Diagnostics only: `with`
-    /// recovers either way.
-    pub fn is_poisoned(&self) -> bool {
-        self.0.is_poisoned()
-    }
 }
 
 #[cfg(debug_assertions)]
@@ -87,7 +81,7 @@ mod tests {
         leaf.with(|v| v.push(1));
         let panicked = std::panic::catch_unwind(|| leaf.with(|_| panic!("inside the section")));
         assert!(panicked.is_err());
-        assert!(leaf.is_poisoned());
+        assert!(leaf.0.is_poisoned());
         assert_eq!(leaf.with(|v| v.clone()), vec![1]);
     }
 

@@ -74,7 +74,7 @@ pub use numeric::NeumaierSum;
 pub use stamped::Stamped;
 pub use value::{DomainValue, ValueIndex, VarId};
 pub use world_table::{VariableInfo, WorldTable};
-pub use ws_set::{diff_descriptor_set, diff_single, try_diff_descriptor_set, WsSet};
+pub use ws_set::{diff_descriptor_set, try_diff_descriptor_set, WsSet};
 
 /// Result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, WsdError>;

@@ -45,7 +45,7 @@ impl VariableInfo<'_> {
     }
 
     /// Position of `value` in the domain, if present.
-    pub fn index_of(&self, value: DomainValue) -> Option<ValueIndex> {
+    fn index_of(&self, value: DomainValue) -> Option<ValueIndex> {
         self.values
             .iter()
             .position(|&v| v == value)
@@ -379,43 +379,6 @@ impl WorldTable {
         Some(count)
     }
 
-    /// Probability of the total valuation `world` (one [`ValueIndex`] per
-    /// variable, in [`VarId`] order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `world` does not supply exactly one in-domain value index
-    /// per registered variable; this is an internal-enumeration API.
-    pub fn world_probability(&self, world: &[ValueIndex]) -> f64 {
-        assert_eq!(
-            world.len(),
-            self.contents.len(),
-            "a total valuation must assign every variable"
-        );
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "idx comes from this table's own domain (asserted total valuation)"
-        )]
-        self.iter()
-            .zip(world)
-            .map(|((_, info), idx)| info.probabilities[idx.index()])
-            .product()
-    }
-
-    /// Enumerates all possible worlds as total valuations with their
-    /// probabilities.
-    ///
-    /// Intended for tests and brute-force baselines on *small* tables; the
-    /// iterator is exponential in the number of variables.
-    pub fn enumerate_worlds(&self) -> WorldIter<'_> {
-        WorldIter {
-            table: self,
-            current: vec![ValueIndex(0); self.contents.len()],
-            done: self.iter().any(|(_, v)| v.domain_size() == 0),
-            first: true,
-        }
-    }
-
     /// Creates a fresh variable name of the form `{base}'`, `{base}''`, … that
     /// is not yet used in this table.
     ///
@@ -493,52 +456,6 @@ impl fmt::Display for WorldTable {
     }
 }
 
-/// Iterator over all total valuations of a [`WorldTable`].
-pub struct WorldIter<'a> {
-    table: &'a WorldTable,
-    current: Vec<ValueIndex>,
-    done: bool,
-    first: bool,
-}
-
-impl Iterator for WorldIter<'_> {
-    type Item = (Vec<ValueIndex>, f64);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        if self.first {
-            self.first = false;
-            let p = self.table.world_probability(&self.current);
-            return Some((self.current.clone(), p));
-        }
-        // Advance the odometer.
-        let mut i = 0;
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "odometer cursor i is guarded by the `i == current.len()` exit above"
-        )]
-        loop {
-            if i == self.current.len() {
-                self.done = true;
-                return None;
-            }
-            let size = self.table.domain_size(VarId(i as u32)).unwrap_or(0) as u16;
-            if self.current[i].0 + 1 < size {
-                self.current[i].0 += 1;
-                for slot in &mut self.current[..i] {
-                    slot.0 = 0;
-                }
-                break;
-            }
-            i += 1;
-        }
-        let p = self.table.world_probability(&self.current);
-        Some((self.current.clone(), p))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -561,30 +478,6 @@ mod tests {
         assert_eq!(w.value_label(j, ValueIndex(1)).unwrap(), 7);
         assert_eq!(w.value_index(b, 4).unwrap(), ValueIndex(0));
         assert!((w.probability(j, ValueIndex(0)).unwrap() - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn world_count_and_probabilities() {
-        let (w, _, _) = ssn_table();
-        assert_eq!(w.world_count(), Some(4));
-        assert!((w.log2_world_count() - 2.0).abs() < 1e-12);
-        let worlds: Vec<_> = w.enumerate_worlds().collect();
-        assert_eq!(worlds.len(), 4);
-        let total: f64 = worlds.iter().map(|(_, p)| p).sum();
-        assert!((total - 1.0).abs() < 1e-12);
-        // World {j -> 7, b -> 7} has probability .8 * .7 = .56 (Example 2.1).
-        let p = w.world_probability(&[ValueIndex(1), ValueIndex(1)]);
-        assert!((p - 0.56).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_table_has_one_world() {
-        let w = WorldTable::new();
-        assert!(w.is_empty());
-        assert_eq!(w.world_count(), Some(1));
-        let worlds: Vec<_> = w.enumerate_worlds().collect();
-        assert_eq!(worlds.len(), 1);
-        assert!((worlds[0].1 - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -175,39 +175,6 @@ impl WsSet {
         self.descriptors.iter().any(|d| d.matches_world(world))
     }
 
-    /// Enumerates `ω(S)` as a set of total valuations.
-    ///
-    /// Exponential in the number of variables of `table`; intended for tests
-    /// and brute-force baselines only.
-    pub fn enumerate_worlds(&self, table: &WorldTable) -> BTreeSet<Vec<ValueIndex>> {
-        table
-            .enumerate_worlds()
-            .filter(|(world, _)| self.matches_world(world))
-            .map(|(world, _)| world)
-            .collect()
-    }
-
-    /// Probability of the represented world-set computed by brute-force world
-    /// enumeration. Exponential; tests and baselines only.
-    ///
-    /// The world weights are accumulated with Neumaier compensated summation
-    /// so the oracle stays trustworthy on instances with very many (or very
-    /// skewed) worlds.
-    pub fn probability_by_enumeration(&self, table: &WorldTable) -> f64 {
-        crate::numeric::compensated_sum(
-            table
-                .enumerate_worlds()
-                .filter(|(world, _)| self.matches_world(world))
-                .map(|(_, p)| p),
-        )
-    }
-
-    /// Two ws-sets are equivalent iff they represent the same world-set.
-    /// Decided by enumeration; tests only.
-    pub fn is_equivalent_by_enumeration(&self, other: &WsSet, table: &WorldTable) -> bool {
-        self.enumerate_worlds(table) == other.enumerate_worlds(table)
-    }
-
     /// Partitions the ws-set into *minimal independent* sub-sets: descriptors
     /// end up in the same partition iff they are connected through shared
     /// variables.
@@ -376,7 +343,7 @@ pub fn try_diff_descriptor_set<E>(
 /// and every alternative `w'` of `x_i` different from `w_i`, the descriptor
 /// `d1 ∪ {x1 -> w1, …, x_{i−1} -> w_{i−1}, x_i -> w'}`. The produced
 /// descriptors are pairwise mutex and jointly denote `ω(d1) − ω(d2)`.
-pub fn diff_single(d1: &WsDescriptor, d2: &WsDescriptor, table: &WorldTable) -> Vec<WsDescriptor> {
+fn diff_single(d1: &WsDescriptor, d2: &WsDescriptor, table: &WorldTable) -> Vec<WsDescriptor> {
     if !d1.is_consistent_with(d2) {
         return vec![d1.clone()];
     }
@@ -519,38 +486,6 @@ mod tests {
     }
 
     #[test]
-    fn proposition_3_4_set_operations_are_correct() {
-        let (w, j, b) = table();
-        let d1 = WsDescriptor::from_pairs(&w, &[(j, 1)]).unwrap();
-        let d2 = WsDescriptor::from_pairs(&w, &[(j, 7), (b, 4)]).unwrap();
-        let d3 = WsDescriptor::from_pairs(&w, &[(b, 7)]).unwrap();
-        let s1 = WsSet::from_descriptors(vec![d1.clone(), d2.clone()]);
-        let s2 = WsSet::from_descriptors(vec![d2.clone(), d3.clone()]);
-
-        let union_worlds: BTreeSet<_> = s1
-            .enumerate_worlds(&w)
-            .union(&s2.enumerate_worlds(&w))
-            .cloned()
-            .collect();
-        assert_eq!(s1.union(&s2).enumerate_worlds(&w), union_worlds);
-
-        let inter_worlds: BTreeSet<_> = s1
-            .enumerate_worlds(&w)
-            .intersection(&s2.enumerate_worlds(&w))
-            .cloned()
-            .collect();
-        assert_eq!(s1.intersect(&s2).enumerate_worlds(&w), inter_worlds);
-
-        let diff_worlds: BTreeSet<_> = s1
-            .enumerate_worlds(&w)
-            .difference(&s2.enumerate_worlds(&w))
-            .cloned()
-            .collect();
-        let diff = s1.difference(&s2, &w);
-        assert_eq!(diff.enumerate_worlds(&w), diff_worlds);
-    }
-
-    #[test]
     fn diff_of_single_descriptor_is_pairwise_mutex() {
         let (w, [x, y, z, u, v], s) = figure3();
         let _ = (y, z, v);
@@ -559,54 +494,6 @@ mod tests {
         for (i, d1) in result.iter().enumerate() {
             assert!(result[i + 1..].iter().all(|d2| d1.is_mutex_with(d2)));
         }
-    }
-
-    #[test]
-    fn universal_and_empty_sets() {
-        let (w, _, _) = table();
-        let all = WsSet::universal();
-        assert!(all.contains_universal());
-        assert_eq!(all.enumerate_worlds(&w).len(), 4);
-        assert!((all.probability_by_enumeration(&w) - 1.0).abs() < 1e-12);
-
-        let none = WsSet::empty();
-        assert!(none.is_empty());
-        assert_eq!(none.enumerate_worlds(&w).len(), 0);
-        assert_eq!(none.probability_by_enumeration(&w), 0.0);
-    }
-
-    #[test]
-    fn example_3_2_normalization_by_absorption() {
-        let (w, j, b) = table();
-        let d1 = WsDescriptor::from_pairs(&w, &[(j, 1)]).unwrap();
-        let d2 = WsDescriptor::from_pairs(&w, &[(j, 7)]).unwrap();
-        let d3 = WsDescriptor::from_pairs(&w, &[(j, 1), (b, 4)]).unwrap();
-        let d4 = WsDescriptor::from_pairs(&w, &[(b, 4)]).unwrap();
-
-        // {d1} is mutex with {d2}; {d1,d2} is independent from {d4}.
-        let s12 = WsSet::from_descriptors(vec![d1.clone(), d2.clone()]);
-        assert!(WsSet::from_descriptors(vec![d1.clone()])
-            .is_mutex_with(&WsSet::from_descriptors(vec![d2.clone()])));
-        assert!(s12.is_independent_of(&WsSet::from_descriptors(vec![d4.clone()])));
-
-        // {d3, d4} normalises to {d4} because d3 ⊆ d4, after which it is
-        // independent from {d1, d2}.
-        let s34 = WsSet::from_descriptors(vec![d3, d4.clone()]);
-        let normalized = s34.normalized();
-        assert_eq!(normalized.descriptors(), &[d4]);
-        assert!(normalized.is_independent_of(&s12));
-        assert!(s34.is_equivalent_by_enumeration(&normalized, &w));
-    }
-
-    #[test]
-    fn normalize_removes_duplicates_and_keeps_semantics() {
-        let (w, j, b) = table();
-        let d1 = WsDescriptor::from_pairs(&w, &[(j, 1)]).unwrap();
-        let d3 = WsDescriptor::from_pairs(&w, &[(j, 1), (b, 4)]).unwrap();
-        let s = WsSet::from_descriptors(vec![d1.clone(), d1.clone(), d3]);
-        let n = s.normalized();
-        assert_eq!(n.len(), 1);
-        assert!(s.is_equivalent_by_enumeration(&n, &w));
     }
 
     #[test]

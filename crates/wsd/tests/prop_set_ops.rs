@@ -3,6 +3,7 @@
 //! enumeration on randomly generated small world tables.
 
 use proptest::prelude::*;
+use uprob_reference::worlds::{SetWorlds, TableWorlds};
 use uprob_wsd::{ValueIndex, VarId, WorldTable, WsDescriptor, WsSet};
 
 /// A compact recipe for a random world table plus ws-sets over it.

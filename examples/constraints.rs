@@ -18,11 +18,13 @@
 //! and conditions the database in a **single pass** — this example
 //! cross-checks it against the sequential [`assert_constraint`] fold and
 //! then answers posterior queries, both exactly and through the hybrid
-//! sampling engine.
+//! sampling engine. Each violation probability is checked against the
+//! brute-force world enumeration of the `uprob-reference` oracle crate.
 //!
 //! Run with `cargo run --example constraints`.
 
 use uprob::prelude::*;
+use uprob_reference::worlds::SetWorlds;
 
 fn main() {
     // ------------------------------------------------------------- //
@@ -115,10 +117,19 @@ fn main() {
         let violations = constraint
             .violation_ws_set(&db)
             .expect("constraints validate");
+        let violated = confidence(
+            &violations,
+            db.world_table(),
+            &DecompositionOptions::default(),
+        )
+        .expect("the violation set decomposes")
+        .probability;
+        let by_enumeration = violations.probability_by_enumeration(db.world_table());
+        assert!((violated - by_enumeration).abs() < 1e-9);
         println!(
             "  {:<40} P(violated) = {:.4}",
             constraint.describe(),
-            violations.probability_by_enumeration(db.world_table())
+            violated
         );
     }
 

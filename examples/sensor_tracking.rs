@@ -5,9 +5,10 @@
 //! database motivation of tracking moving objects and sensor data). New
 //! evidence arrives — a security sweep establishes that no two objects share
 //! a zone, and object 0 is definitely not in the loading dock — and the
-//! database is *conditioned* on it. The example inspects the ws-tree built
-//! for the evidence, compares the prior and posterior zone distributions and
-//! shows that the posterior world weights sum to one.
+//! database is *conditioned* on it. The example reports the decomposition
+//! of the evidence's probability, compares the prior and posterior zone
+//! distributions and shows, by enumerating the posterior's possible worlds
+//! with the `uprob-reference` oracle crate, that their weights sum to one.
 //!
 //! The second half turns the motivation into a *stream*: a fixed fleet of
 //! uncertain sensors receives batches of uncertain readings through the
@@ -22,6 +23,7 @@
 
 use uprob::prelude::*;
 use uprob_datagen::{SensorConfig, SensorWorkload};
+use uprob_reference::worlds::TableWorlds;
 
 const ZONES: [&str; 4] = ["dock", "aisle", "office", "yard"];
 
@@ -69,7 +71,7 @@ fn main() {
     print_zone_distributions(&db);
 
     // ----------------------------------------------------------------- //
-    // 2. Evidence as a ws-set, and its ws-tree decomposition.            //
+    // 2. Evidence as a ws-set, and the decomposition of its probability. //
     // ----------------------------------------------------------------- //
     // Evidence A: no two objects share a zone (a key constraint on ZONE).
     let exclusive = Constraint::key("location", &["ZONE"]);
@@ -91,20 +93,25 @@ fn main() {
         evidence.len(),
         evidence.variables().len()
     );
-    let (tree, stats) = build_tree(
+    // `confidence` folds Figure 7 over the ws-tree of Figure 4 without
+    // building it; its counters are the nodes of that tree. A one-descriptor
+    // sub-set is priced in closed form, with the nodes its chain of ⊕ steps
+    // would have taken (no weight here is zero, so no chain stops early).
+    let evidence_confidence = confidence(
         &evidence,
         db.world_table(),
         &DecompositionOptions::indve_minlog(),
     )
     .expect("decomposition succeeds");
+    let stats = evidence_confidence.stats;
+    println!("P(evidence) = {:.4}", evidence_confidence.probability);
     println!(
-        "ws-tree: {} nodes ({} ⊕, {} ⊗), height {}",
+        "decomposition: {} nodes ({} ⊕, {} ⊗), depth {}\n",
         stats.total_nodes(),
         stats.choice_nodes,
         stats.independent_nodes,
         stats.max_depth
     );
-    println!("{}", tree.display(db.world_table()));
 
     // ----------------------------------------------------------------- //
     // 3. Condition on both pieces of evidence.                           //

@@ -2,10 +2,10 @@
 //!
 //! A Rust implementation of *Conditioning Probabilistic Databases*
 //! (Christoph Koch & Dan Olteanu, VLDB 2008): U-relational probabilistic
-//! databases, world-set descriptors and ws-trees, exact confidence
-//! computation by Davis–Putnam-style decomposition, and the `assert[·]`
-//! conditioning operation that turns a database of priors into a posterior
-//! database.
+//! databases, world-set descriptors, exact confidence computation by
+//! Davis–Putnam-style decomposition (a fold over the ws-tree that never
+//! materialises it), and the `assert[·]` conditioning operation that turns
+//! a database of priors into a posterior database.
 //!
 //! This crate is a facade that re-exports the workspace crates:
 //!
@@ -13,7 +13,7 @@
 //! |--------|----------|
 //! | [`wsd`] | world tables, ws-descriptors, ws-sets and their set algebra |
 //! | [`urel`] | values, tuples, schemas, U-relations, probabilistic databases and the positive relational algebra as query plans |
-//! | [`core`] | ws-trees, the INDVE/VE decomposition with the minlog/minmax heuristics, exact confidence, ws-descriptor elimination and conditioning |
+//! | [`core`] | the INDVE/VE decomposition with the minlog/minmax heuristics, exact confidence, ws-descriptor elimination and conditioning |
 //! | [`approx`] | the Karp–Luby / Dagum-et-al. Monte-Carlo baseline |
 //! | [`query`] | `conf()` aggregates, constraints, `assert` and the snapshot-isolated [`ProbDbService`](query::ProbDbService) serving layer |
 //!
@@ -80,15 +80,14 @@ pub use uprob_wsd as wsd;
 pub mod prelude {
     pub use uprob_approx::{
         conditioned_monte_carlo, karp_luby_epsilon_delta, optimal_monte_carlo,
-        optimal_monte_carlo_prepared, ApproximationOptions, KarpLuby,
+        ApproximationOptions, KarpLuby,
     };
     pub use uprob_core::{
-        available_workers, build_tree, condition, confidence, confidence_by_elimination,
-        confidence_parallel, estimate_conditioned_confidence_with_options, estimate_confidence,
+        available_workers, condition, confidence, confidence_by_elimination, confidence_parallel,
+        estimate_conditioned_confidence_with_options, estimate_confidence,
         estimate_confidence_with_options, CacheStats, ConditioningOptions, ConfidenceReport,
         ConfidenceStrategy, DecompositionMethod, DecompositionOptions, InheritOutcome,
         ParallelOptions, ResolvedPath, SamplingStats, SharedDecompositionCache, VariableHeuristic,
-        WsTree,
     };
     pub use uprob_query::{
         answer_confidences_with_options, answer_confidences_with_strategy, assert_all,

@@ -16,6 +16,7 @@
 use proptest::prelude::*;
 use uprob::prelude::*;
 use uprob_datagen::arb_small_recipe;
+use uprob_reference::worlds::SetWorlds;
 
 /// Karp–Luby iterations for the fixed-iteration differential check.
 const KL_ITERATIONS: u64 = 40_000;

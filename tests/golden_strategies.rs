@@ -12,6 +12,7 @@ use uprob_datagen::{
     q1_answer_relation, q1_plan, HardInstance, HardInstanceConfig, TpchConfig, TpchDatabase,
 };
 use uprob_reference::urel as reference;
+use uprob_reference::worlds::SetWorlds;
 
 /// The Figure 3 ws-set with exact probability 0.7578.
 fn figure3() -> (WorldTable, WsSet) {

@@ -6,6 +6,7 @@
 use proptest::prelude::*;
 use uprob::prelude::*;
 use uprob_datagen::{HardInstance, HardInstanceConfig};
+use uprob_reference::worlds::{SetWorlds, TableWorlds};
 
 fn hard_config_strategy() -> impl Strategy<Value = HardInstanceConfig> {
     (2usize..=8, 2usize..=3, 1usize..=3, 0usize..=12, 0u64..1000).prop_map(
@@ -42,21 +43,6 @@ proptest! {
         }
         let we = confidence_by_elimination(set, table, None).unwrap().probability;
         prop_assert!((we - expected).abs() < 1e-9, "WE: {we} vs {expected}");
-    }
-
-    /// The materialised ws-tree is valid, represents the input ws-set and
-    /// evaluates to the same probability.
-    #[test]
-    fn ws_tree_construction_is_sound(config in hard_config_strategy()) {
-        let instance = HardInstance::generate(config);
-        let table = &instance.world_table;
-        let set = &instance.ws_set;
-        let (tree, _) = build_tree(set, table, &DecompositionOptions::indve_minlog()).unwrap();
-        prop_assert!(uprob_reference::wstree::validate(&tree, table).is_ok());
-        prop_assert!(uprob_reference::wstree::ws_set(&tree).is_equivalent_by_enumeration(set, table));
-        let p_tree = uprob_reference::wstree::probability(&tree, table);
-        let p_brute = set.probability_by_enumeration(table);
-        prop_assert!((p_tree - p_brute).abs() < 1e-9);
     }
 
     /// The Karp-Luby estimator stays within a loose absolute error band

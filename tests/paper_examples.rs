@@ -2,6 +2,7 @@
 //! through the public facade (`uprob::prelude`).
 
 use uprob::prelude::*;
+use uprob_reference::worlds::{SetWorlds, TableWorlds};
 
 /// The SSN database of Figures 1/2.
 fn ssn_db() -> (ProbDb, VarId, VarId) {
@@ -132,11 +133,6 @@ fn example_4_7_and_figure_3_probability() {
     }
     assert!((confidence_by_elimination(&s, &w, None).unwrap().probability - 0.7578).abs() < 1e-12);
     assert!((s.probability_by_enumeration(&w) - 0.7578).abs() < 1e-12);
-    // The materialised ws-tree represents S and evaluates to the same value.
-    let (tree, _) = build_tree(&s, &w, &DecompositionOptions::indve_minlog()).unwrap();
-    assert!(uprob_reference::wstree::validate(&tree, &w).is_ok());
-    assert!(uprob_reference::wstree::ws_set(&tree).is_equivalent_by_enumeration(&s, &w));
-    assert!((uprob_reference::wstree::probability(&tree, &w) - 0.7578).abs() < 1e-12);
 }
 
 #[test]

@@ -37,6 +37,7 @@ use uprob::core::fan_out_indexed;
 use uprob::prelude::*;
 use uprob::query::QueryError;
 use uprob_datagen::{arb_constraint_case, arb_small_recipe, HardInstance, HardInstanceConfig};
+use uprob_reference::worlds::SetWorlds;
 
 /// Worker counts exercised per case: fixed fan-outs plus whatever
 /// `UPROB_WORKERS` requests (the CI matrix routes 1/2/4/8 through the

@@ -15,6 +15,7 @@ use proptest::prelude::*;
 use uprob::prelude::*;
 use uprob_datagen::arb_plan_case;
 use uprob_reference::urel as reference;
+use uprob_reference::worlds::SetWorlds;
 
 /// Sorted copy of the rows: the multiset fingerprint two equivalent
 /// answers must share.

@@ -4,7 +4,8 @@
 //! * every product crate root carries the clippy gate line, so the per-site
 //!   lints and the `clippy.toml` lists apply to it;
 //! * no product crate depends on the oracles of `uprob-reference` or on
-//!   the workload generators of `uprob-datagen`;
+//!   the workload generators of `uprob-datagen`, and no product library
+//!   defines an oracle of its own ([`ORACLE_FNS`]);
 //! * no product code accumulates a float with a raw `+=`, except the sites
 //!   on [`RAW_SUMS`], each with its reason;
 //! * the standing counts of ROADMAP.md — product `pub fn`s, clippy
@@ -151,6 +152,82 @@ fn product_code_never_builds_the_workload_generators() {
     assert!(
         offenders.is_empty(),
         "a product manifest depends on `{GENERATORS}` (generators are for tests, examples and benches only): {offenders:?}"
+    );
+}
+
+/// The functions that only an oracle has: the possible-world enumerators
+/// (`enumerate_worlds`, `*_by_enumeration`) and the materialised ws-tree
+/// (`build_tree`). They live in `uprob-reference` (`worlds`, `wstree`).
+const ORACLE_FNS: &[&str] = &["enumerate_worlds", "*_by_enumeration", "build_tree"];
+
+/// The names of the functions `code` defines (`fn name`).
+fn defined_fns(code: &str) -> Vec<&str> {
+    code.match_indices("fn ")
+        .filter(|&(at, _)| at == 0 || !is_ident_byte(code.as_bytes()[at - 1]))
+        .map(|(at, _)| {
+            let rest = &code[at + 3..];
+            &rest[..rest.bytes().take_while(|&b| is_ident_byte(b)).count()]
+        })
+        .filter(|name| !name.is_empty())
+        .collect()
+}
+
+/// Whether `name` matches an [`ORACLE_FNS`] pattern (a leading `*` matches
+/// any prefix).
+fn is_oracle_fn(name: &str) -> bool {
+    ORACLE_FNS
+        .iter()
+        .any(|pattern| match pattern.strip_prefix('*') {
+            Some(suffix) => name.ends_with(suffix),
+            None => name == *pattern,
+        })
+}
+
+/// No product library part defines an oracle: exponential enumerators and
+/// the materialised tree are for tests, so they live where tests reach them.
+#[test]
+fn product_code_defines_no_oracle() {
+    let found: Vec<String> = product_library_sources()
+        .iter()
+        .flat_map(|(path, library)| {
+            defined_fns(&without_line_comments(library))
+                .into_iter()
+                .filter(|name| is_oracle_fn(name))
+                .map(|name| {
+                    let file = path.strip_prefix(root()).unwrap_or(path);
+                    format!("{}: fn {name}", file.display())
+                })
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    assert!(
+        found.is_empty(),
+        "product code defines an oracle (move it to `uprob-reference`): {found:?}"
+    );
+}
+
+#[test]
+fn the_oracle_scan_sees_what_it_must() {
+    let code = "pub fn enumerate_worlds(&self) {}\nfn probability_by_enumeration() {}\n\
+                pub(crate) fn build_tree() {}\nlet refn = 2;\nfn enumerate() {}";
+    let names = defined_fns(code);
+    assert_eq!(
+        names,
+        [
+            "enumerate_worlds",
+            "probability_by_enumeration",
+            "build_tree",
+            "enumerate"
+        ]
+    );
+    let oracles: Vec<&str> = names.into_iter().filter(|n| is_oracle_fn(n)).collect();
+    assert_eq!(
+        oracles,
+        [
+            "enumerate_worlds",
+            "probability_by_enumeration",
+            "build_tree"
+        ]
     );
 }
 
@@ -336,9 +413,9 @@ struct Counts {
 /// reason in CHANGES.md, as for [`RAW_SUMS`]; lowering one after a cut
 /// keeps the next change honest.
 const CEILINGS: Counts = Counts {
-    pub_fns: 307,
-    expects: 44,
-    loc: 7745,
+    pub_fns: 293,
+    expects: 42,
+    loc: 7522,
 };
 
 /// The module files declared in `code` (the source at `path`) that are never
@@ -360,10 +437,11 @@ fn gated_modules(path: &Path, code: &str) -> Vec<PathBuf> {
         .collect()
 }
 
-/// Counts every product source's library part (cut at its first
-/// `mod tests`), leaving out the files only tests or clippy compile
-/// (`uprob-core`'s `reference.rs`, the facade's `clippy_contract.rs`).
-fn standing_counts() -> Counts {
+/// Every product source built into a library, with its library part (cut
+/// at its first `mod tests`): the files only tests or clippy compile
+/// (`uprob-core`'s `reference.rs`, the facade's `clippy_contract.rs`) are
+/// left out.
+fn product_library_sources() -> Vec<(PathBuf, String)> {
     let files: Vec<(PathBuf, String)> = PRODUCT_CRATES
         .iter()
         .flat_map(|package| sources(&root().join(package).join("src")))
@@ -376,14 +454,25 @@ fn standing_counts() -> Counts {
         .iter()
         .flat_map(|(path, text)| gated_modules(path, text))
         .collect();
+    files
+        .into_iter()
+        .filter(|(path, _)| !gated.contains(path))
+        .map(|(path, text)| {
+            let library = library_part(&text).to_string();
+            (path, library)
+        })
+        .collect()
+}
+
+/// Counts the product library parts of [`product_library_sources`].
+fn standing_counts() -> Counts {
     let mut counts = Counts {
         pub_fns: 0,
         expects: 0,
         loc: 0,
     };
-    for (_, text) in files.iter().filter(|(path, _)| !gated.contains(path)) {
-        let library = library_part(text);
-        let code = without_line_comments(library);
+    for (_, library) in product_library_sources() {
+        let code = without_line_comments(&library);
         counts.pub_fns += code.matches("pub fn ").count();
         counts.expects += without_whitespace(&code)
             .matches("[expect(clippy::")

@@ -31,8 +31,6 @@ fn prelude_reexports_resolve() {
     let _ = DecompositionMethod::IndVe;
     let _ = VariableHeuristic::MinLog;
     let _ = ConditioningOptions::default();
-    let _: WsTree = WsTree::Bottom;
-    let _ = build_tree;
     let _ = confidence;
     let _ = confidence_by_elimination;
     let _ = condition;
